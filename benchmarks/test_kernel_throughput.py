@@ -78,27 +78,16 @@ def _bare_step(solver):
     telemetry-disabled executor path is guarded against."""
     import numpy as np
 
-    from repro.runtime.requests import irecv, isend, waitall
-
     solver.comm.set_step(solver.time)
     for st in solver.ranks:
         idx = np.arange(st.num_owned, dtype=np.int64)
         solver.collision.apply(solver.lattice, st.f, idx)
-    recv_reqs = []
-    for st in solver.ranks:
-        for src in st.recv_slots:
-            recv_reqs.append(
-                (st, src, irecv(solver.comm, st.rank, src, tag=1))
-            )
-    send_reqs = []
     for st in solver.ranks:
         for dst, ids in st.send_ids.items():
-            send_reqs.append(
-                isend(solver.comm, st.rank, dst, st.f[:, ids], tag=1)
-            )
-    waitall(send_reqs)
-    for st, src, req in recv_reqs:
-        st.f[:, st.recv_slots[src]] = req.wait()
+            solver.comm.send(st.rank, dst, st.f[:, ids], tag=1)
+    for st in solver.ranks:
+        for src, slots in st.recv_slots.items():
+            st.f[:, slots] = solver.comm.recv(st.rank, src, tag=1)
     for st in solver.ranks:
         for qi, qi_opp, dst, src, bounce in st.plans:
             st.f_tmp[qi, dst] = st.f[qi, src]

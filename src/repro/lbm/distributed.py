@@ -2,90 +2,171 @@
 
 One rank per logical GPU, as in the paper.  Each rank owns the fluid nodes
 inside its partition box plus a ghost layer holding the upstream
-neighbours owned by other ranks.  An iteration is the bulk-synchronous
-sequence:
+neighbours owned by other ranks.  An iteration is a fixed sequence of
+barrier-delimited phases **declared as data** — :class:`Phase` records
+(span, body method, rank buffers read and written, whether it ends in the
+double-buffer swap) in :data:`BARRIER_SCHEDULE` / :data:`OVERLAP_SCHEDULE`
+— and executed by the one loop behind :meth:`DistributedSolver.step`.
+The bulk-synchronous barrier schedule:
 
 1. collide on owned nodes;
-2. halo exchange — every rank sends the post-collision distributions of
-   the boundary nodes its neighbours' ghosts mirror;
-3. pull-streaming into owned nodes (ghosts supply remote upstream values);
-4. inlet/outlet boundary conditions on owned nodes.
+2. post the halo exchange — every rank packs and sends the post-collision
+   distributions of the boundary nodes its neighbours' ghosts mirror;
+3. complete it — received payloads refill the ghost columns;
+4. pull-stream into owned nodes (ghosts supply remote upstream values),
+   then swap the double buffer;
+5. inlet/outlet boundary conditions on owned nodes.
 
 The result is *identical* to the single-domain solver — the distributed
 equivalence test asserts exact agreement — while the communicator's event
 log captures the halo-exchange traffic the performance layer prices.
+The declaration is the single source the other encoders read: the K405
+hazard analyser (:func:`repro.lint.plancheck.check_overlap_hazards`)
+interprets it, the sanitizer's access log is recorded from its
+``reads``/``writes``, and :meth:`DistributedSolver.phase_bytes_per_step`
+is keyed by its span names.
 
 Overlapped pipeline
 -------------------
-With ``SolverConfig(overlap=True)`` the step is restructured into the
-interior/frontier pipeline production LBM codes (HARVEY included) use to
+``SolverConfig(overlap=True)`` runs the same bodies in the
+interior/frontier order production LBM codes (HARVEY included) use to
 hide halo exchange behind interior compute:
 
 1. collide on owned nodes;
 2. **post** the exchange — only the populations some neighbour's frontier
    link actually reads are packed (the "5 of 19 directions" exchange the
-   paper's performance model prices), and receives are posted
-   non-blocking;
+   paper's performance model prices);
 3. **stream the interior while the exchange is in flight** — one fused
    gather over all owned nodes; interior columns are final, frontier
    columns are provisional where their halo-sourced links read stale
    ghosts;
-4. **complete** the exchange;
-5. **stream the frontier** — the packed payloads are scattered directly
+4. **complete** the exchange into per-neighbour staging buffers;
+5. **stream the frontier** — the staged payloads are scattered directly
    onto the halo-sourced link destinations in the double buffer,
    finalising exactly the provisional values (ghost columns are never
-   staged at all on this path);
+   refreshed on this path), then swap;
 6. inlet/outlet boundary conditions.
 
-Because pull-streaming writes the double buffer and never reads what
-frontier streaming writes, the pipeline is bit-for-bit identical to the
-barrier schedule — pinned by ``tests/lbm/test_overlap_equivalence.py``.
-Ranks execute each phase through the configured executor
-(``SolverConfig.executor``): ``"lockstep"`` runs them serially,
-``"parallel"`` dispatches them onto a thread pool with a per-phase
-barrier (the fused NumPy kernels release the GIL).
+Phases 2-4 run inside an ``overlap_window`` span, derived from the
+declaration (exchange post through completion, when compute is scheduled
+between them).  Because pull-streaming writes the double buffer and never
+reads what frontier streaming writes, the pipeline is bit-for-bit
+identical to the barrier schedule — pinned by
+``tests/lbm/test_overlap_equivalence.py``.
 
-Process tier
-------------
-``executor="process"`` runs the same phase bodies on persistent forked
-worker processes (:mod:`repro.runtime.procexec`) for true multicore
-rank parallelism.  The ``f`` double buffer is then allocated in
-:mod:`repro.runtime.shmem` segments (so workers mutate the pages the
-parent observes), and the halo payloads cross through per-pair
-shared-memory rings instead of SimComm's in-process queues — the
-``*_proc`` exchange phases below mirror the in-process ones line for
-line, with ``RingTransport.send``/``recv_into`` in place of
-``isend``/``wait``.  The parent still owns the SimComm for collectives
-and the event log (ring traffic is logged per step from the static
-wiring), mirrors the worker-side buffer swaps on its own rank states,
-and ships its mutable scalars (boundary time, step epoch) to workers
-through the per-phase context hook.  Physics stays bit-for-bit equal to
-the lockstep schedule — pinned by
-``tests/lbm/test_process_equivalence.py``.
+Executors and the halo transport
+--------------------------------
+``SolverConfig.executor`` picks how ranks run each phase: ``"lockstep"``
+serially, ``"parallel"`` on a thread pool with a per-phase barrier (the
+fused NumPy kernels release the GIL), ``"process"`` on persistent forked
+workers (:mod:`repro.runtime.procexec`) for true multicore parallelism.
+That choice never reaches the phase bodies: the exchange bodies stage
+through preallocated per-neighbour buffers and talk to one halo transport,
+chosen once in ``_build``, through ``send(src, dst, buf, tag)`` /
+``recv_into(dst, src, out, tag)`` only — the
+:class:`~repro.runtime.simmpi.SimComm` queues in-process, the per-pair
+shared-memory :class:`~repro.runtime.shmem.RingTransport` under
+``"process"`` (:class:`~repro.runtime.mpicomm.MPIComm` offers the same two
+calls).  Under the process tier the ``f`` double buffer lives in
+:mod:`repro.runtime.shmem` segments so workers mutate the pages the parent
+observes; the parent keeps the SimComm for collectives and the event log
+(ring traffic is logged per step from the static wiring), mirrors the
+worker-side buffer swap, and ships its mutable scalars (boundary time,
+step epoch) with each dispatch.  Physics stays bit-for-bit equal to
+lockstep — pinned by ``tests/lbm/test_process_equivalence.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.errors import DecompositionError, RuntimeSimError
+from ..core.errors import ConfigError, DecompositionError, RuntimeSimError
 from ..core.kernels import Workspace
 from ..decomp.partition import Partition
 from ..geometry.flags import INLET, OUTLET
 from .boundary import PressureOutlet, VelocityInlet
 from .solver import SolverConfig
-from .stream import StepPlan
+from .stream import StepPlan, upstream_ids
 from ..runtime.events import CommEvent
 from ..runtime.executor import make_executor
-from ..runtime.requests import Request, irecv, isend, waitall
+from ..runtime.shmem import RingTransport, SegmentRegistry
 from ..runtime.simmpi import SimComm
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import get_tracer
 
-__all__ = ["RankState", "DistributedSolver"]
+__all__ = [
+    "Phase",
+    "BARRIER_SCHEDULE",
+    "OVERLAP_SCHEDULE",
+    "RankState",
+    "DistributedSolver",
+]
+
+#: Message tag of the halo exchange (the tag the S300 pre-flight checks).
+HALO_TAG = 1
+
+
+@dataclass(frozen=True)
+class Phase:
+    """One barrier-delimited phase of the distributed step.
+
+    ``reads`` / ``writes`` name the :class:`RankState` buffers the body
+    touches on its own rank; every rank finishes a phase before any rank
+    starts the next, so accesses in different phases are ordered.
+    """
+
+    span: str  # telemetry span name (both exchange halves share one)
+    body: str  # name of the DistributedSolver method run per rank
+    reads: Tuple[str, ...] = ()
+    writes: Tuple[str, ...] = ()
+    swaps: bool = False  # ends in the f / f_tmp double-buffer swap
+
+
+_COLLIDE = Phase("collide", "_phase_collide", ("f",), ("f",))
+_POST = Phase("exchange", "_phase_exchange_post", ("f",), ("send_bufs",))
+_BOUNDARY = Phase("boundary", "_phase_boundary", ("f",), ("f",))
+
+#: Bulk-synchronous schedule: the exchange completes (refilling the ghost
+#: columns of ``f``) before any streaming starts.
+BARRIER_SCHEDULE: Tuple[Phase, ...] = (
+    _COLLIDE,
+    _POST,
+    Phase("exchange", "_phase_exchange_complete", (), ("recv_bufs", "f")),
+    Phase("stream", "_phase_stream", ("f",), ("f_tmp",), True),
+    _BOUNDARY,
+)
+
+#: Interior/frontier schedule: the full-plan gather runs between the
+#: exchange post and its completion; the frontier scatter then finalises
+#: the provisional destinations from the staged payloads.
+OVERLAP_SCHEDULE: Tuple[Phase, ...] = (
+    _COLLIDE,
+    _POST,
+    Phase("interior", "_phase_stream_interior", ("f",), ("f_tmp",)),
+    Phase("exchange", "_phase_exchange_complete", (), ("recv_bufs",)),
+    Phase("frontier", "_phase_stream_frontier", ("recv_bufs",), ("f_tmp",), True),
+    _BOUNDARY,
+)
+
+
+def _split_at_window(
+    schedule: Sequence[Phase],
+) -> Tuple[Sequence[Phase], Sequence[Phase], Sequence[Phase]]:
+    """Split ``schedule`` into (head, overlap window, tail).
+
+    The window runs from the exchange post through its completion when
+    the declaration schedules compute between them — the phases during
+    which communication is hidden; it is empty (everything in ``head``)
+    when the two exchange halves are adjacent.
+    """
+    halves = [i for i, p in enumerate(schedule) if p.span == "exchange"]
+    lo, hi = halves[0], halves[-1] + 1
+    if hi - lo == len(halves):
+        lo = hi = len(schedule)
+    return schedule[:lo], schedule[lo:hi], schedule[hi:]
 
 
 @dataclass
@@ -105,42 +186,27 @@ class RankState:
     owned_ids: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64)
     )  # local ids [0, num_owned), preallocated for the collide phase
-    # fused-path state (None / empty when running the legacy path)
+    # fused-path state (None when running the legacy reference path)
     step_plan: Optional[StepPlan] = None
     workspace: Optional[Workspace] = None
+    # halo staging of the active schedule, per neighbour: flat gather
+    # table into f and send buffer per destination, receive buffer per
+    # source.  Barrier: all q populations of send_ids / recv_slots.
+    # Overlap: send_flat is pack_flat and the buffers are 1-D payloads.
     send_flat: Dict[int, np.ndarray] = field(default_factory=dict)
     send_bufs: Dict[int, np.ndarray] = field(default_factory=dict)
     recv_bufs: Dict[int, np.ndarray] = field(default_factory=dict)
     # overlap-path state: the interior/frontier split of the step plan
-    # plus the packed cross-link exchange wiring (empty when overlap off)
+    # plus the packed cross-link exchange wiring (empty when overlap off):
+    # what to pack per destination, where to scatter per source
     interior_plan: Optional[StepPlan] = None
     frontier_plan: Optional[StepPlan] = None
     pack_flat: Dict[int, np.ndarray] = field(default_factory=dict)
-    pack_bufs: Dict[int, np.ndarray] = field(default_factory=dict)
     inj_flat: Dict[int, np.ndarray] = field(default_factory=dict)
-    # process-tier staging: received overlap payloads, per source rank
-    # (the ring transport pops into these; empty off the process path)
-    pay_bufs: Dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def num_owned(self) -> int:
         return int(self.owned_global.size)
-
-    @property
-    def num_interior(self) -> int:
-        return (
-            self.interior_plan.num_update
-            if self.interior_plan is not None
-            else self.num_owned
-        )
-
-    @property
-    def num_frontier(self) -> int:
-        return (
-            self.frontier_plan.num_update
-            if self.frontier_plan is not None
-            else 0
-        )
 
 
 class DistributedSolver:
@@ -169,49 +235,35 @@ class DistributedSolver:
         self.executor = make_executor(
             config.executor, partition.num_ranks, tracer=self.tracer
         )
-        self._pending: List[
-            Optional[Tuple[List[Request], Dict[int, Request]]]
-        ] = [None] * partition.num_ranks
-        self._payloads: List[Optional[Dict[int, np.ndarray]]] = [
-            None
-        ] * partition.num_ranks
         self.time = 0
         self.fluid_updates = 0
         self._fused = bool(config.fused)
         self._overlap = bool(config.overlap)
+        self._schedule = OVERLAP_SCHEDULE if self._overlap else BARRIER_SCHEDULE
+        self._schedule_parts = _split_at_window(self._schedule)
         self._procmode = config.executor == "process"
+        self._closed = False
         self._shm = None  # SegmentRegistry, allocated in _build()
-        self._rings = None  # RingTransport, wired in _build()
+        self._halo = self.comm  # halo transport; the rings under procmode
         self.plane = None  # TelemetryPlane, wired in _build() (procmode)
-        self._ring_traffic: List[Tuple[int, int, int]] = []
-        self._halo_step_bytes = 0
         self._san = None  # StepSanitizer, attached after _build()
         registry = get_registry()
         self._halo_packed = registry.counter("lbm.halo.bytes_packed")
         self._halo_unpacked = registry.counter("lbm.halo.bytes_unpacked")
         self._flups_counter = registry.counter("lbm.collide.flups")
-        self._stream_bytes_counter = registry.counter(
-            "lbm.stream.bytes_gathered"
-        )
+        self._stream_bytes_counter = registry.counter("lbm.stream.bytes_gathered")
         self._build()
+        context = f"partition over {partition.num_ranks} rank(s)"
         if validate_schedule:
             # pre-flight: statically verify the halo-exchange plan the
             # decomposition produced before any step executes (opt out
             # with validate_schedule=False)
-            from ..lint.commcheck import (
-                schedule_from_rank_states,
-                verify_schedule,
-            )
+            from ..lint.commcheck import schedule_from_rank_states, verify_schedule
 
-            verify_schedule(
-                schedule_from_rank_states(
-                    self.ranks,
-                    partition.num_ranks,
-                    tag=1,
-                    overlap=self._overlap,
-                ),
-                context=f"partition over {partition.num_ranks} rank(s)",
+            sched = schedule_from_rank_states(
+                self.ranks, partition.num_ranks, tag=HALO_TAG, overlap=self._overlap
             )
+            verify_schedule(sched, context=context)
         if validate_plan and self._fused:
             # pre-flight: verify the compiled plan IR itself (the K4xx
             # invariants — race-free destinations, in-bounds sources,
@@ -220,48 +272,25 @@ class DistributedSolver:
             from ..lint.plancheck import verify_rank_plans
 
             verify_rank_plans(
-                self.ranks,
-                overlap=self._overlap,
-                context=f"partition over {partition.num_ranks} rank(s)",
+                self.ranks, overlap=self._overlap, context=context
             )
         if config.sanitize:
             from .sanitize import StepSanitizer
 
             self._san = StepSanitizer(self.ranks, overlap=self._overlap)
-            # phase bodies and the communicator note shared-buffer
-            # accesses on the sanitizer's log; the executor advances its
-            # barrier epoch once per phase
+            # the step loop notes each phase's declared accesses and the
+            # communicator its queue traffic on the sanitizer's log; the
+            # executor advances its barrier epoch once per phase
             self.executor.access_log = self._san.access_log
             self.comm.access_log = self._san.access_log
 
     # -- setup ---------------------------------------------------------------
-    def _upstream_global(self, coords: np.ndarray, qi: int) -> np.ndarray:
-        """Global node id of the upstream neighbour per coordinate (-1 if
-        solid / outside), honouring periodic axes."""
-        shape = np.asarray(self.grid.shape, dtype=np.int64)
-        pos = coords - self.lattice.c[qi]
-        valid = np.ones(pos.shape[0], dtype=bool)
-        for axis in range(3):
-            col = pos[:, axis]
-            if self.config.periodic[axis]:
-                pos[:, axis] = np.mod(col, shape[axis])
-            else:
-                valid &= (col >= 0) & (col < shape[axis])
-        out = np.full(pos.shape[0], -1, dtype=np.int64)
-        if valid.any():
-            p = pos[valid]
-            out[valid] = self._index_map[p[:, 0], p[:, 1], p[:, 2]]
-        return out
-
     def _build(self) -> None:
-        if self._procmode and self._shm is None:
-            from ..runtime.shmem import SegmentRegistry
-
+        if self._procmode:
             self._shm = SegmentRegistry()
         grid = self.grid
         coords, index_map = grid.compact_ids()
         self._coords = coords
-        self._index_map = index_map
         n_global = coords.shape[0]
         owner_map = self.partition.owner_map()
         owner_of = owner_map[coords[:, 0], coords[:, 1], coords[:, 2]]
@@ -277,53 +306,41 @@ class DistributedSolver:
         upstream = np.empty((q, n_global), dtype=np.int64)
         upstream[0] = np.arange(n_global, dtype=np.int64)
         for qi in range(1, q):
-            upstream[qi] = self._upstream_global(coords, qi)
+            upstream[qi] = upstream_ids(
+                grid.shape, self.lattice.c[qi], self.config.periodic,
+                coords, index_map,
+            )
 
         self.ranks: List[RankState] = []
         ghost_needs: Dict[int, Dict[int, np.ndarray]] = {}
-        owned_lists: List[np.ndarray] = []
         for r in range(num_ranks):
             owned = np.flatnonzero(owner_of == r).astype(np.int64)
-            owned_lists.append(owned)
-
-        for r in range(num_ranks):
-            owned = owned_lists[r]
             ups = upstream[:, owned]  # (q, n_owned)
             flat = ups[ups >= 0]
             remote = flat[owner_of[flat] != r]
             ghosts = np.unique(remote)
-            ghost_needs[r] = {}
-            if ghosts.size:
-                gowners = owner_of[ghosts]
-                for j in np.unique(gowners):
-                    ghost_needs[r][int(j)] = ghosts[gowners == j]
+            gowners = owner_of[ghosts]
+            ghost_needs[r] = {
+                int(j): ghosts[gowners == j] for j in np.unique(gowners)
+            }
 
             # local numbering: owned (ascending) then ghosts (ascending)
             local_of = np.full(n_global, -1, dtype=np.int64)
             local_of[owned] = np.arange(owned.size, dtype=np.int64)
-            local_of[ghosts] = owned.size + np.arange(
-                ghosts.size, dtype=np.int64
-            )
+            local_of[ghosts] = owned.size + np.arange(ghosts.size, dtype=np.int64)
 
             plans = []
             owned_local = np.arange(owned.size, dtype=np.int64)
             for qi in range(q):
                 qi_opp = int(self.lattice.opposite[qi])
-                src_g = ups[qi]
-                has = src_g >= 0
-                src_local = np.where(has, local_of[np.where(has, src_g, 0)], -1)
-                if np.any((src_local < 0) & has):
+                has = ups[qi] >= 0
+                src_local = local_of[ups[qi][has]]
+                if np.any(src_local < 0):
                     raise DecompositionError(
                         "ghost layer misses an upstream neighbour"
                     )
                 plans.append(
-                    (
-                        qi,
-                        qi_opp,
-                        owned_local[has],
-                        src_local[has],
-                        owned_local[~has],
-                    )
+                    (qi, qi_opp, owned_local[has], src_local, owned_local[~has])
                 )
 
             n_local = owned.size + ghosts.size
@@ -341,8 +358,7 @@ class DistributedSolver:
 
             inlet_nodes = owned_local[flags_at[owned] == INLET]
             outlet_nodes = owned_local[flags_at[owned] == OUTLET]
-            inlet = None
-            outlet = None
+            inlet = outlet = None
             if inlet_nodes.size:
                 if self.config.inlet_velocity is None:
                     raise DecompositionError(
@@ -378,9 +394,7 @@ class DistributedSolver:
             for j, needed in ghost_needs[r].items():
                 state_j = self.ranks[j]
                 send_local = np.searchsorted(state_j.owned_global, needed)
-                if not np.array_equal(
-                    state_j.owned_global[send_local], needed
-                ):
+                if not np.array_equal(state_j.owned_global[send_local], needed):
                     raise DecompositionError(
                         f"rank {j} does not own nodes rank {r} needs"
                     )
@@ -389,25 +403,11 @@ class DistributedSolver:
                 state_r.recv_slots[j] = slots.astype(np.int64)
 
         if self._fused:
-            # compile the fused step plan and preallocate the halo
-            # pack/unpack buffers (the simulated transport copies send
-            # payloads eagerly, so the send buffers are safe to reuse)
             for st in self.ranks:
-                n_local = st.f.shape[1]
                 st.step_plan = StepPlan(
-                    self.lattice, st.plans, n_local, st.owned_ids
+                    self.lattice, st.plans, st.f.shape[1], st.owned_ids
                 )
                 st.workspace = Workspace()
-                q_off = np.arange(q, dtype=np.int64)[:, None] * n_local
-                for dst, ids in st.send_ids.items():
-                    st.send_flat[dst] = q_off + ids[None, :]
-                    st.send_bufs[dst] = np.empty(
-                        (q, ids.size), dtype=np.float64
-                    )
-                for src, slots in st.recv_slots.items():
-                    st.recv_bufs[src] = np.empty(
-                        (q, slots.size), dtype=np.float64
-                    )
 
         self._kern = None
         self._kern_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -435,13 +435,11 @@ class DistributedSolver:
             # values in the same order — so a received payload scatters
             # straight onto the link destinations with no ghost staging
             for st in self.ranks:
+                n_local = st.f.shape[1]
                 assert st.step_plan is not None
                 st.interior_plan, st.frontier_plan = (
                     st.step_plan.partition(st.num_owned)
                 )
-            for st in self.ranks:
-                n_local = st.f.shape[1]
-                assert st.step_plan is not None
                 dst_flat, src_flat = st.step_plan.cross_links(st.num_owned)
                 if dst_flat.size == 0:
                     continue
@@ -465,36 +463,40 @@ class DistributedSolver:
                     peer.pack_flat[st.rank] = (
                         link_q[mask] * peer.f.shape[1] + src_local
                     ).astype(np.int64)
-                    peer.pack_bufs[st.rank] = np.empty(
-                        int(src_local.size), dtype=np.float64
-                    )
+
+        # preallocate the active schedule's halo staging (both transports
+        # copy on send, so the buffers are reusable; process-tier workers
+        # inherit them copy-on-write and stage worker-locally)
+        for st in self.ranks:
+            if self._overlap:
+                st.send_flat = st.pack_flat
+                shapes = {src: inj.shape for src, inj in st.inj_flat.items()}
+            else:
+                q_off = np.arange(q, dtype=np.int64)[:, None] * st.f.shape[1]
+                st.send_flat = {
+                    dst: q_off + ids for dst, ids in st.send_ids.items()
+                }
+                shapes = {
+                    src: (q, slots.size) for src, slots in st.recv_slots.items()
+                }
+            st.send_bufs = {
+                dst: np.empty(flat.shape) for dst, flat in st.send_flat.items()
+            }
+            st.recv_bufs = {src: np.empty(shape) for src, shape in shapes.items()}
+        # one message per wired (src, dst) pair per step — the same send
+        # lists the S300 checker verifies
+        self._wire = [
+            (st.rank, dst, int(buf.nbytes))
+            for st in self.ranks
+            for dst, buf in st.send_bufs.items()
+        ]
+        self._halo_step_bytes = sum(nbytes for _, _, nbytes in self._wire)
 
         if self._procmode:
-            # wire one SPSC ring per ordered neighbour pair, sized to the
-            # active schedule's packed payload; the same send lists the
-            # S300 checker verifies define which pairs exist
-            from ..runtime.shmem import RingTransport
-
-            pairs: List[Tuple[int, int, int]] = []
-            if self._overlap:
-                for st in self.ranks:
-                    for dst, pack in st.pack_flat.items():
-                        pairs.append((st.rank, dst, int(pack.size)))
-                    for src, inj in st.inj_flat.items():
-                        st.pay_bufs[src] = np.empty(
-                            int(inj.size), dtype=np.float64
-                        )
-            else:
-                for st in self.ranks:
-                    for dst, ids in st.send_ids.items():
-                        pairs.append((st.rank, dst, int(q * ids.size)))
+            # one SPSC ring per wired pair, sized to its payload
             assert self._shm is not None
-            self._rings = RingTransport(self._shm, pairs)
-            self._ring_traffic = [
-                (src, dst, items * 8) for src, dst, items in pairs
-            ]
-            self._halo_step_bytes = sum(
-                nbytes for _, _, nbytes in self._ring_traffic
+            self._halo = RingTransport(
+                self._shm, [(s, d, nbytes // 8) for s, d, nbytes in self._wire]
             )
             # cross-process telemetry plane: worker-resident tracing,
             # metric merge, heartbeats, and the crash flight recorder.
@@ -514,36 +516,27 @@ class DistributedSolver:
                 self.executor.plane = self.plane
 
         # preallocated observables (gather_f / mass are allocation-free)
-        self._owned_total = int(
-            sum(st.num_owned for st in self.ranks)
-        )
+        self._owned_total = sum(st.num_owned for st in self.ranks)
         # gather traffic of one streaming pass across all ranks, for the
         # per-step() counter bump (the overlapped interior phase applies
         # the full plan, so the figure is schedule-independent)
-        if self._fused:
-            self._gather_bytes_per_step = int(
-                sum(
-                    st.step_plan.bytes_per_apply
-                    for st in self.ranks
-                    if st.step_plan is not None
-                )
-            )
-        else:
-            self._gather_bytes_per_step = 2 * q * self._owned_total * 8
-        self._gather_out = np.empty(
-            (q, n_global), dtype=np.float64
+        self._gather_bytes_per_step = sum(
+            int(st.step_plan.bytes_per_apply)
+            if st.step_plan is not None
+            else 2 * q * st.num_owned * 8
+            for st in self.ranks
         )
+        self._gather_out = np.empty((q, n_global), dtype=np.float64)
         self._mass_contribs = np.empty(num_ranks, dtype=np.float64)
 
-    # -- stepping ----------------------------------------------------------
-    # Each phase body is a per-rank function dispatched through the
-    # lockstep executor, which emits one span per rank per phase when a
-    # tracer is attached (the functional source of the Fig. 7 breakdown).
+    # -- phase bodies ------------------------------------------------------
+    # Each body is a per-rank function the step loop dispatches through
+    # the executor, which emits one span per rank per phase when a tracer
+    # is attached (the functional source of the Fig. 7 breakdown).  The
+    # schedules above declare their order and buffer accesses.
 
     def _phase_collide(self, rank: int) -> None:
         st = self.ranks[rank]
-        if self._san is not None:
-            self._san.access_log.record(rank, f"rank{st.rank}.f", "write")
         if self._kern is not None:
             # owned nodes are the prefix of the local numbering
             self._kern.collide(st.f, st.num_owned)
@@ -553,86 +546,73 @@ class DistributedSolver:
         )
 
     def _phase_exchange_post(self, rank: int) -> None:
-        # the MPI_Isend/Irecv pattern production codes use to overlap;
-        # the simulated transport captures send payloads eagerly, so
-        # posting per rank in lockstep preserves exact message matching
+        # allocation-free pack into the preallocated per-neighbour send
+        # buffers: all q populations of the mirrored boundary nodes under
+        # the barrier schedule, only the values some neighbour's frontier
+        # link reads (the ~5-of-19 directions the paper's halo model
+        # prices) under overlap.  Both transports copy eagerly on send.
         st = self.ranks[rank]
-        if self._san is not None:
-            self._san.access_log.record(rank, f"rank{st.rank}.f", "read")
-        recvs = {
-            src: irecv(
-                self.comm, st.rank, src, tag=1, buf=st.recv_bufs.get(src)
-            )
-            for src in st.recv_slots
-        }
-        if self._fused:
-            # allocation-free pack: gather boundary columns into the
-            # preallocated per-neighbour send buffers
-            sends = []
-            for dst in st.send_ids:
-                buf = st.send_bufs[dst]
-                np.take(
-                    st.f.reshape(-1),
-                    st.send_flat[dst],
-                    out=buf,
-                    mode="clip",
-                )
-                sends.append(isend(self.comm, st.rank, dst, buf, tag=1))
-                self._halo_packed.inc(buf.nbytes)
-        else:
-            sends = []
-            for dst, ids in st.send_ids.items():
-                payload = st.f[:, ids]
-                sends.append(
-                    isend(self.comm, st.rank, dst, payload, tag=1)
-                )
-                self._halo_packed.inc(payload.nbytes)
-        self._pending[rank] = (sends, recvs)
-
-    def _take_pending(
-        self, rank: int
-    ) -> Tuple[List[Request], Dict[int, Request]]:
-        pending = self._pending[rank]
-        if pending is None:
-            raise RuntimeSimError(
-                f"rank {rank}: exchange completion without a posted "
-                "exchange"
-            )
-        self._pending[rank] = None
-        return pending
+        f_flat = st.f.reshape(-1)
+        for dst, buf in st.send_bufs.items():
+            np.take(f_flat, st.send_flat[dst], out=buf, mode="clip")
+            self._halo.send(rank, dst, buf, tag=HALO_TAG)
 
     def _phase_exchange_complete(self, rank: int) -> None:
         st = self.ranks[rank]
         san = self._san
-        if san is not None:
-            san.access_log.record(rank, f"rank{st.rank}.f", "write")
-        sends, recvs = self._take_pending(rank)
-        waitall(sends)
-        for src, req in recvs.items():
-            payload = req.wait()
-            st.f[:, st.recv_slots[src]] = payload
-            self._halo_unpacked.inc(payload.nbytes)
-            if san is not None:
-                san.on_unpack(st, src)
+        for src, buf in st.recv_bufs.items():
+            self._halo.recv_into(rank, src, buf, tag=HALO_TAG)
+            if self._overlap:
+                # staged for the frontier scatter; ghost columns are
+                # never refreshed on this schedule
+                if san is not None:
+                    san.on_payload(st, src)
+            else:
+                st.f[:, st.recv_slots[src]] = buf
+                if san is not None:
+                    san.on_unpack(st, src)
+
+    def _gather(self, st: RankState) -> None:
+        """Pull-stream ``f`` into ``f_tmp`` over the rank's full plan."""
+        if self._kern is not None:
+            src, dst = self._kern_tables[st.rank]
+            self._kern.stream(st.f, st.f_tmp, src, dst)
+        elif st.step_plan is not None:
+            st.step_plan.apply(st.f, st.f_tmp)
+        else:  # legacy per-population reference path
+            for qi, qi_opp, dst, src, bounce in st.plans:
+                st.f_tmp[qi, dst] = st.f[qi, src]
+                if bounce.size:
+                    st.f_tmp[qi, bounce] = st.f[qi_opp, bounce]
 
     def _phase_stream(self, rank: int) -> None:
         st = self.ranks[rank]
         if self._san is not None:
             self._san.before_stream(st)
-            self._san.access_log.record(rank, f"rank{st.rank}.f", "read")
-            self._san.access_log.record(
-                rank, f"rank{st.rank}.f_tmp", "write"
-            )
-        if self._kern is not None:
-            src, dst = self._kern_tables[rank]
-            self._kern.stream(st.f, st.f_tmp, src, dst)
-        elif st.step_plan is not None:
-            st.step_plan.apply(st.f, st.f_tmp)
-        else:
-            for qi, qi_opp, dst, src, bounce in st.plans:
-                st.f_tmp[qi, dst] = st.f[qi, src]
-                if bounce.size:
-                    st.f_tmp[qi, bounce] = st.f[qi_opp, bounce]
+        self._gather(st)
+        st.f, st.f_tmp = st.f_tmp, st.f
+
+    def _phase_stream_interior(self, rank: int) -> None:
+        # the same gather while the exchange is in flight: interior
+        # columns are final; frontier columns are provisional exactly on
+        # their halo-sourced links (which read stale ghosts here and are
+        # overwritten by the frontier scatter)
+        st = self.ranks[rank]
+        if self._san is not None:
+            self._san.on_interior_stream(st)
+        self._gather(st)
+
+    def _phase_stream_frontier(self, rank: int) -> None:
+        # finalize the frontier: scatter each staged payload straight
+        # onto the halo-sourced link destinations in the double buffer
+        # (ghost columns are never staged on this path), then swap
+        st = self.ranks[rank]
+        san = self._san
+        tmp_flat = st.f_tmp.reshape(-1)
+        for src, inj in st.inj_flat.items():
+            if san is not None:
+                san.on_scatter(st, src, inj)
+            tmp_flat[inj] = st.recv_bufs[src]
         st.f, st.f_tmp = st.f_tmp, st.f
 
     def _phase_boundary(self, rank: int) -> None:
@@ -640,149 +620,10 @@ class DistributedSolver:
         # here: rank phases may run on worker threads and `+=` on shared
         # solver state is not atomic
         st = self.ranks[rank]
-        if self._san is not None:
-            self._san.access_log.record(rank, f"rank{st.rank}.f", "write")
         if st.inlet is not None:
             st.inlet.apply(self.lattice, st.f, self.time)
         if st.outlet is not None:
             st.outlet.apply(self.lattice, st.f, self.time)
-
-    # -- overlapped phases -------------------------------------------------
-    def _phase_exchange_post_overlap(self, rank: int) -> None:
-        # packed exchange: only the population values some neighbour's
-        # frontier link reads (the ~5-of-19 directions the paper's halo
-        # model prices), gathered into preallocated 1-D buffers
-        st = self.ranks[rank]
-        if self._san is not None:
-            self._san.access_log.record(rank, f"rank{st.rank}.f", "read")
-        recvs = {
-            src: irecv(self.comm, st.rank, src, tag=1)
-            for src in st.inj_flat
-        }
-        sends = []
-        f_flat = st.f.reshape(-1)
-        for dst, pack in st.pack_flat.items():
-            buf = st.pack_bufs[dst]
-            np.take(f_flat, pack, out=buf, mode="clip")
-            sends.append(isend(self.comm, st.rank, dst, buf, tag=1))
-            self._halo_packed.inc(buf.nbytes)
-        self._pending[rank] = (sends, recvs)
-
-    def _phase_stream_interior(self, rank: int) -> None:
-        # one fused gather over all owned nodes while the exchange is in
-        # flight: interior columns are final; frontier columns are
-        # provisional exactly on their halo-sourced links (which read
-        # stale ghosts here and are overwritten by the injection below)
-        st = self.ranks[rank]
-        assert st.step_plan is not None
-        if self._san is not None:
-            self._san.access_log.record(rank, f"rank{st.rank}.f", "read")
-            self._san.access_log.record(
-                rank, f"rank{st.rank}.f_tmp", "write"
-            )
-            self._san.on_interior_stream(st)
-        if self._kern is not None:
-            src, dst = self._kern_tables[rank]
-            self._kern.stream(st.f, st.f_tmp, src, dst)
-        else:
-            st.step_plan.apply(st.f, st.f_tmp)
-
-    def _phase_exchange_complete_overlap(self, rank: int) -> None:
-        st = self.ranks[rank]
-        san = self._san
-        sends, recvs = self._take_pending(rank)
-        waitall(sends)
-        payloads: Dict[int, np.ndarray] = {}
-        for src, req in recvs.items():
-            payload = req.wait()
-            assert payload is not None
-            payloads[src] = payload
-            self._halo_unpacked.inc(payload.nbytes)
-            if san is not None:
-                san.on_payload(st, src)
-        self._payloads[rank] = payloads
-
-    def _phase_stream_frontier(self, rank: int) -> None:
-        # finalize the frontier: scatter each packed payload straight
-        # onto the halo-sourced link destinations in the double buffer
-        # (ghost columns are never staged on this path), then swap
-        st = self.ranks[rank]
-        payloads = self._payloads[rank]
-        if payloads is None:
-            raise RuntimeSimError(
-                f"rank {rank}: frontier streaming without completed "
-                "exchange payloads"
-            )
-        self._payloads[rank] = None
-        san = self._san
-        if san is not None:
-            san.access_log.record(rank, f"rank{st.rank}.f_tmp", "write")
-        tmp_flat = st.f_tmp.reshape(-1)
-        for src, inj in st.inj_flat.items():
-            if san is not None:
-                san.on_scatter(st, src, inj)
-            tmp_flat[inj] = payloads[src]
-        st.f, st.f_tmp = st.f_tmp, st.f
-
-    # -- process-tier phases -----------------------------------------------
-    # Ring-transport variants of the exchange phases, dispatched to the
-    # forked workers; they mirror the in-process bodies with
-    # RingTransport.send/recv_into in place of isend/wait, and stage
-    # worker-locally (send_bufs/pack_bufs/pay_bufs) around the shared
-    # rings.  No _pending slot is needed: rings are pull-based and the
-    # per-phase barrier orders post before complete.
-
-    def _phase_exchange_post_proc(self, rank: int) -> None:
-        st = self.ranks[rank]
-        if self._san is not None:
-            self._san.access_log.record(rank, f"rank{st.rank}.f", "read")
-        f_flat = st.f.reshape(-1)
-        for dst in st.send_ids:
-            buf = st.send_bufs[dst]
-            np.take(f_flat, st.send_flat[dst], out=buf, mode="clip")
-            self._rings.send(st.rank, dst, buf)
-
-    def _phase_exchange_complete_proc(self, rank: int) -> None:
-        st = self.ranks[rank]
-        san = self._san
-        if san is not None:
-            san.access_log.record(rank, f"rank{st.rank}.f", "write")
-        for src, slots in st.recv_slots.items():
-            buf = st.recv_bufs[src]
-            self._rings.recv_into(st.rank, src, buf)
-            st.f[:, slots] = buf
-            if san is not None:
-                san.on_unpack(st, src)
-
-    def _phase_exchange_post_overlap_proc(self, rank: int) -> None:
-        st = self.ranks[rank]
-        if self._san is not None:
-            self._san.access_log.record(rank, f"rank{st.rank}.f", "read")
-        f_flat = st.f.reshape(-1)
-        for dst, pack in st.pack_flat.items():
-            buf = st.pack_bufs[dst]
-            np.take(f_flat, pack, out=buf, mode="clip")
-            self._rings.send(st.rank, dst, buf)
-
-    def _phase_exchange_complete_overlap_proc(self, rank: int) -> None:
-        st = self.ranks[rank]
-        san = self._san
-        for src in st.inj_flat:
-            self._rings.recv_into(st.rank, src, st.pay_bufs[src])
-            if san is not None:
-                san.on_payload(st, src)
-
-    def _phase_stream_frontier_proc(self, rank: int) -> None:
-        st = self.ranks[rank]
-        san = self._san
-        if san is not None:
-            san.access_log.record(rank, f"rank{st.rank}.f_tmp", "write")
-        tmp_flat = st.f_tmp.reshape(-1)
-        for src, inj in st.inj_flat.items():
-            if san is not None:
-                san.on_scatter(st, src, inj)
-            tmp_flat[inj] = st.pay_bufs[src]
-        st.f, st.f_tmp = st.f_tmp, st.f
 
     # -- process-tier support ----------------------------------------------
     def _apply_phase_context(self, ctx: Dict[str, int]) -> None:
@@ -793,30 +634,12 @@ class DistributedSolver:
         if self._san is not None:
             self._san.begin_worker_step(self.ranks, int(ctx["step"]))
 
-    def _phase_ctx(self, step_id: int) -> Optional[Dict[str, int]]:
-        if not self._procmode:
-            return None
-        return {"time": self.time, "step": step_id}
-
-    def _mirror_swap(self) -> None:
-        """Mirror the worker-side double-buffer swap on the parent's rank
-        states, so observables (gather_f, mass) read the live buffer."""
-        for st in self.ranks:
-            st.f, st.f_tmp = st.f_tmp, st.f
-
-    def _account_ring_step(self, step: int) -> None:
-        """Per-step traffic accounting for the ring transport.
-
-        The rings bypass SimComm, so the event log and the halo byte
-        counters are fed from the static wiring — the exact bytes each
-        ring carried this step."""
+    def _log_ring_step(self, step: int) -> None:
+        """The rings bypass SimComm, so the parent's event log is fed
+        from the static wiring — the exact bytes each ring carried."""
         log = self.comm.log
-        for src, dst, nbytes in self._ring_traffic:
-            log.record(
-                CommEvent(src=src, dst=dst, nbytes=nbytes, tag=1, step=step)
-            )
-        self._halo_packed.inc(self._halo_step_bytes)
-        self._halo_unpacked.inc(self._halo_step_bytes)
+        for src, dst, nbytes in self._wire:
+            log.record(CommEvent(src, dst, nbytes, HALO_TAG, step))
 
     def close(self) -> None:
         """Release executor workers and shared-memory segments.
@@ -826,6 +649,7 @@ class DistributedSolver:
         abandoned solvers); joins the thread pool for the parallel
         executor; a no-op for lockstep.  The solver cannot step again
         after closing."""
+        self._closed = True
         shut = getattr(self.executor, "shutdown", None)
         if shut is not None:
             shut()
@@ -838,145 +662,66 @@ class DistributedSolver:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- stepping drivers --------------------------------------------------
+    # -- the step loop -----------------------------------------------------
     def step(self, num_steps: int = 1) -> None:
-        if self._overlap:
-            self._step_overlapped(num_steps)
-        else:
-            self._step_barrier(num_steps)
-
-    def _step_barrier(self, num_steps: int) -> None:
-        ex = self.executor
-        proc = self._procmode
-        post = (
-            self._phase_exchange_post_proc
-            if proc
-            else self._phase_exchange_post
-        )
-        complete = (
-            self._phase_exchange_complete_proc
-            if proc
-            else self._phase_exchange_complete
-        )
+        """Advance ``num_steps`` iterations of the declared schedule."""
+        if num_steps < 0:
+            raise ConfigError("num_steps must be non-negative")
+        if self._closed:
+            raise RuntimeSimError("solver is closed; it cannot step again")
+        san = self._san
+        head, window, tail = self._schedule_parts
         for _ in range(num_steps):
-            self.comm.set_step(self.time)
             step_id = self.time
-            if self._san is not None:
-                self._san.begin_step(self.ranks, self.time)
-            with self.tracer.span("step", step=self.time):
-                # phase 1: collide on owned nodes
-                ex.run_phase(
-                    self._phase_collide,
-                    name="collide",
-                    ctx=self._phase_ctx(step_id),
-                )
-                # phase 2: halo exchange (post, then complete — both
-                # halves categorize as communication time)
-                ex.run_phase(
-                    post, name="exchange", ctx=self._phase_ctx(step_id)
-                )
-                ex.run_phase(
-                    complete, name="exchange", ctx=self._phase_ctx(step_id)
-                )
-                # phase 3: pull-stream into owned nodes
-                ex.run_phase(
-                    self._phase_stream,
-                    name="stream",
-                    ctx=self._phase_ctx(step_id),
-                )
-                if proc:
-                    # workers swapped their own rank's double buffer;
-                    # mirror it on the parent's states
-                    self._mirror_swap()
-                self.time += 1
-                # phase 4: boundary conditions
-                ex.run_phase(
-                    self._phase_boundary,
-                    name="boundary",
-                    ctx=self._phase_ctx(step_id),
-                )
+            self.comm.set_step(step_id)
+            if san is not None:
+                san.begin_step(self.ranks, step_id)
+            with self.tracer.span("step", step=step_id):
+                self._execute(head, step_id)
+                if window:
+                    # communication is hidden behind the compute the
+                    # declaration schedules inside the exchange
+                    with self.tracer.span("overlap_window"):
+                        self._execute(window, step_id)
+                self._execute(tail, step_id)
                 self.fluid_updates += self._owned_total
-            if proc:
-                self._account_ring_step(step_id)
-            if self._san is not None:
-                self._san.end_step(self.ranks, self.time - 1)
+            if self._halo is not self.comm:
+                self._log_ring_step(step_id)
+            if san is not None:
+                san.end_step(self.ranks, step_id)
         self._count_step_work(num_steps)
 
-    def _step_overlapped(self, num_steps: int) -> None:
+    def _execute(self, phases: Sequence[Phase], step_id: int) -> None:
         ex = self.executor
+        san = self._san
         proc = self._procmode
-        post = (
-            self._phase_exchange_post_overlap_proc
-            if proc
-            else self._phase_exchange_post_overlap
-        )
-        complete = (
-            self._phase_exchange_complete_overlap_proc
-            if proc
-            else self._phase_exchange_complete_overlap
-        )
-        frontier = (
-            self._phase_stream_frontier_proc
-            if proc
-            else self._phase_stream_frontier
-        )
-        for _ in range(num_steps):
-            self.comm.set_step(self.time)
-            step_id = self.time
-            if self._san is not None:
-                self._san.begin_step(self.ranks, self.time)
-            with self.tracer.span("step", step=self.time):
-                ex.run_phase(
-                    self._phase_collide,
-                    name="collide",
-                    ctx=self._phase_ctx(step_id),
-                )
-                # the overlap window: interior streaming runs between
-                # exchange post and completion, hiding communication
-                # behind ~num_interior/num_owned of the stream work
-                with self.tracer.span("overlap_window"):
-                    ex.run_phase(
-                        post,
-                        name="exchange",
-                        ctx=self._phase_ctx(step_id),
-                    )
-                    ex.run_phase(
-                        self._phase_stream_interior,
-                        name="interior",
-                        ctx=self._phase_ctx(step_id),
-                    )
-                    ex.run_phase(
-                        complete,
-                        name="exchange",
-                        ctx=self._phase_ctx(step_id),
-                    )
-                ex.run_phase(
-                    frontier, name="frontier", ctx=self._phase_ctx(step_id)
-                )
+        for phase in phases:
+            # forked workers cannot see parent-side attribute writes, so
+            # the mutable scalars travel with each dispatch
+            ctx = {"time": self.time, "step": step_id} if proc else None
+            ex.run_phase(getattr(self, phase.body), name=phase.span, ctx=ctx)
+            if san is not None:
+                san.record_phase(phase, self.ranks)
+            if phase.swaps:
+                # streaming is done: f now holds the next time level.
+                # Workers swapped their own rank's double buffer; mirror
+                # it on the parent's states so observables read live data
                 if proc:
-                    self._mirror_swap()
+                    for st in self.ranks:
+                        st.f, st.f_tmp = st.f_tmp, st.f
                 self.time += 1
-                ex.run_phase(
-                    self._phase_boundary,
-                    name="boundary",
-                    ctx=self._phase_ctx(step_id),
-                )
-                self.fluid_updates += self._owned_total
-            if proc:
-                self._account_ring_step(step_id)
-            if self._san is not None:
-                self._san.end_step(self.ranks, self.time - 1)
-        self._count_step_work(num_steps)
 
     def _count_step_work(self, num_steps: int) -> None:
-        # one counter bump per step() call, not per iteration: the
-        # profiling layer reads deltas, and per-iteration increments
-        # would put lock traffic on the hot path
+        # one counter bump per step() call, not per iteration or message:
+        # the profiling layer reads deltas, and finer increments would
+        # put lock traffic on the hot path
         if num_steps > 0:
             self._flups_counter.inc(num_steps * self._owned_total)
             self._stream_bytes_counter.inc(
                 num_steps * self._gather_bytes_per_step
             )
+            self._halo_packed.inc(num_steps * self._halo_step_bytes)
+            self._halo_unpacked.inc(num_steps * self._halo_step_bytes)
 
     # -- observables -----------------------------------------------------------
     @property
@@ -1029,23 +774,19 @@ class DistributedSolver:
           destinations; ``boundary`` traffic is negligible and carries
           no byte model.
         """
-        q = self.lattice.q
-        collide = 2 * q * self._owned_total * 8
-        halo = self.halo_bytes_per_step()
-        out: Dict[str, int] = {
-            "collide": collide,
+        halo = self._halo_step_bytes
+        model = {
+            "collide": 2 * self.lattice.q * self._owned_total * 8,
             "exchange": 2 * halo,
+            "stream": self._gather_bytes_per_step,
+            "interior": self._gather_bytes_per_step,
+            "frontier": 2 * halo,
             "boundary": 0,
         }
-        if self._overlap:
-            out["interior"] = self._gather_bytes_per_step
-            out["frontier"] = 2 * halo
-        else:
-            out["stream"] = self._gather_bytes_per_step
-        return out
+        return {phase.span: model[phase.span] for phase in self._schedule}
 
     def halo_bytes_per_step(self) -> int:
-        """Bytes exchanged in one iteration (from the wired send lists).
+        """Bytes exchanged in one iteration (from the wired send buffers).
 
         Under the overlapped pipeline the packed cross-link exchange
         ships only the population values the receiver's frontier links
@@ -1053,14 +794,4 @@ class DistributedSolver:
         paper's ``HALO_BYTES_PER_SITE_D3Q19`` model prices) rather than
         all ``q`` populations per boundary node.
         """
-        total = 0
-        if self._overlap:
-            for st in self.ranks:
-                for buf in st.pack_bufs.values():
-                    total += int(buf.nbytes)
-            return total
-        q = self.lattice.q
-        for st in self.ranks:
-            for ids in st.send_ids.values():
-                total += ids.size * q * 8
-        return total
+        return self._halo_step_bytes

@@ -23,11 +23,11 @@ destinations are reported even when the values involved happen to look
 plausible.
 
 **Access logging.**  A :class:`~repro.runtime.executor.PhaseAccessLog`
-is attached to the executor and the communicator; phase bodies note
-their shared-buffer accesses, and the end-of-step happens-before check
-reports cross-thread write/write and write/read conflicts that the
-per-phase barrier does not order (lock-protected communicator traffic
-is exempt) — the dynamic counterpart of the W50x lint rules.
+is attached to the executor and the communicator; the step loop notes
+the buffer accesses each scheduled phase declares, and the end-of-step
+happens-before check reports cross-thread write/write and write/read
+conflicts that the per-phase barrier does not order (lock-protected
+communicator traffic is exempt) — the dynamic W50x counterpart.
 
 Telemetry: ``sanitize.steps_checked``, ``sanitize.ghost_slots_poisoned``
 and ``sanitize.violations`` counters on the global registry.
@@ -35,7 +35,7 @@ and ``sanitize.violations`` counters on the global registry.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Sequence, Set
 
 import numpy as np
 
@@ -66,6 +66,7 @@ class StepSanitizer:
     single ``is not None`` check so ``sanitize=False`` costs one branch):
 
     * :meth:`begin_step` — poison ghost columns, reset freshness state;
+    * :meth:`record_phase` — after each phase, its declared accesses;
     * :meth:`on_unpack` — barrier path, after a payload lands in ghosts;
     * :meth:`before_stream` — barrier path, the stale-ghost read check;
     * :meth:`on_interior_stream` — overlap path, marks the provisional
@@ -116,14 +117,10 @@ class StepSanitizer:
         raise SanitizeError(message)
 
     # -- hooks --------------------------------------------------------------
-    def begin_step(self, ranks: Sequence[object], step: int) -> None:
-        """Poison ghost columns and reset per-step freshness state."""
+    def _reset(self, ranks: Sequence[object], step: int) -> None:
         self._step = step
         self.access_log.clear()
-        poisoned = 0
         for st in ranks:
-            st.f[:, st.num_owned :] = np.nan
-            poisoned += st.f.shape[0] * (st.f.shape[1] - st.num_owned)
             rank = int(st.rank)
             self._fresh[rank] = set()
             self._payload_pending[rank] = set()
@@ -133,6 +130,14 @@ class StepSanitizer:
                 self._provisional[rank] = np.zeros(size, dtype=bool)
             else:
                 prov[:] = False
+
+    def begin_step(self, ranks: Sequence[object], step: int) -> None:
+        """Poison ghost columns and reset per-step freshness state."""
+        self._reset(ranks, step)
+        poisoned = 0
+        for st in ranks:
+            st.f[:, st.num_owned :] = np.nan
+            poisoned += st.f.shape[0] * (st.f.shape[1] - st.num_owned)
         self._poison_counter.inc(poisoned)
 
     def begin_worker_step(self, ranks: Sequence[object], step: int) -> None:
@@ -144,23 +149,18 @@ class StepSanitizer:
         the epoch dictionaries, however, are per-process, so each worker
         resets its own copies when it first sees a new step (the solver
         calls this from its phase-context hook).  Idempotent within a
-        step.  Cross-process access-log conflict checking degrades to
-        each process's local view — the NaN-canary and epoch checks keep
-        full strength because they read the shared buffers."""
-        if step == self._step:
-            return
-        self._step = step
-        self.access_log.clear()
+        step.  The NaN-canary and epoch checks keep full strength across
+        the fork because they read the shared buffers."""
+        if step != self._step:
+            self._reset(ranks, step)
+
+    def record_phase(self, phase: object, ranks: Sequence[object]) -> None:
+        """Note ``phase``'s declared reads/writes in the epoch just run."""
         for st in ranks:
             rank = int(st.rank)
-            self._fresh[rank] = set()
-            self._payload_pending[rank] = set()
-            size = st.f.shape[0] * st.f.shape[1]
-            prov = self._provisional.get(rank)
-            if prov is None or prov.size != size:
-                self._provisional[rank] = np.zeros(size, dtype=bool)
-            else:
-                prov[:] = False
+            for mode, bufs in (("read", phase.reads), ("write", phase.writes)):
+                for buf in bufs:
+                    self.access_log.record(rank, f"rank{rank}.{buf}", mode)
 
     def on_unpack(self, st: object, src: int) -> None:
         """Barrier path: rank ``st`` unpacked ``src``'s payload into its

@@ -51,7 +51,9 @@ class SolverConfig:
     fused:
         Use the fused step-plan engine (single-gather streaming +
         allocation-free collide).  Bit-identical to the legacy per-q
-        path; ``False`` is a one-release escape hatch.
+        path; ``False`` is the reference oracle for
+        ``tests/lbm/test_fused_equivalence.py`` (removal tracked in
+        ROADMAP).
     executor:
         How the distributed solver runs rank phases: ``"lockstep"``
         (serial, the default), ``"parallel"`` (thread pool with a

@@ -29,7 +29,7 @@ from ..core.lattice import Lattice
 from ..core.planmeta import kernel_tables as planmeta_kernel_tables
 from ..geometry.voxel import VoxelGrid
 
-__all__ = ["QPlan", "StepPlan", "Connectivity"]
+__all__ = ["QPlan", "StepPlan", "Connectivity", "upstream_ids"]
 
 
 @dataclass(frozen=True)
@@ -288,6 +288,32 @@ class StepPlan:
             f_dst[:, self.update_ids] = self._gather_buf
 
 
+def upstream_ids(
+    shape: Tuple[int, int, int],
+    velocity: np.ndarray,
+    periodic: Tuple[bool, bool, bool],
+    coords: np.ndarray,
+    index_map: np.ndarray,
+) -> np.ndarray:
+    """Compact id of the upstream neighbour (one lattice ``velocity``
+    back) of each voxel coordinate, or -1 where it is solid or outside;
+    periodic axes wrap at the global domain boundary."""
+    extent = np.asarray(shape, dtype=np.int64)
+    pos = coords - velocity
+    valid = np.ones(pos.shape[0], dtype=bool)
+    for axis in range(3):
+        col = pos[:, axis]
+        if periodic[axis]:
+            pos[:, axis] = np.mod(col, extent[axis])
+        else:
+            valid &= (col >= 0) & (col < extent[axis])
+    src = np.full(pos.shape[0], -1, dtype=np.int64)
+    if valid.any():
+        p = pos[valid]
+        src[valid] = index_map[p[:, 0], p[:, 1], p[:, 2]]
+    return src
+
+
 class Connectivity:
     """Precomputed pull-streaming plans over a compact fluid numbering.
 
@@ -331,23 +357,6 @@ class Connectivity:
         self.update_ids = np.asarray(update_ids, dtype=np.int64)
         self.plans: List[QPlan] = self._build_plans()
 
-    def _upstream_sources(self, qi: int) -> np.ndarray:
-        """Compact id of each update-node's upstream neighbour (or -1)."""
-        shape = np.asarray(self.grid.shape, dtype=np.int64)
-        pos = self.coords[self.update_ids] - self.lattice.c[qi]
-        valid = np.ones(pos.shape[0], dtype=bool)
-        for axis in range(3):
-            col = pos[:, axis]
-            if self.periodic[axis]:
-                pos[:, axis] = np.mod(col, shape[axis])
-            else:
-                valid &= (col >= 0) & (col < shape[axis])
-        src = np.full(pos.shape[0], -1, dtype=np.int64)
-        if valid.any():
-            p = pos[valid]
-            src[valid] = self.index_map[p[:, 0], p[:, 1], p[:, 2]]
-        return src
-
     def _build_plans(self) -> List[QPlan]:
         plans: List[QPlan] = []
         for qi in range(self.lattice.q):
@@ -359,7 +368,13 @@ class Connectivity:
                           np.empty(0, dtype=np.int64))
                 )
                 continue
-            src = self._upstream_sources(qi)
+            src = upstream_ids(
+                self.grid.shape,
+                self.lattice.c[qi],
+                self.periodic,
+                self.coords[self.update_ids],
+                self.index_map,
+            )
             has_src = src >= 0
             plans.append(
                 QPlan(

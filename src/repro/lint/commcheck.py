@@ -374,8 +374,9 @@ def schedule_from_rank_states(
     ``ranks`` are objects with the wiring the distributed solvers carry:
     ``send_ids`` (dst rank -> node-id array) and ``recv_slots``
     (src rank -> ghost-slot array).  Receives are posted first, then
-    sends, all non-blocking — the ``MPI_Irecv``/``MPI_Isend`` order of
-    :meth:`DistributedSolver._phase_exchange_post`.  Counts are node
+    sends, all non-blocking — the ``MPI_Irecv``/``MPI_Isend`` order an
+    MPI transport under ``DistributedSolver._phase_exchange_post`` /
+    ``_phase_exchange_complete`` posts them in.  Counts are node
     counts per message, so a send/recv size disagreement between two
     ranks' wiring surfaces as S304 before any data moves.
 

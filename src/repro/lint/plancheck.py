@@ -21,10 +21,10 @@ K403    an *interior* sub-plan reads a ghost source (its streaming
 K404    a frontier cross-link is not covered by exactly one packed
         payload slot, or sender and receiver disagree on a slot's
         population (receiver-side table agreement)
-K405    a read-after-write / write-after-write hazard in the
-        phase-ordered overlap pipeline (collide → post → stream →
-        complete → scatter), found by abstract interpretation of the
-        per-phase read/write sets
+K405    a read-after-write / write-after-write hazard in the overlap
+        pipeline, found by abstract interpretation of the phase order
+        and read/write sets ``lbm.distributed.OVERLAP_SCHEDULE``
+        declares (the schedule the solver's step loop executes)
 K406    an index table violates the compiled-kernel ABI: the flat
         gather table and update ids must be int64 and the gather table
         C-contiguous (the compiled tier indexes them through raw
@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -399,17 +399,18 @@ def check_exchange(ranks: Sequence[object]) -> List[PlanIssue]:
 
 
 # -- phase-ordered hazard analysis (K405) -----------------------------------
-def check_overlap_hazards(st: object) -> List[PlanIssue]:
+def check_overlap_hazards(
+    st: object, schedule: Optional[Sequence[Any]] = None
+) -> List[PlanIssue]:
     """Abstract-interpret one rank's overlap pipeline for hazards (K405).
 
-    The five phases are ordered by barriers: **collide** (writes owned
-    columns of ``f``) → **post** (reads ``f`` at the pack tables) →
-    **stream** (reads ``f`` everywhere, writes ``f_tmp`` at the flat
-    destinations — provisional where a link's source is a stale ghost)
-    → **complete** (payloads arrive) → **scatter** (writes ``f_tmp`` at
-    the injection tables).  Tracking stale and tainted slot sets through
-    that order finds:
+    The phase order is read from ``schedule`` — by default the
+    :data:`~repro.lbm.distributed.OVERLAP_SCHEDULE` the solver's step
+    loop executes.  Walking it with stale/tainted flat-slot sets finds:
 
+    * a phase reading a buffer no earlier phase wrote (only ``f`` is
+      carried over from the previous step) — e.g. a frontier scatter
+      scheduled before the exchange completes;
     * a pack table reading a stale ghost slot (read-after-write
       violation: the value was never produced this step);
     * a scatter overwriting a destination the stream already finalized
@@ -420,71 +421,70 @@ def check_overlap_hazards(st: object) -> List[PlanIssue]:
     plan = getattr(st, "step_plan", None)
     if plan is None:
         return []
-    rank = int(getattr(st, "rank"))
+    if schedule is None:
+        from ..lbm.distributed import OVERLAP_SCHEDULE as schedule
     q = int(plan.lattice.q)
     num_local = int(plan.num_local)
-    num_owned = int(getattr(st, "num_owned"))
-    label = f"rank {rank}"
+    label = f"rank {int(getattr(st, 'rank'))}"
     issues: List[PlanIssue] = []
 
-    stale = _ghost_slot_mask(q, num_local, num_owned)
+    def hazard(message: str) -> None:
+        issues.append(PlanIssue("phase-hazard", f"{label}: {message}"))
 
-    # phase: post — pack tables read post-collision f
-    pack_flat: Dict[int, np.ndarray] = getattr(st, "pack_flat")
-    for peer in sorted(pack_flat):
-        pack = np.asarray(pack_flat[peer], dtype=np.int64)
-        in_bounds = pack[(pack >= 0) & (pack < stale.size)]
-        bad = in_bounds[stale[in_bounds]]
-        if bad.size:
-            issues.append(
-                PlanIssue(
-                    "phase-hazard",
-                    f"{label}: pack for rank {peer} reads {bad.size} "
-                    f"stale ghost slot(s) (e.g. {_preview(bad)}) in the "
-                    "post phase; no phase has written them this step",
-                )
-            )
-
-    # phase: stream — writes flat destinations; links sourced from stale
-    # slots produce provisional (tainted) values
-    flat_src = np.asarray(plan.flat_src, dtype=np.int64)
-    dst = flat_destinations(plan.update_ids, num_local, q)
-    valid_links = (flat_src >= 0) & (flat_src < stale.size)
-    stale_links = valid_links & stale[np.clip(flat_src, 0, stale.size - 1)]
-    tainted_dst = dst[stale_links]
+    stale = _ghost_slot_mask(q, num_local, int(getattr(st, "num_owned")))
     tainted = np.zeros(q * num_local, dtype=bool)
-    in_bounds = (tainted_dst >= 0) & (tainted_dst < tainted.size)
-    tainted[tainted_dst[in_bounds]] = True
-
-    # phase: scatter — injection tables finalize provisional values
-    inj_flat: Dict[int, np.ndarray] = getattr(st, "inj_flat")
-    for peer in sorted(inj_flat):
-        inj = np.asarray(inj_flat[peer], dtype=np.int64)
-        inj = inj[(inj >= 0) & (inj < tainted.size)]
-        final_overwrite = inj[~tainted[inj]]
-        if final_overwrite.size:
-            issues.append(
-                PlanIssue(
-                    "phase-hazard",
-                    f"{label}: scatter of rank {peer}'s payload "
-                    f"overwrites {final_overwrite.size} destination(s) "
-                    f"the stream phase already finalized (e.g. "
-                    f"{_preview(final_overwrite)}); write-after-write "
-                    "against interior-final data",
-                )
+    written = {"f"}
+    for phase in schedule:
+        for buf in set(phase.reads) - written:
+            hazard(
+                f"phase {phase.span!r} ({phase.body}) reads {buf} before "
+                "any phase has written it"
             )
-        tainted[inj] = False
+        written.update(phase.writes)
+        if phase.body == "_phase_exchange_post":
+            # pack tables read post-collision f
+            for peer, table in sorted(getattr(st, "pack_flat").items()):
+                pack = np.asarray(table, dtype=np.int64)
+                in_bounds = pack[(pack >= 0) & (pack < stale.size)]
+                bad = in_bounds[stale[in_bounds]]
+                if bad.size:
+                    hazard(
+                        f"pack for rank {peer} reads {bad.size} stale "
+                        f"ghost slot(s) (e.g. {_preview(bad)}) in the post "
+                        "phase; no phase has written them this step"
+                    )
+        elif phase.body == "_phase_stream_interior":
+            # writes the flat destinations; links sourced from stale
+            # slots produce provisional (tainted) values
+            flat_src = np.asarray(plan.flat_src, dtype=np.int64)
+            dst = flat_destinations(plan.update_ids, num_local, q)
+            valid = (flat_src >= 0) & (flat_src < stale.size)
+            links = valid & stale[np.clip(flat_src, 0, stale.size - 1)]
+            tainted_dst = dst[links]
+            ok = (tainted_dst >= 0) & (tainted_dst < tainted.size)
+            tainted[tainted_dst[ok]] = True
+        elif phase.body == "_phase_stream_frontier":
+            # injection tables finalize provisional values
+            for peer, table in sorted(getattr(st, "inj_flat").items()):
+                inj = np.asarray(table, dtype=np.int64)
+                inj = inj[(inj >= 0) & (inj < tainted.size)]
+                final_overwrite = inj[~tainted[inj]]
+                if final_overwrite.size:
+                    hazard(
+                        f"scatter of rank {peer}'s payload overwrites "
+                        f"{final_overwrite.size} destination(s) the stream "
+                        "phase already finalized (e.g. "
+                        f"{_preview(final_overwrite)}); write-after-write "
+                        "against interior-final data"
+                    )
+                tainted[inj] = False
 
     remaining = np.flatnonzero(tainted)
     if remaining.size:
-        issues.append(
-            PlanIssue(
-                "phase-hazard",
-                f"{label}: {remaining.size} frontier destination(s) are "
-                f"never finalized by any scatter (e.g. "
-                f"{_preview(remaining)}); their provisional stale-ghost "
-                "values survive into the owned state",
-            )
+        hazard(
+            f"{remaining.size} frontier destination(s) are never "
+            f"finalized by any scatter (e.g. {_preview(remaining)}); their "
+            "provisional stale-ghost values survive into the owned state"
         )
     return issues
 

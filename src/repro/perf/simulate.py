@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 #: Packed halo payload: the ~5 face-crossing D3Q19 populations per site
-#: (matches :data:`repro.perfmodel.model.HALO_BYTES_PER_SITE_D3Q19`).
+#: (:data:`repro.perfmodel.model.HALO_BYTES_PER_SITE_D3Q19` is this value).
 HALO_BYTES_PER_SITE = 5 * 8
 
 #: Fixed per-step monitoring download (residuals, stability checks).

@@ -28,6 +28,8 @@ import numpy as np
 from ..core.errors import PerfModelError
 from ..hardware.interconnect import LinkTier
 from ..hardware.machine import Machine
+from ..perf.calibrate import BYTES_PER_UPDATE
+from ..perf.simulate import HALO_BYTES_PER_SITE
 
 __all__ = [
     "streamcollide_time",
@@ -41,16 +43,19 @@ __all__ = [
     "HALO_BYTES_PER_SITE_D3Q19",
 ]
 
-#: Read + write of all 19 double-precision populations per fluid update.
-BYTES_PER_UPDATE_D3Q19 = 2 * 19 * 8
+#: Read + write of all 19 double-precision populations per fluid update —
+#: the direct-addressing figure the simulator prices the proxy app at
+#: (defined once, in :mod:`repro.perf.calibrate`).
+BYTES_PER_UPDATE_D3Q19 = BYTES_PER_UPDATE["proxy"]
 
 #: Bytes exchanged per halo site.  Only the populations crossing a
 #: subdomain face must move — 5 of the 19 D3Q19 directions per axis face —
 #: which is what production LBM codes pack and send.  (The functional
 #: runtime in :mod:`repro.lbm.distributed` ships all 19 on its barrier
 #: path for simplicity; its overlapped pipeline packs exactly the
-#: cross-link values, matching this accounting.)
-HALO_BYTES_PER_SITE_D3Q19 = 5 * 8
+#: cross-link values, matching this accounting.)  Defined once, in
+#: :mod:`repro.perf.simulate`.
+HALO_BYTES_PER_SITE_D3Q19 = HALO_BYTES_PER_SITE
 
 
 def streamcollide_time(n_bytes: float, bandwidth_bytes_s: float) -> float:

@@ -1,13 +1,11 @@
-"""Simulated MPI runtime: communicator, non-blocking requests, event
-log, and the lockstep / thread-parallel / process-parallel executors
-(plus the shared-memory transport and real-MPI adapter the process and
-MPI tiers use)."""
+"""Simulated MPI runtime: communicator, event log, and the lockstep /
+thread-parallel / process-parallel executors (plus the shared-memory
+transport and real-MPI adapter the process and MPI tiers use)."""
 
 from .events import CommEvent, EventLog
 from .executor import LockstepExecutor, ParallelExecutor, make_executor
 from .mpicomm import MPIComm, mpi_available
 from .procexec import ProcessExecutor, fork_available
-from .requests import Request, irecv, isend, waitall
 from .shmem import RingBuffer, RingTransport, SegmentRegistry
 from .simmpi import SimComm
 
@@ -25,8 +23,4 @@ __all__ = [
     "RingBuffer",
     "RingTransport",
     "make_executor",
-    "Request",
-    "isend",
-    "irecv",
-    "waitall",
 ]

@@ -1,10 +1,14 @@
 """Real-MPI communicator adapter behind the SimComm surface.
 
-:class:`MPIComm` binds the subset of the
-:class:`~repro.runtime.simmpi.SimComm` API the distributed solver's
-phase bodies use (``send``/``recv``/``recv_into``/``allreduce``/
-``gather``/``barrier``/``set_step``) to ``mpi4py``'s ``COMM_WORLD``, so
-the same phase code can run one-rank-per-MPI-process under ``mpiexec``.
+:class:`MPIComm` binds the :class:`~repro.runtime.simmpi.SimComm`
+surface to ``mpi4py``'s ``COMM_WORLD``: the halo-transport pair the
+distributed solver's exchange phase bodies use
+(``send(src, dst, buf, tag)`` / ``recv_into(dst, src, out, tag)`` — the
+only two calls they make, shared with the shared-memory
+:class:`~repro.runtime.shmem.RingTransport`) plus the step-loop and
+observable calls (``set_step``/``allreduce``/``gather``/``barrier``/
+``recv``), so the same phase code can run one-rank-per-MPI-process under
+``mpiexec``.
 The adapter is probed exactly like the compiled-tier providers: the
 optional dependency is declared as the ``mpi`` extra (``pip install
 .[mpi]``), :func:`mpi_available` answers cheaply, and constructing the

@@ -291,9 +291,11 @@ class RingBuffer:
 class RingTransport:
     """Per-ordered-pair SPSC rings wired from the halo schedule.
 
-    Mirrors the ``send``/``recv_into`` subset of
-    :class:`~repro.runtime.simmpi.SimComm` so the distributed solver's
-    process-tier exchange phases keep the in-process phases' shape.  The
+    Offers the ``send``/``recv_into`` calls of
+    :class:`~repro.runtime.simmpi.SimComm`, the whole surface the
+    distributed solver's exchange phases use, so the same phase bodies
+    run over either.  A ring carries one message stream per ordered pair,
+    so ``tag`` is accepted for signature parity and not matched on.  The
     wiring (which pairs exist and their payload sizes) comes from the
     same send lists the S300 schedule checker verifies, so a message on
     an unwired pair is a programming error, not a dynamic allocation.
@@ -328,10 +330,12 @@ class RingTransport:
                 "schedule does not exchange on it"
             ) from None
 
-    def send(self, src: int, dst: int, buf: np.ndarray) -> None:
+    def send(self, src: int, dst: int, buf: np.ndarray, tag: int = 0) -> None:
         self._ring(src, dst).push(buf)
 
-    def recv_into(self, dst: int, src: int, out: np.ndarray) -> None:
+    def recv_into(
+        self, dst: int, src: int, out: np.ndarray, tag: int = 0
+    ) -> None:
         self._ring(src, dst).pop_into(out)
 
     @property

@@ -1,8 +1,11 @@
 """Distributed-solver equivalence and halo-exchange accounting."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.core.errors import ConfigError, RuntimeSimError
 from repro.decomp import (
     axis_decompose,
     bisection_decompose,
@@ -11,7 +14,20 @@ from repro.decomp import (
 )
 from repro.geometry import CylinderSpec, make_aorta, make_cylinder
 from repro.lbm import DistributedSolver, Solver, SolverConfig
-from repro.runtime import SimComm
+from repro.lbm.distributed import BARRIER_SCHEDULE, OVERLAP_SCHEDULE
+from repro.runtime import RingTransport, SimComm, fork_available
+from repro.runtime.shmem import leaked_segments
+
+EXECUTORS = [
+    "lockstep",
+    "parallel",
+    pytest.param(
+        "process",
+        marks=pytest.mark.skipif(
+            not fork_available(), reason="needs the POSIX fork start method"
+        ),
+    ),
+]
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +183,101 @@ class TestRankState:
         dist = DistributedSolver(axis_decompose(cylinder, 4), cfg)
         dist.step(30)
         assert np.allclose(dist.velocity(), ref.velocity())
+
+
+class TestDeclaredSchedule:
+    """The step is one declaration executed by one loop over one transport."""
+
+    def test_schedules_name_exactly_the_phase_bodies(self):
+        scheduled = {
+            phase.body for phase in BARRIER_SCHEDULE + OVERLAP_SCHEDULE
+        }
+        defined = {
+            name
+            for name, attr in vars(DistributedSolver).items()
+            if name.startswith("_phase_") and callable(attr)
+        }
+        assert scheduled == defined
+        assert len(defined) <= 7
+
+    def test_span_order(self):
+        assert [p.span for p in BARRIER_SCHEDULE] == [
+            "collide", "exchange", "exchange", "stream", "boundary"
+        ]
+        assert [p.span for p in OVERLAP_SCHEDULE] == [
+            "collide", "exchange", "interior", "exchange", "frontier",
+            "boundary",
+        ]
+        for schedule in (BARRIER_SCHEDULE, OVERLAP_SCHEDULE):
+            assert [p.swaps for p in schedule].count(True) == 1
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_phase_bytes_keyed_by_the_active_schedule(self, cylinder, overlap):
+        cfg = SolverConfig(**CYL_CONFIG, overlap=overlap)
+        solver = DistributedSolver(axis_decompose(cylinder, 2), cfg)
+        schedule = OVERLAP_SCHEDULE if overlap else BARRIER_SCHEDULE
+        assert set(solver.phase_bytes_per_step()) == {p.span for p in schedule}
+
+    @pytest.mark.skipif(
+        not fork_available(), reason="needs the POSIX fork start method"
+    )
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_same_exchange_bodies_over_both_transports(self, cylinder, overlap):
+        # the ring transport works within one process too, so the process
+        # solver's exchange bodies can be driven here, unforked, next to
+        # the SimComm solver's: same methods, same staged payloads
+        part = axis_decompose(cylinder, 3)
+
+        def exchanged(executor):
+            cfg = SolverConfig(**CYL_CONFIG, overlap=overlap, executor=executor)
+            with DistributedSolver(part, cfg) as solver:
+                for rank in range(part.num_ranks):
+                    solver._phase_collide(rank)
+                for rank in range(part.num_ranks):
+                    solver._phase_exchange_post(rank)
+                for rank in range(part.num_ranks):
+                    solver._phase_exchange_complete(rank)
+                staged = [
+                    {src: buf.copy() for src, buf in st.recv_bufs.items()}
+                    for st in solver.ranks
+                ]
+                return type(solver._halo), solver._schedule, staged
+
+        queue_type, queue_schedule, via_queue = exchanged("lockstep")
+        ring_type, ring_schedule, via_ring = exchanged("process")
+        assert queue_type is SimComm and ring_type is RingTransport
+        assert queue_schedule is ring_schedule
+        assert any(via_queue)
+        for mine, theirs in zip(via_queue, via_ring):
+            assert mine.keys() == theirs.keys()
+            for src in mine:
+                assert np.array_equal(mine[src], theirs[src])
+
+
+class TestStepContract:
+    """step() argument and lifecycle errors are the same on every executor."""
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_negative_num_steps_rejected(self, cylinder, executor):
+        before = leaked_segments(os.getpid())
+        cfg = SolverConfig(**CYL_CONFIG, executor=executor)
+        with DistributedSolver(axis_decompose(cylinder, 2), cfg) as solver:
+            with pytest.raises(ConfigError, match="non-negative"):
+                solver.step(-3)
+            assert solver.time == 0
+            solver.step(0)  # zero steps stays a no-op
+            assert solver.time == 0
+        assert leaked_segments(os.getpid()) == before
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_step_after_close_rejected(self, cylinder, executor):
+        before = leaked_segments(os.getpid())
+        cfg = SolverConfig(**CYL_CONFIG, executor=executor)
+        solver = DistributedSolver(axis_decompose(cylinder, 2), cfg)
+        solver.step(2)
+        solver.close()
+        with pytest.raises(RuntimeSimError, match="closed"):
+            solver.step(1)
+        assert solver.time == 2
+        solver.close()  # idempotent
+        assert leaked_segments(os.getpid()) == before

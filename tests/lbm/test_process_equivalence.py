@@ -20,6 +20,7 @@ from repro.decomp import grid_decompose
 from repro.geometry.cylinder import CylinderSpec, make_cylinder
 from repro.lbm.distributed import DistributedSolver
 from repro.lbm.solver import SolverConfig
+from repro.models.compiled import compiled_available
 from repro.runtime.procexec import fork_available
 from repro.runtime.shmem import leaked_segments
 from repro.telemetry.spans import Tracer
@@ -58,17 +59,45 @@ def run_process(partition, cfg_kwargs, steps=STEPS):
 
 
 class TestProcessEquivalence:
-    @pytest.mark.parametrize("collision", ["bgk", "trt", "mrt"])
+    @pytest.mark.parametrize(
+        "collision,backend",
+        [
+            pytest.param("bgk", "numpy", id="bgk"),
+            pytest.param("trt", "numpy", id="trt"),
+            pytest.param("mrt", "numpy", id="mrt"),
+            # the flagship cell: exact-mode compiled BGK has no
+            # reductions beyond the ascending-q moment sums NumPy also
+            # uses, so it is pinned against the *NumPy* lockstep run
+            pytest.param(
+                "bgk",
+                "compiled-serial",
+                id="bgk-compiled-serial",
+                marks=pytest.mark.skipif(
+                    not compiled_available(),
+                    reason="no compiled-kernel provider (numba or a C "
+                    "compiler) on this host",
+                ),
+            ),
+        ],
+    )
     @pytest.mark.parametrize("overlap", [False, True])
     @pytest.mark.parametrize("num_ranks", [2, 4])
-    def test_bitwise_vs_lockstep(self, grid, collision, overlap, num_ranks):
+    def test_bitwise_vs_lockstep(
+        self, grid, collision, backend, overlap, num_ranks
+    ):
         part = grid_decompose(grid, num_ranks)
         ref = DistributedSolver(
             part, config(collision=collision, overlap=overlap)
         )
         ref.step(STEPS)
         f_proc, mass_proc = run_process(
-            part, dict(collision=collision, overlap=overlap)
+            part,
+            dict(
+                collision=collision,
+                overlap=overlap,
+                backend=backend,
+                fastmath=False,
+            ),
         )
         assert np.array_equal(ref.gather_f(), f_proc)
         assert ref.mass() == mass_proc

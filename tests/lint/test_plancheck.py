@@ -230,6 +230,39 @@ class TestRealRankStates:
         assert "K405" in _rules(issues)
         assert any("stale ghost slot" in i.message for i in issues)
 
+    def test_frontier_before_exchange_complete_is_k405(self, grid):
+        # the analyser interprets the declaration the solver's step loop
+        # runs: the shipped order is clean, and moving the frontier
+        # scatter ahead of the exchange completion reads payloads no
+        # phase has staged yet
+        from repro.lbm.distributed import OVERLAP_SCHEDULE
+
+        solver = make_solver(grid, overlap=True, validate_plan=False)
+        st = next(s for s in solver.ranks if s.inj_flat)
+        assert check_overlap_hazards(st, OVERLAP_SCHEDULE) == []
+        order = list(OVERLAP_SCHEDULE)
+        bodies = [p.body for p in order]
+        frontier = order.pop(bodies.index("_phase_stream_frontier"))
+        order.insert(bodies.index("_phase_exchange_complete"), frontier)
+        issues = check_overlap_hazards(st, order)
+        assert _rules(issues) == ["K405"]
+        assert [i.kind for i in issues] == ["phase-hazard"]
+        assert "recv_bufs" in issues[0].message
+
+    def test_scatter_before_interior_stream_is_k405(self, grid):
+        # same walk, other hazard: a scatter scheduled ahead of the
+        # full-plan gather is overwritten by it
+        from repro.lbm.distributed import OVERLAP_SCHEDULE
+
+        solver = make_solver(grid, overlap=True, validate_plan=False)
+        st = next(s for s in solver.ranks if s.inj_flat)
+        order = list(OVERLAP_SCHEDULE)
+        bodies = [p.body for p in order]
+        order.append(order.pop(bodies.index("_phase_stream_interior")))
+        messages = [i.message for i in check_overlap_hazards(st, order)]
+        assert any("already finalized" in m for m in messages)
+        assert any("never finalized" in m for m in messages)
+
     def test_interior_ghost_read_is_k403(self, grid):
         solver = make_solver(grid, overlap=True, validate_plan=False)
         st = solver.ranks[0]

@@ -24,6 +24,25 @@ from repro.perfmodel import (
 )
 
 
+class TestSharedByteConstants:
+    """The simulator (``perf``) and the model (``perfmodel``) price the
+    same bytes: each constant has one definition, imported by the other."""
+
+    def test_halo_bytes_per_site_is_one_value(self):
+        from repro.perf import HALO_BYTES_PER_SITE
+        from repro.perfmodel import HALO_BYTES_PER_SITE_D3Q19
+
+        assert HALO_BYTES_PER_SITE_D3Q19 is HALO_BYTES_PER_SITE
+        assert HALO_BYTES_PER_SITE == 5 * 8
+
+    def test_bytes_per_update_is_one_value(self):
+        from repro.perf import BYTES_PER_UPDATE
+        from repro.perfmodel import BYTES_PER_UPDATE_D3Q19
+
+        assert BYTES_PER_UPDATE_D3Q19 is BYTES_PER_UPDATE["proxy"]
+        assert BYTES_PER_UPDATE_D3Q19 == 2 * 19 * 8
+
+
 class TestEq1StreamCollide:
     def test_bytes_over_bandwidth(self):
         assert streamcollide_time(1e12, 1e12) == 1.0
