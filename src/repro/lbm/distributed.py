@@ -3,11 +3,11 @@
 One rank per logical GPU, as in the paper.  Each rank owns the fluid nodes
 inside its partition box plus a ghost layer holding the upstream
 neighbours owned by other ranks.  An iteration is a fixed sequence of
-barrier-delimited phases **declared as data** — :class:`Phase` records
-(span, body method, rank buffers read and written, whether it ends in the
-double-buffer swap) in :data:`BARRIER_SCHEDULE` / :data:`OVERLAP_SCHEDULE`
-— and executed by the one loop behind :meth:`DistributedSolver.step`.
-The bulk-synchronous barrier schedule:
+phases **declared as data** — :class:`Phase` records (span, body method,
+rank buffers read and written, whether it ends in the double-buffer swap)
+in :data:`BARRIER_SCHEDULE` / :data:`OVERLAP_SCHEDULE` — and executed by
+the one loop behind :meth:`DistributedSolver.step`.  The bulk-synchronous
+barrier schedule:
 
 1. collide on owned nodes;
 2. post the halo exchange — every rank packs and sends the post-collision
@@ -49,31 +49,46 @@ hide halo exchange behind interior compute:
 
 Phases 2-4 run inside an ``overlap_window`` span, derived from the
 declaration (exchange post through completion, when compute is scheduled
-between them).  Because pull-streaming writes the double buffer and never
-reads what frontier streaming writes, the pipeline is bit-for-bit
-identical to the barrier schedule — pinned by
+between them; under the process tier, first post begun to last completion
+done across the free-running ranks).  Because pull-streaming writes the
+double buffer and never reads what frontier streaming writes, the
+pipeline is bit-for-bit identical to the barrier schedule — pinned by
 ``tests/lbm/test_overlap_equivalence.py``.
 
 Executors and the halo transport
 --------------------------------
-``SolverConfig.executor`` picks how ranks run each phase: ``"lockstep"``
-serially, ``"parallel"`` on a thread pool with a per-phase barrier (the
-fused NumPy kernels release the GIL), ``"process"`` on persistent forked
-workers (:mod:`repro.runtime.procexec`) for true multicore parallelism.
-That choice never reaches the phase bodies: the exchange bodies stage
-through preallocated per-neighbour buffers and talk to one halo transport,
-chosen once in ``_build``, through ``send(src, dst, buf, tag)`` /
+``SolverConfig.executor`` picks how ranks run the schedule:
+``"lockstep"`` serially and ``"parallel"`` on a thread pool (the fused
+NumPy kernels release the GIL), both phase-major with a barrier after
+every phase — an in-process ``SimComm`` receive raises on an empty queue,
+so they must; ``"process"`` on persistent forked workers
+(:mod:`repro.runtime.procexec`) for true multicore parallelism.  That
+choice never reaches the phase bodies: the exchange bodies stage through
+preallocated per-neighbour buffers and talk to one halo transport, chosen
+once in ``_build``, through ``send(src, dst, buf, tag)`` /
 ``recv_into(dst, src, out, tag)`` only — the
 :class:`~repro.runtime.simmpi.SimComm` queues in-process, the per-pair
 shared-memory :class:`~repro.runtime.shmem.RingTransport` under
 ``"process"`` (:class:`~repro.runtime.mpicomm.MPIComm` offers the same two
-calls).  Under the process tier the ``f`` double buffer lives in
-:mod:`repro.runtime.shmem` segments so workers mutate the pages the parent
-observes; the parent keeps the SimComm for collectives and the event log
-(ring traffic is logged per step from the static wiring), mirrors the
-worker-side buffer swap, and ships its mutable scalars (boundary time,
-step epoch) with each dispatch.  Physics stays bit-for-bit equal to
-lockstep — pinned by ``tests/lbm/test_process_equivalence.py``.
+calls).
+
+The process tier is **rank-resident**, as the paper's one-MPI-rank-per-GPU
+code is: one iteration is one dispatch — one pipe message and one ack per
+rank — and each worker runs its rank through the whole declared schedule,
+meeting its neighbours only in the halo exchange.  The ordering is
+per-rank program order plus the rings' happens-before (``pop_into`` blocks
+on an empty ring, ``push`` on a full one); ranks skew by at most one step,
+inside the ring capacity of 2, and every other buffer is rank-private.
+The ``f`` double buffer lives in :mod:`repro.runtime.shmem` segments so
+workers mutate the pages the parent observes.  The parent keeps the
+per-iteration loop — ``step`` span, SimComm for collectives and the event
+log (ring traffic is logged per step from the static wiring), sanitizer
+brackets — ships its mutable scalars (boundary time, step epoch) with the
+dispatch, and after the ack catches up from the declaration: the
+``overlap_window`` span is rebuilt from the acked phase intervals, the
+sanitizer's access log is replayed, the workers' buffer swap is mirrored.
+Physics stays bit-for-bit equal to lockstep — pinned by
+``tests/lbm/test_process_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -95,7 +110,7 @@ from ..runtime.executor import make_executor
 from ..runtime.shmem import RingTransport, SegmentRegistry
 from ..runtime.simmpi import SimComm
 from ..telemetry.metrics import get_registry
-from ..telemetry.spans import get_tracer
+from ..telemetry.spans import SpanRecord, get_tracer
 
 __all__ = [
     "Phase",
@@ -111,11 +126,23 @@ HALO_TAG = 1
 
 @dataclass(frozen=True)
 class Phase:
-    """One barrier-delimited phase of the distributed step.
+    """One phase of the distributed step.
 
     ``reads`` / ``writes`` name the :class:`RankState` buffers the body
-    touches on its own rank; every rank finishes a phase before any rank
-    starts the next, so accesses in different phases are ordered.
+    touches **on its own rank** — no body touches another rank's buffers;
+    the halo transport is the only cross-rank channel.  What orders two
+    phases depends on the tier:
+
+    * in-process executors (lockstep, thread pool) put a barrier after
+      every phase: every rank finishes a phase before any rank starts
+      the next, so accesses in different phases are ordered globally;
+    * the process tier runs the schedule rank-resident: each rank
+      executes its phases in program order, and the only inter-rank
+      edges are the halo rings' happens-before (a completion returns
+      after the peer's post; a post waits for a free slot).  Ranks skew
+      by at most one step, within the ring capacity of 2.  Because every
+      declared buffer is rank-private, that is all the ordering the
+      declaration needs — the results are bit-for-bit the same.
     """
 
     span: str  # telemetry span name (both exchange halves share one)
@@ -628,11 +655,19 @@ class DistributedSolver:
     # -- process-tier support ----------------------------------------------
     def _apply_phase_context(self, ctx: Dict[str, int]) -> None:
         """Worker-side hook: apply the controlling process's mutable
-        scalars before a phase body runs (plain attribute writes made in
+        scalars at the top of a dispatch (plain attribute writes made in
         the parent after the fork are invisible here)."""
         self.time = int(ctx["time"])
         if self._san is not None:
             self._san.begin_worker_step(self.ranks, int(ctx["step"]))
+
+    def _after_phase(self, index: int) -> None:
+        """Worker-side hook of a rank-resident step: phase ``index`` of
+        the schedule just ran on this worker's rank.  The worker is its
+        rank's controlling loop, so it advances its own copy of ``time``
+        exactly where :meth:`_execute` does."""
+        if self._schedule[index].swaps:
+            self.time += 1
 
     def _log_ring_step(self, step: int) -> None:
         """The rings bypass SimComm, so the parent's event log is fed
@@ -677,13 +712,16 @@ class DistributedSolver:
             if san is not None:
                 san.begin_step(self.ranks, step_id)
             with self.tracer.span("step", step=step_id):
-                self._execute(head, step_id)
-                if window:
-                    # communication is hidden behind the compute the
-                    # declaration schedules inside the exchange
-                    with self.tracer.span("overlap_window"):
-                        self._execute(window, step_id)
-                self._execute(tail, step_id)
+                if self._procmode:
+                    self._execute_resident(step_id)
+                else:
+                    self._execute(head)
+                    if window:
+                        # communication is hidden behind the compute the
+                        # declaration schedules inside the exchange
+                        with self.tracer.span("overlap_window"):
+                            self._execute(window)
+                    self._execute(tail)
                 self.fluid_updates += self._owned_total
             if self._halo is not self.comm:
                 self._log_ring_step(step_id)
@@ -691,24 +729,58 @@ class DistributedSolver:
                 san.end_step(self.ranks, step_id)
         self._count_step_work(num_steps)
 
-    def _execute(self, phases: Sequence[Phase], step_id: int) -> None:
+    def _execute(self, phases: Sequence[Phase]) -> None:
+        """In-process tiers: phase-major, a barrier after every phase."""
         ex = self.executor
         san = self._san
-        proc = self._procmode
         for phase in phases:
-            # forked workers cannot see parent-side attribute writes, so
-            # the mutable scalars travel with each dispatch
-            ctx = {"time": self.time, "step": step_id} if proc else None
-            ex.run_phase(getattr(self, phase.body), name=phase.span, ctx=ctx)
+            ex.run_phase(getattr(self, phase.body), name=phase.span)
             if san is not None:
                 san.record_phase(phase, self.ranks)
             if phase.swaps:
-                # streaming is done: f now holds the next time level.
-                # Workers swapped their own rank's double buffer; mirror
-                # it on the parent's states so observables read live data
-                if proc:
-                    for st in self.ranks:
-                        st.f, st.f_tmp = st.f_tmp, st.f
+                # streaming is done: f now holds the next time level
+                self.time += 1
+
+    def _execute_resident(self, step_id: int) -> None:
+        """Process tier: the whole schedule in one dispatch per rank.
+
+        Each worker runs its rank through every phase back to back and
+        meets its neighbours only in the halo rings; the parent waits for
+        one ack per rank, then catches its own view up from the
+        declaration.  Forked workers cannot see parent-side attribute
+        writes, so the mutable scalars travel with the dispatch.
+        """
+        schedule = self._schedule
+        timings = self.executor.run_step(
+            [getattr(self, phase.body) for phase in schedule],
+            [phase.span for phase in schedule],
+            ctx={"time": self.time, "step": step_id},
+        )
+        head, window, _ = self._schedule_parts
+        tracer = self.tracer
+        if window and tracer.enabled:
+            # no parent sits between the phases to bracket the window:
+            # rebuild it from the acked intervals (perf_counter is
+            # system-wide) — first post begun to last completion done
+            first, last = len(head), len(head) + len(window) - 1
+            start = min(acked[first][0] for acked in timings)
+            end = max(acked[last][0] + acked[last][1] for acked in timings)
+            tracer.spans.append(
+                SpanRecord(
+                    "overlap_window", start, end - start, tracer.depth()
+                )
+            )
+        san = self._san
+        for phase in schedule:
+            if san is not None:
+                san.access_log.begin_phase(phase.span)
+                san.record_phase(phase, self.ranks)
+            if phase.swaps:
+                # each worker swapped its own rank's double buffer;
+                # mirror it on the parent's states so observables read
+                # live data
+                for st in self.ranks:
+                    st.f, st.f_tmp = st.f_tmp, st.f
                 self.time += 1
 
     def _count_step_work(self, num_steps: int) -> None:

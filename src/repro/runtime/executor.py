@@ -5,6 +5,10 @@ exchange-post, exchange-complete, stream, boundaries) and every rank
 finishes a phase before any rank starts the next — the bulk-synchronous
 structure of a distributed LBM step.  The executors exist so application
 code reads like rank-parallel code and so tests can interpose on phases.
+``run_phase`` runs one phase; ``run_step`` runs one iteration and leaves
+the interleaving to the executor: phase-major with a barrier per phase
+here, rank-resident (one dispatch, ranks meeting only in the halo rings)
+on :class:`~repro.runtime.procexec.ProcessExecutor`.
 
 :class:`LockstepExecutor` runs the ranks of each phase serially in rank
 order.  :class:`ParallelExecutor` dispatches them onto a thread pool with
@@ -158,6 +162,38 @@ class PhaseAccessLog:
         return out
 
 
+def step_span_names(
+    phases: Sequence[PhaseFn], names: Optional[Sequence[Optional[str]]]
+) -> Sequence[Optional[str]]:
+    """``run_step``'s span names: one per phase, or none at all."""
+    if names is None:
+        return [None] * len(phases)
+    if len(names) != len(phases):
+        raise RuntimeSimError("run_step needs one span name per phase")
+    return names
+
+
+def _run_phase_major(
+    executor,
+    phases: Sequence[PhaseFn],
+    names: Optional[Sequence[Optional[str]]],
+    ctx: Optional[dict],
+) -> None:
+    """``run_step`` of the in-process executors.
+
+    ``run_step`` lets the executor choose how one iteration interleaves.
+    In-process ranks share one :class:`~repro.runtime.simmpi.SimComm`
+    whose receive raises on an empty queue instead of waiting, so the
+    only safe order is phase-major — every rank finishes phase ``i``
+    before any rank starts ``i + 1`` — through the executor's own
+    ``run_phase`` (spans and the access-log epoch advance exactly as for
+    per-phase callers).  The process executor instead runs each rank
+    through the whole list rank-resident.
+    """
+    for fn, name in zip(phases, step_span_names(phases, names)):
+        executor.run_phase(fn, name=name, ctx=ctx)
+
+
 class LockstepExecutor:
     """Runs per-rank phase functions in lockstep."""
 
@@ -202,10 +238,14 @@ class LockstepExecutor:
                 fn(rank)
         self.phases_run += 1
 
-    def run_step(self, phases: List[PhaseFn]) -> None:
-        """Run a full iteration: each phase across all ranks, in order."""
-        for fn in phases:
-            self.run_phase(fn)
+    def run_step(
+        self,
+        phases: Sequence[PhaseFn],
+        names: Optional[Sequence[Optional[str]]] = None,
+        ctx: Optional[dict] = None,
+    ) -> None:
+        """Run one iteration phase-major: a barrier after every phase."""
+        _run_phase_major(self, phases, names, ctx)
 
 
 class ParallelExecutor:
@@ -314,10 +354,14 @@ class ParallelExecutor:
                 first_exc.args = (origin,) + tuple(first_exc.args)
             raise first_exc
 
-    def run_step(self, phases: List[PhaseFn]) -> None:
-        """Run a full iteration: each phase across all ranks, in order."""
-        for fn in phases:
-            self.run_phase(fn)
+    def run_step(
+        self,
+        phases: Sequence[PhaseFn],
+        names: Optional[Sequence[Optional[str]]] = None,
+        ctx: Optional[dict] = None,
+    ) -> None:
+        """Run one iteration phase-major: a barrier after every phase."""
+        _run_phase_major(self, phases, names, ctx)
 
     def shutdown(self) -> None:
         """Release the worker threads (idempotent)."""

@@ -1,47 +1,69 @@
-"""Process-based rank executor: true multicore phase parallelism.
+"""Process-based rank executor: true multicore rank parallelism.
 
 :class:`ProcessExecutor` keeps one persistent worker process per rank
 and dispatches the same per-rank phase bodies the lockstep and thread
-executors run — same bulk-synchronous schedule, same per-phase barrier,
-but without the GIL: each rank's collide/stream/boundary kernels run on
-their own core.
+executors run, without the GIL: each rank's collide/stream/boundary
+kernels run on their own core.  Two granularities:
+
+* ``run_phase`` — one message per rank per *phase*, a barrier at its
+  end (every rank finishes the phase before the call returns): the
+  generic call for callers that interleave parent-side work.
+* ``run_step`` — one message per rank per *iteration*.  Each worker
+  runs its rank through the whole declared schedule back to back and
+  acks once; the parent never sits between two phases.  The ordering
+  guarantee is the one MPI ranks have: **per-rank program order plus the
+  happens-before edges of the halo rings** (a ``pop_into`` returns only
+  after the peer's ``push``; a ``push`` waits for a free slot).  Ranks
+  therefore skew by at most one step, which the ring capacity (2)
+  covers, and every other buffer a phase body touches must be
+  rank-private.  Results stay bit-for-bit equal to lockstep by
+  construction.
 
 How state crosses the process boundary
 --------------------------------------
 Workers are forked (POSIX ``fork`` start method) lazily on the *first*
-``run_phase`` call, after the owning solver is fully built.  Everything
+dispatch, after the owning solver is fully built.  Everything
 the phase bodies read — plans, index tables, boundary objects — is
 inherited copy-on-write; the arrays the phases *mutate* (the ``f``
 double buffer, halo pack buffers, ring transports) must live in
 :mod:`repro.runtime.shmem` segments allocated before the fork, so the
 parent and every worker address the same physical pages.  Nothing is
 pickled on the hot path: a bound method of the registered target is
-sent as its name; any other callable must pickle by reference (the W504
-lint rule bans closure-captured phase callables for exactly this
-reason).
+sent as its name (resolved on the worker's copy of the target, so
+instance overrides dispatch); any other callable must pickle by
+reference (the W504 lint rule bans closure-captured phase callables for
+exactly this reason).
 
 Telemetry and errors keep the thread-executor contract: each worker
-times its own phase interval (``time.perf_counter`` is the system-wide
+times its own phase intervals (``time.perf_counter`` is the system-wide
 ``CLOCK_MONOTONIC`` on Linux, so intervals are comparable across
-processes) and the controlling process appends one span per rank in
-rank order after the barrier; the first worker exception is re-raised
-in the caller with a ``[rank N phase ...]`` prefix — picklable
-exceptions cross as themselves, others as
+processes) and acks them; without a plane the controlling process
+appends one span per rank per phase, in rank order, after the ack.  The
+first worker exception is re-raised in the caller with a
+``[rank N phase ...]`` prefix (the worker names the failing phase in
+its ack) — picklable exceptions cross as themselves, others as
 :class:`~repro.core.errors.RuntimeSimError` carrying the worker
-traceback.  A worker that dies mid-phase (crash, kill) surfaces as a
-``RuntimeSimError`` and shuts the executor down.
+traceback.  A worker that dies (crash, kill) surfaces as a
+``RuntimeSimError`` naming the phase it had entered.  Either failure
+gives the other ranks — possibly blocked on the failed rank's rings — a
+grace window of ``min(5 s, stall timeout)`` to ack, never the 60 s ring
+timeout, then terminates the stragglers and closes the executor.
 
-Per-phase ``ctx`` dicts carry the controlling process's mutable scalars
-(step counter, boundary time) to the workers; the target applies them
-through its ``_apply_phase_context`` hook before the body runs, since
-plain attribute writes in the parent are invisible after the fork.
+The ``ctx`` dict of a dispatch carries the controlling process's mutable
+scalars (step counter, boundary time) to the workers; the target applies
+it through its ``_apply_phase_context`` hook before the first body runs,
+since plain attribute writes in the parent are invisible after the fork.
+Inside a step dispatch the worker then calls the target's optional
+``_after_phase(i)`` hook after phase ``i`` — where a rank advances the
+scalars the parent's loop would have advanced between ``run_phase``
+calls.
 
 When a :class:`~repro.telemetry.plane.TelemetryPlane` is attached (the
 distributed solver wires one whenever the plane is enabled), each worker
-runs a plane agent: spans and metric deltas flush into the rank's
-shared-memory telemetry ring before every ack, heartbeats publish at
-phase entry/exit, and the flight recorder keeps the last N events.  The
-parent drains the rings while waiting at the phase barrier (so a full
+runs a plane agent: heartbeats publish at phase entry/exit, the flight
+recorder keeps the last N events, and spans and metric deltas flush into
+the rank's shared-memory telemetry ring once per dispatch, before the
+ack.  The parent drains the rings while it waits for the acks (so a full
 ring can never deadlock a worker), watches heartbeats for stalls, and —
 on worker death or a sanitizer failure — drains the *surviving* rings
 first, then attaches a postmortem bundle to the raised error.
@@ -64,14 +86,22 @@ from ..core.errors import (
     StallError,
 )
 from ..telemetry.spans import SpanRecord, get_tracer, set_tracer
-from .executor import PhaseAccessLog
+from .executor import PhaseAccessLog, step_span_names
 
 __all__ = ["ProcessExecutor", "fork_available"]
 
 PhaseFn = Callable[[int], None]
 
 _CMD_PHASE = "phase"
+_CMD_STEP = "step"
 _CMD_STOP = "stop"
+
+#: how long the parent keeps waiting for the other ranks' acks once one
+#: rank has died or raised (they may be blocked on its halo rings)
+_FAILURE_GRACE_S = 5.0
+
+#: one rank's acked ``(start, duration)`` per dispatched phase
+Timings = List[Tuple[float, float]]
 
 
 def fork_available() -> bool:
@@ -84,14 +114,24 @@ def fork_available() -> bool:
 def _worker_main(
     rank: int, conn, target: Optional[object], plane: Optional[object]
 ) -> None:
-    """Worker loop: receive phase commands, run them, ack with timing.
+    """Worker loop: receive dispatches, run them, ack with timings.
+
+    A dispatch is a sequence of ``(span name, callable spec)`` phases —
+    one for ``run_phase``, a whole iteration for ``run_step`` — plus one
+    ``ctx``.  The worker applies the ctx through the target's
+    ``_apply_phase_context`` hook, runs the phases back to back on its
+    own rank (no parent round trip in between; a step dispatch also
+    calls the target's ``_after_phase(i)`` hook after phase ``i``), and
+    acks once with the per-phase ``(start, duration)`` list.
 
     With a telemetry plane attached the worker owns a
     :class:`~repro.telemetry.plane.WorkerAgent`: the process-wide tracer
     (and the target's ``tracer`` attribute, if any) rebind to the
     agent's worker-resident tracer so phase bodies' sub-spans are
-    captured, and every phase flushes its spans/metric deltas into the
-    rank's ring *before* the ack — the parent drains at the barrier.
+    captured, every phase publishes a heartbeat and a worker-origin
+    span, and the spans/metric deltas of the whole dispatch flush into
+    the rank's ring once, *before* the ack — the parent drains while it
+    waits.
 
     Exits through ``os._exit`` so the parent's inherited atexit hooks
     (segment unlink, executor shutdown) never run in a child.
@@ -111,29 +151,44 @@ def _worker_main(
                 break
             if msg[0] == _CMD_STOP:
                 break
-            _, spec, ctx, name = msg
+            cmd, phases, ctx = msg
+            label = "phase"
             try:
-                kind, payload = spec
-                if kind == "method":
-                    fn = getattr(target, payload)
-                else:
-                    fn = pickle.loads(payload)
                 if ctx is not None and target is not None:
                     hook = getattr(target, "_apply_phase_context", None)
                     if hook is not None:
                         hook(ctx)
+                after = (
+                    getattr(target, "_after_phase", None)
+                    if cmd == _CMD_STEP
+                    else None
+                )
+                timings: Timings = []
+                for index, (name, (kind, payload)) in enumerate(phases):
+                    label = name or "phase"
+                    if kind == "method":
+                        fn = getattr(target, payload)
+                    else:
+                        fn = pickle.loads(payload)
+                    label = name or fn.__name__
+                    # the interval brackets the agent's own span, so a
+                    # container rebuilt from the acks encloses it
+                    t0 = time.perf_counter()
+                    if agent is not None:
+                        agent.begin_phase(label, ctx)
+                    fn(rank)
+                    if agent is not None:
+                        agent.end_phase(label)
+                    timings.append((t0, time.perf_counter() - t0))
+                    if after is not None:
+                        after(index)
                 if agent is not None:
-                    agent.begin_phase(name or fn.__name__, ctx)
-                t0 = time.perf_counter()
-                fn(rank)
-                duration = time.perf_counter() - t0
-                if agent is not None:
-                    agent.end_phase(name or fn.__name__)
-                conn.send(("ok", t0, duration))
+                    agent.flush()
+                conn.send(("ok", timings))
             except BaseException as exc:
                 if agent is not None:
                     try:
-                        agent.record_error(name or "phase", exc)
+                        agent.record_error(label, exc)
                     except Exception:
                         pass
                 try:
@@ -141,7 +196,7 @@ def _worker_main(
                 except Exception:
                     blob = None
                 try:
-                    conn.send(("err", blob, traceback.format_exc()))
+                    conn.send(("err", blob, traceback.format_exc(), label))
                 except (BrokenPipeError, OSError):
                     break
     finally:
@@ -155,10 +210,13 @@ def _worker_main(
 class ProcessExecutor:
     """Runs per-rank phase bodies on persistent worker processes.
 
-    Same ``run_phase``/``run_step`` surface as the thread executors plus
-    ``ctx`` (per-phase context applied worker-side) and ``close()``.
-    Construction only checks the platform; workers fork on first use so
-    they inherit the fully-built solver.
+    Same ``run_phase``/``run_step`` surface as the in-process executors
+    plus ``close()``; ``ctx`` is applied worker-side.  ``run_phase`` is
+    one dispatch per phase with a barrier at its end; ``run_step`` is
+    one dispatch per *iteration* — the ranks free-run through the phases
+    and meet only where the bodies themselves synchronise (the halo
+    rings).  Construction only checks the platform; workers fork on
+    first use so they inherit the fully-built solver.
     """
 
     def __init__(self, num_ranks: int, tracer=None) -> None:
@@ -175,13 +233,17 @@ class ProcessExecutor:
 
         self.num_ranks = num_ranks
         self.phases_run = 0
+        self._dispatches = 0
         self.tracer = get_tracer() if tracer is None else tracer
-        #: optional PhaseAccessLog advanced once per phase (sanitize mode);
-        #: conflict detection degrades to the controlling process's view —
-        #: worker-side records stay in the workers.
+        #: optional PhaseAccessLog advanced once per ``run_phase``
+        #: (sanitize mode); conflict detection degrades to the
+        #: controlling process's view — worker-side records stay in the
+        #: workers.  ``run_step`` leaves it alone: nothing is accessed
+        #: parent-side during a rank-resident dispatch, so the caller
+        #: replays its declared accesses per phase after the ack.
         self.access_log: Optional[PhaseAccessLog] = None
         #: optional :class:`~repro.telemetry.plane.TelemetryPlane`; set it
-        #: before the first ``run_phase`` (workers fork with it) to get
+        #: before the first dispatch (workers fork with it) to get
         #: worker-resident tracing, metric merge, heartbeats, and the
         #: flight recorder.
         self.plane: Optional[Any] = None
@@ -192,6 +254,12 @@ class ProcessExecutor:
         self._started = False
         self._closed = False
         atexit.register(self.close)
+
+    @property
+    def dispatches(self) -> int:
+        """Messages sent to each rank so far: one per ``run_phase`` and
+        one per ``run_step`` (``phases_run`` counts the phases)."""
+        return self._dispatches
 
     # -- lifecycle -------------------------------------------------------
     def start(self, target: Optional[object] = None) -> None:
@@ -257,6 +325,13 @@ class ProcessExecutor:
         except Exception:
             pass
 
+    def _abort(self, ranks: Sequence[int]) -> None:
+        """Terminate ``ranks`` (blocked on a failed peer's rings, they
+        would never read the stop command), then :meth:`close`."""
+        for rank in ranks:
+            self._workers[rank][0].terminate()
+        self.close()
+
     # -- dispatch --------------------------------------------------------
     def _spec_for(self, fn: PhaseFn) -> Tuple[str, Any]:
         bound_to = getattr(fn, "__self__", None)
@@ -272,6 +347,14 @@ class ProcessExecutor:
                 f"({exc}); see lint rule W504"
             ) from None
 
+    def _ensure_started(self, fn: PhaseFn) -> None:
+        if self._closed:
+            raise RuntimeSimError(
+                "process executor is closed; its workers are gone"
+            )
+        if not self._started:
+            self.start(getattr(fn, "__self__", None))
+
     def run_phase(
         self,
         fn: PhaseFn,
@@ -284,12 +367,7 @@ class ProcessExecutor:
         ``ctx`` (optional) is applied on each worker via the target's
         ``_apply_phase_context`` hook before the body runs.
         """
-        if self._closed:
-            raise RuntimeSimError(
-                "process executor is closed; its workers are gone"
-            )
-        if not self._started:
-            self.start(getattr(fn, "__self__", None))
+        self._ensure_started(fn)
         targets: List[int] = list(
             range(self.num_ranks) if ranks is None else ranks
         )
@@ -298,108 +376,193 @@ class ProcessExecutor:
                 raise RuntimeSimError(f"phase rank {rank} out of range")
         if self.access_log is not None:
             self.access_log.begin_phase(name or f"phase{self.phases_run}")
-        spec = self._spec_for(fn)
+        self._dispatch(
+            _CMD_PHASE, ((name, self._spec_for(fn)),), ctx, targets
+        )
+
+    def run_step(
+        self,
+        phases: Sequence[PhaseFn],
+        names: Optional[Sequence[Optional[str]]] = None,
+        ctx: Optional[Dict[str, Any]] = None,
+    ) -> List[Timings]:
+        """Run one iteration rank-resident: a single message per rank.
+
+        Each worker applies ``ctx`` once, then runs its rank through
+        ``phases`` back to back — no barrier between them.  Inter-rank
+        ordering is whatever the bodies themselves enforce: a ring
+        ``pop_into`` waits for the peer's ``push`` and a ``push`` waits
+        for a free slot, so ranks skew by at most the ring capacity and
+        meet only in the halo exchange, as MPI ranks do.  Every other
+        buffer a body touches must be rank-private.  After phase ``i``
+        the worker calls the target's optional ``_after_phase(i)`` hook
+        (the rank-resident counterpart of what a controlling loop does
+        between ``run_phase`` calls).
+
+        Returns each rank's acked per-phase ``(start, duration)`` list
+        so the caller can rebuild container spans.  A rank that raises
+        ends the iteration for everyone: the others get a short grace to
+        ack, the executor closes, and the first exception is re-raised.
+        """
+        names = step_span_names(phases, names)
+        if not phases:
+            return [[] for _ in range(self.num_ranks)]
+        self._ensure_started(phases[0])
+        specs = tuple(
+            (name, self._spec_for(fn)) for fn, name in zip(phases, names)
+        )
+        return self._dispatch(
+            _CMD_STEP, specs, ctx, list(range(self.num_ranks))
+        )
+
+    def _dispatch(
+        self,
+        cmd: str,
+        phases: Tuple[Tuple[Optional[str], Tuple[str, Any]], ...],
+        ctx: Optional[Dict[str, Any]],
+        targets: List[int],
+    ) -> List[Timings]:
+        """Send one message per target rank, gather one ack per rank."""
         dispatch_t0 = time.perf_counter()
+
+        def where(rank: int) -> str:
+            return self._where(rank, cmd, phases, ctx, dispatch_t0)
+
         for rank in targets:
             _, conn = self._workers[rank]
             try:
-                conn.send((_CMD_PHASE, spec, ctx, name))
+                conn.send((cmd, phases, ctx))
             except (BrokenPipeError, OSError):
                 self.close()
                 raise RuntimeSimError(
                     f"rank {rank} worker process is gone; cannot "
-                    f"dispatch phase {name or fn.__name__!r}"
+                    f"dispatch {where(rank)}"
                 ) from None
 
-        acks, dead_ranks = self._collect_acks(
-            targets, name, dispatch_t0
-        )
+        # workers flush before they ack and _collect_acks drains after
+        # every receive, so the plane is already drained here
+        acks, dead_ranks = self._collect_acks(targets, dispatch_t0, where)
         plane = self.plane
-        if plane is not None:
-            try:  # frames flushed just before the last ack
-                plane.drain()
-            except Exception:
-                pass
+        missing = [r for r in targets if r not in acks]
         if dead_ranks:
-            self._raise_worker_death(dead_ranks[0], name)
+            self._raise_worker_death(dead_ranks[0], where, missing)
 
-        first_exc: Optional[BaseException] = None
+        first_err: Optional[Tuple] = None
         first_rank = -1
-        timings: List[Optional[Tuple[float, float]]] = []
+        timings: List[Timings] = []
         for rank in targets:
             ack = acks.get(rank)
-            if ack is None:
-                timings.append(None)
+            if ack is not None and ack[0] == "ok":
+                timings.append(ack[1])
                 continue
-            if ack[0] == "ok":
-                timings.append((ack[1], ack[2]))
-                continue
-            timings.append(None)
-            if first_exc is None:
-                first_rank = rank
-                _, blob, tb = ack
-                if blob is not None:
-                    try:
-                        first_exc = pickle.loads(blob)
-                    except Exception:
-                        first_exc = None
-                if first_exc is None:
-                    first_exc = RuntimeSimError(
-                        f"worker failed:\n{tb.rstrip()}"
-                    )
+            timings.append([])
+            if ack is not None and first_err is None:
+                first_err, first_rank = ack, rank
         tracer = self.tracer
         merge_spans = plane is not None and plane.trace_enabled
-        if name is not None and tracer.enabled and not merge_spans:
+        if tracer.enabled and not merge_spans:
             # no plane: fall back to one parent-side synthetic span per
-            # rank from the acked timings (the plane's worker-origin
-            # spans replace these — appending both would double-count)
+            # rank per phase from the acked timings (the plane's
+            # worker-origin spans replace these — appending both would
+            # double-count)
             depth_fn = getattr(tracer, "depth", None)
             depth = int(depth_fn()) if callable(depth_fn) else 0
-            for rank, timing in zip(targets, timings):
-                if timing is None:
+            for index, (name, _) in enumerate(phases):
+                if name is None:
                     continue
-                start, duration = timing
-                tracer.spans.append(
-                    SpanRecord(
-                        name=name,
-                        start_s=start,
-                        duration_s=duration,
-                        depth=depth,
-                        rank=rank,
+                for rank, acked in zip(targets, timings):
+                    if index >= len(acked):
+                        continue
+                    start, duration = acked[index]
+                    tracer.spans.append(
+                        SpanRecord(
+                            name=name,
+                            start_s=start,
+                            duration_s=duration,
+                            depth=depth,
+                            rank=rank,
+                        )
                     )
-                )
-        self.phases_run += 1
-        if first_exc is not None:
-            origin = f"[rank {first_rank} phase {name or 'phase'!r}]"
-            if first_exc.args and isinstance(first_exc.args[0], str):
-                first_exc.args = (
-                    f"{origin} {first_exc.args[0]}",
-                ) + first_exc.args[1:]
-            else:
-                first_exc.args = (origin,) + tuple(first_exc.args)
-            if plane is not None and isinstance(first_exc, SanitizeError):
-                bundle = plane.postmortem_bundle(
-                    reason=f"sanitizer failure in phase {name or 'phase'!r}",
-                    rank_states=self._rank_states(),
-                    error=str(first_exc),
-                )
-                plane.save_bundle(bundle)
-                first_exc.postmortem = bundle
-            raise first_exc
+        self.phases_run += len(phases)
+        self._dispatches += 1
+        if first_err is not None:
+            # a failed iteration is not resumable (rings may hold the
+            # survivors' messages); a failed phase only when some rank
+            # never reached the barrier
+            exc = self._worker_error(first_rank, first_err)
+            if cmd == _CMD_STEP or missing:
+                self._abort(missing)
+            raise exc
+        return timings
+
+    def _worker_error(self, rank: int, ack: Tuple) -> BaseException:
+        """A worker's acked exception, its origin prefixed."""
+        _, blob, tb, label = ack
+        exc: Optional[BaseException] = None
+        if blob is not None:
+            try:
+                exc = pickle.loads(blob)
+            except Exception:
+                exc = None
+        if exc is None:
+            exc = RuntimeSimError(f"worker failed:\n{tb.rstrip()}")
+        origin = f"[rank {rank} phase {label!r}]"
+        if exc.args and isinstance(exc.args[0], str):
+            exc.args = (f"{origin} {exc.args[0]}",) + exc.args[1:]
+        else:
+            exc.args = (origin,) + tuple(exc.args)
+        plane = self.plane
+        if plane is not None and isinstance(exc, SanitizeError):
+            bundle = plane.postmortem_bundle(
+                reason=f"sanitizer failure in phase {label!r}",
+                rank_states=self._rank_states(),
+                error=str(exc),
+            )
+            plane.save_bundle(bundle)
+            exc.postmortem = bundle
+        return exc
+
+    def _where(
+        self,
+        rank: int,
+        cmd: str,
+        phases: Tuple[Tuple[Optional[str], Any], ...],
+        ctx: Optional[Dict[str, Any]],
+        since: float,
+    ) -> str:
+        """Where ``rank`` is in the current dispatch, for error messages.
+
+        ``run_phase`` knows the phase from the call site.  A step
+        dispatch asks the rank's flight recorder for the last phase it
+        entered since the dispatch; without a plane only the step is
+        known.
+        """
+        if cmd == _CMD_PHASE:
+            return f"phase {phases[0][0] or 'phase'!r}"
+        step = ctx.get("step") if ctx else None
+        if self.plane is not None:
+            events = self.plane.flight_tail(rank)["events"]
+            for ev in reversed(events):
+                if ev.get("ev") == "phase_begin" and ev.get("t", 0) >= since:
+                    return f"phase {ev.get('name')!r} of step {ev.get('step')}"
+        return "a step" if step is None else f"step {step}"
 
     def _collect_acks(
         self,
         targets: Sequence[int],
-        name: Optional[str],
         dispatch_t0: float,
+        where: Callable[[int], str],
     ) -> Tuple[Dict[int, Tuple], List[int]]:
-        """Barrier: gather one ack per target rank.
+        """Gather one ack per target rank.
 
         While waiting, the attached telemetry plane (if any) is drained —
         a full ring can therefore never deadlock a worker against the
         barrier — and its heartbeat watchdog checks the still-pending
         ranks, so a hung worker surfaces as a rank-attributed
-        :class:`StallError` instead of a silent hang.
+        :class:`StallError` instead of a silent hang.  Once a rank has
+        died or acked an error, the ranks still pending may be blocked on
+        its halo rings: they get a short grace window, then the caller
+        reports the failure rather than wait out the ring timeout.
         """
         pending: Dict[Any, int] = {}
         for rank in targets:
@@ -407,10 +570,13 @@ class ProcessExecutor:
             pending[conn] = rank
         acks: Dict[int, Tuple] = {}
         dead_ranks: List[int] = []
-        death_ts: Optional[float] = None
+        failed_ts: Optional[float] = None
         plane = self.plane
+        grace = _FAILURE_GRACE_S
+        if plane is not None:
+            grace = min(grace, plane.stall_timeout_s)
         while pending:
-            if plane is None and not dead_ranks:
+            if plane is None and failed_ts is None:
                 ready = _mpconn.wait(list(pending))
             else:
                 ready = _mpconn.wait(list(pending), timeout=0.05)
@@ -420,34 +586,31 @@ class ProcessExecutor:
                     ack = conn.recv()
                 except (EOFError, OSError):
                     dead_ranks.append(rank)
-                    if death_ts is None:
-                        death_ts = time.perf_counter()
-                    continue
-                acks[rank] = ack
+                    ack = None
+                else:
+                    acks[rank] = ack
+                if failed_ts is None and (ack is None or ack[0] == "err"):
+                    failed_ts = time.perf_counter()
             if plane is not None:
                 try:
                     plane.drain()
                 except Exception:
                     pass
-                if pending and not dead_ranks:
-                    try:
-                        plane.check_stalls(
-                            sorted(pending.values()),
-                            since=dispatch_t0,
-                            alive=lambda r: self._workers[r][0].is_alive(),
-                        )
-                    except StallError as exc:
-                        self._raise_stall(exc, name)
-            if dead_ranks and pending:
-                # survivors may be blocked on the dead rank's halo rings;
-                # give them a short grace window to finish and flush,
-                # then report the death rather than hang at the barrier
-                grace = 5.0
-                if plane is not None:
-                    grace = min(grace, plane.stall_timeout_s)
-                assert death_ts is not None
-                if time.perf_counter() - death_ts > grace:
-                    break
+                if failed_ts is None:
+                    for rank in sorted(pending.values()):
+                        try:
+                            plane.check_stalls(
+                                [rank],
+                                since=dispatch_t0,
+                                alive=lambda r: self._workers[r][0].is_alive(),
+                            )
+                        except StallError as exc:
+                            self._raise_stall(exc, where(rank))
+            if (
+                failed_ts is not None
+                and time.perf_counter() - failed_ts > grace
+            ):
+                break
         dead_ranks.sort()
         return acks, dead_ranks
 
@@ -461,7 +624,7 @@ class ProcessExecutor:
             }
         return states
 
-    def _raise_stall(self, exc: StallError, name: Optional[str]) -> None:
+    def _raise_stall(self, exc: StallError, where: str) -> None:
         """Postmortem-decorate and re-raise a heartbeat stall."""
         plane = self.plane
         bundle = None
@@ -471,7 +634,7 @@ class ProcessExecutor:
             except Exception:
                 pass
             bundle = plane.postmortem_bundle(
-                reason=f"stall during phase {name or 'phase'!r}",
+                reason=f"stall during {where}",
                 rank_states=self._rank_states(),
                 error=str(exc),
             )
@@ -481,10 +644,13 @@ class ProcessExecutor:
             exc.postmortem = bundle
         raise exc
 
-    def _raise_worker_death(self, dead: int, name: Optional[str]) -> None:
-        """A worker died mid-phase: drain the *surviving* rings first so
-        the postmortem bundle carries every healthy rank's last events,
-        then shut down and raise with the bundle attached."""
+    def _raise_worker_death(
+        self, dead: int, where: Callable[[int], str], missing: Sequence[int]
+    ) -> None:
+        """A worker died mid-dispatch: drain the *surviving* rings first
+        so the postmortem bundle carries every healthy rank's last
+        events, then shut down (terminating the ``missing`` ranks still
+        blocked on the dead one) and raise with the bundle attached."""
         plane = self.plane
         bundle = None
         # reap the dead worker first: its pipe closes (the EOF we saw)
@@ -494,30 +660,21 @@ class ProcessExecutor:
             self._workers[dead][0].join(timeout=1.0)
         except Exception:
             pass
+        died = f"rank {dead} worker process died during {where(dead)}"
         if plane is not None:
             try:
                 plane.drain()
             except Exception:
                 pass
             bundle = plane.postmortem_bundle(
-                reason=(
-                    f"rank {dead} worker process died during phase "
-                    f"{name or 'phase'!r}"
-                ),
-                rank_states=self._rank_states(),
+                reason=died, rank_states=self._rank_states()
             )
             plane.save_bundle(bundle)
-        self.close()
+        self._abort(missing)
         exc = RuntimeSimError(
-            f"rank {dead} worker process died during phase "
-            f"{name or 'phase'!r}; executor shut down and shared "
-            "segments remain owned (and unlinked) by the parent"
+            f"{died}; executor shut down and shared segments remain "
+            "owned (and unlinked) by the parent"
         )
         if bundle is not None:
             exc.postmortem = bundle
         raise exc
-
-    def run_step(self, phases: List[PhaseFn]) -> None:
-        """Run a full iteration: each phase across all ranks, in order."""
-        for fn in phases:
-            self.run_phase(fn)

@@ -15,8 +15,10 @@ workers inherit the mappings:
   :class:`~repro.runtime.shmem.RingBuffer` per rank.  The worker-side
   :class:`WorkerAgent` batches completed span records and metric
   *deltas* into JSON frames (length-prefixed inside a fixed float64
-  slab) and pushes them after every phase, before the phase ack; the
-  parent drains at phase barriers and on shutdown, appending spans to
+  slab) and pushes them once per dispatch, before the ack (one registry
+  diff and one encode per iteration when the executor runs a whole step
+  rank-resident); the parent drains while it waits for the acks and on
+  shutdown, appending spans to
   the controlling tracer (tagged with the worker's real ``pid``/``tid``)
   and folding metric deltas into the parent registry — **sum** for
   counters, **last write** for gauges, **bucket-wise add** for
@@ -350,9 +352,10 @@ class WorkerAgent:
     Created *inside* the worker (the plane object itself is inherited
     through the fork).  Owns a private :class:`Tracer` when the parent
     traces, snapshots the worker's inherited metrics registry to compute
-    per-phase deltas, publishes heartbeats, feeds the flight recorder,
-    and flushes span/metric records into the rank's telemetry ring
-    before every phase ack.
+    deltas, publishes heartbeats and feeds the flight recorder at every
+    phase bracket, and — when the worker loop calls :meth:`flush` at the
+    end of a dispatch, before the ack — pushes the span/metric records
+    accumulated since the last flush into the rank's telemetry ring.
     """
 
     #: producer-side push timeout; a parent that stopped draining makes
@@ -423,7 +426,6 @@ class WorkerAgent:
                 "t": time.perf_counter(),
             },
         )
-        self.flush()
         self._seq += 1
         self.plane.heartbeats.publish(
             self.rank,

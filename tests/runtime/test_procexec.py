@@ -252,6 +252,205 @@ class TestTelemetryPlane:
         assert leaked_segments(os.getpid()) == []
 
 
+class Stepper:
+    """Target for rank-resident dispatches; every observation lands in a
+    shared row per rank: [first stamp, second stamp, hook(0) calls,
+    hook(1) calls, ctx applications]."""
+
+    def __init__(self, registry: SegmentRegistry, num_ranks: int) -> None:
+        self.log = registry.ndarray("steplog", (num_ranks, 5))
+        self.base = 0.0
+        self.seq = 0
+        self.applied = 0
+        self.rank = -1
+
+    def _apply_phase_context(self, ctx) -> None:
+        self.applied += 1
+        self.base = float(ctx["base"])
+
+    def _after_phase(self, index: int) -> None:
+        self.log[self.rank, 2 + index] += 1
+
+    def first(self, rank: int) -> None:
+        self.rank = rank
+        self.seq += 1
+        self.log[rank, 0] = self.base + self.seq
+        self.log[rank, 4] = self.applied
+
+    def second(self, rank: int) -> None:
+        self.seq += 1
+        self.log[rank, 1] = self.base + self.seq
+
+    def boom(self, rank: int) -> None:
+        if rank == 1:
+            raise ValueError("bad rank state")
+
+    def die(self, rank: int) -> None:
+        if rank == 0:
+            os._exit(13)
+
+    def hang(self, rank: int) -> None:
+        if rank == 0:  # a survivor blocked on the failed rank's ring
+            time.sleep(30.0)
+
+
+@pytest.mark.usefixtures("hard_time_bound")
+class TestRunStep:
+    """``run_step``: one message and one ack per rank per iteration."""
+
+    def test_one_dispatch_runs_every_phase_in_program_order(self):
+        with SegmentRegistry() as reg:
+            target = Stepper(reg, 2)
+            ex = ProcessExecutor(2)
+            try:
+                for _ in range(2):
+                    timings = ex.run_step(
+                        [target.first, target.second],
+                        ["first", "second"],
+                        ctx={"base": 100.0},
+                    )
+                assert ex.dispatches == 2
+                assert ex.phases_run == 4
+                # per rank: first, second, first, second — back to back
+                assert np.array_equal(target.log[:, 0], [103.0, 103.0])
+                assert np.array_equal(target.log[:, 1], [104.0, 104.0])
+                # the per-phase hook ran after each phase of each step,
+                # the ctx hook once per dispatch
+                assert np.array_equal(target.log[:, 2], [2.0, 2.0])
+                assert np.array_equal(target.log[:, 3], [2.0, 2.0])
+                assert np.array_equal(target.log[:, 4], [2.0, 2.0])
+                # one (start, duration) per rank per phase, in order
+                assert len(timings) == 2
+                for acked in timings:
+                    (t0, d0), (t1, d1) = acked
+                    assert d0 >= 0 and d1 >= 0 and t0 + d0 <= t1
+                # run_phase stays the per-phase call: no step hook
+                ex.run_phase(target.first, ctx={"base": 0.0})
+                assert ex.dispatches == 3
+                assert ex.phases_run == 5
+                assert np.array_equal(target.log[:, 2], [2.0, 2.0])
+            finally:
+                ex.close()
+
+    def test_synthetic_spans_per_phase_without_a_plane(self):
+        tracer = Tracer()
+        with SegmentRegistry() as reg:
+            target = Stepper(reg, 2)
+            ex = ProcessExecutor(2, tracer=tracer)
+            try:
+                ex.run_step(
+                    [target.first, target.second],
+                    ["first", "second"],
+                    ctx={"base": 0.0},
+                )
+            finally:
+                ex.close()
+        assert [(s.name, s.rank) for s in tracer.spans] == [
+            ("first", 0), ("first", 1), ("second", 0), ("second", 1),
+        ]
+
+    def test_worker_spans_flush_once_per_dispatch(self):
+        tracer = Tracer()
+        with SegmentRegistry() as reg:
+            target = Stepper(reg, 2)
+            plane = TelemetryPlane(reg, 2, tracer=tracer)
+            ex = ProcessExecutor(2, tracer=tracer)
+            ex.plane = plane
+            try:
+                ex.run_step(
+                    [target.first, target.second],
+                    ["first", "second"],
+                    ctx={"base": 0.0, "step": 0},
+                )
+            finally:
+                ex.close()
+            assert plane.merged_spans == 4
+            assert plane.ring_high_water == [1, 1]
+        assert all(s.args["origin"] == "worker" for s in tracer.spans)
+
+    def test_name_count_must_match(self):
+        ex = ProcessExecutor(2)
+        try:
+            with pytest.raises(RuntimeSimError, match="one span name"):
+                ex.run_step([crash_free, crash_free], ["only-one"])
+        finally:
+            ex.close()
+
+    def test_error_ends_the_iteration_and_closes(self):
+        with SegmentRegistry() as reg:
+            target = Stepper(reg, 3)
+            ex = ProcessExecutor(3)
+            with pytest.raises(ValueError) as err:
+                ex.run_step(
+                    [target.first, target.boom, target.second],
+                    ["first", "boom", "second"],
+                    ctx={"base": 0.0},
+                )
+            # the worker names the failing phase in its ack
+            assert "[rank 1 phase 'boom']" in str(err.value)
+            # rank 1 stopped at the failure; its peers ran on
+            assert np.array_equal(target.log[:, 1], [2.0, 0.0, 2.0])
+            # a failed iteration is not resumable
+            with pytest.raises(RuntimeSimError, match="closed"):
+                ex.run_step([target.first], ["first"])
+        assert leaked_segments(os.getpid()) == []
+
+    def test_error_does_not_wait_out_a_blocked_survivor(self):
+        with SegmentRegistry() as reg:
+            target = Stepper(reg, 2)
+            plane = TelemetryPlane(reg, 2, stall_timeout_s=0.3)
+            ex = ProcessExecutor(2)
+            ex.plane = plane
+            began = time.perf_counter()
+            with pytest.raises(ValueError, match="rank 1 phase 'boom'"):
+                ex.run_step(
+                    [target.boom, target.hang],
+                    ["boom", "hang"],
+                    ctx={"base": 0.0, "step": 0},
+                )
+            # grace = min(5 s, stall timeout), then the straggler is
+            # terminated — never its 30 s sleep
+            assert time.perf_counter() - began < 5.0
+            with pytest.raises(RuntimeSimError, match="closed"):
+                ex.run_phase(target.first)
+        assert leaked_segments(os.getpid()) == []
+
+    def test_death_names_the_phase_from_the_flight_recorder(self):
+        with SegmentRegistry() as reg:
+            target = Stepper(reg, 2)
+            plane = TelemetryPlane(reg, 2)
+            ex = ProcessExecutor(2)
+            ex.plane = plane
+            with pytest.raises(RuntimeSimError) as err:
+                ex.run_step(
+                    [target.first, target.die, target.second],
+                    ["first", "die", "second"],
+                    ctx={"base": 0.0, "step": 3},
+                )
+            assert (
+                "rank 0 worker process died during phase 'die' of step 3"
+                in str(err.value)
+            )
+            assert err.value.postmortem["reason"].startswith(
+                "rank 0 worker process died during phase 'die'"
+            )
+        assert leaked_segments(os.getpid()) == []
+
+    def test_death_without_a_plane_names_the_step(self):
+        with SegmentRegistry() as reg:
+            target = Stepper(reg, 2)
+            ex = ProcessExecutor(2)
+            with pytest.raises(
+                RuntimeSimError, match="rank 0 .* died during step 3"
+            ):
+                ex.run_step(
+                    [target.first, target.die],
+                    ["first", "die"],
+                    ctx={"base": 0.0, "step": 3},
+                )
+        assert leaked_segments(os.getpid()) == []
+
+
 class TestLifecycle:
     def test_close_idempotent(self):
         ex = ProcessExecutor(2)

@@ -182,6 +182,45 @@ class TestLockstepExecutor:
         )
         assert trace == [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
 
+    def test_run_step_names_and_ctx_go_through_run_phase(self):
+        # run_step is phase-major *through the executor's own run_phase
+        # attribute* (the ladder wraps it), so spans and the access-log
+        # epoch advance exactly as for per-phase callers
+        from repro.runtime.executor import PhaseAccessLog
+        from repro.telemetry import Tracer
+
+        tracer = Tracer()
+        ex = LockstepExecutor(2, tracer=tracer)
+        ex.access_log = PhaseAccessLog()
+        inner, calls = ex.run_phase, []
+
+        def recording(fn, **kw):
+            calls.append(kw)
+            inner(fn, **kw)
+
+        ex.run_phase = recording
+        ex.run_step(
+            [lambda r: None, lambda r: None],
+            ["collide", "stream"],
+            ctx={"step": 7},
+        )
+        assert calls == [
+            {"name": "collide", "ctx": {"step": 7}},
+            {"name": "stream", "ctx": {"step": 7}},
+        ]
+        assert [(s.name, s.rank) for s in tracer.spans] == [
+            ("collide", 0), ("collide", 1), ("stream", 0), ("stream", 1),
+        ]
+        assert ex.phases_run == 2
+        ex.access_log.record(0, "buf", "read")
+        assert ex.access_log.records[-1].epoch == 1
+        assert ex.access_log.records[-1].phase == "stream"
+
+    def test_run_step_needs_one_name_per_phase(self):
+        ex = LockstepExecutor(2)
+        with pytest.raises(RuntimeSimError, match="one span name"):
+            ex.run_step([lambda r: None, lambda r: None], ["collide"])
+
     def test_subset_of_ranks(self):
         ex = LockstepExecutor(4)
         seen = []
@@ -257,6 +296,18 @@ class TestParallelExecutor:
 
         ex.run_step([a, b])
         assert violations == []
+        ex.shutdown()
+
+    def test_run_step_names_emit_spans_phase_major(self):
+        from repro.telemetry import Tracer
+
+        tracer = Tracer()
+        ex = self._make(2, tracer=tracer)
+        ex.run_step([lambda r: None, lambda r: None], ["collide", "stream"])
+        assert [(s.name, s.rank) for s in tracer.spans] == [
+            ("collide", 0), ("collide", 1), ("stream", 0), ("stream", 1),
+        ]
+        assert ex.phases_run == 2
         ex.shutdown()
 
     def test_exception_reraised_after_barrier(self):

@@ -224,6 +224,7 @@ class TestSpanMerge:
         agent = plane.worker_agent(1)
         agent.begin_phase("collide", ctx={"step": 4})
         agent.end_phase("collide")
+        agent.flush()  # the worker loop's end-of-dispatch flush
         plane.drain()
         spans = [s for s in tracer.spans if s.name == "collide"]
         assert len(spans) == 1
@@ -233,6 +234,31 @@ class TestSpanMerge:
         assert span.args["pid"] == agent.pid
         assert span.args["tid"] == agent.tid
         assert plane.merged_spans == 1
+
+    def test_one_flush_per_dispatch_carries_every_phase(
+        self, registry, isolated_metrics
+    ):
+        # a rank-resident step: N phase brackets, then the worker loop's
+        # single end-of-dispatch flush — one frame batch, nothing lost
+        tracer = Tracer()
+        parent = MetricsRegistry()
+        plane = TelemetryPlane(registry, 1, tracer=tracer, metrics=parent)
+        agent = plane.worker_agent(0)
+        names = ["collide", "exchange", "interior", "exchange", "frontier"]
+        for name in names:
+            agent.begin_phase(name, ctx={"step": 3})
+            isolated_metrics.counter("lbm.work").inc(2)
+            agent.end_phase(name)
+            assert len(plane.ring(0)) == 0  # phase brackets never push
+        assert agent.flush() == 1
+        assert len(plane.ring(0)) == 1
+        assert agent.flush() == 0  # nothing pending: no empty frame
+        plane.drain()
+        assert [s.name for s in tracer.spans] == names
+        assert all(s.args["origin"] == "worker" for s in tracer.spans)
+        assert parent.counter("lbm.work").value == 2 * len(names)
+        assert plane.merged_spans == len(names)
+        assert agent.dropped_records == 0
 
     def test_heartbeat_and_flight_updated_by_phases(
         self, registry, isolated_metrics
