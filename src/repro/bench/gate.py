@@ -4,7 +4,7 @@ Compares a current benchmark result document against a committed
 baseline (``BENCH_kernels.json`` / ``BENCH_overlap.json``) metric by
 metric.  Two classes of metric are treated differently:
 
-* **relative** metrics (fused-vs-legacy speedups, overlap-vs-lockstep
+* **relative** metrics (compiled-vs-NumPy speedups, overlap-vs-lockstep
   speedups, halo byte reduction) are dimensionless ratios of two
   timings taken on the same host in the same process — they transfer
   between machines and are always compared;
@@ -157,19 +157,14 @@ def _metric_paths(result: Dict[str, Any]) -> Tuple[List[str], List[str]]:
     if kind == "kernels":
         kernels = result.get("kernels", {})
         for name in sorted(kernels):
-            relative.append(f"kernels.{name}.speedup")
-            absolute.append(f"kernels.{name}.fused_mflups")
-            # compiled-tier columns (compiled_serial_speedup, ...)
-            # gate alongside the NumPy ones when the baseline has them
+            # fused_mflups, plus the compiled-tier columns
+            # (compiled_serial_speedup, ...) when the baseline has them
             entry = kernels.get(name) or {}
             for key in sorted(entry):
-                if key in ("speedup", "fused_mflups"):
-                    continue
                 if key.endswith("_speedup"):
                     relative.append(f"kernels.{name}.{key}")
-                elif key.endswith("_mflups") and key != "legacy_mflups":
+                elif key.endswith("_mflups"):
                     absolute.append(f"kernels.{name}.{key}")
-        relative.append("step_speedup")
         if "compiled_step_speedup" in result:
             relative.append("compiled_step_speedup")
     elif kind == "overlap":
@@ -258,8 +253,8 @@ def compare_results(
     relative, absolute = _metric_paths(baseline)
     report = DriftReport(benchmark=str(kind))
 
-    # executor-scaling metrics (thread/process rows, parallel
-    # efficiencies) are meaningless on a host that cannot run ranks
+    # executor-scaling metrics (process rows, parallel efficiencies)
+    # are meaningless on a host that cannot run ranks
     # concurrently: annotate them as core-bound instead of gating
     cpu_count = (
         ((current.get("meta") or {}).get("host") or {}).get("cpu_count")

@@ -200,9 +200,8 @@ def config_signature(record: Dict[str, Any]) -> str:
     the executor tiers timed, collapsed to a stable
     :func:`config_hash`.  Metadata like output paths or timestamps
     never participates.  The backend normalises to ``"numpy"`` and the
-    executor list to the two in-process tiers when absent, so
-    pre-process-tier history stays self-consistent, while runs that
-    add the process executor form their own baseline family that gates
+    executor list to ``lockstep`` when absent, so runs that add the
+    process executor form their own baseline family that gates
     independently.
     """
     ranks = record.get("ranks")
@@ -214,11 +213,10 @@ def config_signature(record: Dict[str, Any]) -> str:
     meta = record.get("meta") or {}
     config = meta.get("config") or {}
     # executor family: results that timed different executor tiers did
-    # different work.  Pre-process-tier records carried no executors
-    # field and always timed the two in-process tiers.  (The host's
-    # core budget gates comparability too, but that rides on the host
-    # fingerprint match — ``fingerprints_match`` keys on cpu_count.)
-    executors = config.get("executors") or ["lockstep", "parallel"]
+    # different work.  (The host's core budget gates comparability too,
+    # but that rides on the host fingerprint match —
+    # ``fingerprints_match`` keys on cpu_count.)
+    executors = config.get("executors") or ["lockstep"]
     return config_hash(
         {
             "benchmark": record.get("benchmark"),

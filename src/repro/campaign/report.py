@@ -129,9 +129,7 @@ def _composition_rows(
             )
     for r in solver:
         comp = r.get("composition")
-        mode = "fused" if r.get("fused", True) else "legacy"
-        if r.get("overlap"):
-            mode += "+overlap"
+        mode = "overlap" if r.get("overlap") else "barrier"
         if comp:
             rows.append(
                 {
@@ -217,7 +215,6 @@ def _solver_rows(
         {
             "geometry": r["geometry"],
             "num_ranks": int(r["num_ranks"]),
-            "fused": bool(r.get("fused", True)),
             "overlap": bool(r.get("overlap", False)),
             "executor": str(r.get("executor", "lockstep")),
             "backend": str(r.get("backend", "numpy")),
@@ -230,7 +227,7 @@ def _solver_rows(
     ]
     rows.sort(
         key=lambda r: (
-            r["geometry"], r["num_ranks"], not r["fused"], r["overlap"],
+            r["geometry"], r["num_ranks"], r["overlap"],
             r["executor"], r["backend"],
         )
     )
@@ -256,21 +253,15 @@ def _host_portability(
     if len(backends) < 2:
         return {"geometries": [], "per_backend": {}}
     geometries = sorted({r["geometry"] for r in rows})
-    best: Dict[Tuple[str, int, bool, bool, str], float] = {}
+    best: Dict[Tuple[str, int, bool, str], float] = {}
     for r in rows:
-        key = (
-            r["geometry"], r["num_ranks"], r["fused"], r["overlap"],
-            r["executor"],
-        )
+        key = (r["geometry"], r["num_ranks"], r["overlap"], r["executor"])
         best[key] = max(best.get(key, 0.0), r["mflups"])
     per_geom: Dict[str, Dict[str, List[float]]] = {
         g: {} for g in geometries
     }
     for r in rows:
-        key = (
-            r["geometry"], r["num_ranks"], r["fused"], r["overlap"],
-            r["executor"],
-        )
+        key = (r["geometry"], r["num_ranks"], r["overlap"], r["executor"])
         top = best[key]
         if top <= 0:
             continue
@@ -433,9 +424,7 @@ def _render_solver_text(rows: Sequence[Dict[str, Any]]) -> List[str]:
     ]
     body = []
     for r in rows:
-        mode = "fused" if r["fused"] else "legacy"
-        if r["overlap"]:
-            mode += "+overlap"
+        mode = "overlap" if r["overlap"] else "barrier"
         if r["executor"] != "lockstep":
             mode += f"/{r['executor']}"
         if r.get("backend", "numpy") != "numpy":

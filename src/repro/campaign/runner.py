@@ -54,7 +54,6 @@ _PARAMS: Dict[str, Dict[str, Any]] = {
         "steps": (False, 3),
         "resolution": (False, 1.0),
         "tau": (False, 0.8),
-        "fused": (False, True),
         "overlap": (False, False),
         "executor": (False, "lockstep"),
         "backend": (False, "numpy"),
@@ -121,6 +120,11 @@ def _prune_reason(cell: Cell, params: Dict[str, Any]) -> Optional[str]:
                 f"(no compiled provider: numba not installed and no "
                 f"working C compiler)"
             )
+    if cell.runner == "solver":
+        # a bad tier is a spec bug: raise at plan time, run no cell
+        from ..lbm.solver import validate_tier
+
+        validate_tier(str(params["executor"]), False, backend)
     if cell.runner != "perf":
         return None
     from ..analysis.sweep import workload_schedule
@@ -240,7 +244,6 @@ def _run_solver_cell(params: Dict[str, Any]) -> Dict[str, Any]:
         resolution=float(params["resolution"]),
         num_ranks=int(params["num_ranks"]),
         tau=float(params["tau"]),
-        fused=bool(params["fused"]),
         overlap=bool(params["overlap"]),
         executor=str(params["executor"]),
         backend=str(params["backend"]),
@@ -261,7 +264,6 @@ def _run_solver_cell(params: Dict[str, Any]) -> Dict[str, Any]:
         "mass_drift": report.mass_drift,
         "max_velocity": report.max_velocity,
         "comm_bytes": report.comm_bytes,
-        "fused": config.fused,
         "overlap": config.overlap,
         "executor": config.executor,
         "backend": config.backend,

@@ -4,8 +4,8 @@ A campaign is a JSON document describing one or more *sweeps*.  Each
 sweep names a cell runner and a set of parameter axes; the cross product
 of the axes (``itertools.product``), merged over the sweep's fixed
 parameters, is the sweep's cell grid.  Declarative ``skip`` constraints
-prune invalid cells — e.g. the overlapped pipeline without the fused
-engine — before anything executes:
+prune unwanted cells — e.g. a threaded compiled backend under forked
+ranks, which oversubscribes the cores — before anything executes:
 
 .. code-block:: json
 
@@ -16,9 +16,10 @@ engine — before anything executes:
         {
           "name": "cylinder-modes",
           "runner": "solver",
-          "axes": {"fused": [true, false], "overlap": [false, true]},
+          "axes": {"executor": ["lockstep", "process"],
+                   "backend": ["numpy", "compiled-parallel"]},
           "fixed": {"geometry": "cylinder", "num_ranks": 2, "steps": 3},
-          "skip": [{"overlap": true, "fused": false}]
+          "skip": [{"executor": "process", "backend": "compiled-parallel"}]
         }
       ]
     }

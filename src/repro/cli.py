@@ -242,23 +242,18 @@ def _cmd_bench_kernels(args: argparse.Namespace) -> int:
         print(f"written to {args.output}")
     _append_bench_history(result, args)
     if args.assert_speedup is not None:
-        # with a compiled backend the gate is the compiled tier's step
-        # speedup over the fused NumPy step; without one it is the
-        # fused-over-legacy speedup
-        if result.backend is not None:
-            label = "compiled step speedup"
-            speedup = result.compiled_step_speedup or 0.0
-        else:
-            label = "step speedup"
-            speedup = result.step_speedup
+        speedup = result.compiled_step_speedup or 0.0
         if speedup < args.assert_speedup:
             print(
-                f"error: {label} {speedup:.2f}x below "
+                f"error: compiled step speedup {speedup:.2f}x below "
                 f"required {args.assert_speedup:.2f}x",
                 file=sys.stderr,
             )
             return 1
-        print(f"{label} {speedup:.2f}x >= {args.assert_speedup:.2f}x")
+        print(
+            f"compiled step speedup {speedup:.2f}x >= "
+            f"{args.assert_speedup:.2f}x"
+        )
     return 0
 
 
@@ -878,6 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_proxy)
 
     from .geometry.registry import geometry_names
+    from .runtime.executor import EXECUTOR_KINDS
 
     p = sub.add_parser("harvey", help="run HARVEY functionally")
     p.add_argument(
@@ -891,8 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the overlapped interior/frontier pipeline",
     )
     p.add_argument(
-        "--executor", choices=["lockstep", "parallel", "process"],
-        default="lockstep",
+        "--executor", choices=EXECUTOR_KINDS, default="lockstep",
         help="rank-phase executor (default: lockstep)",
     )
     p.add_argument(
@@ -997,7 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = p.add_subparsers(dest="bench_command", required=True)
     pb = bsub.add_parser(
         "kernels",
-        help="MFLUPS of collide/stream/step, legacy vs fused step plan",
+        help="MFLUPS of collide/stream/step, fused NumPy vs compiled",
     )
     pb.add_argument(
         "--scale", type=float, default=1.0,
@@ -1021,9 +1016,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pb.add_argument(
         "--assert-speedup", type=float, default=None, metavar="MIN",
-        help="exit 1 unless the full-step speedup (fused over legacy; "
-        "compiled over fused when --backend is compiled) is at least "
-        "MIN",
+        help="exit 1 unless the compiled full-step speedup over the "
+        "fused NumPy step is at least MIN (needs a compiled --backend)",
     )
     _add_backend_arg(pb)
     pb.set_defaults(func=_cmd_bench_kernels)
@@ -1031,13 +1025,13 @@ def build_parser() -> argparse.ArgumentParser:
     po = bsub.add_parser(
         "overlap",
         help="MFLUPS of the distributed step: barrier vs overlapped "
-        "pipeline, lockstep vs thread-pool vs process executor",
+        "pipeline, lockstep vs process executor",
     )
     po.add_argument(
         "--executor", action="append", dest="executors", default=None,
-        choices=["lockstep", "parallel", "process"], metavar="TIER",
-        help="executor tier to time (repeatable; default: lockstep "
-        "and parallel; lockstep is always included)",
+        choices=EXECUTOR_KINDS, metavar="TIER",
+        help="executor tier to time (repeatable; lockstep is always "
+        "included)",
     )
     po.add_argument(
         "--scale", type=float, default=1.0,
@@ -1124,8 +1118,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="step schedule to profile (default: overlap)",
     )
     pr.add_argument(
-        "--executor", choices=["lockstep", "parallel", "process"],
-        default="lockstep",
+        "--executor", choices=EXECUTOR_KINDS, default="lockstep",
         help="rank-phase executor (default: lockstep)",
     )
     pr.add_argument(

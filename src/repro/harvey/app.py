@@ -87,7 +87,6 @@ class HarveyApp:
             tau=self.config.tau,
             inlet_velocity=self._inlet_velocity(),
             periodic=(False, False, False),
-            fused=self.config.fused,
             overlap=self.config.overlap,
             executor=self.config.executor,
             sanitize=self.config.sanitize,

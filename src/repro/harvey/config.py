@@ -7,6 +7,7 @@ from typing import Optional
 
 from ..core.errors import ConfigError
 from ..geometry.registry import geometry_names
+from ..lbm.solver import validate_tier
 from .pulsatile import PulsatileWaveform
 
 __all__ = ["HarveyConfig"]
@@ -34,15 +35,12 @@ class HarveyConfig:
         for the axis-aligned geometries when none is given.
     steady_inlet_speed:
         Inlet speed when no waveform is supplied.
-    fused:
-        Use the fused step-plan engine (see
-        :class:`~repro.lbm.solver.SolverConfig`).
     overlap:
         Run the distributed step as the overlapped interior/frontier
-        pipeline; requires ``fused``.
+        pipeline.
     executor:
-        Rank-phase executor: ``"lockstep"``, ``"parallel"`` or
-        ``"process"`` (forked workers over shared-memory segments).
+        Rank-phase executor: ``"lockstep"`` or ``"process"`` (forked
+        workers over shared-memory segments).
     sanitize:
         Run with the runtime sanitizer (NaN canaries, epoch tracking,
         access logging — see :mod:`repro.lbm.sanitize`) enabled.
@@ -66,7 +64,6 @@ class HarveyConfig:
     tau: float = 0.8
     waveform: Optional[PulsatileWaveform] = None
     steady_inlet_speed: float = 0.02
-    fused: bool = True
     overlap: bool = False
     executor: str = "lockstep"
     sanitize: bool = False
@@ -88,15 +85,7 @@ class HarveyConfig:
             raise ConfigError("tau must exceed 0.5")
         if not 0 < self.steady_inlet_speed <= 0.3:
             raise ConfigError("steady inlet speed must be in (0, 0.3]")
-        if self.executor not in ("lockstep", "parallel", "process"):
-            raise ConfigError(
-                f"unknown executor {self.executor!r}; "
-                "expected 'lockstep', 'parallel' or 'process'"
-            )
-        if self.overlap and not self.fused:
-            raise ConfigError(
-                "overlap=True requires the fused step-plan engine "
-                "(fused=True)"
-            )
+        # fail before HarveyApp builds geometry and decomposes it
+        validate_tier(self.executor, self.sanitize, self.backend)
         if self.stall_timeout_s <= 0:
             raise ConfigError("stall_timeout_s must be positive")

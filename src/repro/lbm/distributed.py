@@ -58,10 +58,9 @@ pipeline is bit-for-bit identical to the barrier schedule — pinned by
 Executors and the halo transport
 --------------------------------
 ``SolverConfig.executor`` picks how ranks run the schedule:
-``"lockstep"`` serially and ``"parallel"`` on a thread pool (the fused
-NumPy kernels release the GIL), both phase-major with a barrier after
-every phase — an in-process ``SimComm`` receive raises on an empty queue,
-so they must; ``"process"`` on persistent forked workers
+``"lockstep"`` serially, phase-major with a barrier after every phase —
+an in-process ``SimComm`` receive raises on an empty queue, so it must;
+``"process"`` on persistent forked workers
 (:mod:`repro.runtime.procexec`) for true multicore parallelism.  That
 choice never reaches the phase bodies: the exchange bodies stage through
 preallocated per-neighbour buffers and talk to one halo transport, chosen
@@ -133,9 +132,9 @@ class Phase:
     the halo transport is the only cross-rank channel.  What orders two
     phases depends on the tier:
 
-    * in-process executors (lockstep, thread pool) put a barrier after
-      every phase: every rank finishes a phase before any rank starts
-      the next, so accesses in different phases are ordered globally;
+    * the in-process lockstep executor puts a barrier after every
+      phase: every rank finishes a phase before any rank starts the
+      next, so accesses in different phases are ordered globally;
     * the process tier runs the schedule rank-resident: each rank
       executes its phases in program order, and the only inter-rank
       edges are the halo rings' happens-before (a completion returns
@@ -210,12 +209,11 @@ class RankState:
     recv_slots: Dict[int, np.ndarray]  # src rank -> local ghost slots
     inlet: Optional[VelocityInlet]
     outlet: Optional[PressureOutlet]
+    step_plan: StepPlan  # the rank's one-gather streaming table
     owned_ids: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64)
     )  # local ids [0, num_owned), preallocated for the collide phase
-    # fused-path state (None when running the legacy reference path)
-    step_plan: Optional[StepPlan] = None
-    workspace: Optional[Workspace] = None
+    workspace: Workspace = field(default_factory=Workspace)  # collide scratch
     # halo staging of the active schedule, per neighbour: flat gather
     # table into f and send buffer per destination, receive buffer per
     # source.  Barrier: all q populations of send_ids / recv_slots.
@@ -264,7 +262,6 @@ class DistributedSolver:
         )
         self.time = 0
         self.fluid_updates = 0
-        self._fused = bool(config.fused)
         self._overlap = bool(config.overlap)
         self._schedule = OVERLAP_SCHEDULE if self._overlap else BARRIER_SCHEDULE
         self._schedule_parts = _split_at_window(self._schedule)
@@ -291,7 +288,7 @@ class DistributedSolver:
                 self.ranks, partition.num_ranks, tag=HALO_TAG, overlap=self._overlap
             )
             verify_schedule(sched, context=context)
-        if validate_plan and self._fused:
+        if validate_plan:
             # pre-flight: verify the compiled plan IR itself (the K4xx
             # invariants — race-free destinations, in-bounds sources,
             # ghost-free interior, covered cross-links, hazard-free
@@ -409,6 +406,7 @@ class DistributedSolver:
                     recv_slots={},
                     inlet=inlet,
                     outlet=outlet,
+                    step_plan=StepPlan(self.lattice, plans, n_local, owned_local),
                     owned_ids=owned_local,
                 )
             )
@@ -429,13 +427,6 @@ class DistributedSolver:
                 slots = base + np.searchsorted(state_r.ghost_global, needed)
                 state_r.recv_slots[j] = slots.astype(np.int64)
 
-        if self._fused:
-            for st in self.ranks:
-                st.step_plan = StepPlan(
-                    self.lattice, st.plans, st.f.shape[1], st.owned_ids
-                )
-                st.workspace = Workspace()
-
         self._kern = None
         self._kern_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         if self.config.backend != "numpy":
@@ -451,7 +442,6 @@ class DistributedSolver:
                 fastmath=self.config.fastmath,
             )
             for st in self.ranks:
-                assert st.step_plan is not None
                 self._kern_tables[st.rank] = st.step_plan.kernel_tables()
 
         if self._overlap:
@@ -463,7 +453,6 @@ class DistributedSolver:
             # straight onto the link destinations with no ghost staging
             for st in self.ranks:
                 n_local = st.f.shape[1]
-                assert st.step_plan is not None
                 st.interior_plan, st.frontier_plan = (
                     st.step_plan.partition(st.num_owned)
                 )
@@ -548,10 +537,7 @@ class DistributedSolver:
         # per-step() counter bump (the overlapped interior phase applies
         # the full plan, so the figure is schedule-independent)
         self._gather_bytes_per_step = sum(
-            int(st.step_plan.bytes_per_apply)
-            if st.step_plan is not None
-            else 2 * q * st.num_owned * 8
-            for st in self.ranks
+            int(st.step_plan.bytes_per_apply) for st in self.ranks
         )
         self._gather_out = np.empty((q, n_global), dtype=np.float64)
         self._mass_contribs = np.empty(num_ranks, dtype=np.float64)
@@ -604,13 +590,8 @@ class DistributedSolver:
         if self._kern is not None:
             src, dst = self._kern_tables[st.rank]
             self._kern.stream(st.f, st.f_tmp, src, dst)
-        elif st.step_plan is not None:
+        else:
             st.step_plan.apply(st.f, st.f_tmp)
-        else:  # legacy per-population reference path
-            for qi, qi_opp, dst, src, bounce in st.plans:
-                st.f_tmp[qi, dst] = st.f[qi, src]
-                if bounce.size:
-                    st.f_tmp[qi, bounce] = st.f[qi_opp, bounce]
 
     def _phase_stream(self, rank: int) -> None:
         st = self.ranks[rank]
@@ -644,8 +625,8 @@ class DistributedSolver:
 
     def _phase_boundary(self, rank: int) -> None:
         # fluid_updates is accumulated once per step in the driver, not
-        # here: rank phases may run on worker threads and `+=` on shared
-        # solver state is not atomic
+        # here: under the process tier this body runs in a forked worker
+        # whose writes to solver attributes the parent never sees
         st = self.ranks[rank]
         if st.inlet is not None:
             st.inlet.apply(self.lattice, st.f, self.time)
@@ -681,13 +662,11 @@ class DistributedSolver:
 
         Idempotent.  Required for the process tier (worker processes and
         ``/dev/shm`` segments are freed here, though atexit hooks cover
-        abandoned solvers); joins the thread pool for the parallel
-        executor; a no-op for lockstep.  The solver cannot step again
-        after closing."""
+        abandoned solvers); a no-op for lockstep.  The solver cannot
+        step again after closing."""
         self._closed = True
-        shut = getattr(self.executor, "shutdown", None)
-        if shut is not None:
-            shut()
+        if self._procmode:
+            self.executor.close()
         if self._shm is not None:
             self._shm.close()
 

@@ -11,8 +11,8 @@ are filled with NaN.  A correct schedule always overwrites the poison
 before it can reach owned state (the barrier exchange refills every
 ghost; the overlapped scatter finalizes every provisional frontier
 value), so any NaN surviving in an owned column at the end of the step
-is proof of a stale-ghost read or an unscattered payload — the silent
-wrong-results bug the legacy path cannot see.
+is proof of a stale-ghost read or an unscattered payload — a
+wrong-results bug that is otherwise silent.
 
 **Epoch tracking.**  Freshness of ghost nodes and payloads is tracked
 bit-precisely against the step number: the barrier path checks *before
@@ -25,7 +25,7 @@ plausible.
 **Access logging.**  A :class:`~repro.runtime.executor.PhaseAccessLog`
 is attached to the executor and the communicator; the step loop notes
 the buffer accesses each scheduled phase declares, and the end-of-step
-happens-before check reports cross-thread write/write and write/read
+happens-before check reports cross-rank write/write and write/read
 conflicts that the per-phase barrier does not order (lock-protected
 communicator traffic is exempt) — the dynamic W50x counterpart.
 
@@ -93,10 +93,8 @@ class StepSanitizer:
         self._ghost_read_nodes: Dict[int, np.ndarray] = {}
         self._cross_dst: Dict[int, np.ndarray] = {}
         for st in ranks:
-            plan = getattr(st, "step_plan", None)
+            plan = getattr(st, "step_plan")
             rank = int(getattr(st, "rank"))
-            if plan is None:
-                continue
             num_local = int(plan.num_local)
             num_owned = int(st.num_owned)
             src_nodes = np.asarray(plan.flat_src) % num_local
@@ -171,8 +169,8 @@ class StepSanitizer:
         """Barrier path: verify every ghost node the plan reads was
         refilled this step (read-of-stale-ghost, value-independent)."""
         rank = int(st.rank)
-        ghosts = self._ghost_read_nodes.get(rank)
-        if ghosts is None or ghosts.size == 0:
+        ghosts = self._ghost_read_nodes[rank]
+        if ghosts.size == 0:
             return
         fresh = self._fresh.get(rank, set())
         refilled = (
@@ -198,7 +196,7 @@ class StepSanitizer:
         values at every stale-sourced (cross-link) destination."""
         rank = int(st.rank)
         prov = self._provisional[rank]
-        prov[self._cross_dst.get(rank, np.empty(0, dtype=np.int64))] = True
+        prov[self._cross_dst[rank]] = True
 
     def on_payload(self, st: object, src: int) -> None:
         """Overlap path: ``src``'s packed payload arrived at ``st``."""

@@ -20,6 +20,7 @@ from ..core.kernels import Workspace
 from ..core.lattice import Lattice, get_lattice
 from ..geometry.flags import INLET, OUTLET
 from ..geometry.voxel import VoxelGrid
+from ..runtime.executor import EXECUTOR_KINDS
 from ..telemetry.metrics import get_registry
 from .bgk import BGKCollision
 from .boundary import PressureOutlet, VelocityInlet
@@ -27,7 +28,34 @@ from .moments import density as _density
 from .moments import velocity as _velocity
 from .stream import Connectivity, StepPlan
 
-__all__ = ["SolverConfig", "Solver"]
+__all__ = ["SolverConfig", "Solver", "validate_tier"]
+
+_BACKENDS = ("numpy", "compiled", "compiled-serial", "compiled-parallel")
+
+
+def validate_tier(executor: str, sanitize: bool, backend: str) -> None:
+    """Reject an execution-tier cell no solver can run.
+
+    The one check :class:`SolverConfig` and
+    :class:`~repro.harvey.config.HarveyConfig` share, so a bad cell
+    fails at config construction, before any geometry or plan is built.
+    """
+    if executor not in EXECUTOR_KINDS:
+        raise ConfigError(
+            f"unknown executor {executor!r}; expected one of "
+            f"{', '.join(EXECUTOR_KINDS)}"
+        )
+    if backend not in _BACKENDS:
+        raise ConfigError(
+            f"unknown backend {backend!r}; expected one of "
+            f"{', '.join(_BACKENDS)}"
+        )
+    if backend != "numpy" and sanitize:
+        raise ConfigError(
+            "sanitize=True requires backend='numpy': compiled "
+            "kernels bypass the access log and fast-math code "
+            "generation breaks the NaN-canary protocol"
+        )
 
 
 @dataclass
@@ -48,25 +76,18 @@ class SolverConfig:
         Per-axis periodicity of the lattice.
     lattice:
         Velocity-set name (default D3Q19, as in HARVEY).
-    fused:
-        Use the fused step-plan engine (single-gather streaming +
-        allocation-free collide).  Bit-identical to the legacy per-q
-        path; ``False`` is the reference oracle for
-        ``tests/lbm/test_fused_equivalence.py`` (removal tracked in
-        ROADMAP).
     executor:
-        How the distributed solver runs rank phases: ``"lockstep"``
-        (serial, the default), ``"parallel"`` (thread pool with a
-        per-phase barrier), or ``"process"`` (persistent forked worker
+        How the distributed solver runs rank phases, one of
+        :data:`~repro.runtime.executor.EXECUTOR_KINDS`: ``"lockstep"``
+        (serial, the default) or ``"process"`` (persistent forked worker
         processes over shared-memory buffers and ring transports — true
-        multicore rank parallelism; requires ``fused`` and a platform
-        with the POSIX fork start method).  Ignored by the
-        single-domain solver.
+        multicore rank parallelism; requires a platform with the POSIX
+        fork start method).  Ignored by the single-domain solver.
     overlap:
         Run the distributed step as the interior/frontier pipeline with
         a packed cross-link halo exchange posted before interior
-        streaming (bit-identical to the barrier schedule).  Requires
-        ``fused``.  Ignored by the single-domain solver.
+        streaming (bit-identical to the barrier schedule).  Ignored by
+        the single-domain solver.
     sanitize:
         Run the runtime sanitizer (:mod:`repro.lbm.sanitize`): NaN
         canaries in ghost columns, ghost/payload epoch tracking, and
@@ -78,10 +99,10 @@ class SolverConfig:
         (parallel when the provider can thread, serial otherwise),
         ``"compiled-serial"``, ``"compiled-parallel"`` — executing the
         StepPlan IR through :mod:`repro.models.compiled` (numba or
-        generated C).  Compiled backends require ``fused`` and are
-        incompatible with ``sanitize`` (fastmath code generation assumes
-        no NaNs, which breaks the sanitizer's NaN-canary protocol, and
-        the compiled phases bypass its access log).
+        generated C).  Compiled backends are incompatible with
+        ``sanitize`` (fastmath code generation assumes no NaNs, which
+        breaks the sanitizer's NaN-canary protocol, and the compiled
+        phases bypass its access log).
     fastmath:
         Allow fast-math code generation in compiled backends
         (``-ffast-math`` / numba ``fastmath=True``).  Reassociation
@@ -110,7 +131,6 @@ class SolverConfig:
     lattice: str = "D3Q19"
     collision: str = "bgk"
     mrt_ghost_rate: float = 1.2
-    fused: bool = True
     executor: str = "lockstep"
     overlap: bool = False
     sanitize: bool = False
@@ -130,45 +150,9 @@ class SolverConfig:
                 f"unknown collision {self.collision!r}; "
                 "expected 'bgk', 'trt' or 'mrt'"
             )
-        if self.executor not in ("lockstep", "parallel", "process"):
-            raise ConfigError(
-                f"unknown executor {self.executor!r}; "
-                "expected 'lockstep', 'parallel' or 'process'"
-            )
-        if self.executor == "process" and not self.fused:
-            raise ConfigError(
-                "executor='process' requires the fused step-plan engine "
-                "(fused=True): the shared-memory ring transport carries "
-                "the fused plan's packed halo buffers"
-            )
-        if self.overlap and not self.fused:
-            raise ConfigError(
-                "overlap=True requires the fused step-plan engine "
-                "(fused=True): the interior/frontier pipeline is built "
-                "from the fused StepPlan"
-            )
+        validate_tier(self.executor, self.sanitize, self.backend)
         if self.collision == "mrt" and self.lattice != "D3Q19":
             raise ConfigError("MRT collision is implemented for D3Q19")
-        known_backends = ("numpy", "compiled") + (
-            "compiled-serial", "compiled-parallel"
-        )
-        if self.backend not in known_backends:
-            raise ConfigError(
-                f"unknown backend {self.backend!r}; expected one of "
-                f"{', '.join(known_backends)}"
-            )
-        if self.backend != "numpy":
-            if not self.fused:
-                raise ConfigError(
-                    "compiled backends execute the fused StepPlan IR; "
-                    "set fused=True"
-                )
-            if self.sanitize:
-                raise ConfigError(
-                    "sanitize=True requires backend='numpy': compiled "
-                    "kernels bypass the access log and fast-math code "
-                    "generation breaks the NaN-canary protocol"
-                )
         if self.tau <= 0.5:
             raise ConfigError(
                 f"tau must exceed 0.5 for stability, got {self.tau}"
@@ -217,14 +201,10 @@ class Solver:
         rho = np.full(n, config.rho0)
         self.f = self.lattice.equilibrium(rho, u0)
         self._f_tmp = np.empty_like(self.f)
-        if config.fused:
-            self.step_plan: Optional[StepPlan] = self.connectivity.step_plan()
-            self._workspace: Optional[Workspace] = Workspace()
-        else:
-            self.step_plan = None
-            self._workspace = None
+        self.step_plan: StepPlan = self.connectivity.step_plan()
+        self._workspace = Workspace()
         self._sanitize = bool(config.sanitize)
-        if self._sanitize and self.step_plan is not None:
+        if self._sanitize:
             # pre-flight the plan IR (K401/K402) before the first apply
             from ..lint.plancheck import verify_plan
 
@@ -240,7 +220,6 @@ class Solver:
                 backend=config.backend,
                 fastmath=config.fastmath,
             )
-            assert self.step_plan is not None
             self._kern_src, self._kern_dst = self.step_plan.kernel_tables()
             self._kern_flat = np.ascontiguousarray(self.step_plan.flat_src)
         else:
@@ -255,11 +234,7 @@ class Solver:
         self._stream_bytes_counter = registry.counter(
             "lbm.stream.bytes_gathered"
         )
-        self._stream_bytes_per_step = (
-            self.step_plan.bytes_per_apply
-            if self.step_plan is not None
-            else 2 * self.lattice.q * n * 8
-        )
+        self._stream_bytes_per_step = self.step_plan.bytes_per_apply
 
     def _setup_boundaries(self) -> None:
         cfg = self.config
@@ -293,10 +268,7 @@ class Solver:
             self.collision.apply(
                 self.lattice, self.f, self.all_ids, workspace=self._workspace
             )
-            if self.step_plan is not None:
-                self.step_plan.apply(self.f, self._f_tmp)
-            else:
-                self.connectivity.stream(self.f, self._f_tmp)
+            self.step_plan.apply(self.f, self._f_tmp)
             self.f, self._f_tmp = self._f_tmp, self.f
             self.time += 1
             if self.inlet is not None:

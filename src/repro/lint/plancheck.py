@@ -275,9 +275,7 @@ def check_exchange(ranks: Sequence[object]) -> List[PlanIssue]:
     by_rank = {int(getattr(st, "rank")): st for st in ranks}
     for st in ranks:
         rank = int(getattr(st, "rank"))
-        plan = getattr(st, "step_plan", None)
-        if plan is None:
-            continue
+        plan = getattr(st, "step_plan")
         q = int(plan.lattice.q)
         num_local = int(plan.num_local)
         num_owned = int(getattr(st, "num_owned"))
@@ -356,9 +354,7 @@ def check_exchange(ranks: Sequence[object]) -> List[PlanIssue]:
                     )
                 )
                 continue
-            peer_plan = getattr(peer, "step_plan", None)
-            if peer_plan is None:
-                continue
+            peer_plan = getattr(peer, "step_plan")
             peer_local = int(peer_plan.num_local)
             peer_owned = int(getattr(peer, "num_owned"))
             not_owned = sent[(sent % peer_local) >= peer_owned]
@@ -418,9 +414,7 @@ def check_overlap_hazards(
     * a provisional destination never finalized by any scatter
       (stale-ghost value surviving into the owned state).
     """
-    plan = getattr(st, "step_plan", None)
-    if plan is None:
-        return []
+    plan = getattr(st, "step_plan")
     if schedule is None:
         from ..lbm.distributed import OVERLAP_SCHEDULE as schedule
     q = int(plan.lattice.q)
@@ -492,10 +486,8 @@ def check_overlap_hazards(
 def _barrier_ghost_coverage(st: object) -> List[PlanIssue]:
     """Barrier-schedule analogue of the hazard check: every ghost node
     the plan reads must be refilled by some posted receive."""
-    plan = getattr(st, "step_plan", None)
+    plan = getattr(st, "step_plan")
     recv_slots: Dict[int, np.ndarray] = getattr(st, "recv_slots", {})
-    if plan is None:
-        return []
     rank = int(getattr(st, "rank"))
     num_local = int(plan.num_local)
     num_owned = int(getattr(st, "num_owned"))
@@ -532,14 +524,11 @@ def check_rank_states(
     ``ranks`` carry the wiring :class:`DistributedSolver` builds:
     ``step_plan`` (and under overlap ``interior_plan``/``frontier_plan``,
     ``pack_flat``/``inj_flat``), plus ``recv_slots`` for the barrier
-    ghost-coverage check.  Ranks without a compiled plan (the legacy
-    per-q path) are skipped — there is no IR to verify.
+    ghost-coverage check.
     """
     issues: List[PlanIssue] = []
     for st in ranks:
-        plan = getattr(st, "step_plan", None)
-        if plan is None:
-            continue
+        plan = getattr(st, "step_plan")
         rank = int(getattr(st, "rank"))
         q = int(plan.lattice.q)
         label = f"rank {rank}"
@@ -657,9 +646,7 @@ def rank_states_to_dict(
     out: List[Dict[str, object]] = []
     q = 0
     for st in ranks:
-        plan = getattr(st, "step_plan", None)
-        if plan is None:
-            continue
+        plan = getattr(st, "step_plan")
         q = int(plan.lattice.q)
         doc: Dict[str, object] = {
             "rank": int(getattr(st, "rank")),

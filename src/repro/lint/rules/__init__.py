@@ -15,9 +15,9 @@ Five families, each guarding a paper invariant:
 * **plan IR (K4xx)** — the fused gather/scatter index tables are race-
   and alias-free (emitted by :mod:`repro.lint.plancheck`, which also
   runs as the distributed solver's pre-flight);
-* **executor concurrency (W5xx)** — phase bodies submitted to the
-  parallel executor touch only their own rank's state, the service
-  lock, or the controlling thread's telemetry.
+* **executor concurrency (W5xx)** — phase bodies dispatched to the
+  process executor's workers touch only their own rank's state or the
+  service lock, and stay dispatchable by name.
 
 :data:`DPCT_CATEGORY_BY_RULE` cross-links every rule id to the Table 2
 warning taxonomy of :mod:`repro.porting.dpct`, so lint findings can be
@@ -33,7 +33,6 @@ from ..engine import Rule
 from ..plancheck import PLAN_RULES
 from .concurrency import (
     CrossRankAccessRule,
-    PhaseTelemetryRule,
     ProcessPhasePicklableRule,
     SegmentNameRule,
     SharedMutationRule,
@@ -59,7 +58,6 @@ __all__ = [
     "HotAllocationRule",
     "DtypeMixRule",
     "SharedMutationRule",
-    "PhaseTelemetryRule",
     "CrossRankAccessRule",
     "ProcessPhasePicklableRule",
     "SegmentNameRule",
@@ -77,7 +75,6 @@ def default_rules() -> List[Rule]:
         HotAllocationRule(),
         DtypeMixRule(),
         SharedMutationRule(),
-        PhaseTelemetryRule(),
         CrossRankAccessRule(),
         ProcessPhasePicklableRule(),
         SegmentNameRule(),
@@ -91,7 +88,7 @@ RULE_FAMILIES: Dict[str, List[str]] = {
     "purity": ["P201", "P202", "P203"],
     "commsched": sorted(SCHEDULE_RULES.values()),
     "plancheck": sorted(PLAN_RULES.values()),
-    "concurrency": ["W501", "W502", "W503", "W504", "W505"],
+    "concurrency": ["W501", "W503", "W504", "W505"],
 }
 
 #: Table 2 category for each rule id — the same taxonomy
@@ -125,10 +122,9 @@ DPCT_CATEGORY_BY_RULE: Dict[str, str] = {
     "K404": "Error handling",
     "K405": "Functional equivalence",
     "K406": "Functional equivalence",
-    # executor-concurrency races corrupt shared state or telemetry;
+    # executor-concurrency races corrupt shared state;
     # process-tier findings fault loudly at dispatch or cleanup time
     "W501": "Functional equivalence",
-    "W502": "Error handling",
     "W503": "Functional equivalence",
     "W504": "Error handling",
     "W505": "Error handling",

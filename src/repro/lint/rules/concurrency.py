@@ -1,24 +1,21 @@
 """Executor-concurrency rules (W5xx).
 
-``ParallelExecutor`` dispatches per-rank phase bodies (``_phase_*``
-methods) onto worker threads with nothing but a per-phase barrier
-between them.  A phase body may therefore touch only its own rank's
-state plus lock-owning shared services — the contract the distributed
-solver's phases obey and the runtime access-log sanitizer checks
-dynamically.  These rules freeze the contract statically:
+``ProcessExecutor`` dispatches per-rank phase bodies (``_phase_*``
+methods) to forked workers that run their rank through the whole
+schedule and meet only in the halo rings.  A phase body may therefore
+touch only its own rank's state plus lock-owning shared services — the
+contract the distributed solver's phases obey and the runtime
+access-log sanitizer checks dynamically.  These rules freeze the
+contract statically:
 
 ======  ======================================================
 W501    mutation of shared ``self`` state inside a phase body
         without the service lock (per-rank slots subscripted by
         the phase's rank parameter are exempt — each worker owns
         its slot)
-W502    tracer span emission inside a phase body (span lists are
-        appended from the controlling thread after the barrier;
-        emitting on a worker thread interleaves and corrupts the
-        Fig. 7 runtime breakdown)
 W503    cross-rank state access — indexing ``self.ranks`` with
         anything but the phase's own rank parameter, or iterating
-        all ranks from a worker thread
+        all ranks from a worker
 W504    nested function or lambda inside a phase body — the
         process executor dispatches phases to forked workers by
         method name or pickle, and closures capturing local
@@ -47,7 +44,6 @@ from ..engine import Rule, SourceFile, Violation
 __all__ = [
     "phase_functions",
     "SharedMutationRule",
-    "PhaseTelemetryRule",
     "CrossRankAccessRule",
     "ProcessPhasePicklableRule",
     "SegmentNameRule",
@@ -130,10 +126,10 @@ def _rank_subscript_of_self(
 class SharedMutationRule(Rule):
     rule_id = "W501"
     description = (
-        "phase bodies run on executor worker threads with only a "
-        "per-phase barrier between them; mutating shared self state "
-        "without the service lock is a data race (per-rank slots "
-        "indexed by the phase's rank parameter are each worker's own)"
+        "phase bodies run on the executor's rank workers with no "
+        "ordering between ranks but the halo exchange; mutating shared "
+        "self state without the service lock is a data race (per-rank "
+        "slots indexed by the phase's rank parameter are each worker's own)"
     )
 
     def _bad_target(
@@ -186,49 +182,11 @@ class SharedMutationRule(Rule):
                         )
 
 
-class PhaseTelemetryRule(Rule):
-    rule_id = "W502"
-    description = (
-        "tracer spans are appended from the controlling thread after "
-        "the phase barrier; emitting telemetry inside a phase body "
-        "interleaves span records across worker threads"
-    )
-
-    def check_file(self, src: SourceFile) -> Iterator[Violation]:
-        for fn in phase_functions(src.tree):
-            for node, _ in _guarded_statements(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if isinstance(func, ast.Attribute) and func.attr == "span":
-                    yield self.violation(
-                        src,
-                        node,
-                        f"tracer span emitted inside phase body "
-                        f"{fn.name!r}; spans must be recorded by the "
-                        "controlling thread after the barrier (the "
-                        "executor already does this when given a name)",
-                    )
-                elif (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "append"
-                    and isinstance(func.value, ast.Attribute)
-                    and func.value.attr == "spans"
-                ):
-                    yield self.violation(
-                        src,
-                        node,
-                        f"direct span-list append inside phase body "
-                        f"{fn.name!r}; worker threads must not mutate "
-                        "the tracer's span list",
-                    )
-
-
 class CrossRankAccessRule(Rule):
     rule_id = "W503"
     description = (
         "a phase body owns exactly one rank's state; touching another "
-        "rank's state from a worker thread races with that rank's own "
+        "rank's state from a worker races with that rank's own "
         "phase body"
     )
 
@@ -263,8 +221,7 @@ class CrossRankAccessRule(Rule):
                         src,
                         getattr(node, "iter", node),
                         f"phase body {fn.name!r} iterates self.ranks; "
-                        "a worker thread must not sweep every rank's "
-                        "state",
+                        "a worker must not sweep every rank's state",
                     )
 
 

@@ -12,7 +12,6 @@ from .collectives import AllreduceEstimate, allreduce_time
 from .hoststream import HostStreamResult, run_host_stream
 from .kernels import KernelBenchResult, KernelTiming, run_kernel_bench
 from .overlap import (
-    DEFAULT_EXECUTORS,
     OVERLAP_BENCH_MODES,
     OverlapBenchResult,
     OverlapRankResult,
@@ -45,7 +44,6 @@ __all__ = [
     "KernelBenchResult",
     "KernelTiming",
     "run_kernel_bench",
-    "DEFAULT_EXECUTORS",
     "OVERLAP_BENCH_MODES",
     "OverlapBenchResult",
     "OverlapRankResult",

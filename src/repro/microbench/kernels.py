@@ -1,17 +1,15 @@
-"""Wall-clock kernel throughput benchmark: legacy vs fused vs compiled.
+"""Wall-clock kernel throughput benchmark: fused NumPy vs compiled.
 
 Backs the ``repro bench kernels`` CLI subcommand.  Unlike the simulated
 BabelStream/PingPong microbenchmarks (which feed the *performance model*),
 this one times the *functional* kernels for real on the cylinder workload
 and reports MFLUPS — million fluid-lattice updates per second, the paper's
-headline metric — for three code paths:
+headline metric — for three kernels:
 
-* ``collide`` — the collision operator alone (legacy allocate-per-call
-  vs workspace-backed allocation-free);
-* ``stream`` — the streaming pass alone (19-iteration per-q loop vs the
-  fused single-gather :class:`~repro.lbm.stream.StepPlan`);
-* ``step`` — the full solver iteration through ``Solver.step`` with
-  ``fused=False`` vs ``fused=True``.
+* ``collide`` — the workspace-backed allocation-free collision operator;
+* ``stream`` — the fused single-gather
+  :class:`~repro.lbm.stream.StepPlan` streaming pass;
+* ``step`` — the full solver iteration through ``Solver.step``.
 
 With ``backend`` set to a compiled variant each kernel additionally gets
 a compiled tier (:mod:`repro.models.compiled`): the same StepPlan IR
@@ -50,25 +48,15 @@ WARMUP_REPS = 1
 
 @dataclass(frozen=True)
 class KernelTiming:
-    """Throughput of one kernel under the legacy/fused (and compiled) paths."""
+    """Throughput of one kernel on the NumPy (and compiled) tiers."""
 
     name: str
-    legacy_seconds: float
     fused_seconds: float
-    legacy_mflups: float
     fused_mflups: float
     #: compiled tiers keyed by variant (``compiled_serial`` /
     #: ``compiled_parallel``), each ``{seconds, mflups, speedup}`` with
     #: speedup measured against the *fused NumPy* path
     compiled: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> float:
-        return (
-            self.legacy_seconds / self.fused_seconds
-            if self.fused_seconds > 0
-            else float("inf")
-        )
 
     @property
     def best_compiled_speedup(self) -> Optional[float]:
@@ -79,11 +67,8 @@ class KernelTiming:
 
     def to_dict(self) -> Dict[str, float]:
         out = {
-            "legacy_seconds": self.legacy_seconds,
             "fused_seconds": self.fused_seconds,
-            "legacy_mflups": self.legacy_mflups,
             "fused_mflups": self.fused_mflups,
-            "speedup": self.speedup,
         }
         for variant, entry in sorted(self.compiled.items()):
             out[f"{variant}_seconds"] = entry["seconds"]
@@ -112,10 +97,6 @@ class KernelBenchResult:
     backend: Optional[str] = None
 
     @property
-    def step_speedup(self) -> float:
-        return self.timings["step"].speedup
-
-    @property
     def compiled_step_speedup(self) -> Optional[float]:
         """Best compiled step speedup over the fused NumPy step."""
         return self.timings["step"].best_compiled_speedup
@@ -132,7 +113,6 @@ class KernelBenchResult:
             "kernels": {
                 name: t.to_dict() for name, t in self.timings.items()
             },
-            "step_speedup": self.step_speedup,
         }
         if self.backend is not None:
             out["backend"] = self.backend
@@ -157,14 +137,10 @@ class KernelBenchResult:
             f"{self.reps} reps, best-of, {WARMUP_REPS} warmup rep(s))",
             f"bytes/update (perf-model one-pass accounting): "
             f"{self.bytes_per_update}",
-            f"{'kernel':<10} {'legacy MFLUPS':>14} {'fused MFLUPS':>14} "
-            f"{'speedup':>8}",
+            f"{'kernel':<10} {'fused MFLUPS':>14}",
         ]
         for name, t in self.timings.items():
-            lines.append(
-                f"{name:<10} {t.legacy_mflups:>14.3f} "
-                f"{t.fused_mflups:>14.3f} {t.speedup:>7.2f}x"
-            )
+            lines.append(f"{name:<10} {t.fused_mflups:>14.3f}")
         variants = sorted(
             {v for t in self.timings.values() for v in t.compiled}
         )
@@ -226,8 +202,8 @@ def run_kernel_bench(
 ) -> KernelBenchResult:
     """Time collide/stream/step on the periodic force-driven cylinder.
 
-    Both solvers advance warm iterations first so buffers and caches are
-    hot; each timed section then runs ``steps`` iterations ``reps``
+    Every solver advances warm iterations first so buffers and caches
+    are hot; each timed section then runs ``steps`` iterations ``reps``
     times after :data:`WARMUP_REPS` untimed warmup calls, keeping the
     best.  ``backend`` adds a compiled tier (see module docstring);
     ``None``/``"numpy"`` keeps the NumPy-only benchmark.
@@ -242,18 +218,16 @@ def run_kernel_bench(
         force=(force_x, 0.0, 0.0),
         periodic=(True, False, False),
     )
-    legacy = Solver(grid, SolverConfig(fused=False, **common))
-    fused = Solver(grid, SolverConfig(fused=True, **common))
-    legacy.step(2)
-    fused.step(2)
-    n = legacy.num_nodes
-    lat = legacy.lattice
+    base = Solver(grid, SolverConfig(**common))
+    base.step(2)
+    n = base.num_nodes
+    lat = base.lattice
 
     compiled_solvers: Dict[str, Solver] = {}
     if backend is not None:
         for variant in _compiled_variants(backend):
             solver = Solver(
-                grid, SolverConfig(fused=True, backend=variant, **common)
+                grid, SolverConfig(backend=variant, **common)
             )
             solver.step(2)  # JIT/compile + fault buffers before timing
             compiled_solvers[variant] = solver
@@ -272,34 +246,25 @@ def run_kernel_bench(
             }
         return tier
 
-    def time_pair(
+    def time_kernel(
         name: str,
-        legacy_fn: Callable[[], None],
         fused_fn: Callable[[], None],
         compiled_fns: Dict[str, Callable[[], None]],
     ) -> KernelTiming:
-        t_legacy = _best_seconds(legacy_fn, reps)
-        t_fused = _best_seconds(fused_fn, reps)
-        updates = n * steps / 1e6
+        seconds = _best_seconds(fused_fn, reps)
         return KernelTiming(
             name=name,
-            legacy_seconds=t_legacy,
-            fused_seconds=t_fused,
-            legacy_mflups=updates / t_legacy,
-            fused_mflups=updates / t_fused,
-            compiled=compiled_tier(compiled_fns, t_fused),
+            fused_seconds=seconds,
+            fused_mflups=n * steps / 1e6 / seconds,
+            compiled=compiled_tier(compiled_fns, seconds),
         )
 
     timings: Dict[str, KernelTiming] = {}
 
-    def collide_legacy() -> None:
+    def collide_numpy() -> None:
         for _ in range(steps):
-            legacy.collision.apply(lat, legacy.f, legacy.all_ids)
-
-    def collide_fused() -> None:
-        for _ in range(steps):
-            fused.collision.apply(
-                lat, fused.f, fused.all_ids, workspace=fused._workspace
+            base.collision.apply(
+                lat, base.f, base.all_ids, workspace=base._workspace
             )
 
     def collide_compiled(solver: Solver) -> Callable[[], None]:
@@ -309,20 +274,15 @@ def run_kernel_bench(
 
         return run
 
-    timings["collide"] = time_pair(
+    timings["collide"] = time_kernel(
         "collide",
-        collide_legacy,
-        collide_fused,
+        collide_numpy,
         {v: collide_compiled(s) for v, s in compiled_solvers.items()},
     )
 
-    def stream_legacy() -> None:
+    def stream_numpy() -> None:
         for _ in range(steps):
-            legacy.connectivity.stream(legacy.f, legacy._f_tmp)
-
-    def stream_fused() -> None:
-        for _ in range(steps):
-            fused.step_plan.apply(fused.f, fused._f_tmp)
+            base.step_plan.apply(base.f, base._f_tmp)
 
     def stream_compiled(solver: Solver) -> Callable[[], None]:
         def run() -> None:
@@ -336,20 +296,18 @@ def run_kernel_bench(
 
         return run
 
-    timings["stream"] = time_pair(
+    timings["stream"] = time_kernel(
         "stream",
-        stream_legacy,
-        stream_fused,
+        stream_numpy,
         {v: stream_compiled(s) for v, s in compiled_solvers.items()},
     )
 
     def step_compiled(solver: Solver) -> Callable[[], None]:
         return lambda: solver.step(steps)
 
-    timings["step"] = time_pair(
+    timings["step"] = time_kernel(
         "step",
-        lambda: legacy.step(steps),
-        lambda: fused.step(steps),
+        lambda: base.step(steps),
         {v: step_compiled(s) for v, s in compiled_solvers.items()},
     )
 

@@ -2,15 +2,12 @@
 
 Backs the ``repro bench overlap`` CLI subcommand.  It times the full
 distributed iteration on the periodic force-driven cylinder across rank
-counts, for up to six step schedules:
+counts, for up to four step schedules:
 
 * ``lockstep`` — barrier schedule (collide, exchange, stream, boundary),
   ranks serial: the baseline the seed repository ships;
-* ``parallel`` — barrier schedule, rank phases on the thread-pool
-  executor;
 * ``overlap`` — interior/frontier pipeline with the packed cross-link
   exchange, ranks serial;
-* ``overlap+parallel`` — the pipeline on the thread-pool executor;
 * ``process`` — barrier schedule on forked worker processes over
   shared-memory segments (no GIL: real strong scaling on multi-core
   hosts);
@@ -21,11 +18,11 @@ All schedules produce bit-identical physics (pinned by the equivalence
 tests); only schedule and wall-clock differ.  The headline comparison is
 ``overlap`` vs ``lockstep`` with the *same* serial executor, so the
 pipeline's algorithmic savings (packed exchange, no ghost staging) are
-measured without thread-scheduling noise.  The executor rows measure
+measured without process-scheduling noise.  The executor rows measure
 *parallel efficiency* instead: speedup over a single-rank lockstep run
 of the same workload, divided by the rank count.  On a single-core host
-the parallel and process rows mostly price executor overhead — the
-result annotates them as core-bound rather than meaningful scaling.
+the process rows mostly price executor overhead — the result annotates
+them as core-bound rather than meaningful scaling.
 """
 
 from __future__ import annotations
@@ -37,13 +34,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..bench.history import make_meta
 from ..core.errors import ConfigError
+from ..runtime.executor import EXECUTOR_KINDS
 
 if TYPE_CHECKING:  # solver imports stay deferred: microbench loads early
     from ..lbm.distributed import DistributedSolver
 
 __all__ = [
     "OVERLAP_BENCH_MODES",
-    "DEFAULT_EXECUTORS",
     "OverlapTiming",
     "OverlapRankResult",
     "OverlapBenchResult",
@@ -53,18 +50,10 @@ __all__ = [
 #: Mode name -> (overlap, executor) for the step schedules timed.
 OVERLAP_BENCH_MODES: Dict[str, Tuple[bool, str]] = {
     "lockstep": (False, "lockstep"),
-    "parallel": (False, "parallel"),
     "overlap": (True, "lockstep"),
-    "overlap+parallel": (True, "parallel"),
     "process": (False, "process"),
     "overlap+process": (True, "process"),
 }
-
-#: Executors timed when ``run_overlap_bench(executors=None)``: the two
-#: in-process tiers the seed shipped.  ``"process"`` is opt-in (CLI
-#: ``--executor process``) because forking workers per mode per rank
-#: count is comparatively expensive on small hosts.
-DEFAULT_EXECUTORS: Tuple[str, ...] = ("lockstep", "parallel")
 
 
 @dataclass(frozen=True)
@@ -231,7 +220,7 @@ class OverlapBenchResult:
                 )
         if self.core_bound:
             lines.append(
-                "note: host has 1 CPU core — parallel/process rows are "
+                "note: host has 1 CPU core — process rows are "
                 "core-bound (executor overhead, not scaling) and the "
                 "perf gate annotates rather than gates them"
             )
@@ -258,12 +247,12 @@ def run_overlap_bench(
 ) -> OverlapBenchResult:
     """Time the step schedules across ``rank_counts``.
 
-    ``executors`` selects which executor tiers are timed (default: the
-    in-process ``lockstep`` and ``parallel``; pass ``"process"`` too for
-    the forked shared-memory tier).  ``lockstep`` is always included —
-    it anchors the vs-lockstep and halo-reduction columns.  Every solver
-    advances two warm iterations before timing so plans, buffers, and
-    caches are hot; each timed section runs ``steps`` iterations
+    ``executors`` selects which executor tiers are timed: ``lockstep``
+    is always included — it anchors the vs-lockstep and halo-reduction
+    columns — and ``"process"`` is opt-in, because forking workers per
+    mode per rank count is comparatively expensive on small hosts.  Every
+    solver advances two warm iterations before timing so plans, buffers,
+    and caches are hot; each timed section runs ``steps`` iterations
     ``reps`` times keeping the best.  A single-rank lockstep run of the
     same workload is timed once as the strong-scaling reference.
     """
@@ -280,18 +269,14 @@ def run_overlap_bench(
         raise ConfigError("steps and reps must be positive")
     if not rank_counts:
         raise ConfigError("rank_counts must not be empty")
-    chosen = list(executors) if executors else list(DEFAULT_EXECUTORS)
+    chosen = list(executors or ())
     if "lockstep" not in chosen:
         chosen.insert(0, "lockstep")
-    unknown = [
-        e
-        for e in chosen
-        if e not in {ex for _, ex in OVERLAP_BENCH_MODES.values()}
-    ]
+    unknown = [e for e in chosen if e not in EXECUTOR_KINDS]
     if unknown:
         raise ConfigError(
             f"unknown executor(s) {unknown!r}; expected a subset of "
-            "'lockstep', 'parallel', 'process'"
+            f"{', '.join(EXECUTOR_KINDS)}"
         )
     modes = {
         m: cfg

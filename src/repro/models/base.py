@@ -15,7 +15,7 @@ The engine validates against :class:`repro.lbm.solver.Solver` exactly
 from __future__ import annotations
 
 import abc
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -150,30 +150,14 @@ class ModelEngine:
         )
         self.d_f = model.upload("f", host_f)
         self.d_f_tmp = model.alloc("f_tmp", host_f.shape, host_f.dtype)
-        self.fused = bool(config.fused)
-        self.d_plans: List[Tuple[int, int, View, View, View]] = []
-        self.d_flat_src: Optional[View] = None
-        self._workspace: Optional[Workspace] = None
-        if self.fused:
-            # the fused step plan: every (population, node) link as one
-            # flat gather index — a single stream launch per step, the
-            # same body the reference solver executes
-            plan = self.connectivity.step_plan()
-            self.d_flat_src = model.upload(
-                "stream_flat_src", plan.flat_src.reshape(-1)
-            )
-            self._workspace = Workspace()
-        else:
-            for qplan in self.connectivity.plans:
-                self.d_plans.append(
-                    (
-                        qplan.qi,
-                        qplan.qi_opp,
-                        model.upload(f"dst_q{qplan.qi}", qplan.dst),
-                        model.upload(f"src_q{qplan.qi}", qplan.src),
-                        model.upload(f"bb_q{qplan.qi}", qplan.bounce),
-                    )
-                )
+        # the fused step plan: every (population, node) link as one
+        # flat gather index — a single stream launch per step, the
+        # same body the reference solver executes
+        plan = self.connectivity.step_plan()
+        self.d_flat_src = model.upload(
+            "stream_flat_src", plan.flat_src.reshape(-1)
+        )
+        self._workspace = Workspace()
         self.time = 0
         self.fluid_updates = 0
         # launch accounting for the profiling layer, cached once
@@ -195,36 +179,15 @@ class ModelEngine:
         self.model.launch("collide", self.num_nodes, body)
 
     def _stream_phase(self) -> None:
-        f_src = self.d_f.data()
-        f_dst = self.d_f_tmp.data()
-        if self.d_flat_src is not None:
-            # fused streaming + bounce-back: one launch over all links
-            src_flat = self.d_flat_src.data()
-            fsrc = f_src.reshape(-1)
-            fdst = f_dst.reshape(-1)
+        # fused streaming + bounce-back: one launch over all links
+        src_flat = self.d_flat_src.data()
+        fsrc = self.d_f.data().reshape(-1)
+        fdst = self.d_f_tmp.data().reshape(-1)
 
-            def fused(idx: np.ndarray) -> None:
-                fused_stream_body_kernel(fsrc, fdst, src_flat, idx)
+        def fused(idx: np.ndarray) -> None:
+            fused_stream_body_kernel(fsrc, fdst, src_flat, idx)
 
-            self.model.launch("stream_fused", src_flat.size, fused)
-        else:
-            for qi, qi_opp, d_dst, d_src, d_bb in self.d_plans:
-                dst = d_dst.data()
-                src = d_src.data()
-
-                def gather(idx: np.ndarray, qi=qi, dst=dst, src=src) -> None:
-                    f_dst[qi, dst[idx]] = f_src[qi, src[idx]]
-
-                self.model.launch(f"stream_q{qi}", dst.size, gather)
-                bb = d_bb.data()
-                if bb.size:
-
-                    def bounce(
-                        idx: np.ndarray, qi=qi, qi_opp=qi_opp, bb=bb
-                    ) -> None:
-                        f_dst[qi, bb[idx]] = f_src[qi_opp, bb[idx]]
-
-                    self.model.launch(f"bounce_q{qi}", bb.size, bounce)
+        self.model.launch("stream_fused", src_flat.size, fused)
         self.d_f, self.d_f_tmp = self.d_f_tmp, self.d_f
 
     def _boundary_phase(self) -> None:

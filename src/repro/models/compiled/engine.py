@@ -130,7 +130,7 @@ class CompiledKernels:
         )
         self._nb_collide = jit(kernels_py.collide_nodes_loop)
         self._nb_stream = jit(kernels_py.stream_links_loop)
-        self._nb_fused = jit(kernels_py.fused_step_loop)
+        self._nb_fused_step = jit(kernels_py.fused_step_loop)
 
     def _bind_cgen(self) -> None:
         from . import csrc
@@ -210,7 +210,7 @@ class CompiledKernels:
                 self._ctables, self.parallel,
             )
             return
-        self._nb_fused(
+        self._nb_fused_step(
             f_src.reshape(-1), f_dst.reshape(-1), flat_src.reshape(-1),
             n_upd, self.q, num_local, self.op, self.cf, self.w, self.opp,
             self.M, self.Minv, self.S, self.inv_cs2, self.omega,

@@ -16,14 +16,12 @@ Physics is bit-identical to :class:`repro.lbm.distributed.DistributedSolver`
 and to the single-domain reference — asserted by the test suite — while
 the ledgers make the staging cost *observable* rather than merely priced.
 
-Rank phases run through the executor ``SolverConfig.executor`` selects
-(lockstep or thread-pool parallel with per-phase barriers); each rank
-drives only its own device/ledger and the communicator locks its queues,
-so both executors produce identical results.  The interior/frontier
-overlap pipeline (``SolverConfig.overlap``) is implemented in the
-functional solver only — the engine keeps the plain barrier schedule, as
-its purpose is making per-device transfer ledgers observable, not hiding
-exchange latency.
+Rank phases run through the in-process lockstep executor (a barrier
+after every phase); each rank drives only its own device/ledger.  The
+interior/frontier overlap pipeline (``SolverConfig.overlap``) is
+implemented in the functional solver only — the engine keeps the plain
+barrier schedule, as its purpose is making per-device transfer ledgers
+observable, not hiding exchange latency.
 """
 
 from __future__ import annotations
@@ -57,14 +55,11 @@ class _EngineRank:
         owned_global: np.ndarray,
         ghost_global: np.ndarray,
         f_init: np.ndarray,
-        plans: List[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]],
+        plan: StepPlan,
         send_ids: Dict[int, np.ndarray],
         recv_slots: Dict[int, np.ndarray],
         inlet: Optional[VelocityInlet],
         outlet: Optional[PressureOutlet],
-        lattice=None,
-        owned_ids: Optional[np.ndarray] = None,
-        fused: bool = False,
     ) -> None:
         self.rank = rank
         self.model = model
@@ -75,33 +70,23 @@ class _EngineRank:
         self.d_f_tmp = model.alloc(
             f"f_tmp_rank{rank}", f_init.shape, f_init.dtype
         )
-        self.plans = plans
-        self.send_ids = send_ids
         self.recv_slots = recv_slots
         self.inlet = inlet
         self.outlet = outlet
-        self.d_flat_src = None
-        self.d_flat_dst = None
-        self.workspace: Optional[Workspace] = None
+        self.d_flat_src = model.upload(
+            f"stream_flat_src_rank{rank}", plan.flat_src.reshape(-1)
+        )
+        self.d_flat_dst = model.upload(
+            f"stream_flat_dst_rank{rank}", plan.flat_dst().reshape(-1)
+        )
+        self.workspace = Workspace()
         self.send_flat: Dict[int, np.ndarray] = {}
         self.send_bufs: Dict[int, np.ndarray] = {}
-        if fused:
-            plan = StepPlan(lattice, plans, f_init.shape[1], owned_ids)
-            self.d_flat_src = model.upload(
-                f"stream_flat_src_rank{rank}", plan.flat_src.reshape(-1)
-            )
-            self.d_flat_dst = model.upload(
-                f"stream_flat_dst_rank{rank}", plan.flat_dst().reshape(-1)
-            )
-            self.workspace = Workspace()
-            q = int(lattice.q)
-            n_local = int(f_init.shape[1])
-            q_off = np.arange(q, dtype=np.int64)[:, None] * n_local
-            for dst, ids in send_ids.items():
-                self.send_flat[dst] = q_off + ids[None, :]
-                self.send_bufs[dst] = np.empty(
-                    (q, ids.size), dtype=np.float64
-                )
+        q, n_local = f_init.shape
+        q_off = np.arange(q, dtype=np.int64)[:, None] * n_local
+        for dst, ids in send_ids.items():
+            self.send_flat[dst] = q_off + ids[None, :]
+            self.send_bufs[dst] = np.empty((q, ids.size), dtype=np.float64)
 
 
 class DistributedModelEngine:
@@ -143,7 +128,7 @@ class DistributedModelEngine:
             # segments, so forked workers would mutate invisible copies
             raise ModelError(
                 "the programming-model distributed engine supports "
-                "executor='lockstep' or 'parallel' only; the process "
+                "executor='lockstep' only; the process "
                 "tier needs shared-memory rank state, which the "
                 "reference solver provides (lbm.distributed)"
             )
@@ -176,14 +161,11 @@ class DistributedModelEngine:
                     owned_global=st.owned_global,
                     ghost_global=st.ghost_global,
                     f_init=st.f,
-                    plans=st.plans,
+                    plan=st.step_plan,
                     send_ids=st.send_ids,
                     recv_slots=st.recv_slots,
                     inlet=st.inlet,
                     outlet=st.outlet,
-                    lattice=self.lattice,
-                    owned_ids=st.owned_ids,
-                    fused=bool(config.fused),
                 )
             )
         # setup uploads (initial state, plans) are not exchange traffic:
@@ -204,19 +186,15 @@ class DistributedModelEngine:
         er.model.launch("collide", er.num_owned, body)
 
     def _pack_and_send(self, er: _EngineRank) -> None:
-        for dst, ids in er.send_ids.items():
-            if dst in er.send_bufs:
-                # allocation-free pack into the preallocated buffer (the
-                # simulated transport copies payloads eagerly on send)
-                payload = er.send_bufs[dst]
-                np.take(
-                    er.d_f.data().reshape(-1),
-                    er.send_flat[dst],
-                    out=payload,
-                    mode="clip",
-                )
-            else:
-                payload = er.d_f.data()[:, ids]
+        for dst, payload in er.send_bufs.items():
+            # allocation-free pack into the preallocated buffer (the
+            # simulated transport copies payloads eagerly on send)
+            np.take(
+                er.d_f.data().reshape(-1),
+                er.send_flat[dst],
+                out=payload,
+                mode="clip",
+            )
             if not self.gpu_aware:
                 # explicit download before handing the buffer to MPI;
                 # the per-step staging buffer IS the modelled D2H cost
@@ -245,32 +223,18 @@ class DistributedModelEngine:
     def _stream(self, er: _EngineRank) -> None:
         f_src = er.d_f.data()
         f_dst = er.d_f_tmp.data()
-        if er.d_flat_src is not None:
-            # fused streaming + bounce-back: one launch over all links,
-            # with an explicit destination map (owned nodes are a prefix
-            # of the rank-local numbering but ghosts pad each row)
-            src_flat = er.d_flat_src.data()
-            dst_flat = er.d_flat_dst.data()
-            fsrc = f_src.reshape(-1)
-            fdst = f_dst.reshape(-1)
+        # fused streaming + bounce-back: one launch over all links,
+        # with an explicit destination map (owned nodes are a prefix
+        # of the rank-local numbering but ghosts pad each row)
+        src_flat = er.d_flat_src.data()
+        dst_flat = er.d_flat_dst.data()
+        fsrc = f_src.reshape(-1)
+        fdst = f_dst.reshape(-1)
 
-            def fused(idx: np.ndarray) -> None:
-                fused_stream_body_kernel(fsrc, fdst, src_flat, idx, dst_flat)
+        def fused(idx: np.ndarray) -> None:
+            fused_stream_body_kernel(fsrc, fdst, src_flat, idx, dst_flat)
 
-            er.model.launch("stream_fused", src_flat.size, fused)
-        else:
-            for qi, qi_opp, dst, src, bounce in er.plans:
-
-                def gather(idx, qi=qi, dst=dst, src=src):
-                    f_dst[qi, dst[idx]] = f_src[qi, src[idx]]
-
-                er.model.launch(f"stream_q{qi}", dst.size, gather)
-                if bounce.size:
-
-                    def bb(idx, qi=qi, qi_opp=qi_opp, bounce=bounce):
-                        f_dst[qi, bounce[idx]] = f_src[qi_opp, bounce[idx]]
-
-                    er.model.launch(f"bounce_q{qi}", bounce.size, bb)
+        er.model.launch("stream_fused", src_flat.size, fused)
         er.d_f, er.d_f_tmp = er.d_f_tmp, er.d_f
 
     def _boundaries(self, er: _EngineRank) -> None:
@@ -310,7 +274,7 @@ class DistributedModelEngine:
                 ex.run_phase(self._phase_collide, name="collide")
                 # pack/send and recv/unpack are separate phases: the barrier
                 # between them guarantees every message is enqueued before
-                # any rank receives, on either executor
+                # any rank receives
                 ex.run_phase(self._phase_pack_send, name="exchange")
                 ex.run_phase(self._phase_recv_unpack, name="exchange")
                 ex.run_phase(self._phase_stream, name="stream")

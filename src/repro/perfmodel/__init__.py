@@ -20,7 +20,6 @@ from .model import (
 )
 from .fit import FitResult, fit_sc_efficiency
 from .hostexec import (
-    GIL_RELEASE_FRACTION,
     overlap_step_time,
     parallel_efficiency,
     predicted_speedup,
@@ -67,7 +66,6 @@ __all__ = [
     "SECTION_COUNTS",
     "FitResult",
     "fit_sc_efficiency",
-    "GIL_RELEASE_FRACTION",
     "rank_concurrency",
     "parallel_efficiency",
     "predicted_speedup",

@@ -7,11 +7,6 @@ prediction to sit next to:
 
 * ``lockstep`` — rank phases run serially on the controlling thread:
   concurrency 1 regardless of cores.
-* ``parallel`` — rank phases on a thread pool.  Only the fraction of a
-  phase body spent inside GIL-releasing NumPy kernels (``np.take``,
-  ``matmul`` bodies) overlaps; the bytecode glue between them serialises
-  on the GIL.  An Amdahl-style split with a measured default release
-  fraction.
 * ``process`` — forked workers over shared-memory segments: no GIL, so
   concurrency is bounded only by ranks and cores.
 
@@ -25,77 +20,46 @@ exactly when ``T_comm <= T_interior``.
 from __future__ import annotations
 
 from ..core.errors import PerfModelError
+from ..runtime.executor import EXECUTOR_KINDS
 
 __all__ = [
-    "GIL_RELEASE_FRACTION",
     "rank_concurrency",
     "parallel_efficiency",
     "predicted_speedup",
     "overlap_step_time",
 ]
 
-#: Fraction of a thread-pool phase body that runs with the GIL released
-#: (the vectorised NumPy kernel bodies); the remainder serialises.
-#: Measured on the fused D3Q19 step at paper-scale workloads.
-GIL_RELEASE_FRACTION = 0.35
-
-
-def rank_concurrency(
-    executor: str,
-    num_ranks: int,
-    cpu_count: int,
-    gil_release_fraction: float = GIL_RELEASE_FRACTION,
-) -> float:
+def rank_concurrency(executor: str, num_ranks: int, cpu_count: int) -> float:
     """Effective number of rank phase bodies advancing at once.
 
-    ``lockstep`` is 1; ``process`` is ``min(num_ranks, cpu_count)``;
-    ``parallel`` interpolates between them with the Amdahl split on
-    ``gil_release_fraction``.
+    ``lockstep`` is 1; ``process`` is ``min(num_ranks, cpu_count)``.
     """
     if num_ranks < 1:
         raise PerfModelError("num_ranks must be >= 1")
     if cpu_count < 1:
         raise PerfModelError("cpu_count must be >= 1")
-    if not 0.0 <= gil_release_fraction <= 1.0:
-        raise PerfModelError("gil_release_fraction must be in [0, 1]")
-    slots = min(num_ranks, cpu_count)
     if executor == "lockstep":
         return 1.0
     if executor == "process":
-        return float(slots)
-    if executor == "parallel":
-        # Amdahl: serial fraction (1 - f) at concurrency 1, released
-        # fraction f at concurrency `slots`
-        f = gil_release_fraction
-        return 1.0 / ((1.0 - f) + f / slots)
+        return float(min(num_ranks, cpu_count))
     raise PerfModelError(
-        f"unknown executor {executor!r}; expected 'lockstep', "
-        "'parallel' or 'process'"
+        f"unknown executor {executor!r}; expected one of "
+        f"{', '.join(EXECUTOR_KINDS)}"
     )
 
 
-def predicted_speedup(
-    executor: str,
-    num_ranks: int,
-    cpu_count: int,
-    gil_release_fraction: float = GIL_RELEASE_FRACTION,
-) -> float:
+def predicted_speedup(executor: str, num_ranks: int, cpu_count: int) -> float:
     """Predicted speedup over a single-rank lockstep run.
 
     Equal to the rank concurrency under the perfect-balance assumption
     the bisection decomposition targets (imbalance prices separately in
     the Eq. 2 term).
     """
-    return rank_concurrency(
-        executor, num_ranks, cpu_count, gil_release_fraction
-    )
+    return rank_concurrency(executor, num_ranks, cpu_count)
 
 
 def parallel_efficiency(
-    executor: str,
-    num_ranks: int,
-    cpu_count: int,
-    gil_release_fraction: float = GIL_RELEASE_FRACTION,
+    executor: str, num_ranks: int, cpu_count: int
 ) -> float:
     """Predicted ``speedup / num_ranks`` — 1.0 is perfect strong scaling.
 
@@ -103,12 +67,7 @@ def parallel_efficiency(
     measured rows are core-bound, which is why the perf gate annotates
     rather than gates them there.
     """
-    return (
-        predicted_speedup(
-            executor, num_ranks, cpu_count, gil_release_fraction
-        )
-        / num_ranks
-    )
+    return predicted_speedup(executor, num_ranks, cpu_count) / num_ranks
 
 
 def overlap_step_time(

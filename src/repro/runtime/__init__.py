@@ -1,9 +1,9 @@
 """Simulated MPI runtime: communicator, event log, and the lockstep /
-thread-parallel / process-parallel executors (plus the shared-memory
-transport and real-MPI adapter the process and MPI tiers use)."""
+process-parallel executors (plus the shared-memory transport and
+real-MPI adapter the process and MPI tiers use)."""
 
 from .events import CommEvent, EventLog
-from .executor import LockstepExecutor, ParallelExecutor, make_executor
+from .executor import EXECUTOR_KINDS, LockstepExecutor, make_executor
 from .mpicomm import MPIComm, mpi_available
 from .procexec import ProcessExecutor, fork_available
 from .shmem import RingBuffer, RingTransport, SegmentRegistry
@@ -15,8 +15,8 @@ __all__ = [
     "SimComm",
     "MPIComm",
     "mpi_available",
+    "EXECUTOR_KINDS",
     "LockstepExecutor",
-    "ParallelExecutor",
     "ProcessExecutor",
     "fork_available",
     "SegmentRegistry",

@@ -1,4 +1,4 @@
-"""Rank execution: lockstep (serial) and parallel (thread-pool) phases.
+"""Rank execution: lockstep (serial, in-process) phases.
 
 Ranks run in-process; an iteration is a sequence of *phases* (collide,
 exchange-post, exchange-complete, stream, boundaries) and every rank
@@ -11,42 +11,37 @@ here, rank-resident (one dispatch, ranks meeting only in the halo rings)
 on :class:`~repro.runtime.procexec.ProcessExecutor`.
 
 :class:`LockstepExecutor` runs the ranks of each phase serially in rank
-order.  :class:`ParallelExecutor` dispatches them onto a thread pool with
-a barrier at the end of each phase — the fused NumPy kernels release the
-GIL in their ``np.take``/``matmul`` bodies, so rank phases genuinely
-overlap on multi-core hosts while the per-phase barrier preserves the
-bulk-synchronous schedule (and therefore bit-for-bit results).
+order; :data:`EXECUTOR_KINDS` names it and the process tier, the only
+values ``SolverConfig.executor`` takes.
 
 Passing a :class:`~repro.telemetry.spans.Tracer` (and a ``name`` to
 ``run_phase``) emits one span per rank per phase — the raw material of
 the Fig. 7 runtime-composition breakdown.  With the default null tracer
-the instrumentation is a single attribute check.  The parallel executor
-times each rank on its worker thread and appends the span records from
-the controlling thread after the barrier, keeping the tracer's span
-list deterministic (rank order) and free of cross-thread interleaving.
+the instrumentation is a single attribute check.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeSimError
-from ..telemetry.spans import SpanRecord, get_tracer
+from ..telemetry.spans import get_tracer
 
 __all__ = [
+    "EXECUTOR_KINDS",
     "AccessConflict",
     "AccessRecord",
     "LockstepExecutor",
-    "ParallelExecutor",
     "PhaseAccessLog",
     "make_executor",
 ]
 
 PhaseFn = Callable[[int], None]
+
+#: Every value ``SolverConfig.executor`` / ``--executor`` accepts.
+EXECUTOR_KINDS: Tuple[str, ...] = ("lockstep", "process")
 
 
 @dataclass(frozen=True)
@@ -173,27 +168,6 @@ def step_span_names(
     return names
 
 
-def _run_phase_major(
-    executor,
-    phases: Sequence[PhaseFn],
-    names: Optional[Sequence[Optional[str]]],
-    ctx: Optional[dict],
-) -> None:
-    """``run_step`` of the in-process executors.
-
-    ``run_step`` lets the executor choose how one iteration interleaves.
-    In-process ranks share one :class:`~repro.runtime.simmpi.SimComm`
-    whose receive raises on an empty queue instead of waiting, so the
-    only safe order is phase-major — every rank finishes phase ``i``
-    before any rank starts ``i + 1`` — through the executor's own
-    ``run_phase`` (spans and the access-log epoch advance exactly as for
-    per-phase callers).  The process executor instead runs each rank
-    through the whole list rank-resident.
-    """
-    for fn, name in zip(phases, step_span_names(phases, names)):
-        executor.run_phase(fn, name=name, ctx=ctx)
-
-
 class LockstepExecutor:
     """Runs per-rank phase functions in lockstep."""
 
@@ -244,142 +218,22 @@ class LockstepExecutor:
         names: Optional[Sequence[Optional[str]]] = None,
         ctx: Optional[dict] = None,
     ) -> None:
-        """Run one iteration phase-major: a barrier after every phase."""
-        _run_phase_major(self, phases, names, ctx)
+        """Run one iteration phase-major: a barrier after every phase.
 
-
-class ParallelExecutor:
-    """Runs per-rank phase functions concurrently with a per-phase barrier.
-
-    Every ``run_phase`` submits one task per rank to a persistent thread
-    pool and joins them all before returning — the same bulk-synchronous
-    schedule as :class:`LockstepExecutor`, so results are identical; only
-    wall-clock concurrency differs.  Rank phase bodies must therefore
-    touch only their own rank's state plus thread-safe shared services
-    (:class:`~repro.runtime.simmpi.SimComm` locks its queues).
-
-    The first exception raised by any rank is re-raised in the caller
-    after the barrier (remaining ranks still complete the phase, keeping
-    shared state consistent).
-    """
-
-    def __init__(
-        self,
-        num_ranks: int,
-        tracer=None,
-        max_workers: Optional[int] = None,
-    ) -> None:
-        if num_ranks < 1:
-            raise RuntimeSimError("executor needs at least one rank")
-        if max_workers is not None and max_workers < 1:
-            raise RuntimeSimError("executor needs at least one worker")
-        self.num_ranks = num_ranks
-        self.phases_run = 0
-        self.tracer = get_tracer() if tracer is None else tracer
-        #: optional PhaseAccessLog advanced once per phase (sanitize mode)
-        self.access_log: Optional[PhaseAccessLog] = None
-        self._pool = ThreadPoolExecutor(
-            max_workers=min(num_ranks, max_workers or num_ranks),
-            thread_name_prefix="repro-rank",
-        )
-
-    def run_phase(
-        self,
-        fn: PhaseFn,
-        ranks: Optional[Sequence[int]] = None,
-        name: Optional[str] = None,
-        ctx: Optional[dict] = None,
-    ) -> None:
-        """Invoke ``fn(rank)`` for every rank (or a subset) concurrently.
-
-        With an enabled tracer and a ``name``, each rank's wall-clock
-        interval is recorded on its worker thread and appended as one
-        span per rank (in rank order) once the phase barrier is reached.
+        In-process ranks share one :class:`~repro.runtime.simmpi.SimComm`
+        whose receive raises on an empty queue instead of waiting, so the
+        only safe order is every rank finishing phase ``i`` before any
+        rank starts ``i + 1`` — through :meth:`run_phase`, so spans and
+        the access-log epoch advance exactly as for per-phase callers.
         """
-        targets: List[int] = list(
-            range(self.num_ranks) if ranks is None else ranks
-        )
-        for rank in targets:
-            if not 0 <= rank < self.num_ranks:
-                raise RuntimeSimError(f"phase rank {rank} out of range")
-        if self.access_log is not None:
-            self.access_log.begin_phase(name or f"phase{self.phases_run}")
-        tracer = self.tracer
-        traced = name is not None and tracer.enabled
-
-        def timed(rank: int) -> Tuple[float, float]:
-            t0 = time.perf_counter()
-            fn(rank)
-            return t0, time.perf_counter() - t0
-
-        body = timed if traced else fn
-        futures = [self._pool.submit(body, rank) for rank in targets]
-        first_exc: Optional[BaseException] = None
-        first_rank = -1
-        results = []
-        for rank, fut in zip(targets, futures):
-            try:
-                results.append(fut.result())
-            except BaseException as exc:  # re-raised after the barrier
-                results.append(None)
-                if first_exc is None:
-                    first_exc = exc
-                    first_rank = rank
-        if traced:
-            depth_fn = getattr(tracer, "depth", None)
-            depth = int(depth_fn()) if callable(depth_fn) else 0
-            for rank, timing in zip(targets, results):
-                if timing is None:
-                    continue
-                start, duration = timing
-                tracer.spans.append(
-                    SpanRecord(
-                        name=name,
-                        start_s=start,
-                        duration_s=duration,
-                        depth=depth,
-                        rank=rank,
-                    )
-                )
-        self.phases_run += 1
-        if first_exc is not None:
-            # keep the originating rank and phase identifiable after the
-            # barrier re-raise (the traceback alone only shows the body)
-            origin = f"[rank {first_rank} phase {name or 'phase'!r}]"
-            if first_exc.args and isinstance(first_exc.args[0], str):
-                first_exc.args = (
-                    f"{origin} {first_exc.args[0]}",
-                ) + first_exc.args[1:]
-            else:
-                first_exc.args = (origin,) + tuple(first_exc.args)
-            raise first_exc
-
-    def run_step(
-        self,
-        phases: Sequence[PhaseFn],
-        names: Optional[Sequence[Optional[str]]] = None,
-        ctx: Optional[dict] = None,
-    ) -> None:
-        """Run one iteration phase-major: a barrier after every phase."""
-        _run_phase_major(self, phases, names, ctx)
-
-    def shutdown(self) -> None:
-        """Release the worker threads (idempotent)."""
-        self._pool.shutdown(wait=True)
-
-    def __del__(self) -> None:  # best-effort cleanup
-        try:
-            self._pool.shutdown(wait=False)
-        except Exception:
-            pass
+        for fn, name in zip(phases, step_span_names(phases, names)):
+            self.run_phase(fn, name=name, ctx=ctx)
 
 
 def make_executor(kind: str, num_ranks: int, tracer=None):
     """Build the executor ``SolverConfig.executor`` names."""
     if kind == "lockstep":
         return LockstepExecutor(num_ranks, tracer=tracer)
-    if kind == "parallel":
-        return ParallelExecutor(num_ranks, tracer=tracer)
     if kind == "process":
         # deferred import: the process tier pulls in multiprocessing and
         # the shared-memory substrate, which lockstep users never need
@@ -387,6 +241,6 @@ def make_executor(kind: str, num_ranks: int, tracer=None):
 
         return ProcessExecutor(num_ranks, tracer=tracer)
     raise RuntimeSimError(
-        f"unknown executor {kind!r}; expected 'lockstep', 'parallel' "
-        "or 'process'"
+        f"unknown executor {kind!r}; expected one of "
+        f"{', '.join(EXECUTOR_KINDS)}"
     )

@@ -1,9 +1,9 @@
 """Process-based rank executor: true multicore rank parallelism.
 
 :class:`ProcessExecutor` keeps one persistent worker process per rank
-and dispatches the same per-rank phase bodies the lockstep and thread
-executors run, without the GIL: each rank's collide/stream/boundary
-kernels run on their own core.  Two granularities:
+and dispatches the same per-rank phase bodies the lockstep executor
+runs, without the GIL: each rank's collide/stream/boundary kernels run
+on their own core.  Two granularities:
 
 * ``run_phase`` — one message per rank per *phase*, a barrier at its
   end (every rank finishes the phase before the call returns): the
@@ -34,7 +34,7 @@ instance overrides dispatch); any other callable must pickle by
 reference (the W504 lint rule bans closure-captured phase callables for
 exactly this reason).
 
-Telemetry and errors keep the thread-executor contract: each worker
+Telemetry and errors keep the lockstep executor's contract: each worker
 times its own phase intervals (``time.perf_counter`` is the system-wide
 ``CLOCK_MONOTONIC`` on Linux, so intervals are comparable across
 processes) and acks them; without a plane the controlling process
@@ -227,7 +227,7 @@ class ProcessExecutor:
                 "the process executor needs the POSIX 'fork' start "
                 "method (workers inherit the solver's shared-memory "
                 "segments); this platform does not provide it — use "
-                "executor='parallel' or 'lockstep'"
+                "executor='lockstep'"
             )
         import multiprocessing
 
@@ -314,10 +314,6 @@ class ProcessExecutor:
             except Exception:
                 pass
         self._workers = []
-
-    # thread-executor name, kept so generic teardown paths work
-    def shutdown(self) -> None:
-        self.close()
 
     def __del__(self) -> None:  # best-effort cleanup
         try:

@@ -44,8 +44,7 @@ class SimComm:
         self.log = EventLog()
         self.step = -1
         self._barriers = 0
-        # serializes queue/log mutation so rank phases may run on the
-        # parallel executor's worker threads
+        # serializes queue/log mutation against concurrent callers
         self._lock = threading.Lock()
         #: optional PhaseAccessLog (sanitize mode): queue traffic is
         #: noted as lock-protected so the happens-before check can

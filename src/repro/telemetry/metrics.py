@@ -12,9 +12,8 @@ bounds): a value ``v`` lands in the first bucket whose edge satisfies
 
 All mutation is thread-safe under the same lock discipline as
 :class:`~repro.runtime.simmpi.SimComm`: each instrument serialises its
-own updates and the registry serialises instrument creation, so rank
-phases running on :class:`~repro.runtime.executor.ParallelExecutor`
-worker threads can increment shared counters without torn updates.
+own updates and the registry serialises instrument creation, so
+concurrent callers can increment shared counters without torn updates.
 """
 
 from __future__ import annotations

@@ -10,18 +10,26 @@ from repro.cli import main
 from repro.core.errors import BenchmarkError
 
 
-def kernels_result(mflups=100.0, speedup=3.0):
-    """A minimal but schema-complete kernels result document."""
+def kernels_result(mflups=100.0, speedup=3.0, backend="compiled-serial"):
+    """A minimal but schema-complete kernels result document.
+
+    ``speedup`` is the compiled tier's over the fused NumPy kernels;
+    ``backend=None`` gives the NumPy-only document (no relative metric).
+    """
     kernels = {}
     for name in ("collide", "stream", "step"):
-        kernels[name] = {
-            "legacy_seconds": 1.0,
-            "fused_seconds": 1.0 / speedup,
-            "legacy_mflups": mflups / speedup,
-            "fused_mflups": mflups,
-            "speedup": speedup,
-        }
+        kernels[name] = {"fused_seconds": 1.0, "fused_mflups": mflups}
+        if backend is not None:
+            kernels[name].update(
+                compiled_serial_seconds=1.0 / speedup,
+                compiled_serial_mflups=mflups * speedup,
+                compiled_serial_speedup=speedup,
+            )
+    tier = {} if backend is None else {
+        "backend": backend, "compiled_step_speedup": speedup,
+    }
     return {
+        **tier,
         "benchmark": "kernels",
         "workload": "cylinder",
         "scale": 0.5,
@@ -30,7 +38,6 @@ def kernels_result(mflups=100.0, speedup=3.0):
         "reps": 2,
         "bytes_per_update": 304,
         "kernels": kernels,
-        "step_speedup": speedup,
         "meta": make_meta({"scale": 0.5, "steps": 5, "reps": 2}),
     }
 
@@ -44,7 +51,7 @@ def overlap_result(mflups=50.0, speedup=1.4):
                 "mflups": mflups,
                 "halo_bytes_per_step": 1000,
             }
-            for m in ("lockstep", "parallel", "overlap", "overlap+parallel")
+            for m in ("lockstep", "overlap")
         }
         ranks.append(
             {
@@ -77,21 +84,21 @@ class TestCompareResults:
         # same config + same host: absolutes compared, nothing skipped
         assert not report.skipped
         compared = {c.metric for c in report.comparisons}
-        assert "step_speedup" in compared
+        assert "compiled_step_speedup" in compared
         assert "kernels.step.fused_mflups" in compared
 
     def test_injected_slowdown_regresses(self):
         base = kernels_result(speedup=3.0)
         slow = kernels_result(speedup=3.0)
-        # 1.5x slowdown of every fused timing: speedups drop to 2.0
+        # 1.5x slowdown of every timing: compiled speedups drop to 2.0
         for k in slow["kernels"].values():
-            k["speedup"] = 2.0
+            k["compiled_serial_speedup"] = 2.0
             k["fused_mflups"] /= 1.5
-        slow["step_speedup"] = 2.0
+        slow["compiled_step_speedup"] = 2.0
         report = compare_results(base, slow, tolerance=0.15)
         assert report.exit_code == 1
         regressed = {c.metric for c in report.regressions}
-        assert "step_speedup" in regressed
+        assert "compiled_step_speedup" in regressed
         assert "kernels.step.fused_mflups" in regressed
 
     def test_within_band_drift_is_ok(self):
@@ -112,7 +119,7 @@ class TestCompareResults:
         assert "configs differ" in skipped["kernels.step.fused_mflups"]
         # relative speedups still compared
         assert any(
-            c.metric == "step_speedup" for c in report.comparisons
+            c.metric == "compiled_step_speedup" for c in report.comparisons
         )
 
     def test_absolute_metrics_skipped_on_host_mismatch(self):
@@ -127,34 +134,20 @@ class TestCompareResults:
         assert "host fingerprints differ" in skipped["kernels.step.fused_mflups"]
 
     def test_compiled_tier_metrics_are_gated(self):
-        def tiered(serial_speedup):
-            doc = kernels_result(speedup=3.0)
-            doc["backend"] = "compiled"
-            for entry in doc["kernels"].values():
-                entry["compiled_serial_seconds"] = 0.1
-                entry["compiled_serial_mflups"] = 100.0 * serial_speedup
-                entry["compiled_serial_speedup"] = serial_speedup
-            doc["compiled_step_speedup"] = serial_speedup
-            return doc
-
-        base = tiered(4.0)
-        bad = tiered(4.0 * 0.5)  # -50% compiled regression
+        base = kernels_result(speedup=4.0)
+        bad = kernels_result(speedup=4.0 * 0.5)  # -50% compiled regression
         bad["meta"]["config"] = base["meta"]["config"]
         report = compare_results(base, bad, tolerance=0.15)
         assert report.exit_code == 1
         regressed = {c.metric for c in report.regressions}
         assert "kernels.step.compiled_serial_speedup" in regressed
         assert "compiled_step_speedup" in regressed
-        # the NumPy-tier ratios are untouched and stay green
-        assert "step_speedup" not in regressed
-        # legacy MFLUPS never gates (it is the denominator, not a goal)
-        all_metrics = {c.metric for c in report.comparisons}
-        assert not any("legacy_mflups" in m for m in all_metrics)
+        # the NumPy tier is untouched and stays green
+        assert "kernels.step.fused_mflups" not in regressed
 
     def test_compiled_and_numpy_results_are_different_families(self):
-        base = kernels_result()
+        base = kernels_result(backend=None)
         tiered = kernels_result()
-        tiered["backend"] = "compiled"
         report = compare_results(base, tiered)
         skipped = dict(report.skipped)
         assert "kernels.step.fused_mflups" in skipped
@@ -173,10 +166,10 @@ class TestCompareResults:
             base, current, tolerance=0.15, history=history
         )
         step_quiet = next(
-            c for c in quiet.comparisons if c.metric == "step_speedup"
+            c for c in quiet.comparisons if c.metric == "compiled_step_speedup"
         )
         step_noisy = next(
-            c for c in noisy.comparisons if c.metric == "step_speedup"
+            c for c in noisy.comparisons if c.metric == "compiled_step_speedup"
         )
         assert step_quiet.regressed
         assert step_noisy.noise_cv > 0

@@ -30,7 +30,7 @@ def solver_result(geometry, mflups=1.0, overlap=False):
         "kind": "solver", "geometry": geometry, "num_ranks": 2,
         "steps": 3, "fluid_nodes": 1000, "wall_seconds": 0.1,
         "mflups": mflups, "mass_drift": 1e-6, "max_velocity": 0.02,
-        "comm_bytes": 1024, "fused": True, "overlap": overlap,
+        "comm_bytes": 1024, "overlap": overlap,
         "executor": "lockstep", "composition": dict(COMPOSITION),
     }
 

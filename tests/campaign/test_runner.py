@@ -11,7 +11,7 @@ from repro.campaign import (
     plan_campaign,
     run_campaign,
 )
-from repro.core import CampaignError
+from repro.core import CampaignError, ConfigError
 
 
 def perf_spec(n_gpus=(2, 4, 8), machines=("summit", "polaris")):
@@ -147,6 +147,26 @@ class TestPlanning:
         with pytest.raises(CampaignError, match="fortran"):
             plan_campaign(spec)
 
+    def test_retired_solver_axes_are_spec_errors(self):
+        """A ``fused`` axis or ``executor: parallel`` stops the plan with
+        the valid set named; neither falls back to a default."""
+
+        def spec(**axes):
+            return CampaignSpec(
+                name="t",
+                sweeps=(
+                    SweepSpec(
+                        name="s", runner="solver", axes=axes,
+                        fixed={"geometry": "cylinder", "steps": 1},
+                    ),
+                ),
+            )
+
+        with pytest.raises(CampaignError, match=r"\['fused'\].*known:"):
+            plan_campaign(spec(fused=(True, False)))
+        with pytest.raises(ConfigError, match="lockstep, process"):
+            plan_campaign(spec(executor=("lockstep", "parallel")))
+
     def test_defaults_participate_in_identity(self):
         explicit = CampaignSpec(
             name="a",
@@ -259,14 +279,14 @@ class TestRunAndResume:
     def test_failed_cell_recorded_and_campaign_continues(self, store):
         # n_gpus=2 with an explicit size skips the schedule prune, and
         # the tiny size OOMs nothing — instead, use a solver cell whose
-        # config is invalid only at execution time (overlap without
-        # fused), un-pruned because the spec author forgot the skip.
+        # config is invalid only at execution time (an unstable tau),
+        # un-pruned because the spec author forgot the skip.
         spec = CampaignSpec(
             name="t",
             sweeps=(
                 SweepSpec(
                     name="s", runner="solver",
-                    axes={"fused": (True, False)},
+                    axes={"tau": (0.8, 0.4)},
                     fixed={
                         "geometry": "cylinder", "resolution": 0.5,
                         "num_ranks": 2, "steps": 2, "overlap": True,
@@ -277,7 +297,7 @@ class TestRunAndResume:
         report = run_campaign(spec, store, tracer=None)
         assert report.executed == 1
         assert report.failed == 1
-        assert report.failures and "fused" in report.failures[0]["error"]
+        assert report.failures and "tau" in report.failures[0]["error"]
         assert store.counts() == {"ok": 1, "error": 1}
         # the failed record is retried on the next pass (not resumed)
         again = run_campaign(spec, store)

@@ -14,9 +14,12 @@ def modes_sweep(**overrides):
     kwargs = dict(
         name="modes",
         runner="solver",
-        axes={"fused": (True, False), "overlap": (False, True)},
+        axes={
+            "executor": ("lockstep", "process"),
+            "backend": ("numpy", "compiled-parallel"),
+        },
         fixed={"geometry": "cylinder", "num_ranks": 2},
-        skip=({"overlap": True, "fused": False},),
+        skip=({"executor": "process", "backend": "compiled-parallel"},),
     )
     kwargs.update(overrides)
     return SweepSpec(**kwargs)
@@ -40,7 +43,8 @@ class TestSweepExpansion:
         assert len(cells) == 3
         assert len(pruned) == 1
         bad = pruned[0].cell.params
-        assert bad["overlap"] is True and bad["fused"] is False
+        assert bad["executor"] == "process"
+        assert bad["backend"] == "compiled-parallel"
         assert "skip constraint" in pruned[0].reason
 
     def test_skip_list_values_match_membership(self):
@@ -61,11 +65,11 @@ class TestSweepExpansion:
 
     def test_axis_and_fixed_collision_rejected(self):
         with pytest.raises(CampaignError, match="both axis and fixed"):
-            modes_sweep(fixed={"fused": True})
+            modes_sweep(fixed={"executor": "process"})
 
     def test_empty_axis_rejected(self):
         with pytest.raises(CampaignError, match="non-empty"):
-            modes_sweep(axes={"fused": ()})
+            modes_sweep(axes={"executor": ()})
 
     def test_unknown_runner_rejected(self):
         with pytest.raises(CampaignError, match="unknown runner"):

@@ -6,6 +6,7 @@ import pytest
 from repro.core import ConfigError
 from repro.harvey import HarveyApp, HarveyConfig, PulsatileWaveform
 from repro.hardware import CRUSHER, POLARIS, get_machine
+from repro.runtime import fork_available
 
 
 class TestPulsatileWaveform:
@@ -156,21 +157,43 @@ class TestHarveyZooWorkloads:
         assert report.max_velocity > 0
         assert np.isfinite(report.mflups)
 
+    @pytest.mark.skipif(
+        not fork_available(), reason="needs the POSIX fork start method"
+    )
     def test_solver_mode_knobs(self):
         cfg = HarveyConfig(
             workload="cylinder", resolution=0.5, num_ranks=2,
-            fused=True, overlap=True, executor="parallel",
+            overlap=True, executor="process",
         )
-        report = HarveyApp(cfg).run(steps=3)
+        app = HarveyApp(cfg)
+        try:
+            report = app.run(steps=3)
+        finally:
+            app.close()
         assert report.mass_drift < 0.05
-
-    def test_overlap_requires_fused(self):
-        with pytest.raises(ConfigError, match="fused"):
-            HarveyConfig(workload="cylinder", fused=False, overlap=True)
 
     def test_bad_executor(self):
         with pytest.raises(ConfigError, match="executor"):
             HarveyConfig(executor="fibers")
+
+    @pytest.mark.parametrize(
+        "tier",
+        [
+            dict(executor="parallel"),
+            dict(backend="bogus"),
+            dict(backend="compiled", sanitize=True),
+        ],
+    )
+    def test_bad_tier_fails_before_geometry(self, monkeypatch, tier):
+        """A cell no solver can run is rejected by the config itself, not
+        by ``_build_solver`` after the geometry build and bisection."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("geometry built for an invalid tier")
+
+        monkeypatch.setattr("repro.harvey.app.build_geometry", unreachable)
+        with pytest.raises(ConfigError, match="expected one of|requires"):
+            HarveyApp(HarveyConfig(workload="cylinder", **tier))
 
     def test_zoo_projection_unsupported(self):
         app = HarveyApp(

@@ -89,3 +89,18 @@ class TestCLI:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args([])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["harvey", "--executor", "parallel"],
+            ["profile", "run", "--executor", "parallel"],
+            ["bench", "overlap", "--executor", "parallel"],
+        ],
+    )
+    def test_retired_parallel_executor_is_an_argparse_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'lockstep', 'process'" in err and "parallel" in err

@@ -20,7 +20,6 @@ from repro.runtime.shmem import leaked_segments
 
 EXECUTORS = [
     "lockstep",
-    "parallel",
     pytest.param(
         "process",
         marks=pytest.mark.skipif(

@@ -1,10 +1,13 @@
-"""Bit-exact equivalence of the fused step-plan engine vs the legacy path.
+"""Bit-exact equivalence of the step-plan engine vs a per-q reference.
 
-The fused engine (single-gather streaming, allocation-free collide,
-preallocated halo packing) is a pure performance refactor: every test
-here pins ``np.array_equal`` — not ``allclose`` — against the legacy
-``fused=False`` path, across collision operators, boundary styles, and
-the single-domain/distributed split.
+The engine the solvers run (single-gather streaming, allocation-free
+collide, preallocated halo packing) is a pure performance refactor of
+the textbook per-population algorithm: every test here pins
+``np.array_equal`` — not ``allclose`` — against a test-local reference
+stepper built from the oracles ``src/`` keeps for exactly this purpose
+(``Connectivity.stream``, the per-q rank tables, the no-workspace
+``collision.apply``, the boundary objects), across collision operators,
+boundary styles, and the single-domain/distributed split.
 
 The compiled tier (:mod:`repro.models.compiled`) executes the same
 StepPlan IR through JIT/C kernels, pinned in two modes:
@@ -16,6 +19,8 @@ StepPlan IR through JIT/C kernels, pinned in two modes:
   workload, banded at ``rtol=1e-8 / atol=1e-11``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +28,9 @@ from repro.core.kernels import Workspace, bgk_collide_kernel
 from repro.core.lattice import D3Q19
 from repro.decomp import grid_decompose
 from repro.geometry.cylinder import CylinderSpec, make_cylinder
+from repro.geometry.flags import INLET, OUTLET
+from repro.harvey.config import HarveyConfig
+from repro.lbm.boundary import PressureOutlet, VelocityInlet
 from repro.lbm.distributed import DistributedSolver
 from repro.lbm.solver import Solver, SolverConfig
 from repro.lbm.stream import Connectivity
@@ -50,79 +58,139 @@ def inlet_grid():
     return make_cylinder(CylinderSpec(scale=0.5, periodic=False))
 
 
-def periodic_config(collision, fused):
+def periodic_config(collision):
     return SolverConfig(
         tau=0.8,
         collision=collision,
         force=(1e-5, 0.0, 0.0),
         periodic=(True, False, False),
-        fused=fused,
     )
 
 
-def inlet_config(collision, fused):
+def inlet_config(collision):
     return SolverConfig(
         tau=0.8,
         collision=collision,
         inlet_velocity=(0.05, 0.0, 0.0),
-        fused=fused,
     )
+
+
+class ReferenceStepper:
+    """The per-q single-domain algorithm, one population at a time:
+    allocating collide, ``Connectivity.stream``, equilibrium boundaries."""
+
+    def __init__(self, grid, config):
+        self.lattice = config.make_lattice()
+        self.collision = config.make_collision()
+        self.conn = Connectivity(grid, self.lattice, periodic=config.periodic)
+        n = self.conn.num_nodes
+        self.ids = np.arange(n, dtype=np.int64)
+        self.f = self.lattice.equilibrium(
+            np.full(n, config.rho0), np.zeros((n, 3))
+        )
+        self.f_tmp = np.empty_like(self.f)
+        x, y, z = self.conn.coords.T
+        flags = grid.flags[x, y, z]
+        self.boundaries = []
+        if np.any(flags == INLET):
+            self.boundaries.append(
+                VelocityInlet(
+                    self.ids[flags == INLET], config.inlet_velocity, config.rho0
+                )
+            )
+        if np.any(flags == OUTLET):
+            self.boundaries.append(
+                PressureOutlet(self.ids[flags == OUTLET], config.rho0)
+            )
+        self.time = 0
+
+    def step(self, num_steps):
+        for _ in range(num_steps):
+            self.collision.apply(self.lattice, self.f, self.ids)
+            self.conn.stream(self.f, self.f_tmp)
+            self.f, self.f_tmp = self.f_tmp, self.f
+            self.time += 1
+            for boundary in self.boundaries:
+                boundary.apply(self.lattice, self.f, self.time)
+
+
+def reference_distributed_f(part, config, num_steps):
+    """The per-q distributed algorithm over the rank tables of a
+    ``DistributedSolver`` that is built but never stepped: allocating
+    collide on owned nodes, whole-column ghost copies, one gather and one
+    bounce-back per population, equilibrium boundaries."""
+    solver = DistributedSolver(part, config)
+    lattice, collision, ranks = solver.lattice, solver.collision, solver.ranks
+    for time in range(1, num_steps + 1):
+        for st in ranks:
+            collision.apply(lattice, st.f, st.owned_ids)
+        for st in ranks:
+            for src, slots in st.recv_slots.items():
+                st.f[:, slots] = ranks[src].f[:, ranks[src].send_ids[st.rank]]
+        for st in ranks:
+            for qi, qi_opp, dst, src, bounce in st.plans:
+                st.f_tmp[qi, dst] = st.f[qi, src]
+                st.f_tmp[qi, bounce] = st.f[qi_opp, bounce]
+            st.f, st.f_tmp = st.f_tmp, st.f
+            if st.inlet is not None:
+                st.inlet.apply(lattice, st.f, time)
+            if st.outlet is not None:
+                st.outlet.apply(lattice, st.f, time)
+    return solver.gather_f()
 
 
 @pytest.mark.parametrize("collision", ["bgk", "trt", "mrt"])
 def test_single_domain_periodic_force_bitwise(collision):
     grid = periodic_grid()
-    legacy = Solver(grid, periodic_config(collision, fused=False))
-    fused = Solver(grid, periodic_config(collision, fused=True))
-    legacy.step(STEPS)
-    fused.step(STEPS)
-    assert np.array_equal(legacy.f, fused.f)
+    reference = ReferenceStepper(grid, periodic_config(collision))
+    solver = Solver(grid, periodic_config(collision))
+    reference.step(STEPS)
+    solver.step(STEPS)
+    assert np.array_equal(reference.f, solver.f)
 
 
 @pytest.mark.parametrize("collision", ["bgk", "trt", "mrt"])
 def test_single_domain_inlet_outlet_bitwise(collision):
     grid = inlet_grid()
-    legacy = Solver(grid, inlet_config(collision, fused=False))
-    fused = Solver(grid, inlet_config(collision, fused=True))
-    legacy.step(STEPS)
-    fused.step(STEPS)
-    assert np.array_equal(legacy.f, fused.f)
+    reference = ReferenceStepper(grid, inlet_config(collision))
+    solver = Solver(grid, inlet_config(collision))
+    assert len(reference.boundaries) == 2
+    reference.step(STEPS)
+    solver.step(STEPS)
+    assert np.array_equal(reference.f, solver.f)
 
 
 @pytest.mark.parametrize("collision", ["bgk", "trt", "mrt"])
 def test_distributed_periodic_force_bitwise(collision):
-    grid = periodic_grid()
-    part = grid_decompose(grid, 4)
-    legacy = DistributedSolver(part, periodic_config(collision, fused=False))
-    fused = DistributedSolver(part, periodic_config(collision, fused=True))
-    legacy.step(STEPS)
-    fused.step(STEPS)
-    assert np.array_equal(legacy.gather_f(), fused.gather_f())
+    part = grid_decompose(periodic_grid(), 4)
+    solver = DistributedSolver(part, periodic_config(collision))
+    solver.step(STEPS)
+    reference = reference_distributed_f(part, periodic_config(collision), STEPS)
+    assert np.array_equal(reference, solver.gather_f())
 
 
 @pytest.mark.parametrize("collision", ["bgk", "trt"])
 def test_distributed_matches_single_domain_bitwise(collision):
     # MRT is excluded: its 19x19 moment GEMM is width-sensitive, so the
-    # distributed run differs from single-domain in the last bits on both
-    # the legacy and fused paths alike (pre-existing, covered by the
+    # distributed run differs from single-domain in the last bits on the
+    # per-q reference and the step-plan engine alike (covered by the
     # distributed suite's allclose checks).
     grid = periodic_grid()
     part = grid_decompose(grid, 4)
-    single = Solver(grid, periodic_config(collision, fused=True))
-    dist = DistributedSolver(part, periodic_config(collision, fused=True))
+    single = Solver(grid, periodic_config(collision))
+    dist = DistributedSolver(part, periodic_config(collision))
     single.step(STEPS)
     dist.step(STEPS)
     assert np.array_equal(single.f, dist.gather_f())
 
 
 def test_distributed_inlet_outlet_bitwise():
-    grid = inlet_grid()
-    part = grid_decompose(grid, 4)
-    legacy = DistributedSolver(part, inlet_config("bgk", fused=False))
-    fused = DistributedSolver(part, inlet_config("bgk", fused=True))
-    legacy.step(STEPS)
-    fused.step(STEPS)
-    assert np.array_equal(legacy.gather_f(), fused.gather_f())
+    part = grid_decompose(inlet_grid(), 4)
+    solver = DistributedSolver(part, inlet_config("bgk"))
+    assert any(st.inlet is not None for st in solver.ranks)
+    solver.step(STEPS)
+    reference = reference_distributed_f(part, inlet_config("bgk"), STEPS)
+    assert np.array_equal(reference, solver.gather_f())
 
 
 def test_step_plan_matches_per_q_stream():
@@ -181,7 +249,7 @@ def test_fused_collide_bitwise_equals_legacy_kernel():
 def test_halo_pack_byte_counters_increment():
     grid = periodic_grid()
     part = grid_decompose(grid, 4)
-    solver = DistributedSolver(part, periodic_config("bgk", fused=True))
+    solver = DistributedSolver(part, periodic_config("bgk"))
     packed = get_registry().counter("lbm.halo.bytes_packed")
     unpacked = get_registry().counter("lbm.halo.bytes_unpacked")
     before_p, before_u = packed.value, unpacked.value
@@ -193,7 +261,11 @@ def test_halo_pack_byte_counters_increment():
 
 
 def test_fused_is_the_default():
-    assert SolverConfig(tau=0.8).fused is True
+    # and the only path: no flag selects it, on either config
+    for config in (SolverConfig, HarveyConfig):
+        assert "fused" not in {f.name for f in dataclasses.fields(config)}
+    with pytest.raises(TypeError, match="fused"):
+        SolverConfig(tau=0.8, fused=False)
 
 
 # -- compiled tier -----------------------------------------------------------
@@ -204,7 +276,6 @@ def compiled_periodic_config(collision, *, fastmath, backend="compiled"):
         collision=collision,
         force=(1e-5, 0.0, 0.0),
         periodic=(True, False, False),
-        fused=True,
         backend=backend,
         fastmath=fastmath,
     )
@@ -215,7 +286,6 @@ def compiled_inlet_config(collision, *, fastmath):
         tau=0.8,
         collision=collision,
         inlet_velocity=(0.05, 0.0, 0.0),
-        fused=True,
         backend="compiled",
         fastmath=fastmath,
     )
@@ -225,7 +295,7 @@ def compiled_inlet_config(collision, *, fastmath):
 @pytest.mark.parametrize("collision", ["bgk", "trt", "mrt"])
 def test_compiled_single_domain_exact_mode(collision):
     grid = periodic_grid()
-    ref = Solver(grid, periodic_config(collision, fused=True))
+    ref = Solver(grid, periodic_config(collision))
     comp = Solver(grid, compiled_periodic_config(collision, fastmath=False))
     ref.step(STEPS)
     comp.step(STEPS)
@@ -240,7 +310,7 @@ def test_compiled_single_domain_exact_mode(collision):
 @pytest.mark.parametrize("collision", ["bgk", "trt", "mrt"])
 def test_compiled_single_domain_fastmath_banded(collision):
     grid = periodic_grid()
-    ref = Solver(grid, periodic_config(collision, fused=True))
+    ref = Solver(grid, periodic_config(collision))
     comp = Solver(grid, compiled_periodic_config(collision, fastmath=True))
     ref.step(STEPS)
     comp.step(STEPS)
@@ -251,7 +321,7 @@ def test_compiled_single_domain_fastmath_banded(collision):
 @pytest.mark.parametrize("collision", ["bgk", "trt"])
 def test_compiled_inlet_outlet_exact_mode(collision):
     grid = inlet_grid()
-    ref = Solver(grid, inlet_config(collision, fused=True))
+    ref = Solver(grid, inlet_config(collision))
     comp = Solver(grid, compiled_inlet_config(collision, fastmath=False))
     ref.step(STEPS)
     comp.step(STEPS)
@@ -261,11 +331,9 @@ def test_compiled_inlet_outlet_exact_mode(collision):
 @compiled_only
 @pytest.mark.parametrize("overlap", [False, True])
 def test_compiled_distributed_bgk_bitwise(overlap):
-    import dataclasses
-
     grid = periodic_grid()
     part = grid_decompose(grid, 3)
-    base = periodic_config("bgk", fused=True)
+    base = periodic_config("bgk")
     ref = DistributedSolver(part, dataclasses.replace(base, overlap=overlap))
     comp = DistributedSolver(
         part,

@@ -17,6 +17,11 @@ from repro.decomp import grid_decompose
 from repro.geometry.cylinder import CylinderSpec, make_cylinder
 from repro.lbm.distributed import DistributedSolver
 from repro.lbm.solver import Solver, SolverConfig
+from repro.runtime import fork_available
+
+needs_fork = pytest.mark.skipif(
+    not fork_available(), reason="needs the POSIX fork start method"
+)
 
 STEPS = 12
 RANK_COUNTS = (2, 4, 8)
@@ -80,35 +85,34 @@ class TestOverlappedEquivalence:
             barrier.gather_f().copy(), overlap.gather_f()
         )
 
+    @needs_fork
     @pytest.mark.parametrize("num_ranks", RANK_COUNTS)
-    def test_parallel_executor_bitwise(self, num_ranks):
-        """Overlap + thread-pool executor still matches the barrier."""
+    def test_process_executor_bitwise(self, num_ranks):
+        """Overlap + process executor still matches the barrier."""
         grid = periodic_grid()
         part = grid_decompose(grid, num_ranks)
         barrier = DistributedSolver(part, periodic_config("bgk"))
-        overlap = DistributedSolver(
-            part,
-            periodic_config("bgk", overlap=True, executor="parallel"),
-        )
         barrier.step(STEPS)
-        overlap.step(STEPS)
-        assert np.array_equal(
-            barrier.gather_f().copy(), overlap.gather_f()
-        )
+        with DistributedSolver(
+            part,
+            periodic_config("bgk", overlap=True, executor="process"),
+        ) as overlap:
+            overlap.step(STEPS)
+            assert np.array_equal(barrier.gather_f(), overlap.gather_f())
 
-    def test_parallel_barrier_schedule_bitwise(self):
-        """The thread-pool executor alone (no overlap) is bit-exact."""
+    @needs_fork
+    def test_process_barrier_schedule_bitwise(self):
+        """The process executor alone (no overlap) is bit-exact, open
+        boundaries included."""
         grid = inlet_grid()
         part = grid_decompose(grid, 4)
         lockstep = DistributedSolver(part, inlet_config("trt"))
-        parallel = DistributedSolver(
-            part, inlet_config("trt", executor="parallel")
-        )
         lockstep.step(STEPS)
-        parallel.step(STEPS)
-        assert np.array_equal(
-            lockstep.gather_f().copy(), parallel.gather_f()
-        )
+        with DistributedSolver(
+            part, inlet_config("trt", executor="process")
+        ) as forked:
+            forked.step(STEPS)
+            assert np.array_equal(lockstep.gather_f(), forked.gather_f())
 
     def test_overlap_matches_single_domain(self):
         """End of the chain: overlapped distributed == single-domain."""
@@ -250,10 +254,8 @@ class TestPackedExchangeAccounting:
 
 
 class TestOverlapConfig:
-    def test_overlap_requires_fused(self):
-        with pytest.raises(ConfigError):
-            SolverConfig(fused=False, overlap=True)
-
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ConfigError):
-            SolverConfig(executor="mpi")
+        # the retired thread-pool name gets no silent fallback either
+        for name in ("mpi", "parallel"):
+            with pytest.raises(ConfigError, match="lockstep, process"):
+                SolverConfig(executor=name)

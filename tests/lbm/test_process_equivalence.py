@@ -510,10 +510,6 @@ class TestLifecycleAndValidation:
             solver.step(2)
         assert leaked_segments(os.getpid()) == before
 
-    def test_process_requires_fused(self):
-        with pytest.raises(ConfigError, match="fused"):
-            config(executor="process", fused=False)
-
     def test_unknown_executor_rejected(self):
         with pytest.raises(ConfigError):
             config(executor="forked")

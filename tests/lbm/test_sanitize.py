@@ -2,7 +2,7 @@
 
 The acceptance test of the whole subsystem is
 ``test_redirected_scatter_caught_only_when_sanitized``: a payload-slot
-redirect that the legacy path executes silently (producing wrong
+redirect that the unsanitized path executes silently (producing wrong
 results) raises a :class:`SanitizeError` on the first sanitized step.
 """
 
@@ -14,6 +14,7 @@ from repro.decomp import axis_decompose
 from repro.geometry import CylinderSpec, make_cylinder
 from repro.lbm import DistributedSolver, Solver, SolverConfig
 from repro.lbm.sanitize import StepSanitizer, check_finite
+from repro.runtime import fork_available
 from repro.telemetry.metrics import get_registry
 
 CYL_CONFIG = dict(
@@ -54,17 +55,28 @@ class TestCleanRuns:
     """sanitize=True must be invisible on correct schedules."""
 
     @pytest.mark.parametrize("overlap", [False, True])
-    @pytest.mark.parametrize("executor", ["lockstep", "parallel"])
+    @pytest.mark.parametrize(
+        "executor",
+        [
+            "lockstep",
+            pytest.param(
+                "process",
+                marks=pytest.mark.skipif(
+                    not fork_available(),
+                    reason="needs the POSIX fork start method",
+                ),
+            ),
+        ],
+    )
     def test_bitwise_equal_to_unsanitized(self, grid, overlap, executor):
-        plain = make_solver(grid, overlap=overlap, executor=executor)
-        sanitized = make_solver(
+        with make_solver(
+            grid, overlap=overlap, executor=executor
+        ) as plain, make_solver(
             grid, overlap=overlap, executor=executor, sanitize=True
-        )
-        plain.step(STEPS)
-        sanitized.step(STEPS)
-        assert np.array_equal(
-            plain.gather_f().copy(), sanitized.gather_f()
-        )
+        ) as sanitized:
+            plain.step(STEPS)
+            sanitized.step(STEPS)
+            assert np.array_equal(plain.gather_f(), sanitized.gather_f())
 
     def test_single_rank_sanitized(self, grid):
         solver = make_solver(grid, num_ranks=1, sanitize=True)

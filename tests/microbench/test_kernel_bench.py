@@ -57,16 +57,14 @@ class TestTimingSchema:
     def make(self, compiled=None):
         return KernelTiming(
             name="step",
-            legacy_seconds=2.0,
             fused_seconds=1.0,
-            legacy_mflups=5.0,
             fused_mflups=10.0,
             compiled=compiled or {},
         )
 
     def test_numpy_only_has_no_compiled_keys(self):
         d = self.make().to_dict()
-        assert d["speedup"] == 2.0
+        assert d == {"fused_seconds": 1.0, "fused_mflups": 10.0}
         assert not any(k.startswith("compiled") for k in d)
         assert self.make().best_compiled_speedup is None
 
@@ -112,7 +110,8 @@ class TestRunKernelBench:
         result = run_kernel_bench(scale=0.25, steps=2, reps=1)
         assert set(result.timings) == {"collide", "stream", "step"}
         assert result.backend is None
-        assert result.step_speedup > 0
+        assert result.timings["step"].fused_mflups > 0
+        assert "step_speedup" not in result.to_dict()
         assert result.meta is not None
         assert "backend" not in result.meta["config"]
 

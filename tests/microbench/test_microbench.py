@@ -126,24 +126,16 @@ class TestHostStream:
 
 class TestOverlapBench:
     def test_quick_run_structure(self):
-        from repro.microbench import (
-            DEFAULT_EXECUTORS,
-            OVERLAP_BENCH_MODES,
-            run_overlap_bench,
-        )
+        from repro.microbench import run_overlap_bench
 
         result = run_overlap_bench(
             scale=0.5, steps=2, reps=1, rank_counts=(2, 4)
         )
         assert [r.num_ranks for r in result.ranks] == [2, 4]
-        default_modes = {
-            m
-            for m, (_, ex) in OVERLAP_BENCH_MODES.items()
-            if ex in DEFAULT_EXECUTORS
-        }
         assert result.single_rank["seconds"] > 0
         for rr in result.ranks:
-            assert set(rr.timings) == default_modes
+            # process rows are opt-in; lockstep always anchors
+            assert set(rr.timings) == {"lockstep", "overlap"}
             for t in rr.timings.values():
                 assert t.seconds > 0
                 assert t.mflups > 0
@@ -180,3 +172,5 @@ class TestOverlapBench:
             run_overlap_bench(steps=0)
         with pytest.raises(ConfigError):
             run_overlap_bench(rank_counts=())
+        with pytest.raises(ConfigError, match="lockstep, process"):
+            run_overlap_bench(executors=["parallel"])

@@ -87,10 +87,6 @@ class TestSolverConfigGating:
         with pytest.raises(ConfigError, match="backend"):
             SolverConfig(tau=0.8, backend="fortran")
 
-    def test_compiled_requires_fused(self):
-        with pytest.raises(ConfigError, match="fused"):
-            SolverConfig(tau=0.8, backend="compiled", fused=False)
-
     def test_compiled_rejects_sanitize(self):
         with pytest.raises(ConfigError, match="sanitize"):
             SolverConfig(tau=0.8, backend="compiled", sanitize=True)

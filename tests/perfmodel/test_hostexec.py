@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.errors import PerfModelError
 from repro.perfmodel import (
-    GIL_RELEASE_FRACTION,
     overlap_step_time,
     parallel_efficiency,
     predicted_speedup,
@@ -21,43 +20,23 @@ class TestRankConcurrency:
         assert rank_concurrency("process", 8, 4) == 4.0
         assert rank_concurrency("process", 8, 1) == 1.0
 
-    def test_parallel_sits_between_lockstep_and_process(self):
-        par = rank_concurrency("parallel", 8, 64)
-        assert 1.0 < par < rank_concurrency("process", 8, 64)
-
-    def test_parallel_amdahl_closed_form(self):
-        f = GIL_RELEASE_FRACTION
-        expected = 1.0 / ((1.0 - f) + f / 4)
-        assert rank_concurrency("parallel", 4, 64) == pytest.approx(expected)
-
-    def test_full_release_matches_process(self):
-        assert rank_concurrency(
-            "parallel", 4, 64, gil_release_fraction=1.0
-        ) == pytest.approx(4.0)
-
-    def test_zero_release_matches_lockstep(self):
-        assert rank_concurrency(
-            "parallel", 4, 64, gil_release_fraction=0.0
-        ) == pytest.approx(1.0)
-
     def test_validation(self):
         with pytest.raises(PerfModelError):
             rank_concurrency("lockstep", 0, 4)
         with pytest.raises(PerfModelError):
             rank_concurrency("lockstep", 4, 0)
-        with pytest.raises(PerfModelError):
-            rank_concurrency("parallel", 4, 4, gil_release_fraction=1.5)
-        with pytest.raises(PerfModelError, match="unknown executor"):
-            rank_concurrency("forked", 4, 4)
+        for executor in ("forked", "parallel"):
+            with pytest.raises(PerfModelError, match="lockstep, process"):
+                rank_concurrency(executor, 4, 4)
 
 
 class TestEfficiency:
     def test_speedup_equals_concurrency(self):
-        for ex in ("lockstep", "parallel", "process"):
+        for ex in ("lockstep", "process"):
             assert predicted_speedup(ex, 4, 8) == rank_concurrency(ex, 4, 8)
 
     def test_efficiency_is_speedup_per_rank(self):
-        for ex in ("lockstep", "parallel", "process"):
+        for ex in ("lockstep", "process"):
             eff = parallel_efficiency(ex, 4, 8)
             assert eff == pytest.approx(predicted_speedup(ex, 4, 8) / 4)
 
@@ -66,7 +45,7 @@ class TestEfficiency:
 
     def test_single_core_host_is_core_bound(self):
         # why the perf gate annotates instead of gating on cpu_count==1
-        for ex in ("lockstep", "parallel", "process"):
+        for ex in ("lockstep", "process"):
             for nr in (2, 4, 8):
                 assert parallel_efficiency(ex, nr, 1) == pytest.approx(
                     1.0 / nr

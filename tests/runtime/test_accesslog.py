@@ -1,14 +1,10 @@
-"""Phase access logging, the happens-before check, and exception context."""
+"""Phase access logging and the happens-before check."""
 
 import numpy as np
 import pytest
 
 from repro.core.errors import RuntimeSimError
-from repro.runtime.executor import (
-    LockstepExecutor,
-    ParallelExecutor,
-    PhaseAccessLog,
-)
+from repro.runtime.executor import LockstepExecutor, PhaseAccessLog
 from repro.runtime.simmpi import SimComm
 
 
@@ -79,7 +75,7 @@ class TestPhaseAccessLog:
 
 
 class TestExecutorIntegration:
-    @pytest.mark.parametrize("cls", [LockstepExecutor, ParallelExecutor])
+    @pytest.mark.parametrize("cls", [LockstepExecutor])
     def test_run_phase_advances_epoch(self, cls):
         ex = cls(2)
         ex.access_log = PhaseAccessLog()
@@ -96,19 +92,6 @@ class TestExecutorIntegration:
         assert len(epochs) == 2
         assert ex.access_log.conflicts() == []
 
-    def test_parallel_phase_conflict_detected(self):
-        ex = ParallelExecutor(2)
-        ex.access_log = PhaseAccessLog()
-
-        def racy(rank):
-            # both workers claim a write to rank 0's buffer
-            ex.access_log.record(rank, "rank0.f", "write")
-
-        ex.run_phase(racy, name="racy")
-        conflicts = ex.access_log.conflicts()
-        assert len(conflicts) == 1
-        assert conflicts[0].phase == "racy"
-
     def test_simcomm_records_under_lock(self):
         comm = SimComm(2)
         comm.access_log = PhaseAccessLog()
@@ -120,54 +103,3 @@ class TestExecutorIntegration:
         assert len(comm.access_log.records) == 2
         assert all(r.locked for r in comm.access_log.records)
         assert comm.access_log.conflicts() == []
-
-
-class TestParallelExceptionContext:
-    def test_rank_and_phase_survive_reraise(self):
-        ex = ParallelExecutor(3)
-
-        def phase(rank):
-            if rank == 1:
-                raise ValueError("halo size mismatch")
-
-        with pytest.raises(
-            ValueError, match=r"\[rank 1 phase 'unpack'\] halo size mismatch"
-        ):
-            ex.run_phase(phase, name="unpack")
-
-    def test_unnamed_phase_still_attributed(self):
-        ex = ParallelExecutor(2)
-
-        def phase(rank):
-            if rank == 0:
-                raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError, match=r"\[rank 0 phase 'phase'\]"):
-            ex.run_phase(phase)
-
-    def test_non_string_args_are_prefixed(self):
-        ex = ParallelExecutor(2)
-
-        class Weird(Exception):
-            pass
-
-        def phase(rank):
-            if rank == 1:
-                raise Weird(42)
-
-        with pytest.raises(Weird) as exc_info:
-            ex.run_phase(phase, name="pack")
-        assert exc_info.value.args == ("[rank 1 phase 'pack']", 42)
-
-    def test_first_exception_wins_and_phase_completes(self):
-        ex = ParallelExecutor(4)
-        completed = []
-
-        def phase(rank):
-            completed.append(rank)
-            raise ValueError(f"from rank {rank}")
-
-        with pytest.raises(ValueError, match=r"\[rank \d+ phase 'p'\]"):
-            ex.run_phase(phase, name="p")
-        # remaining ranks still ran: shared state stays consistent
-        assert sorted(completed) == [0, 1, 2, 3]

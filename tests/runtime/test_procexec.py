@@ -457,7 +457,6 @@ class TestLifecycle:
         ex.run_phase(crash_free)
         ex.close()
         ex.close()
-        ex.shutdown()
 
     def test_closed_executor_refuses_start(self):
         ex = ProcessExecutor(2)

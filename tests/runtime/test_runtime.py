@@ -255,120 +255,25 @@ class TestLockstepExecutor:
         assert LockstepExecutor(1).tracer is NULL_TRACER
 
 
-class TestParallelExecutor:
-    def _make(self, n, **kw):
-        from repro.runtime import ParallelExecutor
-
-        return ParallelExecutor(n, **kw)
-
-    def test_all_ranks_run(self):
-        import threading
-
-        ex = self._make(4)
-        seen = set()
-        lock = threading.Lock()
-
-        def phase(rank):
-            with lock:
-                seen.add(rank)
-
-        ex.run_phase(phase)
-        assert seen == {0, 1, 2, 3}
-        ex.shutdown()
-
-    def test_phase_barrier_orders_phases(self):
-        """No rank enters phase b before every rank finished phase a."""
-        import threading
-
-        ex = self._make(4)
-        lock = threading.Lock()
-        done_a = set()
-        violations = []
-
-        def a(rank):
-            with lock:
-                done_a.add(rank)
-
-        def b(rank):
-            with lock:
-                if done_a != {0, 1, 2, 3}:
-                    violations.append(rank)
-
-        ex.run_step([a, b])
-        assert violations == []
-        ex.shutdown()
-
-    def test_run_step_names_emit_spans_phase_major(self):
-        from repro.telemetry import Tracer
-
-        tracer = Tracer()
-        ex = self._make(2, tracer=tracer)
-        ex.run_step([lambda r: None, lambda r: None], ["collide", "stream"])
-        assert [(s.name, s.rank) for s in tracer.spans] == [
-            ("collide", 0), ("collide", 1), ("stream", 0), ("stream", 1),
-        ]
-        assert ex.phases_run == 2
-        ex.shutdown()
-
-    def test_exception_reraised_after_barrier(self):
-        ex = self._make(3)
-        ran = set()
-        import threading
-
-        lock = threading.Lock()
-
-        def phase(rank):
-            with lock:
-                ran.add(rank)
-            if rank == 1:
-                raise ValueError("rank 1 boom")
-
-        with pytest.raises(ValueError, match="rank 1 boom"):
-            ex.run_phase(phase)
-        # the barrier still completed every rank before re-raising
-        assert ran == {0, 1, 2}
-        ex.shutdown()
-
-    def test_named_phase_emits_one_span_per_rank_in_order(self):
-        from repro.telemetry import Tracer
-
-        tracer = Tracer()
-        ex = self._make(3, tracer=tracer)
-        ex.run_phase(lambda r: None, name="collide")
-        spans = [s for s in tracer.spans if s.name == "collide"]
-        assert [s.rank for s in spans] == [0, 1, 2]
-        assert all(s.duration_s >= 0 for s in spans)
-        ex.shutdown()
-
-    def test_bad_rank_rejected(self):
-        ex = self._make(2)
-        with pytest.raises(RuntimeSimError):
-            ex.run_phase(lambda r: None, ranks=[5])
-        ex.shutdown()
-
-    def test_validation(self):
-        from repro.runtime import ParallelExecutor
-
-        with pytest.raises(RuntimeSimError):
-            ParallelExecutor(0)
-        with pytest.raises(RuntimeSimError):
-            ParallelExecutor(2, max_workers=0)
-
-
 class TestMakeExecutor:
     def test_kinds(self):
         from repro.runtime import (
-            ParallelExecutor,
+            ProcessExecutor,
+            fork_available,
             make_executor,
         )
 
         assert isinstance(make_executor("lockstep", 2), LockstepExecutor)
-        parallel = make_executor("parallel", 2)
-        assert isinstance(parallel, ParallelExecutor)
-        parallel.shutdown()
+        if fork_available():
+            forked = make_executor("process", 2)
+            assert isinstance(forked, ProcessExecutor)
+            forked.close()
 
     def test_unknown_kind(self):
-        from repro.runtime import make_executor
+        from repro.runtime import EXECUTOR_KINDS, make_executor
 
-        with pytest.raises(RuntimeSimError):
-            make_executor("mpi", 2)
+        assert EXECUTOR_KINDS == ("lockstep", "process")
+        # the retired thread-pool kind is as unknown as any other name
+        for kind in ("mpi", "parallel"):
+            with pytest.raises(RuntimeSimError, match="lockstep, process"):
+                make_executor(kind, 2)
