@@ -431,7 +431,7 @@ class DistributedSolver:
         self._kern_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         if self.config.backend != "numpy":
             # one compiled engine (lattice + collision are shared); the
-            # per-rank plan IR binds through its 1-D link tables, so both
+            # per-rank plan IR binds through its run-length tables, so both
             # the barrier and the overlapped schedules run compiled
             from ..models.compiled import CompiledKernels
 
@@ -588,8 +588,7 @@ class DistributedSolver:
     def _gather(self, st: RankState) -> None:
         """Pull-stream ``f`` into ``f_tmp`` over the rank's full plan."""
         if self._kern is not None:
-            src, dst = self._kern_tables[st.rank]
-            self._kern.stream(st.f, st.f_tmp, src, dst)
+            self._kern.stream(st.f, st.f_tmp, *self._kern_tables[st.rank])
         else:
             st.step_plan.apply(st.f, st.f_tmp)
 

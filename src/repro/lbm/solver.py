@@ -220,8 +220,7 @@ class Solver:
                 backend=config.backend,
                 fastmath=config.fastmath,
             )
-            self._kern_src, self._kern_dst = self.step_plan.kernel_tables()
-            self._kern_flat = np.ascontiguousarray(self.step_plan.flat_src)
+            self._kern_tables = self.step_plan.kernel_tables()
         else:
             self._kern = None
         self.time = 0
@@ -289,49 +288,28 @@ class Solver:
             )
 
     def _step_compiled(self, num_steps: int) -> None:
-        """Compiled-backend stepping (collide/stream through the kernel IR).
-
-        With no open boundaries the whole window runs as the single-pass
-        fused pipeline: one collide, ``num_steps - 1`` fused
-        stream+collide sweeps, one final stream.  Writing the operator
-        sequence per step as ``x_k = S(C(x_{k-1}))`` and ``c_k =
-        C(x_k)``, the fused sweep computes ``c_k = C(S(c_{k-1}))`` — the
-        identical operator chain, but each sweep reads and writes every
-        population exactly once (the paper's one-pass byte accounting,
-        ~2x less traffic than collide-then-stream).  With an inlet or
-        outlet the boundary update must see the post-stream state every
-        step, so the two-kernel path runs instead.
-        """
-        if num_steps == 0:
-            return
+        """Compiled-backend stepping: collide then stream through the
+        kernel IR, every step.  The pair beats the one-pass
+        ``fused_step`` on CPU hosts from 16 k nodes up (EXPERIMENTS.md),
+        so closed-boundary grids take the same loop as open ones."""
         kern = self._kern
         assert kern is not None
         n = self.num_nodes
-        if self.inlet is None and self.outlet is None:
+        for _ in range(num_steps):
             kern.collide(self.f, n)
-            for _ in range(num_steps - 1):
-                kern.fused_step(self.f, self._f_tmp, self._kern_flat)
-                self.f, self._f_tmp = self._f_tmp, self.f
-            kern.stream(self.f, self._f_tmp, self._kern_src, self._kern_dst)
+            kern.stream(self.f, self._f_tmp, *self._kern_tables)
             self.f, self._f_tmp = self._f_tmp, self.f
-            self.time += num_steps
-        else:
-            for _ in range(num_steps):
-                kern.collide(self.f, n)
-                kern.stream(
-                    self.f, self._f_tmp, self._kern_src, self._kern_dst
-                )
-                self.f, self._f_tmp = self._f_tmp, self.f
-                self.time += 1
-                if self.inlet is not None:
-                    self.inlet.apply(self.lattice, self.f, self.time)
-                if self.outlet is not None:
-                    self.outlet.apply(self.lattice, self.f, self.time)
-        self.fluid_updates += num_steps * n
-        self._flups_counter.inc(num_steps * n)
-        self._stream_bytes_counter.inc(
-            num_steps * self._stream_bytes_per_step
-        )
+            self.time += 1
+            if self.inlet is not None:
+                self.inlet.apply(self.lattice, self.f, self.time)
+            if self.outlet is not None:
+                self.outlet.apply(self.lattice, self.f, self.time)
+        if num_steps:
+            self.fluid_updates += num_steps * n
+            self._flups_counter.inc(num_steps * n)
+            self._stream_bytes_counter.inc(
+                num_steps * self._stream_bytes_per_step
+            )
 
     # -- observables ---------------------------------------------------------
     @property

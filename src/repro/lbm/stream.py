@@ -72,6 +72,10 @@ class StepPlan:
         population.
     """
 
+    #: The cached :meth:`kernel_tables`, or None before a compiled engine
+    #: asked for them — what the K406/K407 pre-flight verifies.
+    run_table: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
     def __init__(
         self,
         lattice: Lattice,
@@ -229,6 +233,12 @@ class StepPlan:
         }
         if num_owned is not None:
             doc["num_owned"] = int(num_owned)
+        if self.run_table is not None:
+            heads, lens = self.run_table
+            doc["run_table"] = {
+                "heads": heads.tolist(),
+                "lens": lens.tolist(),
+            }
         return doc
 
     @property
@@ -259,19 +269,19 @@ class StepPlan:
         return self._prefix
 
     def kernel_tables(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The plan as kernel IR: 1-D ``(src, dst)`` flat link tables.
+        """The plan as kernel IR: the run-length ``(heads, lens)`` table.
 
-        Int64 C-contiguous, computed once and cached — what the compiled
-        backend's stream kernel launches over (K406 ABI; see
+        ``heads`` is int64 ``(n_runs, 2)`` of ``[dst0, src0]`` flat
+        indices, ``lens`` int64 ``(n_runs,)``; computed once and cached —
+        what the compiled backend's stream kernel launches over (K406
+        ABI, K407 equivalence to the link tables; see
         :func:`repro.core.planmeta.kernel_tables`).
         """
-        cached = getattr(self, "_kernel_tables", None)
-        if cached is None:
-            cached = planmeta_kernel_tables(
+        if self.run_table is None:
+            self.run_table = planmeta_kernel_tables(
                 self.flat_src, self.update_ids, self.num_local
             )
-            self._kernel_tables = cached
-        return cached
+        return self.run_table
 
     def apply(self, f_src: np.ndarray, f_dst: np.ndarray) -> None:
         """Stream + bounce all populations from ``f_src`` into ``f_dst``.

@@ -8,7 +8,7 @@ checker verifies the *message* schedule; this module verifies the *index
 tables* those messages feed — the class of data-movement/synchronization
 bug the paper's DPCT audit calls the hardest to port correctly.
 
-Five rules, mirroring the S3xx structure:
+Seven rules, mirroring the S3xx structure:
 
 ======  ==============================================================
 K401    a flat destination is written more than once per apply
@@ -26,9 +26,14 @@ K405    a read-after-write / write-after-write hazard in the overlap
         and read/write sets ``lbm.distributed.OVERLAP_SCHEDULE``
         declares (the schedule the solver's step loop executes)
 K406    an index table violates the compiled-kernel ABI: the flat
-        gather table and update ids must be int64 and the gather table
-        C-contiguous (the compiled tier indexes them through raw
-        pointers as ``flat_src[qi * n_upd + node]``)
+        gather table, update ids and the ``(heads, lens)`` run table
+        must be int64, the tables C-contiguous and ``heads`` shaped
+        ``(n_runs, 2)`` (the compiled tier indexes them through raw
+        pointers)
+K407    the run table the compiled stream kernel launches over does
+        not expand to exactly the plan's link set — a gap, an overlap,
+        a run crossing the end of ``f`` or longer than the cap (the
+        kernel would copy other data than ``StepPlan.apply`` gathers)
 ======  ==============================================================
 
 :class:`~repro.lbm.distributed.DistributedSolver` runs
@@ -52,6 +57,7 @@ from ..core.planmeta import (
     flat_destinations,
     kernel_abi_issues,
     out_of_range,
+    run_table_issues,
 )
 from .engine import Violation
 
@@ -77,6 +83,7 @@ PLAN_RULES = {
     "exchange-coverage": "K404",
     "phase-hazard": "K405",
     "kernel-abi": "K406",
+    "run-table": "K407",
 }
 
 
@@ -108,13 +115,14 @@ def _ghost_slot_mask(q: int, num_local: int, num_owned: int) -> np.ndarray:
     return mask
 
 
-# -- single-table checks (K401 / K402) -------------------------------------
+# -- single-table checks (K401 / K402 / K406 / K407) -----------------------
 def check_plan_table(
     q: int,
     num_local: int,
     update_ids: np.ndarray,
     flat_src: np.ndarray,
     label: str = "plan",
+    run_table=None,
 ) -> List[PlanIssue]:
     """Verify one flat gather table in isolation.
 
@@ -122,8 +130,11 @@ def check_plan_table(
       per apply (K401);
     * sources are integer-typed and inside the flattened source array,
       destinations inside the local numbering (K402);
-    * the tables honour the compiled-kernel ABI — int64 dtype and a
-      C-contiguous gather table (K406).
+    * the tables honour the compiled-kernel ABI — int64 dtype and
+      C-contiguous (K406);
+    * ``run_table``, the ``(heads, lens)`` pair a compiled engine asked
+      the plan for (None when no engine did), expands to exactly the
+      table's link set (K407).
     """
     issues: List[PlanIssue] = []
     update_ids = np.asarray(update_ids)
@@ -177,8 +188,15 @@ def check_plan_table(
                 "np.take(mode='clip') would silently clamp them",
             )
         )
-    for message in kernel_abi_issues(flat_src, update_ids):
-        issues.append(PlanIssue("kernel-abi", f"{label}: {message}"))
+    abi = kernel_abi_issues(flat_src, update_ids, run_table)
+    issues += [PlanIssue("kernel-abi", f"{label}: {m}") for m in abi]
+    if run_table is not None and not abi:
+        issues += [
+            PlanIssue("run-table", f"{label}: {m}")
+            for m in run_table_issues(
+                *run_table, flat_src, update_ids, num_local
+            )
+        ]
     return issues
 
 
@@ -533,7 +551,12 @@ def check_rank_states(
         q = int(plan.lattice.q)
         label = f"rank {rank}"
         issues += check_plan_table(
-            q, plan.num_local, plan.update_ids, plan.flat_src, label=label
+            q,
+            plan.num_local,
+            plan.update_ids,
+            plan.flat_src,
+            label=label,
+            run_table=getattr(plan, "run_table", None),
         )
         interior = getattr(st, "interior_plan", None)
         frontier = getattr(st, "frontier_plan", None)
@@ -573,13 +596,15 @@ def verify_rank_plans(
 
 def verify_plan(plan: object, context: str = "") -> None:
     """Raise :class:`PlanCheckError` when one single-domain plan's table
-    is invalid (K401/K402; no ghosts, so no partition or exchange)."""
+    is invalid (K401/K402/K406/K407; no ghosts, so no partition or
+    exchange)."""
     issues = check_plan_table(
         int(plan.lattice.q),
         int(plan.num_local),
         plan.update_ids,
         plan.flat_src,
         label=context or "plan",
+        run_table=getattr(plan, "run_table", None),
     )
     if issues:
         detail = "\n".join(f"  [{i.rule}] {i.message}" for i in issues)
@@ -594,7 +619,9 @@ class _RankView:
     """A rank-state stand-in deserialized from a plan document."""
 
     class _PlanView:
-        def __init__(self, q: int, num_local, update_ids, flat_src):
+        def __init__(
+            self, q: int, num_local, update_ids, flat_src, run_table=None
+        ):
             class _Lat:
                 def __init__(self, q: int) -> None:
                     self.q = q
@@ -605,6 +632,12 @@ class _RankView:
             # np.asarray preserves a fractional dtype so K402 reports it
             self.flat_src = np.asarray(flat_src)
             self.num_update = int(self.update_ids.size)
+            self.run_table = None
+            if run_table is not None:
+                self.run_table = (
+                    np.array(run_table["heads"], np.int64).reshape(-1, 2),
+                    np.array(run_table["lens"], np.int64).reshape(-1),
+                )
 
     def __init__(self, q: int, doc: Dict[str, object]) -> None:
         self.rank = int(doc.get("rank", 0))
@@ -612,7 +645,9 @@ class _RankView:
         update_ids = doc["update_ids"]
         flat_src = doc["flat_src"]
         self.num_owned = int(doc.get("num_owned", num_local))
-        self.step_plan = self._PlanView(q, num_local, update_ids, flat_src)
+        self.step_plan = self._PlanView(
+            q, num_local, update_ids, flat_src, doc.get("run_table")
+        )
         self.interior_plan = None
         self.frontier_plan = None
         if "interior" in doc:
@@ -655,6 +690,13 @@ def rank_states_to_dict(
             "update_ids": np.asarray(plan.update_ids).tolist(),
             "flat_src": np.asarray(plan.flat_src).tolist(),
         }
+        run_table = getattr(plan, "run_table", None)
+        if run_table is not None:
+            heads, lens = run_table
+            doc["run_table"] = {
+                "heads": np.asarray(heads).tolist(),
+                "lens": np.asarray(lens).tolist(),
+            }
         interior = getattr(st, "interior_plan", None)
         frontier = getattr(st, "frontier_plan", None)
         if interior is not None and frontier is not None:
@@ -685,7 +727,12 @@ def check_plan_file(path: Union[str, Path]) -> List[Violation]:
         {"q": 19, "overlap": true,
          "ranks": [{"rank": 0, "num_local": 8, "num_owned": 6,
                     "update_ids": [...], "flat_src": [[...]],
+                    "run_table": {"heads": [[dst0, src0], ...],
+                                  "lens": [...]},
                     "pack_flat": {"1": [...]}, "inj_flat": {"1": [...]}}]}
+
+    (``run_table`` is present when a compiled engine launched over the
+    plan; K407 checks it against ``flat_src``.)
 
     A bare single-plan document (``{"q", "num_local", "update_ids",
     "flat_src"}``) is accepted as a one-rank, non-overlap case.

@@ -122,6 +122,7 @@ DPCT_CATEGORY_BY_RULE: Dict[str, str] = {
     "K404": "Error handling",
     "K405": "Functional equivalence",
     "K406": "Functional equivalence",
+    "K407": "Functional equivalence",
     # executor-concurrency races corrupt shared state;
     # process-tier findings fault loudly at dispatch or cleanup time
     "W501": "Functional equivalence",

@@ -285,14 +285,11 @@ def run_kernel_bench(
             base.step_plan.apply(base.f, base._f_tmp)
 
     def stream_compiled(solver: Solver) -> Callable[[], None]:
+        tables = solver.step_plan.kernel_tables()
+
         def run() -> None:
             for _ in range(steps):
-                solver._kern.stream(
-                    solver.f,
-                    solver._f_tmp,
-                    solver._kern_src,
-                    solver._kern_dst,
-                )
+                solver._kern.stream(solver.f, solver._f_tmp, *tables)
 
         return run
 

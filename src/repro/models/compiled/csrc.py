@@ -12,7 +12,8 @@ configuration and is compiled at most twice per host (exact and
 Thread parallelism uses OpenMP when the trial compile accepts
 ``-fopenmp``; the parallel entry points simply run serially otherwise.
 All index tables are ``int64`` and C-contiguous — the ABI contract the
-K406 plan lint enforces.
+K406 plan lint enforces and :class:`~.engine.CompiledKernels` guards at
+every call.
 """
 
 from __future__ import annotations
@@ -195,6 +196,28 @@ static inline void collide_block(double *fb, const int64_t q,
             fb[i * NB + j] = out[i][j];
 }
 
+/* Load, collide and store the nb <= NB nodes starting at node0. */
+static inline void collide_tile(double *f, const int64_t node0,
+                                const int64_t nb, const repro_params *p,
+                                const int64_t q, const double *cf,
+                                const double *w, const int64_t *opp,
+                                const double *M, const double *Minv,
+                                const double *S)
+{
+    const int64_t nl = p->num_local;
+    double fb[QMAX][NB];
+    for (int64_t i = 0; i < q; i++)
+        for (int64_t j = 0; j < nb; j++)
+            fb[i][j] = f[i * nl + node0 + j];
+    collide_block(&fb[0][0], q, nb, p, cf, w, opp, M, Minv, S);
+    for (int64_t i = 0; i < q; i++)
+        for (int64_t j = 0; j < nb; j++)
+            f[i * nl + node0 + j] = fb[i][j];
+}
+
+/* Full blocks pass the compile-time NB, so every `j < nb` loop of the
+ * inlined body gets a fixed-width vector trip; only the one tail block
+ * keeps the runtime count.  Same body, same per-element operation order. */
 static inline void collide_loop(double *f, int64_t n_nodes,
                                 const repro_params *p, const int64_t q,
                                 const double *cf, const double *w,
@@ -202,22 +225,13 @@ static inline void collide_loop(double *f, int64_t n_nodes,
                                 const double *Minv, const double *S,
                                 int64_t par)
 {
-    const int64_t nl = p->num_local;
-    const int64_t nblocks = (n_nodes + NB - 1) / NB;
+    const int64_t nfull = n_nodes / NB;
     #pragma omp parallel for schedule(static) if (par)
-    for (int64_t b = 0; b < nblocks; b++) {
-        const int64_t node0 = b * NB;
-        const int64_t nb =
-            (n_nodes - node0 < NB) ? (n_nodes - node0) : NB;
-        double fb[QMAX][NB];
-        for (int64_t i = 0; i < q; i++)
-            for (int64_t j = 0; j < nb; j++)
-                fb[i][j] = f[i * nl + node0 + j];
-        collide_block(&fb[0][0], q, nb, p, cf, w, opp, M, Minv, S);
-        for (int64_t i = 0; i < q; i++)
-            for (int64_t j = 0; j < nb; j++)
-                f[i * nl + node0 + j] = fb[i][j];
-    }
+    for (int64_t b = 0; b < nfull; b++)
+        collide_tile(f, b * NB, NB, p, q, cf, w, opp, M, Minv, S);
+    if (n_nodes > nfull * NB)
+        collide_tile(f, nfull * NB, n_nodes - nfull * NB, p, q, cf, w, opp,
+                     M, Minv, S);
 }
 
 /* Collide the prefix [0, n_nodes) of f[q, num_local], in place.  The
@@ -234,19 +248,50 @@ void repro_collide(double *f, int64_t n_nodes, const repro_params *p,
         collide_loop(f, n_nodes, p, p->q, cf, w, opp, M, Minv, S, par);
 }
 
-/* Fused streaming + bounce-back: one flat gather over all links. */
-void repro_stream(const double *fsrc, double *fdst, const int64_t *src,
-                  const int64_t *dst, int64_t n_links, int64_t par)
+/* Fused streaming + bounce-back as run-length copies: run r moves
+ * lens[r] consecutive doubles from fsrc + heads[2r+1] to
+ * fdst + heads[2r].  On a compact fluid numbering the links are
+ * overwhelmingly consecutive, so the index stream shrinks from two
+ * int64 per link to three per run. */
+void repro_stream(const double *restrict fsrc, double *restrict fdst,
+                  const int64_t *heads, const int64_t *lens,
+                  int64_t n_runs, int64_t par)
 {
     #pragma omp parallel for schedule(static) if (par)
-    for (int64_t i = 0; i < n_links; i++)
-        fdst[dst[i]] = fsrc[src[i]];
+    for (int64_t r = 0; r < n_runs; r++) {
+        const double *s = fsrc + heads[2 * r + 1];
+        double *d = fdst + heads[2 * r];
+        const int64_t len = lens[r];
+        for (int64_t j = 0; j < len; j++)
+            d[j] = s[j];
+    }
 }
 
 /* Single-pass stream + collide: gather the q populations arriving at
  * each destination block, collide in cache-resident scratch, scatter to
  * the prefix of the double buffer.  One read + one write per population
  * — the paper's one-pass byte accounting. */
+static inline void fused_step_tile(const double *fsrc, double *fdst,
+                                   const int64_t *flat_src, int64_t n_upd,
+                                   const int64_t node0, const int64_t nb,
+                                   const repro_params *p, const int64_t q,
+                                   const double *cf, const double *w,
+                                   const int64_t *opp, const double *M,
+                                   const double *Minv, const double *S)
+{
+    const int64_t nl = p->num_local;
+    double fb[QMAX][NB];
+    for (int64_t i = 0; i < q; i++) {
+        const int64_t *row = flat_src + i * n_upd + node0;
+        for (int64_t j = 0; j < nb; j++)
+            fb[i][j] = fsrc[row[j]];
+    }
+    collide_block(&fb[0][0], q, nb, p, cf, w, opp, M, Minv, S);
+    for (int64_t i = 0; i < q; i++)
+        for (int64_t j = 0; j < nb; j++)
+            fdst[i * nl + node0 + j] = fb[i][j];
+}
+
 static inline void fused_step_loop(const double *fsrc, double *fdst,
                                    const int64_t *flat_src, int64_t n_upd,
                                    const repro_params *p, const int64_t q,
@@ -255,23 +300,14 @@ static inline void fused_step_loop(const double *fsrc, double *fdst,
                                    const double *Minv, const double *S,
                                    int64_t par)
 {
-    const int64_t nl = p->num_local;
-    const int64_t nblocks = (n_upd + NB - 1) / NB;
+    const int64_t nfull = n_upd / NB;
     #pragma omp parallel for schedule(static) if (par)
-    for (int64_t b = 0; b < nblocks; b++) {
-        const int64_t node0 = b * NB;
-        const int64_t nb = (n_upd - node0 < NB) ? (n_upd - node0) : NB;
-        double fb[QMAX][NB];
-        for (int64_t i = 0; i < q; i++) {
-            const int64_t *row = flat_src + i * n_upd + node0;
-            for (int64_t j = 0; j < nb; j++)
-                fb[i][j] = fsrc[row[j]];
-        }
-        collide_block(&fb[0][0], q, nb, p, cf, w, opp, M, Minv, S);
-        for (int64_t i = 0; i < q; i++)
-            for (int64_t j = 0; j < nb; j++)
-                fdst[i * nl + node0 + j] = fb[i][j];
-    }
+    for (int64_t b = 0; b < nfull; b++)
+        fused_step_tile(fsrc, fdst, flat_src, n_upd, b * NB, NB, p, q, cf,
+                        w, opp, M, Minv, S);
+    if (n_upd > nfull * NB)
+        fused_step_tile(fsrc, fdst, flat_src, n_upd, nfull * NB,
+                        n_upd - nfull * NB, p, q, cf, w, opp, M, Minv, S);
 }
 
 void repro_fused_step(const double *fsrc, double *fdst,
@@ -344,7 +380,10 @@ def _cache_dir() -> str:
 
 
 def _try_compile(cc: str, src_path: str, out_path: str, flags) -> bool:
-    cmd = [cc, "-O3", "-shared", "-fPIC", *flags, src_path, "-o", out_path]
+    """Build ``out_path``; concurrent processes race benignly to an
+    identical file (built under a temp name, then renamed)."""
+    tmp_path = f"{out_path}.{os.getpid()}.tmp"
+    cmd = [cc, "-O3", "-shared", "-fPIC", *flags, src_path, "-o", tmp_path]
     try:
         proc = subprocess.run(
             cmd,
@@ -355,24 +394,37 @@ def _try_compile(cc: str, src_path: str, out_path: str, flags) -> bool:
         )
     except (OSError, subprocess.SubprocessError):
         return False
-    return proc.returncode == 0 and os.path.exists(out_path)
+    if proc.returncode != 0 or not os.path.exists(tmp_path):
+        return False
+    os.replace(tmp_path, out_path)
+    return True
 
 
 def _detect_compiler() -> Optional[Tuple[str, bool]]:
-    """Find ``(compiler, openmp_ok)`` by trial-compiling a tiny kernel."""
-    probe = "int repro_probe(int x) { return x + 1; }\n"
+    """Find ``(compiler, openmp_ok)`` by trial-compiling a tiny kernel.
+
+    The probe objects persist in the cache directory under a name keyed
+    by the compiler's resolved path, so only the first process on a host
+    spawns the trial compiles; later ones find ``probe-<hash>.so`` /
+    ``-omp.so`` and spawn nothing.  A compiler that no longer resolves
+    is not a candidate, whatever the cache holds.
+    """
     cache = _cache_dir()
     src_path = os.path.join(cache, "probe.c")
-    with open(src_path, "w", encoding="utf-8") as fh:
-        fh.write(probe)
+
+    def probe(cc: str, out_path: str, flags) -> bool:
+        if os.path.exists(out_path):
+            return True
+        with open(src_path, "w", encoding="utf-8") as fh:
+            fh.write("int repro_probe(int x) { return x + 1; }\n")
+        return _try_compile(cc, src_path, out_path, flags)
+
     for cc in _candidate_compilers():
         base = os.path.join(
             cache, f"probe-{hashlib.sha256(cc.encode()).hexdigest()[:8]}"
         )
-        if not _try_compile(cc, src_path, base + ".so", []):
-            continue
-        openmp = _try_compile(cc, src_path, base + "-omp.so", ["-fopenmp"])
-        return cc, openmp
+        if probe(cc, base + ".so", []):
+            return cc, probe(cc, base + "-omp.so", ["-fopenmp"])
     return None
 
 
@@ -433,29 +485,31 @@ class KernelLib:
     def _i64(arr: np.ndarray):
         return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
 
-    def collide(self, f, n_nodes, params, tables, par: bool) -> None:
-        cf, w, opp, M, Minv, S = tables
-        self._lib.repro_collide(
-            self._dbl(f), n_nodes, ctypes.byref(params), self._dbl(cf),
-            self._dbl(w), self._i64(opp), self._dbl(M), self._dbl(Minv),
-            self._dbl(S), int(par),
+    def table_pointers(self, cf, w, opp, M, Minv, S) -> tuple:
+        """The six constant-table arguments of ``collide``/``fused_step``,
+        derived once per engine; the caller keeps the arrays alive."""
+        return (
+            self._dbl(cf), self._dbl(w), self._i64(opp), self._dbl(M),
+            self._dbl(Minv), self._dbl(S),
         )
 
-    def stream(self, f_src, f_dst, src, dst, par: bool) -> None:
+    def collide(self, f, n_nodes, params, tables, par: bool) -> None:
+        self._lib.repro_collide(
+            self._dbl(f), n_nodes, ctypes.byref(params), *tables, int(par)
+        )
+
+    def stream(self, f_src, f_dst, heads, lens, par: bool) -> None:
         self._lib.repro_stream(
-            self._dbl(f_src), self._dbl(f_dst), self._i64(src),
-            self._i64(dst), src.size, int(par),
+            self._dbl(f_src), self._dbl(f_dst), self._i64(heads),
+            self._i64(lens), lens.size, int(par),
         )
 
     def fused_step(
         self, f_src, f_dst, flat_src, n_upd, params, tables, par: bool
     ) -> None:
-        cf, w, opp, M, Minv, S = tables
         self._lib.repro_fused_step(
             self._dbl(f_src), self._dbl(f_dst), self._i64(flat_src), n_upd,
-            ctypes.byref(params), self._dbl(cf), self._dbl(w),
-            self._i64(opp), self._dbl(M), self._dbl(Minv), self._dbl(S),
-            int(par),
+            ctypes.byref(params), *tables, int(par),
         )
 
 
@@ -493,11 +547,7 @@ def load_kernels(fastmath: bool) -> KernelLib:
             src_path = os.path.join(cache, f"reprolbm-{tag}.c")
             with open(src_path, "w", encoding="utf-8") as fh:
                 fh.write(source)
-            # build to a temp name then rename: concurrent processes race
-            # benignly to an identical file
-            tmp_path = f"{candidate}.{os.getpid()}.tmp"
-            if _try_compile(cc, src_path, tmp_path, flags):
-                os.replace(tmp_path, candidate)
+            if _try_compile(cc, src_path, candidate, flags):
                 so_path = candidate
                 break
         if so_path is None:

@@ -9,16 +9,22 @@ needs:
     In-place collision on the prefix ``[0, n_nodes)`` of ``f[q, n]``
     (the single-domain solver passes every node; the distributed solver
     passes the owned prefix).
-``stream(f_src, f_dst, src, dst)``
-    The fused streaming + bounce-back gather over flat int64 link
-    tables — exactly :meth:`repro.lbm.stream.StepPlan.kernel_tables`.
+``stream(f_src, f_dst, heads, lens)``
+    The fused streaming + bounce-back gather as run-length copies over
+    the int64 ``(heads, lens)`` run table — exactly
+    :meth:`repro.lbm.stream.StepPlan.kernel_tables`.
 ``fused_step(f_src, f_dst, flat_src)``
     Single-pass stream + collide into the prefix of the double buffer:
     one read and one write per population (the paper's one-pass byte
-    accounting, ~2x less traffic than the two-pass path).
+    accounting; on CPU hosts the per-link index stream makes it slower
+    than collide + stream — EXPERIMENTS.md — so no solver calls it).
 
 Kernel inputs follow the K406 ABI contract: int64, C-contiguous index
-tables; float64, C-contiguous distribution arrays.
+tables; float64, C-contiguous distribution arrays.  The kernels index
+through raw pointers, so each entry point checks that contract in O(1)
+and raises :class:`~repro.core.errors.ConfigError` naming the argument;
+table *contents* (bounds, run/link equivalence) are the K402/K407
+pre-flight's job.
 """
 
 from __future__ import annotations
@@ -33,6 +39,28 @@ from .availability import normalize_backend, require_compiled
 from .kernels_py import OP_BGK, OP_MRT, OP_TRT
 
 __all__ = ["CompiledKernels", "collision_op_code"]
+
+
+def _require_abi(name: str, arr, dtype, shape=None) -> None:
+    """O(1) guard in front of a raw-pointer kernel argument."""
+    if (
+        not isinstance(arr, np.ndarray)
+        or arr.dtype != dtype
+        or not arr.flags.c_contiguous
+        or (shape is not None and arr.shape != shape)
+    ):
+        want = f"C-contiguous {np.dtype(dtype).name} ndarray"
+        if shape is not None:
+            want += f" of shape {shape}"
+        got = (
+            f"{arr.dtype} {arr.shape}"
+            + ("" if arr.flags.c_contiguous else " non-contiguous")
+            if isinstance(arr, np.ndarray)
+            else type(arr).__name__
+        )
+        raise ConfigError(
+            f"compiled kernel ABI: {name} must be a {want}, got {got}"
+        )
 
 
 def collision_op_code(collision) -> int:
@@ -129,40 +157,57 @@ class CompiledKernels:
             parallel=self.parallel, fastmath=self.fastmath, cache=True
         )
         self._nb_collide = jit(kernels_py.collide_nodes_loop)
-        self._nb_stream = jit(kernels_py.stream_links_loop)
+        self._nb_stream = jit(kernels_py.stream_runs_loop)
         self._nb_fused_step = jit(kernels_py.fused_step_loop)
 
     def _bind_cgen(self) -> None:
         from . import csrc
 
         self._clib = csrc.load_kernels(fastmath=self.fastmath)
-        self._ctables = (
+        # pointers to the six constant tables, derived once (the arrays
+        # stay alive on self), and one parameter struct per num_local
+        self._ctables = self._clib.table_pointers(
             self.cf, self.w, self.opp, self.M, self.Minv, self.S
         )
+        self._cparam_cache: dict = {}
 
     def _cparams(self, num_local: int):
-        from . import csrc
+        params = self._cparam_cache.get(num_local)
+        if params is None:
+            from . import csrc
 
-        return csrc.Params(
-            q=self.q,
-            num_local=int(num_local),
-            op=self.op,
-            has_force=int(self.has_force),
-            inv_cs2=self.inv_cs2,
-            omega=self.omega,
-            omega_minus=self.omega_minus,
-            guo_pref=self.guo_pref,
-            guo_pref_minus=self.guo_pref_minus,
-            fx=self.fx,
-            fy=self.fy,
-            fz=self.fz,
-        )
+            params = self._cparam_cache[num_local] = csrc.Params(
+                q=self.q,
+                num_local=int(num_local),
+                op=self.op,
+                has_force=int(self.has_force),
+                inv_cs2=self.inv_cs2,
+                omega=self.omega,
+                omega_minus=self.omega_minus,
+                guo_pref=self.guo_pref,
+                guo_pref_minus=self.guo_pref_minus,
+                fx=self.fx,
+                fy=self.fy,
+                fz=self.fz,
+            )
+        return params
 
     # -- kernels ------------------------------------------------------------
     def collide(self, f: np.ndarray, n_nodes: Optional[int] = None) -> None:
         """Collide the prefix ``[0, n_nodes)`` of ``f[q, n]`` in place."""
+        _require_abi("f", f, np.float64)
+        if f.ndim != 2 or f.shape[0] != self.q:
+            raise ConfigError(
+                f"compiled kernel ABI: f must be (q={self.q}, n), "
+                f"got {f.shape}"
+            )
         num_local = f.shape[1]
         n = num_local if n_nodes is None else int(n_nodes)
+        if not 0 <= n <= num_local:
+            raise ConfigError(
+                f"compiled kernel ABI: n_nodes {n} outside "
+                f"[0, f.shape[1] = {num_local}]"
+            )
         if self.provider == "cgen":
             self._clib.collide(
                 f, n, self._cparams(num_local), self._ctables, self.parallel
@@ -179,15 +224,24 @@ class CompiledKernels:
         self,
         f_src: np.ndarray,
         f_dst: np.ndarray,
-        src: np.ndarray,
-        dst: np.ndarray,
+        heads: np.ndarray,
+        lens: np.ndarray,
     ) -> None:
-        """Fused streaming + bounce-back over flat int64 link tables."""
+        """Fused streaming + bounce-back over a ``(heads, lens)`` run table.
+
+        Run ``r`` copies ``lens[r]`` consecutive elements of the
+        flattened ``f_src`` from ``heads[r, 1]`` to ``heads[r, 0]`` of the
+        flattened ``f_dst`` (see :func:`repro.core.planmeta.kernel_tables`).
+        """
+        _require_abi("f_src", f_src, np.float64)
+        _require_abi("f_dst", f_dst, np.float64, f_src.shape)
+        _require_abi("lens", lens, np.int64, (np.size(lens),))
+        _require_abi("heads", heads, np.int64, (lens.size, 2))
         if self.provider == "cgen":
-            self._clib.stream(f_src, f_dst, src, dst, self.parallel)
+            self._clib.stream(f_src, f_dst, heads, lens, self.parallel)
             return
         self._nb_stream(
-            f_src.reshape(-1), f_dst.reshape(-1), src, dst, src.size
+            f_src.reshape(-1), f_dst.reshape(-1), heads, lens, lens.size
         )
 
     def fused_step(
@@ -202,6 +256,20 @@ class CompiledKernels:
         prefix :class:`~repro.lbm.stream.StepPlan`; destination node
         ``j`` lands at column ``j`` of ``f_dst``.
         """
+        _require_abi("f_src", f_src, np.float64)
+        _require_abi("f_dst", f_dst, np.float64, f_src.shape)
+        _require_abi("flat_src", flat_src, np.int64)
+        if (
+            f_dst.ndim != 2
+            or flat_src.ndim != 2
+            or not f_dst.shape[0] == flat_src.shape[0] == self.q
+            or flat_src.shape[1] > f_dst.shape[1]
+        ):
+            raise ConfigError(
+                f"compiled kernel ABI: flat_src {flat_src.shape} must be "
+                f"(q={self.q}, n_upd) with n_upd <= f.shape[1]; "
+                f"f is {f_dst.shape}"
+            )
         n_upd = flat_src.shape[1]
         num_local = f_dst.shape[1]
         if self.provider == "cgen":

@@ -29,7 +29,7 @@ __all__ = [
     "OP_TRT",
     "OP_MRT",
     "collide_nodes_loop",
-    "stream_links_loop",
+    "stream_runs_loop",
     "fused_step_loop",
 ]
 
@@ -154,10 +154,15 @@ def collide_nodes_loop(
             f[i * num_local + node] = out[i]
 
 
-def stream_links_loop(f_src, f_dst, src, dst, n_links):
-    """Fused streaming + bounce-back over flat 1-D views and tables."""
-    for i in prange(n_links):
-        f_dst[dst[i]] = f_src[src[i]]
+def stream_runs_loop(f_src, f_dst, heads, lens, n_runs):
+    """Fused streaming + bounce-back as run-length copies over flat 1-D
+    views: run ``r`` moves ``lens[r]`` consecutive elements from
+    ``heads[r, 1]`` to ``heads[r, 0]``."""
+    for r in prange(n_runs):
+        d0 = heads[r, 0]
+        s0 = heads[r, 1]
+        for j in range(lens[r]):
+            f_dst[d0 + j] = f_src[s0 + j]
 
 
 def fused_step_loop(

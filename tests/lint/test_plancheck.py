@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import PlanCheckError
+from repro.core.planmeta import KERNEL_RUN_CAP, kernel_tables
 from repro.decomp import axis_decompose
 from repro.geometry import CylinderSpec, make_cylinder
 from repro.lbm import DistributedSolver, SolverConfig
@@ -126,6 +127,145 @@ class TestPlanTable:
 
         with pytest.raises(PlanCheckError, match=r"\[K401\]"):
             verify_plan(_Plan())
+
+
+class TestRunTable:
+    """K406 / K407 on the ``(heads, lens)`` table the compiled stream
+    kernel launches over: take the table a real rank plan builds, break
+    it by hand, and the offending run is named."""
+
+    @pytest.fixture
+    def solver(self, grid):
+        solver = make_solver(grid, num_ranks=2)
+        for st in solver.ranks:
+            st.step_plan.kernel_tables()
+        return solver
+
+    def _break(self, solver, mutate):
+        plan = solver.ranks[1].step_plan
+        heads, lens = kernel_tables(
+            plan.flat_src, plan.update_ids, plan.num_local
+        )
+        plan.run_table = mutate(heads, lens) or (heads, lens)
+        return check_rank_states(solver.ranks)
+
+    def test_no_table_means_nothing_to_check(self, grid):
+        solver = make_solver(grid, num_ranks=2)
+        assert all(st.step_plan.run_table is None for st in solver.ranks)
+        assert check_rank_states(solver.ranks) == []
+
+    def test_clean_tables_pass(self, solver):
+        assert check_rank_states(solver.ranks) == []
+
+    def test_shifted_source_names_the_run(self, solver):
+        def mutate(heads, lens):
+            heads[7, 1] += 1
+
+        issues = self._break(solver, mutate)
+        assert _rules(issues) == ["K407"]
+        assert "rank 1: run 7 " in issues[0].message
+
+    def test_gap_names_the_run_after_it(self, solver):
+        issues = self._break(
+            solver, lambda h, l: (np.delete(h, 5, axis=0), np.delete(l, 5))
+        )
+        assert _rules(issues) == ["K407"]
+        assert "run 5 " in issues[0].message and "gap" in issues[0].message
+
+    def test_dropped_last_run_is_a_gap(self, solver):
+        issues = self._break(solver, lambda h, l: (h[:-1].copy(), l[:-1].copy()))
+        assert _rules(issues) == ["K407"]
+        assert "gap follows the last run" in issues[0].message
+
+    def test_overlap_names_the_run_after_it(self, solver):
+        num_local = solver.ranks[1].step_plan.num_local
+        found = []
+
+        def mutate(heads, lens):
+            # a run with its successor in the same population row
+            pop = heads[:, 0] // num_local
+            r = int(np.flatnonzero(pop[:-1] == pop[1:])[0])
+            found.append(r)
+            lens[r] += 1
+
+        issues = self._break(solver, mutate)
+        assert _rules(issues) == ["K407"]
+        assert f"run {found[0] + 1} " in issues[0].message
+
+    def test_overlap_past_a_row_end_names_the_run(self, solver):
+        def mutate(heads, lens):
+            lens[-1] += 1
+
+        issues = self._break(solver, mutate)
+        assert _rules(issues) == ["K407"]
+        assert "end of" in issues[0].message
+
+    def test_merged_runs_copy_across_a_break(self, solver):
+        # two runs fused into one: the right length, the wrong elements
+        def mutate(heads, lens):
+            merged = lens.copy()
+            merged[9] += merged[10]
+            return np.delete(heads, 10, axis=0), np.delete(merged, 10)
+
+        issues = self._break(solver, mutate)
+        assert _rules(issues) == ["K407"]
+        assert "run 9 " in issues[0].message
+        assert "consecutive" in issues[0].message
+
+    def test_run_past_the_end_of_f(self, solver):
+        plan = solver.ranks[1].step_plan
+
+        def mutate(heads, lens):
+            heads[-1, 0] = plan.lattice.q * plan.num_local - 1
+            lens[-1] = max(int(lens[-1]), 2)
+
+        issues = self._break(solver, mutate)
+        assert _rules(issues) == ["K407"]
+        assert f"run {plan.run_table[1].size - 1} " in issues[0].message
+        assert "end of f" in issues[0].message
+
+    def test_run_longer_than_the_cap(self, solver):
+        def mutate(heads, lens):
+            lens[2] = KERNEL_RUN_CAP + 1
+
+        issues = self._break(solver, mutate)
+        assert _rules(issues) == ["K407"]
+        assert "run 2 " in issues[0].message
+        assert str(KERNEL_RUN_CAP) in issues[0].message
+
+    def test_abi_violations_are_k406(self, solver):
+        issues = self._break(solver, lambda h, l: (h, l.astype(np.int32)))
+        assert _rules(issues) == ["K406"]
+        assert "lens" in issues[0].message
+        issues = self._break(
+            solver, lambda h, l: (np.ascontiguousarray(h.T), l)
+        )
+        assert _rules(issues) == ["K406"]
+        assert "(n_runs, 2)" in issues[0].message
+        issues = self._break(solver, lambda h, l: (np.asfortranarray(h), l))
+        assert _rules(issues) == ["K406"]
+        assert "C-contiguous" in issues[0].message
+
+    def test_preflights_raise(self, solver):
+        plan = solver.ranks[0].step_plan
+        plan.run_table[0][0, 1] += 1
+        with pytest.raises(PlanCheckError, match=r"\[K407\] rank 0: run 0 "):
+            verify_rank_plans(solver.ranks)
+        with pytest.raises(PlanCheckError, match=r"\[K407\]"):
+            verify_plan(plan)
+
+    def test_document_round_trip_and_select(self, solver, tmp_path):
+        doc = rank_states_to_dict(solver.ranks)
+        assert all("run_table" in rank for rank in doc["ranks"])
+        p = tmp_path / "runs.stepplan.json"
+        p.write_text(json.dumps(doc))
+        assert check_plan_file(p) == []
+        doc["ranks"][0]["run_table"]["heads"][11][0] += 2
+        p.write_text(json.dumps(doc))
+        only = LintEngine().select(["K407"]).run([tmp_path])
+        assert [v.rule for v in only.violations] == ["K407"]
+        assert "rank 0: run 11 " in only.violations[0].message
+        assert LintEngine().select(["K406"]).run([tmp_path]).violations == []
 
 
 class TestPartition:
@@ -395,4 +535,5 @@ class TestPlanDocuments:
             "K404",
             "K405",
             "K406",
+            "K407",
         ]

@@ -158,21 +158,64 @@ class TestCompiledKernels:
         kern.collide(f, n)
         assert np.array_equal(ref, f)
 
-    def test_stream_matches_flat_gather(self):
-        kern = self.make()
+    @staticmethod
+    def _links(n_upd=4, nodes=16):
+        """Random duplicate-free links over a (q, nodes) array, as the
+        (q, n_upd) gather table ``planmeta.kernel_tables`` consumes."""
         rng = np.random.default_rng(5)
-        n_links = 64
-        size = D3Q19.q * 16
-        src = rng.integers(0, size, n_links).astype(np.int64)
-        dst = np.random.default_rng(6).permutation(size)[:n_links].astype(
-            np.int64
-        )
-        f_src = rng.random(size)
-        f_dst = np.zeros(size)
-        kern.stream(f_src, f_dst, src, dst)
-        ref = np.zeros(size)
-        ref[dst] = f_src[src]
+        q = D3Q19.q
+        ids = np.sort(rng.permutation(nodes)[:n_upd]).astype(np.int64)
+        flat_src = rng.integers(0, q * nodes, (q, n_upd)).astype(np.int64)
+        return ids, flat_src, nodes
+
+    def test_stream_matches_flat_gather(self):
+        from repro.core.planmeta import flat_destinations, kernel_tables
+
+        kern = self.make()
+        ids, flat_src, nodes = self._links()
+        heads, lens = kernel_tables(flat_src, ids, nodes)
+        f_src = np.random.default_rng(7).random((D3Q19.q, nodes))
+        f_dst = np.zeros_like(f_src)
+        kern.stream(f_src, f_dst, heads, lens)
+        ref = np.zeros_like(f_src)
+        dst = flat_destinations(ids, nodes, D3Q19.q)
+        ref.reshape(-1)[dst.reshape(-1)] = f_src.reshape(-1)[
+            flat_src.reshape(-1)
+        ]
         assert np.array_equal(ref, f_dst)
+
+    def test_malformed_tables_raise_instead_of_faulting(self):
+        # the kernels index through raw pointers: a table of the wrong
+        # dtype/layout used to take the interpreter down with it
+        from repro.core.planmeta import kernel_tables
+
+        kern = self.make()
+        ids, flat_src, nodes = self._links()
+        heads, lens = kernel_tables(flat_src, ids, nodes)
+        f = np.random.default_rng(7).random((D3Q19.q, nodes))
+        out = np.zeros_like(f)
+        with pytest.raises(ConfigError, match="heads"):
+            # raw per-link arrays, the pre-run-table call shape
+            kern.stream(f, out, flat_src.reshape(-1), lens)
+        with pytest.raises(ConfigError, match="lens"):
+            kern.stream(f, out, heads, lens.astype(np.int32))
+        with pytest.raises(ConfigError, match="heads"):
+            kern.stream(f, out, np.ascontiguousarray(heads.T), lens)
+        with pytest.raises(ConfigError, match="heads"):
+            kern.stream(f, out, np.asfortranarray(heads), lens)
+        with pytest.raises(ConfigError, match="f_src"):
+            kern.stream(np.asfortranarray(f), out, heads, lens)
+        with pytest.raises(ConfigError, match="f_dst"):
+            kern.stream(f, out[:, :-1], heads, lens)
+        with pytest.raises(ConfigError, match="f must"):
+            kern.collide(np.asfortranarray(f))
+        with pytest.raises(ConfigError, match="n_nodes"):
+            kern.collide(f, nodes + 1)
+        with pytest.raises(ConfigError, match="flat_src"):
+            kern.fused_step(f, out, flat_src[:-1])
+        with pytest.raises(ConfigError, match="flat_src"):
+            kern.fused_step(f, out, flat_src.astype(np.int32))
+        assert not out.any()
 
 
 @compiled_only
