@@ -1,38 +1,12 @@
-"""Benchmark history and regression gating.
+"""Result provenance shared by every measured document.
 
-The continuous-benchmarking layer over the wall-clock microbenchmarks
-(``repro bench kernels`` / ``repro bench overlap``): every run can append
-a schema-versioned record — git sha, host fingerprint, config echo,
-timestamp, full result — to ``BENCH_HISTORY.jsonl``, and ``repro perf
-gate`` compares a fresh (or supplied) result against the committed
-baselines with noise-aware tolerance bands, failing CI when performance
-drifts.  The BabelStream-style portability studies this repo reproduces
-track exactly this kind of per-commit perf trajectory (PAPERS.md:
-Deakin et al.).
+The wall-clock benchmark and regression gate live outside the package,
+in ``benchmarks/ladder/`` (``run.py --out`` measures, ``run.py
+--compare`` gates; ``BENCH_ladder.json`` is the committed record).  What
+stays here is what those documents and the campaign store share: the
+``meta`` provenance block and the config content address.
 """
 
-from .gate import DriftReport, MetricComparison, compare_results
-from .history import (
-    SCHEMA_VERSION,
-    append_record,
-    config_hash,
-    config_signature,
-    extract_metric,
-    git_sha,
-    load_records,
-    make_meta,
-)
+from .history import SCHEMA_VERSION, config_hash, git_sha, make_meta
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "make_meta",
-    "git_sha",
-    "append_record",
-    "load_records",
-    "extract_metric",
-    "config_hash",
-    "config_signature",
-    "MetricComparison",
-    "DriftReport",
-    "compare_results",
-]
+__all__ = ["SCHEMA_VERSION", "make_meta", "git_sha", "config_hash"]

@@ -294,7 +294,6 @@ def build_report(store: ResultStore) -> Dict[str, Any]:
         )
     perf = _ok_results(records, "perf")
     solver = _ok_results(records, "solver")
-    micro = _ok_results(records, "microbench")
     scaling = _scaling_rows(perf)
     solver_rows = _solver_rows(solver)
     return {
@@ -304,7 +303,6 @@ def build_report(store: ResultStore) -> Dict[str, Any]:
         "portability": _portability(scaling),
         "host_portability": _host_portability(solver_rows),
         "solver": solver_rows,
-        "microbench": micro,
     }
 
 

@@ -18,8 +18,7 @@ into a guaranteed failure.
 
 Cell runners dispatch to the stack's existing entry points: ``solver``
 drives :class:`~repro.harvey.app.HarveyApp` functionally, ``perf``
-prices scaling points through the performance simulator, ``microbench``
-wraps the kernel/overlap benchmarks.
+prices scaling points through the performance simulator.
 """
 
 from __future__ import annotations
@@ -65,14 +64,6 @@ _PARAMS: Dict[str, Dict[str, Any]] = {
         "workload": (False, "cylinder"),
         "app": (False, "harvey"),
         "size": (False, None),
-    },
-    "microbench": {
-        "bench": (False, "kernels"),
-        "scale": (False, 1.0),
-        "steps": (False, 5),
-        "reps": (False, 1),
-        "rank_counts": (False, (2, 4)),
-        "backend": (False, "numpy"),
     },
 }
 
@@ -319,45 +310,9 @@ def _run_perf_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _run_microbench_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    bench = str(params["bench"])
-    if bench == "kernels":
-        from ..microbench.kernels import run_kernel_bench
-
-        backend = str(params["backend"])
-        result = run_kernel_bench(
-            scale=float(params["scale"]),
-            steps=int(params["steps"]),
-            reps=int(params["reps"]),
-            backend=None if backend == "numpy" else backend,
-        )
-    elif bench == "overlap":
-        from ..microbench.overlap import run_overlap_bench
-
-        result = run_overlap_bench(
-            scale=float(params["scale"]),
-            steps=int(params["steps"]),
-            reps=int(params["reps"]),
-            rank_counts=tuple(
-                int(r) for r in params["rank_counts"]
-            ),
-        )
-    else:
-        raise CampaignError(
-            f"unknown microbench {bench!r}; expected 'kernels' or "
-            "'overlap'"
-        )
-    doc = result.to_dict()
-    doc["kind"] = "microbench"
-    # the store record carries its own provenance block
-    doc.pop("meta", None)
-    return doc
-
-
 _EXECUTORS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
     "solver": _run_solver_cell,
     "perf": _run_perf_cell,
-    "microbench": _run_microbench_cell,
 }
 
 

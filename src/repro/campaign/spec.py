@@ -25,9 +25,9 @@ ranks, which oversubscribes the cores — before anything executes:
     }
 
 Cells are content-addressed: a cell's key is the stable
-:func:`repro.bench.config_hash` of its runner plus parameters, so the
-same logical cell always lands on the same result-store record no matter
-how the spec is reordered or which sweep produced it.
+:func:`repro.bench.history.config_hash` of its runner plus parameters,
+so the same logical cell always lands on the same result-store record no
+matter how the spec is reordered or which sweep produced it.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ __all__ = [
 _PathLike = Union[str, pathlib.Path]
 
 #: Cell executors the runner layer implements.
-RUNNER_NAMES = ("solver", "perf", "microbench")
+RUNNER_NAMES = ("solver", "perf")
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 A store is a directory holding one JSON file per executed cell, named by
 the cell's :attr:`~repro.campaign.spec.Cell.key` (the stable
-:func:`repro.bench.config_hash` of its runner + parameters).  Each
-record carries the cell identity, outcome, result document, and a
-schema-v2 :func:`repro.bench.make_meta` provenance block:
+:func:`repro.bench.history.config_hash` of its runner + parameters).
+Each record carries the cell identity, outcome, result document, and a
+schema-v2 :func:`repro.bench.history.make_meta` provenance block:
 
 .. code-block:: json
 

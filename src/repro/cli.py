@@ -29,15 +29,9 @@ Commands
 ``telemetry``
     Inspect telemetry artefacts: ``summarize`` a ``--trace-out`` file,
     or ``postmortem`` a crash bundle written by ``--postmortem-out``.
-``bench``
-    Wall-clock microbenchmarks (``kernels``, ``overlap``) with
-    benchmark-history recording.
 ``profile``
     Profiling layer (``run``): spans + byte counters joined with the
     performance model into per-phase/per-window efficiency tables.
-``perf``
-    Performance regression tooling (``gate``): compare current results
-    against committed baselines with noise-aware tolerance bands.
 ``lint``
     Static-analysis gate: backend-conformance, hot-path purity, and
     communication-schedule rules over the source tree.
@@ -213,107 +207,6 @@ def _cmd_telemetry_postmortem(args: argparse.Namespace) -> int:
     return 0
 
 
-def _append_bench_history(result, args: argparse.Namespace) -> None:
-    if getattr(args, "no_history", False) or not args.history:
-        return
-    from .bench import append_record
-
-    append_record(args.history, result.to_dict())
-    print(f"history record appended to {args.history}")
-
-
-def _cmd_bench_kernels(args: argparse.Namespace) -> int:
-    from .core.errors import BackendUnavailableError
-    from .microbench import run_kernel_bench
-
-    scale = 0.5 if args.quick else args.scale
-    steps = 5 if args.quick else args.steps
-    reps = 2 if args.quick else args.reps
-    try:
-        result = run_kernel_bench(
-            scale=scale, steps=steps, reps=reps, backend=args.backend
-        )
-    except BackendUnavailableError as exc:
-        print(f"error: backend {args.backend!r}: {exc}", file=sys.stderr)
-        return 2
-    print(result.format_text())
-    if args.output:
-        result.write(args.output)
-        print(f"written to {args.output}")
-    _append_bench_history(result, args)
-    if args.assert_speedup is not None:
-        speedup = result.compiled_step_speedup or 0.0
-        if speedup < args.assert_speedup:
-            print(
-                f"error: compiled step speedup {speedup:.2f}x below "
-                f"required {args.assert_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"compiled step speedup {speedup:.2f}x >= "
-            f"{args.assert_speedup:.2f}x"
-        )
-    return 0
-
-
-def _cmd_bench_overlap(args: argparse.Namespace) -> int:
-    from .microbench import run_overlap_bench
-
-    # best-of-5 with a longer timed section: single-rep 5-step timings
-    # are noisy enough to flip the overlap-vs-lockstep comparison on a
-    # loaded CI host, and the smoke job gates on it.
-    scale = 0.5 if args.quick else args.scale
-    steps = 8 if args.quick else args.steps
-    reps = 5 if args.quick else args.reps
-    result = run_overlap_bench(
-        scale=scale, steps=steps, reps=reps, rank_counts=args.ranks,
-        executors=args.executors,
-    )
-    print(result.format_text())
-    if args.output:
-        result.write(args.output)
-        print(f"written to {args.output}")
-    _append_bench_history(result, args)
-    if args.assert_speedup is not None:
-        worst = result.min_speedup(min_ranks=args.min_ranks)
-        if worst < args.assert_speedup:
-            print(
-                f"error: overlap speedup {worst:.2f}x at >= "
-                f"{args.min_ranks} ranks below required "
-                f"{args.assert_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"overlap speedup {worst:.2f}x >= {args.assert_speedup:.2f}x "
-            f"at >= {args.min_ranks} ranks"
-        )
-    if args.assert_scaling is not None:
-        if result.core_bound:
-            print(
-                "scaling assertion skipped: host has 1 CPU core, so "
-                "process-executor rows are core-bound, not scaling"
-            )
-        else:
-            worst = result.min_speedup_vs_single(
-                "overlap+process", min_ranks=args.min_ranks
-            )
-            if worst < args.assert_scaling:
-                print(
-                    f"error: overlap+process speedup {worst:.2f}x over "
-                    f"single-rank at >= {args.min_ranks} ranks below "
-                    f"required {args.assert_scaling:.2f}x",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"overlap+process scaling {worst:.2f}x >= "
-                f"{args.assert_scaling:.2f}x at >= {args.min_ranks} ranks"
-            )
-    return 0
-
-
 def _cmd_profile_run(args: argparse.Namespace) -> int:
     import json
 
@@ -362,116 +255,6 @@ def _cmd_profile_run(args: argparse.Namespace) -> int:
         path = write_metrics(get_registry(), args.metrics_out)
         print(f"metrics written to {path}")
     return 0
-
-
-def _gate_current_result(kind: str, baseline: dict, args: argparse.Namespace):
-    """Produce the current-run result a gate baseline is compared to.
-
-    Re-runs the benchmark with the baseline's own config echo when one
-    is recorded (so config signatures match and absolute metrics become
-    comparable on the same host), or the CI quick presets under
-    ``--quick``.
-    """
-    config = (baseline.get("meta") or {}).get("config") or {}
-    if kind == "kernels":
-        from .microbench import run_kernel_bench
-
-        backend = config.get("backend")
-        if backend is not None:
-            from .models.compiled import compiled_available
-
-            if not compiled_available():
-                print(
-                    f"note: baseline backend {backend!r} unavailable "
-                    "here; re-running NumPy-only (compiled metrics "
-                    "will be skipped as missing)",
-                    file=sys.stderr,
-                )
-                backend = None
-        if args.quick:
-            return run_kernel_bench(
-                scale=0.5, steps=5, reps=2, backend=backend
-            ).to_dict()
-        return run_kernel_bench(
-            scale=config.get("scale", 1.0),
-            steps=config.get("steps", 20),
-            reps=config.get("reps", 3),
-            backend=backend,
-        ).to_dict()
-    from .microbench import run_overlap_bench
-
-    executors = config.get("executors")
-    if args.quick:
-        return run_overlap_bench(
-            scale=0.5, steps=8, reps=5, executors=executors
-        ).to_dict()
-    return run_overlap_bench(
-        scale=config.get("scale", 1.0),
-        steps=config.get("steps", 20),
-        reps=config.get("reps", 3),
-        rank_counts=config.get("rank_counts", (2, 4, 8)),
-        executors=executors,
-    ).to_dict()
-
-
-def _cmd_perf_gate(args: argparse.Namespace) -> int:
-    import json
-    import pathlib
-
-    from .bench import compare_results, load_records
-    from .core.errors import BenchmarkError
-
-    baselines = args.baseline or [
-        p
-        for p in ("BENCH_kernels.json", "BENCH_overlap.json")
-        if pathlib.Path(p).exists()
-    ]
-    if not baselines:
-        print(
-            "error: no baselines found (pass --baseline or run the "
-            "benchmarks first)",
-            file=sys.stderr,
-        )
-        return 2
-    currents = {}
-    for path in args.current or []:
-        doc = json.loads(pathlib.Path(path).read_text())
-        currents[doc.get("benchmark")] = doc
-    try:
-        history = load_records(args.history) if args.history else []
-    except BenchmarkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    reports = []
-    for bpath in baselines:
-        baseline = json.loads(pathlib.Path(bpath).read_text())
-        kind = baseline.get("benchmark")
-        try:
-            current = currents.get(kind) or _gate_current_result(
-                kind, baseline, args
-            )
-            report = compare_results(
-                baseline,
-                current,
-                tolerance=args.tolerance,
-                history=history,
-            )
-        except BenchmarkError as exc:
-            print(f"error: {bpath}: {exc}", file=sys.stderr)
-            return 2
-        reports.append(report)
-        if args.format == "json":
-            print(report.to_json())
-        else:
-            print(report.format_text())
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as fh:
-            json.dump(
-                [r.to_dict() for r in reports], fh, indent=2, sort_keys=True
-            )
-            fh.write("\n")
-        print(f"drift report written to {args.report_out}")
-    return max(r.exit_code for r in reports)
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -987,105 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(func=_cmd_telemetry_postmortem)
 
     p = sub.add_parser(
-        "bench", help="wall-clock microbenchmarks of the functional kernels"
-    )
-    bsub = p.add_subparsers(dest="bench_command", required=True)
-    pb = bsub.add_parser(
-        "kernels",
-        help="MFLUPS of collide/stream/step, fused NumPy vs compiled",
-    )
-    pb.add_argument(
-        "--scale", type=float, default=1.0,
-        help="cylinder geometry scale factor (default: 1.0)",
-    )
-    pb.add_argument(
-        "--steps", type=int, default=20,
-        help="timed iterations per repetition (default: 20)",
-    )
-    pb.add_argument(
-        "--reps", type=int, default=3,
-        help="repetitions per kernel, best-of (default: 3)",
-    )
-    pb.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke preset: scale 0.5, 5 steps, 2 reps",
-    )
-    pb.add_argument(
-        "--output", default="BENCH_kernels.json",
-        help="JSON result path (default: BENCH_kernels.json)",
-    )
-    pb.add_argument(
-        "--assert-speedup", type=float, default=None, metavar="MIN",
-        help="exit 1 unless the compiled full-step speedup over the "
-        "fused NumPy step is at least MIN (needs a compiled --backend)",
-    )
-    _add_backend_arg(pb)
-    pb.set_defaults(func=_cmd_bench_kernels)
-
-    po = bsub.add_parser(
-        "overlap",
-        help="MFLUPS of the distributed step: barrier vs overlapped "
-        "pipeline, lockstep vs process executor",
-    )
-    po.add_argument(
-        "--executor", action="append", dest="executors", default=None,
-        choices=EXECUTOR_KINDS, metavar="TIER",
-        help="executor tier to time (repeatable; lockstep is always "
-        "included)",
-    )
-    po.add_argument(
-        "--scale", type=float, default=1.0,
-        help="cylinder geometry scale factor (default: 1.0)",
-    )
-    po.add_argument(
-        "--steps", type=int, default=20,
-        help="timed iterations per repetition (default: 20)",
-    )
-    po.add_argument(
-        "--reps", type=int, default=3,
-        help="repetitions per schedule, best-of (default: 3)",
-    )
-    po.add_argument(
-        "--ranks", type=int, nargs="+", default=[2, 4, 8],
-        help="rank counts to decompose over (default: 2 4 8)",
-    )
-    po.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke preset: scale 0.5, 8 steps, 5 reps",
-    )
-    po.add_argument(
-        "--output", default="BENCH_overlap.json",
-        help="JSON result path (default: BENCH_overlap.json)",
-    )
-    po.add_argument(
-        "--assert-speedup", type=float, default=None, metavar="MIN",
-        help="exit 1 unless the worst overlap-vs-lockstep speedup at "
-        ">= --min-ranks ranks is at least MIN",
-    )
-    po.add_argument(
-        "--min-ranks", type=int, default=4,
-        help="rank-count floor for --assert-speedup (default: 4)",
-    )
-    po.add_argument(
-        "--assert-scaling", type=float, default=None, metavar="MIN",
-        help="exit 1 unless the worst overlap+process speedup over the "
-        "single-rank run at >= --min-ranks ranks is at least MIN "
-        "(skipped with a note on 1-core hosts, where executor rows "
-        "are core-bound)",
-    )
-    po.set_defaults(func=_cmd_bench_overlap)
-    for bench_parser in (pb, po):
-        bench_parser.add_argument(
-            "--history", default="BENCH_HISTORY.jsonl", metavar="PATH",
-            help="JSONL benchmark-history file to append the run to "
-            "(default: BENCH_HISTORY.jsonl)",
-        )
-        bench_parser.add_argument(
-            "--no-history", action="store_true",
-            help="do not append this run to the benchmark history",
-        )
-
-    p = sub.add_parser(
         "profile",
         help="profiling layer: spans + byte counters joined with the "
         "performance model",
@@ -1142,50 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_arg(pr)
     _add_telemetry_args(pr)
     pr.set_defaults(func=_cmd_profile_run)
-
-    p = sub.add_parser(
-        "perf", help="performance regression tooling"
-    )
-    pfsub = p.add_subparsers(dest="perf_command", required=True)
-    pg = pfsub.add_parser(
-        "gate",
-        help="compare current benchmark results against committed "
-        "baselines; exit 1 on drift beyond tolerance",
-    )
-    pg.add_argument(
-        "--baseline", action="append", default=None, metavar="PATH",
-        help="baseline result JSON (repeatable; default: "
-        "BENCH_kernels.json and BENCH_overlap.json when present)",
-    )
-    pg.add_argument(
-        "--current", action="append", default=None, metavar="PATH",
-        help="pre-recorded current result JSON matched to its baseline "
-        "by benchmark kind (default: re-run the benchmark)",
-    )
-    pg.add_argument(
-        "--tolerance", type=float, default=0.15,
-        help="fractional regression tolerance before noise widening "
-        "(default: 0.15)",
-    )
-    pg.add_argument(
-        "--history", default="BENCH_HISTORY.jsonl", metavar="PATH",
-        help="benchmark-history JSONL for noise-aware tolerance bands "
-        "(default: BENCH_HISTORY.jsonl)",
-    )
-    pg.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke preset for the re-run benchmarks (absolute "
-        "metrics are skipped; relative speedups still gate)",
-    )
-    pg.add_argument(
-        "--format", choices=["text", "json"], default="text",
-        help="report format (default: text)",
-    )
-    pg.add_argument(
-        "--report-out", default=None, metavar="PATH",
-        help="write the combined drift report as JSON",
-    )
-    pg.set_defaults(func=_cmd_perf_gate)
 
     p = sub.add_parser(
         "lint", help="run the static-analysis rules over the source tree"

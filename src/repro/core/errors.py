@@ -90,8 +90,8 @@ class SanitizeError(ReproError):
 
 
 class BenchmarkError(ReproError):
-    """Raised by the benchmark-history store and the perf gate (malformed
-    history records, incomparable results, schema mismatches)."""
+    """Raised by :func:`repro.bench.config_hash` for a config that is not
+    a dict (nothing else can be content-addressed)."""
 
 
 class CampaignError(ReproError):

@@ -2,7 +2,7 @@
 four systems of the paper (Table 1)."""
 
 from .gpu import GPUSpec
-from .host import fingerprints_match, host_bandwidth_gbs, host_fingerprint
+from .host import host_bandwidth_gbs, host_fingerprint
 from .interconnect import LinkSpec, LinkTier
 from .machine import Machine, RankPlacement
 from .node import NodeSpec
@@ -31,6 +31,5 @@ __all__ = [
     "all_machines",
     "machine_names",
     "host_fingerprint",
-    "fingerprints_match",
     "host_bandwidth_gbs",
 ]

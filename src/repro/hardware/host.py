@@ -2,11 +2,12 @@
 
 The simulated :class:`~repro.hardware.machine.Machine` catalogue prices
 runs on the paper's four systems; this module describes the *host* those
-functional runs really use — a stable fingerprint for benchmark history
-records (so drift comparisons only trust absolute throughput between
-matching hosts) and a measured memory-bandwidth bound for the profiler's
-architectural-efficiency denominator (the host-side analogue of the
-paper's BabelStream-measured ``B_mem`` in Eq. 1).
+functional runs really use — a stable fingerprint for the ``meta``
+provenance block of ladder results and campaign cells (so a reader can
+tell which host a number was taken on) and a measured memory-bandwidth
+bound for the profiler's architectural-efficiency denominator (the
+host-side analogue of the paper's BabelStream-measured ``B_mem`` in
+Eq. 1).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Dict, Optional
 
 from ..core.errors import HardwareError
 
-__all__ = ["host_fingerprint", "fingerprints_match", "host_bandwidth_gbs"]
+__all__ = ["host_fingerprint", "host_bandwidth_gbs"]
 
 
 def host_fingerprint() -> Dict[str, object]:
@@ -38,20 +39,6 @@ def host_fingerprint() -> Dict[str, object]:
         "numpy": np.__version__,
         "cpu_count": os.cpu_count() or 1,
     }
-
-
-def fingerprints_match(
-    a: Optional[Dict[str, object]], b: Optional[Dict[str, object]]
-) -> bool:
-    """Whether two fingerprints identify the same execution environment.
-
-    Hostname and hardware must agree for absolute wall-clock numbers to
-    be comparable; interpreter patch level is allowed to drift.
-    """
-    if not a or not b:
-        return False
-    keys = ("hostname", "machine", "system", "cpu_count")
-    return all(a.get(k) == b.get(k) for k in keys)
 
 
 def host_bandwidth_gbs(

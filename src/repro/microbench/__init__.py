@@ -10,14 +10,6 @@ from .babelstream import (
 )
 from .collectives import AllreduceEstimate, allreduce_time
 from .hoststream import HostStreamResult, run_host_stream
-from .kernels import KernelBenchResult, KernelTiming, run_kernel_bench
-from .overlap import (
-    OVERLAP_BENCH_MODES,
-    OverlapBenchResult,
-    OverlapRankResult,
-    OverlapTiming,
-    run_overlap_bench,
-)
 from .pingpong import (
     PingPongResult,
     PingPongSample,
@@ -41,12 +33,4 @@ __all__ = [
     "allreduce_time",
     "HostStreamResult",
     "run_host_stream",
-    "KernelBenchResult",
-    "KernelTiming",
-    "run_kernel_bench",
-    "OVERLAP_BENCH_MODES",
-    "OverlapBenchResult",
-    "OverlapRankResult",
-    "OverlapTiming",
-    "run_overlap_bench",
 ]

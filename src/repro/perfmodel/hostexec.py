@@ -2,7 +2,7 @@
 
 The Eqs. 1-4 model prices the simulated GPU machines; this module
 prices the *host* executors the functional solver actually runs on, so
-``repro bench overlap``'s measured ``parallel_efficiency`` column has a
+the ladder's measured ``runtime.procexec.speedup_vs_single`` rung has a
 prediction to sit next to:
 
 * ``lockstep`` — rank phases run serially on the controlling thread:
@@ -63,9 +63,9 @@ def parallel_efficiency(
 ) -> float:
     """Predicted ``speedup / num_ranks`` — 1.0 is perfect strong scaling.
 
-    On a 1-core host every executor predicts ``1 / num_ranks``: the
-    measured rows are core-bound, which is why the perf gate annotates
-    rather than gates them there.
+    On a 1-core host every executor predicts ``1 / num_ranks``: measured
+    rows there are core-bound, which is why the ladder refuses to time
+    more forked ranks than cores.
     """
     return predicted_speedup(executor, num_ranks, cpu_count) / num_ranks
 

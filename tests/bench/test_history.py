@@ -1,21 +1,10 @@
-"""Benchmark-history store: meta blocks, JSONL round-trip, extraction."""
-
-import json
+"""Result provenance: the ``meta`` block and the config content address."""
 
 import pytest
 
 import numpy as np
 
-from repro.bench import (
-    SCHEMA_VERSION,
-    append_record,
-    config_hash,
-    config_signature,
-    extract_metric,
-    git_sha,
-    load_records,
-    make_meta,
-)
+from repro.bench import SCHEMA_VERSION, config_hash, git_sha, make_meta
 from repro.core.errors import BenchmarkError
 
 
@@ -45,104 +34,6 @@ class TestMakeMeta:
         meta = make_meta(config)
         config["scale"] = 2.0
         assert meta["config"]["scale"] == 1.0
-
-
-class TestHistoryStore:
-    def _record(self, benchmark="kernels", **extra):
-        rec = {"benchmark": benchmark, "meta": make_meta({"scale": 1.0})}
-        rec.update(extra)
-        return rec
-
-    def test_append_then_load_round_trips(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        first = self._record(step_speedup=3.0)
-        second = self._record(benchmark="overlap")
-        append_record(path, first)
-        append_record(path, second)
-        records = load_records(path)
-        assert records == [first, second]
-
-    def test_benchmark_filter(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        append_record(path, self._record(benchmark="kernels"))
-        append_record(path, self._record(benchmark="overlap"))
-        only = load_records(path, benchmark="overlap")
-        assert [r["benchmark"] for r in only] == ["overlap"]
-
-    def test_missing_file_is_empty_history(self, tmp_path):
-        assert load_records(tmp_path / "nope.jsonl") == []
-
-    def test_append_rejects_meta_less_records(self, tmp_path):
-        with pytest.raises(BenchmarkError, match="meta block"):
-            append_record(
-                tmp_path / "history.jsonl", {"benchmark": "kernels"}
-            )
-
-    def test_malformed_line_raises_with_location(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        append_record(path, self._record())
-        with open(path, "a") as fh:
-            fh.write("{not json\n")
-        with pytest.raises(BenchmarkError, match=":2:"):
-            load_records(path)
-
-    def test_non_object_line_rejected(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        path.write_text(json.dumps([1, 2]) + "\n")
-        with pytest.raises(BenchmarkError, match="not an object"):
-            load_records(path)
-
-
-class TestExtractMetric:
-    DOC = {
-        "step_speedup": 3.0,
-        "kernels": {"step": {"speedup": 2.5}},
-        "ranks": [{"overlap_speedup": 1.2}],
-        "workload": "cylinder",
-        "flag": True,
-    }
-
-    def test_dict_paths(self):
-        assert extract_metric(self.DOC, "step_speedup") == 3.0
-        assert extract_metric(self.DOC, "kernels.step.speedup") == 2.5
-
-    def test_list_index_paths(self):
-        assert extract_metric(self.DOC, "ranks.0.overlap_speedup") == 1.2
-
-    def test_missing_and_non_numeric_return_none(self):
-        assert extract_metric(self.DOC, "kernels.missing.speedup") is None
-        assert extract_metric(self.DOC, "ranks.5.overlap_speedup") is None
-        assert extract_metric(self.DOC, "workload") is None
-        assert extract_metric(self.DOC, "flag") is None  # bools excluded
-
-
-class TestConfigSignature:
-    def test_same_config_same_signature(self):
-        a = {"benchmark": "kernels", "scale": 1.0, "steps": 20, "reps": 3}
-        b = dict(a, meta=make_meta({}), kernels={})
-        assert config_signature(a) == config_signature(b)
-
-    def test_differs_on_timed_work_knobs(self):
-        a = {"benchmark": "kernels", "scale": 1.0, "steps": 20}
-        b = dict(a, steps=5)
-        assert config_signature(a) != config_signature(b)
-
-    def test_overlap_rank_counts_participate(self):
-        a = {"benchmark": "overlap", "ranks": [{"num_ranks": 2}]}
-        b = {"benchmark": "overlap", "ranks": [{"num_ranks": 4}]}
-        assert config_signature(a) != config_signature(b)
-
-    def test_backend_separates_baseline_families(self):
-        a = {"benchmark": "kernels", "scale": 1.0, "steps": 20}
-        b = dict(a, backend="compiled")
-        assert config_signature(a) != config_signature(b)
-
-    def test_absent_backend_means_numpy(self):
-        # pre-compiled-tier history has no backend key; it must keep
-        # comparing against explicit-numpy runs
-        a = {"benchmark": "kernels", "scale": 1.0, "steps": 20}
-        b = dict(a, backend="numpy")
-        assert config_signature(a) == config_signature(b)
 
 
 class TestConfigHash:
@@ -176,8 +67,3 @@ class TestConfigHash:
     def test_non_dict_rejected(self):
         with pytest.raises(BenchmarkError, match="must be a dict"):
             config_hash([1, 2, 3])
-
-    def test_signature_is_a_config_hash(self):
-        sig = config_signature({"benchmark": "kernels", "scale": 1.0})
-        assert len(sig) == 16
-        int(sig, 16)

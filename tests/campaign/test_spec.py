@@ -71,9 +71,10 @@ class TestSweepExpansion:
         with pytest.raises(CampaignError, match="non-empty"):
             modes_sweep(axes={"executor": ()})
 
-    def test_unknown_runner_rejected(self):
+    @pytest.mark.parametrize("runner", ["fortran", "microbench"])
+    def test_unknown_runner_rejected(self, runner):
         with pytest.raises(CampaignError, match="unknown runner"):
-            modes_sweep(runner="fortran")
+            modes_sweep(runner=runner)
 
 
 class TestCellIdentity:

@@ -95,7 +95,6 @@ class TestCLI:
         [
             ["harvey", "--executor", "parallel"],
             ["profile", "run", "--executor", "parallel"],
-            ["bench", "overlap", "--executor", "parallel"],
         ],
     )
     def test_retired_parallel_executor_is_an_argparse_error(self, capsys, argv):
@@ -104,3 +103,18 @@ class TestCLI:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "'lockstep', 'process'" in err and "parallel" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["bench", "kernels"], ["bench", "overlap"], ["perf", "gate"]]
+    )
+    def test_retired_bench_verbs_are_argparse_errors(self, capsys, argv):
+        # the ladder (benchmarks/ladder/run.py) is the one benchmark and gate
+        parser = build_parser()
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        usage = parser.format_usage()
+        verbs = usage[usage.index("{") + 1 : usage.index("}")].split(",")
+        assert "harvey" in verbs
+        assert "bench" not in verbs and "perf" not in verbs

@@ -122,55 +122,3 @@ class TestHostStream:
             run_host_stream(elements=0)
         with pytest.raises(HardwareError):
             run_host_stream(ntimes=0)
-
-
-class TestOverlapBench:
-    def test_quick_run_structure(self):
-        from repro.microbench import run_overlap_bench
-
-        result = run_overlap_bench(
-            scale=0.5, steps=2, reps=1, rank_counts=(2, 4)
-        )
-        assert [r.num_ranks for r in result.ranks] == [2, 4]
-        assert result.single_rank["seconds"] > 0
-        for rr in result.ranks:
-            # process rows are opt-in; lockstep always anchors
-            assert set(rr.timings) == {"lockstep", "overlap"}
-            for t in rr.timings.values():
-                assert t.seconds > 0
-                assert t.mflups > 0
-                assert t.speedup_vs_single > 0
-                assert t.parallel_efficiency == pytest.approx(
-                    t.speedup_vs_single / rr.num_ranks
-                )
-            # the packed exchange moves strictly fewer bytes
-            assert (
-                rr.timings["overlap"].halo_bytes_per_step
-                < rr.timings["lockstep"].halo_bytes_per_step
-            )
-            assert rr.halo_reduction > 1.0
-        data = result.to_dict()
-        assert data["benchmark"] == "overlap"
-        assert "modes" in data["ranks"][0]
-        assert result.format_text()
-
-    def test_min_speedup_requires_rank_floor(self):
-        from repro.core import ConfigError
-        from repro.microbench import run_overlap_bench
-
-        result = run_overlap_bench(
-            scale=0.5, steps=2, reps=1, rank_counts=(2,)
-        )
-        with pytest.raises(ConfigError):
-            result.min_speedup(min_ranks=4)
-
-    def test_validation(self):
-        from repro.core import ConfigError
-        from repro.microbench import run_overlap_bench
-
-        with pytest.raises(ConfigError):
-            run_overlap_bench(steps=0)
-        with pytest.raises(ConfigError):
-            run_overlap_bench(rank_counts=())
-        with pytest.raises(ConfigError, match="lockstep, process"):
-            run_overlap_bench(executors=["parallel"])

@@ -44,7 +44,7 @@ class TestEfficiency:
         assert parallel_efficiency("process", 4, 8) == pytest.approx(1.0)
 
     def test_single_core_host_is_core_bound(self):
-        # why the perf gate annotates instead of gating on cpu_count==1
+        # why 1-core numbers are labelled core-bound, never scaling results
         for ex in ("lockstep", "process"):
             for nr in (2, 4, 8):
                 assert parallel_efficiency(ex, nr, 1) == pytest.approx(
