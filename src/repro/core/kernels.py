@@ -314,19 +314,15 @@ def fused_stream_body_kernel(
     f_dst_flat: np.ndarray,
     src_flat: np.ndarray,
     idx: np.ndarray,
-    dst_flat: Optional[np.ndarray] = None,
+    dst_flat: np.ndarray,
 ) -> None:
     """Chunked form of the fused gather for programming-model backends.
 
-    Backends launch this body over ``idx`` blocks of the flat link range.
-    When the update set is a prefix of the local numbering (single-domain
-    engines) ``dst_flat`` is None and links land at their own flat index;
-    distributed engines pass an explicit destination map.
+    Backends launch this body over ``idx`` blocks of the flat link range;
+    ``dst_flat`` maps each link to its destination (owned nodes are a
+    prefix of the rank-local numbering but ghosts pad each row).
     """
-    if dst_flat is None:
-        f_dst_flat[idx] = f_src_flat[src_flat[idx]]
-    else:
-        f_dst_flat[dst_flat[idx]] = f_src_flat[src_flat[idx]]
+    f_dst_flat[dst_flat[idx]] = f_src_flat[src_flat[idx]]
 
 
 def apply_body_force_kernel(

@@ -69,7 +69,10 @@ once in ``_build``, through ``send(src, dst, buf, tag)`` /
 :class:`~repro.runtime.simmpi.SimComm` queues in-process, the per-pair
 shared-memory :class:`~repro.runtime.shmem.RingTransport` under
 ``"process"`` (:class:`~repro.runtime.mpicomm.MPIComm` offers the same two
-calls).
+calls).  The kernels come from a provider the same way (inline NumPy,
+:class:`~repro.models.compiled.CompiledKernels`, or per-rank programming
+``models``, whose host-staged variant wraps the transport) — neither
+choice changes the schedule.
 
 The process tier is **rank-resident**, as the paper's one-MPI-rank-per-GPU
 code is: one iteration is one dispatch — one pipe message and one ack per
@@ -93,16 +96,21 @@ Physics stays bit-for-bit equal to lockstep — pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.errors import ConfigError, DecompositionError, RuntimeSimError
+from ..core.errors import (
+    ConfigError,
+    DecompositionError,
+    ModelError,
+    RuntimeSimError,
+)
 from ..core.kernels import Workspace
 from ..decomp.partition import Partition
 from ..geometry.flags import INLET, OUTLET
 from .boundary import PressureOutlet, VelocityInlet
-from .solver import SolverConfig
+from .solver import SolverConfig, validate_model_tier
 from .stream import StepPlan, upstream_ids
 from ..runtime.events import CommEvent
 from ..runtime.executor import make_executor
@@ -235,7 +243,14 @@ class RankState:
 
 
 class DistributedSolver:
-    """Multi-rank solver equivalent to :class:`repro.lbm.solver.Solver`."""
+    """Multi-rank solver equivalent to :class:`repro.lbm.solver.Solver`.
+
+    ``models`` (one programming model per rank) makes the models the
+    kernel providers: each rank's ``f`` lives in its model's device space
+    and its kernels launch through it.  With ``gpu_aware=False`` the halo
+    transport stages every message through the host, recorded on the
+    rank's device ledger (:class:`~repro.models.base.HostStagedHalo`).
+    """
 
     def __init__(
         self,
@@ -245,7 +260,28 @@ class DistributedSolver:
         tracer=None,
         validate_schedule: bool = True,
         validate_plan: bool = True,
+        models: Optional[Sequence[Any]] = None,
+        gpu_aware: bool = True,
     ) -> None:
+        if models is None:
+            if not gpu_aware:
+                raise ConfigError("gpu_aware=False needs per-rank models")
+        else:
+            validate_model_tier(config)
+            if config.executor == "process":
+                # device Views and transfer ledgers are process-private:
+                # forked workers would mutate invisible copies
+                raise ModelError(
+                    "programming models run under executor='lockstep' "
+                    "only; the process tier needs shared-memory rank "
+                    "state, which models do not provide"
+                )
+            if len(models) != partition.num_ranks:
+                raise ConfigError(
+                    f"{len(models)} model(s) for {partition.num_ranks} rank(s)"
+                )
+        self.models = models
+        self.gpu_aware = bool(gpu_aware)
         self.partition = partition
         self.grid = partition.grid
         self.config = config
@@ -268,7 +304,9 @@ class DistributedSolver:
         self._procmode = config.executor == "process"
         self._closed = False
         self._shm = None  # SegmentRegistry, allocated in _build()
-        self._halo = self.comm  # halo transport; the rings under procmode
+        # halo transport: the rings under procmode, host-staged for models
+        # without GPU-aware MPI
+        self._halo: Any = self.comm
         self.plane = None  # TelemetryPlane, wired in _build() (procmode)
         self._san = None  # StepSanitizer, attached after _build()
         registry = get_registry()
@@ -377,6 +415,11 @@ class DistributedSolver:
                 # observes (everything else is inherited copy-on-write)
                 f = self._shm.share(f"rank{r}.f", f)
                 f_tmp = self._shm.ndarray(f"rank{r}.f_tmp", f.shape, f.dtype)
+            elif self.models is not None:
+                # the double buffer is the storage behind two device Views
+                model = self.models[r]
+                f = model.upload("f", f).data()
+                f_tmp = model.alloc("f_tmp", f.shape, f.dtype).data()
             else:
                 f_tmp = np.empty_like(f)
 
@@ -427,22 +470,32 @@ class DistributedSolver:
                 slots = base + np.searchsorted(state_r.ghost_global, needed)
                 state_r.recv_slots[j] = slots.astype(np.int64)
 
-        self._kern = None
+        # per-rank kernel providers; None = the inline NumPy bodies
+        self._kern: Optional[List[Any]] = None
         self._kern_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        if self.config.backend != "numpy":
+        if self.models is not None:
+            self._kern = [
+                m.make_kernels(self.lattice, self.collision) for m in self.models
+            ]
+        elif self.config.backend != "numpy":
             # one compiled engine (lattice + collision are shared); the
             # per-rank plan IR binds through its run-length tables, so both
             # the barrier and the overlapped schedules run compiled
             from ..models.compiled import CompiledKernels
 
-            self._kern = CompiledKernels(
-                self.lattice,
-                self.collision,
-                backend=self.config.backend,
-                fastmath=self.config.fastmath,
-            )
+            self._kern = [
+                CompiledKernels(
+                    self.lattice,
+                    self.collision,
+                    backend=self.config.backend,
+                    fastmath=self.config.fastmath,
+                )
+            ] * num_ranks
+        if self._kern is not None:
             for st in self.ranks:
-                self._kern_tables[st.rank] = st.step_plan.kernel_tables()
+                self._kern_tables[st.rank] = self._kern[st.rank].tables(
+                    st.step_plan
+                )
 
         if self._overlap:
             # interior/frontier split plus the packed cross-link
@@ -531,6 +584,16 @@ class DistributedSolver:
                 )
                 self.executor.plane = self.plane
 
+        if self.models is not None:
+            if not self.gpu_aware:
+                from ..models.base import HostStagedHalo
+
+                self._halo = HostStagedHalo(self._halo, self.models)
+            # setup uploads (initial state, tables) are not exchange
+            # traffic: zero the ledgers so they report per-step staging only
+            for model in self.models:
+                model.device.reset_ledger()
+
         # preallocated observables (gather_f / mass are allocation-free)
         self._owned_total = sum(st.num_owned for st in self.ranks)
         # gather traffic of one streaming pass across all ranks, for the
@@ -552,7 +615,7 @@ class DistributedSolver:
         st = self.ranks[rank]
         if self._kern is not None:
             # owned nodes are the prefix of the local numbering
-            self._kern.collide(st.f, st.num_owned)
+            self._kern[rank].collide(st.f, st.num_owned)
             return
         self.collision.apply(
             self.lattice, st.f, st.owned_ids, workspace=st.workspace
@@ -588,7 +651,9 @@ class DistributedSolver:
     def _gather(self, st: RankState) -> None:
         """Pull-stream ``f`` into ``f_tmp`` over the rank's full plan."""
         if self._kern is not None:
-            self._kern.stream(st.f, st.f_tmp, *self._kern_tables[st.rank])
+            self._kern[st.rank].stream(
+                st.f, st.f_tmp, *self._kern_tables[st.rank]
+            )
         else:
             st.step_plan.apply(st.f, st.f_tmp)
 
@@ -701,7 +766,7 @@ class DistributedSolver:
                             self._execute(window)
                     self._execute(tail)
                 self.fluid_updates += self._owned_total
-            if self._halo is not self.comm:
+            if self._procmode:
                 self._log_ring_step(step_id)
             if san is not None:
                 san.end_step(self.ranks, step_id)

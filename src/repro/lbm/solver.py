@@ -10,8 +10,8 @@ across ranks — that equivalence is a core validation test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .moments import density as _density
 from .moments import velocity as _velocity
 from .stream import Connectivity, StepPlan
 
-__all__ = ["SolverConfig", "Solver", "validate_tier"]
+__all__ = ["SolverConfig", "Solver", "validate_tier", "validate_model_tier"]
 
 _BACKENDS = ("numpy", "compiled", "compiled-serial", "compiled-parallel")
 
@@ -55,6 +55,25 @@ def validate_tier(executor: str, sanitize: bool, backend: str) -> None:
             "sanitize=True requires backend='numpy': compiled "
             "kernels bypass the access log and fast-math code "
             "generation breaks the NaN-canary protocol"
+        )
+
+
+def validate_model_tier(config: "SolverConfig") -> None:
+    """Reject a configuration a programming-model provider cannot run.
+
+    The solvers' ``model`` / ``models`` keyword *is* the kernel provider,
+    so it excludes a compiled ``backend`` (two providers) and
+    ``sanitize`` (a model may hand out compiled kernels, which break the
+    NaN-canary protocol)."""
+    if config.backend != "numpy":
+        raise ConfigError(
+            f"backend={config.backend!r} and a programming model are two "
+            "kernel providers; a model-driven solver needs backend='numpy'"
+        )
+    if config.sanitize:
+        raise ConfigError(
+            "sanitize=True requires the inline NumPy kernels; it cannot "
+            "run with a programming model as the kernel provider"
         )
 
 
@@ -182,9 +201,20 @@ class SolverConfig:
 
 
 class Solver:
-    """Single-domain solver over a flagged voxel grid."""
+    """Single-domain solver over a flagged voxel grid.
 
-    def __init__(self, grid: VoxelGrid, config: SolverConfig) -> None:
+    Kernels come from one of three providers: the inline NumPy bodies
+    (default), :class:`~repro.models.compiled.CompiledKernels`
+    (``config.backend``), or a programming model passed as ``model``
+    (:meth:`~repro.models.base.ProgrammingModel.make_kernels`), in which
+    case ``f`` lives in the model's device space."""
+
+    def __init__(
+        self, grid: VoxelGrid, config: SolverConfig, model=None
+    ) -> None:
+        if model is not None:
+            validate_model_tier(config)
+        self.model = model
         self.grid = grid
         self.config = config
         self.lattice = config.make_lattice()
@@ -209,20 +239,29 @@ class Solver:
             from ..lint.plancheck import verify_plan
 
             verify_plan(self.step_plan, context="single-domain plan")
-        if config.backend != "numpy":
+        # kernel provider; None = the inline NumPy bodies
+        self._kern: Any = None
+        if model is not None:
+            self._kern = model.make_kernels(self.lattice, self.collision)
+            # the double buffer is the storage behind two device Views
+            self._views = (
+                model.upload("f", self.f),
+                model.alloc("f_tmp", self.f.shape, self.f.dtype),
+            )
+            self.f, self._f_tmp = (view.data() for view in self._views)
+        elif config.backend != "numpy":
             # deferred import: the compiled tier is optional and the
-            # models package imports lbm-free modules only
+            # models package imports this module
             from ..models.compiled import CompiledKernels
 
-            self._kern: Optional[CompiledKernels] = CompiledKernels(
+            self._kern = CompiledKernels(
                 self.lattice,
                 self.collision,
                 backend=config.backend,
                 fastmath=config.fastmath,
             )
-            self._kern_tables = self.step_plan.kernel_tables()
-        else:
-            self._kern = None
+        if self._kern is not None:
+            self._kern_tables = self._kern.tables(self.step_plan)
         self.time = 0
         self.fluid_updates = 0
         # byte/update counters for the profiling layer, cached once and
@@ -257,17 +296,25 @@ class Solver:
 
     # -- time stepping -----------------------------------------------------
     def step(self, num_steps: int = 1) -> None:
-        """Advance ``num_steps`` iterations of collide-stream-boundary."""
+        """Advance ``num_steps`` iterations of collide-stream-boundary.
+
+        A provider runs collide then stream through its kernels; the pair
+        beats the one-pass ``fused_step`` on CPU hosts from 16 k nodes up
+        (EXPERIMENTS.md), so closed-boundary grids take the same loop as
+        open ones."""
         if num_steps < 0:
             raise ConfigError("num_steps must be non-negative")
-        if self._kern is not None:
-            self._step_compiled(num_steps)
-            return
+        kern = self._kern
+        n = self.num_nodes
         for _ in range(num_steps):
-            self.collision.apply(
-                self.lattice, self.f, self.all_ids, workspace=self._workspace
-            )
-            self.step_plan.apply(self.f, self._f_tmp)
+            if kern is not None:
+                kern.collide(self.f, n)
+                kern.stream(self.f, self._f_tmp, *self._kern_tables)
+            else:
+                self.collision.apply(
+                    self.lattice, self.f, self.all_ids, workspace=self._workspace
+                )
+                self.step_plan.apply(self.f, self._f_tmp)
             self.f, self._f_tmp = self._f_tmp, self.f
             self.time += 1
             if self.inlet is not None:
@@ -280,30 +327,6 @@ class Solver:
                 check_finite(
                     self.f, self.num_nodes, f"step {self.time}"
                 )
-            self.fluid_updates += self.num_nodes
-        if num_steps:
-            self._flups_counter.inc(num_steps * self.num_nodes)
-            self._stream_bytes_counter.inc(
-                num_steps * self._stream_bytes_per_step
-            )
-
-    def _step_compiled(self, num_steps: int) -> None:
-        """Compiled-backend stepping: collide then stream through the
-        kernel IR, every step.  The pair beats the one-pass
-        ``fused_step`` on CPU hosts from 16 k nodes up (EXPERIMENTS.md),
-        so closed-boundary grids take the same loop as open ones."""
-        kern = self._kern
-        assert kern is not None
-        n = self.num_nodes
-        for _ in range(num_steps):
-            kern.collide(self.f, n)
-            kern.stream(self.f, self._f_tmp, *self._kern_tables)
-            self.f, self._f_tmp = self._f_tmp, self.f
-            self.time += 1
-            if self.inlet is not None:
-                self.inlet.apply(self.lattice, self.f, self.time)
-            if self.outlet is not None:
-                self.outlet.apply(self.lattice, self.f, self.time)
         if num_steps:
             self.fluid_updates += num_steps * n
             self._flups_counter.inc(num_steps * n)

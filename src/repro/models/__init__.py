@@ -2,10 +2,9 @@
 same LBM kernels behind CUDA, HIP, SYCL, Kokkos (with sub-backends) and
 OpenACC programming surfaces."""
 
-from .base import ModelEngine, ProgrammingModel
+from .base import DistributedModelEngine, ModelEngine, ProgrammingModel
 from .cuda import CUDAModel
 from .device import GENERIC_GPU, SimulatedDevice
-from .distributed_engine import DistributedModelEngine
 from .hip import HIP_FROM_CUDA, HIPModel
 from .kokkos import KOKKOS_BACKENDS, KOKKOS_MEMORY_SPACES, KokkosModel
 from .openacc import OpenACCRuntime

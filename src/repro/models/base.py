@@ -1,40 +1,55 @@
-"""The programming-model interface and the generic LBM model engine.
+"""The programming-model interface and the two model engines.
 
 Every backend (CUDA, HIP, SYCL, Kokkos, Kokkos-OpenACC) implements the
 narrow :class:`ProgrammingModel` surface — allocate device storage, copy
 between host and device, launch a data-parallel kernel — using its own
-idioms.  The :class:`ModelEngine` then runs the *same* collide/stream
-kernel bodies (from :mod:`repro.core.kernels`) through any backend, which
-is precisely the porting structure the paper evaluates: one algorithm,
-five programming surfaces, identical physics.
+idioms.  A model is a **kernel provider** of the two solvers:
+:meth:`ProgrammingModel.make_kernels` hands out the ``collide`` /
+``stream`` / ``tables`` object :class:`~repro.lbm.solver.Solver` and
+:class:`~repro.lbm.distributed.DistributedSolver` step with, so the one
+declared schedule runs the *same* kernel bodies (from
+:mod:`repro.core.kernels`) through any backend — precisely the porting
+structure the paper evaluates: one algorithm, five programming surfaces,
+identical physics.  :class:`ModelEngine` and
+:class:`DistributedModelEngine` are those solvers constructed over models;
+they validate against the plain solvers exactly (same floating-point
+operations in the same order per node).
 
-The engine validates against :class:`repro.lbm.solver.Solver` exactly
-(same floating-point operations in the same order per node).
+Two exchange paths, matching Section 7.2.2: **GPU-aware** — halo buffers
+leave the device directly, nothing on the transfer ledger — and
+**host-staged** (:class:`HostStagedHalo`, the configuration HIP-on-Summit
+was forced into) — every message costs a device-to-host download at the
+sender and a host-to-device upload at the receiver, which makes the
+staging cost *observable* on the per-device ledgers rather than merely
+priced.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.errors import ConfigError, ModelError
-from ..core.kernels import (
-    Workspace,
-    bgk_collide_kernel,
-    fused_stream_body_kernel,
-)
+from ..core.kernels import Workspace, fused_stream_body_kernel
 from ..core.lattice import Lattice
 from ..core.views import View
+from ..decomp.partition import Partition
 from ..geometry.voxel import VoxelGrid
-from ..lbm.boundary import PressureOutlet, VelocityInlet
-from ..lbm.solver import SolverConfig
-from ..lbm.stream import Connectivity
-from ..geometry.flags import INLET, OUTLET
+from ..lbm.distributed import DistributedSolver
+from ..lbm.solver import Solver, SolverConfig
+from ..lbm.stream import StepPlan
+from ..runtime.simmpi import SimComm
+from ..telemetry.metrics import get_registry
 from .device import SimulatedDevice
 
-__all__ = ["ProgrammingModel", "ModelEngine"]
+__all__ = [
+    "ProgrammingModel",
+    "LaunchedKernels",
+    "HostStagedHalo",
+    "ModelEngine",
+    "DistributedModelEngine",
+]
 
 KernelBody = Callable[[np.ndarray], None]
 
@@ -73,6 +88,12 @@ class ProgrammingModel(abc.ABC):
     def synchronize(self) -> None:
         """Wait for outstanding device work."""
 
+    # -- kernel provider ----------------------------------------------------
+    def make_kernels(self, lattice: Lattice, collision):
+        """The kernel provider the solvers step with: the NumPy bodies
+        launched through this model (the compiled model overrides it)."""
+        return LaunchedKernels(self, lattice, collision)
+
     # -- conveniences ----------------------------------------------------------
     def upload(self, label: str, host: np.ndarray) -> View:
         """Allocate-and-copy in one call."""
@@ -97,155 +118,165 @@ class ProgrammingModel(abc.ABC):
         return f"<{type(self).__name__} {self.name} on {self.device.name}>"
 
 
-class ModelEngine:
-    """A single-domain LBM run driven through a programming model.
+class LaunchedKernels:
+    """Kernel provider running the NumPy bodies through ``model.launch``.
 
-    Mirrors :class:`repro.lbm.solver.Solver` step for step, but every array
-    lives in the backend's device space and every phase goes through the
-    backend's launch API.
+    The surface the solvers call on every provider: ``collide`` on a node
+    prefix, ``stream`` over the tables ``tables(step_plan)`` returned.
     """
 
-    def __init__(
-        self,
-        grid: VoxelGrid,
-        config: SolverConfig,
-        model: ProgrammingModel,
-    ) -> None:
-        self.grid = grid
-        self.config = config
+    def __init__(self, model: ProgrammingModel, lattice: Lattice, collision) -> None:
         self.model = model
-        self.lattice: Lattice = config.make_lattice()
-        self.collision = config.make_collision()
-        self.connectivity = Connectivity(
-            grid, self.lattice, periodic=config.periodic
-        )
-        n = self.connectivity.num_nodes
-        self.num_nodes = n
-        coords = self.connectivity.coords
-        flags_at = grid.flags[coords[:, 0], coords[:, 1], coords[:, 2]]
-        all_ids = np.arange(n, dtype=np.int64)
-        inlet_nodes = all_ids[flags_at == INLET]
-        outlet_nodes = all_ids[flags_at == OUTLET]
-        self.inlet = None
-        self.outlet = None
-        if inlet_nodes.size:
-            if config.inlet_velocity is None:
-                raise ConfigError(
-                    "grid has inlet nodes but no inlet_velocity configured"
-                )
-            self.inlet = VelocityInlet(
-                inlet_nodes, config.inlet_velocity, config.rho0
-            )
-        if outlet_nodes.size:
-            self.outlet = PressureOutlet(outlet_nodes, config.rho0)
-        # constant-density vectors for the open-boundary kernels,
-        # hoisted out of the per-step launch bodies
-        self._rho_open = np.full(
-            max(inlet_nodes.size, outlet_nodes.size, 1), config.rho0
-        )
-
-        # device state: distributions (double buffered) + plan indices
-        host_f = self.lattice.equilibrium(
-            np.full(n, config.rho0), np.zeros((n, 3))
-        )
-        self.d_f = model.upload("f", host_f)
-        self.d_f_tmp = model.alloc("f_tmp", host_f.shape, host_f.dtype)
-        # the fused step plan: every (population, node) link as one
-        # flat gather index — a single stream launch per step, the
-        # same body the reference solver executes
-        plan = self.connectivity.step_plan()
-        self.d_flat_src = model.upload(
-            "stream_flat_src", plan.flat_src.reshape(-1)
-        )
+        self.lattice = lattice
+        self.collision = collision
         self._workspace = Workspace()
-        self.time = 0
-        self.fluid_updates = 0
-        # launch accounting for the profiling layer, cached once
-        from ..telemetry.metrics import get_registry
 
-        self._launch_counter = get_registry().counter("model.launches")
+    def tables(self, plan: StepPlan) -> Tuple[np.ndarray, np.ndarray]:
+        """The plan's flat link tables, resident on the device."""
+        up = self.model.upload
+        return (
+            up("stream_flat_src", plan.flat_src.reshape(-1)).data(),
+            up("stream_flat_dst", plan.flat_dst().reshape(-1)).data(),
+        )
 
-    # -- phases ---------------------------------------------------------------
-    def _collide_phase(self) -> None:
-        lat = self.lattice
-        omega = self.collision.omega
-        force = self.collision.force
-        f = self.d_f.data()
-        ws = self._workspace
+    def collide(self, f: np.ndarray, n_nodes: int) -> None:
+        lat, collision, ws = self.lattice, self.collision, self._workspace
 
         def body(idx: np.ndarray) -> None:
-            bgk_collide_kernel(lat, f, idx, omega, force, workspace=ws)
+            collision.apply(lat, f, idx, workspace=ws)
 
-        self.model.launch("collide", self.num_nodes, body)
+        self.model.launch("collide", n_nodes, body)
 
-    def _stream_phase(self) -> None:
+    def stream(
+        self,
+        f_src: np.ndarray,
+        f_dst: np.ndarray,
+        src_flat: np.ndarray,
+        dst_flat: np.ndarray,
+    ) -> None:
         # fused streaming + bounce-back: one launch over all links
-        src_flat = self.d_flat_src.data()
-        fsrc = self.d_f.data().reshape(-1)
-        fdst = self.d_f_tmp.data().reshape(-1)
+        fsrc = f_src.reshape(-1)
+        fdst = f_dst.reshape(-1)
 
-        def fused(idx: np.ndarray) -> None:
-            fused_stream_body_kernel(fsrc, fdst, src_flat, idx)
+        def body(idx: np.ndarray) -> None:
+            fused_stream_body_kernel(fsrc, fdst, src_flat, idx, dst_flat)
 
-        self.model.launch("stream_fused", src_flat.size, fused)
-        self.d_f, self.d_f_tmp = self.d_f_tmp, self.d_f
+        self.model.launch("stream_fused", src_flat.size, body)
 
-    def _boundary_phase(self) -> None:
-        f = self.d_f.data()
-        rho_open = self._rho_open
-        if self.inlet is not None:
-            nodes = self.inlet.nodes
-            u = np.broadcast_to(
-                self.inlet.velocity_at(self.time), (nodes.size, 3)
-            )
-            lat = self.lattice
 
-            def inlet_body(idx: np.ndarray) -> None:
-                sel = nodes[idx]
-                f[:, sel] = lat.equilibrium(rho_open[: idx.size], u[idx])
+class HostStagedHalo:
+    """Halo transport for ranks without GPU-aware MPI.
 
-            self.model.launch("inlet", nodes.size, inlet_body)
-        if self.outlet is not None:
-            nodes = self.outlet.nodes
-            lat = self.lattice
+    Wraps the solver's transport with the same ``send`` / ``recv_into``
+    pair; every message stages through the host, recorded on the rank's
+    device ledger: one D2H at the sender, one H2D at the receiver.
+    """
 
-            def outlet_body(idx: np.ndarray) -> None:
-                sel = nodes[idx]
-                fi = f[:, sel]
-                rho = fi.sum(axis=0)
-                u_loc = np.tensordot(
-                    lat.cf, fi, axes=(0, 0)
-                ).T / rho[:, None]
-                f[:, sel] = lat.equilibrium(rho_open[: idx.size], u_loc)
+    def __init__(self, halo, models: Sequence[ProgrammingModel]) -> None:
+        self._halo = halo
+        self._models = models
 
-            self.model.launch("outlet", nodes.size, outlet_body)
+    def send(self, src: int, dst: int, buf: np.ndarray, tag: int) -> None:
+        # explicit download before handing the buffer to MPI; the
+        # per-message host copy is the cost this path makes visible
+        model = self._models[src]
+        staging = View.from_array(
+            f"stage_out_{src}_{dst}", buf, model.device.space
+        )
+        host = model.download(staging)
+        staging.free()
+        self._halo.send(src, dst, host, tag=tag)
 
-    # -- public API ---------------------------------------------------------
+    def recv_into(self, dst: int, src: int, out: np.ndarray, tag: int) -> None:
+        # the payload lands in host memory and is uploaded from there
+        host = np.empty_like(out)
+        self._halo.recv_into(dst, src, host, tag=tag)
+        staging = self._models[dst].upload(f"stage_in_{dst}_{src}", host)
+        out[...] = staging.data()
+        staging.free()
+
+
+class ModelEngine(Solver):
+    """A single-domain run whose kernels launch through a programming
+    model: :class:`~repro.lbm.solver.Solver` with ``model`` as its kernel
+    provider and the distributions held in the model's device space."""
+
+    def __init__(
+        self, grid: VoxelGrid, config: SolverConfig, model: ProgrammingModel
+    ) -> None:
+        super().__init__(grid, config, model=model)
+        # launch accounting for the profiling layer, cached once
+        self._launch_counter = get_registry().counter("model.launches")
+
     def step(self, num_steps: int = 1) -> None:
-        if num_steps < 0:
-            raise ModelError("num_steps must be non-negative")
-        launches_before = self.model.launch_count
-        for _ in range(num_steps):
-            self._collide_phase()
-            self._stream_phase()
-            self.time += 1
-            self._boundary_phase()
-            self.model.synchronize()
-            self.fluid_updates += self.num_nodes
-        launched = self.model.launch_count - launches_before
-        if launched > 0:
-            self._launch_counter.inc(launched)
+        before = self.model.launch_count
+        super().step(num_steps)
+        self.model.synchronize()
+        self._launch_counter.inc(self.model.launch_count - before)
 
     def distributions(self) -> np.ndarray:
         """Download the distribution array from the device."""
-        return self.model.download(self.d_f)
+        live = next(v for v in self._views if v.data() is self.f)
+        return self.model.download(live)
 
-    def velocity(self) -> np.ndarray:
-        from ..lbm.moments import velocity as _velocity
 
-        return _velocity(
-            self.lattice, self.distributions(), self.collision.force
+class DistributedModelEngine(DistributedSolver):
+    """Multi-rank run where every rank drives a model backend: one MPI
+    rank per logical GPU, each on its own device, executing
+    :class:`~repro.lbm.distributed.DistributedSolver`'s declared schedule.
+
+    Parameters
+    ----------
+    partition / config / comm / tracer:
+        As for the plain distributed solver.
+    model_name:
+        Backend every rank instantiates (``"cuda"``, ``"kokkos-sycl"``, ...),
+        unless ``model_factory(rank)`` builds the per-rank models.
+    gpu_aware:
+        When False, halo payloads stage through the host
+        (:class:`HostStagedHalo`).
+    """
+
+    models: Sequence[ProgrammingModel]  # never None here
+
+    def __init__(
+        self,
+        partition: Partition,
+        config: SolverConfig,
+        model_name: str = "cuda",
+        gpu_aware: bool = True,
+        comm: Optional[SimComm] = None,
+        model_factory: Optional[Callable[[int], ProgrammingModel]] = None,
+        tracer=None,
+    ) -> None:
+        from .registry import create_model  # the registry imports this module
+
+        factory = model_factory or (
+            lambda rank: create_model(model_name, SimulatedDevice(device_id=rank))
+        )
+        self.model_name = model_name
+        super().__init__(
+            partition,
+            config,
+            comm=comm,
+            tracer=tracer,
+            models=[factory(rank) for rank in range(partition.num_ranks)],
+            gpu_aware=gpu_aware,
+        )
+        self._launch_counter = get_registry().counter("model.launches")
+
+    def step(self, num_steps: int = 1) -> None:
+        before = sum(model.launch_count for model in self.models)
+        super().step(num_steps)
+        for model in self.models:
+            model.synchronize()
+        self._launch_counter.inc(
+            sum(model.launch_count for model in self.models) - before
         )
 
-    def mass(self) -> float:
-        return float(self.distributions().sum())
+    def staging_bytes(self) -> Tuple[int, int]:
+        """Total (D2H, H2D) bytes across the rank devices — nonzero only
+        on the host-staged path."""
+        d2h = sum(model.device.d2h_bytes() for model in self.models)
+        h2d = sum(model.device.h2d_bytes() for model in self.models)
+        return d2h, h2d

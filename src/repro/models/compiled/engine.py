@@ -3,7 +3,8 @@
 :class:`CompiledKernels` packs one collision operator (BGK/TRT/MRT, with
 optional Guo forcing) and one lattice into the flat parameter/table ABI
 shared by both providers, then exposes the three kernels the solver layer
-needs:
+needs (plus ``tables(plan)``, the stream tables of a
+:class:`~repro.lbm.stream.StepPlan` — every kernel provider's surface):
 
 ``collide(f, n_nodes)``
     In-place collision on the prefix ``[0, n_nodes)`` of ``f[q, n]``
@@ -193,6 +194,10 @@ class CompiledKernels:
         return params
 
     # -- kernels ------------------------------------------------------------
+    def tables(self, plan):
+        """The tables :meth:`stream` takes for ``plan``: its run table."""
+        return plan.kernel_tables()
+
     def collide(self, f: np.ndarray, n_nodes: Optional[int] = None) -> None:
         """Collide the prefix ``[0, n_nodes)`` of ``f[q, n]`` in place."""
         _require_abi("f", f, np.float64)

@@ -5,9 +5,10 @@ and memory idiom; :class:`CompiledModel` is the sixth entry — the PyKokkos
 idea from SNIPPETS: annotated Python lowered to genuinely compiled
 kernels behind the same View layer.  The generic surface (alloc /
 to_device / to_host / launch / synchronize) behaves like a host-resident
-model so :class:`~repro.models.base.ModelEngine` and the conformance
-lints treat it like any other backend, while :meth:`make_kernels` hands
-out the real compiled engine the solver layer executes.
+model so the conformance lints treat it like any other backend, while
+:meth:`make_kernels` hands the solvers the real compiled engine instead
+of NumPy bodies run through :meth:`launch` — so a model engine over this
+model executes compiled code.
 
 Constructing the model on a host with no provider raises
 :class:`~repro.core.errors.BackendUnavailableError` — the registry
@@ -47,9 +48,7 @@ class CompiledModel(ProgrammingModel):
         backend: str = "compiled",
         fastmath: bool = True,
     ) -> None:
-        self.provider = require_compiled(
-            backend if backend != "compiled" else "compiled"
-        )
+        self.provider = require_compiled(backend)
         super().__init__(device)
         self.backend = normalize_backend(backend)
         self.fastmath = bool(fastmath)

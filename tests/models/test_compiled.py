@@ -245,3 +245,25 @@ class TestCompiledModelSurface:
         model.synchronize()
         assert sorted(seen) == list(range(100))
         assert model.launch_count == 1
+
+    def test_model_engine_steps_compiled_kernels(self):
+        """A model engine over CompiledModel runs compiled code — the
+        provider is the CompiledKernels object, not NumPy bodies through
+        ``launch`` — and the exact build matches the NumPy BGK solver."""
+        from repro.geometry import CylinderSpec, make_cylinder
+        from repro.lbm import Solver
+        from repro.models import ModelEngine
+        from repro.models.compiled import CompiledModel
+
+        grid = make_cylinder(CylinderSpec(scale=0.3))
+        cfg = SolverConfig(
+            tau=0.8, force=(1e-6, 0, 0), periodic=(True, False, False)
+        )
+        ref = Solver(grid, cfg)
+        ref.step(5)
+        model = CompiledModel(backend="compiled-serial", fastmath=False)
+        engine = ModelEngine(grid, cfg, model)
+        engine.step(5)
+        assert isinstance(engine._kern, CompiledKernels)
+        assert model.launch_count == 0
+        assert np.array_equal(engine.distributions(), ref.f)

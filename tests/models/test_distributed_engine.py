@@ -1,13 +1,16 @@
 """Distributed execution through the model backends."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core import ModelError
+from repro.core import ConfigError, ModelError
 from repro.decomp import axis_decompose, bisection_decompose
 from repro.geometry import CylinderSpec, make_aorta, make_cylinder
 from repro.lbm import DistributedSolver, Solver, SolverConfig
-from repro.models.distributed_engine import DistributedModelEngine
+from repro.models import DistributedModelEngine, SimulatedDevice
+from repro.models.compiled import CompiledKernels, compiled_available
 
 
 @pytest.fixture(scope="module")
@@ -22,17 +25,28 @@ def cyl_config():
     )
 
 
+#: both declared schedules; looped over inside the tests that predate the
+#: overlap rows so their ids stay what they were
+SCHEDULES = (False, True)
+
+
 class TestEquivalence:
     @pytest.mark.parametrize(
-        "model_name", ["cuda", "sycl", "kokkos-hip", "kokkos-openacc"]
+        "model_name, collision",
+        [
+            pytest.param(name, "bgk", id=name)
+            for name in ("cuda", "sycl", "kokkos-hip", "kokkos-openacc")
+        ]
+        + [("cuda", "trt"), ("cuda", "mrt")],
     )
-    def test_matches_reference_solver(self, cylinder, cyl_config, model_name):
-        ref = Solver(cylinder, cyl_config)
+    def test_matches_reference_solver(
+        self, cylinder, cyl_config, model_name, collision
+    ):
+        config = dataclasses.replace(cyl_config, collision=collision)
+        ref = Solver(cylinder, config)
         ref.step(8)
         part = axis_decompose(cylinder, 3)
-        engine = DistributedModelEngine(
-            part, cyl_config, model_name=model_name
-        )
+        engine = DistributedModelEngine(part, config, model_name=model_name)
         engine.step(8)
         assert np.array_equal(engine.gather_f(), ref.f), model_name
 
@@ -40,61 +54,111 @@ class TestEquivalence:
         ref = Solver(cylinder, cyl_config)
         ref.step(6)
         part = axis_decompose(cylinder, 4)
-        engine = DistributedModelEngine(
-            part, cyl_config, model_name="hip", gpu_aware=False
-        )
-        engine.step(6)
-        assert np.array_equal(engine.gather_f(), ref.f)
+        for overlap in SCHEDULES:
+            engine = DistributedModelEngine(
+                part,
+                dataclasses.replace(cyl_config, overlap=overlap),
+                model_name="hip",
+                gpu_aware=False,
+            )
+            engine.step(6)
+            assert np.array_equal(engine.gather_f(), ref.f), overlap
 
     def test_aorta_with_boundaries(self):
         grid = make_aorta(2.5)
         cfg = SolverConfig(tau=0.7, inlet_velocity=(0, 0, 0.02))
         ref = Solver(grid, cfg)
         ref.step(6)
+        for overlap in SCHEDULES:
+            engine = DistributedModelEngine(
+                bisection_decompose(grid, 3),
+                dataclasses.replace(cfg, overlap=overlap),
+                model_name="kokkos-sycl",
+            )
+            engine.step(6)
+            assert np.array_equal(engine.gather_f(), ref.f), overlap
+
+    @pytest.mark.skipif(
+        not compiled_available(), reason="no compiled-kernel provider"
+    )
+    def test_compiled_model_steps_compiled_kernels(self, cylinder, cyl_config):
+        from repro.models.compiled import CompiledModel
+
+        ref = Solver(cylinder, cyl_config)
+        ref.step(6)
         engine = DistributedModelEngine(
-            bisection_decompose(grid, 3), cfg, model_name="kokkos-sycl"
+            axis_decompose(cylinder, 3),
+            cyl_config,
+            model_factory=lambda rank: CompiledModel(
+                SimulatedDevice(device_id=rank),
+                backend="compiled-serial",
+                fastmath=False,
+            ),
         )
         engine.step(6)
+        assert all(isinstance(k, CompiledKernels) for k in engine._kern)
         assert np.array_equal(engine.gather_f(), ref.f)
 
 
 class TestStagingObservability:
     def test_gpu_aware_path_has_no_staging(self, cylinder, cyl_config):
         part = axis_decompose(cylinder, 4)
-        engine = DistributedModelEngine(
-            part, cyl_config, model_name="cuda", gpu_aware=True
-        )
-        engine.step(3)
-        d2h, h2d = engine.staging_bytes()
-        assert d2h == 0 and h2d == 0
+        for overlap in SCHEDULES:
+            engine = DistributedModelEngine(
+                part,
+                dataclasses.replace(cyl_config, overlap=overlap),
+                model_name="cuda",
+                gpu_aware=True,
+            )
+            engine.step(3)
+            assert engine.staging_bytes() == (0, 0), overlap
 
     def test_host_staged_path_records_both_legs(self, cylinder, cyl_config):
         part = axis_decompose(cylinder, 4)
-        engine = DistributedModelEngine(
-            part, cyl_config, model_name="hip", gpu_aware=False
-        )
-        engine.step(3)
-        d2h, h2d = engine.staging_bytes()
-        assert d2h > 0 and h2d > 0
-        # every sent byte is downloaded once and uploaded once
-        wire = sum(
-            e.nbytes for e in engine.comm.log.events if e.kind == "p2p"
-        )
-        assert d2h == wire
-        assert h2d == wire
+        staged = {}
+        for overlap in SCHEDULES:
+            engine = DistributedModelEngine(
+                part,
+                dataclasses.replace(cyl_config, overlap=overlap),
+                model_name="hip",
+                gpu_aware=False,
+            )
+            engine.step(3)
+            d2h, h2d = engine.staging_bytes()
+            assert d2h > 0 and h2d > 0
+            # every sent byte is downloaded once and uploaded once
+            wire = sum(
+                e.nbytes for e in engine.comm.log.events if e.kind == "p2p"
+            )
+            assert d2h == h2d == wire == 3 * engine.halo_bytes_per_step()
+            staged[overlap] = d2h
+        # the packed cross-link exchange stages strictly fewer bytes
+        assert staged[True] < staged[False]
 
     def test_each_rank_gets_its_own_device(self, cylinder, cyl_config):
         part = axis_decompose(cylinder, 3)
         engine = DistributedModelEngine(part, cyl_config)
-        devices = {er.model.device.name for er in engine.ranks}
+        devices = {model.device.name for model in engine.models}
         assert len(devices) == 3
 
     def test_negative_steps_rejected(self, cylinder, cyl_config):
         engine = DistributedModelEngine(
             axis_decompose(cylinder, 2), cyl_config
         )
-        with pytest.raises(ModelError):
+        with pytest.raises(ConfigError, match="num_steps"):
             engine.step(-1)
+
+    @pytest.mark.parametrize(
+        "field, value", [("backend", "compiled-serial"), ("sanitize", True)]
+    )
+    def test_second_provider_and_sanitize_rejected(
+        self, cylinder, cyl_config, field, value
+    ):
+        # a model is the kernel provider: a compiled backend would be a
+        # second one, and the sanitizer needs the inline NumPy kernels
+        config = dataclasses.replace(cyl_config, **{field: value})
+        with pytest.raises(ConfigError, match="model"):
+            DistributedModelEngine(axis_decompose(cylinder, 2), config)
 
     def test_process_executor_rejected(self, cylinder):
         # engine rank state lives in ordinary memory, not shared

@@ -2,10 +2,12 @@
 physics through its own programming surface, plus the registry's
 availability matrix."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core import ModelError
+from repro.core import ConfigError, ModelError
 from repro.geometry import CylinderSpec, make_aorta, make_cylinder
 from repro.hardware import get_machine
 from repro.lbm import Solver, SolverConfig
@@ -27,18 +29,33 @@ def cylinder():
 
 @pytest.fixture(scope="module")
 def cylinder_reference(cylinder):
-    cfg = SolverConfig(
+    """``collision -> (config, stepped reference solver)``, built once."""
+    base = SolverConfig(
         tau=0.8, force=(1e-6, 0, 0), periodic=(True, False, False)
     )
-    ref = Solver(cylinder, cfg)
-    ref.step(20)
-    return cfg, ref
+    cache = {}
+
+    def reference(collision):
+        if collision not in cache:
+            cfg = dataclasses.replace(base, collision=collision)
+            ref = Solver(cylinder, cfg)
+            ref.step(20)
+            cache[collision] = cfg, ref
+        return cache[collision]
+
+    return reference
 
 
 class TestBitwisePortability:
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_backend_matches_reference(self, cylinder, cylinder_reference, name):
-        cfg, ref = cylinder_reference
+    @pytest.mark.parametrize(
+        "name, collision",
+        [pytest.param(name, "bgk", id=name) for name in MODEL_NAMES]
+        + [("cuda", "trt"), ("cuda", "mrt")],
+    )
+    def test_backend_matches_reference(
+        self, cylinder, cylinder_reference, name, collision
+    ):
+        cfg, ref = cylinder_reference(collision)
         engine = ModelEngine(cylinder, cfg, create_model(name))
         engine.step(20)
         assert np.array_equal(engine.distributions(), ref.f), name
@@ -78,7 +95,7 @@ class TestBitwisePortability:
             tau=0.8, force=(1e-6, 0, 0), periodic=(True, False, False)
         )
         engine = ModelEngine(cylinder, cfg, create_model("hip"))
-        with pytest.raises(ModelError):
+        with pytest.raises(ConfigError, match="num_steps"):
             engine.step(-1)
 
 
