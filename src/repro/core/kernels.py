@@ -16,9 +16,12 @@ The collide/moments kernels accept an optional :class:`Workspace` of
 preallocated scratch buffers.  With a workspace the hot path performs no
 array allocation at all: moments, equilibrium, and Guo source terms are
 computed with ``out=``/in-place ufuncs into reused buffers, and when
-``idx`` covers every node the kernels skip the gather copy ``fi = f[:,
-idx]`` entirely and collide directly in ``f``.  Without a workspace a
-throwaway one is created per call, which reproduces the legacy
+``idx`` covers every column of the ``f`` it is handed the kernels skip the
+gather copy ``fi = f[:, idx]`` entirely and collide directly in ``f``.
+The solvers always take that path: :func:`collide_prefix` hands the
+collision operator one ``f[:, a:b]`` column view per cache-sized block, so
+the scratch buffers are block-wide and stay cache resident.  Without a
+workspace a throwaway one is created per call, which reproduces the legacy
 allocate-per-step behaviour bit for bit (the arithmetic is identical; only
 buffer reuse differs).
 """
@@ -33,6 +36,8 @@ from .lattice import Lattice
 
 __all__ = [
     "Workspace",
+    "COLLIDE_BLOCK",
+    "collide_prefix",
     "moments_kernel",
     "equilibrium_kernel",
     "bgk_collide_kernel",
@@ -49,11 +54,11 @@ class Workspace:
     """Reusable scratch buffers for the allocation-free kernel paths.
 
     Buffers are keyed by ``(name, shape)`` so the same workspace serves
-    chunked backend launches (full blocks and the tail block allocate
-    distinct buffers once each and reuse them every step).  Per-force
-    Guo constants (the half-force velocity shift and the projections
-    ``c . F``) are cached so they are computed once per run rather than
-    once per kernel invocation.
+    blocked callers (:func:`collide_prefix`, chunked backend launches:
+    full blocks and the tail block allocate distinct block-wide buffers
+    once each and reuse them every step).  Per-force Guo constants (the
+    half-force velocity shift and the projections ``c . F``) are cached so
+    they are computed once per run rather than once per kernel invocation.
     """
 
     __slots__ = ("_bufs", "_guo")
@@ -94,14 +99,16 @@ class Workspace:
 def _gather_fi(
     f: np.ndarray, idx: np.ndarray, ws: Workspace, allow_inplace: bool
 ) -> Tuple[np.ndarray, bool]:
-    """Gather ``f[:, idx]`` into a workspace buffer.
+    """The columns ``idx`` of ``f`` the collide arithmetic works on.
 
     Fast path (``allow_inplace``, i.e. a caller-owned workspace is in
-    play): when ``idx`` covers every column (the single-domain solver
-    passes ``arange(n)``), no copy is made and ``f`` itself is returned —
-    the collide kernels then read and write ``f`` directly.  The legacy
-    path always gathers, reproducing the historical full-array copy
-    (same values either way; the gather lands in C order and the ops are
+    play): when ``idx`` covers every column of ``f``, no copy is made and
+    ``f`` itself is returned — the collide kernels then read and write
+    ``f`` directly.  Both solvers always land here, through the column
+    views of :func:`collide_prefix`.  The gather/scatter path remains for
+    ``LaunchedKernels.collide`` (launch-block chunks of the whole ``f``),
+    subset :func:`moments_kernel` calls and workspace-less callers (same
+    values either way; the gather lands in C order and the ops are
     elementwise, so the two paths agree bit for bit).
     """
     if allow_inplace and idx.size == f.shape[1]:
@@ -109,6 +116,40 @@ def _gather_fi(
     fi = ws.get("fi", (f.shape[0], idx.size))
     np.take(f, idx, axis=1, out=fi)
     return fi, False
+
+
+#: Columns per :func:`collide_prefix` block: a ``(q, 4096)`` float64 buffer
+#: is 608 KiB for D3Q19, so a block and its scratch stay cache resident
+#: through every ufunc pass.  A constant, not an option: the sweep has a
+#: wide plateau (2048 within 11 %; 8192, unblocked slower; DESIGN §8).
+COLLIDE_BLOCK = 4096
+
+_BLOCK_IDS = np.arange(2 * COLLIDE_BLOCK, dtype=np.int64)
+
+
+def collide_prefix(
+    collision, lat: Lattice, f: np.ndarray, n: int, ws: Workspace
+) -> None:
+    """Collide columns ``[0, n)`` of ``f`` in place, a block at a time.
+
+    Each block is a column view ``f[:, a:b]`` handed to
+    ``collision.apply`` with indices covering it, so the operator takes
+    its in-place path: no gather, no scatter, block-wide scratch.  The
+    bits must not depend on the blocking, and BLAS sums a narrow operand
+    in another order (small-matrix GEMM below ~2.8 k columns of a 19x19
+    projection, strided gemv for one column): so the tail is folded into
+    the last block, and a lone column goes the gather way.
+    """
+    if n == 1:
+        collision.apply(lat, f, _BLOCK_IDS[:1], workspace=ws)
+        return
+    a = 0
+    while a < n:
+        b = a + COLLIDE_BLOCK
+        if n - b < COLLIDE_BLOCK:
+            b = n
+        collision.apply(lat, f[:, a:b], _BLOCK_IDS[: b - a], workspace=ws)
+        a = b
 
 
 def _moments_into(
@@ -298,13 +339,15 @@ def fused_stream_kernel(
     ``flat_src`` holds flat indices ``src_q * n + src_node`` into
     ``f_src.reshape(-1)`` — bounce-back links simply point at the
     opposite population of the same node, so walls cost nothing extra.
-    The whole step is a single ``np.take`` into the (possibly strided)
-    destination region: exactly one read and one write per population,
-    the one-pass traffic the paper's perf model prices (Eq. 1).
+    One ``np.take`` fills the destination region: exactly one read and
+    one write per population, the one-pass traffic the paper's perf model
+    prices (Eq. 1) — provided ``f_dst_region`` is C-contiguous (the whole
+    array, or one row's prefix).  NumPy bounces a strided ``out=`` through
+    a temporary of its full size, tripling the traffic, so
+    ``StepPlan.apply`` never passes one.
 
     Indices are in range by construction; ``mode="clip"`` only bypasses
-    NumPy's bounds-checking buffer so the gather can write a non-
-    contiguous ``out=`` view directly.
+    the buffering of ``out=`` that ``mode="raise"`` always does.
     """
     np.take(f_src.reshape(-1), flat_src, out=f_dst_region, mode="clip")
 

@@ -106,7 +106,7 @@ from ..core.errors import (
     ModelError,
     RuntimeSimError,
 )
-from ..core.kernels import Workspace
+from ..core.kernels import Workspace, collide_prefix
 from ..decomp.partition import Partition
 from ..geometry.flags import INLET, OUTLET
 from .boundary import PressureOutlet, VelocityInlet
@@ -218,9 +218,6 @@ class RankState:
     inlet: Optional[VelocityInlet]
     outlet: Optional[PressureOutlet]
     step_plan: StepPlan  # the rank's one-gather streaming table
-    owned_ids: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64)
-    )  # local ids [0, num_owned), preallocated for the collide phase
     workspace: Workspace = field(default_factory=Workspace)  # collide scratch
     # halo staging of the active schedule, per neighbour: flat gather
     # table into f and send buffer per destination, receive buffer per
@@ -450,7 +447,6 @@ class DistributedSolver:
                     inlet=inlet,
                     outlet=outlet,
                     step_plan=StepPlan(self.lattice, plans, n_local, owned_local),
-                    owned_ids=owned_local,
                 )
             )
 
@@ -617,8 +613,8 @@ class DistributedSolver:
             # owned nodes are the prefix of the local numbering
             self._kern[rank].collide(st.f, st.num_owned)
             return
-        self.collision.apply(
-            self.lattice, st.f, st.owned_ids, workspace=st.workspace
+        collide_prefix(
+            self.collision, self.lattice, st.f, st.num_owned, st.workspace
         )
 
     def _phase_exchange_post(self, rank: int) -> None:

@@ -16,7 +16,7 @@ from typing import Any, Callable, Optional, Tuple, Union
 import numpy as np
 
 from ..core.errors import ConfigError
-from ..core.kernels import Workspace
+from ..core.kernels import Workspace, collide_prefix
 from ..core.lattice import Lattice, get_lattice
 from ..geometry.flags import INLET, OUTLET
 from ..geometry.voxel import VoxelGrid
@@ -311,8 +311,8 @@ class Solver:
                 kern.collide(self.f, n)
                 kern.stream(self.f, self._f_tmp, *self._kern_tables)
             else:
-                self.collision.apply(
-                    self.lattice, self.f, self.all_ids, workspace=self._workspace
+                collide_prefix(
+                    self.collision, self.lattice, self.f, n, self._workspace
                 )
                 self.step_plan.apply(self.f, self._f_tmp)
             self.f, self._f_tmp = self._f_tmp, self.f

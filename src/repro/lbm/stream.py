@@ -43,6 +43,18 @@ class QPlan:
     bounce: np.ndarray  # nodes whose upstream voxel is solid
 
 
+def _is_prefix(update_ids: np.ndarray) -> bool:
+    """Whether ``update_ids`` is ``0..n-1``, the prefix of the local
+    numbering (single-domain, and the distributed owned-before-ghost
+    layout): the gather then writes destination columns directly."""
+    n = int(update_ids.size)
+    return n == 0 or bool(
+        update_ids[0] == 0
+        and update_ids[-1] == n - 1
+        and np.array_equal(update_ids, np.arange(n, dtype=np.int64))
+    )
+
+
 class StepPlan:
     """Precompiled fused streaming + bounce-back over all populations.
 
@@ -51,9 +63,9 @@ class StepPlan:
     flattened source array ``f_src.reshape(-1)``: interior links point at
     the upstream neighbour in the same population, wall links point at
     the *opposite* population of the same node (half-way bounce-back).
-    One ``np.take(..., out=)`` then executes the entire streaming step —
-    the single-pass stream kernel of the paper's perf model instead of a
-    19-iteration Python loop.
+    One ``np.take(..., out=)`` (one per row when ghost columns pad the
+    destination) then executes the entire streaming step — the
+    single-pass stream kernel of the paper's perf model.
 
     Parameters
     ----------
@@ -75,6 +87,7 @@ class StepPlan:
     #: The cached :meth:`kernel_tables`, or None before a compiled engine
     #: asked for them — what the K406/K407 pre-flight verifies.
     run_table: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    _gather_buf: Optional[np.ndarray] = None
 
     def __init__(
         self,
@@ -108,24 +121,7 @@ class StepPlan:
                 "streaming plans do not cover every (population, node) pair"
             )
         self.flat_src = flat
-        # When the update set is the prefix 0..n_upd-1 of the local
-        # numbering (true for both the single-domain solver and the
-        # distributed owned-before-ghost layout), the gather can write
-        # the destination columns directly with no scatter pass.
-        self._prefix = bool(
-            n_upd == 0
-            or (
-                int(update_ids[0]) == 0
-                and int(update_ids[-1]) == n_upd - 1
-                and np.array_equal(
-                    update_ids, np.arange(n_upd, dtype=np.int64)
-                )
-            )
-        )
-        if self._prefix:
-            self._gather_buf = None
-        else:
-            self._gather_buf = np.empty((q, n_upd), dtype=np.float64)
+        self._prefix = _is_prefix(update_ids)
 
     @classmethod
     def _from_columns(
@@ -137,24 +133,9 @@ class StepPlan:
         plan.lattice = parent.lattice
         plan.num_local = parent.num_local
         plan.update_ids = parent.update_ids[cols]
-        n_upd = int(plan.update_ids.size)
-        plan.num_update = n_upd
+        plan.num_update = int(plan.update_ids.size)
         plan.flat_src = parent.flat_src[:, cols]
-        plan._prefix = bool(
-            n_upd == 0
-            or (
-                int(plan.update_ids[0]) == 0
-                and int(plan.update_ids[-1]) == n_upd - 1
-                and np.array_equal(
-                    plan.update_ids, np.arange(n_upd, dtype=np.int64)
-                )
-            )
-        )
-        plan._gather_buf = (
-            None
-            if plan._prefix
-            else np.empty((parent.lattice.q, n_upd), dtype=np.float64)
-        )
+        plan._prefix = _is_prefix(plan.update_ids)
         return plan
 
     def partition(
@@ -289,13 +270,29 @@ class StepPlan:
         Only update nodes are written; in the distributed case ghost
         columns of ``f_dst`` are left untouched (refilled by exchange).
         """
-        if self._prefix:
-            fused_stream_kernel(
-                f_src, f_dst[:, : self.num_update], self.flat_src
-            )
+        n_upd = self.num_update
+        if not self._prefix:
+            buf = self._staging()
+            fused_stream_kernel(f_src, buf, self.flat_src)
+            f_dst[:, self.update_ids] = buf
+        elif f_dst.shape[1] == n_upd:
+            fused_stream_kernel(f_src, f_dst, self.flat_src)
         else:
-            fused_stream_kernel(f_src, self._gather_buf, self.flat_src)
-            f_dst[:, self.update_ids] = self._gather_buf
+            # ghost columns pad the rows: np.take bounces a strided out=
+            # through a full-size temporary (allocate, copy in, gather,
+            # copy back), so gather each contiguous row on its own
+            for qi in range(self.lattice.q):
+                fused_stream_kernel(
+                    f_src, f_dst[qi, :n_upd], self.flat_src[qi]
+                )
+
+    def _staging(self) -> np.ndarray:
+        """Gather buffer of a non-prefix :meth:`apply`, allocated on first
+        use: the solvers apply prefix plans only, and the overlap
+        sub-plans of :meth:`partition` are read, never applied."""
+        if self._gather_buf is None:
+            self._gather_buf = np.empty(self.flat_src.shape)
+        return self._gather_buf
 
 
 def upstream_ids(

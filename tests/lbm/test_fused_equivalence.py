@@ -123,7 +123,7 @@ def reference_distributed_f(part, config, num_steps):
     lattice, collision, ranks = solver.lattice, solver.collision, solver.ranks
     for time in range(1, num_steps + 1):
         for st in ranks:
-            collision.apply(lattice, st.f, st.owned_ids)
+            collision.apply(lattice, st.f, np.arange(st.num_owned))
         for st in ranks:
             for src, slots in st.recv_slots.items():
                 st.f[:, slots] = ranks[src].f[:, ranks[src].send_ids[st.rank]]
