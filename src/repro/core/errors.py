@@ -79,8 +79,8 @@ class CommScheduleError(ReproError):
 
 class PlanCheckError(ReproError):
     """Raised when a step plan fails static verification (double-written
-    destinations, out-of-bounds gather sources, ghost-reading interior
-    sub-plans, uncovered cross-links, phase-order hazards)."""
+    destinations, out-of-bounds gather sources, uncovered cross-links,
+    phase-order hazards, run tables that differ from the link tables)."""
 
 
 class SanitizeError(ReproError):

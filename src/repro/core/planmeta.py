@@ -23,8 +23,6 @@ import numpy as np
 __all__ = [
     "duplicate_values",
     "out_of_range",
-    "split_flat",
-    "ghost_links",
     "flat_destinations",
     "KERNEL_RUN_CAP",
     "kernel_tables",
@@ -65,31 +63,6 @@ def out_of_range(table: np.ndarray, size: int) -> np.ndarray:
     flat = np.asarray(table).reshape(-1)
     bad = flat[(flat < 0) | (flat >= int(size))]
     return np.unique(bad).astype(np.int64)
-
-
-def split_flat(
-    flat: np.ndarray, num_local: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Decompose flat indices into ``(population, node)`` pairs."""
-    arr = np.asarray(flat, dtype=np.int64)
-    n = int(num_local)
-    return arr // n, arr % n
-
-
-def ghost_links(
-    flat_src: np.ndarray, num_local: int, num_owned: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Positions ``(row, col)`` of table entries reading ghost nodes.
-
-    A source whose local node id is at or above ``num_owned`` reads the
-    halo; for an *interior* sub-plan that set must be empty, and for the
-    full plan it is exactly the cross-link set the packed exchange must
-    cover.
-    """
-    table = np.asarray(flat_src, dtype=np.int64)
-    src_node = table % int(num_local)
-    rows, cols = np.nonzero(src_node >= int(num_owned))
-    return rows, cols
 
 
 def flat_destinations(

@@ -132,15 +132,13 @@ class HarveyApp:
         (in-process executors, or ``REPRO_TELEMETRY_PLANE=off``) or no
         path is configured.
         """
-        plane = getattr(self.solver, "plane", None)
+        plane = self.solver.plane
         if plane is None:
             return None
-        states = None
-        executor = self.solver.executor
-        rank_states = getattr(executor, "_rank_states", None)
-        if callable(rank_states):
-            states = rank_states()
-        bundle = plane.postmortem_bundle(reason, rank_states=states)
+        # a plane exists under the process executor only
+        bundle = plane.postmortem_bundle(
+            reason, rank_states=self.solver.executor.rank_states()
+        )
         return plane.save_bundle(bundle, path=path)
 
     # -- lifecycle ----------------------------------------------------------------
@@ -148,9 +146,7 @@ class HarveyApp:
         """Release solver resources (worker processes, shared segments).
 
         A no-op for in-process executors; idempotent."""
-        close = getattr(self.solver, "close", None)
-        if close is not None:
-            close()
+        self.solver.close()
 
     def __enter__(self) -> "HarveyApp":
         return self

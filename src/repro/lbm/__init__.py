@@ -9,6 +9,7 @@ from .mrt import MRTCollision, build_moment_basis
 from .trt import MAGIC_LAMBDA, TRTCollision
 from .nondimensional import BLOOD, FluidProperties, UnitSystem
 from .distributed import DistributedSolver, RankState
+from .rankplan import RankPlan, build_rank_plans
 from .moments import (
     density,
     poiseuille_pipe_max_velocity,
@@ -47,6 +48,8 @@ __all__ = [
     "SolverConfig",
     "DistributedSolver",
     "RankState",
+    "RankPlan",
+    "build_rank_plans",
     "StepSanitizer",
     "check_finite",
     "density",

@@ -95,7 +95,7 @@ def load_checkpoint(solver, path: PathLike) -> None:
         # ghosts need no refresh: every step exchanges post-collision
         # values before streaming reads them
         for st in solver.ranks:
-            st.f[:, : st.num_owned] = f[:, st.owned_global]
+            st.f[:, : st.num_owned] = f[:, st.plan.owned_global]
     else:
         solver.f[...] = f
     solver.time = time

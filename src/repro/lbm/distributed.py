@@ -1,8 +1,10 @@
 """Distributed (multi-rank) LBM solver over a simulated MPI communicator.
 
-One rank per logical GPU, as in the paper.  Each rank owns the fluid nodes
-inside its partition box plus a ghost layer holding the upstream
-neighbours owned by other ranks.  An iteration is a fixed sequence of
+One rank per logical GPU, as in the paper.  The decomposition arrives as
+frozen :class:`~repro.lbm.rankplan.RankPlan` tables (ownership, ghost
+layer, gather table, exchange pair); this module verifies them,
+*instantiates* them — buffers, boundary objects, kernel providers,
+transport — and runs them.  An iteration is a fixed sequence of
 phases **declared as data** — :class:`Phase` records (span, body method,
 rank buffers read and written, whether it ends in the double-buffer swap)
 in :data:`BARRIER_SCHEDULE` / :data:`OVERLAP_SCHEDULE` — and executed by
@@ -41,10 +43,10 @@ hide halo exchange behind interior compute:
    columns are provisional where their halo-sourced links read stale
    ghosts;
 4. **complete** the exchange into per-neighbour staging buffers;
-5. **stream the frontier** — the staged payloads are scattered directly
-   onto the halo-sourced link destinations in the double buffer,
-   finalising exactly the provisional values (ghost columns are never
-   refreshed on this path), then swap;
+5. **stream the frontier** — the staged payloads are scattered onto
+   ``recv_flat``, the halo-sourced link destinations in the double
+   buffer, finalising exactly the provisional values (ghost columns are
+   never refreshed on this path), then swap;
 6. inlet/outlet boundary conditions.
 
 Phases 2-4 run inside an ``overlap_window`` span, derived from the
@@ -64,7 +66,7 @@ an in-process ``SimComm`` receive raises on an empty queue, so it must;
 (:mod:`repro.runtime.procexec`) for true multicore parallelism.  That
 choice never reaches the phase bodies: the exchange bodies stage through
 preallocated per-neighbour buffers and talk to one halo transport, chosen
-once in ``_build``, through ``send(src, dst, buf, tag)`` /
+once at construction, through ``send(src, dst, buf, tag)`` /
 ``recv_into(dst, src, out, tag)`` only — the
 :class:`~repro.runtime.simmpi.SimComm` queues in-process, the per-pair
 shared-memory :class:`~repro.runtime.shmem.RingTransport` under
@@ -96,6 +98,7 @@ Physics stays bit-for-bit equal to lockstep — pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,10 +111,9 @@ from ..core.errors import (
 )
 from ..core.kernels import Workspace, collide_prefix
 from ..decomp.partition import Partition
-from ..geometry.flags import INLET, OUTLET
 from .boundary import PressureOutlet, VelocityInlet
+from .rankplan import RankPlan, build_rank_plans
 from .solver import SolverConfig, validate_model_tier
-from .stream import StepPlan, upstream_ids
 from ..runtime.events import CommEvent
 from ..runtime.executor import make_executor
 from ..runtime.shmem import RingTransport, SegmentRegistry
@@ -205,38 +207,26 @@ def _split_at_window(
 
 @dataclass
 class RankState:
-    """Per-rank solver state."""
+    """One instantiated rank: its frozen plan plus the mutable buffers."""
 
-    rank: int
-    owned_global: np.ndarray  # global node ids, ascending
-    ghost_global: np.ndarray  # global node ids, ascending
+    plan: RankPlan
     f: np.ndarray  # (q, n_owned + n_ghost)
     f_tmp: np.ndarray
-    plans: List[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]
-    send_ids: Dict[int, np.ndarray]  # dst rank -> local ids to send
-    recv_slots: Dict[int, np.ndarray]  # src rank -> local ghost slots
     inlet: Optional[VelocityInlet]
     outlet: Optional[PressureOutlet]
-    step_plan: StepPlan  # the rank's one-gather streaming table
+    # halo staging, per neighbour: the send buffer ``plan.send_flat``
+    # gathers into, the receive buffer ``plan.recv_flat`` scatters from
+    send_bufs: Dict[int, np.ndarray]
+    recv_bufs: Dict[int, np.ndarray]
     workspace: Workspace = field(default_factory=Workspace)  # collide scratch
-    # halo staging of the active schedule, per neighbour: flat gather
-    # table into f and send buffer per destination, receive buffer per
-    # source.  Barrier: all q populations of send_ids / recv_slots.
-    # Overlap: send_flat is pack_flat and the buffers are 1-D payloads.
-    send_flat: Dict[int, np.ndarray] = field(default_factory=dict)
-    send_bufs: Dict[int, np.ndarray] = field(default_factory=dict)
-    recv_bufs: Dict[int, np.ndarray] = field(default_factory=dict)
-    # overlap-path state: the interior/frontier split of the step plan
-    # plus the packed cross-link exchange wiring (empty when overlap off):
-    # what to pack per destination, where to scatter per source
-    interior_plan: Optional[StepPlan] = None
-    frontier_plan: Optional[StepPlan] = None
-    pack_flat: Dict[int, np.ndarray] = field(default_factory=dict)
-    inj_flat: Dict[int, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def rank(self) -> int:
+        return self.plan.rank
 
     @property
     def num_owned(self) -> int:
-        return int(self.owned_global.size)
+        return self.plan.num_owned
 
 
 class DistributedSolver:
@@ -290,9 +280,6 @@ class DistributedSolver:
                 "communicator size does not match partition rank count"
             )
         self.tracer = get_tracer() if tracer is None else tracer
-        self.executor = make_executor(
-            config.executor, partition.num_ranks, tracer=self.tracer
-        )
         self.time = 0
         self.fluid_updates = 0
         self._overlap = bool(config.overlap)
@@ -300,18 +287,36 @@ class DistributedSolver:
         self._schedule_parts = _split_at_window(self._schedule)
         self._procmode = config.executor == "process"
         self._closed = False
-        self._shm = None  # SegmentRegistry, allocated in _build()
+        self._shm: Optional[SegmentRegistry] = None
+        self.executor: Any = None
         # halo transport: the rings under procmode, host-staged for models
         # without GPU-aware MPI
         self._halo: Any = self.comm
-        self.plane = None  # TelemetryPlane, wired in _build() (procmode)
-        self._san = None  # StepSanitizer, attached after _build()
+        self.plane = None  # TelemetryPlane (procmode)
+        self._san = None  # StepSanitizer
         registry = get_registry()
         self._halo_packed = registry.counter("lbm.halo.bytes_packed")
         self._halo_unpacked = registry.counter("lbm.halo.bytes_unpacked")
         self._flups_counter = registry.counter("lbm.collide.flups")
         self._stream_bytes_counter = registry.counter("lbm.stream.bytes_gathered")
-        self._build()
+
+        # everything that can reject the run happens before the first
+        # allocation: plans, both pre-flights, kernel providers
+        plans = build_rank_plans(
+            self.grid, partition, self.lattice, config.periodic, self._overlap
+        )
+        if config.inlet_velocity is None and any(
+            plan.inlet_nodes.size for plan in plans
+        ):
+            raise DecompositionError(
+                "grid has inlet nodes but no inlet_velocity configured"
+            )
+        compiled = models is None and config.backend != "numpy"
+        if compiled:
+            # the compiled stream launches over the run table: build it
+            # now so K406/K407 verify it with the rest of the plan
+            for plan in plans:
+                plan.step_plan.kernel_tables()
         context = f"partition over {partition.num_ranks} rank(s)"
         if validate_schedule:
             # pre-flight: statically verify the halo-exchange plan the
@@ -320,92 +325,63 @@ class DistributedSolver:
             from ..lint.commcheck import schedule_from_rank_states, verify_schedule
 
             sched = schedule_from_rank_states(
-                self.ranks, partition.num_ranks, tag=HALO_TAG, overlap=self._overlap
+                plans, partition.num_ranks, tag=HALO_TAG, overlap=self._overlap
             )
             verify_schedule(sched, context=context)
         if validate_plan:
             # pre-flight: verify the compiled plan IR itself (the K4xx
             # invariants — race-free destinations, in-bounds sources,
-            # ghost-free interior, covered cross-links, hazard-free
-            # phase order) before the first apply executes
+            # covered cross-links, hazard-free phase order, run tables
+            # equal to the link tables) before the first apply executes
             from ..lint.plancheck import verify_rank_plans
 
-            verify_rank_plans(
-                self.ranks, overlap=self._overlap, context=context
-            )
-        if config.sanitize:
-            from .sanitize import StepSanitizer
+            verify_rank_plans(plans, overlap=self._overlap, context=context)
+        # per-rank kernel providers; None = the inline NumPy bodies
+        self._kern: Optional[List[Any]] = None
+        if models is not None:
+            self._kern = [
+                m.make_kernels(self.lattice, self.collision) for m in models
+            ]
+        elif compiled:
+            # one compiled engine (lattice + collision are shared); the
+            # per-rank plan IR binds through its run-length tables, so both
+            # the barrier and the overlapped schedules run compiled
+            from ..models.compiled import CompiledKernels
 
-            self._san = StepSanitizer(self.ranks, overlap=self._overlap)
-            # the step loop notes each phase's declared accesses and the
-            # communicator its queue traffic on the sanitizer's log; the
-            # executor advances its barrier epoch once per phase
-            self.executor.access_log = self._san.access_log
-            self.comm.access_log = self._san.access_log
+            self._kern = [
+                CompiledKernels(
+                    self.lattice,
+                    self.collision,
+                    backend=config.backend,
+                    fastmath=config.fastmath,
+                )
+            ] * partition.num_ranks
+        try:
+            self._instantiate(plans)
+        except BaseException:
+            # segments, rings and the plane must not outlive a failed
+            # constructor (nobody holds the object to close it)
+            self.close()
+            raise
 
     # -- setup ---------------------------------------------------------------
-    def _build(self) -> None:
+    def _instantiate(self, plans: Sequence[RankPlan]) -> None:
+        """Allocate the ranks' mutable state over ``plans`` and wire the
+        transport, the telemetry plane and the sanitizer to it."""
+        config, lattice = self.config, self.lattice
+        num_ranks = len(plans)
+        self.executor = make_executor(
+            config.executor, num_ranks, tracer=self.tracer
+        )
         if self._procmode:
             self._shm = SegmentRegistry()
-        grid = self.grid
-        coords, index_map = grid.compact_ids()
-        self._coords = coords
-        n_global = coords.shape[0]
-        owner_map = self.partition.owner_map()
-        owner_of = owner_map[coords[:, 0], coords[:, 1], coords[:, 2]]
-        if np.any(owner_of < 0):
-            raise DecompositionError(
-                "partition leaves fluid nodes without an owner"
-            )
-        flags_at = grid.flags[coords[:, 0], coords[:, 1], coords[:, 2]]
-        num_ranks = self.partition.num_ranks
-
-        # upstream table: (q, n_global) global ids (or -1)
-        q = self.lattice.q
-        upstream = np.empty((q, n_global), dtype=np.int64)
-        upstream[0] = np.arange(n_global, dtype=np.int64)
-        for qi in range(1, q):
-            upstream[qi] = upstream_ids(
-                grid.shape, self.lattice.c[qi], self.config.periodic,
-                coords, index_map,
-            )
-
         self.ranks: List[RankState] = []
-        ghost_needs: Dict[int, Dict[int, np.ndarray]] = {}
-        for r in range(num_ranks):
-            owned = np.flatnonzero(owner_of == r).astype(np.int64)
-            ups = upstream[:, owned]  # (q, n_owned)
-            flat = ups[ups >= 0]
-            remote = flat[owner_of[flat] != r]
-            ghosts = np.unique(remote)
-            gowners = owner_of[ghosts]
-            ghost_needs[r] = {
-                int(j): ghosts[gowners == j] for j in np.unique(gowners)
-            }
-
-            # local numbering: owned (ascending) then ghosts (ascending)
-            local_of = np.full(n_global, -1, dtype=np.int64)
-            local_of[owned] = np.arange(owned.size, dtype=np.int64)
-            local_of[ghosts] = owned.size + np.arange(ghosts.size, dtype=np.int64)
-
-            plans = []
-            owned_local = np.arange(owned.size, dtype=np.int64)
-            for qi in range(q):
-                qi_opp = int(self.lattice.opposite[qi])
-                has = ups[qi] >= 0
-                src_local = local_of[ups[qi][has]]
-                if np.any(src_local < 0):
-                    raise DecompositionError(
-                        "ghost layer misses an upstream neighbour"
-                    )
-                plans.append(
-                    (qi, qi_opp, owned_local[has], src_local, owned_local[~has])
-                )
-
-            n_local = owned.size + ghosts.size
-            u0 = np.zeros((n_local, 3))
-            rho = np.full(n_local, self.config.rho0)
-            f = self.lattice.equilibrium(rho, u0)
+        for plan in plans:
+            r = plan.rank
+            n_local = plan.step_plan.num_local
+            f = lattice.equilibrium(
+                np.full(n_local, config.rho0), np.zeros((n_local, 3))
+            )
             if self._shm is not None:
                 # process tier: the double buffer must live in shared
                 # segments so forked workers mutate the pages the parent
@@ -419,135 +395,39 @@ class DistributedSolver:
                 f_tmp = model.alloc("f_tmp", f.shape, f.dtype).data()
             else:
                 f_tmp = np.empty_like(f)
-
-            inlet_nodes = owned_local[flags_at[owned] == INLET]
-            outlet_nodes = owned_local[flags_at[owned] == OUTLET]
             inlet = outlet = None
-            if inlet_nodes.size:
-                if self.config.inlet_velocity is None:
-                    raise DecompositionError(
-                        "grid has inlet nodes but no inlet_velocity configured"
-                    )
+            if plan.inlet_nodes.size:
                 inlet = VelocityInlet(
-                    inlet_nodes, self.config.inlet_velocity, self.config.rho0
+                    plan.inlet_nodes, config.inlet_velocity, config.rho0
                 )
-            if outlet_nodes.size:
-                outlet = PressureOutlet(outlet_nodes, self.config.rho0)
-
+            if plan.outlet_nodes.size:
+                outlet = PressureOutlet(plan.outlet_nodes, config.rho0)
+            # preallocated halo staging (both transports copy on send, so
+            # the buffers are reusable; process-tier workers inherit them
+            # copy-on-write and stage worker-locally)
             self.ranks.append(
                 RankState(
-                    rank=r,
-                    owned_global=owned,
-                    ghost_global=ghosts,
-                    f=f,
-                    f_tmp=f_tmp,
-                    plans=plans,
-                    send_ids={},
-                    recv_slots={},
-                    inlet=inlet,
-                    outlet=outlet,
-                    step_plan=StepPlan(self.lattice, plans, n_local, owned_local),
+                    plan,
+                    f,
+                    f_tmp,
+                    inlet,
+                    outlet,
+                    send_bufs={
+                        dst: np.empty(flat.shape)
+                        for dst, flat in plan.send_flat.items()
+                    },
+                    recv_bufs={
+                        src: np.empty(flat.shape)
+                        for src, flat in plan.recv_flat.items()
+                    },
                 )
             )
-
-        # wire send/recv lists: rank j sends to rank r the nodes r's ghosts
-        # mirror, in ascending-global order on both sides
-        for r in range(num_ranks):
-            state_r = self.ranks[r]
-            base = state_r.num_owned
-            for j, needed in ghost_needs[r].items():
-                state_j = self.ranks[j]
-                send_local = np.searchsorted(state_j.owned_global, needed)
-                if not np.array_equal(state_j.owned_global[send_local], needed):
-                    raise DecompositionError(
-                        f"rank {j} does not own nodes rank {r} needs"
-                    )
-                state_j.send_ids[r] = send_local.astype(np.int64)
-                slots = base + np.searchsorted(state_r.ghost_global, needed)
-                state_r.recv_slots[j] = slots.astype(np.int64)
-
-        # per-rank kernel providers; None = the inline NumPy bodies
-        self._kern: Optional[List[Any]] = None
         self._kern_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        if self.models is not None:
-            self._kern = [
-                m.make_kernels(self.lattice, self.collision) for m in self.models
-            ]
-        elif self.config.backend != "numpy":
-            # one compiled engine (lattice + collision are shared); the
-            # per-rank plan IR binds through its run-length tables, so both
-            # the barrier and the overlapped schedules run compiled
-            from ..models.compiled import CompiledKernels
-
-            self._kern = [
-                CompiledKernels(
-                    self.lattice,
-                    self.collision,
-                    backend=self.config.backend,
-                    fastmath=self.config.fastmath,
-                )
-            ] * num_ranks
         if self._kern is not None:
-            for st in self.ranks:
-                self._kern_tables[st.rank] = self._kern[st.rank].tables(
-                    st.step_plan
+            for plan in plans:
+                self._kern_tables[plan.rank] = self._kern[plan.rank].tables(
+                    plan.step_plan
                 )
-
-        if self._overlap:
-            # interior/frontier split plus the packed cross-link
-            # exchange: the receiver enumerates its halo-sourced links
-            # (population-major via cross_links), groups them by owning
-            # neighbour, and the owner packs exactly those post-collision
-            # values in the same order — so a received payload scatters
-            # straight onto the link destinations with no ghost staging
-            for st in self.ranks:
-                n_local = st.f.shape[1]
-                st.interior_plan, st.frontier_plan = (
-                    st.step_plan.partition(st.num_owned)
-                )
-                dst_flat, src_flat = st.step_plan.cross_links(st.num_owned)
-                if dst_flat.size == 0:
-                    continue
-                link_q = src_flat // n_local
-                gids = st.ghost_global[(src_flat % n_local) - st.num_owned]
-                link_owner = owner_of[gids]
-                for j in np.unique(link_owner):
-                    peer = self.ranks[int(j)]
-                    mask = link_owner == j
-                    st.inj_flat[peer.rank] = dst_flat[mask]
-                    src_local = np.searchsorted(
-                        peer.owned_global, gids[mask]
-                    )
-                    if not np.array_equal(
-                        peer.owned_global[src_local], gids[mask]
-                    ):
-                        raise DecompositionError(
-                            f"rank {peer.rank} does not own nodes rank "
-                            f"{st.rank}'s frontier links read"
-                        )
-                    peer.pack_flat[st.rank] = (
-                        link_q[mask] * peer.f.shape[1] + src_local
-                    ).astype(np.int64)
-
-        # preallocate the active schedule's halo staging (both transports
-        # copy on send, so the buffers are reusable; process-tier workers
-        # inherit them copy-on-write and stage worker-locally)
-        for st in self.ranks:
-            if self._overlap:
-                st.send_flat = st.pack_flat
-                shapes = {src: inj.shape for src, inj in st.inj_flat.items()}
-            else:
-                q_off = np.arange(q, dtype=np.int64)[:, None] * st.f.shape[1]
-                st.send_flat = {
-                    dst: q_off + ids for dst, ids in st.send_ids.items()
-                }
-                shapes = {
-                    src: (q, slots.size) for src, slots in st.recv_slots.items()
-                }
-            st.send_bufs = {
-                dst: np.empty(flat.shape) for dst, flat in st.send_flat.items()
-            }
-            st.recv_bufs = {src: np.empty(shape) for src, shape in shapes.items()}
         # one message per wired (src, dst) pair per step — the same send
         # lists the S300 checker verifies
         self._wire = [
@@ -557,9 +437,8 @@ class DistributedSolver:
         ]
         self._halo_step_bytes = sum(nbytes for _, _, nbytes in self._wire)
 
-        if self._procmode:
+        if self._shm is not None:
             # one SPSC ring per wired pair, sized to its payload
-            assert self._shm is not None
             self._halo = RingTransport(
                 self._shm, [(s, d, nbytes // 8) for s, d, nbytes in self._wire]
             )
@@ -575,8 +454,8 @@ class DistributedSolver:
                     self._shm,
                     num_ranks,
                     tracer=self.tracer,
-                    stall_timeout_s=self.config.stall_timeout_s,
-                    postmortem_out=self.config.postmortem_out,
+                    stall_timeout_s=config.stall_timeout_s,
+                    postmortem_out=config.postmortem_out,
                 )
                 self.executor.plane = self.plane
 
@@ -591,15 +470,27 @@ class DistributedSolver:
                 model.device.reset_ledger()
 
         # preallocated observables (gather_f / mass are allocation-free)
-        self._owned_total = sum(st.num_owned for st in self.ranks)
+        self._owned_total = sum(plan.num_owned for plan in plans)
         # gather traffic of one streaming pass across all ranks, for the
         # per-step() counter bump (the overlapped interior phase applies
         # the full plan, so the figure is schedule-independent)
         self._gather_bytes_per_step = sum(
-            int(st.step_plan.bytes_per_apply) for st in self.ranks
+            int(plan.step_plan.bytes_per_apply) for plan in plans
         )
-        self._gather_out = np.empty((q, n_global), dtype=np.float64)
+        self._gather_out = np.empty(
+            (lattice.q, self._owned_total), dtype=np.float64
+        )
         self._mass_contribs = np.empty(num_ranks, dtype=np.float64)
+
+        if config.sanitize:
+            from .sanitize import StepSanitizer
+
+            self._san = StepSanitizer(self.ranks, overlap=self._overlap)
+            # the step loop notes each phase's declared accesses and the
+            # communicator its queue traffic on the sanitizer's log; the
+            # executor advances its barrier epoch once per phase
+            self.executor.access_log = self._san.access_log
+            self.comm.access_log = self._san.access_log
 
     # -- phase bodies ------------------------------------------------------
     # Each body is a per-rank function the step loop dispatches through
@@ -625,8 +516,9 @@ class DistributedSolver:
         # prices) under overlap.  Both transports copy eagerly on send.
         st = self.ranks[rank]
         f_flat = st.f.reshape(-1)
+        send_flat = st.plan.send_flat
         for dst, buf in st.send_bufs.items():
-            np.take(f_flat, st.send_flat[dst], out=buf, mode="clip")
+            np.take(f_flat, send_flat[dst], out=buf, mode="clip")
             self._halo.send(rank, dst, buf, tag=HALO_TAG)
 
     def _phase_exchange_complete(self, rank: int) -> None:
@@ -640,7 +532,7 @@ class DistributedSolver:
                 if san is not None:
                     san.on_payload(st, src)
             else:
-                st.f[:, st.recv_slots[src]] = buf
+                st.f.reshape(-1)[st.plan.recv_flat[src]] = buf
                 if san is not None:
                     san.on_unpack(st, src)
 
@@ -651,7 +543,7 @@ class DistributedSolver:
                 st.f, st.f_tmp, *self._kern_tables[st.rank]
             )
         else:
-            st.step_plan.apply(st.f, st.f_tmp)
+            st.plan.step_plan.apply(st.f, st.f_tmp)
 
     def _phase_stream(self, rank: int) -> None:
         st = self.ranks[rank]
@@ -677,10 +569,10 @@ class DistributedSolver:
         st = self.ranks[rank]
         san = self._san
         tmp_flat = st.f_tmp.reshape(-1)
-        for src, inj in st.inj_flat.items():
+        for src, written in st.plan.recv_flat.items():
             if san is not None:
-                san.on_scatter(st, src, inj)
-            tmp_flat[inj] = st.recv_bufs[src]
+                san.on_scatter(st, src, written)
+            tmp_flat[written] = st.recv_bufs[src]
         st.f, st.f_tmp = st.f_tmp, st.f
 
     def _phase_boundary(self, rank: int) -> None:
@@ -725,7 +617,7 @@ class DistributedSolver:
         abandoned solvers); a no-op for lockstep.  The solver cannot
         step again after closing."""
         self._closed = True
-        if self._procmode:
+        if self._procmode and self.executor is not None:
             self.executor.close()
         if self._shm is not None:
             self._shm.close()
@@ -837,12 +729,12 @@ class DistributedSolver:
     # -- observables -----------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        return int(self._coords.shape[0])
+        return self._owned_total
 
-    @property
+    @cached_property
     def coords(self) -> np.ndarray:
         """Global voxel coordinates of the compact fluid numbering."""
-        return self._coords
+        return self.grid.compact_ids()[0]
 
     def gather_f(self) -> np.ndarray:
         """Assemble the global (q, n) distribution array from all ranks.
@@ -853,7 +745,7 @@ class DistributedSolver:
         """
         out = self._gather_out
         for st in self.ranks:
-            out[:, st.owned_global] = st.f[:, : st.num_owned]
+            out[:, st.plan.owned_global] = st.f[:, : st.num_owned]
         return out
 
     def mass(self) -> float:

@@ -93,16 +93,13 @@ class StepSanitizer:
         self._ghost_read_nodes: Dict[int, np.ndarray] = {}
         self._cross_dst: Dict[int, np.ndarray] = {}
         for st in ranks:
-            plan = getattr(st, "step_plan")
-            rank = int(getattr(st, "rank"))
-            num_local = int(plan.num_local)
-            num_owned = int(st.num_owned)
-            src_nodes = np.asarray(plan.flat_src) % num_local
+            plan, num_owned = st.plan.step_plan, st.num_owned
+            src_nodes = plan.flat_src % plan.num_local
             ghosts = np.unique(src_nodes[src_nodes >= num_owned])
-            self._ghost_read_nodes[rank] = ghosts
+            self._ghost_read_nodes[st.rank] = ghosts
             if self.overlap:
                 dst_flat, _ = plan.cross_links(num_owned)
-                self._cross_dst[rank] = dst_flat
+                self._cross_dst[st.rank] = dst_flat
 
         # per-step dynamic state
         self._fresh: Dict[int, Set[int]] = {}
@@ -174,11 +171,7 @@ class StepSanitizer:
             return
         fresh = self._fresh.get(rank, set())
         refilled = (
-            np.unique(
-                np.concatenate(
-                    [np.asarray(st.recv_slots[s]) for s in fresh]
-                )
-            )
+            np.concatenate([st.plan.recv_flat[s] for s in fresh]) % st.f.shape[1]
             if fresh
             else np.empty(0, dtype=np.int64)
         )

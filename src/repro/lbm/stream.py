@@ -15,7 +15,7 @@ Periodic axes wrap at the *global* domain boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from ..core.kernels import (
     stream_pull_kernel,
 )
 from ..core.lattice import Lattice
+from ..core.planmeta import flat_destinations
 from ..core.planmeta import kernel_tables as planmeta_kernel_tables
 from ..geometry.voxel import VoxelGrid
 
@@ -43,126 +44,62 @@ class QPlan:
     bounce: np.ndarray  # nodes whose upstream voxel is solid
 
 
-def _is_prefix(update_ids: np.ndarray) -> bool:
-    """Whether ``update_ids`` is ``0..n-1``, the prefix of the local
-    numbering (single-domain, and the distributed owned-before-ghost
-    layout): the gather then writes destination columns directly."""
-    n = int(update_ids.size)
-    return n == 0 or bool(
-        update_ids[0] == 0
-        and update_ids[-1] == n - 1
-        and np.array_equal(update_ids, np.arange(n, dtype=np.int64))
-    )
-
-
+@dataclass(eq=False)
 class StepPlan:
-    """Precompiled fused streaming + bounce-back over all populations.
+    """Fused streaming + bounce-back over all populations, as tables.
 
-    The per-q gather lists of :class:`QPlan` are folded into one flat
-    index table ``flat_src[qi, k] = src_q * n + src_node`` into the
+    ``flat_src[qi, k] = src_q * num_local + src_node`` indexes the
     flattened source array ``f_src.reshape(-1)``: interior links point at
-    the upstream neighbour in the same population, wall links point at
-    the *opposite* population of the same node (half-way bounce-back).
-    One ``np.take(..., out=)`` (one per row when ghost columns pad the
+    the upstream neighbour in the same population, wall links at the
+    *opposite* population of the same node (half-way bounce-back).  One
+    ``np.take(..., out=)`` (one per row when ghost columns pad the
     destination) then executes the entire streaming step — the
     single-pass stream kernel of the paper's perf model.
 
-    Parameters
-    ----------
-    lattice:
-        Velocity-set descriptor.
-    plans:
-        Per-population gather plans, either :class:`QPlan` objects or raw
-        ``(qi, qi_opp, dst, src, bounce)`` tuples (the distributed
-        solver's rank-local form).
-    num_local:
-        Width of the local distribution array ``f`` (owned + ghost nodes
-        in the distributed case).
-    update_ids:
-        Local node ids written by the step.  Every plan destination must
-        belong to this set; together the plans must cover it for every
-        population.
+    ``update_ids`` are the local node ids the step writes; every plan
+    :meth:`from_links` compiles updates the prefix ``0..num_update-1`` of
+    the local numbering (single-domain, and the distributed
+    owned-before-ghost layout), which is what :meth:`apply` and the
+    compiled kernels write through.  The constructor stores its tables as
+    given — the ``*.stepplan.json`` codec loads a document that way so the
+    verifier, not a coercion, judges it.
     """
 
+    q: int
+    num_local: int  # width of the local ``f`` (owned + ghost nodes)
+    update_ids: np.ndarray
+    flat_src: np.ndarray
     #: The cached :meth:`kernel_tables`, or None before a compiled engine
     #: asked for them — what the K406/K407 pre-flight verifies.
     run_table: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    _gather_buf: Optional[np.ndarray] = None
 
-    def __init__(
-        self,
-        lattice: Lattice,
-        plans: List,
-        num_local: int,
-        update_ids: np.ndarray,
-    ) -> None:
-        self.lattice = lattice
-        self.num_local = int(num_local)
-        update_ids = np.asarray(update_ids, dtype=np.int64)
-        self.update_ids = update_ids
-        n_upd = int(update_ids.size)
-        self.num_update = n_upd
-        q = lattice.q
-        # position of each update node in the packed row
-        pos = np.full(self.num_local, -1, dtype=np.int64)
-        pos[update_ids] = np.arange(n_upd, dtype=np.int64)
-        flat = np.full((q, n_upd), -1, dtype=np.int64)
-        for plan in plans:
-            if isinstance(plan, QPlan):
-                qi, qi_opp = plan.qi, plan.qi_opp
-                dst, src, bounce = plan.dst, plan.src, plan.bounce
-            else:
-                qi, qi_opp, dst, src, bounce = plan
-            flat[qi, pos[dst]] = qi * self.num_local + src
-            if bounce.size:
-                flat[qi, pos[bounce]] = qi_opp * self.num_local + bounce
-        if flat.min() < 0:
+    @classmethod
+    def from_links(
+        cls, q: int, links: Sequence[QPlan], num_local: int, num_update: int
+    ) -> "StepPlan":
+        """Fold per-population gather lists into one prefix plan.
+
+        Every destination must lie below ``num_update``; together the
+        lists must cover every (population, node) pair of the prefix.
+        """
+        flat = np.full((q, num_update), -1, dtype=np.int64)
+        for link in links:
+            flat[link.qi, link.dst] = link.qi * num_local + link.src
+            if link.bounce.size:
+                flat[link.qi, link.bounce] = (
+                    link.qi_opp * num_local + link.bounce
+                )
+        if (flat < 0).any():
             raise GeometryError(
                 "streaming plans do not cover every (population, node) pair"
             )
-        self.flat_src = flat
-        self._prefix = _is_prefix(update_ids)
+        return cls(
+            q, int(num_local), np.arange(num_update, dtype=np.int64), flat
+        )
 
-    @classmethod
-    def _from_columns(
-        cls, parent: "StepPlan", cols: np.ndarray
-    ) -> "StepPlan":
-        """A sub-plan over a column subset of ``parent`` (same coverage
-        semantics per node, so the coverage check is already satisfied)."""
-        plan = cls.__new__(cls)
-        plan.lattice = parent.lattice
-        plan.num_local = parent.num_local
-        plan.update_ids = parent.update_ids[cols]
-        plan.num_update = int(plan.update_ids.size)
-        plan.flat_src = parent.flat_src[:, cols]
-        plan._prefix = _is_prefix(plan.update_ids)
-        return plan
-
-    def partition(
-        self, num_owned: Optional[int] = None
-    ) -> Tuple["StepPlan", "StepPlan"]:
-        """Split into ``(interior, frontier)`` sub-plans.
-
-        *Interior* nodes gather every population from locally owned
-        sources (local node id below ``num_owned``); *frontier* nodes
-        read at least one halo (ghost) population, so their streaming
-        must wait for the exchange to complete.  Together the two plans
-        cover :attr:`update_ids` exactly; for a single-domain plan (no
-        ghosts) the frontier is empty.
-
-        ``num_owned`` defaults to the full local width, i.e. every
-        source is owned and everything is interior.
-        """
-        owned = self.num_local if num_owned is None else int(num_owned)
-        if not 0 <= owned <= self.num_local:
-            raise GeometryError(
-                f"num_owned {owned} outside [0, {self.num_local}]"
-            )
-        src_node = self.flat_src % self.num_local
-        frontier_cols = (src_node >= owned).any(axis=0)
-        interior = self._from_columns(self, np.flatnonzero(~frontier_cols))
-        frontier = self._from_columns(self, np.flatnonzero(frontier_cols))
-        return interior, frontier
+    @property
+    def num_update(self) -> int:
+        return int(self.update_ids.size)
 
     def cross_links(self, num_owned: int) -> Tuple[np.ndarray, np.ndarray]:
         """The halo-reading links: ``(dst_flat, src_flat)`` index pairs.
@@ -171,8 +108,8 @@ class StepPlan:
         entries whose source node is a ghost (local id >= ``num_owned``);
         ``dst_flat`` is the matching flat destination ``qi * num_local +
         node``.  Enumeration order is deterministic (population-major,
-        then packed-column order) — the distributed solver relies on the
-        sender and receiver agreeing on it to wire the packed exchange.
+        then packed-column order) — the packed exchange is wired from it
+        on both sides, and K404 and the sanitizer re-derive it.
         """
         if not 0 <= num_owned <= self.num_local:
             raise GeometryError(
@@ -186,49 +123,12 @@ class StepPlan:
         return dst_flat.astype(np.int64), src_flat.astype(np.int64)
 
     @property
-    def num_links(self) -> int:
-        """Total gather links (``q * num_update`` slots per apply)."""
-        return int(self.flat_src.size)
-
-    def source_nodes(self) -> np.ndarray:
-        """Local node id read by every link, shaped like ``flat_src``."""
-        return self.flat_src % self.num_local
-
-    def source_pops(self) -> np.ndarray:
-        """Source population of every link, shaped like ``flat_src``."""
-        return self.flat_src // self.num_local
-
-    def to_dict(self, num_owned: Optional[int] = None) -> dict:
-        """Serializable plan-IR form (the ``*.stepplan.json`` payload).
-
-        The static verifier checks these documents offline exactly as it
-        checks live plans pre-flight; ``num_owned`` marks the ghost
-        boundary for the distributed checks when present.
-        """
-        doc = {
-            "q": int(self.lattice.q),
-            "num_local": self.num_local,
-            "num_update": self.num_update,
-            "update_ids": self.update_ids.tolist(),
-            "flat_src": self.flat_src.tolist(),
-        }
-        if num_owned is not None:
-            doc["num_owned"] = int(num_owned)
-        if self.run_table is not None:
-            heads, lens = self.run_table
-            doc["run_table"] = {
-                "heads": heads.tolist(),
-                "lens": lens.tolist(),
-            }
-        return doc
-
-    @property
     def bytes_per_apply(self) -> int:
         """Memory traffic of one :meth:`apply`: every (population, node)
         link reads one double and writes one — the one-pass accounting
         the perf model's Eq. 1 prices (``Lattice.bytes_per_update`` per
         updated node)."""
-        return 2 * self.lattice.q * self.num_update * 8
+        return 2 * self.q * self.num_update * 8
 
     def flat_dst(self) -> np.ndarray:
         """Flat destination indices matching ``flat_src`` row for row.
@@ -236,18 +136,7 @@ class StepPlan:
         Used by programming-model backends that execute the fused gather
         as chunked flat-to-flat launches.
         """
-        q = self.lattice.q
-        off = np.arange(q, dtype=np.int64)[:, None] * self.num_local
-        return off + self.update_ids[None, :]
-
-    @property
-    def is_prefix(self) -> bool:
-        """Whether the update set is the prefix of the local numbering.
-
-        Prefix plans (single-domain, distributed owned-before-ghost) let
-        compiled kernels write destination columns directly.
-        """
-        return self._prefix
+        return flat_destinations(self.update_ids, self.num_local, self.q)
 
     def kernel_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """The plan as kernel IR: the run-length ``(heads, lens)`` table.
@@ -267,32 +156,20 @@ class StepPlan:
     def apply(self, f_src: np.ndarray, f_dst: np.ndarray) -> None:
         """Stream + bounce all populations from ``f_src`` into ``f_dst``.
 
-        Only update nodes are written; in the distributed case ghost
+        Only the update prefix is written; in the distributed case ghost
         columns of ``f_dst`` are left untouched (refilled by exchange).
         """
         n_upd = self.num_update
-        if not self._prefix:
-            buf = self._staging()
-            fused_stream_kernel(f_src, buf, self.flat_src)
-            f_dst[:, self.update_ids] = buf
-        elif f_dst.shape[1] == n_upd:
+        if f_dst.shape[1] == n_upd:
             fused_stream_kernel(f_src, f_dst, self.flat_src)
         else:
             # ghost columns pad the rows: np.take bounces a strided out=
             # through a full-size temporary (allocate, copy in, gather,
             # copy back), so gather each contiguous row on its own
-            for qi in range(self.lattice.q):
+            for qi in range(self.q):
                 fused_stream_kernel(
                     f_src, f_dst[qi, :n_upd], self.flat_src[qi]
                 )
-
-    def _staging(self) -> np.ndarray:
-        """Gather buffer of a non-prefix :meth:`apply`, allocated on first
-        use: the solvers apply prefix plans only, and the overlap
-        sub-plans of :meth:`partition` are read, never applied."""
-        if self._gather_buf is None:
-            self._gather_buf = np.empty(self.flat_src.shape)
-        return self._gather_buf
 
 
 def upstream_ids(
@@ -332,9 +209,6 @@ class Connectivity:
         Velocity set descriptor.
     periodic:
         Per-axis periodic wrap flags.
-    coords / index_map:
-        Optional externally supplied compact numbering (the distributed
-        solver passes a local numbering that includes ghost nodes).
     """
 
     def __init__(
@@ -342,26 +216,15 @@ class Connectivity:
         grid: VoxelGrid,
         lattice: Lattice,
         periodic: Tuple[bool, bool, bool] = (False, False, False),
-        coords: Optional[np.ndarray] = None,
-        index_map: Optional[np.ndarray] = None,
-        update_ids: Optional[np.ndarray] = None,
     ) -> None:
         self.grid = grid
         self.lattice = lattice
         self.periodic = tuple(bool(p) for p in periodic)
-        if (coords is None) != (index_map is None):
-            raise GeometryError("supply coords and index_map together")
-        if coords is None:
-            coords, index_map = grid.compact_ids()
-        self.coords = coords
-        self.index_map = index_map
-        self.num_nodes = int(coords.shape[0])
+        self.coords, self.index_map = grid.compact_ids()
+        self.num_nodes = int(self.coords.shape[0])
         if self.num_nodes == 0:
             raise GeometryError("no fluid nodes to build connectivity over")
-        # nodes whose plans we build (owned nodes in the distributed case)
-        if update_ids is None:
-            update_ids = np.arange(self.num_nodes, dtype=np.int64)
-        self.update_ids = np.asarray(update_ids, dtype=np.int64)
+        self.update_ids = np.arange(self.num_nodes, dtype=np.int64)
         self.plans: List[QPlan] = self._build_plans()
 
     def _build_plans(self) -> List[QPlan]:
@@ -379,7 +242,7 @@ class Connectivity:
                 self.grid.shape,
                 self.lattice.c[qi],
                 self.periodic,
-                self.coords[self.update_ids],
+                self.coords,
                 self.index_map,
             )
             has_src = src >= 0
@@ -396,16 +259,15 @@ class Connectivity:
 
     def step_plan(self) -> StepPlan:
         """Compile the per-q plans into a fused :class:`StepPlan`."""
-        return StepPlan(
-            self.lattice, self.plans, self.num_nodes, self.update_ids
+        return StepPlan.from_links(
+            self.lattice.q, self.plans, self.num_nodes, self.num_nodes
         )
 
     # -- execution -----------------------------------------------------------
     def stream(self, f_src: np.ndarray, f_dst: np.ndarray) -> None:
         """Pull-stream all populations from ``f_src`` into ``f_dst``.
 
-        Only update nodes are written; in the distributed case ghost slots
-        of ``f_dst`` are left untouched (they are refilled by exchange).
+        The per-population oracle :meth:`StepPlan.apply` is pinned against.
         """
         for plan in self.plans:
             stream_pull_kernel(f_src, f_dst, plan.qi, plan.dst, plan.src)

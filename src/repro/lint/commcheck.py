@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
 from ..core.errors import CommScheduleError
+from ..lbm.rankplan import plans_of
 from .engine import Violation
 
 __all__ = [
@@ -371,50 +372,33 @@ def schedule_from_rank_states(
 ) -> CommSchedule:
     """Build the halo-exchange schedule of one iteration.
 
-    ``ranks`` are objects with the wiring the distributed solvers carry:
-    ``send_ids`` (dst rank -> node-id array) and ``recv_slots``
-    (src rank -> ghost-slot array).  Receives are posted first, then
+    ``ranks`` are :class:`~repro.lbm.rankplan.RankPlan` values (or rank
+    states carrying one as ``plan``); the messages are their
+    ``recv_flat`` (src rank -> indices written) and ``send_flat`` (dst
+    rank -> indices packed) tables.  Receives are posted first, then
     sends, all non-blocking — the ``MPI_Irecv``/``MPI_Isend`` order an
     MPI transport under ``DistributedSolver._phase_exchange_post`` /
-    ``_phase_exchange_complete`` posts them in.  Counts are node
-    counts per message, so a send/recv size disagreement between two
-    ranks' wiring surfaces as S304 before any data moves.
+    ``_phase_exchange_complete`` posts them in.  Counts are values per
+    message, so a send/recv size disagreement between two ranks' wiring
+    surfaces as S304 before any data moves.
 
     With ``overlap=True`` the schedule is the interior/frontier
-    pipeline's instead, read from the packed-exchange wiring
-    (``pack_flat``/``inj_flat``, counts in cross-link values): post
-    receives, post sends, a ``compute`` op for interior streaming, then
-    ``wait`` ops completing the receives — so the checker verifies that
-    straddling the compute phase still drains every message.
+    pipeline's: after the posts, a ``compute`` op for interior streaming,
+    then ``wait`` ops completing the receives — so the checker verifies
+    that straddling the compute phase still drains every message.
     """
     sched = CommSchedule(num_ranks)
-    for st in ranks:
-        rank = int(getattr(st, "rank"))
+    for plan in plans_of(ranks):
+        rank = plan.rank
+        recvs = sorted((src, len(t)) for src, t in plan.recv_flat.items())
+        for src, count in recvs:
+            sched.add_recv(rank, src, tag, count=count)
+        for dst in sorted(plan.send_flat):
+            sched.add_send(rank, dst, tag, count=len(plan.send_flat[dst]))
         if overlap:
-            inj: Dict[int, object] = getattr(st, "inj_flat")
-            pack: Dict[int, object] = getattr(st, "pack_flat")
-            for src in sorted(inj):
-                sched.add_recv(
-                    rank, int(src), tag, count=int(len(inj[src]))
-                )
-            for dst in sorted(pack):
-                sched.add_send(
-                    rank, int(dst), tag, count=int(len(pack[dst]))
-                )
             sched.add_compute(rank)
-            for src in sorted(inj):
-                sched.add_wait(
-                    rank, int(src), tag, count=int(len(inj[src]))
-                )
-            continue
-        recv_slots: Dict[int, object] = getattr(st, "recv_slots")
-        send_ids: Dict[int, object] = getattr(st, "send_ids")
-        for src in sorted(recv_slots):
-            slots = recv_slots[src]
-            sched.add_recv(rank, int(src), tag, count=int(len(slots)))
-        for dst in sorted(send_ids):
-            ids = send_ids[dst]
-            sched.add_send(rank, int(dst), tag, count=int(len(ids)))
+            for src, count in recvs:
+                sched.add_wait(rank, src, tag, count=count)
     return sched
 
 

@@ -8,16 +8,13 @@ checker verifies the *message* schedule; this module verifies the *index
 tables* those messages feed — the class of data-movement/synchronization
 bug the paper's DPCT audit calls the hardest to port correctly.
 
-Seven rules, mirroring the S3xx structure:
+Six rules, mirroring the S3xx structure:
 
 ======  ==============================================================
 K401    a flat destination is written more than once per apply
         (write/write race whose outcome depends on gather order)
 K402    a gather source is out of bounds or a table has the wrong
         dtype (``np.take(mode="clip")`` would silently clamp it)
-K403    an *interior* sub-plan reads a ghost source (its streaming
-        runs before the exchange completes), or the interior/frontier
-        partition misclassifies or fails to cover the parent plan
 K404    a frontier cross-link is not covered by exactly one packed
         payload slot, or sender and receiver disagree on a slot's
         population (receiver-side table agreement)
@@ -36,10 +33,16 @@ K407    the run table the compiled stream kernel launches over does
         kernel would copy other data than ``StepPlan.apply`` gathers)
 ======  ==============================================================
 
+(The id after K402 is retired: it verified interior/frontier sub-plans
+that no kernel applied.  What the overlapped tables that *do* run must
+satisfy is K404 + K405 and, at runtime, the sanitizer; DESIGN §12.)
+
+Every check reads the one :class:`~repro.lbm.rankplan.RankPlan` value:
 :class:`~repro.lbm.distributed.DistributedSolver` runs
-:func:`verify_rank_plans` as an opt-out pre-flight next to the S300
-schedule check, and ``repro lint`` checks any ``*.stepplan.json``
-document it finds (see :func:`check_plan_file` for the format).
+:func:`verify_rank_plans` on the plans it is about to instantiate, as an
+opt-out pre-flight next to the S300 schedule check, and ``repro lint``
+checks any ``*.stepplan.json`` document it finds through the same
+value's codec (see :func:`check_plan_file` for the format).
 """
 
 from __future__ import annotations
@@ -47,11 +50,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.errors import PlanCheckError
+from ..core.errors import PlanCheckError, ReproError
 from ..core.planmeta import (
     duplicate_values,
     flat_destinations,
@@ -59,13 +62,14 @@ from ..core.planmeta import (
     out_of_range,
     run_table_issues,
 )
+from ..lbm.rankplan import RankPlan, plans_of
+from ..lbm.stream import StepPlan
 from .engine import Violation
 
 __all__ = [
     "PLAN_RULES",
     "PlanIssue",
     "check_plan_table",
-    "check_partition",
     "check_exchange",
     "check_overlap_hazards",
     "check_rank_states",
@@ -79,7 +83,6 @@ __all__ = [
 PLAN_RULES = {
     "double-write": "K401",
     "source-bounds": "K402",
-    "interior-ghost-read": "K403",
     "exchange-coverage": "K404",
     "phase-hazard": "K405",
     "kernel-abi": "K406",
@@ -200,107 +203,24 @@ def check_plan_table(
     return issues
 
 
-# -- partition checks (K403) ------------------------------------------------
-def check_partition(
-    q: int,
-    num_local: int,
-    num_owned: int,
-    parent_ids: np.ndarray,
-    interior_ids: np.ndarray,
-    interior_src: np.ndarray,
-    frontier_ids: np.ndarray,
-    frontier_src: np.ndarray,
-    label: str = "plan",
-) -> List[PlanIssue]:
-    """Verify an interior/frontier split against its parent plan.
-
-    The interior sub-plan streams while the exchange is in flight, so it
-    must be provably ghost-free; the frontier must consist of exactly
-    the columns that do read ghosts; together they must cover the
-    parent's update set once each.
-    """
-    issues: List[PlanIssue] = []
-    interior_src = np.asarray(interior_src, dtype=np.int64)
-    frontier_src = np.asarray(frontier_src, dtype=np.int64)
-
-    ghost = (interior_src % num_local) >= num_owned
-    if ghost.any():
-        cols = np.unique(np.nonzero(ghost)[1])
-        nodes = np.asarray(interior_ids)[cols]
-        issues.append(
-            PlanIssue(
-                "interior-ghost-read",
-                f"{label}: interior sub-plan reads ghost sources at "
-                f"{cols.size} node(s) (e.g. nodes {_preview(nodes)}); "
-                "interior streaming runs before the exchange completes, "
-                "so those reads see stale halo data",
-            )
-        )
-    if frontier_src.size:
-        reads_ghost = ((frontier_src % num_local) >= num_owned).any(axis=0)
-        misclassified = np.flatnonzero(~reads_ghost)
-        if misclassified.size:
-            nodes = np.asarray(frontier_ids)[misclassified]
-            issues.append(
-                PlanIssue(
-                    "interior-ghost-read",
-                    f"{label}: {misclassified.size} frontier node(s) "
-                    f"read no ghost source (e.g. nodes {_preview(nodes)}); "
-                    "they are interior work serialized behind the "
-                    "exchange for no reason",
-                )
-            )
-    merged = np.concatenate(
-        [np.asarray(interior_ids), np.asarray(frontier_ids)]
-    )
-    if not np.array_equal(np.sort(merged), np.sort(np.asarray(parent_ids))):
-        issues.append(
-            PlanIssue(
-                "interior-ghost-read",
-                f"{label}: interior ({np.asarray(interior_ids).size}) + "
-                f"frontier ({np.asarray(frontier_ids).size}) sub-plans do "
-                f"not cover the parent update set "
-                f"({np.asarray(parent_ids).size} nodes) exactly once",
-            )
-        )
-    return issues
-
-
 # -- cross-rank exchange checks (K404) --------------------------------------
-def _cross_links(
-    q: int, num_local: int, num_owned: int, update_ids, flat_src
-):
-    """(dst_flat, src_flat) of the halo-reading links, enumeration-order
-    compatible with :meth:`StepPlan.cross_links`."""
-    flat_src = np.asarray(flat_src, dtype=np.int64)
-    src_node = flat_src % num_local
-    qi, col = np.nonzero(src_node >= num_owned)
-    dst_flat = qi * num_local + np.asarray(update_ids, dtype=np.int64)[col]
-    return dst_flat, flat_src[qi, col]
-
-
-def check_exchange(ranks: Sequence[object]) -> List[PlanIssue]:
+def check_exchange(ranks: Sequence[RankPlan]) -> List[PlanIssue]:
     """Verify the packed-exchange wiring across all ranks (K404).
 
     Every halo-reading link of a receiver must be fed by exactly one
-    payload slot (``inj_flat``), every slot must be packed by the owning
-    sender (``pack_flat``) with the agreeing length, pack sources must
+    payload slot (``recv_flat``), every slot must be packed by the owning
+    sender (``send_flat``) with the agreeing length, pack sources must
     be owned (post-collision) values, and sender and receiver must agree
     slot by slot on the population each value carries — the
     receiver-side table agreement the scatter path relies on.
     """
     issues: List[PlanIssue] = []
-    by_rank = {int(getattr(st, "rank")): st for st in ranks}
+    by_rank = {st.rank: st for st in ranks}
     for st in ranks:
-        rank = int(getattr(st, "rank"))
-        plan = getattr(st, "step_plan")
-        q = int(plan.lattice.q)
-        num_local = int(plan.num_local)
-        num_owned = int(getattr(st, "num_owned"))
-        inj_flat: Dict[int, np.ndarray] = getattr(st, "inj_flat")
-        dst_flat, src_flat = _cross_links(
-            q, num_local, num_owned, plan.update_ids, plan.flat_src
-        )
+        rank = st.rank
+        num_local = st.step_plan.num_local
+        inj_flat = st.recv_flat
+        dst_flat, src_flat = st.step_plan.cross_links(st.num_owned)
         label = f"rank {rank}"
 
         inj_all = (
@@ -350,7 +270,7 @@ def check_exchange(ranks: Sequence[object]) -> List[PlanIssue]:
                     )
                 )
                 continue
-            pack: Dict[int, np.ndarray] = getattr(peer, "pack_flat")
+            pack = peer.send_flat
             if rank not in pack:
                 issues.append(
                     PlanIssue(
@@ -372,10 +292,8 @@ def check_exchange(ranks: Sequence[object]) -> List[PlanIssue]:
                     )
                 )
                 continue
-            peer_plan = getattr(peer, "step_plan")
-            peer_local = int(peer_plan.num_local)
-            peer_owned = int(getattr(peer, "num_owned"))
-            not_owned = sent[(sent % peer_local) >= peer_owned]
+            peer_local = peer.step_plan.num_local
+            not_owned = sent[(sent % peer_local) >= peer.num_owned]
             if not_owned.size:
                 issues.append(
                     PlanIssue(
@@ -414,7 +332,7 @@ def check_exchange(ranks: Sequence[object]) -> List[PlanIssue]:
 
 # -- phase-ordered hazard analysis (K405) -----------------------------------
 def check_overlap_hazards(
-    st: object, schedule: Optional[Sequence[Any]] = None
+    st: RankPlan, schedule: Optional[Sequence[Any]] = None
 ) -> List[PlanIssue]:
     """Abstract-interpret one rank's overlap pipeline for hazards (K405).
 
@@ -432,18 +350,17 @@ def check_overlap_hazards(
     * a provisional destination never finalized by any scatter
       (stale-ghost value surviving into the owned state).
     """
-    plan = getattr(st, "step_plan")
+    plan = st.step_plan
     if schedule is None:
         from ..lbm.distributed import OVERLAP_SCHEDULE as schedule
-    q = int(plan.lattice.q)
-    num_local = int(plan.num_local)
-    label = f"rank {int(getattr(st, 'rank'))}"
+    q, num_local = plan.q, plan.num_local
+    label = f"rank {st.rank}"
     issues: List[PlanIssue] = []
 
     def hazard(message: str) -> None:
         issues.append(PlanIssue("phase-hazard", f"{label}: {message}"))
 
-    stale = _ghost_slot_mask(q, num_local, int(getattr(st, "num_owned")))
+    stale = _ghost_slot_mask(q, num_local, st.num_owned)
     tainted = np.zeros(q * num_local, dtype=bool)
     written = {"f"}
     for phase in schedule:
@@ -455,7 +372,7 @@ def check_overlap_hazards(
         written.update(phase.writes)
         if phase.body == "_phase_exchange_post":
             # pack tables read post-collision f
-            for peer, table in sorted(getattr(st, "pack_flat").items()):
+            for peer, table in sorted(st.send_flat.items()):
                 pack = np.asarray(table, dtype=np.int64)
                 in_bounds = pack[(pack >= 0) & (pack < stale.size)]
                 bad = in_bounds[stale[in_bounds]]
@@ -477,7 +394,7 @@ def check_overlap_hazards(
             tainted[tainted_dst[ok]] = True
         elif phase.body == "_phase_stream_frontier":
             # injection tables finalize provisional values
-            for peer, table in sorted(getattr(st, "inj_flat").items()):
+            for peer, table in sorted(st.recv_flat.items()):
                 inj = np.asarray(table, dtype=np.int64)
                 inj = inj[(inj >= 0) & (inj < tainted.size)]
                 final_overwrite = inj[~tainted[inj]]
@@ -501,23 +418,15 @@ def check_overlap_hazards(
     return issues
 
 
-def _barrier_ghost_coverage(st: object) -> List[PlanIssue]:
+def _barrier_ghost_coverage(st: RankPlan) -> List[PlanIssue]:
     """Barrier-schedule analogue of the hazard check: every ghost node
     the plan reads must be refilled by some posted receive."""
-    plan = getattr(st, "step_plan")
-    recv_slots: Dict[int, np.ndarray] = getattr(st, "recv_slots", {})
-    rank = int(getattr(st, "rank"))
-    num_local = int(plan.num_local)
-    num_owned = int(getattr(st, "num_owned"))
-    src_nodes = np.asarray(plan.flat_src, dtype=np.int64) % num_local
-    ghost_read = np.unique(src_nodes[src_nodes >= num_owned])
+    plan = st.step_plan
+    src_nodes = np.asarray(plan.flat_src, dtype=np.int64) % plan.num_local
+    ghost_read = np.unique(src_nodes[src_nodes >= st.num_owned])
     refilled = (
-        np.unique(
-            np.concatenate(
-                [np.asarray(s) for s in recv_slots.values()]
-            )
-        )
-        if recv_slots
+        np.concatenate(list(st.recv_flat.values())) % plan.num_local
+        if st.recv_flat
         else np.empty(0, dtype=np.int64)
     )
     uncovered = np.setdiff1d(ghost_read, refilled)
@@ -525,7 +434,7 @@ def _barrier_ghost_coverage(st: object) -> List[PlanIssue]:
         return [
             PlanIssue(
                 "phase-hazard",
-                f"rank {rank}: streaming reads {uncovered.size} ghost "
+                f"rank {st.rank}: streaming reads {uncovered.size} ghost "
                 f"node(s) no receive refills (e.g. {_preview(uncovered)}); "
                 "those links read stale halo data every step",
             )
@@ -539,44 +448,27 @@ def check_rank_states(
 ) -> List[PlanIssue]:
     """All verification failures of the ranks' plan IR (empty when valid).
 
-    ``ranks`` carry the wiring :class:`DistributedSolver` builds:
-    ``step_plan`` (and under overlap ``interior_plan``/``frontier_plan``,
-    ``pack_flat``/``inj_flat``), plus ``recv_slots`` for the barrier
-    ghost-coverage check.
+    ``ranks`` are :class:`~repro.lbm.rankplan.RankPlan` values, or rank
+    states carrying one as ``plan``.
     """
+    plans = plans_of(ranks)
     issues: List[PlanIssue] = []
-    for st in ranks:
-        plan = getattr(st, "step_plan")
-        rank = int(getattr(st, "rank"))
-        q = int(plan.lattice.q)
-        label = f"rank {rank}"
+    for st in plans:
+        plan = st.step_plan
         issues += check_plan_table(
-            q,
+            plan.q,
             plan.num_local,
             plan.update_ids,
             plan.flat_src,
-            label=label,
-            run_table=getattr(plan, "run_table", None),
+            label=f"rank {st.rank}",
+            run_table=plan.run_table,
         )
-        interior = getattr(st, "interior_plan", None)
-        frontier = getattr(st, "frontier_plan", None)
-        if overlap and interior is not None and frontier is not None:
-            issues += check_partition(
-                q,
-                plan.num_local,
-                int(getattr(st, "num_owned")),
-                plan.update_ids,
-                interior.update_ids,
-                interior.flat_src,
-                frontier.update_ids,
-                frontier.flat_src,
-                label=label,
-            )
+        if overlap:
             issues += check_overlap_hazards(st)
         else:
             issues += _barrier_ghost_coverage(st)
     if overlap:
-        issues += check_exchange(ranks)
+        issues += check_exchange(plans)
     return issues
 
 
@@ -594,17 +486,16 @@ def verify_rank_plans(
         )
 
 
-def verify_plan(plan: object, context: str = "") -> None:
+def verify_plan(plan: StepPlan, context: str = "") -> None:
     """Raise :class:`PlanCheckError` when one single-domain plan's table
-    is invalid (K401/K402/K406/K407; no ghosts, so no partition or
-    exchange)."""
+    is invalid (K401/K402/K406/K407; no ghosts, so no exchange)."""
     issues = check_plan_table(
-        int(plan.lattice.q),
-        int(plan.num_local),
+        plan.q,
+        plan.num_local,
         plan.update_ids,
         plan.flat_src,
         label=context or "plan",
-        run_table=getattr(plan, "run_table", None),
+        run_table=plan.run_table,
     )
     if issues:
         detail = "\n".join(f"  [{i.rule}] {i.message}" for i in issues)
@@ -615,121 +506,32 @@ def verify_plan(plan: object, context: str = "") -> None:
 
 
 # -- serialized plan documents ----------------------------------------------
-class _RankView:
-    """A rank-state stand-in deserialized from a plan document."""
-
-    class _PlanView:
-        def __init__(
-            self, q: int, num_local, update_ids, flat_src, run_table=None
-        ):
-            class _Lat:
-                def __init__(self, q: int) -> None:
-                    self.q = q
-
-            self.lattice = _Lat(int(q))
-            self.num_local = int(num_local)
-            self.update_ids = np.asarray(update_ids, dtype=np.int64)
-            # np.asarray preserves a fractional dtype so K402 reports it
-            self.flat_src = np.asarray(flat_src)
-            self.num_update = int(self.update_ids.size)
-            self.run_table = None
-            if run_table is not None:
-                self.run_table = (
-                    np.array(run_table["heads"], np.int64).reshape(-1, 2),
-                    np.array(run_table["lens"], np.int64).reshape(-1),
-                )
-
-    def __init__(self, q: int, doc: Dict[str, object]) -> None:
-        self.rank = int(doc.get("rank", 0))
-        num_local = int(doc["num_local"])
-        update_ids = doc["update_ids"]
-        flat_src = doc["flat_src"]
-        self.num_owned = int(doc.get("num_owned", num_local))
-        self.step_plan = self._PlanView(
-            q, num_local, update_ids, flat_src, doc.get("run_table")
-        )
-        self.interior_plan = None
-        self.frontier_plan = None
-        if "interior" in doc:
-            sub = doc["interior"]
-            self.interior_plan = self._PlanView(
-                q, num_local, sub["update_ids"], sub["flat_src"]
-            )
-        if "frontier" in doc:
-            sub = doc["frontier"]
-            self.frontier_plan = self._PlanView(
-                q, num_local, sub["update_ids"], sub["flat_src"]
-            )
-        self.pack_flat = {
-            int(k): np.asarray(v, dtype=np.int64)
-            for k, v in (doc.get("pack_flat") or {}).items()
-        }
-        self.inj_flat = {
-            int(k): np.asarray(v, dtype=np.int64)
-            for k, v in (doc.get("inj_flat") or {}).items()
-        }
-        self.recv_slots = {
-            int(k): np.asarray(v, dtype=np.int64)
-            for k, v in (doc.get("recv_slots") or {}).items()
-        }
-
-
 def rank_states_to_dict(
     ranks: Sequence[object], overlap: bool = False
-) -> Dict[str, object]:
-    """Serialize live rank states into a checkable plan document."""
-    out: List[Dict[str, object]] = []
-    q = 0
-    for st in ranks:
-        plan = getattr(st, "step_plan")
-        q = int(plan.lattice.q)
-        doc: Dict[str, object] = {
-            "rank": int(getattr(st, "rank")),
-            "num_local": int(plan.num_local),
-            "num_owned": int(getattr(st, "num_owned")),
-            "update_ids": np.asarray(plan.update_ids).tolist(),
-            "flat_src": np.asarray(plan.flat_src).tolist(),
-        }
-        run_table = getattr(plan, "run_table", None)
-        if run_table is not None:
-            heads, lens = run_table
-            doc["run_table"] = {
-                "heads": np.asarray(heads).tolist(),
-                "lens": np.asarray(lens).tolist(),
-            }
-        interior = getattr(st, "interior_plan", None)
-        frontier = getattr(st, "frontier_plan", None)
-        if interior is not None and frontier is not None:
-            doc["interior"] = {
-                "update_ids": np.asarray(interior.update_ids).tolist(),
-                "flat_src": np.asarray(interior.flat_src).tolist(),
-            }
-            doc["frontier"] = {
-                "update_ids": np.asarray(frontier.update_ids).tolist(),
-                "flat_src": np.asarray(frontier.flat_src).tolist(),
-            }
-        for attr in ("pack_flat", "inj_flat", "recv_slots"):
-            mapping = getattr(st, attr, None)
-            if mapping:
-                doc[attr] = {
-                    str(k): np.asarray(v).tolist()
-                    for k, v in mapping.items()
-                }
-        out.append(doc)
-    return {"q": q, "overlap": bool(overlap), "ranks": out}
+) -> dict:
+    """Serialize rank plans (or live rank states) into a checkable plan
+    document: :meth:`RankPlan.to_dict` per rank plus the schedule."""
+    return {
+        "overlap": bool(overlap),
+        "ranks": [plan.to_dict() for plan in plans_of(ranks)],
+    }
 
 
 def check_plan_file(path: Union[str, Path]) -> List[Violation]:
     """Check a serialized plan document, returning engine violations.
 
-    The format is the JSON of :func:`rank_states_to_dict`::
+    The format is the JSON of :func:`rank_states_to_dict` — one
+    :meth:`RankPlan.to_dict <repro.lbm.rankplan.RankPlan.to_dict>` per
+    rank::
 
-        {"q": 19, "overlap": true,
-         "ranks": [{"rank": 0, "num_local": 8, "num_owned": 6,
+        {"overlap": true,
+         "ranks": [{"q": 19, "rank": 0, "num_local": 8,
                     "update_ids": [...], "flat_src": [[...]],
                     "run_table": {"heads": [[dst0, src0], ...],
                                   "lens": [...]},
-                    "pack_flat": {"1": [...]}, "inj_flat": {"1": [...]}}]}
+                    "owned_global": [...], "ghost_global": [...],
+                    "inlet_nodes": [...], "outlet_nodes": [...],
+                    "send_flat": {"1": [...]}, "recv_flat": {"1": [...]}}]}
 
     (``run_table`` is present when a compiled engine launched over the
     plan; K407 checks it against ``flat_src``.)
@@ -742,16 +544,12 @@ def check_plan_file(path: Union[str, Path]) -> List[Violation]:
         data = json.loads(p.read_text())
         if not isinstance(data, dict):
             raise PlanCheckError("document must be a JSON object")
-        if "ranks" in data:
-            q = int(data["q"])
-            overlap = bool(data.get("overlap", False))
-            ranks = [_RankView(q, doc) for doc in data["ranks"]]
-        else:
-            q = int(data["q"])
-            overlap = False
-            ranks = [_RankView(q, data)]
-        issues = check_rank_states(ranks, overlap=overlap)
-    except (OSError, ValueError, KeyError, TypeError, PlanCheckError) as exc:
+        docs = data["ranks"] if "ranks" in data else [data]
+        issues = check_rank_states(
+            [RankPlan.from_dict(doc) for doc in docs],
+            overlap=bool(data.get("overlap", False)),
+        )
+    except (OSError, ValueError, KeyError, TypeError, ReproError) as exc:
         return [
             Violation(
                 rule="K400",

@@ -118,7 +118,6 @@ DPCT_CATEGORY_BY_RULE: Dict[str, str] = {
     "K400": "Error handling",
     "K401": "Functional equivalence",
     "K402": "Error handling",
-    "K403": "Functional equivalence",
     "K404": "Error handling",
     "K405": "Functional equivalence",
     "K406": "Functional equivalence",

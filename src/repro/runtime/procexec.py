@@ -511,7 +511,7 @@ class ProcessExecutor:
         if plane is not None and isinstance(exc, SanitizeError):
             bundle = plane.postmortem_bundle(
                 reason=f"sanitizer failure in phase {label!r}",
-                rank_states=self._rank_states(),
+                rank_states=self.rank_states(),
                 error=str(exc),
             )
             plane.save_bundle(bundle)
@@ -610,7 +610,9 @@ class ProcessExecutor:
         dead_ranks.sort()
         return acks, dead_ranks
 
-    def _rank_states(self) -> Dict[int, Dict[str, Any]]:
+    def rank_states(self) -> Dict[int, Dict[str, Any]]:
+        """Liveness of every worker (``state`` / ``pid`` / ``exitcode``),
+        as a postmortem bundle records it."""
         states: Dict[int, Dict[str, Any]] = {}
         for rank, (proc, _) in enumerate(self._workers):
             states[rank] = {
@@ -631,7 +633,7 @@ class ProcessExecutor:
                 pass
             bundle = plane.postmortem_bundle(
                 reason=f"stall during {where}",
-                rank_states=self._rank_states(),
+                rank_states=self.rank_states(),
                 error=str(exc),
             )
             plane.save_bundle(bundle)
@@ -663,7 +665,7 @@ class ProcessExecutor:
             except Exception:
                 pass
             bundle = plane.postmortem_bundle(
-                reason=died, rank_states=self._rank_states()
+                reason=died, rank_states=self.rank_states()
             )
             plane.save_bundle(bundle)
         self._abort(missing)

@@ -8,7 +8,7 @@ and assert the system either diverges measurably or fails loudly.
 import numpy as np
 import pytest
 
-from repro.core import RuntimeSimError
+from repro.core import D3Q19, RuntimeSimError
 from repro.decomp import axis_decompose
 from repro.geometry import CylinderSpec, make_cylinder
 from repro.lbm import DistributedSolver, Solver, SolverConfig
@@ -26,10 +26,12 @@ class CorruptingComm(SimComm):
     def send(self, src, dst, buf, tag=0):
         self._count += 1
         if self._count == self._corrupt_at:
-            buf = np.array(buf, copy=True)
-            # corrupt every population of the first node so the fault is
-            # visible regardless of which directions the receiver pulls
+            # a barrier payload is population-major: corrupt every
+            # population of the first node so the fault is visible
+            # regardless of which directions the receiver pulls
+            buf = np.array(buf, copy=True).reshape(D3Q19.q, -1)
             buf[:, 0] += 1e-3
+            buf = buf.reshape(-1)
         super().send(src, dst, buf, tag)
 
 

@@ -75,8 +75,8 @@ def ranked_cylinder(**config):
 def test_stream_onto_padded_destination_equals_contiguous():
     solver = ranked_cylinder()
     for st in solver.ranks:
-        plan, n = st.step_plan, st.num_owned
-        assert plan.is_prefix and plan.num_local > n  # ghosts pad the rows
+        plan, n = st.plan.step_plan, st.num_owned
+        assert plan.num_local > n  # ghosts pad the rows
         f = perturbed_field(plan.num_local, seed=st.rank)
         whole = np.empty((D3Q19.q, n))
         plan.apply(f, whole)  # destination is the whole array: one take
@@ -85,23 +85,6 @@ def test_stream_onto_padded_destination_equals_contiguous():
         plan.apply(f, padded)
         assert np.array_equal(padded[:, :n], whole)
         assert np.isnan(padded[:, n:]).all()
-
-
-def test_partition_plans_reserve_no_staging():
-    solver = ranked_cylinder(overlap=True)
-    for st in solver.ranks:
-        plan, frontier = st.step_plan, st.frontier_plan
-        assert st.interior_plan._gather_buf is None
-        assert frontier._gather_buf is None
-        # a non-prefix apply still works; it allocates on first use
-        f = perturbed_field(plan.num_local, seed=st.rank)
-        out = np.full_like(f, np.nan)
-        frontier.apply(f, out)
-        cols = frontier.update_ids
-        assert np.array_equal(
-            out[:, cols], f.reshape(-1)[frontier.flat_src]
-        )
-        assert frontier._gather_buf.shape == frontier.flat_src.shape
 
 
 @pytest.fixture(scope="module")

@@ -86,12 +86,6 @@ class TestConnectivity:
         with pytest.raises(GeometryError):
             Connectivity(g, D3Q19)
 
-    def test_coords_and_map_must_pair(self):
-        grid = self._tiny_grid()
-        coords, _ = grid.compact_ids()
-        with pytest.raises(GeometryError, match="together"):
-            Connectivity(grid, D3Q19, coords=coords)
-
 
 class TestVelocityInlet:
     def test_constant_velocity(self):

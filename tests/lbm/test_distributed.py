@@ -165,13 +165,13 @@ class TestRankState:
         dist = DistributedSolver(bisection_decompose(aorta, 4), cfg)
         for st in dist.ranks:
             assert (
-                len(np.intersect1d(st.owned_global, st.ghost_global)) == 0
+                len(np.intersect1d(st.plan.owned_global, st.plan.ghost_global)) == 0
             )
 
     def test_all_nodes_owned_exactly_once(self, aorta):
         cfg = SolverConfig(tau=0.7, inlet_velocity=(0.0, 0.0, 0.02))
         dist = DistributedSolver(bisection_decompose(aorta, 7), cfg)
-        owned = np.concatenate([st.owned_global for st in dist.ranks])
+        owned = np.concatenate([st.plan.owned_global for st in dist.ranks])
         assert owned.size == dist.num_nodes
         assert np.unique(owned).size == owned.size
 

@@ -5,7 +5,7 @@ collide, preallocated halo packing) is a pure performance refactor of
 the textbook per-population algorithm: every test here pins
 ``np.array_equal`` — not ``allclose`` — against a test-local reference
 stepper built from the oracles ``src/`` keeps for exactly this purpose
-(``Connectivity.stream``, the per-q rank tables, the no-workspace
+(``Connectivity.stream``, ``rankplan.rank_link_lists``, the no-workspace
 ``collision.apply``, the boundary objects), across collision operators,
 boundary styles, and the single-domain/distributed split.
 
@@ -32,6 +32,7 @@ from repro.geometry.flags import INLET, OUTLET
 from repro.harvey.config import HarveyConfig
 from repro.lbm.boundary import PressureOutlet, VelocityInlet
 from repro.lbm.distributed import DistributedSolver
+from repro.lbm.rankplan import rank_link_lists
 from repro.lbm.solver import Solver, SolverConfig
 from repro.lbm.stream import Connectivity
 from repro.models.compiled import compiled_available
@@ -115,22 +116,36 @@ class ReferenceStepper:
 
 
 def reference_distributed_f(part, config, num_steps):
-    """The per-q distributed algorithm over the rank tables of a
-    ``DistributedSolver`` that is built but never stepped: allocating
-    collide on owned nodes, whole-column ghost copies, one gather and one
-    bounce-back per population, equilibrium boundaries."""
+    """The per-q distributed algorithm over a ``DistributedSolver`` that
+    is built but never stepped: allocating collide on owned nodes,
+    whole-column ghost copies located by global node id (not through the
+    exchange tables), one gather and one bounce-back per population from
+    the link lists every ``flat_src`` is compiled from, equilibrium
+    boundaries."""
     solver = DistributedSolver(part, config)
     lattice, collision, ranks = solver.lattice, solver.collision, solver.ranks
+    links = rank_link_lists(part.grid, part, lattice, config.periodic)
+    ghost_copies = []  # (dst state, ghost columns, owner state, owned columns)
+    for st in ranks:
+        ghosts = st.plan.ghost_global
+        for owner in ranks:
+            held = np.isin(ghosts, owner.plan.owned_global)
+            if held.any():
+                ghost_copies.append((
+                    st,
+                    st.num_owned + np.flatnonzero(held),
+                    owner,
+                    np.searchsorted(owner.plan.owned_global, ghosts[held]),
+                ))
     for time in range(1, num_steps + 1):
         for st in ranks:
             collision.apply(lattice, st.f, np.arange(st.num_owned))
+        for st, ghost_cols, owner, owned_cols in ghost_copies:
+            st.f[:, ghost_cols] = owner.f[:, owned_cols]
         for st in ranks:
-            for src, slots in st.recv_slots.items():
-                st.f[:, slots] = ranks[src].f[:, ranks[src].send_ids[st.rank]]
-        for st in ranks:
-            for qi, qi_opp, dst, src, bounce in st.plans:
-                st.f_tmp[qi, dst] = st.f[qi, src]
-                st.f_tmp[qi, bounce] = st.f[qi_opp, bounce]
+            for link in links[st.rank]:
+                st.f_tmp[link.qi, link.dst] = st.f[link.qi, link.src]
+                st.f_tmp[link.qi, link.bounce] = st.f[link.qi_opp, link.bounce]
             st.f, st.f_tmp = st.f_tmp, st.f
             if st.inlet is not None:
                 st.inlet.apply(lattice, st.f, time)

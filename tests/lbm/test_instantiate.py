@@ -1,0 +1,132 @@
+"""Instantiating rank plans: what a ``RankState`` holds, and what a
+constructor that raises leaves behind (nothing)."""
+
+import multiprocessing
+import os
+
+import numpy as np
+import pytest
+
+from repro.core.errors import ModelError, PlanCheckError, RuntimeSimError
+from repro.decomp import bisection_decompose
+from repro.geometry import CylinderSpec, make_cylinder
+from repro.lbm import DistributedSolver, SolverConfig
+from repro.runtime import fork_available
+from repro.runtime.shmem import leaked_segments
+
+needs_fork = pytest.mark.skipif(
+    not fork_available(), reason="needs the POSIX fork start method"
+)
+
+
+@pytest.fixture(scope="module")
+def partition():
+    grid = make_cylinder(CylinderSpec(scale=1.0, periodic=False))
+    return bisection_decompose(grid, 2)
+
+
+def config(**kw):
+    return SolverConfig(
+        tau=0.8, inlet_velocity=(0.05, 0.0, 0.0), overlap=True, **kw
+    )
+
+
+def int64_bytes_reachable(root):
+    """Bytes of every distinct int64 array reachable from ``root``
+    through attributes, slots and containers."""
+    seen, stack, total = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.base is not None:
+                stack.append(obj.base)
+            elif obj.dtype == np.int64:
+                total += obj.nbytes
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            stack.extend(
+                getattr(obj, name, None)
+                for name in getattr(type(obj), "__slots__", ())
+            )
+    return total
+
+
+def test_rank_state_holds_one_copy_of_the_link_table(partition):
+    # the executed gather table, its id columns and the exchange pair:
+    # no per-q link lists, no interior/frontier sub-plans beside it
+    solver = DistributedSolver(partition, config())
+    for st in solver.ranks:
+        plan = st.plan.step_plan
+        run_table = sum(t.nbytes for t in plan.run_table or ())
+        assert (
+            int64_bytes_reachable(st)
+            <= 1.25 * plan.flat_src.nbytes + run_table
+        )
+
+
+class Injected(Exception):
+    pass
+
+
+def _raise(error):
+    def fail(*args, **kwargs):
+        raise error
+
+    return fail
+
+
+@needs_fork
+class TestFailedConstructionLeavesNothing:
+    """``executor="process"``: whichever stage of the constructor raises,
+    no ``/dev/shm`` segment and no child process outlives it — at once,
+    not at interpreter exit."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_left(self, hard_time_bound):
+        before = leaked_segments(os.getpid())
+        yield
+        assert leaked_segments(os.getpid()) == before
+        assert multiprocessing.active_children() == []
+
+    def test_failing_plan_preflight(self, partition, monkeypatch):
+        monkeypatch.setattr(
+            "repro.lint.plancheck.verify_rank_plans",
+            _raise(PlanCheckError("injected")),
+        )
+        with pytest.raises(PlanCheckError, match="injected"):
+            DistributedSolver(partition, config(executor="process"))
+
+    def test_failing_schedule_preflight(self, partition, monkeypatch):
+        monkeypatch.setattr(
+            "repro.lint.commcheck.verify_schedule", _raise(Injected())
+        )
+        with pytest.raises(Injected):
+            DistributedSolver(partition, config(executor="process"))
+
+    def test_failing_kernel_provider(self, partition, monkeypatch):
+        monkeypatch.setattr(
+            "repro.models.compiled.CompiledKernels",
+            _raise(ModelError("no compiler (injected)")),
+        )
+        with pytest.raises(ModelError, match="injected"):
+            DistributedSolver(
+                partition,
+                config(executor="process", backend="compiled-serial"),
+            )
+
+    def test_failure_after_the_first_allocation(self, partition, monkeypatch):
+        # the double buffers are already shared segments when the ring
+        # transport is wired: the constructor must release them itself
+        monkeypatch.setattr(
+            "repro.lbm.distributed.RingTransport",
+            _raise(RuntimeSimError("ring wiring failed (injected)")),
+        )
+        with pytest.raises(RuntimeSimError, match="injected"):
+            DistributedSolver(partition, config(executor="process"))

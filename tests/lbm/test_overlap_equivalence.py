@@ -5,14 +5,14 @@ streaming, frontier finalized by direct payload injection) is a pure
 scheduling optimisation: every test here pins ``np.array_equal`` — not
 ``allclose`` — against the barrier schedule, across collision operators,
 boundary styles, rank counts, and both executors.  Also covers the
-``StepPlan.partition``/``cross_links`` primitives the pipeline is built
-from, the packed halo-byte accounting, and the config validation.
+``StepPlan.cross_links`` enumeration the packed exchange is wired from,
+the packed halo-byte accounting, and the config validation.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.errors import ConfigError, GeometryError
+from repro.core.errors import ConfigError
 from repro.decomp import grid_decompose
 from repro.geometry.cylinder import CylinderSpec, make_cylinder
 from repro.lbm.distributed import DistributedSolver
@@ -141,63 +141,17 @@ class TestStepPlanPartition:
         part = grid_decompose(grid, num_ranks)
         solver = DistributedSolver(part, periodic_config("bgk"))
         states = solver.ranks if rank is None else [solver.ranks[rank]]
-        return [(st.step_plan, st.num_owned) for st in states]
-
-    def test_partition_covers_and_is_disjoint(self):
-        for plan, num_owned in self._plan(4):
-            interior, frontier = plan.partition(num_owned)
-            merged = np.concatenate(
-                [interior.update_ids, frontier.update_ids]
-            )
-            assert merged.size == plan.num_update
-            assert np.array_equal(
-                np.sort(merged), np.sort(plan.update_ids)
-            )
-            assert not np.intersect1d(
-                interior.update_ids, frontier.update_ids
-            ).size
-
-    def test_interior_reads_only_owned(self):
-        for plan, num_owned in self._plan(8):
-            interior, frontier = plan.partition(num_owned)
-            assert np.all(
-                interior.flat_src % plan.num_local < num_owned
-            )
-            if frontier.num_update:
-                reads_ghost = (
-                    frontier.flat_src % plan.num_local >= num_owned
-                )
-                assert reads_ghost.any(axis=0).all()
+        return [(st.plan.step_plan, st.num_owned) for st in states]
 
     def test_single_rank_frontier_is_empty(self):
         grid = periodic_grid()
         part = grid_decompose(grid, 1)
-        solver = DistributedSolver(part, periodic_config("bgk"))
-        st = solver.ranks[0]
-        interior, frontier = st.step_plan.partition(st.num_owned)
-        assert frontier.num_update == 0
-        assert interior.num_update == st.num_owned
-
-    def test_subplans_compose_to_full_stream(self):
-        """Applying interior and frontier sub-plans == applying the plan."""
-        for plan, num_owned in self._plan(4, rank=0):
-            rng = np.random.default_rng(7)
-            f = rng.random((plan.lattice.q, plan.num_local))
-            whole = np.full_like(f, np.nan)
-            split = np.full_like(f, np.nan)
-            plan.apply(f, whole)
-            interior, frontier = plan.partition(num_owned)
-            interior.apply(f, split)
-            frontier.apply(f, split)
-            owned = plan.update_ids
-            assert np.array_equal(whole[:, owned], split[:, owned])
-
-    def test_partition_bounds_checked(self):
-        for plan, num_owned in self._plan(2, rank=0):
-            with pytest.raises(GeometryError):
-                plan.partition(-1)
-            with pytest.raises(GeometryError):
-                plan.partition(plan.num_local + 1)
+        solver = DistributedSolver(part, periodic_config("bgk", overlap=True))
+        plan = solver.ranks[0].plan
+        dst_flat, _ = plan.step_plan.cross_links(plan.num_owned)
+        assert dst_flat.size == 0
+        assert not plan.recv_flat and not plan.send_flat
+        assert plan.step_plan.num_update == plan.num_owned
 
     def test_cross_links_enumerate_ghost_reads(self):
         for plan, num_owned in self._plan(4, rank=0):
@@ -222,7 +176,7 @@ class TestPackedExchangeAccounting:
         )
         expected = 0
         for st in overlap.ranks:
-            dst_flat, _ = st.step_plan.cross_links(st.num_owned)
+            dst_flat, _ = st.plan.step_plan.cross_links(st.num_owned)
             expected += dst_flat.size * 8
         assert overlap.halo_bytes_per_step() == expected
 

@@ -1,0 +1,174 @@
+"""``build_rank_plans`` on its own: no solver is constructed here.
+
+The plan is the decomposition pre-processed into tables, so every
+property is checked against the grid and the partition directly —
+ownership, ghost layers, the slot-for-slot agreement of the exchange
+pair under both schedules — plus the ``*.stepplan.json`` codec.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from repro.core.lattice import D3Q19
+from repro.decomp import bisection_decompose
+from repro.geometry import CylinderSpec, make_aorta, make_cylinder
+from repro.lbm.rankplan import RankPlan, build_rank_plans, rank_link_lists
+from repro.lbm.stream import upstream_ids
+from repro.lint import check_plan_file, check_rank_states, rank_states_to_dict
+
+GRIDS = {
+    "periodic": (
+        lambda: make_cylinder(CylinderSpec(scale=0.5, periodic=True)),
+        (True, False, False),
+    ),
+    "capped": (
+        lambda: make_cylinder(CylinderSpec(scale=0.5, periodic=False)),
+        (False, False, False),
+    ),
+    "aorta": (lambda: make_aorta(2.0), (False, False, False)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GRIDS))
+def case(request):
+    make, periodic = GRIDS[request.param]
+    return make(), periodic
+
+
+def build(case, num_ranks, overlap):
+    grid, periodic = case
+    partition = bisection_decompose(grid, num_ranks)
+    return build_rank_plans(grid, partition, D3Q19, periodic, overlap)
+
+
+def carried_slots(plan, src, overlap):
+    """``(population, global node)`` of each slot of the message from
+    ``src``, read off the receiver's side: the ghost slot a written index
+    refills (barrier) or the ghost slot its link reads (overlap)."""
+    written = plan.recv_flat[src]
+    if overlap:
+        dst_flat, src_flat = plan.step_plan.cross_links(plan.num_owned)
+        order = np.argsort(dst_flat)
+        at = order[np.searchsorted(dst_flat, written, sorter=order)]
+        assert np.array_equal(dst_flat[at], written)
+        written = src_flat[at]
+    pops, nodes = np.divmod(written, plan.step_plan.num_local)
+    assert (nodes >= plan.num_owned).all()
+    return pops, plan.ghost_global[nodes - plan.num_owned]
+
+
+@pytest.mark.parametrize("num_ranks", [1, 2, 3, 4])
+def test_owned_sets_partition_the_global_ids(case, num_ranks):
+    plans = build(case, num_ranks, overlap=False)
+    owned = np.concatenate([p.owned_global for p in plans])
+    assert np.array_equal(np.sort(owned), np.arange(case[0].num_fluid))
+    assert [p.rank for p in plans] == list(range(num_ranks))
+
+
+@pytest.mark.parametrize("num_ranks", [1, 2, 3, 4])
+def test_ghosts_are_the_remote_upstream_nodes(case, num_ranks):
+    grid, periodic = case
+    coords, index_map = grid.compact_ids()
+    for plan in build(case, num_ranks, overlap=False):
+        ups = np.concatenate([
+            upstream_ids(
+                grid.shape, c, periodic, coords[plan.owned_global], index_map
+            )
+            for c in D3Q19.c
+        ])
+        remote = np.setdiff1d(ups[ups >= 0], plan.owned_global)
+        assert np.array_equal(plan.ghost_global, remote)
+        assert plan.step_plan.num_local == plan.num_owned + remote.size
+        assert plan.step_plan.num_update == plan.num_owned
+
+
+@pytest.mark.parametrize("overlap", [False, True], ids=["barrier", "overlap"])
+@pytest.mark.parametrize("num_ranks", [1, 2, 3, 4])
+def test_exchange_pair_agrees_slot_for_slot(case, num_ranks, overlap):
+    plans = build(case, num_ranks, overlap)
+    wired = 0
+    for r, plan in enumerate(plans):
+        assert r not in plan.recv_flat and r not in plan.send_flat
+        for j in plan.recv_flat:
+            sender = plans[j]
+            sent = sender.send_flat[r]
+            assert sent.shape == plan.recv_flat[j].shape
+            sent_pops, sent_nodes = np.divmod(sent, sender.step_plan.num_local)
+            assert (sent_nodes < sender.num_owned).all()
+            pops, gids = carried_slots(plan, j, overlap)
+            assert np.array_equal(sent_pops, pops)
+            assert np.array_equal(sender.owned_global[sent_nodes], gids)
+            wired += 1
+    assert wired == sum(len(p.send_flat) for p in plans)
+    assert (wired > 0) == (num_ranks > 1)
+
+
+def test_overlap_ships_only_the_slots_some_link_reads(case):
+    barrier = build(case, 4, overlap=False)
+    overlap = build(case, 4, overlap=True)
+    for b, o in zip(barrier, overlap):
+        assert np.array_equal(b.step_plan.flat_src, o.step_plan.flat_src)
+        dst_flat, _ = o.step_plan.cross_links(o.num_owned)
+        written = np.concatenate(list(o.recv_flat.values()))
+        assert np.array_equal(np.sort(written), np.sort(dst_flat))
+        assert written.size < sum(t.size for t in b.recv_flat.values())
+
+
+def test_link_lists_compile_to_flat_src(case):
+    grid, periodic = case
+    partition = bisection_decompose(grid, 3)
+    plans = build_rank_plans(grid, partition, D3Q19, periodic)
+    for plan, links in zip(
+        plans, rank_link_lists(grid, partition, D3Q19, periodic)
+    ):
+        n = plan.step_plan.num_local
+        for link in links:
+            row = plan.step_plan.flat_src[link.qi]
+            assert np.array_equal(row[link.dst], link.qi * n + link.src)
+            assert np.array_equal(
+                row[link.bounce], link.qi_opp * n + link.bounce
+            )
+            assert link.dst.size + link.bounce.size == plan.num_owned
+
+
+@pytest.mark.parametrize("overlap", [False, True], ids=["barrier", "overlap"])
+def test_document_round_trip(case, overlap):
+    plans = build(case, 3, overlap)
+    plans[0].step_plan.kernel_tables()  # one rank carries a run table
+    doc = json.loads(json.dumps(rank_states_to_dict(plans, overlap=overlap)))
+    loaded = [RankPlan.from_dict(rank_doc) for rank_doc in doc["ranks"]]
+    for plan, back in zip(plans, loaded):
+        assert back.rank == plan.rank
+        for name in (
+            "owned_global", "ghost_global", "inlet_nodes", "outlet_nodes"
+        ):
+            got, want = getattr(back, name), getattr(plan, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for name in ("send_flat", "recv_flat"):
+            got, want = getattr(back, name), getattr(plan, name)
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[k], want[k]) for k in want)
+        sp, sb = plan.step_plan, back.step_plan
+        assert (sb.q, sb.num_local) == (sp.q, sp.num_local)
+        assert np.array_equal(sb.update_ids, sp.update_ids)
+        assert sb.flat_src.dtype == sp.flat_src.dtype
+        assert np.array_equal(sb.flat_src, sp.flat_src)
+        assert (sb.run_table is None) == (sp.run_table is None)
+    assert all(
+        np.array_equal(a, b)
+        for a, b in zip(loaded[0].step_plan.run_table, plans[0].step_plan.run_table)
+    )
+    assert check_rank_states(loaded, overlap=overlap) == []
+
+
+def test_fractional_table_survives_the_codec_as_k402(case, tmp_path):
+    doc = rank_states_to_dict(build(case, 2, overlap=True), overlap=True)
+    table = doc["ranks"][1]["flat_src"]
+    table[0] = [float(v) for v in table[0]]
+    path = tmp_path / "float.stepplan.json"
+    path.write_text(json.dumps(doc))
+    violations = check_plan_file(path)
+    assert "K402" in {v.rule for v in violations}
+    assert any("integer" in v.message for v in violations)

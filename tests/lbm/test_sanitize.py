@@ -116,11 +116,11 @@ class TestSeededBugs:
         # onto a neighbouring slot instead — shapes all agree, so the
         # step executes; the skipped destination keeps its provisional
         # stale-ghost value
-        st = next(s for s in solver.ranks if s.inj_flat)
-        src = sorted(st.inj_flat)[0]
-        inj = st.inj_flat[src].copy()
-        inj[-1] = inj[-2]
-        st.inj_flat[src] = inj
+        recv_flat = next(
+            s.plan.recv_flat for s in solver.ranks if s.plan.recv_flat
+        )
+        written = recv_flat[sorted(recv_flat)[0]]
+        written[-1] = written[-2]
 
     def test_redirected_scatter_caught_only_when_sanitized(self, grid):
         legacy = make_solver(grid, overlap=True)
@@ -157,7 +157,7 @@ class TestEpochTracking:
     def test_barrier_stale_ghost_detected(self, grid):
         solver, san = self._sanitizer(grid)
         san.begin_step(solver.ranks, 0)
-        st = next(s for s in solver.ranks if s.recv_slots)
+        st = next(s for s in solver.ranks if s.plan.recv_flat)
         # no on_unpack calls at all: every ghost this rank reads is stale
         with pytest.raises(SanitizeError, match="not refilled"):
             san.before_stream(st)
@@ -165,36 +165,36 @@ class TestEpochTracking:
     def test_barrier_fresh_after_all_unpacks(self, grid):
         solver, san = self._sanitizer(grid)
         san.begin_step(solver.ranks, 0)
-        st = next(s for s in solver.ranks if s.recv_slots)
-        for src in st.recv_slots:
+        st = next(s for s in solver.ranks if s.plan.recv_flat)
+        for src in st.plan.recv_flat:
             san.on_unpack(st, src)
         san.before_stream(st)  # should not raise
 
     def test_partial_unpack_still_stale(self, grid):
         solver, san = self._sanitizer(grid)
         st = next(
-            s for s in solver.ranks if len(s.recv_slots) >= 2
+            s for s in solver.ranks if len(s.plan.recv_flat) >= 2
         )
         san.begin_step(solver.ranks, 0)
-        san.on_unpack(st, sorted(st.recv_slots)[0])
+        san.on_unpack(st, sorted(st.plan.recv_flat)[0])
         with pytest.raises(SanitizeError, match="not refilled"):
             san.before_stream(st)
 
     def test_double_scatter_detected(self, grid):
         solver, san = self._sanitizer(grid, overlap=True)
-        st = next(s for s in solver.ranks if s.inj_flat)
-        src = sorted(st.inj_flat)[0]
+        st = next(s for s in solver.ranks if s.plan.recv_flat)
+        src = sorted(st.plan.recv_flat)[0]
         san.begin_step(solver.ranks, 0)
         san.on_interior_stream(st)
         san.on_payload(st, src)
-        san.on_scatter(st, src, st.inj_flat[src])
+        san.on_scatter(st, src, st.plan.recv_flat[src])
         with pytest.raises(SanitizeError, match="double scatter"):
-            san.on_scatter(st, src, st.inj_flat[src])
+            san.on_scatter(st, src, st.plan.recv_flat[src])
 
     def test_unscattered_payload_detected(self, grid):
         solver, san = self._sanitizer(grid, overlap=True)
-        st = next(s for s in solver.ranks if s.inj_flat)
-        src = sorted(st.inj_flat)[0]
+        st = next(s for s in solver.ranks if s.plan.recv_flat)
+        src = sorted(st.plan.recv_flat)[0]
         san.begin_step(solver.ranks, 0)
         san.on_interior_stream(st)
         san.on_payload(st, src)  # arrives, but no on_scatter follows

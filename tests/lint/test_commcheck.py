@@ -175,7 +175,7 @@ class TestSolverPreflight:
         part = axis_decompose(cylinder, 2)
         solver = DistributedSolver(part, cfg, validate_schedule=False)
         # sabotage: rank 1 forgets its receive from rank 0
-        solver.ranks[1].recv_slots.pop(0)
+        solver.ranks[1].plan.recv_flat.pop(0)
         sched = schedule_from_rank_states(solver.ranks, part.num_ranks)
         assert "unmatched-send" in _kinds(check_schedule(sched))
 
@@ -183,8 +183,8 @@ class TestSolverPreflight:
         cfg = SolverConfig(**CYL_CONFIG)
         part = axis_decompose(cylinder, 2)
         solver = DistributedSolver(part, cfg, validate_schedule=False)
-        slots = solver.ranks[1].recv_slots[0]
-        solver.ranks[1].recv_slots[0] = slots[:-1]  # one ghost short
+        recv_flat = solver.ranks[1].plan.recv_flat
+        recv_flat[0] = recv_flat[0][:-1]  # one ghost slot short
         sched = schedule_from_rank_states(solver.ranks, part.num_ranks)
         assert "count-mismatch" in _kinds(check_schedule(sched))
 
@@ -268,7 +268,8 @@ class TestOverlapSchedule:
         part = axis_decompose(cylinder, 2)
         solver = DistributedSolver(part, cfg, validate_schedule=False)
         # sabotage: drop one link from rank 1's injection table
-        solver.ranks[1].inj_flat[0] = solver.ranks[1].inj_flat[0][:-1]
+        recv_flat = solver.ranks[1].plan.recv_flat
+        recv_flat[0] = recv_flat[0][:-1]
         sched = schedule_from_rank_states(
             solver.ranks, part.num_ranks, overlap=True
         )

@@ -1,12 +1,15 @@
 """Plan-IR verification (K40x), including intentionally-broken fixtures.
 
 The dogfood run over the live tree came back clean, so every rule is
-proven here the other way round: take the real rank states the
-distributed solver builds, break each invariant deliberately, and assert
-the matching K40x rule fires — plus the solver pre-flight, the
-serialized ``*.stepplan.json`` path, and engine discovery/selection.
+proven here the other way round: take the real rank plans the
+distributed solver instantiates, break each invariant deliberately (arrays
+mutate in place; ``dataclasses.replace`` rebinds a field of the frozen
+plan), and assert the matching K40x rule fires — plus the solver
+pre-flight, the serialized ``*.stepplan.json`` path, and engine
+discovery/selection.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +20,7 @@ from repro.core.planmeta import KERNEL_RUN_CAP, kernel_tables
 from repro.decomp import axis_decompose
 from repro.geometry import CylinderSpec, make_cylinder
 from repro.lbm import DistributedSolver, SolverConfig
+from repro.lbm.stream import StepPlan
 from repro.lint import (
     LintEngine,
     PLAN_RULES,
@@ -29,7 +33,6 @@ from repro.lint import (
 from repro.lint.plancheck import (
     check_exchange,
     check_overlap_hazards,
-    check_partition,
     check_plan_table,
 )
 
@@ -48,6 +51,12 @@ def make_solver(grid, num_ranks=3, validate_plan=True, **kw):
     return DistributedSolver(
         axis_decompose(grid, num_ranks), config, validate_plan=validate_plan
     )
+
+
+def make_plans(grid, num_ranks=3, **kw):
+    """The rank plans of a solver built without the plan pre-flight."""
+    solver = make_solver(grid, num_ranks, validate_plan=False, **kw)
+    return [st.plan for st in solver.ranks]
 
 
 def _rules(issues):
@@ -116,17 +125,8 @@ class TestPlanTable:
     def test_verify_plan_raises_with_rule_id(self):
         ids, src = self._table()
         ids[2] = ids[3]
-
-        class _Plan:
-            class lattice:
-                q = 2
-
-            num_local = 4
-            update_ids = ids
-            flat_src = src
-
         with pytest.raises(PlanCheckError, match=r"\[K401\]"):
-            verify_plan(_Plan())
+            verify_plan(StepPlan(2, 4, ids, src))
 
 
 class TestRunTable:
@@ -138,11 +138,11 @@ class TestRunTable:
     def solver(self, grid):
         solver = make_solver(grid, num_ranks=2)
         for st in solver.ranks:
-            st.step_plan.kernel_tables()
+            st.plan.step_plan.kernel_tables()
         return solver
 
     def _break(self, solver, mutate):
-        plan = solver.ranks[1].step_plan
+        plan = solver.ranks[1].plan.step_plan
         heads, lens = kernel_tables(
             plan.flat_src, plan.update_ids, plan.num_local
         )
@@ -151,7 +151,9 @@ class TestRunTable:
 
     def test_no_table_means_nothing_to_check(self, grid):
         solver = make_solver(grid, num_ranks=2)
-        assert all(st.step_plan.run_table is None for st in solver.ranks)
+        assert all(
+            st.plan.step_plan.run_table is None for st in solver.ranks
+        )
         assert check_rank_states(solver.ranks) == []
 
     def test_clean_tables_pass(self, solver):
@@ -178,7 +180,7 @@ class TestRunTable:
         assert "gap follows the last run" in issues[0].message
 
     def test_overlap_names_the_run_after_it(self, solver):
-        num_local = solver.ranks[1].step_plan.num_local
+        num_local = solver.ranks[1].plan.step_plan.num_local
         found = []
 
         def mutate(heads, lens):
@@ -213,10 +215,10 @@ class TestRunTable:
         assert "consecutive" in issues[0].message
 
     def test_run_past_the_end_of_f(self, solver):
-        plan = solver.ranks[1].step_plan
+        plan = solver.ranks[1].plan.step_plan
 
         def mutate(heads, lens):
-            heads[-1, 0] = plan.lattice.q * plan.num_local - 1
+            heads[-1, 0] = plan.q * plan.num_local - 1
             lens[-1] = max(int(lens[-1]), 2)
 
         issues = self._break(solver, mutate)
@@ -247,7 +249,7 @@ class TestRunTable:
         assert "C-contiguous" in issues[0].message
 
     def test_preflights_raise(self, solver):
-        plan = solver.ranks[0].step_plan
+        plan = solver.ranks[0].plan.step_plan
         plan.run_table[0][0, 1] += 1
         with pytest.raises(PlanCheckError, match=r"\[K407\] rank 0: run 0 "):
             verify_rank_plans(solver.ranks)
@@ -268,57 +270,8 @@ class TestRunTable:
         assert LintEngine().select(["K406"]).run([tmp_path]).violations == []
 
 
-class TestPartition:
-    """K403 on a hand-built interior/frontier split.
-
-    q=2, num_local=4, num_owned=3 (node 3 is the ghost): nodes 0 and 1
-    are interior, node 2 reads the ghost and is frontier.
-    """
-
-    def _split(self):
-        parent_ids = np.arange(3, dtype=np.int64)
-        interior_ids = np.array([0, 1], dtype=np.int64)
-        interior_src = np.array([[0, 1], [4, 5]], dtype=np.int64)
-        frontier_ids = np.array([2], dtype=np.int64)
-        frontier_src = np.array([[3], [7]], dtype=np.int64)  # ghost node 3
-        return (
-            parent_ids,
-            interior_ids,
-            interior_src,
-            frontier_ids,
-            frontier_src,
-        )
-
-    def test_clean_split_passes(self):
-        assert check_partition(2, 4, 3, *self._split()) == []
-
-    def test_interior_ghost_read_is_k403(self):
-        parent, i_ids, i_src, f_ids, f_src = self._split()
-        i_src = i_src.copy()
-        i_src[0, 1] = 3  # interior node 1 now reads ghost node 3
-        issues = check_partition(2, 4, 3, parent, i_ids, i_src, f_ids, f_src)
-        assert "K403" in _rules(issues)
-        assert "stale halo" in issues[0].message
-
-    def test_misclassified_frontier_is_k403(self):
-        parent, i_ids, i_src, f_ids, f_src = self._split()
-        f_src = f_src.copy()
-        f_src[:, 0] = (2, 6)  # frontier node 2 reads no ghost at all
-        issues = check_partition(2, 4, 3, parent, i_ids, i_src, f_ids, f_src)
-        assert "K403" in _rules(issues)
-        assert "no ghost source" in issues[0].message
-
-    def test_coverage_gap_is_k403(self):
-        parent, i_ids, i_src, f_ids, f_src = self._split()
-        issues = check_partition(
-            2, 4, 3, parent, i_ids[:1], i_src[:, :1], f_ids, f_src
-        )
-        assert "K403" in _rules(issues)
-        assert "cover" in issues[-1].message
-
-
 class TestRealRankStates:
-    """Break the solver's own overlap wiring, one invariant at a time."""
+    """Break the solver's own wiring, one invariant at a time."""
 
     def test_clean_overlap_states_pass(self, grid):
         solver = make_solver(grid, overlap=True)
@@ -329,44 +282,41 @@ class TestRealRankStates:
         assert check_rank_states(solver.ranks, overlap=False) == []
 
     def test_duplicate_update_id_is_k401(self, grid):
-        solver = make_solver(grid, overlap=True, validate_plan=False)
-        plan = solver.ranks[0].step_plan
-        plan.update_ids[1] = plan.update_ids[0]
-        issues = check_rank_states(solver.ranks, overlap=True)
+        plans = make_plans(grid, overlap=True)
+        ids = plans[0].step_plan.update_ids
+        ids[1] = ids[0]
+        issues = check_rank_states(plans, overlap=True)
         assert "K401" in _rules(issues)
 
     def test_redirected_payload_slot_is_k404_and_k405(self, grid):
         # the seeded bug of the sanitizer acceptance test, caught
         # statically: one frontier destination is fed twice, another
         # never finalized
-        solver = make_solver(grid, overlap=True, validate_plan=False)
-        st = next(s for s in solver.ranks if s.inj_flat)
-        src = sorted(st.inj_flat)[0]
-        inj = st.inj_flat[src].copy()
-        inj[-1] = inj[-2]
-        st.inj_flat[src] = inj
-        rules = _rules(check_rank_states(solver.ranks, overlap=True))
+        plans = make_plans(grid, overlap=True)
+        plan = next(p for p in plans if p.recv_flat)
+        written = plan.recv_flat[sorted(plan.recv_flat)[0]]
+        written[-1] = written[-2]
+        rules = _rules(check_rank_states(plans, overlap=True))
         assert "K404" in rules
         assert "K405" in rules
 
     def test_missing_pack_table_is_k404(self, grid):
-        solver = make_solver(grid, overlap=True, validate_plan=False)
-        st = next(s for s in solver.ranks if s.inj_flat)
-        peer_rank = sorted(st.inj_flat)[0]
-        peer = next(s for s in solver.ranks if s.rank == peer_rank)
-        del peer.pack_flat[st.rank]
-        issues = check_exchange(solver.ranks)
+        plans = make_plans(grid, overlap=True)
+        plan = next(p for p in plans if p.recv_flat)
+        peer = plans[sorted(plan.recv_flat)[0]]
+        packs = {dst: t for dst, t in peer.send_flat.items() if dst != plan.rank}
+        plans[peer.rank] = dataclasses.replace(peer, send_flat=packs)
+        issues = check_exchange(plans)
         assert "K404" in _rules(issues)
         assert any("packs nothing" in i.message for i in issues)
 
     def test_pack_of_ghost_slot_is_k405(self, grid):
-        solver = make_solver(grid, overlap=True, validate_plan=False)
-        st = next(s for s in solver.ranks if s.pack_flat)
-        peer = sorted(st.pack_flat)[0]
+        plan = next(p for p in make_plans(grid, overlap=True) if p.send_flat)
+        peer = sorted(plan.send_flat)[0]
         # redirect the first pack source to one of the sender's own
         # ghost slots: nothing has written it when the post phase reads
-        st.pack_flat[peer][0] = st.num_owned
-        issues = check_overlap_hazards(st)
+        plan.send_flat[peer][0] = plan.num_owned
+        issues = check_overlap_hazards(plan)
         assert "K405" in _rules(issues)
         assert any("stale ghost slot" in i.message for i in issues)
 
@@ -377,14 +327,13 @@ class TestRealRankStates:
         # phase has staged yet
         from repro.lbm.distributed import OVERLAP_SCHEDULE
 
-        solver = make_solver(grid, overlap=True, validate_plan=False)
-        st = next(s for s in solver.ranks if s.inj_flat)
-        assert check_overlap_hazards(st, OVERLAP_SCHEDULE) == []
+        plan = next(p for p in make_plans(grid, overlap=True) if p.recv_flat)
+        assert check_overlap_hazards(plan, OVERLAP_SCHEDULE) == []
         order = list(OVERLAP_SCHEDULE)
         bodies = [p.body for p in order]
         frontier = order.pop(bodies.index("_phase_stream_frontier"))
         order.insert(bodies.index("_phase_exchange_complete"), frontier)
-        issues = check_overlap_hazards(st, order)
+        issues = check_overlap_hazards(plan, order)
         assert _rules(issues) == ["K405"]
         assert [i.kind for i in issues] == ["phase-hazard"]
         assert "recv_bufs" in issues[0].message
@@ -394,36 +343,28 @@ class TestRealRankStates:
         # full-plan gather is overwritten by it
         from repro.lbm.distributed import OVERLAP_SCHEDULE
 
-        solver = make_solver(grid, overlap=True, validate_plan=False)
-        st = next(s for s in solver.ranks if s.inj_flat)
+        plan = next(p for p in make_plans(grid, overlap=True) if p.recv_flat)
         order = list(OVERLAP_SCHEDULE)
         bodies = [p.body for p in order]
         order.append(order.pop(bodies.index("_phase_stream_interior")))
-        messages = [i.message for i in check_overlap_hazards(st, order)]
+        messages = [i.message for i in check_overlap_hazards(plan, order)]
         assert any("already finalized" in m for m in messages)
         assert any("never finalized" in m for m in messages)
 
-    def test_interior_ghost_read_is_k403(self, grid):
-        solver = make_solver(grid, overlap=True, validate_plan=False)
-        st = solver.ranks[0]
-        st.interior_plan.flat_src[0, 0] = st.num_owned  # ghost node, q=0
-        rules = _rules(check_rank_states(solver.ranks, overlap=True))
-        assert "K403" in rules
-
     def test_uncovered_barrier_ghost_is_k405(self, grid):
-        solver = make_solver(grid, validate_plan=False)
-        st = next(s for s in solver.ranks if s.recv_slots)
-        st.recv_slots.pop(sorted(st.recv_slots)[0])
-        issues = check_rank_states(solver.ranks, overlap=False)
+        plans = make_plans(grid)
+        plan = next(p for p in plans if p.recv_flat)
+        plan.recv_flat.pop(sorted(plan.recv_flat)[0])
+        issues = check_rank_states(plans, overlap=False)
         assert _rules(issues) == ["K405"]
         assert "no receive refills" in issues[0].message
 
     def test_verify_rank_plans_raises_with_context(self, grid):
-        solver = make_solver(grid, overlap=True, validate_plan=False)
-        plan = solver.ranks[0].step_plan
-        plan.update_ids[1] = plan.update_ids[0]
+        plans = make_plans(grid, overlap=True)
+        ids = plans[0].step_plan.update_ids
+        ids[1] = ids[0]
         with pytest.raises(PlanCheckError, match=r"(?s)broken: .*\[K401\]"):
-            verify_rank_plans(solver.ranks, overlap=True, context="broken")
+            verify_rank_plans(plans, overlap=True, context="broken")
 
 
 class TestSolverPreflight:
@@ -481,8 +422,9 @@ class TestPlanDocuments:
         p = tmp_path / "dup.stepplan.json"
         p.write_text(json.dumps(doc))
         violations = check_plan_file(p)
-        # the duplicated id also perturbs the sub-plan coverage, so the
-        # double-write finding leads a cascade rather than standing alone
+        # the duplicated id also perturbs the cross-link enumeration, so
+        # the double-write finding leads a cascade rather than standing
+        # alone
         assert violations[0].rule == "K401"
         assert violations[0].path == str(p)
 
@@ -531,7 +473,6 @@ class TestPlanDocuments:
         assert sorted(PLAN_RULES.values()) == [
             "K401",
             "K402",
-            "K403",
             "K404",
             "K405",
             "K406",

@@ -21,6 +21,7 @@ from repro.decomp import grid_decompose
 from repro.geometry.cylinder import CylinderSpec, make_cylinder
 from repro.lbm.distributed import DistributedSolver
 from repro.lbm.solver import Solver, SolverConfig
+from repro.lbm.stream import StepPlan
 from repro.models.compiled import (
     CompiledKernels,
     compiled_available,
@@ -55,21 +56,14 @@ def _config(kind, **extra):
 
 
 def _plans(kind, ranks, overlap, scale=0.5):
-    """Every StepPlan one solver configuration builds: the full per-rank
-    plans (prefix update sets) and, under overlap, the interior and
-    frontier sub-plans (scattered update sets)."""
+    """Every StepPlan one solver configuration builds (one per rank)."""
     grid = make_cylinder(CylinderSpec(scale=scale, periodic=kind == "periodic"))
     if ranks == 1:
         return [Solver(grid, _config(kind)).step_plan]
     solver = DistributedSolver(
         grid_decompose(grid, ranks), _config(kind, overlap=overlap)
     )
-    plans = []
-    for st in solver.ranks:
-        plans.append(st.step_plan)
-        if overlap:
-            plans += [st.interior_plan, st.frontier_plan]
-    return plans
+    return [st.plan.step_plan for st in solver.ranks]
 
 
 PLAN_CASES = [
@@ -99,6 +93,28 @@ def test_run_table_expands_to_the_link_tables(kind, ranks, overlap):
             assert 1 <= lens.min() and lens.max() <= planmeta.KERNEL_RUN_CAP
         assert planmeta.run_table_issues(
             heads, lens, plan.flat_src, plan.update_ids, plan.num_local
+        ) == []
+
+
+def test_run_table_of_a_scattered_update_set():
+    # the solvers build prefix plans only, but the table functions take
+    # any update set: the ghost-reading columns of a rank plan are one
+    # with gaps, so runs must also break where the update ids do
+    for plan in _plans("inlet", 2, True):
+        cols = np.flatnonzero(
+            (plan.flat_src % plan.num_local >= plan.num_update).any(axis=0)
+        )
+        assert 0 < cols.size < plan.num_update
+        sub = StepPlan(
+            plan.q, plan.num_local, plan.update_ids[cols],
+            np.ascontiguousarray(plan.flat_src[:, cols]),
+        )
+        heads, lens = sub.kernel_tables()
+        dst, src = planmeta.expand_runs(heads, lens)
+        assert np.array_equal(dst, sub.flat_dst().reshape(-1))
+        assert np.array_equal(src, sub.flat_src.reshape(-1))
+        assert planmeta.run_table_issues(
+            heads, lens, sub.flat_src, sub.update_ids, sub.num_local
         ) == []
 
 
