@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import backend_comparison, trace_for, workload_schedule
+from repro.analysis import backend_comparison, workload_schedule
 from repro.hardware import all_machines, get_machine
 from repro.models import models_for_machine
-from repro.perf import price_run
+from repro.perf import price_run, trace_for
 from repro.perf.calibrate import bytes_per_update
 from repro.perfmodel import predict_iteration
 

@@ -12,10 +12,9 @@ Walks through the model's ingredients on each system:
    vs. the idealised cube).
 """
 
-from repro.analysis import trace_for
 from repro.hardware import all_machines
 from repro.microbench import run_babelstream, run_pingpong
-from repro.perf import price_run
+from repro.perf import price_run, trace_for
 from repro.perf.calibrate import bytes_per_update
 from repro.perfmodel import cylinder_schedule, face_count, predict_iteration
 

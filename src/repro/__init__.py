@@ -17,17 +17,17 @@ The package provides, bottom-up:
 * :mod:`repro.perfmodel` / :mod:`repro.perf` — the paper's GPU
   performance model (Eqs. 1-4) and the calibrated trace-driven simulator
   behind Figs. 3-7;
-* :mod:`repro.harvey` / :mod:`repro.proxy` — the full application and
-  the proxy app;
+* :mod:`repro.harvey` / :mod:`repro.proxy` — the one run shell, and the
+  proxy app as its ``"proxy"`` workload (:mod:`repro.workloads`);
 * :mod:`repro.porting` — HIPify/DPCT/Kokkos porting over a CUDA corpus
   (Tables 2-3);
 * :mod:`repro.analysis` — sweep drivers and report rendering.
 
 Quickstart::
 
-    from repro.proxy import ProxyApp, ProxyConfig
-    report = ProxyApp(ProxyConfig(scale=1.0, num_ranks=4)).run(steps=200)
-    print(report.mflups, report.poiseuille_agreement)
+    from repro.harvey import HarveyApp, HarveyConfig
+    with HarveyApp(HarveyConfig(workload="proxy", num_ranks=4)) as app:
+        print(app.run(steps=200).mflups)
 """
 
 __version__ = "1.0.0"

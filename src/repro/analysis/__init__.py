@@ -16,7 +16,6 @@ from .sweep import (
     ScalingSeries,
     backend_comparison,
     native_hardware_comparison,
-    trace_for,
     workload_schedule,
 )
 from .tables import format_mflups, render_series, render_table
@@ -29,7 +28,6 @@ __all__ = [
     "BackendComparison",
     "backend_comparison",
     "native_hardware_comparison",
-    "trace_for",
     "workload_schedule",
     "SUNSPOT_MAX_GPUS",
     "full_report",

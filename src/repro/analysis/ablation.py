@@ -89,22 +89,7 @@ def decomposition_ablation(
     """
     model = model_name or machine.native_model
     balanced = aorta_trace(spacing_mm, n_gpus, scheme="bisection")
-    from ..decomp.block import grid_decompose
-    from ..geometry.aorta import make_aorta
-    from ..perf.trace import COARSE_AORTA_SPACING_MM, _scaled_trace, _bc_sites_by_rank
-
-    grid = make_aorta(max(COARSE_AORTA_SPACING_MM, spacing_mm))
-    part = grid_decompose(grid, n_gpus)
-    factor = max(COARSE_AORTA_SPACING_MM, spacing_mm) / spacing_mm
-    oblivious = _scaled_trace(
-        part,
-        "aorta",
-        spacing_mm,
-        max(COARSE_AORTA_SPACING_MM, spacing_mm),
-        _bc_sites_by_rank(part),
-        volume_factor=factor**3,
-        surface_factor=factor**2,
-    )
+    oblivious = aorta_trace(spacing_mm, n_gpus, scheme="grid")
     return AblationResult(
         name="block_decomposition",
         baseline_mflups=price_run(balanced, machine, model, "harvey").mflups,

@@ -14,7 +14,8 @@ from typing import Dict, List
 from ..core.errors import PerfModelError
 from ..hardware.machine import Machine
 from ..perf.simulate import price_run
-from .sweep import trace_for, workload_schedule
+from ..perf.trace import trace_for
+from .sweep import workload_schedule
 
 __all__ = ["CompositionPoint", "composition_series", "COMPOSITION_KEYS"]
 

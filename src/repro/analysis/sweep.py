@@ -10,7 +10,7 @@ pricing from :mod:`repro.perf.simulate`, predictions from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.errors import PerfModelError
 from ..hardware.machine import Machine
@@ -18,8 +18,8 @@ from ..hardware.systems import all_machines
 from ..models.registry import models_for_machine
 from ..perf.calibrate import bytes_per_update
 from ..perf.efficiency import application_efficiency, architectural_efficiency
-from ..perf.simulate import RunCost, price_run
-from ..perf.trace import RunTrace, aorta_trace, cylinder_trace
+from ..perf.simulate import price_run
+from ..perf.trace import RunTrace, trace_for
 from ..perfmodel.model import predict_iteration
 from ..perfmodel.scaling import (
     PiecewiseSchedule,
@@ -31,7 +31,6 @@ __all__ = [
     "SUNSPOT_MAX_GPUS",
     "ScalingSeries",
     "workload_schedule",
-    "trace_for",
     "native_hardware_comparison",
     "backend_comparison",
     "BackendComparison",
@@ -39,10 +38,6 @@ __all__ = [
 
 #: The Sunspot testbed could only provide 256 tiles (Section 9.2).
 SUNSPOT_MAX_GPUS = 256
-
-#: Decomposition scheme per application (Section 10): HARVEY's bisection
-#: balancer vs. the proxy's slab scheme.
-APP_SCHEMES = {"harvey": "bisection", "proxy": "quadrant"}
 
 
 @dataclass
@@ -68,36 +63,13 @@ class ScalingSeries:
 
 def workload_schedule(workload: str, machine: Optional[Machine] = None) -> PiecewiseSchedule:
     """The piecewise schedule for a workload, truncated for Sunspot."""
-    if workload == "cylinder":
-        sched = cylinder_schedule()
-    elif workload == "aorta":
-        sched = aorta_schedule()
-    else:
+    schedules = {"cylinder": cylinder_schedule, "aorta": aorta_schedule}
+    if workload not in schedules:
         raise PerfModelError(f"unknown workload {workload!r}")
+    sched = schedules[workload]()
     if machine is not None and machine.name == "Sunspot":
         sched = sched.truncated(SUNSPOT_MAX_GPUS)
     return sched
-
-
-def trace_for(workload: str, app: str, size: float, n_gpus: int) -> RunTrace:
-    """Build (or fetch from cache) the trace for one scaling point."""
-    scheme = APP_SCHEMES.get(app)
-    if scheme is None:
-        raise PerfModelError(f"unknown app {app!r}")
-    if workload == "cylinder":
-        # HARVEY drives the cylinder with real inlet/outlet caps; the
-        # proxy uses the periodic, body-force-driven configuration.
-        return cylinder_trace(
-            size, n_gpus, scheme=scheme, with_caps=(app == "harvey")
-        )
-    if workload == "aorta":
-        if app != "harvey":
-            raise PerfModelError(
-                "the proxy app was not designed for the aorta's load "
-                "balancing (Section 8.1); only HARVEY runs it"
-            )
-        return aorta_trace(size, n_gpus, scheme="bisection")
-    raise PerfModelError(f"unknown workload {workload!r}")
 
 
 def _predicted_mflups(
@@ -112,10 +84,7 @@ def _predicted_mflups(
     return pred.mflups
 
 
-def native_hardware_comparison(
-    workload: str,
-    include_proxy: bool = True,
-) -> Dict[str, Dict[str, ScalingSeries]]:
+def native_hardware_comparison(workload: str) -> Dict[str, Dict[str, ScalingSeries]]:
     """Fig. 3 (cylinder) / Fig. 4 (aorta): each system's native model.
 
     Returns ``{system: {"harvey": ..., "proxy": ..., "predicted": ...}}``
@@ -135,7 +104,7 @@ def native_hardware_comparison(
             predicted.append(
                 point.n_gpus, _predicted_mflups(machine, tr, "harvey")
             )
-            if include_proxy and workload == "cylinder":
+            if workload == "cylinder":
                 trp = trace_for(workload, "proxy", point.size, point.n_gpus)
                 rcp = price_run(trp, machine, native, "proxy")
                 proxy.append(point.n_gpus, rcp.mflups)

@@ -114,8 +114,14 @@ def _prune_reason(cell: Cell, params: Dict[str, Any]) -> Optional[str]:
     if cell.runner == "solver":
         # a bad tier is a spec bug: raise at plan time, run no cell
         from ..lbm.solver import validate_tier
+        from ..workloads import workload_table
 
         validate_tier(str(params["executor"]), False, backend)
+        if params["geometry"] not in workload_table():
+            raise CampaignError(
+                f"sweep {cell.sweep!r}: unknown geometry {params['geometry']!r}"
+                f"; expected one of {', '.join(workload_table())}"
+            )
     if cell.runner != "perf":
         return None
     from ..analysis.sweep import workload_schedule
@@ -239,11 +245,9 @@ def _run_solver_cell(params: Dict[str, Any]) -> Dict[str, Any]:
         executor=str(params["executor"]),
         backend=str(params["backend"]),
     )
-    app = HarveyApp(config, tracer=tracer)
-    try:
+    # process-executor cells: exit joins workers and unlinks segments
+    with HarveyApp(config, tracer=tracer) as app:
         report = app.run(int(params["steps"]))
-    finally:
-        app.close()  # process-executor cells: join workers, unlink segments
     return {
         "kind": "solver",
         "geometry": report.workload,
@@ -264,10 +268,11 @@ def _run_solver_cell(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _run_perf_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..analysis.sweep import trace_for, workload_schedule
+    from ..analysis.sweep import workload_schedule
     from ..hardware.systems import get_machine
     from ..perf.calibrate import bytes_per_update
     from ..perf.simulate import price_run
+    from ..perf.trace import trace_for
     from ..perfmodel.model import predict_iteration
 
     machine = get_machine(params["machine"])

@@ -41,10 +41,10 @@ Commands
     execute the missing ones into a resumable result store, and pivot
     the store into scaling/composition/portability reports.
 
-The functional run commands (``proxy``, ``harvey``) accept
-``--trace-out PATH`` (Chrome ``trace_event`` JSON, loadable in
-``chrome://tracing`` / Perfetto) and ``--metrics-out PATH`` (JSON, or CSV
-when the path ends in ``.csv``).
+The functional run commands (``proxy``, ``harvey``) are one run shell
+with one set of tier flags; both accept ``--trace-out PATH`` (Chrome
+``trace_event`` JSON, loadable in ``chrome://tracing`` / Perfetto) and
+``--metrics-out PATH`` (JSON, or CSV when the path ends in ``.csv``).
 """
 
 from __future__ import annotations
@@ -90,55 +90,20 @@ def _cmd_systems(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_telemetry(args: argparse.Namespace):
-    """A :class:`~repro.telemetry.hooks.Telemetry` bundle when the run
-    requested any telemetry output, else None (the zero-overhead path)."""
-    if not (args.trace_out or args.metrics_out):
-        return None
-    from .telemetry import Telemetry
-
-    return Telemetry()
-
-
-def _finish_telemetry(telemetry, report, args: argparse.Namespace) -> None:
-    if telemetry is None:
-        return
-    telemetry.record_report(report)
-    for path in telemetry.write(args.trace_out, args.metrics_out):
-        print(f"  telemetry written to {path}")
-
-
-def _cmd_proxy(args: argparse.Namespace) -> int:
-    from .proxy import ProxyApp, ProxyConfig
-
-    telemetry = _make_telemetry(args)
-    app = ProxyApp(
-        ProxyConfig(scale=args.scale, num_ranks=args.ranks),
-        tracer=telemetry.tracer if telemetry else None,
-    )
-    if telemetry:
-        telemetry.attach_app(app)
-    report = app.run(args.steps)
-    print(
-        f"proxy: scale={report.scale:g} ranks={report.num_ranks} "
-        f"steps={report.steps} fluid={report.fluid_nodes}"
-    )
-    print(
-        f"  wall MFLUPS={report.mflups:.3f}  mass drift={report.mass_drift:.2e}  "
-        f"Poiseuille agreement={report.poiseuille_agreement:.3f}"
-    )
-    _finish_telemetry(telemetry, report, args)
-    return 0
-
-
-def _cmd_harvey(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
+    """``repro harvey`` and ``repro proxy``: one shell, two verbs."""
     from .core.errors import BackendUnavailableError
     from .harvey import HarveyApp, HarveyConfig
+    from .proxy import poiseuille_agreement
 
     resolution = max(args.resolution, 2.5) if args.quick else args.resolution
     ranks = min(args.ranks, 2) if args.quick else args.ranks
     steps = min(args.steps, 5) if args.quick else args.steps
-    telemetry = _make_telemetry(args)
+    telemetry = None  # the zero-overhead path unless an output is asked for
+    if args.trace_out or args.metrics_out:
+        from .telemetry import Telemetry
+
+        telemetry = Telemetry()
     try:
         app = HarveyApp(
             HarveyConfig(
@@ -161,7 +126,15 @@ def _cmd_harvey(args: argparse.Namespace) -> int:
         telemetry.attach_app(app)
     try:
         report = app.run(steps)
-        lb = app.load_balance()
+        if app.preset.app == "proxy":
+            what = f"scale={resolution:g}"
+            checks = f"Poiseuille agreement={poiseuille_agreement(app):.3f}"
+        else:
+            what = f"workload={report.workload}"
+            checks = (
+                f"max |u|={report.max_velocity:.4f}  "
+                f"imbalance={app.load_balance()['imbalance']:.3f}"
+            )
         # the plane writes the bundle itself on worker death / stall /
         # sanitizer failure; on a clean run, honour the flag with an
         # end-of-run state dump (process tier only)
@@ -172,14 +145,17 @@ def _cmd_harvey(args: argparse.Namespace) -> int:
     finally:
         app.close()
     print(
-        f"harvey: workload={report.workload} ranks={report.num_ranks} "
+        f"{app.preset.app}: {what} ranks={report.num_ranks} "
         f"steps={report.steps} fluid={report.fluid_nodes}"
     )
     print(
-        f"  wall MFLUPS={report.mflups:.3f}  mass drift={report.mass_drift:.2e}  "
-        f"max |u|={report.max_velocity:.4f}  imbalance={lb['imbalance']:.3f}"
+        f"  wall MFLUPS={report.mflups:.3f}  "
+        f"mass drift={report.mass_drift:.2e}  {checks}"
     )
-    _finish_telemetry(telemetry, report, args)
+    if telemetry:
+        telemetry.record_report(report)
+        for path in telemetry.write(args.trace_out, args.metrics_out):
+            print(f"  telemetry written to {path}")
     return 0
 
 
@@ -607,15 +583,13 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_backend_arg(
-    parser: argparse.ArgumentParser, default: str = "numpy"
-) -> None:
+def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     from .models.compiled import COMPILED_BACKENDS
 
     parser.add_argument(
         "--backend",
         choices=["numpy", *COMPILED_BACKENDS],
-        default=default,
+        default="numpy",
         help="kernel execution backend (default: %(default)s); the "
         "compiled tiers need numba or a host C compiler",
     )
@@ -636,35 +610,14 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("systems", help="print Table 1").set_defaults(
-        func=_cmd_systems
-    )
-
-    p = sub.add_parser("proxy", help="run the proxy app functionally")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--ranks", type=int, default=4)
-    p.add_argument("--steps", type=int, default=200)
-    _add_telemetry_args(p)
-    p.set_defaults(func=_cmd_proxy)
-
-    from .geometry.registry import geometry_names
+def _add_run_verb(sub, verb: str, help: str, steps: int) -> argparse.ArgumentParser:
+    """Register a functional-run verb on the one shell: the rank/step
+    counts and every tier flag are declared here, once for both verbs."""
     from .runtime.executor import EXECUTOR_KINDS
 
-    p = sub.add_parser("harvey", help="run HARVEY functionally")
-    p.add_argument(
-        "--workload", choices=list(geometry_names()), default="aorta"
-    )
-    p.add_argument("--resolution", type=float, default=1.5)
+    p = sub.add_parser(verb, help=help)
     p.add_argument("--ranks", type=int, default=4)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=int, default=steps)
     p.add_argument(
         "--overlap", action="store_true",
         help="use the overlapped interior/frontier pipeline",
@@ -689,13 +642,42 @@ def build_parser() -> argparse.ArgumentParser:
         "(on worker death, stall, or sanitizer failure — and at end "
         "of a clean run); process executor only",
     )
+    _add_backend_arg(p)
+    _add_telemetry_args(p)
+    p.set_defaults(func=_cmd_run)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    sub.add_parser("systems", help="print Table 1").set_defaults(
+        func=_cmd_systems
+    )
+
+    from .runtime.executor import EXECUTOR_KINDS
+    from .workloads import workload_table
+
+    p = _add_run_verb(sub, "proxy", "run the proxy app functionally", 200)
+    p.add_argument(
+        "--scale", dest="resolution", metavar="SCALE", type=float, default=1.0
+    )
+    p.set_defaults(workload="proxy", quick=False)
+
+    p = _add_run_verb(sub, "harvey", "run HARVEY functionally", 100)
+    p.add_argument(
+        "--workload", choices=list(workload_table()), default="aorta"
+    )
+    p.add_argument("--resolution", type=float, default=1.5)
     p.add_argument(
         "--quick", action="store_true",
         help="CI preset: coarse resolution, <=2 ranks, <=5 steps",
     )
-    _add_backend_arg(p)
-    _add_telemetry_args(p)
-    p.set_defaults(func=_cmd_harvey)
 
     p = sub.add_parser("scaling", help="piecewise scaling (Figs. 3/4)")
     p.add_argument(

@@ -1,8 +1,8 @@
 """HARVEY: the full hemodynamic application (bisection-balanced,
-pulsatile, distributed)."""
+pulsatile, distributed) and the one run shell its proxy shares."""
 
-from .app import HarveyApp, HarveyRunReport
+from .app import HarveyApp, RunReport
 from .config import HarveyConfig
 from .pulsatile import PulsatileWaveform
 
-__all__ = ["HarveyApp", "HarveyRunReport", "HarveyConfig", "PulsatileWaveform"]
+__all__ = ["HarveyApp", "RunReport", "HarveyConfig", "PulsatileWaveform"]

@@ -1,10 +1,12 @@
-"""The HARVEY application: the paper's full-scale blood-flow solver.
+"""The run shell: HARVEY, and its proxy as one more workload.
 
 Mirrors HARVEY's structure (Sections 3 and 10): complex voxelised
 geometry, the load-bisection balancer for domain decomposition, pulsatile
 velocity inlets, pressure outlets, bounce-back walls, one MPI rank per
-logical GPU, and MFLUPS reporting.  The functional run uses the real
-distributed LBM; :meth:`HarveyApp.performance_on` prices the same
+logical GPU, and MFLUPS reporting.  What the proxy changes about that is
+a row of :func:`repro.workloads.workload_table`, so this is the only code
+that turns a config into a distributed solver.  The functional run uses
+the real LBM; :meth:`HarveyApp.performance_on` prices the same
 configuration on a simulated machine at any scale.
 """
 
@@ -14,26 +16,27 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
+
 from ..core.errors import ConfigError
-from ..decomp.bisection import bisection_decompose
-from ..decomp.partition import Partition
+from ..decomp import decompose
 from ..geometry.registry import build_geometry
-from ..geometry.voxel import VoxelGrid
 from ..hardware.machine import Machine
 from ..lbm.distributed import DistributedSolver
 from ..lbm.solver import SolverConfig
 from ..perf.simulate import RunCost, price_run
-from ..perf.trace import aorta_trace, cylinder_trace
+from ..perf.trace import trace_for
 from ..telemetry.spans import get_tracer
+from ..workloads import workload_table
 from .config import HarveyConfig
 from .pulsatile import PulsatileWaveform
 
-__all__ = ["HarveyRunReport", "HarveyApp"]
+__all__ = ["RunReport", "HarveyApp"]
 
 
 @dataclass(frozen=True)
-class HarveyRunReport:
-    """What a HARVEY run reports."""
+class RunReport:
+    """What a run of the shell reports, whatever the workload."""
 
     workload: str
     num_ranks: int
@@ -52,28 +55,32 @@ class HarveyRunReport:
 
 
 class HarveyApp:
-    """A configured HARVEY instance."""
+    """A configured run: grid, partition and solver of one workload."""
 
     def __init__(self, config: HarveyConfig, tracer=None) -> None:
         self.config = config
+        self.preset = workload_table()[config.workload]
         self.tracer = get_tracer() if tracer is None else tracer
-        with self.tracer.span("harvey.setup", workload=config.workload):
-            self.grid = self._build_grid()
-            self.partition = self._decompose()
-            self.solver = self._build_solver()
+        with self.tracer.span(
+            f"{self.preset.app}.setup", workload=config.workload
+        ):
+            self.grid = build_geometry(
+                self.preset.geometry,
+                resolution=config.resolution,
+                periodic=self.preset.periodic,
+            )
+            self.partition = decompose(
+                self.grid, config.num_ranks, self.preset.scheme
+            )
+            self.solver = DistributedSolver(
+                self.partition, self._solver_config(), tracer=self.tracer
+            )
 
     # -- setup ----------------------------------------------------------------
-    def _build_grid(self) -> VoxelGrid:
-        cfg = self.config
-        return build_geometry(
-            cfg.workload, resolution=cfg.resolution, periodic=False
-        )
-
-    def _decompose(self) -> Partition:
-        return bisection_decompose(self.grid, self.config.num_ranks)
-
     def _inlet_velocity(self):
         cfg = self.config
+        if self.preset.periodic:
+            return None  # no caps: the preset's body force drives the flow
         if cfg.waveform is not None:
             return cfg.waveform
         if cfg.workload == "aorta":
@@ -82,11 +89,12 @@ class HarveyApp:
         # (cylinder, stenosis, bifurcation, aneurysm all flow along x)
         return (cfg.steady_inlet_speed, 0.0, 0.0)
 
-    def _build_solver(self) -> DistributedSolver:
-        solver_cfg = SolverConfig(
+    def _solver_config(self) -> SolverConfig:
+        return SolverConfig(
             tau=self.config.tau,
+            force=self.preset.force,
             inlet_velocity=self._inlet_velocity(),
-            periodic=(False, False, False),
+            periodic=(self.preset.periodic, False, False),
             overlap=self.config.overlap,
             executor=self.config.executor,
             sanitize=self.config.sanitize,
@@ -94,25 +102,22 @@ class HarveyApp:
             stall_timeout_s=self.config.stall_timeout_s,
             postmortem_out=self.config.postmortem_out,
         )
-        return DistributedSolver(self.partition, solver_cfg, tracer=self.tracer)
 
     # -- execution ---------------------------------------------------------------
-    def run(self, steps: int) -> HarveyRunReport:
+    def run(self, steps: int) -> RunReport:
         """Advance the simulation and report throughput and health."""
         if steps < 1:
             raise ConfigError("steps must be >= 1")
         mass_before = self.solver.mass()
         t0 = time.perf_counter()
         with self.tracer.span(
-            "harvey.run", steps=steps, ranks=self.config.num_ranks
+            f"{self.preset.app}.run", steps=steps, ranks=self.config.num_ranks
         ):
             self.solver.step(steps)
         wall = time.perf_counter() - t0
         mass_after = self.solver.mass()
-        import numpy as np
-
         vel = self.solver.velocity()
-        return HarveyRunReport(
+        return RunReport(
             workload=self.config.workload,
             num_ranks=self.config.num_ranks,
             steps=steps,
@@ -123,14 +128,12 @@ class HarveyApp:
             comm_bytes=self.solver.comm.log.total_bytes(),
         )
 
-    def write_postmortem(
-        self, path: Optional[str] = None, reason: str = "requested"
-    ) -> Optional[str]:
+    def write_postmortem(self, reason: str = "requested") -> Optional[str]:
         """Dump the telemetry plane's postmortem bundle (process tier).
 
         Returns the path written, or None when no plane is attached
         (in-process executors, or ``REPRO_TELEMETRY_PLANE=off``) or no
-        path is configured.
+        ``postmortem_out`` path is configured.
         """
         plane = self.solver.plane
         if plane is None:
@@ -139,7 +142,7 @@ class HarveyApp:
         bundle = plane.postmortem_bundle(
             reason, rank_states=self.solver.executor.rank_states()
         )
-        return plane.save_bundle(bundle, path=path)
+        return plane.save_bundle(bundle)
 
     # -- lifecycle ----------------------------------------------------------------
     def close(self) -> None:
@@ -165,23 +168,15 @@ class HarveyApp:
         """Price this workload on a simulated machine.
 
         Defaults to the machine's native model and this config's rank
-        count/resolution; override to sweep.
+        count/resolution; override to sweep.  The trace layer models the
+        paper's workloads only (``PerfModelError`` for the rest).
         """
         model = model_name or machine.native_model
         ranks = n_gpus or self.config.num_ranks
         res = resolution or self.config.resolution
-        if self.config.workload == "aorta":
-            trace = aorta_trace(res, ranks, scheme="bisection")
-        elif self.config.workload == "cylinder":
-            trace = cylinder_trace(
-                res, ranks, scheme="bisection", with_caps=True
-            )
-        else:
-            raise ConfigError(
-                "the trace layer models the paper's workloads only; "
-                f"cannot project {self.config.workload!r} performance"
-            )
-        return price_run(trace, machine, model, "harvey")
+        app = self.preset.app
+        trace = trace_for(self.preset.geometry, app, res, ranks)
+        return price_run(trace, machine, model, app)
 
     def load_balance(self) -> Dict[str, float]:
         """Decomposition quality metrics."""

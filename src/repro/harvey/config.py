@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..core.errors import ConfigError
-from ..geometry.registry import geometry_names
 from ..lbm.solver import validate_tier
+from ..workloads import workload_table
 from .pulsatile import PulsatileWaveform
 
 __all__ = ["HarveyConfig"]
@@ -20,9 +20,11 @@ class HarveyConfig:
     Attributes
     ----------
     workload:
-        Any geometry-zoo name (``"aorta"``, ``"cylinder"``,
-        ``"stenosis"``, ``"bifurcation"``, ``"aneurysm"``, ...): the
-        grid is built through :func:`repro.geometry.build_geometry`.
+        A row of :func:`repro.workloads.workload_table`: any
+        geometry-zoo name (``"aorta"``, ``"cylinder"``, ``"stenosis"``,
+        ...) run as HARVEY runs it, or ``"proxy"`` — the paper's periodic
+        body-force cylinder, which has no inlet and ignores ``waveform``
+        / ``steady_inlet_speed``.
     resolution:
         Aorta: grid spacing in mm.  Other geometries: the refinement
         scale factor (the proxy's ``x``).
@@ -72,10 +74,10 @@ class HarveyConfig:
     postmortem_out: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.workload not in geometry_names():
+        if self.workload not in workload_table():
             raise ConfigError(
                 f"unknown workload {self.workload!r}; expected one of "
-                f"{', '.join(geometry_names())}"
+                f"{', '.join(workload_table())}"
             )
         if self.resolution <= 0:
             raise ConfigError("resolution must be positive")

@@ -33,6 +33,7 @@ from .trace import (
     aorta_trace,
     coarse_cylinder_scale,
     cylinder_trace,
+    trace_for,
 )
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "RunTrace",
     "cylinder_trace",
     "aorta_trace",
+    "trace_for",
     "coarse_cylinder_scale",
     "COARSE_AORTA_SPACING_MM",
     "Calibration",

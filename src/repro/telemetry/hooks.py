@@ -62,12 +62,8 @@ class Telemetry:
         self._listeners: List[Callable[[CommEvent], None]] = []
 
     def attach_app(self, app) -> None:
-        """Subscribe comm metrics to an app's communicator log.
-
-        Works for any object exposing ``solver.comm.log`` (both
-        :class:`~repro.harvey.app.HarveyApp` and
-        :class:`~repro.proxy.app.ProxyApp` do).
-        """
+        """Subscribe comm metrics to the communicator log of a
+        :class:`~repro.harvey.app.HarveyApp`."""
         self._listeners.append(
             attach_comm_metrics(app.solver.comm.log, self.metrics)
         )

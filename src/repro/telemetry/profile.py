@@ -1,8 +1,8 @@
 """The profiling layer: spans + byte counters joined with the perf model.
 
-``run_profile`` drives the distributed solver on the cylinder workload
-with a live tracer attached and, per step-window, joins three sources
-the rest of the repo keeps separate:
+``run_profile`` drives the run shell's ``"proxy"`` workload (the paper's
+periodic cylinder on quadrant slabs) with a live tracer attached and,
+per step-window, joins three sources the rest of the repo keeps separate:
 
 * **telemetry spans** — per-rank, per-phase wall time from the executor's
   phase instrumentation (the Fig. 7 raw material); under
@@ -142,12 +142,10 @@ def run_profile(
     executor: str = "lockstep",
     bandwidth_gbs: Optional[float] = None,
     machine: Optional[str] = None,
-    tau: float = 0.8,
-    force_x: float = 1e-5,
     tracer: Optional[Tracer] = None,
     backend: str = "numpy",
 ) -> Dict[str, Any]:
-    """Profile the distributed step on the periodic cylinder.
+    """Profile the distributed step on the proxy workload.
 
     Runs ``steps`` iterations in windows of ``window_steps``, publishing
     each window's numbers through the registry's ``profile.window.*``
@@ -161,95 +159,86 @@ def run_profile(
     architectural-efficiency tables compare NumPy against the compiled
     kernels on equal footing.
     """
-    # solver imports stay deferred: telemetry loads early in the
+    # the shell import stays deferred: telemetry loads early in the
     # package's import cycle
-    from ..decomp import grid_decompose
-    from ..geometry.cylinder import CylinderSpec, make_cylinder
-    from ..lbm.distributed import DistributedSolver
-    from ..lbm.solver import SolverConfig
+    from ..harvey import HarveyApp, HarveyConfig
 
     if steps < 1:
         raise ConfigError("steps must be positive")
     if not 1 <= window_steps <= steps:
         raise ConfigError("window_steps must lie in [1, steps]")
 
-    grid = make_cylinder(CylinderSpec(scale=scale, periodic=True))
-    partition = grid_decompose(grid, int(num_ranks))
     tracer = tracer if tracer is not None else Tracer()
-    solver = DistributedSolver(
-        partition,
-        SolverConfig(
-            tau=tau,
-            force=(force_x, 0.0, 0.0),
-            periodic=(True, False, False),
-            overlap=overlap,
-            executor=executor,
-            backend=backend,
-        ),
-        tracer=tracer,
+    config = HarveyConfig(
+        workload="proxy",
+        resolution=scale,
+        num_ranks=int(num_ranks),
+        overlap=overlap,
+        executor=executor,
+        backend=backend,
     )
-    fluid_nodes = solver.num_nodes
-    solver.step(2)  # warm: plans compiled, buffers faulted in
-    tracer.clear()
+    # the context manager releases process-tier workers and shared
+    # segments on every exit, a failed window included
+    with HarveyApp(config, tracer=tracer) as app:
+        solver = app.solver
+        fluid_nodes = solver.num_nodes
+        solver.step(2)  # warm: plans compiled, buffers faulted in
+        tracer.clear()
 
-    if bandwidth_gbs is None:
-        # size the STREAM arrays near the solver's working set so the
-        # bound sees comparable cache behaviour
-        elements = min(
-            1 << 24, max(1 << 20, solver.lattice.q * fluid_nodes)
+        if bandwidth_gbs is None:
+            # size the STREAM arrays near the solver's working set so the
+            # bound sees comparable cache behaviour
+            elements = min(
+                1 << 24, max(1 << 20, solver.lattice.q * fluid_nodes)
+            )
+            bandwidth_gbs = host_bandwidth_gbs(elements=elements, ntimes=3)
+        if bandwidth_gbs <= 0:
+            raise ConfigError("bandwidth_gbs must be positive")
+        bound_mflups = bandwidth_gbs * 1e9 / BYTES_PER_UPDATE_D3Q19 / 1e6
+
+        registry = get_registry()
+        g_mflups = registry.gauge("profile.window.mflups")
+        g_eff = registry.gauge("profile.window.arch_efficiency")
+        g_hidden = registry.gauge("profile.window.hidden_fraction")
+        g_imb = registry.gauge("profile.window.imbalance")
+        c_windows = registry.counter("profile.windows")
+
+        counters_before = _snapshot_counters()
+        windows: List[Dict[str, Any]] = []
+        span_idx = 0
+        done = 0
+        w = 0
+        while done < steps:
+            n = min(window_steps, steps - done)
+            solver.step(n)
+            stats = _window_stats(
+                tracer.spans[span_idx:], fluid_nodes, n, bound_mflups
+            )
+            span_idx = len(tracer.spans)
+            stats["window"] = w
+            stats["first_step"] = done
+            windows.append(stats)
+            # live emission: each window lands in the registry as it closes
+            g_mflups.set(stats["mflups"])
+            g_eff.set(stats["arch_efficiency"])
+            g_hidden.set(stats["hidden_fraction"])
+            g_imb.set(stats["imbalance"])
+            c_windows.inc()
+            done += n
+            w += 1
+        counters_after = _snapshot_counters()
+
+        # whole-run per-phase attribution against the Eq.-1 floor
+        phase_seconds: Dict[str, float] = {}
+        for stats in windows:
+            for name, secs in stats["phase_seconds"].items():
+                phase_seconds[name] = phase_seconds.get(name, 0.0) + secs
+        attributions = attribute_phases(
+            phase_seconds,
+            solver.phase_bytes_per_step(),
+            bandwidth_gbs * 1e9,
+            steps,
         )
-        bandwidth_gbs = host_bandwidth_gbs(elements=elements, ntimes=3)
-    if bandwidth_gbs <= 0:
-        raise ConfigError("bandwidth_gbs must be positive")
-    bound_mflups = bandwidth_gbs * 1e9 / BYTES_PER_UPDATE_D3Q19 / 1e6
-
-    registry = get_registry()
-    g_mflups = registry.gauge("profile.window.mflups")
-    g_eff = registry.gauge("profile.window.arch_efficiency")
-    g_hidden = registry.gauge("profile.window.hidden_fraction")
-    g_imb = registry.gauge("profile.window.imbalance")
-    c_windows = registry.counter("profile.windows")
-
-    counters_before = _snapshot_counters()
-    windows: List[Dict[str, Any]] = []
-    span_idx = 0
-    done = 0
-    w = 0
-    while done < steps:
-        n = min(window_steps, steps - done)
-        solver.step(n)
-        stats = _window_stats(
-            tracer.spans[span_idx:], fluid_nodes, n, bound_mflups
-        )
-        span_idx = len(tracer.spans)
-        stats["window"] = w
-        stats["first_step"] = done
-        windows.append(stats)
-        # live emission: each window lands in the registry as it closes
-        g_mflups.set(stats["mflups"])
-        g_eff.set(stats["arch_efficiency"])
-        g_hidden.set(stats["hidden_fraction"])
-        g_imb.set(stats["imbalance"])
-        c_windows.inc()
-        done += n
-        w += 1
-    counters_after = _snapshot_counters()
-
-    # whole-run per-phase attribution against the Eq.-1 floor
-    phase_seconds: Dict[str, float] = {}
-    for stats in windows:
-        for name, secs in stats["phase_seconds"].items():
-            phase_seconds[name] = phase_seconds.get(name, 0.0) + secs
-    attributions = attribute_phases(
-        phase_seconds,
-        solver.phase_bytes_per_step(),
-        bandwidth_gbs * 1e9,
-        steps,
-    )
-    # release process-tier workers and shared segments (no-op for the
-    # in-process executors; a crash mid-profile is covered by the
-    # daemon-worker flag and the registry's atexit unlink)
-    solver.close()
     total_wall = sum(s["seconds"] for s in windows)
     total_comm = sum(s["comm_seconds"] for s in windows)
     total_hidden = sum(s["hidden_seconds"] for s in windows)

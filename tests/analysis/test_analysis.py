@@ -12,11 +12,11 @@ from repro.analysis import (
     native_hardware_comparison,
     render_series,
     render_table,
-    trace_for,
     workload_schedule,
 )
 from repro.core import PerfModelError
 from repro.hardware import get_machine
+from repro.perf import aorta_trace, cylinder_trace, trace_for
 
 
 class TestTables:
@@ -75,6 +75,21 @@ class TestSchedulesAndTraces:
         proxy = trace_for("cylinder", "proxy", 12.0, 4)
         assert harvey.scheme == "bisection"
         assert proxy.scheme.startswith("quadrant")
+        # the traces the three deleted dispatch sites (analysis.sweep,
+        # HarveyApp.performance_on, ProxyApp.performance_on) built
+        assert harvey == cylinder_trace(
+            12.0, 4, scheme="bisection", with_caps=True
+        )
+        assert proxy == cylinder_trace(
+            12.0, 4, scheme="quadrant", with_caps=False
+        )
+        assert trace_for("aorta", "harvey", 0.110, 4) == aorta_trace(
+            0.110, 4, scheme="bisection"
+        )
+
+    def test_trace_layer_models_the_papers_workloads_only(self):
+        with pytest.raises(PerfModelError, match="trace layer"):
+            trace_for("stenosis", "harvey", 1.0, 4)
 
     def test_proxy_cannot_run_aorta(self):
         with pytest.raises(PerfModelError, match="load"):

@@ -147,6 +147,23 @@ class TestPlanning:
         with pytest.raises(CampaignError, match="fortran"):
             plan_campaign(spec)
 
+    def test_unknown_geometry_is_a_spec_error(self):
+        """A misspelt workload stops the plan with the sweep and the
+        valid names; it does not become N cells failing at run time."""
+        spec = CampaignSpec(
+            name="t",
+            sweeps=(
+                SweepSpec(
+                    name="zoo", runner="solver",
+                    axes={"geometry": ("cylinder", "cylindr")},
+                ),
+            ),
+        )
+        with pytest.raises(
+            CampaignError, match=r"'zoo'.*'cylindr'.*cylinder.*proxy"
+        ):
+            plan_campaign(spec)
+
     def test_retired_solver_axes_are_spec_errors(self):
         """A ``fused`` axis or ``executor: parallel`` stops the plan with
         the valid set named; neither falls back to a default."""
@@ -209,23 +226,28 @@ class TestExecution:
         }
 
     def test_solver_cell_result(self):
+        # the proxy preset is one more geometry value to the runner
         spec = CampaignSpec(
             name="t",
             sweeps=(
                 SweepSpec(
                     name="s", runner="solver",
-                    axes={"geometry": ("cylinder",)},
+                    axes={"geometry": ("cylinder", "proxy")},
                     fixed={
                         "resolution": 0.5, "num_ranks": 2, "steps": 2,
                     },
                 ),
             ),
         )
-        result = execute_cell(plan_campaign(spec).cells[0])
-        assert result["kind"] == "solver"
-        assert result["fluid_nodes"] > 0
-        assert result["mass_drift"] < 1e-2
-        assert abs(sum(result["composition"].values()) - 1.0) < 1e-9
+        cells = plan_campaign(spec).cells
+        assert [c.params["geometry"] for c in cells] == ["cylinder", "proxy"]
+        for cell in cells:
+            result = execute_cell(cell)
+            assert result["kind"] == "solver"
+            assert result["geometry"] == cell.params["geometry"]
+            assert result["fluid_nodes"] > 0
+            assert result["mass_drift"] < 1e-2
+            assert abs(sum(result["composition"].values()) - 1.0) < 1e-9
 
 
 class TestRunAndResume:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ConfigError
+from repro.core import ConfigError, PerfModelError
 from repro.harvey import HarveyApp, HarveyConfig, PulsatileWaveform
 from repro.hardware import CRUSHER, POLARIS, get_machine
 from repro.runtime import fork_available
@@ -199,5 +199,5 @@ class TestHarveyZooWorkloads:
         app = HarveyApp(
             HarveyConfig(workload="stenosis", resolution=0.5, num_ranks=2)
         )
-        with pytest.raises(ConfigError, match="trace layer"):
+        with pytest.raises(PerfModelError, match="trace layer"):
             app.performance_on(CRUSHER, n_gpus=4)

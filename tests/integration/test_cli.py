@@ -1,5 +1,8 @@
 """CLI integration: every subcommand runs and prints the expected shape."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -26,6 +29,43 @@ class TestCLI:
         )
         assert code == 0
         assert "MFLUPS" in out and "Poiseuille" in out
+
+    def test_proxy_takes_every_tier_flag(self, hard_time_bound):
+        """One registration: ``proxy`` parses what ``harvey`` parses and
+        runs the flagship tier, closing its workers and segments."""
+        from repro.models.compiled import compiled_available
+        from repro.runtime.procexec import fork_available
+        from repro.runtime.shmem import leaked_segments
+
+        tier = [
+            "--overlap", "--executor", "process", "--sanitize",
+            "--backend", "compiled-serial", "--stall-timeout", "30",
+            "--postmortem-out", "pm.json",
+        ]
+        parser = build_parser()
+        for verb in ("proxy", "harvey"):
+            args = parser.parse_args([verb, *tier])
+            assert (args.executor, args.backend) == (
+                "process", "compiled-serial",
+            )
+            assert args.overlap and args.sanitize
+            assert args.stall_timeout == 30.0
+        if not (fork_available() and compiled_available()):
+            pytest.skip("needs fork and a compiled kernel provider")
+        # a child process: loading the fastmath kernels here would set
+        # flush-to-zero for every later test in this interpreter
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "proxy", "--scale", "0.5",
+                "--ranks", "2", "--steps", "20", "--executor", "process",
+                "--overlap", "--backend", "compiled-serial",
+            ],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert "proxy: scale=0.5 ranks=2 steps=20" in result.stdout
+        assert "Poiseuille agreement=" in result.stdout
+        assert leaked_segments() == []
 
     def test_harvey(self, capsys):
         code, out = run_cli(

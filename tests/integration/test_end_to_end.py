@@ -14,14 +14,15 @@ from repro.lbm import DistributedSolver, Solver, SolverConfig
 from repro.decomp import bisection_decompose
 from repro.perf import aorta_trace, cylinder_trace, price_run
 from repro.perfmodel import predict_iteration
-from repro.proxy import ProxyApp, ProxyConfig
 
 
 class TestFunctionalToPerformancePipeline:
     def test_functional_and_trace_fluid_counts_agree(self):
         """The functional app and the perf trace describe the same
         workload (at matched resolution)."""
-        app = ProxyApp(ProxyConfig(scale=3.0, num_ranks=4))
+        app = HarveyApp(
+            HarveyConfig(workload="proxy", resolution=3.0, num_ranks=4)
+        )
         trace = cylinder_trace(3.0, 4, scheme="quadrant")
         assert trace.total_fluid == pytest.approx(
             app.grid.num_fluid, rel=0.01

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.proxy import ProxyApp, ProxyConfig
+from repro.harvey import HarveyApp, HarveyConfig
 from repro.telemetry import (
     Telemetry,
     Tracer,
@@ -21,12 +21,13 @@ from repro.telemetry import (
 )
 
 
+PROXY_CONFIG = HarveyConfig(workload="proxy", resolution=0.5, num_ranks=2)
+
+
 @pytest.fixture(scope="module")
 def traced_run():
     telemetry = Telemetry()
-    app = ProxyApp(
-        ProxyConfig(scale=0.5, num_ranks=2), tracer=telemetry.tracer
-    )
+    app = HarveyApp(PROXY_CONFIG, tracer=telemetry.tracer)
     telemetry.attach_app(app)
     report = app.run(steps=25)
     telemetry.record_report(report)
@@ -90,10 +91,8 @@ class TestTracedProxyRun:
         assert telemetry.metrics.counter("comm.messages").value == len(log)
 
     def test_tracing_does_not_change_physics(self):
-        quiet = ProxyApp(ProxyConfig(scale=0.5, num_ranks=2))
-        traced = ProxyApp(
-            ProxyConfig(scale=0.5, num_ranks=2), tracer=Tracer()
-        )
+        quiet = HarveyApp(PROXY_CONFIG)
+        traced = HarveyApp(PROXY_CONFIG, tracer=Tracer())
         quiet.solver.step(10)
         traced.solver.step(10)
         import numpy as np

@@ -8,10 +8,13 @@ survives a round trip through the Chrome-trace metadata event into
 """
 
 import json
+import multiprocessing
 
 import pytest
 
 from repro.core.errors import ConfigError, TelemetryError
+from repro.runtime.procexec import fork_available
+from repro.runtime.shmem import leaked_segments
 from repro.telemetry import summarize_trace_file
 from repro.telemetry.metrics import MetricsRegistry, set_registry
 from repro.telemetry.profile import (
@@ -134,6 +137,30 @@ class TestRunProfile:
         assert ref["machine"] == "Polaris"
         assert ref["predicted_mflups"] > 0
         assert "predicted_hidden_fraction" in ref
+
+    @pytest.mark.skipif(
+        not fork_available(), reason="needs the POSIX fork start method"
+    )
+    def test_failed_window_releases_the_process_tier(
+        self, registry, monkeypatch, hard_time_bound
+    ):
+        """A profile that raises mid-run closes its shell: no shared
+        segment and no worker outlives ``run_profile`` (the parent held
+        both until interpreter exit)."""
+
+        def broken_window(*args, **kwargs):
+            raise TelemetryError("injected window failure")
+
+        monkeypatch.setattr(
+            "repro.telemetry.profile._window_stats", broken_window
+        )
+        with pytest.raises(TelemetryError, match="injected"):
+            run_profile(
+                scale=0.5, num_ranks=2, steps=4, window_steps=2,
+                executor="process", bandwidth_gbs=BOUND_GBS,
+            )
+        assert leaked_segments() == []
+        assert multiprocessing.active_children() == []
 
     def test_bad_config_rejected(self, registry):
         with pytest.raises(ConfigError, match="steps"):
