@@ -10,10 +10,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import decomposition_ablation, run_ablation
-from repro.analysis.tables import render_table
+from repro.analysis.report import ablation_table, sensitivity_table
+from repro.analysis.sweep import sensitivity_sweep
 from repro.hardware import all_machines, get_machine
 from repro.perf import aorta_trace
-from repro.perfmodel import dominant_resource, sensitivity_analysis
+from repro.perfmodel import dominant_resource
 
 
 @pytest.fixture(scope="module")
@@ -23,30 +24,25 @@ def trace512():
 
 def test_ablation_table_regenerates(benchmark, trace512, write_artifact):
     def build():
-        rows = []
-        for machine in (get_machine("Polaris"), get_machine("Crusher")):
-            for r in run_ablation(
+        return {
+            machine.name: run_ablation(
                 trace512, machine, machine.native_model, "harvey"
-            ):
-                rows.append(
-                    [
-                        machine.name,
-                        r.name,
-                        f"{r.baseline_mflups:.0f}",
-                        f"{r.ablated_mflups:.0f}",
-                        f"{100 * r.impact:+.1f}%",
-                    ]
-                )
-        return rows
+            )
+            for machine in (get_machine("Polaris"), get_machine("Crusher"))
+        }
 
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
-    text = render_table(
-        ["system", "ablation", "baseline", "ablated", "impact"],
-        rows,
-        "Ablations: aorta @ 27.5um, 512 GPUs, native models",
+    results = benchmark.pedantic(build, rounds=1, iterations=1)
+    write_artifact(
+        "ablations.txt",
+        ablation_table(
+            results, "Ablations: aorta @ 27.5um, 512 GPUs, native models"
+        ),
     )
-    write_artifact("ablations.txt", text)
-    by_key = {(r[0], r[1]): float(r[4].rstrip("%")) for r in rows}
+    by_key = {
+        (system, r.name): r.impact
+        for system, system_results in results.items()
+        for r in system_results
+    }
     # packed halo exchange and overlap matter more on the thin fabric
     assert by_key[("Polaris", "halo_payload_all19")] < by_key[
         ("Crusher", "halo_payload_all19")
@@ -61,62 +57,31 @@ def test_ablation_table_regenerates(benchmark, trace512, write_artifact):
 
 def test_decomposition_ablation_regenerates(benchmark, write_artifact):
     def build():
-        return [
-            (m.name, decomposition_ablation(m, 0.110, 16))
+        return {
+            m.name: [decomposition_ablation(m, 0.110, 16)]
             for m in all_machines()
-        ]
+        }
 
     results = benchmark.pedantic(build, rounds=1, iterations=1)
-    rows = [
-        [name, f"{r.baseline_mflups:.0f}", f"{r.ablated_mflups:.0f}",
-         f"{100 * r.impact:+.1f}%"]
-        for name, r in results
-    ]
     write_artifact(
         "ablation_decomposition.txt",
-        render_table(
-            ["system", "bisection", "block grid", "impact"],
-            rows,
-            "Decomposition ablation: HARVEY aorta @ 110um, 16 GPUs",
+        ablation_table(
+            results,
+            "Decomposition ablation (baseline: bisection, ablated: block "
+            "grid): HARVEY aorta @ 110um, 16 GPUs",
         ),
     )
     # the bisection balancer wins on every system
-    for _name, r in results:
+    for (r,) in results.values():
         assert r.impact < -0.10
 
 
 def test_sensitivity_sweep_regenerates(benchmark, write_artifact):
-    def build():
-        rows = []
-        for machine in all_machines():
-            for n in (2, 64, 1024):
-                if n > machine.max_ranks or (
-                    machine.name == "Sunspot" and n > 256
-                ):
-                    continue
-                s = sensitivity_analysis(machine, 4e6 * n, n)
-                rows.append(
-                    [
-                        machine.name,
-                        str(n),
-                        f"{s.memory_bandwidth:.2f}",
-                        f"{s.interconnect_bandwidth:.2f}",
-                        f"{s.interconnect_latency:.3f}",
-                        dominant_resource(s),
-                    ]
-                )
-        return rows
-
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
-    write_artifact(
-        "sensitivity.txt",
-        render_table(
-            ["system", "GPUs", "dMem BW", "dNet BW", "dNet lat", "bound by"],
-            rows,
-            "Performance-model elasticities (weak scaling, 4M sites/GPU)",
-        ),
+    points = benchmark.pedantic(
+        sensitivity_sweep, args=((2, 64, 1024), 4e6), rounds=1, iterations=1
     )
+    write_artifact("sensitivity.txt", sensitivity_table(points))
     # at 2 GPUs every system is memory-bandwidth-bound
-    for row in rows:
-        if row[1] == "2":
-            assert row[5] == "memory_bandwidth"
+    for s in points:
+        if s.n_gpus == 2:
+            assert dominant_resource(s) == "memory_bandwidth"

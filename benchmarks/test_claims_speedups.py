@@ -11,11 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import backend_comparison, workload_schedule
+from repro.analysis.sweep import price_point
 from repro.hardware import all_machines, get_machine
 from repro.models import models_for_machine
-from repro.perf import price_run, trace_for
-from repro.perf.calibrate import bytes_per_update
-from repro.perfmodel import predict_iteration
 
 
 @pytest.fixture(scope="module")
@@ -38,17 +36,11 @@ def test_every_ported_model_beats_half_of_prediction_nowhere_above_it(
             sched = workload_schedule("cylinder", machine)
             for model in models_for_machine(machine):
                 for point in sched.points[::3]:
-                    tr = trace_for(
-                        "cylinder", "harvey", point.size, point.n_gpus
+                    cost, predicted = price_point(
+                        machine, model, "cylinder", "harvey",
+                        point.size, point.n_gpus,
                     )
-                    cost = price_run(tr, machine, model, "harvey")
-                    pred = predict_iteration(
-                        machine,
-                        tr.total_fluid,
-                        point.n_gpus,
-                        bytes_per_update=bytes_per_update("harvey"),
-                    )
-                    if cost.mflups > pred.mflups * 1.02:
+                    if cost.mflups > predicted * 1.02:
                         violations.append((machine.name, model, point.n_gpus))
         return violations
 

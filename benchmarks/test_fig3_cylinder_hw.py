@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import native_hardware_comparison
-from repro.analysis.tables import render_series
+from repro.analysis.report import hardware_figure
 
 
 @pytest.fixture(scope="module")
@@ -33,21 +33,7 @@ def test_fig3_regenerates(benchmark, fig3, write_artifact):
         rounds=1,
         iterations=1,
     )
-    blocks = []
-    for system, series in data.items():
-        counts = series["harvey"].gpu_counts
-        table = {
-            "HARVEY": series["harvey"].mflups,
-            "LBM-Proxy-App": series["proxy"].mflups,
-            "Ideal Prediction": [series["predicted"].at(n) for n in counts],
-        }
-        blocks.append(
-            render_series(
-                counts, table, value_format="{:.0f}",
-                title=f"{system} — cylinder piecewise scaling (MFLUPS)",
-            )
-        )
-    write_artifact("fig3_cylinder_hw.txt", "\n\n".join(blocks))
+    write_artifact("fig3_cylinder_hw.txt", hardware_figure(data, "cylinder"))
     assert set(data) == {"Summit", "Polaris", "Crusher", "Sunspot"}
     # run the claim checks here too so `--benchmark-only` verifies them
     test_hip_crusher_worst_at_small_counts(data)

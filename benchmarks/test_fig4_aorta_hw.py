@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import native_hardware_comparison
-from repro.analysis.tables import render_series
+from repro.analysis.report import hardware_figure
 
 
 @pytest.fixture(scope="module")
@@ -35,23 +35,7 @@ def test_fig4_regenerates(benchmark, fig4, write_artifact):
     data = benchmark.pedantic(
         lambda: native_hardware_comparison("aorta"), rounds=1, iterations=1
     )
-    blocks = []
-    for system, series in data.items():
-        counts = series["harvey"].gpu_counts
-        blocks.append(
-            render_series(
-                counts,
-                {
-                    "HARVEY": series["harvey"].mflups,
-                    "Predicted": [
-                        series["predicted"].at(n) for n in counts
-                    ],
-                },
-                value_format="{:.0f}",
-                title=f"{system} — aorta piecewise scaling (MFLUPS)",
-            )
-        )
-    write_artifact("fig4_aorta_hw.txt", "\n\n".join(blocks))
+    write_artifact("fig4_aorta_hw.txt", hardware_figure(data, "aorta"))
     assert "proxy" not in data["Summit"], (
         "the proxy app was not designed for the aorta's load balancing"
     )

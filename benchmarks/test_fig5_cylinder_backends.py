@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import backend_comparison
-from repro.analysis.tables import render_series
+from repro.analysis.report import backend_figure
 from repro.hardware import get_machine
 
 
@@ -30,24 +30,9 @@ def test_fig5_regenerates(benchmark, fig5, write_artifact):
         rounds=1,
         iterations=1,
     )
-    blocks = []
-    for name, comp in fig5.items():
-        for app in ("harvey", "proxy"):
-            blocks.append(
-                render_series(
-                    comp.gpu_counts,
-                    comp.app_efficiency[app],
-                    title=f"{name} {app}: application efficiency",
-                )
-            )
-            blocks.append(
-                render_series(
-                    comp.gpu_counts,
-                    comp.arch_efficiency[app],
-                    title=f"{name} {app}: architectural efficiency",
-                )
-            )
-    write_artifact("fig5_cylinder_backends.txt", "\n\n".join(blocks))
+    write_artifact(
+        "fig5_cylinder_backends.txt", backend_figure(list(fig5.values()))
+    )
     assert set(bc.raw["harvey"]) == {
         "cuda", "hip", "kokkos-cuda", "kokkos-openacc"
     }

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import backend_comparison
-from repro.analysis.tables import render_series
+from repro.analysis.report import backend_figure
 from repro.hardware import get_machine
 
 
@@ -33,23 +33,9 @@ def test_fig6_regenerates(benchmark, fig6, write_artifact):
         rounds=1,
         iterations=1,
     )
-    blocks = []
-    for name, comp in fig6.items():
-        blocks.append(
-            render_series(
-                comp.gpu_counts,
-                comp.app_efficiency["harvey"],
-                title=f"{name} aorta HARVEY: application efficiency",
-            )
-        )
-        blocks.append(
-            render_series(
-                comp.gpu_counts,
-                comp.arch_efficiency["harvey"],
-                title=f"{name} aorta HARVEY: architectural efficiency",
-            )
-        )
-    write_artifact("fig6_aorta_backends.txt", "\n\n".join(blocks))
+    write_artifact(
+        "fig6_aorta_backends.txt", backend_figure(list(fig6.values()))
+    )
     assert "proxy" not in bc.raw
     # run the claim checks here too so `--benchmark-only` verifies them
     test_summit_hip_wins_lowest_count_then_drops(fig6)

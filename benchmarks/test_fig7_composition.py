@@ -16,10 +16,9 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import composition_series
-from repro.analysis.tables import render_table
+from repro.analysis.composition import FIG7_SYSTEMS as SYSTEMS
+from repro.analysis.report import composition_figure
 from repro.hardware import get_machine
-
-SYSTEMS = ("Polaris", "Crusher", "Sunspot")
 
 
 @pytest.fixture(scope="module")
@@ -35,26 +34,7 @@ def test_fig7_regenerates(benchmark, fig7, write_artifact):
         rounds=1,
         iterations=1,
     )
-    blocks = []
-    for name, points in fig7.items():
-        rows = [
-            [
-                str(p.n_gpus),
-                f"{100 * p.fractions['streamcollide']:.1f}%",
-                f"{100 * p.fractions['communication']:.1f}%",
-                f"{100 * p.fractions['h2d']:.1f}%",
-                f"{100 * p.fractions['d2h']:.1f}%",
-            ]
-            for p in points
-        ]
-        blocks.append(
-            render_table(
-                ["GPUs", "Streamcollide", "Communication", "H2D", "D2H"],
-                rows,
-                f"{name}: HARVEY aorta runtime composition (slowest GPU)",
-            )
-        )
-    write_artifact("fig7_composition.txt", "\n\n".join(blocks))
+    write_artifact("fig7_composition.txt", composition_figure(fig7))
     assert len(series) >= 9
     # run the claim checks here too so `--benchmark-only` verifies them
     test_fractions_sum_to_one(fig7)

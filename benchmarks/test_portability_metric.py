@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import study_portability
-from repro.analysis.tables import render_table
+from repro.analysis.report import portability_table, roofline_table
 from repro.perf import roofline_analysis
 from repro.hardware import all_machines
 
@@ -24,23 +24,9 @@ def test_portability_metric_regenerates(benchmark, write_artifact):
         iterations=1,
     )
     app_report = study_portability("cylinder", 64, "application")
-    rows = []
-    for model in report.per_model:
-        rows.append(
-            [
-                model,
-                f"{report.per_model[model]:.3f}",
-                f"{app_report.per_model[model]:.3f}",
-                str(len(report.per_model_supported[model])) + "/4",
-            ]
-        )
-    text = render_table(
-        ["implementation", "PP (arch eff)", "PP (app eff)", "platforms"],
-        rows,
-        "Pennycook performance portability over "
-        "{Summit, Polaris, Crusher, Sunspot} @ 64 GPUs (cylinder)",
+    write_artifact(
+        "portability_metric.txt", portability_table(report, app_report)
     )
-    write_artifact("portability_metric.txt", text)
     # Section 10's trade-off, quantified: only the Kokkos code base has
     # nonzero PP over the whole platform set...
     nonzero = {m for m, v in report.per_model.items() if v > 0}
@@ -54,25 +40,6 @@ def test_roofline_regenerates(benchmark, write_artifact):
         return [roofline_analysis(m.node.gpu) for m in all_machines()]
 
     points = benchmark.pedantic(build, rounds=1, iterations=1)
-    rows = [
-        [
-            p.device,
-            f"{p.arithmetic_intensity:.2f}",
-            f"{p.ridge_intensity:.1f}",
-            p.bound,
-            f"{p.attainable_gflops:.0f}",
-            f"{100 * p.peak_fraction:.1f}%",
-        ]
-        for p in points
-    ]
-    write_artifact(
-        "roofline.txt",
-        render_table(
-            ["device", "AI (F/B)", "ridge", "bound", "GFLOP/s cap",
-             "of FP64 peak"],
-            rows,
-            "Roofline placement of the D3Q19 stream-collide kernel",
-        ),
-    )
+    write_artifact("roofline.txt", roofline_table(points))
     # the Section 6 premise: memory-bound on every device in the study
     assert all(p.memory_bound for p in points)

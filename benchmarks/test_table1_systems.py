@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.tables import render_table
-from repro.hardware import LinkTier, all_machines, get_machine
+from repro.analysis.report import table1
+from repro.hardware import all_machines, get_machine
 from repro.microbench import run_babelstream
 
 #: Paper Table 1 rows: (cores/CPU, logical GPUs/node, memory GB, BW TB/s).
@@ -22,40 +22,10 @@ PAPER_TABLE1 = {
 }
 
 
-def _build_table():
-    rows = []
-    for machine in all_machines():
-        bw = run_babelstream(machine.node.gpu).measured_bandwidth_tbs
-        inter = machine.node.link(LinkTier.INTER_NODE)
-        cpu_gpu = machine.node.link(LinkTier.CPU_GPU)
-        rows.append(
-            [
-                machine.name,
-                f"{machine.node.cpus}x {machine.node.cpu_name}",
-                str(machine.node.cores_per_cpu),
-                f"{machine.node.packages}x {machine.node.gpu.name}",
-                str(machine.logical_gpus_per_node),
-                f"{machine.node.gpu.memory_gb:g} GB",
-                f"{bw:.3f} TB/s",
-                f"{cpu_gpu.name} ({cpu_gpu.bandwidth_gbs:g} GB/s)",
-                f"{inter.name} ({inter.bandwidth_gbs:g} GB/s)",
-            ]
-        )
-    return rows
-
-
 def test_table1_regenerates(benchmark, write_artifact):
-    rows = benchmark(_build_table)
-    text = render_table(
-        [
-            "System", "CPU", "Cores/CPU", "GPU", "GPUs/node", "GPU Mem",
-            "GPU Mem BW*", "GPU-CPU", "Interconnect",
-        ],
-        rows,
-        "Table 1: system node characteristics (*BabelStream-measured)",
-    )
+    text = benchmark(table1, all_machines())
     write_artifact("table1_systems.txt", text)
-    assert len(rows) == 4
+    assert all(name in text for name in PAPER_TABLE1)
 
 
 @pytest.mark.parametrize("system", sorted(PAPER_TABLE1))

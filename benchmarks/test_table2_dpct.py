@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.tables import render_table
+from repro.analysis.report import porting_tables
 from repro.porting import dpct_translate, harvey_corpus, proxy_corpus
 from repro.porting.dpct import apply_manual_fixes
 
@@ -29,17 +29,11 @@ def dpct_result():
 
 
 def test_table2_regenerates(benchmark, write_artifact):
-    result = benchmark(lambda: dpct_translate(harvey_corpus()))
-    breakdown = result.warning_breakdown()
-    text = render_table(
-        ["Category", "Frequency(%)", "Paper(%)"],
-        [
-            [cat, f"{breakdown[cat]:.2f}", f"{PAPER_BREAKDOWN[cat]:.2f}"]
-            for cat in PAPER_BREAKDOWN
-        ],
-        f"Table 2: DPCT warning breakdown ({len(result.warnings)} warnings)",
-    )
+    text = benchmark(porting_tables, harvey_corpus())
     write_artifact("table2_dpct.txt", text)
+    words = " ".join(text.split())
+    for cat, pct in PAPER_BREAKDOWN.items():
+        assert f"{cat} {pct:.2f}" in words
 
 
 def test_total_warning_count_matches_paper(dpct_result):

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.tables import render_table
+from repro.analysis.report import porting_tables
 from repro.porting import (
     apply_manual_fixes,
-    corpus_line_count,
     dpct_translate,
     harvey_corpus,
     hipify,
@@ -65,30 +64,14 @@ def efforts(corpus):
 
 def test_table3_regenerates(benchmark, corpus, efforts, write_artifact):
     kres = benchmark(lambda: port_to_kokkos(corpus))
-    rows = [
-        [
-            "lines added",
-            str(efforts["dpct"]["added"]),
-            str(efforts["hipify"]["added"]),
-            f"{efforts['kokkos']['added']} (paper: 1876)",
-        ],
-        [
-            "lines changed",
-            str(efforts["dpct"]["changed"]),
-            str(efforts["hipify"]["changed"]),
-            f"{efforts['kokkos']['changed']} (paper: 452)",
-        ],
-        ["time scale", "weeks", "days", "months"],
-    ]
-    text = render_table(
-        ["", "DPCT", "HIPify", "Kokkos"],
-        rows,
-        "Table 3: manual lines needed for ports "
-        f"(miniature corpus: {corpus_line_count(corpus)} lines; "
-        "HARVEY is ~10x larger)",
-    )
+    text = porting_tables(corpus)
     write_artifact("table3_porting.txt", text)
     assert kres.kernels_rewritten == 20
+    for metric in ("added", "changed"):
+        assert " ".join(
+            ["lines", metric]
+            + [str(efforts[port][metric]) for port in PAPER]
+        ) in " ".join(text.split())
 
 
 def test_dpct_manual_effort_matches_paper(efforts):

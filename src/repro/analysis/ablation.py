@@ -25,7 +25,12 @@ from ..hardware.machine import Machine
 from ..perf.simulate import PricingOverrides, price_run
 from ..perf.trace import RunTrace, aorta_trace
 
-__all__ = ["AblationResult", "run_ablation", "decomposition_ablation"]
+__all__ = [
+    "AblationResult",
+    "run_ablation",
+    "decomposition_ablation",
+    "ablation_study",
+]
 
 
 @dataclass(frozen=True)
@@ -95,3 +100,15 @@ def decomposition_ablation(
         baseline_mflups=price_run(balanced, machine, model, "harvey").mflups,
         ablated_mflups=price_run(oblivious, machine, model, "harvey").mflups,
     )
+
+
+def ablation_study(
+    machine: Machine, spacing_mm: float, n_gpus: int
+) -> List[AblationResult]:
+    """Every pricing ablation of the aorta at one point on the machine's
+    native model, then the decomposition ablation at ``min(n_gpus, 64)``
+    GPUs."""
+    trace = aorta_trace(spacing_mm, n_gpus)
+    return run_ablation(trace, machine, machine.native_model, "harvey") + [
+        decomposition_ablation(machine, spacing_mm, min(n_gpus, 64))
+    ]

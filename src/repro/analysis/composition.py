@@ -13,13 +13,19 @@ from typing import Dict, List
 
 from ..core.errors import PerfModelError
 from ..hardware.machine import Machine
-from ..perf.simulate import price_run
-from ..perf.trace import trace_for
-from .sweep import workload_schedule
+from .sweep import price_point, workload_schedule
 
-__all__ = ["CompositionPoint", "composition_series", "COMPOSITION_KEYS"]
+__all__ = [
+    "CompositionPoint",
+    "composition_series",
+    "COMPOSITION_KEYS",
+    "FIG7_SYSTEMS",
+]
 
 COMPOSITION_KEYS = ("streamcollide", "communication", "h2d", "d2h")
+
+#: The vendor systems Fig. 7 breaks down (one per GPU vendor).
+FIG7_SYSTEMS = ("Polaris", "Crusher", "Sunspot")
 
 
 @dataclass(frozen=True)
@@ -55,10 +61,10 @@ def composition_series(
     native programming model; pass ``model`` to override.
     """
     model_name = model or machine.native_model
-    sched = workload_schedule(workload, machine)
     out: List[CompositionPoint] = []
-    for point in sched.points:
-        tr = trace_for(workload, app, point.size, point.n_gpus)
-        rc = price_run(tr, machine, model_name, app)
-        out.append(CompositionPoint(point.n_gpus, rc.composition()))
+    for point in workload_schedule(workload, machine).points:
+        cost, _ = price_point(
+            machine, model_name, workload, app, point.size, point.n_gpus
+        )
+        out.append(CompositionPoint(point.n_gpus, cost.composition()))
     return out

@@ -21,18 +21,24 @@ over the full set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from ..core.errors import PerfModelError
 from ..hardware.systems import all_machines
-from ..models.registry import MODEL_NAMES, is_available
-from .sweep import backend_comparison
+from ..models.registry import MODEL_NAMES
+from .sweep import backend_comparison, workload_schedule
 
 __all__ = [
+    "KOKKOS_FAMILY",
     "performance_portability",
+    "portability_pivot",
     "PortabilityReport",
     "study_portability",
 ]
+
+#: The Kokkos code base as one implementation (Section 10): on each
+#: platform it runs through the best ``kokkos-*`` backend present there.
+KOKKOS_FAMILY = "kokkos (any backend)"
 
 
 def performance_portability(efficiencies: Sequence[float]) -> float:
@@ -50,6 +56,48 @@ def performance_portability(efficiencies: Sequence[float]) -> float:
     if any(e == 0.0 for e in effs):
         return 0.0
     return len(effs) / sum(1.0 / e for e in effs)
+
+
+def portability_pivot(
+    samples: Iterable[Tuple[str, str, float]],
+    platforms: Sequence[str],
+    implementations: Sequence[str],
+) -> Dict[str, Dict[str, Any]]:
+    """PP of each implementation over ``platforms`` from
+    ``(platform, implementation, efficiency)`` samples.
+
+    Each sample is clamped to 1; an implementation's platform efficiency
+    is the mean of its samples there, 0 where it has none (PP = 0).
+    Returns ``{implementation: {"pp", "mean_efficiency", "supported"}}``
+    in ``implementations`` order (the order of ``platforms`` is the
+    order of the harmonic sum), plus a :data:`KOKKOS_FAMILY` row when
+    any implementation is a ``kokkos-*`` backend.
+    """
+    per_cell: Dict[Tuple[str, str], List[float]] = {}
+    for platform, impl, eff in samples:
+        per_cell.setdefault((platform, impl), []).append(min(eff, 1.0))
+
+    def mean(platform: str, impl: str) -> float:
+        got = per_cell.get((platform, impl))
+        return sum(got) / len(got) if got else 0.0
+
+    def row(effs: List[float]) -> Dict[str, Any]:
+        return {
+            "pp": performance_portability(effs),
+            "mean_efficiency": dict(zip(platforms, effs)),
+            "supported": [p for p, e in zip(platforms, effs) if e > 0],
+        }
+
+    out = {
+        impl: row([mean(p, impl) for p in platforms])
+        for impl in implementations
+    }
+    kokkos = [i for i in implementations if i.startswith("kokkos-")]
+    if kokkos:
+        out[KOKKOS_FAMILY] = row(
+            [max(mean(p, i) for i in kokkos) for p in platforms]
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -79,72 +127,42 @@ def study_portability(
     """PP of every programming model over the paper's four systems.
 
     Platforms where a model was not ported contribute efficiency 0
-    (PP = 0), exactly as the metric prescribes.  GPU counts above a
-    machine's budget (Sunspot past 256) reuse its largest available
-    point — the metric needs one efficiency per platform.
+    (PP = 0), exactly as the metric prescribes.  ``n_gpus`` must be a
+    point of the workload's schedule; Sunspot, whose budget ends at
+    :data:`~repro.analysis.sweep.SUNSPOT_MAX_GPUS`, reuses its largest
+    point above that — the metric needs one efficiency per platform.
     """
     if efficiency_kind not in ("application", "architectural"):
         raise PerfModelError(
             "efficiency_kind must be 'application' or 'architectural'"
         )
+    counts = workload_schedule(workload).gpu_counts()
+    if n_gpus not in counts:
+        raise PerfModelError(
+            f"{n_gpus} GPUs is not a point of the {workload} schedule; "
+            f"valid counts: {', '.join(map(str, counts))}"
+        )
     machines = all_machines()
-    comps = {m.name: backend_comparison(m, workload) for m in machines}
-    per_model: Dict[str, float] = {}
-    supported: Dict[str, List[str]] = {}
-    for model in MODEL_NAMES:
-        effs: List[float] = []
-        platforms: List[str] = []
-        for machine in machines:
-            comp = comps[machine.name]
-            if not is_available(model, machine):
-                effs.append(0.0)
-                continue
-            table = (
-                comp.app_efficiency
-                if efficiency_kind == "application"
-                else comp.arch_efficiency
-            )
-            series = table[app][model]
-            counts = comp.gpu_counts
-            idx = (
-                counts.index(n_gpus)
-                if n_gpus in counts
-                else len(counts) - 1
-            )
-            effs.append(min(series[idx], 1.0))
-            platforms.append(machine.name)
-        per_model[model] = performance_portability(effs)
-        supported[model] = platforms
-    # The Kokkos *code base* is one implementation that reaches every
-    # platform through its per-platform backend (Section 10); its PP uses
-    # the backend actually deployed on each system.
-    kokkos_effs: List[float] = []
-    kokkos_platforms: List[str] = []
+    samples: List[Tuple[str, str, float]] = []
     for machine in machines:
-        comp = comps[machine.name]
+        comp = backend_comparison(machine, workload)
         table = (
             comp.app_efficiency
             if efficiency_kind == "application"
             else comp.arch_efficiency
         )
-        backends = [
-            m for m in table[app] if m.startswith("kokkos-")
+        idx = comp.gpu_counts.index(min(n_gpus, comp.gpu_counts[-1]))
+        samples += [
+            (machine.name, model, series[idx])
+            for model, series in table[app].items()
         ]
-        if not backends:
-            kokkos_effs.append(0.0)
-            continue
-        counts = comp.gpu_counts
-        idx = counts.index(n_gpus) if n_gpus in counts else len(counts) - 1
-        kokkos_effs.append(
-            min(max(table[app][m][idx] for m in backends), 1.0)
-        )
-        kokkos_platforms.append(machine.name)
-    per_model["kokkos (any backend)"] = performance_portability(kokkos_effs)
-    supported["kokkos (any backend)"] = kokkos_platforms
+    pivot = portability_pivot(
+        samples, [m.name for m in machines], MODEL_NAMES
+    )
     return PortabilityReport(
         workload=workload,
         n_gpus=n_gpus,
         efficiency_kind=efficiency_kind,
-        per_model=per_model,
-        per_model_supported=supported,
+        per_model={k: v["pp"] for k, v in pivot.items()},
+        per_model_supported={k: v["supported"] for k, v in pivot.items()},
     )

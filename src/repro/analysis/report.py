@@ -1,18 +1,23 @@
-"""One-command reproduction report.
+"""One renderer per paper artefact, and the report that concatenates them.
 
-``repro report`` (or :func:`full_report`) regenerates every table and
-figure of the paper plus the extension studies into a single text
-document — the non-pytest path to the complete reproduction.
+Each function below takes the analysis result it renders and returns
+its table(s) as text: the ``repro`` verb for the artefact prints it, the
+``benchmarks/test_*_regenerates`` bench writes it to
+``benchmarks/output/``, and :func:`full_report` (``repro report``)
+concatenates all of them.  Paper reference values live in the benches'
+assertions, not here.
 """
 
 from __future__ import annotations
 
-import io
-from typing import Optional
+from typing import Dict, List, Sequence
 
 from ..hardware.interconnect import LinkTier
+from ..hardware.machine import Machine
 from ..hardware.systems import all_machines, get_machine
 from ..microbench.babelstream import run_babelstream
+from ..perf.roofline import RooflinePoint, roofline_analysis
+from ..perfmodel.sensitivity import Sensitivity, dominant_resource
 from ..porting import (
     apply_manual_fixes,
     corpus_line_count,
@@ -21,25 +26,39 @@ from ..porting import (
     hipify,
     port_to_kokkos,
 )
-from .ablation import run_ablation
-from .composition import composition_series
-from .portability import study_portability
-from .sweep import backend_comparison, native_hardware_comparison
+from .ablation import AblationResult, ablation_study
+from .composition import FIG7_SYSTEMS, CompositionPoint, composition_series
+from .portability import PortabilityReport, study_portability
+from .sweep import (
+    BackendComparison,
+    ScalingSeries,
+    backend_comparison,
+    native_hardware_comparison,
+    sensitivity_sweep,
+)
 from .tables import render_series, render_table
 
-__all__ = ["full_report"]
+__all__ = [
+    "table1",
+    "porting_tables",
+    "hardware_figure",
+    "backend_figure",
+    "composition_figure",
+    "portability_table",
+    "ablation_table",
+    "sensitivity_table",
+    "roofline_table",
+    "full_report",
+]
 
 
-def _section(out: io.StringIO, title: str) -> None:
-    out.write("\n" + "=" * 72 + "\n")
-    out.write(title + "\n")
-    out.write("=" * 72 + "\n\n")
-
-
-def _table1(out: io.StringIO) -> None:
+def table1(machines: Sequence[Machine]) -> str:
+    """Table 1: node characteristics, with the GPU memory bandwidth the
+    (simulated) BabelStream measures."""
     rows = []
-    for m in all_machines():
+    for m in machines:
         bw = run_babelstream(m.node.gpu).measured_bandwidth_tbs
+        cpu_gpu = m.node.link(LinkTier.CPU_GPU)
         inter = m.node.link(LinkTier.INTER_NODE)
         rows.append(
             [
@@ -48,161 +67,258 @@ def _table1(out: io.StringIO) -> None:
                 str(m.node.cores_per_cpu),
                 f"{m.node.packages}x {m.node.gpu.name}",
                 str(m.logical_gpus_per_node),
-                f"{m.node.gpu.memory_gb:g}",
-                f"{bw:.3f}",
-                f"{inter.name}",
+                f"{m.node.gpu.memory_gb:g} GB",
+                f"{bw:.3f} TB/s",
+                f"{cpu_gpu.name} ({cpu_gpu.bandwidth_gbs:g} GB/s)",
+                f"{inter.name} ({inter.bandwidth_gbs:g} GB/s)",
             ]
         )
-    out.write(
-        render_table(
-            ["System", "CPU", "Cores", "GPU", "GPUs/node", "Mem GB",
-             "BW TB/s", "Interconnect"],
-            rows,
-        )
-        + "\n"
+    return render_table(
+        [
+            "System", "CPU", "Cores/CPU", "GPU", "GPUs/node", "GPU Mem",
+            "GPU Mem BW*", "GPU-CPU", "Interconnect",
+        ],
+        rows,
+        "Table 1: system node characteristics (*BabelStream-measured)",
     )
 
 
-def _porting(out: io.StringIO) -> None:
-    files = harvey_corpus()
-    dres = dpct_translate(files)
-    out.write(
-        render_table(
-            ["Category", "Frequency(%)"],
-            [
-                [cat, f"{pct:.2f}"]
-                for cat, pct in dres.warning_breakdown().items()
-            ],
-            f"Table 2 — {len(dres.warnings)} DPCT warnings over "
-            f"{len(files)} files ({corpus_line_count(files)} lines)",
-        )
-        + "\n\n"
+def porting_tables(files: Dict[str, str]) -> str:
+    """Tables 2 and 3 from one pass of the three porting paths over a
+    CUDA corpus: the DPCT warning breakdown, then the manual lines each
+    port needed."""
+    dpct = dpct_translate(files)
+    _fixed, dpct_changed = apply_manual_fixes(dpct)
+    hip = hipify(files).manual_lines_needed
+    kokkos = port_to_kokkos(files).stats
+    lines = corpus_line_count(files)
+    table2 = render_table(
+        ["Category", "Frequency(%)"],
+        [
+            [cat, f"{pct:.2f}"]
+            for cat, pct in dpct.warning_breakdown().items()
+        ],
+        f"Table 2: DPCT warning breakdown ({len(dpct.warnings)} warnings "
+        f"over {len(files)} files, {lines} lines)",
     )
-    _fixed, changed = apply_manual_fixes(dres)
-    hres = hipify(files)
-    kres = port_to_kokkos(files)
-    out.write(
-        render_table(
-            ["", "DPCT", "HIPify", "Kokkos"],
-            [
-                ["lines added", "0", "0", str(kres.stats.added)],
-                ["lines changed", str(changed),
-                 str(hres.manual_lines_needed.changed),
-                 str(kres.stats.changed)],
-                ["time scale", "weeks", "days", "months"],
-            ],
-            "Table 3 — manual porting effort (miniature corpus)",
-        )
-        + "\n"
+    table3 = render_table(
+        ["", "DPCT", "HIPify", "Kokkos"],
+        [
+            ["lines added", "0", str(hip.added), str(kokkos.added)],
+            ["lines changed", str(dpct_changed), str(hip.changed),
+             str(kokkos.changed)],
+            ["time scale", "weeks", "days", "months"],
+        ],
+        f"Table 3: manual lines needed for ports (miniature corpus: "
+        f"{lines} lines; HARVEY is ~10x larger)",
     )
+    return f"{table2}\n\n{table3}"
 
 
-def _hardware(out: io.StringIO, workload: str) -> None:
-    data = native_hardware_comparison(workload)
+def hardware_figure(
+    data: Dict[str, Dict[str, ScalingSeries]], workload: str
+) -> str:
+    """Figs. 3/4: per system, the MFLUPS of every series of
+    :func:`~repro.analysis.sweep.native_hardware_comparison`."""
+    blocks = []
     for system, series in data.items():
-        counts = series["harvey"].gpu_counts
-        table = {"HARVEY": series["harvey"].mflups}
-        if "proxy" in series:
-            table["LBM-Proxy-App"] = series["proxy"].mflups
-        table["Ideal Prediction"] = [
-            series["predicted"].at(n) for n in counts
-        ]
-        out.write(
+        lines = {s.label.removeprefix(f"{system} "): s.mflups
+                 for s in series.values()}
+        blocks.append(
             render_series(
-                counts, table, value_format="{:.0f}",
-                title=f"{system} — {workload} (MFLUPS)",
+                series["harvey"].gpu_counts, lines, value_format="{:.0f}",
+                title=f"{system} — {workload} piecewise scaling (MFLUPS)",
             )
-            + "\n\n"
         )
+    return "\n\n".join(blocks)
 
 
-def _backends(out: io.StringIO, workload: str) -> None:
-    for m in all_machines():
-        comp = backend_comparison(m, workload)
+def backend_figure(comps: Sequence[BackendComparison]) -> str:
+    """Figs. 5/6: per system and app, the application then the
+    architectural efficiency of every ported model."""
+    blocks = []
+    for comp in comps:
         for app in comp.app_efficiency:
-            out.write(
-                render_series(
-                    comp.gpu_counts, comp.app_efficiency[app],
-                    title=f"{m.name} {workload} {app}: application eff.",
+            for kind, table in (
+                ("application", comp.app_efficiency),
+                ("architectural", comp.arch_efficiency),
+            ):
+                blocks.append(
+                    render_series(
+                        comp.gpu_counts, table[app],
+                        title=f"{comp.system} {comp.workload} {app}: "
+                        f"{kind} efficiency",
+                    )
                 )
-                + "\n\n"
-            )
+    return "\n\n".join(blocks)
 
 
-def _composition(out: io.StringIO) -> None:
-    for name in ("Polaris", "Crusher", "Sunspot"):
-        points = composition_series(get_machine(name))
+def composition_figure(series: Dict[str, List[CompositionPoint]]) -> str:
+    """Fig. 7: the slowest GPU's runtime shares per system and count."""
+    blocks = []
+    for system, points in series.items():
         rows = [
-            [str(p.n_gpus),
-             f"{100 * p.fractions['streamcollide']:.1f}%",
-             f"{100 * p.comm_fraction:.1f}%",
-             f"{100 * p.memcpy_fraction:.1f}%"]
+            [str(p.n_gpus)]
+            + [
+                f"{100 * share:.1f}%"
+                for share in (
+                    p.fractions["streamcollide"], p.comm_fraction,
+                    p.fractions["h2d"], p.fractions["d2h"],
+                    p.memcpy_fraction,
+                )
+            ]
             for p in points
         ]
-        out.write(
+        blocks.append(
             render_table(
-                ["GPUs", "streamcollide", "communication", "memcpy"],
-                rows, f"{name} — HARVEY aorta runtime composition",
+                ["GPUs", "streamcollide", "communication", "H2D", "D2H",
+                 "memcpy"],
+                rows,
+                f"{system}: HARVEY aorta runtime composition (slowest GPU)",
             )
-            + "\n\n"
         )
+    return "\n\n".join(blocks)
 
 
-def _extensions(out: io.StringIO) -> None:
-    report = study_portability("cylinder", 64, "architectural")
+def portability_table(
+    arch: PortabilityReport, app: PortabilityReport
+) -> str:
+    """Pennycook PP of every implementation under architectural and
+    application efficiency, with the platforms it reaches."""
+    names = [m.name for m in all_machines()]
     rows = [
-        [m, f"{v:.3f}",
-         f"{len(report.per_model_supported[m])}/4"]
-        for m, v in sorted(
-            report.per_model.items(), key=lambda kv: -kv[1]
-        )
+        [
+            model,
+            f"{pp:.3f}",
+            f"{app.per_model[model]:.3f}",
+            f"{len(arch.per_model_supported[model])}/{len(names)}",
+        ]
+        for model, pp in arch.per_model.items()
     ]
-    out.write(
-        render_table(
-            ["implementation", "PP (arch eff)", "platforms"],
-            rows, "Pennycook performance portability @ 64 GPUs",
-        )
-        + "\n\n"
+    return render_table(
+        ["implementation", "PP (arch eff)", "PP (app eff)", "platforms"],
+        rows,
+        f"Pennycook performance portability over {{{', '.join(names)}}} "
+        f"@ {arch.n_gpus} GPUs ({arch.workload})",
     )
-    from ..perf.trace import aorta_trace
 
-    trace = aorta_trace(0.055, 128)
-    machine = get_machine("Polaris")
+
+def ablation_table(
+    results: Dict[str, List[AblationResult]], title: str
+) -> str:
+    """Baseline vs ablated MFLUPS of every ablation, per system."""
     rows = [
-        [r.name, f"{100 * r.impact:+.1f}%"]
-        for r in run_ablation(trace, machine, "cuda", "harvey")
+        [system, r.name, f"{r.baseline_mflups:.0f}",
+         f"{r.ablated_mflups:.0f}", f"{100 * r.impact:+.1f}%"]
+        for system, system_results in results.items()
+        for r in system_results
     ]
-    out.write(
-        render_table(
-            ["ablation", "impact"],
-            rows, "Polaris ablations — aorta @ 55 um, 128 GPUs",
-        )
-        + "\n"
+    return render_table(
+        ["system", "ablation", "baseline", "ablated", "impact"], rows, title
+    )
+
+
+def sensitivity_table(points: Sequence[Sensitivity]) -> str:
+    """Elasticities of the Eq. 1-4 prediction and the bounding resource
+    (a weak-scaling sweep: one site count per GPU)."""
+    rows = [
+        [s.machine, str(s.n_gpus), f"{s.memory_bandwidth:.2f}",
+         f"{s.interconnect_bandwidth:.2f}",
+         f"{s.interconnect_latency:.3f}", dominant_resource(s)]
+        for s in points
+    ]
+    sites = points[0].total_fluid / points[0].n_gpus
+    return render_table(
+        ["system", "GPUs", "dMem BW", "dNet BW", "dNet lat", "bound by"],
+        rows,
+        "Performance-model elasticities "
+        f"(weak scaling, {sites:.0e} sites/GPU)",
+    )
+
+
+def roofline_table(points: Sequence[RooflinePoint]) -> str:
+    """Roofline placement of the stream-collide kernel per device."""
+    rows = [
+        [p.device, f"{p.arithmetic_intensity:.2f}",
+         f"{p.ridge_intensity:.1f}", p.bound,
+         f"{p.attainable_gflops:.0f}", f"{100 * p.peak_fraction:.1f}%"]
+        for p in points
+    ]
+    return render_table(
+        ["device", "AI (F/B)", "ridge", "bound", "GFLOP/s cap",
+         "of FP64 peak"],
+        rows,
+        "Roofline placement of the D3Q19 stream-collide kernel",
     )
 
 
 def full_report(include_backends: bool = True) -> str:
-    """Build the complete reproduction report as a string."""
-    out = io.StringIO()
-    out.write(
+    """Every artefact at its ``repro`` verb's defaults, as one string."""
+    sections = [
+        ("Table 1 — system node characteristics", table1(all_machines())),
+        ("Tables 2 & 3 — porting tools", porting_tables(harvey_corpus())),
+    ]
+    for fig, workload in (("Fig. 3", "cylinder"), ("Fig. 4", "aorta")):
+        sections.append(
+            (
+                f"{fig} — {workload} hardware comparison (native models)",
+                hardware_figure(
+                    native_hardware_comparison(workload), workload
+                ),
+            )
+        )
+    if include_backends:
+        sections.append(
+            (
+                "Figs. 5/6 — software-backend efficiencies",
+                backend_figure(
+                    [
+                        backend_comparison(m, workload)
+                        for workload in ("cylinder", "aorta")
+                        for m in all_machines()
+                    ]
+                ),
+            )
+        )
+    polaris = get_machine("Polaris")
+    sections += [
+        (
+            "Fig. 7 — runtime compositions",
+            composition_figure(
+                {n: composition_series(get_machine(n)) for n in FIG7_SYSTEMS}
+            ),
+        ),
+        (
+            "Extension — Pennycook performance portability",
+            portability_table(
+                study_portability("cylinder", 64, "architectural"),
+                study_portability("cylinder", 64, "application"),
+            ),
+        ),
+        (
+            "Extension — design-choice ablations",
+            ablation_table(
+                {polaris.name: ablation_study(polaris, 0.055, 128)},
+                "Polaris: aorta @ 0.055 mm, 128 GPUs",
+            ),
+        ),
+        (
+            "Extension — performance-model sensitivity",
+            sensitivity_table(sensitivity_sweep((2, 16, 128, 1024), 4e6)),
+        ),
+        (
+            "Extension — roofline",
+            roofline_table([roofline_analysis(m.node.gpu)
+                            for m in all_machines()]),
+        ),
+    ]
+    rule = "=" * 72
+    return (
         "Reproduction report — Martin et al., SC-W 2023\n"
         "Performance Evaluation of Heterogeneous GPU Programming "
         "Frameworks\nfor Hemodynamic Simulations\n"
+        + "".join(
+            f"\n{rule}\n{title}\n{rule}\n\n{body}\n"
+            for title, body in sections
+        )
     )
-    _section(out, "Table 1 — system node characteristics")
-    _table1(out)
-    _section(out, "Tables 2 & 3 — porting tools")
-    _porting(out)
-    _section(out, "Fig. 3 — cylinder hardware comparison (native models)")
-    _hardware(out, "cylinder")
-    _section(out, "Fig. 4 — aorta hardware comparison")
-    _hardware(out, "aorta")
-    if include_backends:
-        _section(out, "Figs. 5/6 — software-backend application efficiencies")
-        _backends(out, "cylinder")
-        _backends(out, "aorta")
-    _section(out, "Fig. 7 — runtime compositions")
-    _composition(out)
-    _section(out, "Extensions — portability metric and ablations")
-    _extensions(out)
-    return out.getvalue()

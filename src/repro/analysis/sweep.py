@@ -4,13 +4,16 @@ These functions tie the stack together: schedules from
 :mod:`repro.perfmodel.scaling`, traces from :mod:`repro.perf.trace`,
 pricing from :mod:`repro.perf.simulate`, predictions from
 :mod:`repro.perfmodel.model`, and the efficiency metrics from
-:mod:`repro.perf.efficiency`.  Benchmarks and the CLI render their output.
+:mod:`repro.perf.efficiency`.  :func:`price_point` is the one place a
+scaling point is priced; the sweeps here, the Fig.-7 composition and the
+campaign's ``perf`` cells all call it.  :mod:`repro.analysis.report`
+renders the results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import PerfModelError
 from ..hardware.machine import Machine
@@ -18,26 +21,33 @@ from ..hardware.systems import all_machines
 from ..models.registry import models_for_machine
 from ..perf.calibrate import bytes_per_update
 from ..perf.efficiency import application_efficiency, architectural_efficiency
-from ..perf.simulate import price_run
-from ..perf.trace import RunTrace, trace_for
+from ..perf.simulate import RunCost, price_run
+from ..perf.trace import trace_for
 from ..perfmodel.model import predict_iteration
 from ..perfmodel.scaling import (
     PiecewiseSchedule,
     aorta_schedule,
     cylinder_schedule,
 )
+from ..perfmodel.sensitivity import Sensitivity, sensitivity_analysis
+from ..workloads import workload_table
 
 __all__ = [
     "SUNSPOT_MAX_GPUS",
     "ScalingSeries",
     "workload_schedule",
+    "price_point",
     "native_hardware_comparison",
     "backend_comparison",
     "BackendComparison",
+    "sensitivity_sweep",
 ]
 
 #: The Sunspot testbed could only provide 256 tiles (Section 9.2).
 SUNSPOT_MAX_GPUS = 256
+
+#: Legend names of the apps in Figs. 3/4.
+_APP_LABELS = {"harvey": "HARVEY", "proxy": "LBM-Proxy-App"}
 
 
 @dataclass
@@ -72,16 +82,39 @@ def workload_schedule(workload: str, machine: Optional[Machine] = None) -> Piece
     return sched
 
 
-def _predicted_mflups(
-    machine: Machine, trace: RunTrace, app: str
-) -> float:
-    pred = predict_iteration(
+def _apps(workload: str) -> List[str]:
+    """HARVEY, then every other app whose workload row runs this
+    geometry (the proxy runs the cylinder only)."""
+    return ["harvey"] + [
+        row.app
+        for row in workload_table().values()
+        if row.app != "harvey" and row.geometry == workload
+    ]
+
+
+def price_point(
+    machine: Machine,
+    model: str,
+    workload: str,
+    app: str,
+    size: float,
+    n_gpus: int,
+) -> Tuple[RunCost, float]:
+    """Price one scaling point: ``(cost, predicted_mflups)``.
+
+    ``cost`` is the simulated run of ``app`` on ``workload`` at ``size``
+    over ``n_gpus`` under ``model``; ``predicted_mflups`` is the Eq.-1
+    ideal prediction for the same fluid, GPU count and app byte count.
+    """
+    trace = trace_for(workload, app, size, n_gpus)
+    cost = price_run(trace, machine, model, app)
+    predicted = predict_iteration(
         machine,
         trace.total_fluid,
         trace.n_ranks,
         bytes_per_update=bytes_per_update(app),
     )
-    return pred.mflups
+    return cost, predicted.mflups
 
 
 def native_hardware_comparison(workload: str) -> Dict[str, Dict[str, ScalingSeries]]:
@@ -90,28 +123,24 @@ def native_hardware_comparison(workload: str) -> Dict[str, Dict[str, ScalingSeri
     Returns ``{system: {"harvey": ..., "proxy": ..., "predicted": ...}}``
     (no proxy entry for the aorta).
     """
+    apps = _apps(workload)
     out: Dict[str, Dict[str, ScalingSeries]] = {}
     for machine in all_machines():
-        sched = workload_schedule(workload, machine)
-        native = machine.native_model
-        harvey = ScalingSeries(f"{machine.name} HARVEY")
-        proxy = ScalingSeries(f"{machine.name} LBM-Proxy-App")
+        series = {
+            app: ScalingSeries(f"{machine.name} {_APP_LABELS[app]}")
+            for app in apps
+        }
         predicted = ScalingSeries(f"{machine.name} Ideal Prediction")
-        for point in sched.points:
-            tr = trace_for(workload, "harvey", point.size, point.n_gpus)
-            rc = price_run(tr, machine, native, "harvey")
-            harvey.append(point.n_gpus, rc.mflups)
-            predicted.append(
-                point.n_gpus, _predicted_mflups(machine, tr, "harvey")
-            )
-            if workload == "cylinder":
-                trp = trace_for(workload, "proxy", point.size, point.n_gpus)
-                rcp = price_run(trp, machine, native, "proxy")
-                proxy.append(point.n_gpus, rcp.mflups)
-        series = {"harvey": harvey, "predicted": predicted}
-        if proxy.gpu_counts:
-            series["proxy"] = proxy
-        out[machine.name] = series
+        for point in workload_schedule(workload, machine).points:
+            for app in apps:
+                cost, ideal = price_point(
+                    machine, machine.native_model, workload, app,
+                    point.size, point.n_gpus,
+                )
+                series[app].append(point.n_gpus, cost.mflups)
+                if app == "harvey":
+                    predicted.append(point.n_gpus, ideal)
+        out[machine.name] = {**series, "predicted": predicted}
     return out
 
 
@@ -146,46 +175,54 @@ def backend_comparison(
     model, application and architectural efficiencies."""
     sched = workload_schedule(workload, machine)
     counts = sched.gpu_counts()
-    apps = ["harvey"] if workload == "aorta" else ["harvey", "proxy"]
-    models = models_for_machine(machine)
+    apps = _apps(workload)
     raw: Dict[str, Dict[str, ScalingSeries]] = {a: {} for a in apps}
-    predicted = ScalingSeries(f"{machine.name} Idealized Prediction")
-    for point in sched.points:
-        tr = trace_for(workload, "harvey", point.size, point.n_gpus)
-        predicted.append(
-            point.n_gpus, _predicted_mflups(machine, tr, "harvey")
-        )
+    ideal: Dict[str, List[float]] = {}
     for app in apps:
-        for model in models:
-            series = ScalingSeries(f"{app}-{model}")
-            for point in sched.points:
-                tr = trace_for(workload, app, point.size, point.n_gpus)
-                rc = price_run(tr, machine, model, app)
-                series.append(point.n_gpus, rc.mflups)
-            raw[app][model] = series
-    app_eff = {
-        app: application_efficiency(
-            {m: s.mflups for m, s in raw[app].items()}
-        )
-        for app in apps
-    }
-    arch_eff: Dict[str, Dict[str, List[float]]] = {}
-    for app in apps:
-        arch_eff[app] = {}
-        pred_list = []
-        for point in sched.points:
-            tr = trace_for(workload, app, point.size, point.n_gpus)
-            pred_list.append(_predicted_mflups(machine, tr, app))
-        for model, series in raw[app].items():
-            arch_eff[app][model] = architectural_efficiency(
-                series.mflups, pred_list
+        for model in models_for_machine(machine):
+            priced = [
+                price_point(machine, model, workload, app, p.size, p.n_gpus)
+                for p in sched.points
+            ]
+            raw[app][model] = ScalingSeries(
+                f"{app}-{model}", list(counts), [c.mflups for c, _ in priced]
             )
+        # the prediction depends on the app and the point, not the model
+        ideal[app] = [pred for _, pred in priced]
     return BackendComparison(
         system=machine.name,
         workload=workload,
         gpu_counts=counts,
         raw=raw,
-        predicted=predicted,
-        app_efficiency=app_eff,
-        arch_efficiency=arch_eff,
+        predicted=ScalingSeries(
+            f"{machine.name} Idealized Prediction", list(counts),
+            ideal["harvey"],
+        ),
+        app_efficiency={
+            app: application_efficiency(
+                {m: s.mflups for m, s in raw[app].items()}
+            )
+            for app in apps
+        },
+        arch_efficiency={
+            app: {
+                m: architectural_efficiency(s.mflups, ideal[app])
+                for m, s in raw[app].items()
+            }
+            for app in apps
+        },
     )
+
+
+def sensitivity_sweep(
+    gpu_counts: Sequence[int], sites_per_gpu: float
+) -> List[Sensitivity]:
+    """Weak-scaling elasticities on every system at each of
+    ``gpu_counts`` it can run (Sunspot stops at :data:`SUNSPOT_MAX_GPUS`)."""
+    return [
+        sensitivity_analysis(machine, sites_per_gpu * n, n)
+        for machine in all_machines()
+        for n in gpu_counts
+        if n <= machine.max_ranks
+        and not (machine.name == "Sunspot" and n > SUNSPOT_MAX_GPUS)
+    ]

@@ -1,4 +1,5 @@
-"""Plain-text table and series rendering shared by benches and the CLI."""
+"""Plain-text table and series primitives under the artefact renderers
+(:mod:`repro.analysis.report`), the telemetry and the campaign reports."""
 
 from __future__ import annotations
 

@@ -10,7 +10,9 @@ JSON records without re-running a single cell:
   slowest rank or from a solver run's telemetry spans;
 - **portability**: Pennycook PP per model over the machines the store
   covers, from application efficiencies computed out of the scaling
-  pivot;
+  pivot, and per host backend over the zoo geometries its solver runs
+  cover — both through the one pivot,
+  :func:`repro.analysis.portability.portability_pivot`;
 - **solver zoo**: the functional runs across the geometry zoo, with
   physics health (mass drift) next to throughput.
 
@@ -23,9 +25,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from ..analysis.portability import performance_portability
+from ..analysis.portability import portability_pivot
 from ..analysis.tables import format_mflups, render_table
 from ..core.errors import CampaignError
 from ..telemetry.summary import CATEGORIES
@@ -145,67 +147,30 @@ def _composition_rows(
 
 
 def _portability(
-    rows: Sequence[Dict[str, Any]]
-) -> Dict[str, Any]:
-    """Pennycook PP per model over the store's machine set.
+    rows: Sequence[Dict[str, Any]],
+    platform: str,
+    impl: str,
+    coord: Tuple[str, ...],
+) -> Tuple[List[str], Dict[str, Any]]:
+    """Pennycook PP of each ``impl`` over the ``platform`` values present.
 
-    Application efficiency at each (workload, app, machine, n_gpus):
-    a model's MFLUPS over the best model's.  Each model's platform
-    efficiency is its mean over that machine's points; machines where
-    the model never ran contribute 0 (PP = 0), per the metric.
-
-    A synthetic ``kokkos (any backend)`` row treats the Kokkos code
-    base as one implementation deployed through its per-platform
-    backend (the paper's Section-10 reading) — on each machine it takes
-    the best kokkos-* efficiency present.
+    A row's application efficiency is its MFLUPS over the best row's at
+    the same ``coord``; :func:`~repro.analysis.portability.
+    portability_pivot` averages them per platform and takes the
+    harmonic mean.  Returns ``(platforms, per-impl entries)``.
     """
-    machines = sorted({r["machine"] for r in rows})
-    models = sorted({r["model"] for r in rows})
-    if not machines or not models:
-        return {"machines": [], "per_model": {}}
-    best: Dict[Tuple[str, str, str, int], float] = {}
-    for r in rows:
-        key = (r["workload"], r["app"], r["machine"], r["n_gpus"])
+    platforms = sorted({r[platform] for r in rows})
+    impls = sorted({r[impl] for r in rows})
+    keys = [tuple(r[c] for c in coord) for r in rows]
+    best: Dict[Tuple[Any, ...], float] = {}
+    for key, r in zip(keys, rows):
         best[key] = max(best.get(key, 0.0), r["mflups"])
-    per_machine: Dict[str, Dict[str, List[float]]] = {
-        m: {} for m in machines
-    }
-    for r in rows:
-        key = (r["workload"], r["app"], r["machine"], r["n_gpus"])
-        top = best[key]
-        if top <= 0:
-            continue
-        per_machine[r["machine"]].setdefault(r["model"], []).append(
-            min(r["mflups"] / top, 1.0)
-        )
-    def _mean_eff(machine: str, model: str) -> float:
-        samples = per_machine[machine].get(model)
-        return sum(samples) / len(samples) if samples else 0.0
-
-    per_model: Dict[str, Any] = {}
-    for model in models:
-        effs = [_mean_eff(m, model) for m in machines]
-        per_model[model] = {
-            "pp": performance_portability(effs),
-            "mean_efficiency": dict(zip(machines, effs)),
-            "supported": [
-                m for m, e in zip(machines, effs) if e > 0
-            ],
-        }
-    kokkos = [m for m in models if m.startswith("kokkos-")]
-    if kokkos:
-        effs = [
-            max(_mean_eff(m, model) for model in kokkos)
-            for m in machines
-        ]
-        per_model["kokkos (any backend)"] = {
-            "pp": performance_portability(effs),
-            "mean_efficiency": dict(zip(machines, effs)),
-            "supported": [
-                m for m, e in zip(machines, effs) if e > 0
-            ],
-        }
-    return {"machines": machines, "per_model": per_model}
+    samples = [
+        (r[platform], r[impl], r["mflups"] / best[key])
+        for key, r in zip(keys, rows)
+        if best[key] > 0
+    ]
+    return platforms, portability_pivot(samples, platforms, impls)
 
 
 def _solver_rows(
@@ -234,56 +199,6 @@ def _solver_rows(
     return rows
 
 
-def _host_portability(
-    rows: Sequence[Dict[str, Any]]
-) -> Dict[str, Any]:
-    """Pennycook PP of the host kernel tiers, over *measured* runs.
-
-    Unlike :func:`_portability` (which prices the paper's systems
-    through the performance model), this pivot uses the wall-clock
-    MFLUPS of actual solver records: at each coordinate
-    ``(geometry, ranks, mode)`` a backend's application efficiency is
-    its throughput over the best backend's there, its platform
-    efficiency per geometry is the mean over that geometry's
-    coordinates, and PP is the harmonic mean across the geometry zoo.
-    Empty unless at least two backends ran, so NumPy-only campaigns are
-    unchanged.
-    """
-    backends = sorted({r["backend"] for r in rows})
-    if len(backends) < 2:
-        return {"geometries": [], "per_backend": {}}
-    geometries = sorted({r["geometry"] for r in rows})
-    best: Dict[Tuple[str, int, bool, str], float] = {}
-    for r in rows:
-        key = (r["geometry"], r["num_ranks"], r["overlap"], r["executor"])
-        best[key] = max(best.get(key, 0.0), r["mflups"])
-    per_geom: Dict[str, Dict[str, List[float]]] = {
-        g: {} for g in geometries
-    }
-    for r in rows:
-        key = (r["geometry"], r["num_ranks"], r["overlap"], r["executor"])
-        top = best[key]
-        if top <= 0:
-            continue
-        per_geom[r["geometry"]].setdefault(r["backend"], []).append(
-            min(r["mflups"] / top, 1.0)
-        )
-
-    def _mean_eff(geometry: str, backend: str) -> float:
-        samples = per_geom[geometry].get(backend)
-        return sum(samples) / len(samples) if samples else 0.0
-
-    per_backend: Dict[str, Any] = {}
-    for backend in backends:
-        effs = [_mean_eff(g, backend) for g in geometries]
-        per_backend[backend] = {
-            "pp": performance_portability(effs),
-            "mean_efficiency": dict(zip(geometries, effs)),
-            "supported": [g for g, e in zip(geometries, effs) if e > 0],
-        }
-    return {"geometries": geometries, "per_backend": per_backend}
-
-
 def build_report(store: ResultStore) -> Dict[str, Any]:
     """Pivot a result store into the campaign report document."""
     records = store.records()
@@ -296,12 +211,26 @@ def build_report(store: ResultStore) -> Dict[str, Any]:
     solver = _ok_results(records, "solver")
     scaling = _scaling_rows(perf)
     solver_rows = _solver_rows(solver)
+    # the paper's systems, priced through the performance model
+    machines, per_model = _portability(
+        scaling, "machine", "model", ("workload", "app", "machine", "n_gpus")
+    )
+    # the host kernel tiers over measured runs of the geometry zoo; empty
+    # unless two backends ran, so NumPy-only campaigns show no table
+    geometries, per_backend = _portability(
+        solver_rows, "geometry", "backend",
+        ("geometry", "num_ranks", "overlap", "executor"),
+    )
+    if len(per_backend) < 2:
+        geometries, per_backend = [], {}
     return {
         "counts": store.counts(),
         "scaling": scaling,
         "composition": _composition_rows(perf, solver),
-        "portability": _portability(scaling),
-        "host_portability": _host_portability(solver_rows),
+        "portability": {"machines": machines, "per_model": per_model},
+        "host_portability": {
+            "geometries": geometries, "per_backend": per_backend,
+        },
         "solver": solver_rows,
     }
 
@@ -356,62 +285,17 @@ def _render_composition_text(
     ]
 
 
-def _render_portability_text(port: Dict[str, Any]) -> List[str]:
-    per_model = port.get("per_model", {})
-    if not per_model:
+def _render_portability_text(
+    impl: str, platforms: Sequence[str], entries: Dict[str, Any], title: str
+) -> List[str]:
+    if not entries:
         return []
-    machines = port["machines"]
-    headers = ["model", "PP"] + machines
-    rows = []
-    for model, entry in sorted(
-        per_model.items(), key=lambda kv: -kv[1]["pp"]
-    ):
-        rows.append(
-            [model, f"{entry['pp']:.3f}"]
-            + [
-                f"{entry['mean_efficiency'][m]:.2f}" for m in machines
-            ]
-        )
-    return [
-        render_table(
-            headers,
-            rows,
-            title=(
-                "performance portability (application efficiency, "
-                "store machines)"
-            ),
-        ),
-        "",
+    rows = [
+        [name, f"{entry['pp']:.3f}"]
+        + [f"{entry['mean_efficiency'][p]:.2f}" for p in platforms]
+        for name, entry in sorted(entries.items(), key=lambda kv: -kv[1]["pp"])
     ]
-
-
-def _render_host_portability_text(port: Dict[str, Any]) -> List[str]:
-    per_backend = port.get("per_backend", {})
-    if not per_backend:
-        return []
-    geometries = port["geometries"]
-    headers = ["backend", "PP"] + geometries
-    rows = []
-    for backend, entry in sorted(
-        per_backend.items(), key=lambda kv: -kv[1]["pp"]
-    ):
-        rows.append(
-            [backend, f"{entry['pp']:.3f}"]
-            + [
-                f"{entry['mean_efficiency'][g]:.2f}" for g in geometries
-            ]
-        )
-    return [
-        render_table(
-            headers,
-            rows,
-            title=(
-                "host-tier performance portability (measured solver "
-                "runs, geometry zoo)"
-            ),
-        ),
-        "",
-    ]
+    return [render_table([impl, "PP"] + list(platforms), rows, title), ""]
 
 
 def _render_solver_text(rows: Sequence[Dict[str, Any]]) -> List[str]:
@@ -488,10 +372,21 @@ def render_report(
     lines.append("")
     lines.extend(_render_scaling_text(report["scaling"]))
     lines.extend(_render_composition_text(report["composition"]))
-    lines.extend(_render_portability_text(report["portability"]))
+    port = report["portability"]
     lines.extend(
-        _render_host_portability_text(
-            report.get("host_portability", {})
+        _render_portability_text(
+            "model", port["machines"], port["per_model"],
+            "performance portability (application efficiency, store "
+            "machines)",
+        )
+    )
+    host = report.get("host_portability", {})
+    lines.extend(
+        _render_portability_text(
+            "backend", host.get("geometries", []),
+            host.get("per_backend", {}),
+            "host-tier performance portability (measured solver runs, "
+            "geometry zoo)",
         )
     )
     lines.extend(_render_solver_text(report["solver"]))

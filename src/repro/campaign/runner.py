@@ -268,12 +268,8 @@ def _run_solver_cell(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _run_perf_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..analysis.sweep import workload_schedule
+    from ..analysis.sweep import price_point, workload_schedule
     from ..hardware.systems import get_machine
-    from ..perf.calibrate import bytes_per_update
-    from ..perf.simulate import price_run
-    from ..perf.trace import trace_for
-    from ..perfmodel.model import predict_iteration
 
     machine = get_machine(params["machine"])
     model = params["model"]
@@ -288,13 +284,8 @@ def _run_perf_cell(params: Dict[str, Any]) -> Dict[str, Any]:
         size = next(
             p.size for p in sched.points if p.n_gpus == n_gpus
         )
-    trace = trace_for(workload, app, float(size), n_gpus)
-    cost = price_run(trace, machine, model, app)
-    predicted = predict_iteration(
-        machine,
-        trace.total_fluid,
-        trace.n_ranks,
-        bytes_per_update=bytes_per_update(app),
+    cost, predicted = price_point(
+        machine, model, workload, app, float(size), n_gpus
     )
     composition = dict(cost.composition())
     composition.setdefault("other", 0.0)
@@ -306,9 +297,9 @@ def _run_perf_cell(params: Dict[str, Any]) -> Dict[str, Any]:
         "app": app,
         "n_gpus": n_gpus,
         "size": float(size),
-        "total_fluid": trace.total_fluid,
+        "total_fluid": cost.total_fluid,
         "mflups": cost.mflups,
-        "predicted_mflups": predicted.mflups,
+        "predicted_mflups": predicted,
         "t_iteration": cost.t_iteration,
         "oom": cost.oom,
         "composition": composition,

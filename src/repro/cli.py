@@ -53,40 +53,16 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .analysis.composition import composition_series
-from .analysis.sweep import backend_comparison, native_hardware_comparison
-from .analysis.tables import format_mflups, render_series, render_table
+from .analysis import report as artefacts
+from .core.errors import HardwareError
+from .hardware.machine import Machine
 from .hardware.systems import all_machines, get_machine
-from .microbench.babelstream import run_babelstream
 
 __all__ = ["main", "build_parser"]
 
 
 def _cmd_systems(args: argparse.Namespace) -> int:
-    headers = [
-        "System", "CPU", "Cores/CPU", "GPU", "Logical GPUs/node",
-        "GPU Mem (GB)", "GPU Mem BW (TB/s)*", "Interconnect",
-    ]
-    rows = []
-    for m in all_machines():
-        bw = run_babelstream(m.node.gpu).measured_bandwidth_tbs
-        from .hardware.interconnect import LinkTier
-
-        inter = m.node.link(LinkTier.INTER_NODE)
-        rows.append(
-            [
-                m.name,
-                f"{m.node.cpus}x {m.node.cpu_name}",
-                str(m.node.cores_per_cpu),
-                f"{m.node.packages}x {m.node.gpu.name}",
-                str(m.logical_gpus_per_node),
-                f"{m.node.gpu.memory_gb:g}",
-                f"{bw:.3f}",
-                f"{inter.name} ({inter.bandwidth_gbs:g} GB/s)",
-            ]
-        )
-    print(render_table(headers, rows, "Table 1: system node characteristics"))
-    print("* simulated BabelStream measurement")
+    print(artefacts.table1(all_machines()))
     return 0
 
 
@@ -263,224 +239,89 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
+    from .analysis import native_hardware_comparison
+
     data = native_hardware_comparison(args.workload)
-    systems = (
-        [args.system] if args.system else [m.name for m in all_machines()]
-    )
-    for name in systems:
-        series = data[name]
-        counts = series["harvey"].gpu_counts
-        table = {
-            "HARVEY": series["harvey"].mflups,
-            "Prediction": [
-                series["predicted"].at(n) for n in counts
-            ],
-        }
-        if "proxy" in series:
-            table["Proxy"] = series["proxy"].mflups
-        print(
-            render_series(
-                counts,
-                {k: v for k, v in table.items()},
-                value_format="{:.0f}",
-                title=f"\n{name} — {args.workload} piecewise scaling (MFLUPS)",
-            )
-        )
+    if args.system:
+        data = {args.system.name: data[args.system.name]}
+    print(artefacts.hardware_figure(data, args.workload))
     return 0
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
-    machine = get_machine(args.system)
-    bc = backend_comparison(machine, args.workload)
-    for app in bc.app_efficiency:
-        print(
-            render_series(
-                bc.gpu_counts,
-                bc.app_efficiency[app],
-                title=f"\n{machine.name} {args.workload} {app}: application efficiency",
-            )
-        )
-        print(
-            render_series(
-                bc.gpu_counts,
-                bc.arch_efficiency[app],
-                title=f"{machine.name} {args.workload} {app}: architectural efficiency",
-            )
-        )
+    from .analysis import backend_comparison
+
+    comp = backend_comparison(args.system, args.workload)
+    print(artefacts.backend_figure([comp]))
     return 0
 
 
 def _cmd_composition(args: argparse.Namespace) -> int:
-    for name in ("Polaris", "Crusher", "Sunspot"):
-        machine = get_machine(name)
-        points = composition_series(machine)
-        headers = ["GPUs", "streamcollide", "communication", "H2D", "D2H"]
-        rows = [
-            [
-                str(p.n_gpus),
-                f"{100 * p.fractions['streamcollide']:.1f}%",
-                f"{100 * p.fractions['communication']:.1f}%",
-                f"{100 * p.fractions['h2d']:.1f}%",
-                f"{100 * p.fractions['d2h']:.1f}%",
-            ]
-            for p in points
-        ]
-        print(
-            render_table(
-                headers, rows, f"\n{name}: HARVEY aorta runtime composition"
-            )
+    from .analysis.composition import FIG7_SYSTEMS, composition_series
+
+    print(
+        artefacts.composition_figure(
+            {n: composition_series(get_machine(n)) for n in FIG7_SYSTEMS}
         )
+    )
     return 0
 
 
 def _cmd_porting(args: argparse.Namespace) -> int:
-    from .porting import (
-        apply_manual_fixes,
-        dpct_translate,
-        harvey_corpus,
-        hipify,
-        port_to_kokkos,
-    )
+    from .porting import harvey_corpus
 
-    files = harvey_corpus()
-    dres = dpct_translate(files)
-    print(
-        render_table(
-            ["Category", "Frequency(%)"],
-            [
-                [cat, f"{pct:.2f}"]
-                for cat, pct in dres.warning_breakdown().items()
-            ],
-            "Table 2: DPCT warning breakdown "
-            f"({len(dres.warnings)} warnings)",
-        )
-    )
-    hres = hipify(files)
-    _fixed, dpct_changed = apply_manual_fixes(dres)
-    kres = port_to_kokkos(files)
-    print()
-    print(
-        render_table(
-            ["", "DPCT", "HIPify", "Kokkos"],
-            [
-                ["lines added", "0", "0", str(kres.stats.added)],
-                [
-                    "lines changed",
-                    str(dpct_changed),
-                    str(hres.manual_lines_needed.changed),
-                    str(kres.stats.changed),
-                ],
-                ["time scale", "weeks", "days", "months"],
-            ],
-            "Table 3: manual lines needed for ports (miniature corpus)",
-        )
-    )
+    print(artefacts.porting_tables(harvey_corpus()))
     return 0
 
 
 def _cmd_portability(args: argparse.Namespace) -> int:
     from .analysis import study_portability
+    from .core.errors import PerfModelError
 
-    arch = study_portability(args.workload, args.gpus, "architectural")
+    try:
+        arch = study_portability(args.workload, args.gpus, "architectural")
+    except PerfModelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     app = study_portability(args.workload, args.gpus, "application")
-    rows = [
-        [
-            model,
-            f"{arch.per_model[model]:.3f}",
-            f"{app.per_model[model]:.3f}",
-            f"{len(arch.per_model_supported[model])}/4",
-        ]
-        for model in arch.per_model
-    ]
-    print(
-        render_table(
-            ["implementation", "PP (arch)", "PP (app)", "platforms"],
-            rows,
-            f"Performance portability @ {args.gpus} GPUs ({args.workload})",
-        )
-    )
+    print(artefacts.portability_table(arch, app))
     return 0
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
-    from .analysis import decomposition_ablation, run_ablation
-    from .perf import aorta_trace
+    from .analysis.ablation import ablation_study
 
-    machine = get_machine(args.system)
-    trace = aorta_trace(args.spacing, args.gpus)
-    rows = []
-    for r in run_ablation(trace, machine, machine.native_model, "harvey"):
-        rows.append(
-            [r.name, f"{r.baseline_mflups:.0f}", f"{r.ablated_mflups:.0f}",
-             f"{100 * r.impact:+.1f}%"]
-        )
-    d = decomposition_ablation(machine, args.spacing, min(args.gpus, 64))
-    rows.append(
-        [d.name, f"{d.baseline_mflups:.0f}", f"{d.ablated_mflups:.0f}",
-         f"{100 * d.impact:+.1f}%"]
-    )
+    m = args.system
     print(
-        render_table(
-            ["ablation", "baseline", "ablated", "impact"],
-            rows,
-            f"{machine.name}: aorta @ {args.spacing} mm, {args.gpus} GPUs",
+        artefacts.ablation_table(
+            {m.name: ablation_study(m, args.spacing, args.gpus)},
+            f"{m.name}: aorta @ {args.spacing} mm, {args.gpus} GPUs",
         )
     )
     return 0
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    from .perfmodel import dominant_resource, sensitivity_analysis
+    from .analysis.sweep import sensitivity_sweep
 
-    rows = []
-    for machine in all_machines():
-        for n in (2, 16, 128, 1024):
-            if n > machine.max_ranks or (
-                machine.name == "Sunspot" and n > 256
-            ):
-                continue
-            s = sensitivity_analysis(machine, args.sites_per_gpu * n, n)
-            rows.append(
-                [machine.name, str(n), f"{s.memory_bandwidth:.2f}",
-                 f"{s.interconnect_bandwidth:.2f}",
-                 f"{s.interconnect_latency:.3f}", dominant_resource(s)]
-            )
-    print(
-        render_table(
-            ["system", "GPUs", "dMemBW", "dNetBW", "dNetLat", "bound by"],
-            rows,
-            "Performance-model elasticities "
-            f"({args.sites_per_gpu:.0e} sites/GPU, weak scaling)",
-        )
-    )
+    points = sensitivity_sweep((2, 16, 128, 1024), args.sites_per_gpu)
+    print(artefacts.sensitivity_table(points))
     return 0
 
 
 def _cmd_roofline(args: argparse.Namespace) -> int:
     from .perf import roofline_analysis
 
-    rows = []
-    for machine in all_machines():
-        p = roofline_analysis(machine.node.gpu)
-        rows.append(
-            [p.device, f"{p.arithmetic_intensity:.2f}",
-             f"{p.ridge_intensity:.1f}", p.bound,
-             f"{100 * p.peak_fraction:.1f}%"]
-        )
     print(
-        render_table(
-            ["device", "AI (F/B)", "ridge", "bound", "of FP64 peak"],
-            rows,
-            "Roofline placement of the D3Q19 stream-collide kernel",
+        artefacts.roofline_table(
+            [roofline_analysis(m.node.gpu) for m in all_machines()]
         )
     )
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .analysis import full_report
-
-    text = full_report(include_backends=not args.brief)
+    text = artefacts.full_report(include_backends=not args.brief)
     if args.output:
         import pathlib
 
@@ -595,6 +436,24 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _machine(name: str) -> Machine:
+    try:
+        return get_machine(name)
+    except HardwareError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _add_system_arg(
+    parser: argparse.ArgumentParser, default: Optional[str]
+) -> None:
+    """The one ``--system``: a Table-1 name in any case, resolved by
+    ``get_machine`` at parse time (an unknown name exits 2)."""
+    parser.add_argument(
+        "--system", type=_machine, default=default,
+        help=f"Table-1 system, any case (default: {default or 'all'})",
+    )
+
+
 def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-out",
@@ -683,11 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workload", choices=["cylinder", "aorta"], default="cylinder"
     )
-    p.add_argument("--system", default=None)
+    _add_system_arg(p, None)
     p.set_defaults(func=_cmd_scaling)
 
     p = sub.add_parser("backends", help="backend comparison (Figs. 5/6)")
-    p.add_argument("--system", default="Summit")
+    _add_system_arg(p, "Summit")
     p.add_argument(
         "--workload", choices=["cylinder", "aorta"], default="cylinder"
     )
@@ -709,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_portability)
 
     p = sub.add_parser("ablation", help="design-choice what-ifs")
-    p.add_argument("--system", default="Polaris")
+    _add_system_arg(p, "Polaris")
     p.add_argument("--spacing", type=float, default=0.055)
     p.add_argument("--gpus", type=int, default=128)
     p.set_defaults(func=_cmd_ablation)

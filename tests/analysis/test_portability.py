@@ -75,3 +75,13 @@ class TestStudyPortability:
     def test_validation(self):
         with pytest.raises(PerfModelError):
             study_portability("cylinder", 64, "geometric")
+
+    @pytest.mark.parametrize("n_gpus", [0, 3, 5000])
+    def test_gpu_count_outside_the_schedule_is_refused(self, n_gpus):
+        # not silently answered at another schedule point
+        with pytest.raises(PerfModelError, match="valid counts: 2, 4, 8"):
+            study_portability("cylinder", n_gpus, "application")
+
+    def test_sunspot_reuses_its_largest_point_past_its_budget(self):
+        report = study_portability("cylinder", 512, "application")
+        assert "Sunspot" in report.per_model_supported["sycl"]

@@ -33,9 +33,9 @@ class TestFullReport:
         assert "15.04" in report
 
     def test_backend_sections_togglable(self, report):
-        assert "application eff." not in report
+        assert "application efficiency" not in report
         with_backends = full_report(include_backends=True)
-        assert "application eff." in with_backends
+        assert "application efficiency" in with_backends
 
     def test_reasonable_size(self, report):
         assert 100 < len(report.splitlines()) < 2000

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.analysis import backend_comparison, native_hardware_comparison
 from repro.campaign import (
     CampaignSpec,
+    Cell,
     ResultStore,
     SweepSpec,
     campaign_status,
@@ -12,6 +14,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.core import CampaignError, ConfigError
+from repro.hardware import get_machine
 
 
 def perf_spec(n_gpus=(2, 4, 8), machines=("summit", "polaris")):
@@ -224,6 +227,34 @@ class TestExecution:
         assert set(result["composition"]) == {
             "streamcollide", "communication", "h2d", "d2h", "other",
         }
+
+    @pytest.mark.parametrize(
+        "machine,model,workload,n_gpus",
+        [
+            ("Polaris", "native", "cylinder", 64),
+            ("Sunspot", "native", "aorta", 256),
+            ("Crusher", "sycl", "aorta", 16),
+            ("Sunspot", "kokkos-sycl", "cylinder", 128),
+        ],
+    )
+    def test_perf_cell_prices_the_sweep_point(
+        self, machine, model, workload, n_gpus
+    ):
+        """One pricing: a perf cell is the Figs. 3-6 sweep's point."""
+        cell = Cell(
+            sweep="pin", runner="perf",
+            params={"machine": machine, "model": model,
+                    "workload": workload, "n_gpus": n_gpus},
+        )
+        result = execute_cell(cell)
+        if model == "native":
+            series = native_hardware_comparison(workload)[machine]
+            expected = series["harvey"], series["predicted"]
+        else:
+            comp = backend_comparison(get_machine(machine), workload)
+            expected = comp.raw["harvey"][model], comp.predicted
+        assert result["mflups"] == expected[0].at(n_gpus)
+        assert result["predicted_mflups"] == expected[1].at(n_gpus)
 
     def test_solver_cell_result(self):
         # the proxy preset is one more geometry value to the runner

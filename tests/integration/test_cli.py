@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.hardware import get_machine
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +107,30 @@ class TestCLI:
         code, out = run_cli(capsys, "portability", "--gpus", "16")
         assert code == 0
         assert "kokkos (any backend)" in out
+
+    def test_portability_refuses_a_count_off_the_schedule(self, capsys):
+        code = main(["portability", "--gpus", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error: 3 GPUs" in captured.err and "1024" in captured.err
+
+    @pytest.mark.parametrize("verb", ["scaling", "backends", "ablation"])
+    def test_system_resolves_in_any_case(self, verb):
+        args = build_parser().parse_args([verb, "--system", "cRuShEr"])
+        assert args.system is get_machine("Crusher")
+
+    @pytest.mark.parametrize("verb", ["scaling", "backends", "ablation"])
+    def test_unknown_system_is_an_argparse_error(self, capsys, verb):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--system", "Foo"])
+        assert exit_info.value.code == 2
+        assert "unknown system 'Foo'" in capsys.readouterr().err
+
+    def test_scaling_lowercase_system(self, capsys):
+        code, out = run_cli(capsys, "scaling", "--system", "crusher")
+        assert code == 0
+        assert "Crusher" in out and "Sunspot" not in out
 
     def test_ablation(self, capsys):
         code, out = run_cli(
