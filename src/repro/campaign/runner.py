@@ -210,10 +210,10 @@ def _tracer_composition(tracer: Tracer) -> Dict[str, float]:
 def _solver_telemetry(tracer: Tracer, executor: str) -> Dict[str, Any]:
     """Provenance note: where the cell's per-rank spans came from.
 
-    Process-executor cells record whether the cross-process telemetry
-    plane was live and how many worker-origin spans each forked rank
-    contributed, so a store record makes plain whether its composition
-    shares are true per-rank measurements or parent-side proxies.
+    Process-executor cells record whether the telemetry plane was live
+    and how many worker-origin spans each forked rank contributed, so a
+    store record makes plain that its composition shares are true
+    per-rank measurements.
     """
     worker_spans: Dict[str, int] = {}
     for span in tracer.spans:

@@ -442,18 +442,18 @@ class DistributedSolver:
             self._halo = RingTransport(
                 self._shm, [(s, d, nbytes // 8) for s, d, nbytes in self._wire]
             )
-            # cross-process telemetry plane: worker-resident tracing,
-            # metric merge, heartbeats, and the crash flight recorder.
-            # Allocated from the same registry (before the lazy fork) so
-            # workers inherit the channels; REPRO_TELEMETRY_PLANE=off
-            # yields the dormant baseline the overhead benchmark times.
+            # telemetry plane: heartbeats, the stall watchdog and the
+            # crash flight recorder (spans and metric deltas ride the
+            # executor's acks either way).  Allocated from the same
+            # registry (before the lazy fork) so workers inherit the
+            # channels; REPRO_TELEMETRY_PLANE=off yields the dormant
+            # baseline the overhead benchmark times.
             from ..telemetry.plane import TelemetryPlane, plane_enabled
 
             if plane_enabled():
                 self.plane = TelemetryPlane(
                     self._shm,
                     num_ranks,
-                    tracer=self.tracer,
                     stall_timeout_s=config.stall_timeout_s,
                     postmortem_out=config.postmortem_out,
                 )

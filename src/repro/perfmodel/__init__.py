@@ -19,12 +19,6 @@ from .model import (
     streamcollide_time,
 )
 from .fit import FitResult, fit_sc_efficiency
-from .hostexec import (
-    overlap_step_time,
-    parallel_efficiency,
-    predicted_speedup,
-    rank_concurrency,
-)
 from .sensitivity import (
     Sensitivity,
     dominant_resource,
@@ -66,10 +60,6 @@ __all__ = [
     "SECTION_COUNTS",
     "FitResult",
     "fit_sc_efficiency",
-    "rank_concurrency",
-    "parallel_efficiency",
-    "predicted_speedup",
-    "overlap_step_time",
     "Sensitivity",
     "sensitivity_analysis",
     "sensitivity_sweep",

@@ -34,12 +34,17 @@ instance overrides dispatch); any other callable must pickle by
 reference (the W504 lint rule bans closure-captured phase callables for
 exactly this reason).
 
-Telemetry and errors keep the lockstep executor's contract: each worker
-times its own phase intervals (``time.perf_counter`` is the system-wide
-``CLOCK_MONOTONIC`` on Linux, so intervals are comparable across
-processes) and acks them; without a plane the controlling process
-appends one span per rank per phase, in rank order, after the ack.  The
-first worker exception is re-raised in the caller with a
+Telemetry and errors keep the lockstep executor's contract.  The ack is
+the one channel from worker to parent: each worker times its own phase
+intervals (``time.perf_counter`` is the system-wide ``CLOCK_MONOTONIC``
+on Linux, so intervals are comparable across processes) and acks them
+together with the records of its
+:class:`~repro.telemetry.plane.WorkerAgent` — one worker-origin span per
+phase when the parent traces, and the worker's metric deltas.  The
+parent merges every ack it received, in rank order, before it returns
+or raises, so a survivor's spans and counters reach the tracer and the
+postmortem bundle even when a peer failed.  The first worker exception
+is re-raised in the caller with a
 ``[rank N phase ...]`` prefix (the worker names the failing phase in
 its ack) — picklable exceptions cross as themselves, others as
 :class:`~repro.core.errors.RuntimeSimError` carrying the worker
@@ -59,14 +64,12 @@ scalars the parent's loop would have advanced between ``run_phase``
 calls.
 
 When a :class:`~repro.telemetry.plane.TelemetryPlane` is attached (the
-distributed solver wires one whenever the plane is enabled), each worker
-runs a plane agent: heartbeats publish at phase entry/exit, the flight
-recorder keeps the last N events, and spans and metric deltas flush into
-the rank's shared-memory telemetry ring once per dispatch, before the
-ack.  The parent drains the rings while it waits for the acks (so a full
-ring can never deadlock a worker), watches heartbeats for stalls, and —
-on worker death or a sanitizer failure — drains the *surviving* rings
-first, then attaches a postmortem bundle to the raised error.
+distributed solver wires one whenever the plane is enabled), the agents
+also publish heartbeats at phase entry/exit and keep the last N events
+in the flight recorder — shared memory the parent can read when no ack
+comes.  The parent watches the heartbeats for stalls and, on a stall,
+worker death or a sanitizer failure, attaches a postmortem bundle to
+the raised error.
 """
 
 from __future__ import annotations
@@ -85,7 +88,8 @@ from ..core.errors import (
     SanitizeError,
     StallError,
 )
-from ..telemetry.spans import SpanRecord, get_tracer, set_tracer
+from ..telemetry.plane import WorkerAgent, merge_records
+from ..telemetry.spans import get_tracer, set_tracer
 from .executor import PhaseAccessLog, step_span_names
 
 __all__ = ["ProcessExecutor", "fork_available"]
@@ -112,7 +116,11 @@ def fork_available() -> bool:
 
 
 def _worker_main(
-    rank: int, conn, target: Optional[object], plane: Optional[object]
+    rank: int,
+    conn,
+    target: Optional[object],
+    plane: Optional[object],
+    trace: bool,
 ) -> None:
     """Worker loop: receive dispatches, run them, ack with timings.
 
@@ -122,27 +130,25 @@ def _worker_main(
     ``_apply_phase_context`` hook, runs the phases back to back on its
     own rank (no parent round trip in between; a step dispatch also
     calls the target's ``_after_phase(i)`` hook after phase ``i``), and
-    acks once with the per-phase ``(start, duration)`` list.
+    acks once: ``("ok", timings, records)`` with the per-phase
+    ``(start, duration)`` list, or ``("err", exc blob, traceback, phase
+    label, records)``.
 
-    With a telemetry plane attached the worker owns a
-    :class:`~repro.telemetry.plane.WorkerAgent`: the process-wide tracer
-    (and the target's ``tracer`` attribute, if any) rebind to the
-    agent's worker-resident tracer so phase bodies' sub-spans are
-    captured, every phase publishes a heartbeat and a worker-origin
-    span, and the spans/metric deltas of the whole dispatch flush into
-    the rank's ring once, *before* the ack — the parent drains while it
-    waits.
+    ``records`` come from the worker's
+    :class:`~repro.telemetry.plane.WorkerAgent`: its metric deltas and,
+    when ``trace``, one worker-origin span per phase — the process-wide
+    tracer (and the target's ``tracer`` attribute, if any) rebind to the
+    agent's tracer so phase bodies' sub-spans are captured too.  With a
+    ``plane`` the agent also publishes heartbeats and flight events.
 
     Exits through ``os._exit`` so the parent's inherited atexit hooks
     (segment unlink, executor shutdown) never run in a child.
     """
-    agent = None
-    if plane is not None:
-        agent = plane.worker_agent(rank)
-        if agent.tracer is not None:
-            set_tracer(agent.tracer)
-            if target is not None and hasattr(target, "tracer"):
-                target.tracer = agent.tracer
+    agent = WorkerAgent(rank, plane, trace)
+    if agent.tracer is not None:
+        set_tracer(agent.tracer)
+        if target is not None and hasattr(target, "tracer"):
+            target.tracer = agent.tracer
     try:
         while True:
             try:
@@ -174,29 +180,28 @@ def _worker_main(
                     # the interval brackets the agent's own span, so a
                     # container rebuilt from the acks encloses it
                     t0 = time.perf_counter()
-                    if agent is not None:
-                        agent.begin_phase(label, ctx)
+                    agent.begin_phase(label, ctx)
                     fn(rank)
-                    if agent is not None:
-                        agent.end_phase(label)
+                    agent.end_phase(label)
                     timings.append((t0, time.perf_counter() - t0))
                     if after is not None:
                         after(index)
-                if agent is not None:
-                    agent.flush()
-                conn.send(("ok", timings))
+                conn.send(("ok", timings, agent.records()))
             except BaseException as exc:
-                if agent is not None:
-                    try:
-                        agent.record_error(label, exc)
-                    except Exception:
-                        pass
+                records: List[Dict[str, Any]] = []
+                try:
+                    agent.record_error(label, exc)
+                    records = agent.records()
+                except Exception:
+                    pass
                 try:
                     blob: Optional[bytes] = pickle.dumps(exc)
                 except Exception:
                     blob = None
                 try:
-                    conn.send(("err", blob, traceback.format_exc(), label))
+                    conn.send(
+                        ("err", blob, traceback.format_exc(), label, records)
+                    )
                 except (BrokenPipeError, OSError):
                     break
     finally:
@@ -244,8 +249,7 @@ class ProcessExecutor:
         self.access_log: Optional[PhaseAccessLog] = None
         #: optional :class:`~repro.telemetry.plane.TelemetryPlane`; set it
         #: before the first dispatch (workers fork with it) to get
-        #: worker-resident tracing, metric merge, heartbeats, and the
-        #: flight recorder.
+        #: heartbeats, the stall watchdog and the flight recorder.
         self.plane: Optional[Any] = None
         self._mp = multiprocessing.get_context("fork")
         self._creator_pid = os.getpid()
@@ -274,7 +278,9 @@ class ProcessExecutor:
             parent_conn, child_conn = self._mp.Pipe()
             proc = self._mp.Process(
                 target=_worker_main,
-                args=(rank, child_conn, target, self.plane),
+                args=(
+                    rank, child_conn, target, self.plane, self.tracer.enabled
+                ),
                 daemon=True,
                 name=f"repro-rank-{rank}",
             )
@@ -294,11 +300,6 @@ class ProcessExecutor:
         if self._closed or os.getpid() != self._creator_pid:
             return
         self._closed = True
-        if self.plane is not None and self._started:
-            try:  # final drain: nothing a worker flushed is lost
-                self.plane.drain()
-            except Exception:
-                pass
         for proc, conn in self._workers:
             try:
                 conn.send((_CMD_STOP,))
@@ -435,50 +436,32 @@ class ProcessExecutor:
                     f"dispatch {where(rank)}"
                 ) from None
 
-        # workers flush before they ack and _collect_acks drains after
-        # every receive, so the plane is already drained here
-        acks, dead_ranks = self._collect_acks(targets, dispatch_t0, where)
-        plane = self.plane
-        missing = [r for r in targets if r not in acks]
-        if dead_ranks:
-            self._raise_worker_death(dead_ranks[0], where, missing)
-
+        acks, dead_ranks, stall = self._collect_acks(
+            targets, dispatch_t0, where
+        )
         first_err: Optional[Tuple] = None
         first_rank = -1
         timings: List[Timings] = []
         for rank in targets:
             ack = acks.get(rank)
-            if ack is not None and ack[0] == "ok":
+            if ack is None:
+                timings.append([])
+                continue
+            # every ack that came is merged before any failure is raised,
+            # so a survivor's spans and counters still reach the tracer
+            # and the postmortem bundle
+            merge_records(ack[-1], self.tracer)
+            if ack[0] == "ok":
                 timings.append(ack[1])
                 continue
             timings.append([])
-            if ack is not None and first_err is None:
+            if first_err is None:
                 first_err, first_rank = ack, rank
-        tracer = self.tracer
-        merge_spans = plane is not None and plane.trace_enabled
-        if tracer.enabled and not merge_spans:
-            # no plane: fall back to one parent-side synthetic span per
-            # rank per phase from the acked timings (the plane's
-            # worker-origin spans replace these — appending both would
-            # double-count)
-            depth_fn = getattr(tracer, "depth", None)
-            depth = int(depth_fn()) if callable(depth_fn) else 0
-            for index, (name, _) in enumerate(phases):
-                if name is None:
-                    continue
-                for rank, acked in zip(targets, timings):
-                    if index >= len(acked):
-                        continue
-                    start, duration = acked[index]
-                    tracer.spans.append(
-                        SpanRecord(
-                            name=name,
-                            start_s=start,
-                            duration_s=duration,
-                            depth=depth,
-                            rank=rank,
-                        )
-                    )
+        if stall is not None:
+            self._raise_stall(*stall)
+        missing = [r for r in targets if r not in acks]
+        if dead_ranks:
+            self._raise_worker_death(dead_ranks[0], where, missing)
         self.phases_run += len(phases)
         self._dispatches += 1
         if first_err is not None:
@@ -493,7 +476,7 @@ class ProcessExecutor:
 
     def _worker_error(self, rank: int, ack: Tuple) -> BaseException:
         """A worker's acked exception, its origin prefixed."""
-        _, blob, tb, label = ack
+        _, blob, tb, label, _ = ack
         exc: Optional[BaseException] = None
         if blob is not None:
             try:
@@ -548,17 +531,17 @@ class ProcessExecutor:
         targets: Sequence[int],
         dispatch_t0: float,
         where: Callable[[int], str],
-    ) -> Tuple[Dict[int, Tuple], List[int]]:
+    ) -> Tuple[Dict[int, Tuple], List[int], Optional[Tuple[StallError, str]]]:
         """Gather one ack per target rank.
 
-        While waiting, the attached telemetry plane (if any) is drained —
-        a full ring can therefore never deadlock a worker against the
-        barrier — and its heartbeat watchdog checks the still-pending
-        ranks, so a hung worker surfaces as a rank-attributed
-        :class:`StallError` instead of a silent hang.  Once a rank has
-        died or acked an error, the ranks still pending may be blocked on
-        its halo rings: they get a short grace window, then the caller
-        reports the failure rather than wait out the ring timeout.
+        While waiting, the attached telemetry plane's (if any) heartbeat
+        watchdog checks the still-pending ranks, so a hung worker comes
+        back as a rank-attributed :class:`StallError` (with where the
+        rank was) for the caller to raise instead of a silent hang.  Once
+        a rank has died or acked an error, the ranks still pending may be
+        blocked on its halo rings: they get a short grace window, then
+        the caller reports the failure rather than wait out the ring
+        timeout.
         """
         pending: Dict[Any, int] = {}
         for rank in targets:
@@ -587,28 +570,23 @@ class ProcessExecutor:
                     acks[rank] = ack
                 if failed_ts is None and (ack is None or ack[0] == "err"):
                     failed_ts = time.perf_counter()
-            if plane is not None:
-                try:
-                    plane.drain()
-                except Exception:
-                    pass
-                if failed_ts is None:
-                    for rank in sorted(pending.values()):
-                        try:
-                            plane.check_stalls(
-                                [rank],
-                                since=dispatch_t0,
-                                alive=lambda r: self._workers[r][0].is_alive(),
-                            )
-                        except StallError as exc:
-                            self._raise_stall(exc, where(rank))
+            if plane is not None and failed_ts is None:
+                for rank in sorted(pending.values()):
+                    try:
+                        plane.check_stalls(
+                            [rank],
+                            since=dispatch_t0,
+                            alive=lambda r: self._workers[r][0].is_alive(),
+                        )
+                    except StallError as exc:
+                        return acks, sorted(dead_ranks), (exc, where(rank))
             if (
                 failed_ts is not None
                 and time.perf_counter() - failed_ts > grace
             ):
                 break
         dead_ranks.sort()
-        return acks, dead_ranks
+        return acks, dead_ranks, None
 
     def rank_states(self) -> Dict[int, Dict[str, Any]]:
         """Liveness of every worker (``state`` / ``pid`` / ``exitcode``),
@@ -627,10 +605,6 @@ class ProcessExecutor:
         plane = self.plane
         bundle = None
         if plane is not None:
-            try:
-                plane.drain()
-            except Exception:
-                pass
             bundle = plane.postmortem_bundle(
                 reason=f"stall during {where}",
                 rank_states=self.rank_states(),
@@ -645,10 +619,10 @@ class ProcessExecutor:
     def _raise_worker_death(
         self, dead: int, where: Callable[[int], str], missing: Sequence[int]
     ) -> None:
-        """A worker died mid-dispatch: drain the *surviving* rings first
-        so the postmortem bundle carries every healthy rank's last
-        events, then shut down (terminating the ``missing`` ranks still
-        blocked on the dead one) and raise with the bundle attached."""
+        """A worker died mid-dispatch: capture the postmortem bundle
+        while the survivors are still alive, then shut down (terminating
+        the ``missing`` ranks still blocked on the dead one) and raise
+        with the bundle attached."""
         plane = self.plane
         bundle = None
         # reap the dead worker first: its pipe closes (the EOF we saw)
@@ -660,10 +634,6 @@ class ProcessExecutor:
             pass
         died = f"rank {dead} worker process died during {where(dead)}"
         if plane is not None:
-            try:
-                plane.drain()
-            except Exception:
-                pass
             bundle = plane.postmortem_bundle(
                 reason=died, rank_states=self.rank_states()
             )

@@ -7,11 +7,12 @@ placed on per-rank tracks (``tid = rank + 1``, named via thread-name
 metadata); unranked spans — step markers, app-level run spans — live on
 track 0.
 
-Spans merged from the cross-process telemetry plane carry the worker's
-real ``pid``/``tid`` in their args; those events are emitted under that
-actual pid (with per-pid process-name metadata), so a process-executor
-trace renders as a true multi-process timeline — one track per forked
-rank — instead of folding every rank into the simulated process.
+Worker-origin spans (sent back on the process executor's acks) carry
+the worker's real ``pid``/``tid`` in their args; those events are
+emitted under that actual pid (with per-pid process-name metadata), so
+a process-executor trace renders as a true multi-process timeline — one
+track per forked rank — instead of folding every rank into the
+simulated process.
 
 Metrics export as JSON (the registry's :meth:`as_dict` snapshot) or as a
 flat ``name,kind,value`` CSV, chosen by file extension.
@@ -80,7 +81,7 @@ def chrome_trace(tracer, process_name: str = "repro") -> Dict[str, Any]:
                 "args": {"name": f"rank {r}"},
             }
         )
-    # worker-origin spans (merged by the telemetry plane) carry the real
+    # worker-origin spans (merged from the executor's acks) carry the real
     # worker pid/tid: name each worker process once so the trace renders
     # a true multi-process timeline
     worker_tracks: Dict[int, Dict[int, Any]] = {}

@@ -123,7 +123,7 @@ class Histogram:
     ) -> None:
         """Bucket-wise merge of another histogram's (delta) counts.
 
-        Used by the cross-process telemetry plane to fold a worker's
+        Used by the process executor's ack merge to fold a worker's
         histogram deltas into the parent's instrument; the edges must
         already match (enforced by the registry lookup).
         """
@@ -234,8 +234,8 @@ class MetricsRegistry:
     def merge_deltas(self, deltas: Sequence[Dict[str, object]]) -> None:
         """Fold worker-side metric deltas into this registry.
 
-        ``deltas`` is the record list a cross-process telemetry-plane
-        flush carries: counters merge by **sum**, gauges by **last
+        ``deltas`` is the metric records a process-executor worker's
+        ack carries: counters merge by **sum**, gauges by **last
         write**, histograms **bucket-wise** (edges must agree with any
         existing instrument of the same name).
         """

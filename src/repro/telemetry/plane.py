@@ -1,43 +1,41 @@
-"""Cross-process telemetry plane for the process-executor tier.
+"""Cross-process telemetry for the process-executor tier.
 
-The process executor (PR 9) made ranks real forked processes — and made
-the in-process observability stack blind to them: spans a worker records
-and counters it increments live in the worker's copy-on-write memory and
-die with the fork.  This module carries telemetry *back* across the
-process boundary so a process-executor run is observationally identical
-to an in-process one.
+Under ``executor="process"`` ranks are forked workers, which makes the
+in-process observability stack blind to them: spans a worker records and
+counters it increments live in the worker's copy-on-write memory and die
+with the fork.  This module carries telemetry *back* across the process
+boundary so a process-executor run is observationally identical to an
+in-process one.  Three channels:
 
-Four shared-memory channels per solver, all allocated from the solver's
-own :class:`~repro.runtime.shmem.SegmentRegistry` before the fork so
-workers inherit the mappings:
-
-* **Telemetry rings** — one epoch-bracketed
-  :class:`~repro.runtime.shmem.RingBuffer` per rank.  The worker-side
-  :class:`WorkerAgent` batches completed span records and metric
-  *deltas* into JSON frames (length-prefixed inside a fixed float64
-  slab) and pushes them once per dispatch, before the ack (one registry
-  diff and one encode per iteration when the executor runs a whole step
-  rank-resident); the parent drains while it waits for the acks and on
-  shutdown, appending spans to
-  the controlling tracer (tagged with the worker's real ``pid``/``tid``)
-  and folding metric deltas into the parent registry — **sum** for
-  counters, **last write** for gauges, **bucket-wise add** for
-  histograms.
+* **The ack** — each worker runs a :class:`WorkerAgent` that captures
+  its phase spans (when the parent traces) and its metric *deltas*
+  against the fork-time registry snapshot.  :meth:`WorkerAgent.records`
+  rides the one ack per dispatch the worker sends anyway, and the parent
+  folds it in with :func:`merge_records`: spans land on the controlling
+  tracer tagged with the worker's real ``pid``/``tid``; deltas merge into
+  the parent registry — **sum** for counters, **last write** for gauges,
+  **bucket-wise add** for histograms.  The ack needs no shared memory,
+  so it works whether or not the plane below is on.
 * **Heartbeat board** — a per-rank row of epoch-bracketed scalars
   (monotonic sequence, step, phase ordinal, timestamp, pid, state)
   published by workers at phase entry/exit.  The parent's
   :meth:`TelemetryPlane.check_stalls` watchdog turns a silent hang into
   a rank-attributed :class:`~repro.core.errors.StallError`.
 * **Flight recorder** — an always-on, bounded, overwrite-on-full ring
-  of the last N phase/span/error events per rank.  It never blocks and
-  never fills, so it survives worker death and records right up to the
-  crash.
-* **Postmortem bundles** — :meth:`TelemetryPlane.postmortem_bundle`
-  snapshots rank states, last heartbeats, flight-recorder tails, ring
-  high-water marks, and a ``leaked_segments()`` audit into a JSON
-  document; ``repro telemetry postmortem`` renders it.
+  of the last N phase/error events per rank, one JSON frame
+  (:func:`encode_records` / :func:`decode_frame`) per slot.  It never
+  blocks and never fills, so it survives worker death and records right
+  up to the crash.
 
-Timestamps are comparable across the plane because ``perf_counter`` is
+The last two are the :class:`TelemetryPlane`: what must stay readable
+when no ack comes because a worker died or hangs.  Both are allocated
+from the solver's own :class:`~repro.runtime.shmem.SegmentRegistry`
+before the fork so workers inherit the mappings, and
+:meth:`TelemetryPlane.postmortem_bundle` snapshots them (rank states,
+last heartbeats, flight-recorder tails and a ``leaked_segments()``
+audit) into a JSON document that ``repro telemetry postmortem`` renders.
+
+Timestamps are comparable across processes because ``perf_counter`` is
 the system-wide ``CLOCK_MONOTONIC`` on Linux — the same property the
 process executor already relies on for its phase timings.
 """
@@ -46,6 +44,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -53,7 +52,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..core.errors import StallError, TelemetryError
-from ..runtime.shmem import RingBuffer, SegmentRegistry, leaked_segments
+from ..runtime.shmem import SegmentRegistry, leaked_segments
 from .metrics import MetricsRegistry, get_registry
 from .spans import SpanRecord, Tracer
 
@@ -65,6 +64,7 @@ __all__ = [
     "HeartbeatBoard",
     "FlightRecorder",
     "WorkerAgent",
+    "merge_records",
     "TelemetryPlane",
     "POSTMORTEM_SCHEMA_VERSION",
     "load_postmortem",
@@ -72,19 +72,17 @@ __all__ = [
 ]
 
 #: Environment switch: set to ``off``/``0``/``false`` to run the process
-#: executor without the plane (the dormant-overhead baseline).
+#: executor without the plane (no heartbeats, watchdog or flight
+#: recorder; spans and metrics still ride the acks).
 PLANE_ENV = "REPRO_TELEMETRY_PLANE"
 
-#: float64 items per telemetry-ring slot (first item is the byte length).
+#: default float64 items per frame (first item is the byte length).
 DEFAULT_FRAME_ITEMS = 2048
-
-#: slots per telemetry ring before producer backpressure.
-DEFAULT_RING_CAPACITY = 8
 
 #: flight-recorder events retained per rank.
 DEFAULT_FLIGHT_SLOTS = 64
 
-#: bytes per flight-recorder event slot.
+#: payload bytes per flight-recorder event slot.
 DEFAULT_FLIGHT_SLOT_BYTES = 256
 
 #: heartbeat age (seconds) past which a pending rank counts as stalled.
@@ -106,10 +104,14 @@ def plane_enabled() -> bool:
 
 # -- frame codec ---------------------------------------------------------
 #
-# A frame is one ring slot: a float64 slab whose first 8 bytes alias an
-# int64 payload length, followed by that many bytes of UTF-8 JSON (an
-# array of record objects).  Same-dtype numpy copies are memcpy, so the
-# byte patterns survive the RingBuffer's float64 slots untouched.
+# A frame is a float64 slab whose first 8 bytes alias an int64 payload
+# length, followed by that many bytes of UTF-8 JSON (an array of record
+# objects).  Same-dtype numpy copies are memcpy, so the byte patterns
+# survive a float64 shared-memory slot untouched.
+
+#: compact JSON, one shared encoder (``json.dumps`` with non-default
+#: options builds a new encoder on every call)
+_to_json = json.JSONEncoder(separators=(",", ":"), default=str).encode
 
 
 def encode_records(
@@ -127,9 +129,7 @@ def encode_records(
     size = 2  # the surrounding "[]"
     dropped = 0
     for rec in records:
-        blob = json.dumps(rec, separators=(",", ":"), default=str).encode(
-            "utf-8"
-        )
+        blob = _to_json(rec).encode("utf-8")
         extra = len(blob) + (1 if batch else 0)
         if batch and size + extra > limit:
             frames.append(_pack_frame(batch, items))
@@ -147,11 +147,10 @@ def encode_records(
 
 def _pack_frame(batch: List[bytes], items: int) -> np.ndarray:
     payload = b"[" + b",".join(batch) + b"]"
-    arr = np.zeros(items, dtype=np.float64)
-    arr[:1].view(np.int64)[0] = len(payload)
-    raw = arr.view(np.uint8)
-    raw[8 : 8 + len(payload)] = np.frombuffer(payload, dtype=np.uint8)
-    return arr
+    buf = bytearray(items * 8)
+    buf[:8] = len(payload).to_bytes(8, sys.byteorder)
+    buf[8 : 8 + len(payload)] = payload
+    return np.frombuffer(buf, dtype=np.float64)
 
 
 def decode_frame(frame: np.ndarray) -> List[Dict[str, Any]]:
@@ -248,10 +247,11 @@ class HeartbeatBoard:
 class FlightRecorder:
     """Always-on bounded event ring per rank; overwrites, never blocks.
 
-    Each slot holds one JSON event bracketed by pre/post sequence words.
-    The writer never waits — when the ring is full the oldest event is
-    overwritten — so the recorder keeps working right through a crash
-    and the parent can read the tail of a dead worker's last moments.
+    Each slot holds one event as a one-record frame of the codec above,
+    bracketed by pre/post sequence words.  The writer never waits — when
+    the ring is full the oldest event is overwritten — so the recorder
+    keeps working right through a crash and the parent can read the tail
+    of a dead worker's last moments.
     """
 
     def __init__(
@@ -267,7 +267,8 @@ class FlightRecorder:
             )
         self.num_ranks = num_ranks
         self.slots = slots
-        self.slot_bytes = slot_bytes
+        #: float64 items per slot: the length word, then the payload
+        self.items = slot_bytes // 8 + 1
         self._count = registry.ndarray(
             "plane.flight.count", (num_ranks,), np.int64
         )
@@ -277,33 +278,26 @@ class FlightRecorder:
         self._post = registry.ndarray(
             "plane.flight.post", (num_ranks, slots), np.int64
         )
-        self._len = registry.ndarray(
-            "plane.flight.len", (num_ranks, slots), np.int64
-        )
         self._data = registry.ndarray(
-            "plane.flight.data", (num_ranks, slots, slot_bytes), np.uint8
+            "plane.flight.data", (num_ranks, slots, self.items)
         )
 
     def record(self, rank: int, event: Dict[str, Any]) -> None:
-        blob = json.dumps(event, separators=(",", ":"), default=str).encode(
-            "utf-8"
-        )
-        if len(blob) > self.slot_bytes:
-            fallback = {
+        frames, _ = encode_records([event], self.items)
+        if not frames:  # too large for a slot: keep kind and name
+            short = {
                 "ev": event.get("ev", "event"),
                 "name": str(event.get("name", ""))[:48],
                 "trunc": True,
             }
-            blob = json.dumps(fallback, separators=(",", ":")).encode()
-            blob = blob[: self.slot_bytes]
+            frames, _ = encode_records([short], self.items)
+        if not frames:  # even that is too large: mark the slot only
+            frames, _ = encode_records([{"trunc": True}], self.items)
         count = int(self._count[rank])
         seq = count + 1
         pos = count % self.slots
         self._pre[rank, pos] = seq
-        self._len[rank, pos] = len(blob)
-        self._data[rank, pos, : len(blob)] = np.frombuffer(
-            blob, dtype=np.uint8
-        )
+        self._data[rank, pos] = frames[0]
         self._post[rank, pos] = seq
         self._count[rank] = seq
 
@@ -321,19 +315,15 @@ class FlightRecorder:
         for seq0 in range(start, count):
             pos = seq0 % self.slots
             seq = seq0 + 1
-            n = int(self._len[rank, pos])
             if (
                 int(self._pre[rank, pos]) != seq
                 or int(self._post[rank, pos]) != seq
-                or not 0 < n <= self.slot_bytes
             ):
                 skipped += 1
                 continue
             try:
-                events.append(
-                    json.loads(self._data[rank, pos, :n].tobytes().decode())
-                )
-            except (UnicodeDecodeError, json.JSONDecodeError):
+                events.extend(decode_frame(self._data[rank, pos]))
+            except TelemetryError:
                 skipped += 1
         return {
             "events": events,
@@ -349,20 +339,20 @@ class FlightRecorder:
 class WorkerAgent:
     """Worker-resident telemetry capture for one forked rank.
 
-    Created *inside* the worker (the plane object itself is inherited
-    through the fork).  Owns a private :class:`Tracer` when the parent
-    traces, snapshots the worker's inherited metrics registry to compute
-    deltas, publishes heartbeats and feeds the flight recorder at every
-    phase bracket, and — when the worker loop calls :meth:`flush` at the
-    end of a dispatch, before the ack — pushes the span/metric records
-    accumulated since the last flush into the rank's telemetry ring.
+    Created *inside* the worker.  Owns a private :class:`Tracer` when
+    ``trace`` (the parent traces), snapshots the worker's inherited
+    metrics registry to compute deltas, and — with a ``plane`` attached
+    — publishes heartbeats and feeds the flight recorder at every phase
+    bracket.  The worker loop sends :meth:`records` on its ack at the
+    end of each dispatch.
     """
 
-    #: producer-side push timeout; a parent that stopped draining makes
-    #: the worker drop telemetry, never deadlock the simulation.
-    PUSH_TIMEOUT_S = 5.0
-
-    def __init__(self, plane: "TelemetryPlane", rank: int) -> None:
+    def __init__(
+        self,
+        rank: int,
+        plane: Optional["TelemetryPlane"] = None,
+        trace: bool = False,
+    ) -> None:
         self.plane = plane
         self.rank = rank
         self.pid = os.getpid()
@@ -370,18 +360,38 @@ class WorkerAgent:
             self.tid = threading.get_native_id()
         except AttributeError:  # pragma: no cover - py<3.8 fallback
             self.tid = self.pid
-        self.tracer: Optional[Tracer] = (
-            Tracer() if plane.trace_enabled else None
-        )
+        self.tracer: Optional[Tracer] = Tracer() if trace else None
         self.registry: MetricsRegistry = get_registry()
         self._base = self.registry.as_dict()
         self._seq = 0
         self._phase_ordinal = 0
         self._step = -1
         self._open_span: Optional[Any] = None
-        self.dropped_records = 0
 
     # -- phase brackets --------------------------------------------------
+    def _beat(self, state: float) -> None:
+        self._seq += 1
+        self.plane.heartbeats.publish(
+            self.rank,
+            self._seq,
+            self._step,
+            self._phase_ordinal,
+            state,
+            pid=self.pid,
+        )
+
+    def _event(self, ev: str, name: str, **extra: Any) -> None:
+        self.plane.flight.record(
+            self.rank,
+            {
+                "ev": ev,
+                "name": name,
+                "step": self._step,
+                **extra,
+                "t": time.perf_counter(),
+            },
+        )
+
     def begin_phase(
         self, name: str, ctx: Optional[Dict[str, Any]] = None
     ) -> None:
@@ -390,25 +400,10 @@ class WorkerAgent:
                 self._step = int(ctx["step"])
             except (TypeError, ValueError):
                 pass
-        self._seq += 1
         self._phase_ordinal += 1
-        self.plane.heartbeats.publish(
-            self.rank,
-            self._seq,
-            self._step,
-            self._phase_ordinal,
-            HB_IN_PHASE,
-            pid=self.pid,
-        )
-        self.plane.flight.record(
-            self.rank,
-            {
-                "ev": "phase_begin",
-                "name": name,
-                "step": self._step,
-                "t": time.perf_counter(),
-            },
-        )
+        if self.plane is not None:
+            self._beat(HB_IN_PHASE)
+            self._event("phase_begin", name)
         if self.tracer is not None:
             self._open_span = self.tracer.span(name, rank=self.rank)
             self._open_span.__enter__()
@@ -417,58 +412,26 @@ class WorkerAgent:
         if self._open_span is not None:
             self._open_span.__exit__(None, None, None)
             self._open_span = None
-        self.plane.flight.record(
-            self.rank,
-            {
-                "ev": "phase_end",
-                "name": name,
-                "step": self._step,
-                "t": time.perf_counter(),
-            },
-        )
-        self._seq += 1
-        self.plane.heartbeats.publish(
-            self.rank,
-            self._seq,
-            self._step,
-            self._phase_ordinal,
-            HB_IDLE,
-            pid=self.pid,
-        )
+        if self.plane is not None:
+            self._event("phase_end", name)
+            self._beat(HB_IDLE)
 
     def record_error(self, name: str, exc: BaseException) -> None:
-        """Mark a phase failure: flight event, error heartbeat, flush."""
+        """Mark a phase failure: close its span; with a plane, a flight
+        event and an error heartbeat."""
         if self._open_span is not None:
             try:
                 self._open_span.__exit__(None, None, None)
             except Exception:
                 pass
             self._open_span = None
-        self.plane.flight.record(
-            self.rank,
-            {
-                "ev": "error",
-                "name": name,
-                "step": self._step,
-                "exc": f"{type(exc).__name__}: {exc}"[:160],
-                "t": time.perf_counter(),
-            },
-        )
-        try:
-            self.flush()
-        except Exception:
-            pass
-        self._seq += 1
-        self.plane.heartbeats.publish(
-            self.rank,
-            self._seq,
-            self._step,
-            self._phase_ordinal,
-            HB_ERROR,
-            pid=self.pid,
-        )
+        if self.plane is not None:
+            self._event(
+                "error", name, exc=f"{type(exc).__name__}: {exc}"[:160]
+            )
+            self._beat(HB_ERROR)
 
-    # -- flush -----------------------------------------------------------
+    # -- ack payload -----------------------------------------------------
     def _span_records(self) -> List[Dict[str, Any]]:
         if self.tracer is None or not self.tracer.spans:
             return []
@@ -540,31 +503,51 @@ class WorkerAgent:
         self._base = cur
         return records
 
-    def flush(self) -> int:
-        """Push pending span/metric records into this rank's ring."""
-        records = self._span_records() + self._metric_records()
-        if not records:
-            return 0
-        frames, dropped = encode_records(records, self.plane.frame_items)
-        self.dropped_records += dropped
-        ring = self.plane.ring(self.rank)
-        pushed = 0
-        for frame in frames:
-            try:
-                ring.push(frame, timeout=self.PUSH_TIMEOUT_S)
-                pushed += 1
-            except Exception:
-                # a parent that stopped draining costs telemetry, not
-                # the simulation
-                self.dropped_records += 1
-        return pushed
+    def records(self) -> List[Dict[str, Any]]:
+        """Span and metric records accumulated since the last call: the
+        telemetry payload of the worker's next ack."""
+        return self._span_records() + self._metric_records()
 
 
 # -- parent side ---------------------------------------------------------
 
 
+def merge_records(records: Iterable[Dict[str, Any]], tracer: Any) -> None:
+    """Fold one ack's worker records into the parent process.
+
+    Spans land on ``tracer`` (when it is enabled) with the worker's real
+    ``pid``/``tid`` and ``origin: worker`` in their args; metric deltas
+    merge into the process-wide registry.
+    """
+    deltas = []
+    for rec in records:
+        kind = rec.get("k")
+        if kind == "metric":
+            deltas.append(rec)
+        elif kind == "span" and tracer.enabled:
+            args = dict(rec.get("a") or {})
+            args["pid"] = int(rec["pid"])
+            args["tid"] = int(rec["tid"])
+            args["origin"] = "worker"
+            tracer.spans.append(
+                SpanRecord(
+                    name=str(rec["n"]),
+                    start_s=float(rec["t0"]),
+                    duration_s=float(rec["d"]),
+                    # worker depths nest under the parent's step span
+                    depth=int(rec.get("de", 0)) + 1,
+                    rank=rec.get("r"),
+                    args=args,
+                )
+            )
+    if deltas:
+        get_registry().merge_deltas(deltas)
+
+
 class TelemetryPlane:
-    """Parent-side owner of the cross-process telemetry channels.
+    """Parent-side owner of the shared-memory telemetry channels: the
+    heartbeat board and the flight recorder, plus the stall watchdog and
+    the postmortem bundle that read them.
 
     Built by the distributed solver (or a test harness) *before* the
     process executor forks, from the same :class:`SegmentRegistry` that
@@ -576,13 +559,7 @@ class TelemetryPlane:
         self,
         registry: SegmentRegistry,
         num_ranks: int,
-        tracer: Optional[Any] = None,
-        metrics: Optional[MetricsRegistry] = None,
         stall_timeout_s: float = DEFAULT_STALL_TIMEOUT_S,
-        frame_items: int = DEFAULT_FRAME_ITEMS,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
-        flight_slots: int = DEFAULT_FLIGHT_SLOTS,
-        flight_slot_bytes: int = DEFAULT_FLIGHT_SLOT_BYTES,
         postmortem_out: Optional[str] = None,
     ) -> None:
         if num_ranks < 1:
@@ -590,103 +567,18 @@ class TelemetryPlane:
         if stall_timeout_s <= 0:
             raise TelemetryError("stall timeout must be positive")
         self.num_ranks = num_ranks
-        self.tracer = tracer
-        self.trace_enabled = bool(getattr(tracer, "enabled", False))
-        self._metrics = metrics
         self.stall_timeout_s = float(stall_timeout_s)
-        self.frame_items = int(frame_items)
         self.postmortem_out = postmortem_out
         self.heartbeats = HeartbeatBoard(registry, num_ranks)
-        self.flight = FlightRecorder(
-            registry, num_ranks, flight_slots, flight_slot_bytes
-        )
-        self._rings = [
-            RingBuffer(
-                registry,
-                f"plane.ring.{rank}",
-                items=frame_items,
-                capacity=ring_capacity,
-            )
-            for rank in range(num_ranks)
-        ]
-        self._scratch = np.empty(frame_items, dtype=np.float64)
-        self.ring_high_water = [0] * num_ranks
-        self.merged_spans = 0
-        self.merged_metrics = 0
+        self.flight = FlightRecorder(registry, num_ranks)
         self._created_ts = time.perf_counter()
 
     # -- accessors -------------------------------------------------------
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self._metrics if self._metrics is not None else get_registry()
-
-    def ring(self, rank: int) -> RingBuffer:
-        return self._rings[rank]
-
-    def worker_agent(self, rank: int) -> WorkerAgent:
-        """Build the worker-resident capture agent (call *in* the worker)."""
-        return WorkerAgent(self, rank)
-
     def heartbeat(self, rank: int) -> Dict[str, Any]:
         return self.heartbeats.read(rank)
 
     def flight_tail(self, rank: int) -> Dict[str, Any]:
         return self.flight.tail(rank)
-
-    # -- drain / merge ---------------------------------------------------
-    def drain(self) -> int:
-        """Consume every published frame from every rank ring.
-
-        Spans land on the controlling tracer with the worker's real
-        ``pid``/``tid`` (and ``origin: worker``) in their args; metric
-        deltas fold into the parent registry.  Returns the number of
-        records merged.  Parent-side only (the rings are SPSC).
-        """
-        merged = 0
-        for rank, ring in enumerate(self._rings):
-            backlog = len(ring)
-            if backlog > self.ring_high_water[rank]:
-                self.ring_high_water[rank] = backlog
-            while len(ring):
-                ring.pop_into(self._scratch, timeout=1.0)
-                merged += self._merge_records(decode_frame(self._scratch))
-        return merged
-
-    def _merge_records(self, records: List[Dict[str, Any]]) -> int:
-        metric_deltas = []
-        merged = 0
-        for rec in records:
-            kind = rec.get("k")
-            if kind == "span":
-                self._merge_span(rec)
-                merged += 1
-            elif kind == "metric":
-                metric_deltas.append(rec)
-                merged += 1
-        if metric_deltas:
-            self.metrics.merge_deltas(metric_deltas)
-            self.merged_metrics += len(metric_deltas)
-        return merged
-
-    def _merge_span(self, rec: Dict[str, Any]) -> None:
-        if not self.trace_enabled or self.tracer is None:
-            return
-        args = dict(rec.get("a") or {})
-        args["pid"] = int(rec["pid"])
-        args["tid"] = int(rec["tid"])
-        args["origin"] = "worker"
-        self.tracer.spans.append(
-            SpanRecord(
-                name=str(rec["n"]),
-                start_s=float(rec["t0"]),
-                duration_s=float(rec["d"]),
-                # worker depths nest under the parent's step span
-                depth=int(rec.get("de", 0)) + 1,
-                rank=rec.get("r"),
-                args=args,
-            )
-        )
-        self.merged_spans += 1
 
     # -- stall watchdog --------------------------------------------------
     def check_stalls(
@@ -739,13 +631,10 @@ class TelemetryPlane:
         """Snapshot the plane into a JSON-ready crash/diagnostic bundle."""
         ranks = []
         for rank in range(self.num_ranks):
-            ring = self._rings[rank]
             entry: Dict[str, Any] = {
                 "rank": rank,
                 "heartbeat": self.heartbeats.read(rank),
                 "flight": self.flight.tail(rank),
-                "ring_high_water": self.ring_high_water[rank],
-                "ring_backlog": len(ring),
             }
             entry.update((rank_states or {}).get(rank, {}))
             ranks.append(entry)
@@ -757,10 +646,8 @@ class TelemetryPlane:
             "created_unix_s": time.time(),
             "num_ranks": self.num_ranks,
             "stall_timeout_s": self.stall_timeout_s,
-            "merged_spans": self.merged_spans,
-            "merged_metrics": self.merged_metrics,
             "ranks": ranks,
-            "metrics": self.metrics.as_dict(),
+            "metrics": get_registry().as_dict(),
             "leaked_segments": leaked_segments(os.getpid()),
         }
 
@@ -816,7 +703,7 @@ def render_postmortem(bundle: Dict[str, Any]) -> str:
         lines.append(f"error: {bundle['error']}")
     headers = [
         "Rank", "State", "Pid", "Exit", "Hb seq", "Step", "Hb state",
-        "Flight", "Evicted", "Ring hw",
+        "Flight", "Evicted",
     ]
     rows = []
     for entry in bundle.get("ranks", []):
@@ -833,7 +720,6 @@ def render_postmortem(bundle: Dict[str, Any]) -> str:
                 str(hb.get("state", "?")),
                 str(len(flight.get("events", []))),
                 str(flight.get("evicted", 0)),
-                str(entry.get("ring_high_water", 0)),
             ]
         )
     lines.append(render_table(headers, rows, "rank states at capture"))

@@ -6,10 +6,10 @@ per step-window, joins three sources the rest of the repo keeps separate:
 
 * **telemetry spans** — per-rank, per-phase wall time from the executor's
   phase instrumentation (the Fig. 7 raw material); under
-  ``executor="process"`` these are the workers' own spans, merged back
-  by the cross-process telemetry plane (:mod:`repro.telemetry.plane`),
-  so the per-rank numbers are measured in the forked ranks rather than
-  proxied from the parent's dispatch loop;
+  ``executor="process"`` these are the workers' own spans, sent back on
+  each dispatch's ack (:mod:`repro.telemetry.plane`), so the per-rank
+  numbers are measured in the forked ranks rather than proxied from the
+  parent's dispatch loop;
 * **byte/update counters** — the fused engine's gather bytes, the halo
   pack/unpack bytes, and the collide FLUP count from the metrics
   registry;

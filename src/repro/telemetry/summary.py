@@ -238,9 +238,8 @@ def rank_imbalance(
     """Per-rank phase busy time and max/mean skew, or None.
 
     Needs at least two ranks' worth of per-rank phase spans — which a
-    process-executor trace only has once the telemetry plane merges the
-    workers' spans (before PR 10 such traces carried a parent-side proxy
-    at best).  ``imbalance`` is ``max(busy) / mean(busy)``, the same
+    process-executor trace has from the workers' own spans, merged from
+    the executor's acks.  ``imbalance`` is ``max(busy) / mean(busy)``, the same
     statistic the profiler and the paper's strong-scaling analysis use.
     """
     busy: Dict[Any, float] = {}

@@ -19,6 +19,7 @@ import pytest
 from repro.core.errors import ConfigError, RuntimeSimError
 from repro.decomp import grid_decompose
 from repro.geometry.cylinder import CylinderSpec, make_cylinder
+from repro.harvey import HarveyApp, HarveyConfig
 from repro.lbm.distributed import (
     BARRIER_SCHEDULE,
     OVERLAP_SCHEDULE,
@@ -387,7 +388,9 @@ class TestRankResidentStep:
         events = chrome_trace(tracer)["traceEvents"]
         assert render_overlap(events) is not None
 
-    def test_no_plane_spans_rebuilt_from_the_acks(self, grid, monkeypatch):
+    def test_plane_off_still_yields_one_worker_span_per_rank_per_phase(
+        self, grid, monkeypatch
+    ):
         monkeypatch.setenv("REPRO_TELEMETRY_PLANE", "off")
         tracer = Tracer()
         solver = DistributedSolver(
@@ -401,7 +404,9 @@ class TestRankResidentStep:
             solver.close()
         ranked = [s for s in tracer.spans if s.rank is not None]
         assert len(ranked) == len(OVERLAP_SCHEDULE) * 2 * 2
-        assert not any("origin" in s.args for s in ranked)
+        # the spans ride the acks: the same worker-origin spans the
+        # plane-on run gets
+        assert all(s.args.get("origin") == "worker" for s in ranked)
         assert len([s for s in tracer.spans if s.name == "overlap_window"]) == 2
 
     def test_phase_error_surfaces_within_the_grace_window(self, grid):
@@ -508,6 +513,21 @@ class TestLifecycleAndValidation:
         part = grid_decompose(grid, 2)
         with DistributedSolver(part, config(executor="process")) as solver:
             solver.step(2)
+        assert leaked_segments(os.getpid()) == before
+
+    def test_segment_inventory_of_a_process_run(self, monkeypatch):
+        # f double buffers, halo rings, heartbeat board and flight
+        # recorder — telemetry rides the acks, so no telemetry ring
+        monkeypatch.delenv("REPRO_TELEMETRY_PLANE", raising=False)
+        before = leaked_segments(os.getpid())
+        app_config = HarveyConfig(
+            workload="cylinder", num_ranks=2, executor="process", overlap=True
+        )
+        with HarveyApp(app_config) as app:
+            app.run(1)
+            live = [s for s in leaked_segments(os.getpid()) if s not in before]
+        assert not [s for s in live if "plane." in s and "ring" in s]
+        assert len(live) <= 12
         assert leaked_segments(os.getpid()) == before
 
     def test_unknown_executor_rejected(self):

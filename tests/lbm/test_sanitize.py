@@ -146,6 +146,44 @@ class TestSeededBugs:
             solver.step(1)
         assert counter.value == before + 1
 
+    @pytest.mark.parametrize("plane", ["on", "off"])
+    @pytest.mark.parametrize(
+        "executor",
+        [
+            "lockstep",
+            pytest.param(
+                "process",
+                marks=pytest.mark.skipif(
+                    not fork_available(),
+                    reason="needs the POSIX fork start method",
+                ),
+            ),
+        ],
+    )
+    def test_violation_reaches_the_parent_registry(
+        self, grid, monkeypatch, executor, plane
+    ):
+        # a double scatter: one rank's second source writes a slot its
+        # first source already wrote.  Under the process tier the worker
+        # counts the violation; the count must cross to the parent with
+        # or without the telemetry plane
+        monkeypatch.setenv("REPRO_TELEMETRY_PLANE", plane)
+        counter = get_registry().counter("sanitize.violations")
+        before = counter.value
+        with make_solver(
+            grid, overlap=True, sanitize=True, executor=executor
+        ) as solver:
+            recv_flat = next(
+                s.plan.recv_flat
+                for s in solver.ranks
+                if len(s.plan.recv_flat) >= 2
+            )
+            a, b = sorted(recv_flat)[:2]
+            recv_flat[b][0] = recv_flat[a][0]
+            with pytest.raises(SanitizeError):
+                solver.step(1)
+        assert counter.value == before + 1
+
 
 class TestEpochTracking:
     """Unit-level checks of the freshness state machine."""

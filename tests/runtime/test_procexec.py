@@ -9,7 +9,7 @@ import pytest
 from repro.core.errors import RuntimeSimError, StallError
 from repro.runtime.procexec import ProcessExecutor, fork_available
 from repro.runtime.shmem import SegmentRegistry, leaked_segments
-from repro.telemetry.metrics import MetricsRegistry, get_registry
+from repro.telemetry.metrics import get_registry
 from repro.telemetry.plane import TelemetryPlane
 from repro.telemetry.spans import Tracer
 
@@ -169,7 +169,7 @@ class TestTelemetryPlane:
     """The executor with a cross-process telemetry plane attached."""
 
     def _executor(self, reg, num_ranks, tracer=None, **plane_kwargs):
-        plane = TelemetryPlane(reg, num_ranks, tracer=tracer, **plane_kwargs)
+        plane = TelemetryPlane(reg, num_ranks, **plane_kwargs)
         ex = ProcessExecutor(num_ranks, tracer=tracer)
         ex.plane = plane
         return ex, plane
@@ -178,7 +178,7 @@ class TestTelemetryPlane:
         tracer = Tracer()
         with SegmentRegistry() as reg:
             target = Counter(reg, 2)
-            ex, plane = self._executor(reg, 2, tracer=tracer)
+            ex, _ = self._executor(reg, 2, tracer=tracer)
             try:
                 ex.run_phase(target.bump, name="bump")
             finally:
@@ -193,21 +193,20 @@ class TestTelemetryPlane:
             assert s.args["pid"] != parent_pid
             assert s.args["tid"] > 0
         assert len({s.args["pid"] for s in spans}) == 2
-        assert plane.merged_spans == 2
 
     def test_worker_counters_merge_into_parent_registry(self):
-        parent_reg = MetricsRegistry()
+        counter = get_registry().counter("plane.probe.work")
+        before = counter.value
         with SegmentRegistry() as reg:
             target = PlaneProbe(reg, 2)
-            ex, plane = self._executor(reg, 2, metrics=parent_reg)
+            ex, _ = self._executor(reg, 2)
             try:
                 ex.run_phase(target.work, name="work")
                 ex.run_phase(target.work, name="work")
             finally:
                 ex.close()
-        # each rank's two increments crossed as deltas and summed
-        assert parent_reg.counter("plane.probe.work").value == 4
-        assert plane.merged_metrics >= 2
+        # each rank's two increments crossed on the acks and summed
+        assert counter.value == before + 4
 
     def test_worker_death_bundle_includes_survivors(self):
         tracer = Tracer()
@@ -226,8 +225,8 @@ class TestTelemetryPlane:
             dead_events = bundle["ranks"][0]["flight"]["events"]
             assert dead_events[-1]["ev"] == "phase_begin"
             assert dead_events[-1]["name"] == "die"
-            # the surviving rank's ring was drained before the raise:
-            # its span reached the tracer and its flight tail completed
+            # the surviving rank's ack was merged before the raise: its
+            # span reached the tracer and its flight tail completed
             surviving = [
                 s for s in tracer.spans
                 if s.name == "die" and s.rank == 1
@@ -332,7 +331,7 @@ class TestRunStep:
             finally:
                 ex.close()
 
-    def test_synthetic_spans_per_phase_without_a_plane(self):
+    def test_plane_off_still_yields_one_worker_span_per_rank_per_phase(self):
         tracer = Tracer()
         with SegmentRegistry() as reg:
             target = Stepper(reg, 2)
@@ -345,17 +344,17 @@ class TestRunStep:
                 )
             finally:
                 ex.close()
-        assert [(s.name, s.rank) for s in tracer.spans] == [
+        assert sorted((s.name, s.rank) for s in tracer.spans) == [
             ("first", 0), ("first", 1), ("second", 0), ("second", 1),
         ]
+        assert all(s.args["origin"] == "worker" for s in tracer.spans)
 
     def test_worker_spans_flush_once_per_dispatch(self):
         tracer = Tracer()
         with SegmentRegistry() as reg:
             target = Stepper(reg, 2)
-            plane = TelemetryPlane(reg, 2, tracer=tracer)
             ex = ProcessExecutor(2, tracer=tracer)
-            ex.plane = plane
+            ex.plane = TelemetryPlane(reg, 2)
             try:
                 ex.run_step(
                     [target.first, target.second],
@@ -364,8 +363,8 @@ class TestRunStep:
                 )
             finally:
                 ex.close()
-            assert plane.merged_spans == 4
-            assert plane.ring_high_water == [1, 1]
+        # one ack per rank carried both phases' spans
+        assert len(tracer.spans) == 4
         assert all(s.args["origin"] == "worker" for s in tracer.spans)
 
     def test_name_count_must_match(self):

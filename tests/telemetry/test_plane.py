@@ -1,13 +1,13 @@
-"""Cross-process telemetry plane: codec, heartbeats, flight recorder,
-metric merge, stall watchdog, and postmortem bundles.
+"""Cross-process telemetry: codec, heartbeats, flight recorder, the
+ack's record merge, stall watchdog, and postmortem bundles.
 
 Everything here runs single-process: the plane's channels are plain
 shared-memory arrays, so a worker agent created in the parent exercises
 the exact code paths a forked rank runs.  The one same-process caveat:
 the agent snapshots the *global* metrics registry for its deltas, so
-tests pass the plane a separate parent-side ``MetricsRegistry`` to
-observe the merge without double counting (in a real fork the worker's
-registry is a copy-on-write clone and no such aliasing exists).
+tests install a separate parent-side ``MetricsRegistry`` before the
+merge to observe it without double counting (in a real fork the
+worker's registry is a copy-on-write clone and no such aliasing exists).
 """
 
 import json
@@ -28,9 +28,11 @@ from repro.telemetry.plane import (
     FlightRecorder,
     HeartbeatBoard,
     TelemetryPlane,
+    WorkerAgent,
     decode_frame,
     encode_records,
     load_postmortem,
+    merge_records,
     plane_enabled,
     render_postmortem,
 )
@@ -197,35 +199,30 @@ class TestMetricMerge:
                 [{"kind": "summary", "name": "x"}]
             )
 
-    def test_worker_deltas_fold_through_the_ring(
-        self, registry, isolated_metrics
-    ):
-        parent = MetricsRegistry()
-        plane = TelemetryPlane(registry, 1, metrics=parent)
-        agent = plane.worker_agent(0)
+    def test_worker_deltas_fold_through_the_ack(self, isolated_metrics):
+        agent = WorkerAgent(0)
         # worker-side increments after the agent's base snapshot
         isolated_metrics.counter("lbm.work").inc(5)
         isolated_metrics.gauge("lbm.level").set(2.5)
-        agent.flush()
-        # second phase: only the new delta crosses
+        first = agent.records()
+        # second dispatch: only the new delta crosses
         isolated_metrics.counter("lbm.work").inc(2)
-        agent.flush()
-        plane.drain()
+        second = agent.records()
+        parent = set_registry(MetricsRegistry())
+        merge_records(first, Tracer())
+        merge_records(second, Tracer())
         assert parent.counter("lbm.work").value == 7
         assert parent.gauge("lbm.level").value == 2.5
 
 
 class TestSpanMerge:
-    def test_worker_spans_carry_pid_tid_and_origin(
-        self, registry, isolated_metrics
-    ):
+    def test_worker_spans_carry_pid_tid_and_origin(self, isolated_metrics):
         tracer = Tracer()
-        plane = TelemetryPlane(registry, 2, tracer=tracer)
-        agent = plane.worker_agent(1)
+        agent = WorkerAgent(1, trace=True)
         agent.begin_phase("collide", ctx={"step": 4})
         agent.end_phase("collide")
-        agent.flush()  # the worker loop's end-of-dispatch flush
-        plane.drain()
+        # the worker loop's end-of-dispatch ack
+        merge_records(agent.records(), tracer)
         spans = [s for s in tracer.spans if s.name == "collide"]
         assert len(spans) == 1
         span = spans[0]
@@ -233,38 +230,34 @@ class TestSpanMerge:
         assert span.args["origin"] == "worker"
         assert span.args["pid"] == agent.pid
         assert span.args["tid"] == agent.tid
-        assert plane.merged_spans == 1
 
     def test_one_flush_per_dispatch_carries_every_phase(
         self, registry, isolated_metrics
     ):
         # a rank-resident step: N phase brackets, then the worker loop's
-        # single end-of-dispatch flush — one frame batch, nothing lost
+        # single end-of-dispatch ack — every phase's span, nothing lost
         tracer = Tracer()
-        parent = MetricsRegistry()
-        plane = TelemetryPlane(registry, 1, tracer=tracer, metrics=parent)
-        agent = plane.worker_agent(0)
+        plane = TelemetryPlane(registry, 1)
+        agent = WorkerAgent(0, plane, trace=True)
         names = ["collide", "exchange", "interior", "exchange", "frontier"]
         for name in names:
             agent.begin_phase(name, ctx={"step": 3})
             isolated_metrics.counter("lbm.work").inc(2)
             agent.end_phase(name)
-            assert len(plane.ring(0)) == 0  # phase brackets never push
-        assert agent.flush() == 1
-        assert len(plane.ring(0)) == 1
-        assert agent.flush() == 0  # nothing pending: no empty frame
-        plane.drain()
+        records = agent.records()
+        assert len(records) == len(names) + 1  # the spans + one delta
+        assert agent.records() == []  # nothing pending: an empty ack
+        parent = set_registry(MetricsRegistry())
+        merge_records(records, tracer)
         assert [s.name for s in tracer.spans] == names
         assert all(s.args["origin"] == "worker" for s in tracer.spans)
         assert parent.counter("lbm.work").value == 2 * len(names)
-        assert plane.merged_spans == len(names)
-        assert agent.dropped_records == 0
 
     def test_heartbeat_and_flight_updated_by_phases(
         self, registry, isolated_metrics
     ):
         plane = TelemetryPlane(registry, 1)
-        agent = plane.worker_agent(0)
+        agent = WorkerAgent(0, plane)
         agent.begin_phase("stream", ctx={"step": 2})
         hb = plane.heartbeat(0)
         assert hb["state"] == "in_phase"
@@ -279,7 +272,7 @@ class TestSpanMerge:
         self, registry, isolated_metrics
     ):
         plane = TelemetryPlane(registry, 1)
-        agent = plane.worker_agent(0)
+        agent = WorkerAgent(0, plane)
         agent.begin_phase("boundary", ctx={"step": 0})
         agent.record_error("boundary", ValueError("bad node"))
         assert plane.heartbeat(0)["state"] == "error"
@@ -334,10 +327,9 @@ class TestPostmortem:
         self, registry, isolated_metrics, tmp_path
     ):
         plane = TelemetryPlane(registry, 2)
-        agent = plane.worker_agent(0)
+        agent = WorkerAgent(0, plane)
         agent.begin_phase("collide", ctx={"step": 1})
         agent.end_phase("collide")
-        plane.drain()
         bundle = plane.postmortem_bundle(
             "worker death",
             rank_states={
@@ -366,14 +358,6 @@ class TestPostmortem:
         path.write_text(json.dumps({"kind": "other"}))
         with pytest.raises(TelemetryError, match="not a repro postmortem"):
             load_postmortem(path)
-
-    def test_ring_high_water_tracked(self, registry, isolated_metrics):
-        plane = TelemetryPlane(registry, 1)
-        agent = plane.worker_agent(0)
-        isolated_metrics.counter("c").inc()
-        agent.flush()
-        plane.drain()
-        assert plane.ring_high_water[0] == 1
 
     def test_validation(self, registry):
         with pytest.raises(TelemetryError):
