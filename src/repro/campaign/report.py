@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 from ..analysis.portability import portability_pivot
 from ..analysis.tables import format_mflups, render_table
 from ..core.errors import CampaignError
-from ..telemetry.summary import CATEGORIES
+from ..telemetry.summary import CATEGORIES, render_composition
 from .store import ResultStore
 
 __all__ = [
@@ -266,25 +266,6 @@ def _render_scaling_text(scaling: Sequence[Dict[str, Any]]) -> List[str]:
     return lines
 
 
-def _render_composition_text(
-    rows: Sequence[Dict[str, Any]]
-) -> List[str]:
-    if not rows:
-        return []
-    headers = ["run"] + [c for c in CATEGORIES]
-    body = [
-        [r["label"]]
-        + [f"{100 * r['composition'][c]:.1f}%" for c in CATEGORIES]
-        for r in rows
-    ]
-    return [
-        render_table(
-            headers, body, title="runtime composition (Fig. 7 view)"
-        ),
-        "",
-    ]
-
-
 def _render_portability_text(
     impl: str, platforms: Sequence[str], entries: Dict[str, Any], title: str
 ) -> List[str]:
@@ -371,7 +352,15 @@ def render_report(
     )
     lines.append("")
     lines.extend(_render_scaling_text(report["scaling"]))
-    lines.extend(_render_composition_text(report["composition"]))
+    if report["composition"]:
+        lines.append(
+            render_composition(
+                [(r["label"], r["composition"]) for r in report["composition"]],
+                "runtime composition (Fig. 7 view)",
+                label="run",
+            )
+        )
+        lines.append("")
     port = report["portability"]
     lines.extend(
         _render_portability_text(

@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ..core.errors import CampaignError, ReproError
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import Tracer, get_tracer
-from ..telemetry.summary import CATEGORIES, categorize
+from ..telemetry.summary import CATEGORIES, PhaseStats, phase_stats
 from .spec import CampaignSpec, Cell, PrunedCell
 from .store import ResultStore
 
@@ -194,20 +194,7 @@ def plan_campaign(spec: CampaignSpec) -> CampaignPlan:
 
 # -- cell executors -----------------------------------------------------------
 
-def _tracer_composition(tracer: Tracer) -> Dict[str, float]:
-    """Fig.-7 category shares from a run's telemetry spans."""
-    totals = {c: 0.0 for c in CATEGORIES}
-    for span in tracer.spans:
-        category = categorize(span.name)
-        if category is not None:
-            totals[category] += span.duration_s
-    grand = sum(totals.values())
-    if grand <= 0:
-        return {c: 0.0 for c in CATEGORIES}
-    return {c: totals[c] / grand for c in CATEGORIES}
-
-
-def _solver_telemetry(tracer: Tracer, executor: str) -> Dict[str, Any]:
+def _solver_telemetry(stats: PhaseStats, executor: str) -> Dict[str, Any]:
     """Provenance note: where the cell's per-rank spans came from.
 
     Process-executor cells record whether the telemetry plane was live
@@ -215,19 +202,16 @@ def _solver_telemetry(tracer: Tracer, executor: str) -> Dict[str, Any]:
     store record makes plain that its composition shares are true
     per-rank measurements.
     """
-    worker_spans: Dict[str, int] = {}
-    for span in tracer.spans:
-        if span.args.get("origin") == "worker" and span.rank is not None:
-            key = str(span.rank)
-            worker_spans[key] = worker_spans.get(key, 0) + 1
     doc: Dict[str, Any] = {
-        "per_rank_spans": executor != "process" or bool(worker_spans),
+        "per_rank_spans": executor != "process" or bool(stats.worker_spans),
     }
     if executor == "process":
         from ..telemetry.plane import plane_enabled
 
         doc["plane"] = plane_enabled()
-        doc["worker_spans"] = worker_spans
+        doc["worker_spans"] = {
+            str(rank): n for rank, n in stats.worker_spans.items()
+        }
     return doc
 
 
@@ -248,6 +232,8 @@ def _run_solver_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     # process-executor cells: exit joins workers and unlinks segments
     with HarveyApp(config, tracer=tracer) as app:
         report = app.run(int(params["steps"]))
+    stats = phase_stats(tracer.spans)
+    pooled = stats.shares().get("all", {})
     return {
         "kind": "solver",
         "geometry": report.workload,
@@ -262,8 +248,8 @@ def _run_solver_cell(params: Dict[str, Any]) -> Dict[str, Any]:
         "overlap": config.overlap,
         "executor": config.executor,
         "backend": config.backend,
-        "composition": _tracer_composition(tracer),
-        "telemetry": _solver_telemetry(tracer, config.executor),
+        "composition": {c: pooled.get(c, 0.0) for c in CATEGORIES},
+        "telemetry": _solver_telemetry(stats, config.executor),
     }
 
 

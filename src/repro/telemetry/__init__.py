@@ -12,6 +12,7 @@ from .export import (
     chrome_trace,
     load_chrome_trace,
     metrics_csv,
+    spans_from_chrome,
     write_chrome_trace,
     write_metrics,
 )
@@ -40,10 +41,9 @@ from .spans import (
 # (or any other package in that cycle) valid as an entry module.
 _SUMMARY_EXPORTS = (
     "CATEGORIES",
+    "PhaseStats",
     "categorize",
-    "overlap_composition",
-    "phase_composition",
-    "rank_imbalance",
+    "phase_stats",
     "render_composition",
     "render_imbalance",
     "render_overlap",
@@ -109,6 +109,7 @@ __all__ = [
     "set_registry",
     "chrome_trace",
     "write_chrome_trace",
+    "spans_from_chrome",
     "load_chrome_trace",
     "metrics_csv",
     "write_metrics",
@@ -116,11 +117,10 @@ __all__ = [
     "attach_comm_metrics",
     "CATEGORIES",
     "categorize",
-    "phase_composition",
+    "PhaseStats",
+    "phase_stats",
     "render_composition",
-    "overlap_composition",
     "render_overlap",
-    "rank_imbalance",
     "render_imbalance",
     "summarize_trace_file",
     "PROFILE_SCHEMA_VERSION",

@@ -12,7 +12,9 @@ the worker's real ``pid``/``tid`` in their args; those events are
 emitted under that actual pid (with per-pid process-name metadata), so
 a process-executor trace renders as a true multi-process timeline — one
 track per forked rank — instead of folding every rank into the
-simulated process.
+simulated process.  :func:`spans_from_chrome` reads the events back as
+spans, so a trace file and a live tracer reduce through the same
+:func:`~repro.telemetry.summary.phase_stats`.
 
 Metrics export as JSON (the registry's :meth:`as_dict` snapshot) or as a
 flat ``name,kind,value`` CSV, chosen by file extension.
@@ -23,14 +25,16 @@ from __future__ import annotations
 import io
 import json
 import pathlib
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Iterable, List, Union
 
 from ..core.errors import TelemetryError
 from .metrics import MetricsRegistry
+from .spans import SpanRecord
 
 __all__ = [
     "chrome_trace",
     "write_chrome_trace",
+    "spans_from_chrome",
     "load_chrome_trace",
     "metrics_csv",
     "write_metrics",
@@ -144,6 +148,29 @@ def write_chrome_trace(
     out = pathlib.Path(path)
     out.write_text(json.dumps(chrome_trace(tracer, process_name), indent=1))
     return out
+
+
+def spans_from_chrome(events: Iterable[Dict[str, Any]]) -> List[SpanRecord]:
+    """The spans behind a trace's complete events: the inverse of
+    :func:`chrome_trace` up to its microsecond rounding.  Nesting depth
+    is not exported, so every span comes back at depth 0."""
+    spans = []
+    for ev in events:
+        if ev.get("ph") != "X":
+            continue
+        args = dict(ev.get("args") or {})
+        rank = args.pop("rank", None)
+        spans.append(
+            SpanRecord(
+                name=ev["name"],
+                start_s=float(ev["ts"]) / 1e6,
+                duration_s=float(ev["dur"]) / 1e6,
+                depth=0,
+                rank=rank,
+                args=args,
+            )
+        )
+    return spans
 
 
 def load_chrome_trace(path: _PathLike) -> List[Dict[str, Any]]:

@@ -7,9 +7,9 @@ Three integration points:
 * :func:`attach_comm_metrics` subscribes to an :class:`EventLog` so every
   simulated MPI message updates comm-volume counters and a message-size
   histogram;
-* :class:`Telemetry` bundles one tracer + one registry, attaches both to
-  an app (HARVEY or the proxy), folds run reports into metrics, and
-  writes the ``--trace-out`` / ``--metrics-out`` artefacts.
+* :class:`Telemetry` bundles one tracer with the process-wide registry,
+  attaches both to an app (HARVEY or the proxy), folds run reports into
+  metrics, and writes the ``--trace-out`` / ``--metrics-out`` artefacts.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, List, Optional
 
 from ..runtime.events import CommEvent, EventLog
 from .export import write_chrome_trace, write_metrics
-from .metrics import DEFAULT_BYTE_EDGES, MetricsRegistry
+from .metrics import DEFAULT_BYTE_EDGES, MetricsRegistry, get_registry
 from .spans import Tracer
 
 __all__ = ["attach_comm_metrics", "Telemetry"]
@@ -50,15 +50,17 @@ def attach_comm_metrics(
 
 
 class Telemetry:
-    """One tracer + one registry, wired into a run and written out once."""
+    """One tracer plus the process-wide registry, wired into a run and
+    written out once.
 
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    The registry is the one the solver, the sanitizer and the process
+    executor's worker acks already write, so ``--metrics-out`` holds
+    their counters next to the comm volume and the run aggregates.
+    """
+
+    def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self.tracer = Tracer() if tracer is None else tracer
-        self.metrics = MetricsRegistry() if metrics is None else metrics
+        self.metrics = get_registry()
         self._listeners: List[Callable[[CommEvent], None]] = []
 
     def attach_app(self, app) -> None:
@@ -70,9 +72,6 @@ class Telemetry:
 
     def record_report(self, report) -> None:
         """Fold a run report's aggregates into the registry."""
-        self.metrics.counter("lbm.sites_updated").inc(
-            report.fluid_nodes * report.steps
-        )
         self.metrics.counter("lbm.steps").inc(report.steps)
         self.metrics.gauge("run.wall_seconds").set(report.wall_seconds)
         self.metrics.gauge("run.mflups").set(report.mflups)

@@ -1,7 +1,7 @@
 """Process-wide metrics: counters, gauges, fixed-bucket histograms.
 
 A :class:`MetricsRegistry` is a flat namespace of metrics addressed by
-dotted names (``comm.bytes_sent``, ``lbm.sites_updated``,
+dotted names (``comm.bytes_sent``, ``lbm.collide.flups``,
 ``perf.runs_priced``).  Instruments are created lazily on first access —
 ``registry.counter("comm.messages").inc()`` — so instrumentation code
 never has to pre-declare what it measures.

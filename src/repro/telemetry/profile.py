@@ -9,7 +9,9 @@ per step-window, joins three sources the rest of the repo keeps separate:
   ``executor="process"`` these are the workers' own spans, sent back on
   each dispatch's ack (:mod:`repro.telemetry.plane`), so the per-rank
   numbers are measured in the forked ranks rather than proxied from the
-  parent's dispatch loop;
+  parent's dispatch loop.  Each window, and the whole run, reduces
+  through :func:`~repro.telemetry.summary.phase_stats`, the reducer
+  ``repro telemetry summarize`` uses;
 * **byte/update counters** — the fused engine's gather bytes, the halo
   pack/unpack bytes, and the collide FLUP count from the metrics
   registry;
@@ -42,7 +44,8 @@ from ..perfmodel.attribution import attribute_phases, machine_reference
 from ..perfmodel.model import BYTES_PER_UPDATE_D3Q19
 from .export import TRACE_PID, chrome_trace
 from .metrics import get_registry
-from .spans import SpanRecord, Tracer
+from .spans import Tracer
+from .summary import PhaseStats, phase_stats
 
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
@@ -75,51 +78,21 @@ def _snapshot_counters() -> Dict[str, int]:
     return {name: registry.counter(name).value for name in _COUNTER_NAMES}
 
 
-def _window_stats(
-    spans: Sequence[SpanRecord],
-    owned_total: int,
-    steps: int,
-    bound_mflups: float,
+def _efficiency(
+    stats: PhaseStats, owned_total: int, steps: int, bound_mflups: float
 ) -> Dict[str, Any]:
-    """Reduce one window's spans to its headline numbers."""
-    wall = 0.0
-    phase_seconds: Dict[str, float] = {}
-    rank_busy: Dict[int, float] = {}
-    rank_comm: Dict[int, float] = {}
-    rank_interior: Dict[int, float] = {}
-    for s in spans:
-        if s.rank is None:
-            if s.name == "step":
-                wall += s.duration_s
-            continue
-        phase_seconds[s.name] = (
-            phase_seconds.get(s.name, 0.0) + s.duration_s
-        )
-        rank_busy[s.rank] = rank_busy.get(s.rank, 0.0) + s.duration_s
-        if s.name == "exchange":
-            rank_comm[s.rank] = rank_comm.get(s.rank, 0.0) + s.duration_s
-        elif s.name == "interior":
-            rank_interior[s.rank] = (
-                rank_interior.get(s.rank, 0.0) + s.duration_s
-            )
-    if wall <= 0:
+    """The headline numbers of ``steps`` iterations' phase stats."""
+    if stats.wall_s <= 0:
         raise TelemetryError(
             "profiled window recorded no step spans; is the tracer attached?"
         )
-    mflups = owned_total * steps / wall / 1e6
-    ratio = mflups / bound_mflups if bound_mflups > 0 else 0.0
-    comm = sum(rank_comm.values())
-    hidden = sum(
-        min(rank_comm.get(r, 0.0), rank_interior.get(r, 0.0))
-        for r in rank_comm
-    )
-    busy = list(rank_busy.values())
-    imbalance = (
-        max(busy) / (sum(busy) / len(busy)) if busy and sum(busy) else 1.0
-    )
+    mflups = owned_total * steps / stats.wall_s / 1e6
+    ratio = mflups / bound_mflups
+    comm = sum(stats.comm_s.values())
+    hidden = sum(stats.hidden_s.values())
     return {
         "steps": steps,
-        "seconds": wall,
+        "seconds": stats.wall_s,
         "mflups": mflups,
         "bandwidth_gbs": mflups * 1e6 * BYTES_PER_UPDATE_D3Q19 / 1e9,
         "bandwidth_ratio": ratio,
@@ -128,8 +101,7 @@ def _window_stats(
         "hidden_seconds": hidden,
         "exposed_seconds": comm - hidden,
         "hidden_fraction": hidden / comm if comm > 0 else 0.0,
-        "imbalance": imbalance,
-        "phase_seconds": phase_seconds,
+        "imbalance": stats.imbalance,
     }
 
 
@@ -211,8 +183,11 @@ def run_profile(
         while done < steps:
             n = min(window_steps, steps - done)
             solver.step(n)
-            stats = _window_stats(
-                tracer.spans[span_idx:], fluid_nodes, n, bound_mflups
+            stats = _efficiency(
+                phase_stats(tracer.spans[span_idx:]),
+                fluid_nodes,
+                n,
+                bound_mflups,
             )
             span_idx = len(tracer.spans)
             stats["window"] = w
@@ -228,22 +203,16 @@ def run_profile(
             w += 1
         counters_after = _snapshot_counters()
 
-        # whole-run per-phase attribution against the Eq.-1 floor
-        phase_seconds: Dict[str, float] = {}
-        for stats in windows:
-            for name, secs in stats["phase_seconds"].items():
-                phase_seconds[name] = phase_seconds.get(name, 0.0) + secs
+        # whole-run totals and per-phase attribution against the Eq.-1
+        # floor, from the same reduction over every profiled span
+        run = phase_stats(tracer.spans)
+        totals = _efficiency(run, fluid_nodes, steps, bound_mflups)
         attributions = attribute_phases(
-            phase_seconds,
+            run.phase_totals,
             solver.phase_bytes_per_step(),
             bandwidth_gbs * 1e9,
             steps,
         )
-    total_wall = sum(s["seconds"] for s in windows)
-    total_comm = sum(s["comm_seconds"] for s in windows)
-    total_hidden = sum(s["hidden_seconds"] for s in windows)
-    total_mflups = fluid_nodes * steps / total_wall / 1e6
-    total_ratio = total_mflups / bound_mflups
 
     profile: Dict[str, Any] = {
         "schema_version": PROFILE_SCHEMA_VERSION,
@@ -265,19 +234,13 @@ def run_profile(
             for name in _COUNTER_NAMES
         },
         "phases": [a.to_dict() for a in attributions],
-        "windows": [
-            {k: v for k, v in s.items() if k != "phase_seconds"}
-            for s in windows
-        ],
+        "windows": windows,
         "totals": {
-            "seconds": total_wall,
-            "mflups": total_mflups,
-            "bandwidth_ratio": total_ratio,
-            "arch_efficiency": min(1.0, total_ratio),
-            "hidden_fraction": (
-                total_hidden / total_comm if total_comm > 0 else 0.0
-            ),
-            "imbalance": max(s["imbalance"] for s in windows),
+            k: totals[k]
+            for k in (
+                "seconds", "mflups", "bandwidth_ratio", "arch_efficiency",
+                "hidden_fraction", "imbalance",
+            )
         },
     }
     if machine is not None:

@@ -149,10 +149,6 @@ class Tracer:
             raise TelemetryError("cannot clear a tracer with open spans")
         self.spans.clear()
 
-    def total_time(self, name: str) -> float:
-        """Summed duration of all completed spans called ``name``."""
-        return sum(s.duration_s for s in self.spans if s.name == name)
-
 
 class NullTracer:
     """Disabled tracer: ``span`` hands back one shared no-op context."""
@@ -174,9 +170,6 @@ class NullTracer:
 
     def clear(self) -> None:
         pass
-
-    def total_time(self, name: str) -> float:
-        return 0.0
 
 
 #: Shared disabled tracer; the process-wide default.

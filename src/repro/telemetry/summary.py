@@ -1,8 +1,10 @@
-"""Phase-composition summaries of trace files (the Fig. 7 view).
+"""The one reduction of spans to phase time, and the Fig. 7 views of it.
 
-Maps the functional runtime's phase spans onto the paper's Fig. 7
-runtime-composition categories and renders a per-rank share table from a
-Chrome trace produced by ``--trace-out``:
+:func:`phase_stats` is the only place that decides which spans are
+phases — ranked spans whose name :func:`categorize`s — and sums them.
+``repro telemetry summarize``, ``repro profile run`` and the campaign's
+solver cells all read its :class:`PhaseStats`.  Phase names map onto
+the paper's Fig. 7 runtime-composition categories:
 
 ==========================  =========================================
 span name                   Fig. 7 category
@@ -21,7 +23,7 @@ Container spans (``step``, ``overlap_window``, ``harvey.run``,
 ``proxy.run``, …) are not phases and are excluded, so category shares
 always sum to 100% of the phase time.
 
-Traces from the overlapped pipeline additionally get a hidden-vs-exposed
+Runs of the overlapped pipeline additionally get a hidden-vs-exposed
 communication table (:func:`render_overlap`): communication that fits
 inside the interior-streaming window is *hidden* from the critical path;
 the remainder is *exposed* — the measured counterpart of the performance
@@ -30,26 +32,29 @@ model's ``max(T_comm, T_interior) + T_frontier`` bound.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.tables import render_table
 from ..core.errors import TelemetryError
-from .export import load_chrome_trace
+from .export import load_chrome_trace, spans_from_chrome
+from .spans import SpanRecord
 
 __all__ = [
     "CATEGORIES",
     "categorize",
-    "phase_composition",
+    "PhaseStats",
+    "phase_stats",
     "render_composition",
-    "overlap_composition",
     "render_overlap",
-    "rank_imbalance",
     "render_imbalance",
     "summarize_trace_file",
 ]
 
 #: Fig. 7 categories (plus "other" for phases the paper folds elsewhere).
 CATEGORIES = ("streamcollide", "communication", "h2d", "d2h", "other")
+
+_HEADERS = ("Streamcollide", "Communication", "H2D", "D2H", "Other")
 
 _EXACT = {
     "collide": "streamcollide",
@@ -78,241 +83,216 @@ def categorize(name: str) -> Optional[str]:
     return None
 
 
-def phase_composition(
-    events: List[Dict[str, Any]]
-) -> Dict[Any, Dict[str, float]]:
-    """Per-rank phase-time shares from Chrome trace events.
+@dataclass(frozen=True)
+class PhaseStats:
+    """What a run's spans say about its phases.
 
-    Only complete (``"ph": "X"``) events whose name categorizes as a
-    phase contribute; events without a ``rank`` arg are pooled under the
-    ``"all"`` key alongside the cross-rank total.  Each rank's shares sum
-    to 1.0.
+    ``phase_s`` is per-rank, per-phase seconds; ``wall_s`` the summed
+    unranked ``step`` spans; ``worker_spans`` each rank's count of
+    worker-origin phase spans (the ones a process-executor run's forked
+    ranks sent back on their acks).  Everything else derives from those.
     """
-    durations: Dict[Any, Dict[str, float]] = {}
-    for ev in events:
-        if ev.get("ph") != "X":
+
+    phase_s: Dict[int, Dict[str, float]]
+    wall_s: float
+    worker_spans: Dict[int, int]
+
+    @property
+    def busy_s(self) -> Dict[int, float]:
+        """Per-rank phase busy time."""
+        return {r: sum(p.values()) for r, p in self.phase_s.items()}
+
+    @property
+    def imbalance(self) -> float:
+        """``max(busy) / mean(busy)`` over the ranks (1.0 when idle) —
+        the statistic the paper's strong-scaling analysis uses."""
+        busy = list(self.busy_s.values())
+        mean = sum(busy) / len(busy) if busy else 0.0
+        return max(busy) / mean if mean > 0 else 1.0
+
+    @property
+    def overlapped(self) -> bool:
+        """Whether the overlapped pipeline's interior phase ran."""
+        return any("interior" in p for p in self.phase_s.values())
+
+    @property
+    def comm_s(self) -> Dict[int, float]:
+        """Per-rank communication-category time."""
+        return {
+            r: sum(
+                t for n, t in p.items() if categorize(n) == "communication"
+            )
+            for r, p in self.phase_s.items()
+        }
+
+    @property
+    def hidden_s(self) -> Dict[int, float]:
+        """Per-rank communication hidden under the interior window."""
+        return {
+            r: min(comm, self.phase_s[r].get("interior", 0.0))
+            for r, comm in self.comm_s.items()
+        }
+
+    @property
+    def exposed_s(self) -> Dict[int, float]:
+        """Per-rank communication still on the critical path."""
+        hidden = self.hidden_s
+        return {r: comm - hidden[r] for r, comm in self.comm_s.items()}
+
+    @property
+    def phase_totals(self) -> Dict[str, float]:
+        """Per-phase seconds summed over the ranks."""
+        out: Dict[str, float] = {}
+        for per_rank in self.phase_s.values():
+            for name, secs in per_rank.items():
+                out[name] = out.get(name, 0.0) + secs
+        return out
+
+    def shares(self) -> Dict[Any, Dict[str, float]]:
+        """Fig. 7 category shares of each rank's phase time, in rank
+        order, then pooled under ``"all"``; every row also carries its
+        phase seconds as ``total_s``.  Rows without phase time are left
+        out, so an idle run gives ``{}``."""
+        per_rank: Dict[Any, Dict[str, float]] = {}
+        for rank in sorted(self.phase_s):
+            cats = dict.fromkeys(CATEGORIES, 0.0)
+            for name, secs in self.phase_s[rank].items():
+                cats[categorize(name)] += secs  # type: ignore[index]
+            per_rank[rank] = cats
+        per_rank["all"] = {
+            c: sum(cats[c] for cats in per_rank.values()) for c in CATEGORIES
+        }
+        out: Dict[Any, Dict[str, float]] = {}
+        for key, cats in per_rank.items():
+            total = sum(cats.values())
+            if total > 0:
+                out[key] = {c: cats[c] / total for c in CATEGORIES}
+                out[key]["total_s"] = total
+        return out
+
+
+def phase_stats(spans: Iterable[SpanRecord]) -> PhaseStats:
+    """Reduce spans to :class:`PhaseStats` — the one phase filter."""
+    phase_s: Dict[int, Dict[str, float]] = {}
+    worker_spans: Dict[int, int] = {}
+    wall = 0.0
+    for s in spans:
+        if s.rank is None:
+            if s.name == "step":
+                wall += s.duration_s
             continue
-        category = categorize(ev["name"])
-        if category is None:
+        if categorize(s.name) is None:
             continue
-        rank = ev.get("args", {}).get("rank")
-        per_rank = durations.setdefault(
-            rank, {c: 0.0 for c in CATEGORIES}
-        )
-        per_rank[category] += float(ev["dur"])
-    if not durations:
-        raise TelemetryError("trace contains no phase spans to summarize")
-    totals = {c: 0.0 for c in CATEGORIES}
-    for per_rank in durations.values():
-        for c in CATEGORIES:
-            totals[c] += per_rank[c]
-    # unranked phase spans contribute only to the pooled total
-    durations.pop(None, None)
-    durations["all"] = totals
-    out: Dict[Any, Dict[str, float]] = {}
-    for rank, per_cat in durations.items():
-        total = sum(per_cat.values())
-        if total <= 0:
-            continue
-        shares = {c: per_cat[c] / total for c in CATEGORIES}
-        shares["total_us"] = total
-        out[rank] = shares
-    if not out:
-        # phase spans exist but every duration is zero (e.g. a trace
-        # truncated by a sub-resolution clock): shares are undefined
-        raise TelemetryError(
-            "trace contains only zero-duration phase spans; "
-            "nothing to summarize"
-        )
-    return out
+        per_rank = phase_s.setdefault(s.rank, {})
+        per_rank[s.name] = per_rank.get(s.name, 0.0) + s.duration_s
+        if s.args.get("origin") == "worker":
+            worker_spans[s.rank] = worker_spans.get(s.rank, 0) + 1
+    return PhaseStats(phase_s, wall, worker_spans)
 
 
 def render_composition(
-    events: List[Dict[str, Any]], title: str = "phase composition"
+    rows: Sequence[Tuple[Any, Mapping[str, float]]],
+    title: str,
+    label: str = "Rank",
+    phase_ms: Optional[Sequence[float]] = None,
 ) -> str:
-    """Fig.-7-style table: one row per rank plus the pooled total."""
-    comp = phase_composition(events)
-    headers = [
-        "Rank", "Streamcollide", "Communication", "H2D", "D2H", "Other",
-        "Phase ms",
+    """The Fig. 7 share table: one row of category shares per label,
+    with each row's phase milliseconds when ``phase_ms`` is given."""
+    headers = [label, *_HEADERS]
+    body = [
+        [str(key)] + [f"{100 * shares[c]:.1f}%" for c in CATEGORIES]
+        for key, shares in rows
     ]
-    ranked = sorted(k for k in comp if k != "all")
-    rows = []
-    for key in ranked + ["all"]:
-        shares = comp[key]
-        rows.append(
-            [
-                str(key),
-                f"{100 * shares['streamcollide']:.1f}%",
-                f"{100 * shares['communication']:.1f}%",
-                f"{100 * shares['h2d']:.1f}%",
-                f"{100 * shares['d2h']:.1f}%",
-                f"{100 * shares['other']:.1f}%",
-                f"{shares['total_us'] / 1e3:.2f}",
-            ]
-        )
-    return render_table(headers, rows, title)
-
-
-def overlap_composition(
-    events: List[Dict[str, Any]]
-) -> Optional[Dict[Any, Dict[str, float]]]:
-    """Hidden-vs-exposed communication per rank, or None.
-
-    Returns None unless the trace came from the overlapped pipeline
-    (detected by its ``overlap_window`` container spans).  For each rank
-    the exchange time that fits under the interior-streaming window is
-    ``hidden_us``; the remainder — communication still on the critical
-    path — is ``exposed_us``.
-    """
-    if not any(
-        ev.get("ph") == "X" and ev.get("name") == "overlap_window"
-        for ev in events
-    ):
-        return None
-    sums: Dict[Any, Dict[str, float]] = {}
-    for ev in events:
-        if ev.get("ph") != "X":
-            continue
-        name = ev.get("name")
-        if name == "interior":
-            key = "interior_us"
-        elif name == "frontier":
-            key = "frontier_us"
-        elif isinstance(name, str) and name.startswith("exchange"):
-            # on the overlapped schedule every exchange span (post and
-            # complete) lies inside the overlap window
-            key = "comm_us"
-        else:
-            continue
-        rank = ev.get("args", {}).get("rank")
-        per_rank = sums.setdefault(
-            rank, {"interior_us": 0.0, "frontier_us": 0.0, "comm_us": 0.0}
-        )
-        per_rank[key] += float(ev["dur"])
-    sums.pop(None, None)
-    if not sums:
-        raise TelemetryError(
-            "overlap trace contains no interior/frontier/exchange spans"
-        )
-    for per_rank in sums.values():
-        hidden = min(per_rank["comm_us"], per_rank["interior_us"])
-        per_rank["hidden_us"] = hidden
-        per_rank["exposed_us"] = per_rank["comm_us"] - hidden
-    return sums
+    if phase_ms is not None:
+        headers.append("Phase ms")
+        for row, ms in zip(body, phase_ms):
+            row.append(f"{ms:.2f}")
+    return render_table(headers, body, title)
 
 
 def render_overlap(
-    events: List[Dict[str, Any]],
+    stats: PhaseStats,
     title: str = "overlapped communication (hidden vs exposed)",
 ) -> Optional[str]:
-    """Hidden-vs-exposed table for an overlapped-pipeline trace."""
-    comp = overlap_composition(events)
-    if comp is None:
+    """Hidden-vs-exposed table of an overlapped-pipeline run, or None."""
+    if not stats.overlapped:
         return None
     headers = [
         "Rank", "Interior ms", "Frontier ms", "Comm ms",
         "Hidden ms", "Exposed ms", "Hidden",
     ]
+    comm, hidden, exposed = stats.comm_s, stats.hidden_s, stats.exposed_s
     rows = []
-    for rank in sorted(comp):
-        s = comp[rank]
-        share = s["hidden_us"] / s["comm_us"] if s["comm_us"] else 1.0
+    for rank in sorted(stats.phase_s):
+        phases = stats.phase_s[rank]
+        share = hidden[rank] / comm[rank] if comm[rank] else 1.0
         rows.append(
             [
                 str(rank),
-                f"{s['interior_us'] / 1e3:.2f}",
-                f"{s['frontier_us'] / 1e3:.2f}",
-                f"{s['comm_us'] / 1e3:.2f}",
-                f"{s['hidden_us'] / 1e3:.2f}",
-                f"{s['exposed_us'] / 1e3:.2f}",
+                f"{phases.get('interior', 0.0) * 1e3:.2f}",
+                f"{phases.get('frontier', 0.0) * 1e3:.2f}",
+                f"{comm[rank] * 1e3:.2f}",
+                f"{hidden[rank] * 1e3:.2f}",
+                f"{exposed[rank] * 1e3:.2f}",
                 f"{100 * share:.1f}%",
             ]
         )
     return render_table(headers, rows, title)
 
 
-def rank_imbalance(
-    events: List[Dict[str, Any]]
-) -> Optional[Dict[str, Any]]:
-    """Per-rank phase busy time and max/mean skew, or None.
-
-    Needs at least two ranks' worth of per-rank phase spans — which a
-    process-executor trace has from the workers' own spans, merged from
-    the executor's acks.  ``imbalance`` is ``max(busy) / mean(busy)``, the same
-    statistic the profiler and the paper's strong-scaling analysis use.
-    """
-    busy: Dict[Any, float] = {}
-    worker_origin: Dict[Any, int] = {}
-    for ev in events:
-        if ev.get("ph") != "X" or categorize(ev["name"]) is None:
-            continue
-        args = ev.get("args", {})
-        rank = args.get("rank")
-        if rank is None:
-            continue
-        busy[rank] = busy.get(rank, 0.0) + float(ev["dur"])
-        if args.get("origin") == "worker":
-            worker_origin[rank] = worker_origin.get(rank, 0) + 1
-    if len(busy) < 2:
-        return None
-    values = list(busy.values())
-    mean = sum(values) / len(values)
-    peak = max(values)
-    return {
-        "per_rank_us": busy,
-        "worker_spans": worker_origin,
-        "mean_us": mean,
-        "max_us": peak,
-        "imbalance": peak / mean if mean > 0 else 1.0,
-    }
-
-
 def render_imbalance(
-    events: List[Dict[str, Any]],
+    stats: PhaseStats,
     title: str = "per-rank load imbalance (phase busy time)",
 ) -> Optional[str]:
-    """Per-rank busy-time table with the max/mean skew, or None."""
-    stats = rank_imbalance(events)
-    if stats is None:
+    """Per-rank busy-time table with the max/mean skew, or None below
+    two ranks."""
+    busy = stats.busy_s
+    if len(busy) < 2:
         return None
-    headers = ["Rank", "Busy ms", "Of max", "Worker spans"]
-    peak = stats["max_us"]
-    rows = []
-    for rank in sorted(stats["per_rank_us"]):
-        busy = stats["per_rank_us"][rank]
-        rows.append(
-            [
-                str(rank),
-                f"{busy / 1e3:.2f}",
-                f"{100 * busy / peak:.1f}%" if peak > 0 else "-",
-                str(stats["worker_spans"].get(rank, 0)),
-            ]
-        )
-    table = render_table(
-        headers,
+    peak = max(busy.values())
+    rows = [
+        [
+            str(rank),
+            f"{secs * 1e3:.2f}",
+            f"{100 * secs / peak:.1f}%" if peak > 0 else "-",
+            str(stats.worker_spans.get(rank, 0)),
+        ]
+        for rank, secs in sorted(busy.items())
+    ]
+    return render_table(
+        ["Rank", "Busy ms", "Of max", "Worker spans"],
         rows,
-        f"{title} — max/mean skew {stats['imbalance']:.3f}",
+        f"{title} — max/mean skew {stats.imbalance:.3f}",
     )
-    return table
 
 
 def summarize_trace_file(path) -> str:
     """Load a ``--trace-out`` file and render its composition table(s).
 
     Traces produced by the overlapped pipeline get a second table
-    splitting communication into hidden and exposed time.
+    splitting communication into hidden and exposed time; traces with two
+    or more ranks a per-rank load-imbalance table.
     """
     events = load_chrome_trace(path)
+    stats = phase_stats(spans_from_chrome(events))
+    if not stats.phase_s:
+        raise TelemetryError("trace contains no phase spans to summarize")
+    shares = stats.shares()
+    if not shares:
+        # phase spans exist but every duration is zero (e.g. a trace
+        # truncated by a sub-resolution clock): shares are undefined
+        raise TelemetryError(
+            "trace contains only zero-duration phase spans; "
+            "nothing to summarize"
+        )
     out = render_composition(
-        events, title=f"phase composition of {path} (span wall time)"
+        list(shares.items()),
+        f"phase composition of {path} (span wall time)",
+        phase_ms=[row["total_s"] * 1e3 for row in shares.values()],
     )
-    overlap = render_overlap(events)
-    if overlap is not None:
-        out = f"{out}\n\n{overlap}"
-    imbalance = render_imbalance(events)
-    if imbalance is not None:
-        out = f"{out}\n\n{imbalance}"
+    for table in (render_overlap(stats), render_imbalance(stats)):
+        if table is not None:
+            out = f"{out}\n\n{table}"
     # traces written by `repro profile run` embed the full profile as a
     # metadata event; re-render its efficiency tables from the file alone
     # (lazy import: profile joins the solver/perfmodel stack)

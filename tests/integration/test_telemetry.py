@@ -7,16 +7,21 @@ through ``json.load``, the phase shares sum to ~100%, and the CLI's
 """
 
 import json
+import re
 
 import pytest
 
 from repro.cli import main
 from repro.harvey import HarveyApp, HarveyConfig
+from repro.runtime.procexec import fork_available
 from repro.telemetry import (
+    MetricsRegistry,
     Telemetry,
     Tracer,
     load_chrome_trace,
-    phase_composition,
+    phase_stats,
+    set_registry,
+    spans_from_chrome,
     write_chrome_trace,
 )
 
@@ -24,8 +29,18 @@ from repro.telemetry import (
 PROXY_CONFIG = HarveyConfig(workload="proxy", resolution=0.5, num_ranks=2)
 
 
+@pytest.fixture
+def fresh_registry():
+    """A fresh process-wide registry (solvers cache counters at init)."""
+    reg = set_registry(MetricsRegistry())
+    yield reg
+    set_registry(MetricsRegistry())
+
+
 @pytest.fixture(scope="module")
 def traced_run():
+    # the bundle writes the process-wide registry: start it empty
+    set_registry(MetricsRegistry())
     telemetry = Telemetry()
     app = HarveyApp(PROXY_CONFIG, tracer=telemetry.tracer)
     telemetry.attach_app(app)
@@ -56,11 +71,11 @@ class TestTracedProxyRun:
         doc_events = load_chrome_trace(
             write_chrome_trace(telemetry.tracer, tmp_path / "trace.json")
         )
-        comp = phase_composition(doc_events)
+        comp = phase_stats(spans_from_chrome(doc_events)).shares()
         assert set(comp) == {0, 1, "all"}
         for shares in comp.values():
             total = sum(
-                v for k, v in shares.items() if k != "total_us"
+                v for k, v in shares.items() if k != "total_s"
             )
             assert total == pytest.approx(1.0, abs=1e-9)
             assert shares["streamcollide"] > 0
@@ -127,6 +142,31 @@ class TestCliTelemetry:
         table = capsys.readouterr().out
         for column in ("Streamcollide", "Communication", "H2D", "D2H"):
             assert column in table
+
+    @pytest.mark.skipif(
+        not fork_available(), reason="needs the POSIX fork start method"
+    )
+    def test_metrics_out_holds_solver_sanitizer_and_worker_counters(
+        self, tmp_path, capsys, fresh_registry
+    ):
+        """--metrics-out writes the process-wide registry: the forked
+        ranks' collide and halo counters and the sanitizer's steps."""
+        metrics = tmp_path / "m.json"
+        code = main(
+            [
+                "harvey", "--quick", "--executor", "process", "--overlap",
+                "--sanitize", "--metrics-out", str(metrics),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        fluid = int(re.search(r"fluid=(\d+)", out).group(1))
+        steps = int(re.search(r"steps=(\d+)", out).group(1))
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["lbm.collide.flups"] == fluid * steps
+        assert counters["lbm.halo.bytes_packed"] > 0
+        assert counters["sanitize.steps_checked"] == steps
+        assert "lbm.sites_updated" not in counters
 
     def test_runs_without_telemetry_flags_stay_silent(self, capsys):
         code = main(

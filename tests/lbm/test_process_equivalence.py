@@ -29,9 +29,8 @@ from repro.lbm.solver import SolverConfig
 from repro.models.compiled import compiled_available
 from repro.runtime.procexec import fork_available
 from repro.runtime.shmem import leaked_segments
-from repro.telemetry.export import chrome_trace
 from repro.telemetry.spans import Tracer
-from repro.telemetry.summary import render_overlap
+from repro.telemetry.summary import phase_stats, render_overlap
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="needs the POSIX fork start method"
@@ -385,8 +384,7 @@ class TestRankResidentStep:
                 own = [s for s in hidden if s.rank == f.rank]
                 assert all(s.end_s <= f.start_s for s in own)
             assert not all(inside(window, f) for f in frontier)
-        events = chrome_trace(tracer)["traceEvents"]
-        assert render_overlap(events) is not None
+        assert render_overlap(phase_stats(tracer.spans)) is not None
 
     def test_plane_off_still_yields_one_worker_span_per_rank_per_phase(
         self, grid, monkeypatch

@@ -6,11 +6,16 @@ from repro.core.errors import TelemetryError
 from repro.runtime import CommEvent, EventLog
 from repro.telemetry import (
     MetricsRegistry,
+    SpanRecord,
     Telemetry,
+    Tracer,
     attach_comm_metrics,
     categorize,
-    phase_composition,
-    render_composition,
+    get_registry,
+    phase_stats,
+    render_overlap,
+    summarize_trace_file,
+    write_chrome_trace,
 )
 
 
@@ -43,7 +48,9 @@ class TestTelemetryBundle:
     def test_creates_tracer_and_registry(self):
         bundle = Telemetry()
         assert bundle.tracer.enabled
-        assert len(bundle.metrics) == 0
+        # no private registry: --metrics-out sees what the solver,
+        # sanitizer and worker acks wrote
+        assert bundle.metrics is get_registry()
 
     def test_write_emits_requested_artefacts(self, tmp_path):
         bundle = Telemetry()
@@ -79,24 +86,27 @@ class TestCategorize:
         assert categorize(name) == category
 
 
-def _event(name, dur, rank=None):
-    ev = {"name": name, "ph": "X", "ts": 0.0, "dur": dur, "args": {}}
-    if rank is not None:
-        ev["args"]["rank"] = rank
-    return ev
+def _span(name, dur, rank=None):
+    return SpanRecord(name, start_s=0.0, duration_s=dur, depth=0, rank=rank)
+
+
+def _trace_file(path, spans):
+    tracer = Tracer()
+    tracer.spans.extend(spans)
+    return write_chrome_trace(tracer, path)
 
 
 class TestPhaseComposition:
     def test_shares_sum_to_one_per_rank(self):
-        events = [
-            _event("collide", 60.0, rank=0),
-            _event("stream", 20.0, rank=0),
-            _event("exchange", 20.0, rank=0),
-            _event("collide", 50.0, rank=1),
-            _event("exchange", 50.0, rank=1),
-            _event("step", 999.0),  # container: excluded
+        spans = [
+            _span("collide", 60.0, rank=0),
+            _span("stream", 20.0, rank=0),
+            _span("exchange", 20.0, rank=0),
+            _span("collide", 50.0, rank=1),
+            _span("exchange", 50.0, rank=1),
+            _span("step", 999.0),  # container: excluded
         ]
-        comp = phase_composition(events)
+        comp = phase_stats(spans).shares()
         assert set(comp) == {0, 1, "all"}
         for shares in comp.values():
             total = sum(
@@ -107,14 +117,18 @@ class TestPhaseComposition:
             assert total == pytest.approx(1.0)
         assert comp[0]["streamcollide"] == pytest.approx(0.8)
         assert comp[1]["communication"] == pytest.approx(0.5)
-        assert comp["all"]["total_us"] == pytest.approx(200.0)
+        assert comp["all"]["total_s"] == pytest.approx(200.0)
 
-    def test_rejects_traces_without_phase_spans(self):
+    def test_rejects_traces_without_phase_spans(self, tmp_path):
+        path = _trace_file(tmp_path / "t.json", [_span("step", 1.0)])
         with pytest.raises(TelemetryError):
-            phase_composition([_event("step", 1.0)])
+            summarize_trace_file(path)
 
-    def test_render_contains_fig7_columns(self):
-        table = render_composition([_event("collide", 10.0, rank=0)])
+    def test_render_contains_fig7_columns(self, tmp_path):
+        path = _trace_file(
+            tmp_path / "t.json", [_span("collide", 10.0, rank=0)]
+        )
+        table = summarize_trace_file(path)
         for column in ("Streamcollide", "Communication", "H2D", "D2H"):
             assert column in table
 
@@ -131,53 +145,38 @@ class TestOverlapComposition:
     def test_overlap_span_names_categorize(self, name, category):
         assert categorize(name) == category
 
-    def _overlap_events(self):
+    def _overlap_spans(self):
         return [
-            _event("overlap_window", 100.0),
-            _event("exchange", 30.0, rank=0),
-            _event("interior", 50.0, rank=0),
-            _event("frontier", 10.0, rank=0),
-            _event("exchange", 80.0, rank=1),
-            _event("interior", 40.0, rank=1),
-            _event("frontier", 5.0, rank=1),
+            _span("overlap_window", 100.0),
+            _span("exchange", 30.0, rank=0),
+            _span("interior", 50.0, rank=0),
+            _span("frontier", 10.0, rank=0),
+            _span("exchange", 80.0, rank=1),
+            _span("interior", 40.0, rank=1),
+            _span("frontier", 5.0, rank=1),
         ]
 
     def test_hidden_vs_exposed_split(self):
-        from repro.telemetry import overlap_composition
-
-        comp = overlap_composition(self._overlap_events())
+        stats = phase_stats(self._overlap_spans())
         # rank 0: comm fits under the interior window entirely
-        assert comp[0]["hidden_us"] == pytest.approx(30.0)
-        assert comp[0]["exposed_us"] == pytest.approx(0.0)
-        # rank 1: 40us hidden, 40us still on the critical path
-        assert comp[1]["hidden_us"] == pytest.approx(40.0)
-        assert comp[1]["exposed_us"] == pytest.approx(40.0)
+        assert stats.hidden_s[0] == pytest.approx(30.0)
+        assert stats.exposed_s[0] == pytest.approx(0.0)
+        # rank 1: 40 s hidden, 40 s still on the critical path
+        assert stats.hidden_s[1] == pytest.approx(40.0)
+        assert stats.exposed_s[1] == pytest.approx(40.0)
 
     def test_non_overlap_trace_returns_none(self):
-        from repro.telemetry import overlap_composition, render_overlap
+        stats = phase_stats([_span("collide", 10.0, rank=0)])
+        assert not stats.overlapped
+        assert render_overlap(stats) is None
 
-        events = [_event("collide", 10.0, rank=0)]
-        assert overlap_composition(events) is None
-        assert render_overlap(events) is None
-
-    def test_render_and_summarize(self, tmp_path):
-        import json
-
-        from repro.telemetry import render_overlap
-
-        table = render_overlap(self._overlap_events())
+    def test_render_and_summarize(self):
+        table = render_overlap(phase_stats(self._overlap_spans()))
         for column in ("Interior", "Frontier", "Hidden", "Exposed"):
             assert column in table
 
     def test_summarize_trace_file_appends_overlap_table(self, tmp_path):
-        import json
-
-        from repro.telemetry import summarize_trace_file
-
-        path = tmp_path / "ov.json"
-        path.write_text(
-            json.dumps({"traceEvents": self._overlap_events()})
-        )
+        path = _trace_file(tmp_path / "ov.json", self._overlap_spans())
         out = summarize_trace_file(path)
         assert "phase composition" in out
         assert "hidden vs exposed" in out

@@ -152,7 +152,7 @@ class TestRunProfile:
             raise TelemetryError("injected window failure")
 
         monkeypatch.setattr(
-            "repro.telemetry.profile._window_stats", broken_window
+            "repro.telemetry.profile.phase_stats", broken_window
         )
         with pytest.raises(TelemetryError, match="injected"):
             run_profile(

@@ -56,14 +56,6 @@ class TestTracer:
         assert inner.start_s >= outer.start_s
         assert inner.end_s <= outer.end_s
 
-    def test_total_time_sums_same_name(self):
-        tracer = Tracer(clock=FakeClock())
-        for _ in range(3):
-            with tracer.span("exchange"):
-                pass
-        assert tracer.total_time("exchange") == pytest.approx(3.0)
-        assert tracer.total_time("absent") == 0.0
-
     def test_open_span_count_and_clear_guard(self):
         tracer = Tracer()
         ctx = tracer.span("open")
@@ -96,7 +88,6 @@ class TestNullTracer:
             with tracer.span("inner"):
                 pass
         assert list(tracer.spans) == []
-        assert tracer.total_time("collide") == 0.0
 
     def test_span_context_is_shared(self):
         # the no-op fast path allocates nothing per span
