@@ -11,7 +11,7 @@ at a reference density with the locally observed velocity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,8 +47,11 @@ class VelocityInlet:
             if vel.shape != (3,):
                 raise ConfigError("inlet velocity must be a 3-vector")
             self.velocity = vel
-        # hoisted out of apply(): the equilibrium density is constant
+        # hoisted out of apply(): the equilibrium density is constant, and
+        # so is the whole equilibrium block under a constant velocity —
+        # computed on the first apply, per lattice
         self._rho = np.full(self.nodes.size, float(self.rho0))
+        self._feq: Optional[Tuple[Lattice, np.ndarray]] = None
 
     def velocity_at(self, time: float) -> np.ndarray:
         if callable(self.velocity):
@@ -63,10 +66,16 @@ class VelocityInlet:
     def apply(self, lattice: Lattice, f: np.ndarray, time: float) -> None:
         if self.nodes.size == 0:
             return
-        u = np.broadcast_to(
-            self.velocity_at(time), (self.nodes.size, 3)
-        )
-        f[:, self.nodes] = lattice.equilibrium(self._rho, u)
+        if callable(self.velocity):
+            f[:, self.nodes] = self._equilibrium(lattice, time)
+            return
+        if self._feq is None or self._feq[0] is not lattice:
+            self._feq = (lattice, self._equilibrium(lattice, time))
+        f[:, self.nodes] = self._feq[1]
+
+    def _equilibrium(self, lattice: Lattice, time: float) -> np.ndarray:
+        u = np.broadcast_to(self.velocity_at(time), (self.nodes.size, 3))
+        return lattice.equilibrium(self._rho, u)
 
 
 @dataclass

@@ -375,25 +375,29 @@ class DistributedSolver:
         )
         if self._procmode:
             self._shm = SegmentRegistry()
+        # the initial state is the equilibrium at rest, w ⊗ ρ0: with u = 0
+        # every other term of lattice.equilibrium is exactly zero, so this
+        # is its value bit for bit, written once into the final buffer
+        rest = (lattice.w * float(config.rho0))[:, None]
         self.ranks: List[RankState] = []
         for plan in plans:
             r = plan.rank
-            n_local = plan.step_plan.num_local
-            f = lattice.equilibrium(
-                np.full(n_local, config.rho0), np.zeros((n_local, 3))
-            )
+            shape = (lattice.q, plan.step_plan.num_local)
             if self._shm is not None:
                 # process tier: the double buffer must live in shared
                 # segments so forked workers mutate the pages the parent
                 # observes (everything else is inherited copy-on-write)
-                f = self._shm.share(f"rank{r}.f", f)
-                f_tmp = self._shm.ndarray(f"rank{r}.f_tmp", f.shape, f.dtype)
+                f = self._shm.ndarray(f"rank{r}.f", shape)
+                f[...] = rest
+                f_tmp = self._shm.ndarray(f"rank{r}.f_tmp", shape)
             elif self.models is not None:
                 # the double buffer is the storage behind two device Views
                 model = self.models[r]
-                f = model.upload("f", f).data()
-                f_tmp = model.alloc("f_tmp", f.shape, f.dtype).data()
+                f = model.upload("f", np.broadcast_to(rest, shape)).data()
+                f_tmp = model.alloc("f_tmp", shape).data()
             else:
+                f = np.empty(shape)
+                f[...] = rest
                 f_tmp = np.empty_like(f)
             inlet = outlet = None
             if plan.inlet_nodes.size:

@@ -19,7 +19,7 @@ owned nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -135,15 +135,19 @@ def plans_of(ranks: Sequence[Any]) -> List[RankPlan]:
     return [r if isinstance(r, RankPlan) else r.plan for r in ranks]
 
 
-def _rank_layouts(
+def rank_link_lists(
     grid: VoxelGrid,
     partition: Partition,
     lattice: Lattice,
-    periodic: Tuple[bool, bool, bool],
-) -> Iterator[Tuple[np.ndarray, np.ndarray, List[QPlan]]]:
-    """Per rank, in rank order: ``(owned, ghosts, links)`` — global ids of
-    the owned and ghost nodes and the per-population gather lists in the
-    rank's local numbering."""
+    periodic: Tuple[bool, bool, bool] = (False, False, False),
+) -> List[List[QPlan]]:
+    """Per rank, the per-population gather lists in the rank's local
+    numbering — what a per-q reference stepper executes, and the oracle
+    every ``flat_src`` is checked against.  Derived one population at a
+    time (one :func:`~repro.lbm.stream.upstream_ids` call each, over a
+    ``(q, n_global)`` upstream table), sharing no code with
+    :func:`build_rank_plans`; a :class:`RankPlan` keeps only the compiled
+    table."""
     coords, index_map = grid.compact_ids()
     owner_of = partition.owner_map()[coords[:, 0], coords[:, 1], coords[:, 2]]
     if np.any(owner_of < 0):
@@ -159,6 +163,7 @@ def _rank_layouts(
         upstream[qi] = upstream_ids(
             grid.shape, lattice.c[qi], periodic, coords, index_map
         )
+    per_rank = []
     for r in range(partition.num_ranks):
         owned = np.flatnonzero(owner_of == r).astype(np.int64)
         ups = upstream[:, owned]  # (q, n_owned)
@@ -180,21 +185,33 @@ def _rank_layouts(
                     bounce=owned_local[~has],
                 )
             )
-        yield owned, ghosts, links
+        per_rank.append(links)
+    return per_rank
 
 
-def rank_link_lists(
-    grid: VoxelGrid,
-    partition: Partition,
-    lattice: Lattice,
-    periodic: Tuple[bool, bool, bool] = (False, False, False),
-) -> List[List[QPlan]]:
-    """Per rank, the per-population gather lists every ``flat_src`` is
-    compiled from — what a per-q reference stepper executes.  Computed on
-    demand; a :class:`RankPlan` keeps only the compiled table."""
-    return [
-        links for _, _, links in _rank_layouts(grid, partition, lattice, periodic)
-    ]
+def _padded_ids(
+    grid: VoxelGrid, periodic: Tuple[bool, bool, bool], reach: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The compact numbering over the grid padded by ``reach`` voxels.
+
+    Returns ``(pos, ids)``: each fluid node's flat position in the padded
+    grid (compact order), and the padded id map, flattened — the compact
+    id at fluid voxels, -1 at solid voxels and in the pad of a capped
+    axis, a wrapped copy of the far side in the pad of a periodic axis.
+    For a lattice velocity ``c`` with ``max|c| <= reach``,
+    ``ids[pos - offset(c)]`` is every node's upstream id, with no bounds
+    test.
+    """
+    mask = np.pad(grid.fluid_mask(), reach)
+    pos = np.flatnonzero(mask)
+    ids = np.full(mask.shape, -1, dtype=np.int64)
+    ids.reshape(-1)[pos] = np.arange(pos.size, dtype=np.int64)
+    for axis, extent in enumerate(grid.shape):
+        if periodic[axis]:
+            slabs = np.moveaxis(ids, axis, 0)
+            pad = np.r_[0:reach, extent + reach:extent + 2 * reach]
+            slabs[pad] = slabs[(pad - reach) % extent + reach]
+    return pos, ids.reshape(-1)
 
 
 def build_rank_plans(
@@ -214,34 +231,99 @@ def build_rank_plans(
     onto that link's destination.  The owner of a slot's node packs it in
     the receiver's enumeration order (population-major), so a payload
     needs no header.
+
+    Every upstream id comes from one padded index map
+    (:func:`_padded_ids`), and each rank's ``flat_src`` is filled row by
+    row in place: a first pass over the populations collects the ghost
+    layer, a second turns each row into flat sources.  Transients stay
+    O(nodes) — no ``(q, n_global)`` table.  :func:`rank_link_lists` is
+    the independent per-population oracle the tests compare against.
     """
     num_ranks = partition.num_ranks
     q = lattice.q
+    # compact numbering is the C scan order of the fluid mask
+    fluid = grid.fluid_mask()
+    owner_of = partition.owner_map()[fluid]
+    if np.any(owner_of < 0):
+        raise DecompositionError(
+            "partition leaves fluid nodes without an owner"
+        )
+    flags_at = grid.flags[fluid]
+    reach = int(np.abs(lattice.c).max())
+    pos, ids = _padded_ids(grid, periodic, reach)
+    padded = np.asarray(grid.shape, dtype=np.int64) + 2 * reach
+    offsets = np.asarray(lattice.c, dtype=np.int64) @ np.array(
+        [padded[1] * padded[2], padded[2], 1]
+    )
+    n_global = pos.size
+    # global id -> local id of the rank being built, and whether the rank
+    # owns it; the extra last entry is what a wall's -1 picks: local -1,
+    # and "not remote"
+    local_of = np.full(n_global + 1, -1, dtype=np.int64)
+    mine = np.zeros(n_global + 1, dtype=bool)
+    mine[-1] = True
+
     owned: List[np.ndarray] = []
     ghosts: List[np.ndarray] = []
     step_plans: List[StepPlan] = []
-    for own, gho, links in _rank_layouts(grid, partition, lattice, periodic):
+    exchanged: List[Tuple[np.ndarray, np.ndarray]] = []  # (written, slots)
+    for r in range(num_ranks):
+        own = np.flatnonzero(owner_of == r)
+        n_owned = own.size
+        local_of[own] = np.arange(n_owned, dtype=np.int64)
+        mine[own] = True
+        at = pos[own]
+        scratch = np.empty_like(at)
+        flat = np.empty((q, n_owned), dtype=np.int64)
+        # pass 1: row qi holds the global upstream ids of population qi
+        # (-1: wall); the ones this rank does not own are its ghosts.
+        # (mode="wrap" gathers into out= unbuffered; every index is in
+        # range, or -1 for the trailing entry)
+        remote = []
+        for qi in range(q):
+            np.subtract(at, offsets[qi], out=scratch)
+            np.take(ids, scratch, out=flat[qi], mode="wrap")
+            remote.append(flat[qi][~mine[flat[qi]]])
+        gho = np.unique(np.concatenate(remote))
+        n_local = n_owned + gho.size
+        local_of[gho] = np.arange(n_owned, n_local, dtype=np.int64)
+        # pass 2: each row in place becomes its flat sources — the
+        # upstream slot of the same population, or the opposite one at
+        # the node itself on a wall link (half-way bounce-back)
+        cross_dst, cross_src = [], []
+        for qi in range(q):
+            row = flat[qi]
+            np.take(local_of, row, out=scratch, mode="wrap")
+            np.add(scratch, qi * n_local, out=row)
+            wall = np.flatnonzero(scratch < 0)
+            row[wall] = lattice.opposite[qi] * n_local + wall
+            if overlap:
+                # the halo-reading links, in StepPlan.cross_links order
+                cols = np.flatnonzero(scratch >= n_owned)
+                cross_dst.append(qi * n_local + cols)
+                cross_src.append(row[cols])
+        if overlap:
+            exchanged.append(
+                (np.concatenate(cross_dst), np.concatenate(cross_src))
+            )
+        else:
+            slots = flat_destinations(
+                np.arange(n_owned, n_local), n_local, q
+            ).reshape(-1)
+            exchanged.append((slots, slots))
+        local_of[own] = -1
+        local_of[gho] = -1
+        mine[own] = False
         owned.append(own)
         ghosts.append(gho)
         step_plans.append(
-            StepPlan.from_links(q, links, own.size + gho.size, own.size)
+            StepPlan(q, n_local, np.arange(n_owned, dtype=np.int64), flat)
         )
-    # compact numbering is the C scan order of the fluid mask
-    flags_at = grid.flags[grid.fluid_mask()]
-    owner_of = np.empty(flags_at.size, dtype=np.int64)
-    for r, own in enumerate(owned):
-        owner_of[own] = r
 
     send: List[Dict[int, np.ndarray]] = [{} for _ in range(num_ranks)]
     recv: List[Dict[int, np.ndarray]] = [{} for _ in range(num_ranks)]
-    for r, plan in enumerate(step_plans):
-        n_owned, n_local = owned[r].size, plan.num_local
-        if overlap:
-            written, slots = plan.cross_links(n_owned)
-        else:
-            written = slots = flat_destinations(
-                np.arange(n_owned, n_local), n_local, q
-            ).reshape(-1)
+    for r, (written, slots) in enumerate(exchanged):
+        n_owned, n_local = owned[r].size, step_plans[r].num_local
         pops, nodes = np.divmod(slots, n_local)
         gids = ghosts[r][nodes - n_owned]
         slot_owner = owner_of[gids]

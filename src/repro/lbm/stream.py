@@ -57,12 +57,14 @@ class StepPlan:
     single-pass stream kernel of the paper's perf model.
 
     ``update_ids`` are the local node ids the step writes; every plan
-    :meth:`from_links` compiles updates the prefix ``0..num_update-1`` of
-    the local numbering (single-domain, and the distributed
-    owned-before-ghost layout), which is what :meth:`apply` and the
-    compiled kernels write through.  The constructor stores its tables as
-    given — the ``*.stepplan.json`` codec loads a document that way so the
-    verifier, not a coercion, judges it.
+    built here updates the prefix ``0..num_update-1`` of the local
+    numbering (single-domain through :meth:`from_links`, and the
+    distributed owned-before-ghost layout of
+    :func:`~repro.lbm.rankplan.build_rank_plans`), which is what
+    :meth:`apply` and the compiled kernels write through.  The
+    constructor stores its tables as given — the ``*.stepplan.json``
+    codec loads a document that way so the verifier, not a coercion,
+    judges it.
     """
 
     q: int

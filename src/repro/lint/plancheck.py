@@ -57,7 +57,6 @@ import numpy as np
 from ..core.errors import PlanCheckError, ReproError
 from ..core.planmeta import (
     duplicate_values,
-    flat_destinations,
     kernel_abi_issues,
     out_of_range,
     run_table_issues,
@@ -384,12 +383,13 @@ def check_overlap_hazards(
                     )
         elif phase.body == "_phase_stream_interior":
             # writes the flat destinations; links sourced from stale
-            # slots produce provisional (tainted) values
+            # slots produce provisional (tainted) values (found with
+            # boolean temporaries only, no (q, n) int64 copy of the table)
             flat_src = np.asarray(plan.flat_src, dtype=np.int64)
-            dst = flat_destinations(plan.update_ids, num_local, q)
             valid = (flat_src >= 0) & (flat_src < stale.size)
-            links = valid & stale[np.clip(flat_src, 0, stale.size - 1)]
-            tainted_dst = dst[links]
+            links = valid & np.take(stale, flat_src, mode="clip")
+            qi, col = np.nonzero(links)
+            tainted_dst = qi * num_local + plan.update_ids[col]
             ok = (tainted_dst >= 0) & (tainted_dst < tainted.size)
             tainted[tainted_dst[ok]] = True
         elif phase.body == "_phase_stream_frontier":
@@ -422,6 +422,8 @@ def _barrier_ghost_coverage(st: RankPlan) -> List[PlanIssue]:
     """Barrier-schedule analogue of the hazard check: every ghost node
     the plan reads must be refilled by some posted receive."""
     plan = st.step_plan
+    if plan.num_local <= st.num_owned:
+        return []  # no ghost columns: no source node can be a ghost
     src_nodes = np.asarray(plan.flat_src, dtype=np.int64) % plan.num_local
     ghost_read = np.unique(src_nodes[src_nodes >= st.num_owned])
     refilled = (

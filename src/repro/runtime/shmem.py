@@ -129,12 +129,6 @@ class SegmentRegistry:
         self._arrays[label] = arr
         return arr
 
-    def share(self, label: str, array: np.ndarray) -> np.ndarray:
-        """A shared-segment copy of ``array`` (same shape/dtype/values)."""
-        out = self.ndarray(label, tuple(array.shape), array.dtype)
-        np.copyto(out, array)
-        return out
-
     @property
     def labels(self) -> List[str]:
         return sorted(self._segments)

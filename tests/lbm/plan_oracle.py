@@ -1,0 +1,140 @@
+"""The per-population oracle of ``build_rank_plans``.
+
+:func:`oracle_tables` derives every table a ``RankPlan`` holds from the
+oracles that share no code with the production build:
+``rank_link_lists`` (the per-population gather lists) and
+``upstream_ids``.  The exchange pair is re-derived from the folded table
+through ``StepPlan.cross_links``.  :func:`assert_plans_match` compares a
+build against it table by table.
+
+Run as a module for the comparison at benchmark-ladder scale (the
+cylinder at resolution 3.0 on 1 rank, the aorta at 0.7 on 2 ranks under
+overlap; a few seconds)::
+
+    PYTHONPATH=src python -m tests.lbm.plan_oracle
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from repro.core.lattice import D3Q19
+from repro.core.planmeta import flat_destinations
+from repro.decomp import decompose
+from repro.geometry.flags import INLET, OUTLET
+from repro.geometry.registry import build_geometry
+from repro.lbm.rankplan import build_rank_plans, rank_link_lists
+from repro.lbm.stream import StepPlan, upstream_ids
+from repro.workloads import workload_table
+
+__all__ = ["oracle_tables", "assert_plans_match"]
+
+
+def oracle_tables(grid, partition, lattice, periodic, overlap):
+    """Per rank, a dict of every table a ``RankPlan`` holds."""
+    q = lattice.q
+    coords, index_map = grid.compact_ids()
+    owner_of = partition.owner_map()[tuple(coords.T)]
+    flags_at = grid.flags[tuple(coords.T)]
+    ranks = []
+    for r, links in enumerate(
+        rank_link_lists(grid, partition, lattice, periodic)
+    ):
+        owned = np.flatnonzero(owner_of == r)
+        ups = np.concatenate([
+            upstream_ids(grid.shape, c, periodic, coords[owned], index_map)
+            for c in lattice.c
+        ])
+        ghosts = np.setdiff1d(ups[ups >= 0], owned)
+        n_local = owned.size + ghosts.size
+        flat = np.full((q, owned.size), -1, dtype=np.int64)
+        for link in links:
+            flat[link.qi, link.dst] = link.qi * n_local + link.src
+            flat[link.qi, link.bounce] = link.qi_opp * n_local + link.bounce
+        assert (flat >= 0).all(), "link lists leave a (population, node) gap"
+        ranks.append({
+            "owned_global": owned,
+            "ghost_global": ghosts,
+            "flat_src": flat,
+            "inlet_nodes": np.flatnonzero(flags_at[owned] == INLET),
+            "outlet_nodes": np.flatnonzero(flags_at[owned] == OUTLET),
+            "send_flat": {},
+            "recv_flat": {},
+        })
+    for r, tables in enumerate(ranks):
+        n_owned = tables["owned_global"].size
+        n_local = n_owned + tables["ghost_global"].size
+        if overlap:
+            plan = StepPlan(
+                q, n_local, np.arange(n_owned), tables["flat_src"]
+            )
+            written, slots = plan.cross_links(n_owned)
+        else:
+            written = slots = flat_destinations(
+                np.arange(n_owned, n_local), n_local, q
+            ).reshape(-1)
+        pops, nodes = np.divmod(slots, n_local)
+        gids = tables["ghost_global"][nodes - n_owned]
+        for j in np.unique(owner_of[gids]):
+            j = int(j)
+            peer = ranks[j]
+            mask = owner_of[gids] == j
+            peer_local = peer["owned_global"].size + peer["ghost_global"].size
+            tables["recv_flat"][j] = written[mask]
+            peer["send_flat"][r] = pops[mask] * peer_local + np.searchsorted(
+                peer["owned_global"], gids[mask]
+            )
+    return ranks
+
+
+def assert_plans_match(plans, grid, partition, lattice, periodic, overlap):
+    """``plans`` equal the oracle's tables, array for array and, for the
+    peer dicts, key order included (the ``*.stepplan.json`` order)."""
+    oracle = oracle_tables(grid, partition, lattice, periodic, overlap)
+    assert [p.rank for p in plans] == list(range(len(oracle)))
+    for plan, want in zip(plans, oracle):
+        sp = plan.step_plan
+        assert sp.q == lattice.q
+        assert sp.num_local == plan.num_owned + want["ghost_global"].size
+        assert np.array_equal(sp.update_ids, np.arange(plan.num_owned))
+        assert sp.flat_src.dtype == np.int64
+        assert sp.flat_src.flags.c_contiguous
+        for name in (
+            "owned_global", "ghost_global", "inlet_nodes", "outlet_nodes"
+        ):
+            assert np.array_equal(getattr(plan, name), want[name]), name
+        assert np.array_equal(sp.flat_src, want["flat_src"]), "flat_src"
+        for name in ("send_flat", "recv_flat"):
+            got = getattr(plan, name)
+            assert list(got) == list(want[name]), name
+            for peer, table in want[name].items():
+                assert np.array_equal(got[peer], table), (name, peer)
+
+
+def ladder_scale() -> None:
+    """The comparison on two benchmark-ladder workloads' plans."""
+    for workload, resolution, num_ranks, overlap in (
+        ("cylinder", 3.0, 1, False),
+        ("aorta", 0.7, 2, True),
+    ):
+        preset = workload_table()[workload]
+        grid = build_geometry(
+            preset.geometry, resolution=resolution, periodic=preset.periodic
+        )
+        partition = decompose(grid, num_ranks, preset.scheme)
+        periodic = (preset.periodic, False, False)
+        t0 = time.perf_counter()
+        plans = build_rank_plans(grid, partition, D3Q19, periodic, overlap)
+        built = time.perf_counter() - t0
+        assert_plans_match(plans, grid, partition, D3Q19, periodic, overlap)
+        print(
+            f"{workload} at {resolution} on {num_ranks} rank(s), "
+            f"{'overlap' if overlap else 'barrier'}: {grid.num_fluid} nodes, "
+            f"build {built:.3f} s, equal to the oracle"
+        )
+
+
+if __name__ == "__main__":
+    ladder_scale()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ConfigError, D3Q19, GeometryError
+from repro.core.lattice import D3Q27
 from repro.geometry import CylinderSpec, VoxelGrid, make_cylinder
 from repro.geometry.flags import FLUID, SOLID
 from repro.lbm import (
@@ -98,11 +99,37 @@ class TestVelocityInlet:
         assert f[:, 2].sum() == pytest.approx(1.0)
         assert f[:, 1].sum() == 0.0
 
+    def test_constant_block_is_computed_once_per_lattice(self, monkeypatch):
+        nodes = np.array([0, 2])
+        inlet = VelocityInlet(nodes, (0.01, 0.002, 0.0))
+        want = {
+            lat.q: lat.equilibrium(np.ones(2), np.tile(inlet.velocity, (2, 1)))
+            for lat in (D3Q19, D3Q27)
+        }
+        calls = []
+        real = VelocityInlet._equilibrium
+
+        def counted(self, lattice, time):
+            calls.append(lattice.q)
+            return real(self, lattice, time)
+
+        monkeypatch.setattr(VelocityInlet, "_equilibrium", counted)
+        for lattice in (D3Q19, D3Q19, D3Q27, D3Q27):
+            f = np.zeros((lattice.q, 3))
+            inlet.apply(lattice, f, time=len(calls))
+            assert np.array_equal(f[:, nodes], want[lattice.q])
+        assert calls == [19, 27]
+
     def test_time_dependent_velocity(self):
         inlet = VelocityInlet(
             np.array([0]), lambda t: np.array([0.001 * t, 0.0, 0.0])
         )
         assert inlet.velocity_at(5.0)[0] == pytest.approx(0.005)
+        f = np.zeros((19, 1))
+        for time in (1.0, 3.0):
+            inlet.apply(D3Q19, f, time)
+            u = np.array([[0.001 * time, 0.0, 0.0]])
+            assert np.array_equal(f, D3Q19.equilibrium(np.ones(1), u))
 
     def test_bad_provider_shape(self):
         inlet = VelocityInlet(np.array([0]), lambda t: np.zeros(2))

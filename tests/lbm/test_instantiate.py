@@ -11,6 +11,7 @@ from repro.core.errors import ModelError, PlanCheckError, RuntimeSimError
 from repro.decomp import bisection_decompose
 from repro.geometry import CylinderSpec, make_cylinder
 from repro.lbm import DistributedSolver, SolverConfig
+from repro.models import create_model
 from repro.runtime import fork_available
 from repro.runtime.shmem import leaked_segments
 
@@ -69,6 +70,43 @@ def test_rank_state_holds_one_copy_of_the_link_table(partition):
             int64_bytes_reachable(st)
             <= 1.25 * plan.flat_src.nbytes + run_table
         )
+
+
+@pytest.mark.parametrize(
+    "kw, model_name",
+    [
+        pytest.param({}, None, id="lockstep-numpy"),
+        pytest.param({"executor": "process"}, None, id="process", marks=needs_fork),
+        pytest.param({}, "cuda", id="models-cuda"),
+        pytest.param({}, "kokkos-openacc", id="models-kokkos-openacc"),
+    ],
+)
+def test_initial_state_is_the_rest_equilibrium_bit_for_bit(
+    partition, kw, model_name
+):
+    models = None
+    if model_name is not None:
+        models = [create_model(model_name) for _ in range(partition.num_ranks)]
+    solver = DistributedSolver(partition, config(**kw), models=models)
+    try:
+        lattice, rho0 = solver.lattice, solver.config.rho0
+        for st in solver.ranks:
+            n = st.plan.step_plan.num_local
+            want = lattice.equilibrium(np.full(n, rho0), np.zeros((n, 3)))
+            assert st.f.shape == want.shape and st.f.dtype == want.dtype
+            assert np.array_equal(st.f.view(np.int64), want.view(np.int64))
+        if solver._shm is not None:
+            # the double buffer is still two segments per rank, same names
+            labels = [
+                label for label in solver._shm.labels
+                if not label.startswith("plane.")
+            ]
+            assert labels == [
+                "rank0.f", "rank0.f_tmp", "rank1.f", "rank1.f_tmp",
+                "ring.0.1", "ring.1.0",
+            ]
+    finally:
+        solver.close()
 
 
 class Injected(Exception):

@@ -7,16 +7,32 @@ pair under both schedules — plus the ``*.stepplan.json`` codec.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.core.lattice import D3Q19
+from repro.core.lattice import D3Q15, D3Q19, D3Q27
 from repro.decomp import bisection_decompose
-from repro.geometry import CylinderSpec, make_aorta, make_cylinder
+from repro.geometry import CylinderSpec, VoxelGrid, make_aorta, make_cylinder
+from repro.geometry.flags import FLUID, SOLID
 from repro.lbm.rankplan import RankPlan, build_rank_plans, rank_link_lists
 from repro.lbm.stream import upstream_ids
 from repro.lint import check_plan_file, check_rank_states, rank_states_to_dict
+
+from .plan_oracle import assert_plans_match
+
+
+def slab(nx, nz):
+    """Fluid between two solid walls (y = 0 and y = 7), periodic on x and
+    z with extents ``nx`` and ``nz``, plus one solid voxel inside: an
+    extent-1 axis makes a node its own upstream neighbour, an extent-2
+    axis makes both wrap directions land on the same node."""
+    flags = np.full((nx, 8, nz), FLUID, dtype=np.int8)
+    flags[:, [0, -1], :] = SOLID
+    flags[0, 3, 0] = SOLID
+    return VoxelGrid(flags, name=f"slab{nx}x{nz}")
+
 
 GRIDS = {
     "periodic": (
@@ -28,7 +44,10 @@ GRIDS = {
         (False, False, False),
     ),
     "aorta": (lambda: make_aorta(2.0), (False, False, False)),
+    "extent1": (lambda: slab(1, 3), (True, False, True)),
+    "extent2": (lambda: slab(2, 2), (True, False, True)),
 }
+LATTICES = (D3Q15, D3Q19, D3Q27)
 
 
 @pytest.fixture(scope="module", params=sorted(GRIDS))
@@ -116,12 +135,12 @@ def test_overlap_ships_only_the_slots_some_link_reads(case):
         assert written.size < sum(t.size for t in b.recv_flat.values())
 
 
-def test_link_lists_compile_to_flat_src(case):
-    grid, periodic = case
-    partition = bisection_decompose(grid, 3)
-    plans = build_rank_plans(grid, partition, D3Q19, periodic)
+def assert_matches_the_oracle(grid, periodic, lattice, num_ranks, overlap):
+    partition = bisection_decompose(grid, num_ranks)
+    plans = build_rank_plans(grid, partition, lattice, periodic, overlap)
+    assert_plans_match(plans, grid, partition, lattice, periodic, overlap)
     for plan, links in zip(
-        plans, rank_link_lists(grid, partition, D3Q19, periodic)
+        plans, rank_link_lists(grid, partition, lattice, periodic)
     ):
         n = plan.step_plan.num_local
         for link in links:
@@ -131,6 +150,54 @@ def test_link_lists_compile_to_flat_src(case):
                 row[link.bounce], link.qi_opp * n + link.bounce
             )
             assert link.dst.size + link.bounce.size == plan.num_owned
+
+
+def test_link_lists_compile_to_flat_src(case):
+    # the production build and the per-population oracle share no code:
+    # every table, 1-4 ranks, both schedules
+    grid, periodic = case
+    for num_ranks in (1, 2, 3, 4):
+        for overlap in (False, True):
+            assert_matches_the_oracle(
+                grid, periodic, D3Q19, num_ranks, overlap
+            )
+
+
+@pytest.mark.parametrize("lattice", LATTICES, ids=lambda lat: lat.name)
+def test_every_lattice_compiles_to_the_oracle(case, lattice):
+    grid, periodic = case
+    for num_ranks, overlap in ((1, False), (3, True)):
+        assert_matches_the_oracle(grid, periodic, lattice, num_ranks, overlap)
+
+
+@pytest.mark.parametrize(
+    "num_ranks, overlap", [(1, False), (3, True)], ids=["1-barrier", "3-overlap"]
+)
+def test_build_transients_stay_within_the_tables(num_ranks, overlap):
+    # no (q, n_global) upstream table and no per-population link lists:
+    # the traced peak stays within 2x what the plans keep
+    grid = make_cylinder(CylinderSpec(scale=0.5, periodic=False))
+    partition = bisection_decompose(grid, num_ranks)
+    grid.fluid_mask()  # the grid's own cache is not the build's
+    tracemalloc.start()
+    try:
+        plans = build_rank_plans(
+            grid, partition, D3Q19, (False, False, False), overlap
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(
+        table.nbytes
+        for plan in plans
+        for table in (
+            plan.owned_global, plan.ghost_global, plan.inlet_nodes,
+            plan.outlet_nodes, plan.step_plan.update_ids,
+            plan.step_plan.flat_src,
+            *plan.send_flat.values(), *plan.recv_flat.values(),
+        )
+    )
+    assert peak <= 2 * kept, f"traced peak {peak / kept:.2f}x the tables"
 
 
 @pytest.mark.parametrize("overlap", [False, True], ids=["barrier", "overlap"])

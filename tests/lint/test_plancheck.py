@@ -359,6 +359,18 @@ class TestRealRankStates:
         assert _rules(issues) == ["K405"]
         assert "no receive refills" in issues[0].message
 
+    def test_corrupt_one_rank_table_still_reports_k401_k402(self, grid):
+        # one rank has no ghost columns, so the barrier coverage check
+        # returns early; the table checks still see every corruption
+        (plan,) = make_plans(grid, num_ranks=1)
+        assert plan.step_plan.num_local == plan.num_owned
+        plan.step_plan.update_ids[1] = plan.step_plan.update_ids[0]
+        plan.step_plan.flat_src[3, 5] = plan.step_plan.flat_src.size
+        plan.step_plan.flat_src[4, 6] = -1
+        issues = check_rank_states([plan], overlap=False)
+        assert _rules(issues) == ["K401", "K402"]
+        assert any("gather source(s)" in i.message for i in issues)
+
     def test_verify_rank_plans_raises_with_context(self, grid):
         plans = make_plans(grid, overlap=True)
         ids = plans[0].step_plan.update_ids
