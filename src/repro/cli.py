@@ -488,7 +488,7 @@ def _add_run_verb(sub, verb: str, help: str, steps: int) -> argparse.ArgumentPar
     p.add_argument(
         "--sanitize", action="store_true",
         help="enable the runtime sanitizer (NaN canaries, epoch "
-        "tracking, phase access logging)",
+        "tracking)",
     )
     p.add_argument(
         "--stall-timeout", type=float, default=60.0, metavar="SECONDS",

@@ -44,8 +44,8 @@ class HarveyConfig:
         Rank-phase executor: ``"lockstep"`` or ``"process"`` (forked
         workers over shared-memory segments).
     sanitize:
-        Run with the runtime sanitizer (NaN canaries, epoch tracking,
-        access logging — see :mod:`repro.lbm.sanitize`) enabled.
+        Run with the runtime sanitizer (NaN canaries, epoch tracking —
+        see :mod:`repro.lbm.sanitize`) enabled.
     backend:
         Kernel execution backend passed through to
         :class:`~repro.lbm.solver.SolverConfig`: ``"numpy"`` or one of

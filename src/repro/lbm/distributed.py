@@ -24,9 +24,9 @@ equivalence test asserts exact agreement — while the communicator's event
 log captures the halo-exchange traffic the performance layer prices.
 The declaration is the single source the other encoders read: the K405
 hazard analyser (:func:`repro.lint.plancheck.check_overlap_hazards`)
-interprets it, the sanitizer's access log is recorded from its
-``reads``/``writes``, and :meth:`DistributedSolver.phase_bytes_per_step`
-is keyed by its span names.
+interprets it, both executors run it through their one ``run_step``
+contract, and :meth:`DistributedSolver.phase_bytes_per_step` is keyed by
+its span names.
 
 Overlapped pipeline
 -------------------
@@ -51,11 +51,11 @@ hide halo exchange behind interior compute:
 
 Phases 2-4 run inside an ``overlap_window`` span, derived from the
 declaration (exchange post through completion, when compute is scheduled
-between them; under the process tier, first post begun to last completion
-done across the free-running ranks).  Because pull-streaming writes the
-double buffer and never reads what frontier streaming writes, the
-pipeline is bit-for-bit identical to the barrier schedule — pinned by
-``tests/lbm/test_overlap_equivalence.py``.
+between them) and rebuilt on both tiers from the per-rank phase intervals
+``run_step`` returns: first post begun to last completion done.  Because
+pull-streaming writes the double buffer and never reads what frontier
+streaming writes, the pipeline is bit-for-bit identical to the barrier
+schedule — pinned by ``tests/lbm/test_overlap_equivalence.py``.
 
 Executors and the halo transport
 --------------------------------
@@ -76,22 +76,22 @@ calls).  The kernels come from a provider the same way (inline NumPy,
 ``models``, whose host-staged variant wraps the transport) — neither
 choice changes the schedule.
 
-The process tier is **rank-resident**, as the paper's one-MPI-rank-per-GPU
-code is: one iteration is one dispatch — one pipe message and one ack per
-rank — and each worker runs its rank through the whole declared schedule,
-meeting its neighbours only in the halo exchange.  The ordering is
-per-rank program order plus the rings' happens-before (``pop_into`` blocks
-on an empty ring, ``push`` on a full one); ranks skew by at most one step,
-inside the ring capacity of 2, and every other buffer is rank-private.
-The ``f`` double buffer lives in :mod:`repro.runtime.shmem` segments so
-workers mutate the pages the parent observes.  The parent keeps the
-per-iteration loop — ``step`` span, SimComm for collectives and the event
-log (ring traffic is logged per step from the static wiring), sanitizer
-brackets — ships its mutable scalars (boundary time, step epoch) with the
-dispatch, and after the ack catches up from the declaration: the
-``overlap_window`` span is rebuilt from the acked phase intervals, the
-sanitizer's access log is replayed, the workers' buffer swap is mirrored.
-Physics stays bit-for-bit equal to lockstep — pinned by
+:meth:`DistributedSolver.step` is one loop that calls ``run_step`` once
+per iteration on either tier.  The process tier is **rank-resident**, as
+the paper's one-MPI-rank-per-GPU code is: one iteration is one dispatch —
+one pipe message and one ack per rank — and each worker runs its rank
+through the whole declared schedule, meeting its neighbours only in the
+halo exchange.  The ordering is per-rank program order plus the rings'
+happens-before (``pop_into`` blocks on an empty ring, ``push`` on a full
+one); ranks skew by at most one step, inside the ring capacity of 2, and
+every other buffer is rank-private.  The ``f`` double buffer lives in
+:mod:`repro.runtime.shmem` segments so workers mutate the pages the
+parent observes.  The parent keeps the per-iteration loop — ``step``
+span, SimComm for collectives and the event log (ring traffic is logged
+per step from the static wiring), sanitizer brackets — ships the step
+number with the dispatch, and after the ack mirrors the workers' buffer
+swap.  ``time`` advances once per step on both tiers.  Physics stays
+bit-for-bit equal to lockstep — pinned by
 ``tests/lbm/test_process_equivalence.py``.
 """
 
@@ -115,7 +115,7 @@ from .boundary import PressureOutlet, VelocityInlet
 from .rankplan import RankPlan, build_rank_plans
 from .solver import SolverConfig, validate_model_tier
 from ..runtime.events import CommEvent
-from ..runtime.executor import make_executor
+from ..runtime.executor import Timings, make_executor
 from ..runtime.shmem import RingTransport, SegmentRegistry
 from ..runtime.simmpi import SimComm
 from ..telemetry.metrics import get_registry
@@ -188,21 +188,19 @@ OVERLAP_SCHEDULE: Tuple[Phase, ...] = (
 )
 
 
-def _split_at_window(
-    schedule: Sequence[Phase],
-) -> Tuple[Sequence[Phase], Sequence[Phase], Sequence[Phase]]:
-    """Split ``schedule`` into (head, overlap window, tail).
+def _overlap_window(schedule: Sequence[Phase]) -> Optional[Tuple[int, int]]:
+    """Indices of the first and last phase of the overlap window.
 
     The window runs from the exchange post through its completion when
     the declaration schedules compute between them — the phases during
-    which communication is hidden; it is empty (everything in ``head``)
-    when the two exchange halves are adjacent.
+    which communication is hidden; None when the two exchange halves are
+    adjacent.
     """
     halves = [i for i, p in enumerate(schedule) if p.span == "exchange"]
-    lo, hi = halves[0], halves[-1] + 1
-    if hi - lo == len(halves):
-        lo = hi = len(schedule)
-    return schedule[:lo], schedule[lo:hi], schedule[hi:]
+    first, last = halves[0], halves[-1]
+    if last - first + 1 == len(halves):
+        return None
+    return first, last
 
 
 @dataclass
@@ -284,7 +282,7 @@ class DistributedSolver:
         self.fluid_updates = 0
         self._overlap = bool(config.overlap)
         self._schedule = OVERLAP_SCHEDULE if self._overlap else BARRIER_SCHEDULE
-        self._schedule_parts = _split_at_window(self._schedule)
+        self._window = _overlap_window(self._schedule)
         self._procmode = config.executor == "process"
         self._closed = False
         self._shm: Optional[SegmentRegistry] = None
@@ -490,11 +488,6 @@ class DistributedSolver:
             from .sanitize import StepSanitizer
 
             self._san = StepSanitizer(self.ranks, overlap=self._overlap)
-            # the step loop notes each phase's declared accesses and the
-            # communicator its queue traffic on the sanitizer's log; the
-            # executor advances its barrier epoch once per phase
-            self.executor.access_log = self._san.access_log
-            self.comm.access_log = self._san.access_log
 
     # -- phase bodies ------------------------------------------------------
     # Each body is a per-rank function the step loop dispatches through
@@ -577,34 +570,31 @@ class DistributedSolver:
             if san is not None:
                 san.on_scatter(st, src, written)
             tmp_flat[written] = st.recv_bufs[src]
+        if san is not None:
+            san.end_frontier(st)
         st.f, st.f_tmp = st.f_tmp, st.f
 
     def _phase_boundary(self, rank: int) -> None:
-        # fluid_updates is accumulated once per step in the driver, not
-        # here: under the process tier this body runs in a forked worker
-        # whose writes to solver attributes the parent never sees
+        # acts on the level streaming just produced, time + 1 (time
+        # advances once per step, after run_step).  fluid_updates is
+        # accumulated in the driver, not here: under the process tier
+        # this body runs in a forked worker whose writes to solver
+        # attributes the parent never sees
         st = self.ranks[rank]
+        level = self.time + 1
         if st.inlet is not None:
-            st.inlet.apply(self.lattice, st.f, self.time)
+            st.inlet.apply(self.lattice, st.f, level)
         if st.outlet is not None:
-            st.outlet.apply(self.lattice, st.f, self.time)
+            st.outlet.apply(self.lattice, st.f, level)
 
     # -- process-tier support ----------------------------------------------
     def _apply_phase_context(self, ctx: Dict[str, int]) -> None:
-        """Worker-side hook: apply the controlling process's mutable
-        scalars at the top of a dispatch (plain attribute writes made in
-        the parent after the fork are invisible here)."""
-        self.time = int(ctx["time"])
+        """Worker-side hook: apply the parent's step number at the top of
+        a dispatch (plain attribute writes made in the parent after the
+        fork are invisible here); ``time`` equals it there."""
+        self.time = int(ctx["step"])
         if self._san is not None:
-            self._san.begin_worker_step(self.ranks, int(ctx["step"]))
-
-    def _after_phase(self, index: int) -> None:
-        """Worker-side hook of a rank-resident step: phase ``index`` of
-        the schedule just ran on this worker's rank.  The worker is its
-        rank's controlling loop, so it advances its own copy of ``time``
-        exactly where :meth:`_execute` does."""
-        if self._schedule[index].swaps:
-            self.time += 1
+            self._san.begin_worker_step(self.ranks, self.time)
 
     def _log_ring_step(self, step: int) -> None:
         """The rings bypass SimComm, so the parent's event log is fed
@@ -634,89 +624,58 @@ class DistributedSolver:
 
     # -- the step loop -----------------------------------------------------
     def step(self, num_steps: int = 1) -> None:
-        """Advance ``num_steps`` iterations of the declared schedule."""
+        """Advance ``num_steps`` iterations of the declared schedule.
+
+        Both executors run one iteration per ``run_step`` call.  After it
+        the parent rebuilds the ``overlap_window`` span from the returned
+        phase intervals, mirrors the workers' double-buffer swap (process
+        tier) and advances ``time``.  Forked workers cannot see
+        parent-side attribute writes, so the step number travels with
+        the dispatch.
+        """
         if num_steps < 0:
             raise ConfigError("num_steps must be non-negative")
         if self._closed:
             raise RuntimeSimError("solver is closed; it cannot step again")
         san = self._san
-        head, window, tail = self._schedule_parts
+        bodies = [getattr(self, phase.body) for phase in self._schedule]
+        names = [phase.span for phase in self._schedule]
         for _ in range(num_steps):
             step_id = self.time
             self.comm.set_step(step_id)
             if san is not None:
                 san.begin_step(self.ranks, step_id)
             with self.tracer.span("step", step=step_id):
-                if self._procmode:
-                    self._execute_resident(step_id)
-                else:
-                    self._execute(head)
-                    if window:
-                        # communication is hidden behind the compute the
-                        # declaration schedules inside the exchange
-                        with self.tracer.span("overlap_window"):
-                            self._execute(window)
-                    self._execute(tail)
+                timings = self.executor.run_step(
+                    bodies, names, ctx={"step": step_id}
+                )
+                self._trace_window(timings)
                 self.fluid_updates += self._owned_total
             if self._procmode:
+                # each worker swapped its own rank's double buffer once
+                # (one phase per schedule swaps); mirror it on the
+                # parent's states so observables read live data
+                for st in self.ranks:
+                    st.f, st.f_tmp = st.f_tmp, st.f
                 self._log_ring_step(step_id)
+            self.time += 1
             if san is not None:
                 san.end_step(self.ranks, step_id)
         self._count_step_work(num_steps)
 
-    def _execute(self, phases: Sequence[Phase]) -> None:
-        """In-process tiers: phase-major, a barrier after every phase."""
-        ex = self.executor
-        san = self._san
-        for phase in phases:
-            ex.run_phase(getattr(self, phase.body), name=phase.span)
-            if san is not None:
-                san.record_phase(phase, self.ranks)
-            if phase.swaps:
-                # streaming is done: f now holds the next time level
-                self.time += 1
-
-    def _execute_resident(self, step_id: int) -> None:
-        """Process tier: the whole schedule in one dispatch per rank.
-
-        Each worker runs its rank through every phase back to back and
-        meets its neighbours only in the halo rings; the parent waits for
-        one ack per rank, then catches its own view up from the
-        declaration.  Forked workers cannot see parent-side attribute
-        writes, so the mutable scalars travel with the dispatch.
-        """
-        schedule = self._schedule
-        timings = self.executor.run_step(
-            [getattr(self, phase.body) for phase in schedule],
-            [phase.span for phase in schedule],
-            ctx={"time": self.time, "step": step_id},
-        )
-        head, window, _ = self._schedule_parts
+    def _trace_window(self, timings: Sequence[Timings]) -> None:
+        """Append the ``overlap_window`` span, rebuilt from the per-rank
+        phase intervals: first exchange post begun to last completion
+        done."""
         tracer = self.tracer
-        if window and tracer.enabled:
-            # no parent sits between the phases to bracket the window:
-            # rebuild it from the acked intervals (perf_counter is
-            # system-wide) — first post begun to last completion done
-            first, last = len(head), len(head) + len(window) - 1
-            start = min(acked[first][0] for acked in timings)
-            end = max(acked[last][0] + acked[last][1] for acked in timings)
-            tracer.spans.append(
-                SpanRecord(
-                    "overlap_window", start, end - start, tracer.depth()
-                )
-            )
-        san = self._san
-        for phase in schedule:
-            if san is not None:
-                san.access_log.begin_phase(phase.span)
-                san.record_phase(phase, self.ranks)
-            if phase.swaps:
-                # each worker swapped its own rank's double buffer;
-                # mirror it on the parent's states so observables read
-                # live data
-                for st in self.ranks:
-                    st.f, st.f_tmp = st.f_tmp, st.f
-                self.time += 1
+        if self._window is None or not tracer.enabled:
+            return
+        first, last = self._window
+        start = min(acked[first][0] for acked in timings)
+        end = max(acked[last][0] + acked[last][1] for acked in timings)
+        tracer.spans.append(
+            SpanRecord("overlap_window", start, end - start, tracer.depth())
+        )
 
     def _count_step_work(self, num_steps: int) -> None:
         # one counter bump per step() call, not per iteration or message:

@@ -4,7 +4,7 @@
 static K40x plan verifier: where :mod:`repro.lint.plancheck` proves the
 index tables sound before the first step, the sanitizer catches the bugs
 that only exist at runtime — a dropped unpack, a skipped scatter, a
-phase body touching another rank's state.  Three mechanisms:
+double scatter.  Two mechanisms:
 
 **NaN canaries.**  At the top of every step each rank's ghost columns
 are filled with NaN.  A correct schedule always overwrites the poison
@@ -22,12 +22,13 @@ destinations through scatter — double-scatters and never-finalized
 destinations are reported even when the values involved happen to look
 plausible.
 
-**Access logging.**  A :class:`~repro.runtime.executor.PhaseAccessLog`
-is attached to the executor and the communicator; the step loop notes
-the buffer accesses each scheduled phase declares, and the end-of-step
-happens-before check reports cross-rank write/write and write/read
-conflicts that the per-phase barrier does not order (lock-protected
-communicator traffic is exempt) — the dynamic W50x counterpart.
+The epoch checks are rank-local and run inside the rank's own phase
+bodies, where the epoch state is written — in the forked worker under
+``executor="process"`` — so they keep full strength on both tiers.  The
+never-finalized and leftover-payload checks run where the rank's
+frontier scatter finishes (:meth:`StepSanitizer.end_frontier`).  A phase
+body touching another rank's state is ruled out statically, by the
+W501/W503 lint rules.
 
 Telemetry: ``sanitize.steps_checked``, ``sanitize.ghost_slots_poisoned``
 and ``sanitize.violations`` counters on the global registry.
@@ -40,7 +41,6 @@ from typing import Dict, Sequence, Set
 import numpy as np
 
 from ..core.errors import SanitizeError
-from ..runtime.executor import PhaseAccessLog
 from ..telemetry.metrics import get_registry
 
 __all__ = ["StepSanitizer", "check_finite"]
@@ -66,22 +66,21 @@ class StepSanitizer:
     single ``is not None`` check so ``sanitize=False`` costs one branch):
 
     * :meth:`begin_step` — poison ghost columns, reset freshness state;
-    * :meth:`record_phase` — after each phase, its declared accesses;
     * :meth:`on_unpack` — barrier path, after a payload lands in ghosts;
     * :meth:`before_stream` — barrier path, the stale-ghost read check;
     * :meth:`on_interior_stream` — overlap path, marks the provisional
       destinations the scatter must finalize;
     * :meth:`on_payload` / :meth:`on_scatter` — overlap path, payload
       bookkeeping plus the double-scatter check;
-    * :meth:`end_step` — canary sweep, leftover-payload and
-      never-finalized checks, access-log conflict report.
+    * :meth:`end_frontier` — overlap path, after the rank's scatter:
+      leftover-payload and never-finalized checks;
+    * :meth:`end_step` — the canary sweep.
     """
 
     def __init__(
         self, ranks: Sequence[object], overlap: bool = False
     ) -> None:
         self.overlap = bool(overlap)
-        self.access_log = PhaseAccessLog()
         registry = get_registry()
         self._steps_counter = registry.counter("sanitize.steps_checked")
         self._poison_counter = registry.counter(
@@ -114,7 +113,6 @@ class StepSanitizer:
     # -- hooks --------------------------------------------------------------
     def _reset(self, ranks: Sequence[object], step: int) -> None:
         self._step = step
-        self.access_log.clear()
         for st in ranks:
             rank = int(st.rank)
             self._fresh[rank] = set()
@@ -144,18 +142,10 @@ class StepSanitizer:
         the epoch dictionaries, however, are per-process, so each worker
         resets its own copies when it first sees a new step (the solver
         calls this from its phase-context hook).  Idempotent within a
-        step.  The NaN-canary and epoch checks keep full strength across
-        the fork because they read the shared buffers."""
+        step.  The epoch checks then run in the worker, on the state it
+        writes."""
         if step != self._step:
             self._reset(ranks, step)
-
-    def record_phase(self, phase: object, ranks: Sequence[object]) -> None:
-        """Note ``phase``'s declared reads/writes in the epoch just run."""
-        for st in ranks:
-            rank = int(st.rank)
-            for mode, bufs in (("read", phase.reads), ("write", phase.writes)):
-                for buf in bufs:
-                    self.access_log.record(rank, f"rank{rank}.{buf}", mode)
 
     def on_unpack(self, st: object, src: int) -> None:
         """Barrier path: rank ``st`` unpacked ``src``'s payload into its
@@ -216,32 +206,30 @@ class StepSanitizer:
         prov[inj] = False
         self._payload_pending[rank].discard(int(src))
 
-    def end_step(self, ranks: Sequence[object], step: int) -> None:
-        """End-of-step sweep: canaries, leftovers, access conflicts."""
-        for st in ranks:
-            rank = int(st.rank)
-            pending = self._payload_pending.get(rank) or set()
-            if pending:
-                self._fail(
-                    f"rank {rank} step {step}: payload(s) from rank(s) "
-                    f"{sorted(pending)} completed but were never "
-                    "scattered onto the frontier"
-                )
-            prov = self._provisional.get(rank)
-            if prov is not None and prov.any():
-                left = np.flatnonzero(prov)
-                self._fail(
-                    f"rank {rank} step {step}: {left.size} provisional "
-                    f"frontier destination(s) never finalized (e.g. flat "
-                    f"slots {left[:4].tolist()}); their stale-ghost "
-                    "values survive in owned state"
-                )
-            check_finite(st.f, st.num_owned, f"rank {rank} step {step}")
-        conflicts = self.access_log.conflicts()
-        if conflicts:
-            detail = "; ".join(c.describe() for c in conflicts[:4])
+    def end_frontier(self, st: object) -> None:
+        """Overlap path: rank ``st`` finished its frontier scatter, so
+        every completed payload must be scattered and every provisional
+        destination finalized."""
+        rank = int(st.rank)
+        pending = self._payload_pending[rank]
+        if pending:
             self._fail(
-                f"step {step}: {len(conflicts)} cross-thread access "
-                f"conflict(s) with no happens-before edge: {detail}"
+                f"rank {rank} step {self._step}: payload(s) from rank(s) "
+                f"{sorted(pending)} completed but were never "
+                "scattered onto the frontier"
             )
+        prov = self._provisional[rank]
+        if prov.any():
+            left = np.flatnonzero(prov)
+            self._fail(
+                f"rank {rank} step {self._step}: {left.size} provisional "
+                f"frontier destination(s) never finalized (e.g. flat "
+                f"slots {left[:4].tolist()}); their stale-ghost "
+                "values survive in owned state"
+            )
+
+    def end_step(self, ranks: Sequence[object], step: int) -> None:
+        """End-of-step sweep: no NaN canary reached owned state."""
+        for st in ranks:
+            check_finite(st.f, st.num_owned, f"rank {st.rank} step {step}")
         self._steps_counter.inc(1)

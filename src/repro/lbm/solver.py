@@ -52,8 +52,7 @@ def validate_tier(executor: str, sanitize: bool, backend: str) -> None:
         )
     if backend != "numpy" and sanitize:
         raise ConfigError(
-            "sanitize=True requires backend='numpy': compiled "
-            "kernels bypass the access log and fast-math code "
+            "sanitize=True requires backend='numpy': fast-math code "
             "generation breaks the NaN-canary protocol"
         )
 
@@ -109,9 +108,8 @@ class SolverConfig:
         the single-domain solver.
     sanitize:
         Run the runtime sanitizer (:mod:`repro.lbm.sanitize`): NaN
-        canaries in ghost columns, ghost/payload epoch tracking, and
-        per-phase shared-buffer access logging with a happens-before
-        conflict check.  Costly; intended for tests and debugging.
+        canaries in ghost columns and ghost/payload epoch tracking.
+        Costly; intended for tests and debugging.
     backend:
         Kernel execution tier: ``"numpy"`` (default, the reference
         vectorised kernels) or a compiled variant — ``"compiled"``
@@ -120,8 +118,7 @@ class SolverConfig:
         StepPlan IR through :mod:`repro.models.compiled` (numba or
         generated C).  Compiled backends are incompatible with
         ``sanitize`` (fastmath code generation assumes no NaNs, which
-        breaks the sanitizer's NaN-canary protocol, and the compiled
-        phases bypass its access log).
+        breaks the sanitizer's NaN-canary protocol).
     fastmath:
         Allow fast-math code generation in compiled backends
         (``-ffast-math`` / numba ``fastmath=True``).  Reassociation

@@ -4,9 +4,8 @@
 methods) to forked workers that run their rank through the whole
 schedule and meet only in the halo rings.  A phase body may therefore
 touch only its own rank's state plus lock-owning shared services — the
-contract the distributed solver's phases obey and the runtime
-access-log sanitizer checks dynamically.  These rules freeze the
-contract statically:
+contract the distributed solver's phases obey.  These rules are its
+guard; nothing checks it at runtime:
 
 ======  ======================================================
 W501    mutation of shared ``self`` state inside a phase body

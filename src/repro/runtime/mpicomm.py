@@ -87,7 +87,6 @@ class MPIComm:
         self.num_ranks = int(self._comm.Get_size())
         self.rank = int(self._comm.Get_rank())
         self.log = EventLog()
-        self.access_log = None  # SimComm-surface compatibility
         self._step = -1
 
     def _check_self(self, rank: int, role: str) -> None:

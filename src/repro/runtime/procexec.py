@@ -1,23 +1,18 @@
 """Process-based rank executor: true multicore rank parallelism.
 
 :class:`ProcessExecutor` keeps one persistent worker process per rank
-and dispatches the same per-rank phase bodies the lockstep executor
-runs, without the GIL: each rank's collide/stream/boundary kernels run
-on their own core.  Two granularities:
-
-* ``run_phase`` — one message per rank per *phase*, a barrier at its
-  end (every rank finishes the phase before the call returns): the
-  generic call for callers that interleave parent-side work.
-* ``run_step`` — one message per rank per *iteration*.  Each worker
-  runs its rank through the whole declared schedule back to back and
-  acks once; the parent never sits between two phases.  The ordering
-  guarantee is the one MPI ranks have: **per-rank program order plus the
-  happens-before edges of the halo rings** (a ``pop_into`` returns only
-  after the peer's ``push``; a ``push`` waits for a free slot).  Ranks
-  therefore skew by at most one step, which the ring capacity (2)
-  covers, and every other buffer a phase body touches must be
-  rank-private.  Results stay bit-for-bit equal to lockstep by
-  construction.
+and runs the same per-rank phase bodies the lockstep executor runs,
+without the GIL: each rank's collide/stream/boundary kernels run on
+their own core.  ``run_step`` is one message per rank per *iteration*:
+each worker runs its rank through the whole declared schedule back to
+back and acks once; the parent never sits between two phases.  The
+ordering guarantee is the one MPI ranks have: **per-rank program order
+plus the happens-before edges of the halo rings** (a ``pop_into``
+returns only after the peer's ``push``; a ``push`` waits for a free
+slot).  Ranks therefore skew by at most one step, which the ring
+capacity (2) covers, and every other buffer a phase body touches must be
+rank-private.  Results stay bit-for-bit equal to lockstep by
+construction.  ``run_phase`` is a one-phase ``run_step``.
 
 How state crosses the process boundary
 --------------------------------------
@@ -55,13 +50,9 @@ grace window of ``min(5 s, stall timeout)`` to ack, never the 60 s ring
 timeout, then terminates the stragglers and closes the executor.
 
 The ``ctx`` dict of a dispatch carries the controlling process's mutable
-scalars (step counter, boundary time) to the workers; the target applies
-it through its ``_apply_phase_context`` hook before the first body runs,
+scalars (the step counter) to the workers; the target applies it
+through its ``_apply_phase_context`` hook before the first body runs,
 since plain attribute writes in the parent are invisible after the fork.
-Inside a step dispatch the worker then calls the target's optional
-``_after_phase(i)`` hook after phase ``i`` — where a rank advances the
-scalars the parent's loop would have advanced between ``run_phase``
-calls.
 
 When a :class:`~repro.telemetry.plane.TelemetryPlane` is attached (the
 distributed solver wires one whenever the plane is enabled), the agents
@@ -90,22 +81,15 @@ from ..core.errors import (
 )
 from ..telemetry.plane import WorkerAgent, merge_records
 from ..telemetry.spans import get_tracer, set_tracer
-from .executor import PhaseAccessLog, step_span_names
+from .executor import Timings, check_step_names
 
 __all__ = ["ProcessExecutor", "fork_available"]
 
 PhaseFn = Callable[[int], None]
 
-_CMD_PHASE = "phase"
-_CMD_STEP = "step"
-_CMD_STOP = "stop"
-
 #: how long the parent keeps waiting for the other ranks' acks once one
 #: rank has died or raised (they may be blocked on its halo rings)
 _FAILURE_GRACE_S = 5.0
-
-#: one rank's acked ``(start, duration)`` per dispatched phase
-Timings = List[Tuple[float, float]]
 
 
 def fork_available() -> bool:
@@ -124,15 +108,13 @@ def _worker_main(
 ) -> None:
     """Worker loop: receive dispatches, run them, ack with timings.
 
-    A dispatch is a sequence of ``(span name, callable spec)`` phases —
-    one for ``run_phase``, a whole iteration for ``run_step`` — plus one
-    ``ctx``.  The worker applies the ctx through the target's
-    ``_apply_phase_context`` hook, runs the phases back to back on its
-    own rank (no parent round trip in between; a step dispatch also
-    calls the target's ``_after_phase(i)`` hook after phase ``i``), and
-    acks once: ``("ok", timings, records)`` with the per-phase
-    ``(start, duration)`` list, or ``("err", exc blob, traceback, phase
-    label, records)``.
+    A dispatch is a sequence of ``(span name, callable spec)`` phases
+    plus one ``ctx``; ``None`` stops the worker.  The worker applies the
+    ctx through the target's ``_apply_phase_context`` hook, runs the
+    phases back to back on its own rank (no parent round trip in
+    between), and acks once: ``("ok", timings, records)`` with the
+    per-phase ``(start, duration)`` list, or ``("err", exc blob,
+    traceback, phase label, records)``.
 
     ``records`` come from the worker's
     :class:`~repro.telemetry.plane.WorkerAgent`: its metric deltas and,
@@ -155,22 +137,17 @@ def _worker_main(
                 msg = conn.recv()
             except (EOFError, OSError):
                 break
-            if msg[0] == _CMD_STOP:
+            if msg is None:
                 break
-            cmd, phases, ctx = msg
+            phases, ctx = msg
             label = "phase"
             try:
                 if ctx is not None and target is not None:
                     hook = getattr(target, "_apply_phase_context", None)
                     if hook is not None:
                         hook(ctx)
-                after = (
-                    getattr(target, "_after_phase", None)
-                    if cmd == _CMD_STEP
-                    else None
-                )
                 timings: Timings = []
-                for index, (name, (kind, payload)) in enumerate(phases):
+                for name, (kind, payload) in phases:
                     label = name or "phase"
                     if kind == "method":
                         fn = getattr(target, payload)
@@ -184,8 +161,6 @@ def _worker_main(
                     fn(rank)
                     agent.end_phase(label)
                     timings.append((t0, time.perf_counter() - t0))
-                    if after is not None:
-                        after(index)
                 conn.send(("ok", timings, agent.records()))
             except BaseException as exc:
                 records: List[Dict[str, Any]] = []
@@ -215,13 +190,12 @@ def _worker_main(
 class ProcessExecutor:
     """Runs per-rank phase bodies on persistent worker processes.
 
-    Same ``run_phase``/``run_step`` surface as the in-process executors
-    plus ``close()``; ``ctx`` is applied worker-side.  ``run_phase`` is
-    one dispatch per phase with a barrier at its end; ``run_step`` is
-    one dispatch per *iteration* — the ranks free-run through the phases
-    and meet only where the bodies themselves synchronise (the halo
-    rings).  Construction only checks the platform; workers fork on
-    first use so they inherit the fully-built solver.
+    Same ``run_step`` contract as the lockstep executor plus
+    ``close()``; ``ctx`` is applied worker-side.  ``run_step`` is one
+    dispatch per *iteration* — the ranks free-run through the phases and
+    meet only where the bodies themselves synchronise (the halo rings).
+    Construction only checks the platform; workers fork on first use so
+    they inherit the fully-built solver.
     """
 
     def __init__(self, num_ranks: int, tracer=None) -> None:
@@ -240,13 +214,6 @@ class ProcessExecutor:
         self.phases_run = 0
         self._dispatches = 0
         self.tracer = get_tracer() if tracer is None else tracer
-        #: optional PhaseAccessLog advanced once per ``run_phase``
-        #: (sanitize mode); conflict detection degrades to the
-        #: controlling process's view — worker-side records stay in the
-        #: workers.  ``run_step`` leaves it alone: nothing is accessed
-        #: parent-side during a rank-resident dispatch, so the caller
-        #: replays its declared accesses per phase after the ack.
-        self.access_log: Optional[PhaseAccessLog] = None
         #: optional :class:`~repro.telemetry.plane.TelemetryPlane`; set it
         #: before the first dispatch (workers fork with it) to get
         #: heartbeats, the stall watchdog and the flight recorder.
@@ -261,8 +228,8 @@ class ProcessExecutor:
 
     @property
     def dispatches(self) -> int:
-        """Messages sent to each rank so far: one per ``run_phase`` and
-        one per ``run_step`` (``phases_run`` counts the phases)."""
+        """Messages sent to each rank so far: one per ``run_step``
+        (``phases_run`` counts the phases)."""
         return self._dispatches
 
     # -- lifecycle -------------------------------------------------------
@@ -302,7 +269,7 @@ class ProcessExecutor:
         self._closed = True
         for proc, conn in self._workers:
             try:
-                conn.send((_CMD_STOP,))
+                conn.send(None)
             except (BrokenPipeError, OSError):
                 pass
         for proc, conn in self._workers:
@@ -344,43 +311,19 @@ class ProcessExecutor:
                 f"({exc}); see lint rule W504"
             ) from None
 
-    def _ensure_started(self, fn: PhaseFn) -> None:
-        if self._closed:
-            raise RuntimeSimError(
-                "process executor is closed; its workers are gone"
-            )
-        if not self._started:
-            self.start(getattr(fn, "__self__", None))
-
     def run_phase(
         self,
         fn: PhaseFn,
-        ranks: Optional[Sequence[int]] = None,
         name: Optional[str] = None,
         ctx: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Invoke ``fn(rank)`` on every rank's worker, barrier at the end.
-
-        ``ctx`` (optional) is applied on each worker via the target's
-        ``_apply_phase_context`` hook before the body runs.
-        """
-        self._ensure_started(fn)
-        targets: List[int] = list(
-            range(self.num_ranks) if ranks is None else ranks
-        )
-        for rank in targets:
-            if not 0 <= rank < self.num_ranks:
-                raise RuntimeSimError(f"phase rank {rank} out of range")
-        if self.access_log is not None:
-            self.access_log.begin_phase(name or f"phase{self.phases_run}")
-        self._dispatch(
-            _CMD_PHASE, ((name, self._spec_for(fn)),), ctx, targets
-        )
+    ) -> List[Timings]:
+        """A one-phase :meth:`run_step`: ``fn(rank)`` on every worker."""
+        return self.run_step([fn], [name], ctx)
 
     def run_step(
         self,
         phases: Sequence[PhaseFn],
-        names: Optional[Sequence[Optional[str]]] = None,
+        names: Sequence[Optional[str]],
         ctx: Optional[Dict[str, Any]] = None,
     ) -> List[Timings]:
         """Run one iteration rank-resident: a single message per rank.
@@ -391,44 +334,42 @@ class ProcessExecutor:
         ``pop_into`` waits for the peer's ``push`` and a ``push`` waits
         for a free slot, so ranks skew by at most the ring capacity and
         meet only in the halo exchange, as MPI ranks do.  Every other
-        buffer a body touches must be rank-private.  After phase ``i``
-        the worker calls the target's optional ``_after_phase(i)`` hook
-        (the rank-resident counterpart of what a controlling loop does
-        between ``run_phase`` calls).
+        buffer a body touches must be rank-private.
 
         Returns each rank's acked per-phase ``(start, duration)`` list
         so the caller can rebuild container spans.  A rank that raises
         ends the iteration for everyone: the others get a short grace to
         ack, the executor closes, and the first exception is re-raised.
         """
-        names = step_span_names(phases, names)
+        check_step_names(phases, names)
+        if self._closed:
+            raise RuntimeSimError(
+                "process executor is closed; its workers are gone"
+            )
         if not phases:
             return [[] for _ in range(self.num_ranks)]
-        self._ensure_started(phases[0])
+        if not self._started:
+            self.start(getattr(phases[0], "__self__", None))
         specs = tuple(
             (name, self._spec_for(fn)) for fn, name in zip(phases, names)
         )
-        return self._dispatch(
-            _CMD_STEP, specs, ctx, list(range(self.num_ranks))
-        )
+        return self._dispatch(specs, ctx)
 
     def _dispatch(
         self,
-        cmd: str,
         phases: Tuple[Tuple[Optional[str], Tuple[str, Any]], ...],
         ctx: Optional[Dict[str, Any]],
-        targets: List[int],
     ) -> List[Timings]:
-        """Send one message per target rank, gather one ack per rank."""
+        """Send one message per rank, gather one ack per rank."""
         dispatch_t0 = time.perf_counter()
+        step = ctx.get("step") if ctx else None
 
         def where(rank: int) -> str:
-            return self._where(rank, cmd, phases, ctx, dispatch_t0)
+            return self._where(rank, step, dispatch_t0)
 
-        for rank in targets:
-            _, conn = self._workers[rank]
+        for rank, (_, conn) in enumerate(self._workers):
             try:
-                conn.send((cmd, phases, ctx))
+                conn.send((phases, ctx))
             except (BrokenPipeError, OSError):
                 self.close()
                 raise RuntimeSimError(
@@ -436,13 +377,11 @@ class ProcessExecutor:
                     f"dispatch {where(rank)}"
                 ) from None
 
-        acks, dead_ranks, stall = self._collect_acks(
-            targets, dispatch_t0, where
-        )
+        acks, dead_ranks, stall = self._collect_acks(dispatch_t0, where)
         first_err: Optional[Tuple] = None
         first_rank = -1
         timings: List[Timings] = []
-        for rank in targets:
+        for rank in range(self.num_ranks):
             ack = acks.get(rank)
             if ack is None:
                 timings.append([])
@@ -459,18 +398,16 @@ class ProcessExecutor:
                 first_err, first_rank = ack, rank
         if stall is not None:
             self._raise_stall(*stall)
-        missing = [r for r in targets if r not in acks]
+        missing = [r for r in range(self.num_ranks) if r not in acks]
         if dead_ranks:
             self._raise_worker_death(dead_ranks[0], where, missing)
         self.phases_run += len(phases)
         self._dispatches += 1
         if first_err is not None:
-            # a failed iteration is not resumable (rings may hold the
-            # survivors' messages); a failed phase only when some rank
-            # never reached the barrier
+            # a failed iteration is not resumable: rings may hold the
+            # survivors' messages
             exc = self._worker_error(first_rank, first_err)
-            if cmd == _CMD_STEP or missing:
-                self._abort(missing)
+            self._abort(missing)
             raise exc
         return timings
 
@@ -501,24 +438,12 @@ class ProcessExecutor:
             exc.postmortem = bundle
         return exc
 
-    def _where(
-        self,
-        rank: int,
-        cmd: str,
-        phases: Tuple[Tuple[Optional[str], Any], ...],
-        ctx: Optional[Dict[str, Any]],
-        since: float,
-    ) -> str:
+    def _where(self, rank: int, step: Optional[int], since: float) -> str:
         """Where ``rank`` is in the current dispatch, for error messages.
 
-        ``run_phase`` knows the phase from the call site.  A step
-        dispatch asks the rank's flight recorder for the last phase it
-        entered since the dispatch; without a plane only the step is
-        known.
+        The rank's flight recorder names the last phase it entered since
+        the dispatch; without a plane only the step is known.
         """
-        if cmd == _CMD_PHASE:
-            return f"phase {phases[0][0] or 'phase'!r}"
-        step = ctx.get("step") if ctx else None
         if self.plane is not None:
             events = self.plane.flight_tail(rank)["events"]
             for ev in reversed(events):
@@ -528,11 +453,10 @@ class ProcessExecutor:
 
     def _collect_acks(
         self,
-        targets: Sequence[int],
         dispatch_t0: float,
         where: Callable[[int], str],
     ) -> Tuple[Dict[int, Tuple], List[int], Optional[Tuple[StallError, str]]]:
-        """Gather one ack per target rank.
+        """Gather one ack per rank.
 
         While waiting, the attached telemetry plane's (if any) heartbeat
         watchdog checks the still-pending ranks, so a hung worker comes
@@ -543,10 +467,9 @@ class ProcessExecutor:
         the caller reports the failure rather than wait out the ring
         timeout.
         """
-        pending: Dict[Any, int] = {}
-        for rank in targets:
-            _, conn = self._workers[rank]
-            pending[conn] = rank
+        pending: Dict[Any, int] = {
+            conn: rank for rank, (_, conn) in enumerate(self._workers)
+        }
         acks: Dict[int, Tuple] = {}
         dead_ranks: List[int] = []
         failed_ts: Optional[float] = None

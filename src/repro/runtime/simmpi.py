@@ -46,10 +46,6 @@ class SimComm:
         self._barriers = 0
         # serializes queue/log mutation against concurrent callers
         self._lock = threading.Lock()
-        #: optional PhaseAccessLog (sanitize mode): queue traffic is
-        #: noted as lock-protected so the happens-before check can
-        #: distinguish it from raw shared-array access
-        self.access_log = None
 
     # -- helpers -----------------------------------------------------------
     def _check_rank(self, rank: int, role: str) -> None:
@@ -71,10 +67,6 @@ class SimComm:
         if src == dst:
             raise RuntimeSimError("rank cannot send to itself")
         data = np.array(buf, copy=True)
-        if self.access_log is not None:
-            self.access_log.record(
-                src, f"comm.queue[{src}->{dst}#{tag}]", "write", locked=True
-            )
         with self._lock:
             if self.debug:
                 key = (src, dst, tag)
@@ -94,10 +86,6 @@ class SimComm:
         """Dequeue the next message from ``src`` to ``dst``."""
         self._check_rank(src, "source")
         self._check_rank(dst, "destination")
-        if self.access_log is not None:
-            self.access_log.record(
-                dst, f"comm.queue[{src}->{dst}#{tag}]", "read", locked=True
-            )
         with self._lock:
             queue = self._queues.get((src, dst, tag))
             if not queue:

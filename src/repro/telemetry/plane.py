@@ -356,10 +356,7 @@ class WorkerAgent:
         self.plane = plane
         self.rank = rank
         self.pid = os.getpid()
-        try:
-            self.tid = threading.get_native_id()
-        except AttributeError:  # pragma: no cover - py<3.8 fallback
-            self.tid = self.pid
+        self.tid = threading.get_native_id()
         self.tracer: Optional[Tracer] = Tracer() if trace else None
         self.registry: MetricsRegistry = get_registry()
         self._base = self.registry.as_dict()

@@ -83,16 +83,24 @@ class TestEquivalence:
         dist.step(8)
         assert np.array_equal(dist.gather_f(), ref.f)
 
-    def test_pulsatile_inlet_bitwise(self, aorta):
+    @pytest.mark.parametrize(
+        "overlap", [False, True], ids=["barrier", "overlap"]
+    )
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_pulsatile_inlet_bitwise(self, aorta, executor, overlap):
+        # a time-dependent inlet pins where every tier reads ``time``
         from repro.harvey import PulsatileWaveform
 
         wave = PulsatileWaveform(peak_velocity=0.03, period_steps=20)
         cfg = SolverConfig(tau=0.8, inlet_velocity=wave)
         ref = Solver(aorta, cfg)
         ref.step(25)
-        dist = DistributedSolver(bisection_decompose(aorta, 4), cfg)
-        dist.step(25)
-        assert np.array_equal(dist.gather_f(), ref.f)
+        tier = SolverConfig(
+            tau=0.8, inlet_velocity=wave, executor=executor, overlap=overlap
+        )
+        with DistributedSolver(bisection_decompose(aorta, 4), tier) as dist:
+            dist.step(25)
+            assert np.array_equal(dist.gather_f(), ref.f)
 
 
 class TestCommunication:

@@ -21,6 +21,15 @@ CYL_CONFIG = dict(
     tau=0.8, force=(1e-6, 0.0, 0.0), periodic=(True, False, False)
 )
 STEPS = 6
+EXECUTORS = [
+    "lockstep",
+    pytest.param(
+        "process",
+        marks=pytest.mark.skipif(
+            not fork_available(), reason="needs the POSIX fork start method"
+        ),
+    ),
+]
 
 
 @pytest.fixture(scope="module")
@@ -55,19 +64,7 @@ class TestCleanRuns:
     """sanitize=True must be invisible on correct schedules."""
 
     @pytest.mark.parametrize("overlap", [False, True])
-    @pytest.mark.parametrize(
-        "executor",
-        [
-            "lockstep",
-            pytest.param(
-                "process",
-                marks=pytest.mark.skipif(
-                    not fork_available(),
-                    reason="needs the POSIX fork start method",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_bitwise_equal_to_unsanitized(self, grid, overlap, executor):
         with make_solver(
             grid, overlap=overlap, executor=executor
@@ -122,20 +119,30 @@ class TestSeededBugs:
         written = recv_flat[sorted(recv_flat)[0]]
         written[-1] = written[-2]
 
-    def test_redirected_scatter_caught_only_when_sanitized(self, grid):
-        legacy = make_solver(grid, overlap=True)
-        reference = make_solver(grid, overlap=True)
-        self._redirect_scatter(legacy)
-        legacy.step(1)  # executes silently — the bug the paper class hits
-        reference.step(1)
-        assert not np.array_equal(
-            legacy.gather_f().copy(), reference.gather_f()
-        ), "the seeded bug must actually corrupt the results"
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_redirected_scatter_caught_only_when_sanitized(
+        self, grid, executor
+    ):
+        # the never-finalized check runs where the rank's scatter ends,
+        # which under the process tier is the forked worker
+        with make_solver(
+            grid, overlap=True, executor=executor
+        ) as legacy, make_solver(
+            grid, overlap=True, executor=executor
+        ) as reference:
+            self._redirect_scatter(legacy)
+            legacy.step(1)  # executes silently — the bug the paper class hits
+            reference.step(1)
+            assert not np.array_equal(
+                legacy.gather_f().copy(), reference.gather_f()
+            ), "the seeded bug must actually corrupt the results"
 
-        sanitized = make_solver(grid, overlap=True, sanitize=True)
-        self._redirect_scatter(sanitized)
-        with pytest.raises(SanitizeError, match="never finalized"):
-            sanitized.step(1)
+        with make_solver(
+            grid, overlap=True, sanitize=True, executor=executor
+        ) as sanitized:
+            self._redirect_scatter(sanitized)
+            with pytest.raises(SanitizeError, match="never finalized"):
+                sanitized.step(1)
 
     def test_violations_counter_increments(self, grid):
         counter = get_registry().counter("sanitize.violations")
@@ -147,19 +154,7 @@ class TestSeededBugs:
         assert counter.value == before + 1
 
     @pytest.mark.parametrize("plane", ["on", "off"])
-    @pytest.mark.parametrize(
-        "executor",
-        [
-            "lockstep",
-            pytest.param(
-                "process",
-                marks=pytest.mark.skipif(
-                    not fork_available(),
-                    reason="needs the POSIX fork start method",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_violation_reaches_the_parent_registry(
         self, grid, monkeypatch, executor, plane
     ):
@@ -237,4 +232,4 @@ class TestEpochTracking:
         san.on_interior_stream(st)
         san.on_payload(st, src)  # arrives, but no on_scatter follows
         with pytest.raises(SanitizeError, match="never\n?.*scattered"):
-            san.end_step(solver.ranks, 0)
+            san.end_frontier(st)

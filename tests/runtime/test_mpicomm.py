@@ -40,7 +40,6 @@ class TestSelfComm:
         comm = MPIComm()
         assert comm.num_ranks >= 1
         assert 0 <= comm.rank < comm.num_ranks
-        assert comm.access_log is None
 
     def test_wrong_rank_rejected(self):
         comm = MPIComm()

@@ -92,18 +92,6 @@ class TestDispatch:
             finally:
                 ex.close()
 
-    def test_rank_subset_and_range_check(self):
-        with SegmentRegistry() as reg:
-            target = Counter(reg, 3)
-            ex = ProcessExecutor(3)
-            try:
-                ex.run_phase(target.bump, ranks=[2])
-                assert np.array_equal(target.cells, [0.0, 0.0, 1.0])
-                with pytest.raises(RuntimeSimError, match="out of range"):
-                    ex.run_phase(target.bump, ranks=[3])
-            finally:
-                ex.close()
-
     def test_spans_appended_in_rank_order(self):
         tracer = Tracer()
         with SegmentRegistry() as reg:
@@ -253,28 +241,22 @@ class TestTelemetryPlane:
 
 class Stepper:
     """Target for rank-resident dispatches; every observation lands in a
-    shared row per rank: [first stamp, second stamp, hook(0) calls,
-    hook(1) calls, ctx applications]."""
+    shared row per rank: [first stamp, second stamp, ctx applications]."""
 
     def __init__(self, registry: SegmentRegistry, num_ranks: int) -> None:
-        self.log = registry.ndarray("steplog", (num_ranks, 5))
+        self.log = registry.ndarray("steplog", (num_ranks, 3))
         self.base = 0.0
         self.seq = 0
         self.applied = 0
-        self.rank = -1
 
     def _apply_phase_context(self, ctx) -> None:
         self.applied += 1
         self.base = float(ctx["base"])
 
-    def _after_phase(self, index: int) -> None:
-        self.log[self.rank, 2 + index] += 1
-
     def first(self, rank: int) -> None:
-        self.rank = rank
         self.seq += 1
         self.log[rank, 0] = self.base + self.seq
-        self.log[rank, 4] = self.applied
+        self.log[rank, 2] = self.applied
 
     def second(self, rank: int) -> None:
         self.seq += 1
@@ -313,21 +295,18 @@ class TestRunStep:
                 # per rank: first, second, first, second — back to back
                 assert np.array_equal(target.log[:, 0], [103.0, 103.0])
                 assert np.array_equal(target.log[:, 1], [104.0, 104.0])
-                # the per-phase hook ran after each phase of each step,
-                # the ctx hook once per dispatch
+                # the ctx hook ran once per dispatch
                 assert np.array_equal(target.log[:, 2], [2.0, 2.0])
-                assert np.array_equal(target.log[:, 3], [2.0, 2.0])
-                assert np.array_equal(target.log[:, 4], [2.0, 2.0])
                 # one (start, duration) per rank per phase, in order
                 assert len(timings) == 2
                 for acked in timings:
                     (t0, d0), (t1, d1) = acked
                     assert d0 >= 0 and d1 >= 0 and t0 + d0 <= t1
-                # run_phase stays the per-phase call: no step hook
+                # run_phase is a one-phase run_step
                 ex.run_phase(target.first, ctx={"base": 0.0})
                 assert ex.dispatches == 3
                 assert ex.phases_run == 5
-                assert np.array_equal(target.log[:, 2], [2.0, 2.0])
+                assert np.array_equal(target.log[:, 0], [5.0, 5.0])
             finally:
                 ex.close()
 
