@@ -23,8 +23,8 @@ The result is *identical* to the single-domain solver — the distributed
 equivalence test asserts exact agreement — while the communicator's event
 log captures the halo-exchange traffic the performance layer prices.
 The declaration is the single source the other encoders read: the K405
-hazard analyser (:func:`repro.lint.plancheck.check_overlap_hazards`)
-interprets it, both executors run it through their one ``run_step``
+phase-order walk (:func:`repro.lint.plancheck.check_phase_order`)
+checks it, both executors run it through their one ``run_step``
 contract, and :meth:`DistributedSolver.phase_bytes_per_step` is keyed by
 its span names.
 

@@ -15,13 +15,14 @@ K401    a flat destination is written more than once per apply
         (write/write race whose outcome depends on gather order)
 K402    a gather source is out of bounds or a table has the wrong
         dtype (``np.take(mode="clip")`` would silently clamp it)
-K404    a frontier cross-link is not covered by exactly one packed
-        payload slot, or sender and receiver disagree on a slot's
-        population (receiver-side table agreement)
-K405    a read-after-write / write-after-write hazard in the overlap
-        pipeline, found by abstract interpretation of the phase order
-        and read/write sets ``lbm.distributed.OVERLAP_SCHEDULE``
-        declares (the schedule the solver's step loop executes)
+K404    under either schedule, a receive slot is not fed the
+        (population, global node) it needs by an owned ``send_flat``
+        slot, the receive slots miss what streaming reads, or a peer
+        is mis-wired (unknown, one-sided, or of another length)
+K405    the declared phase order of the active schedule
+        (``lbm.distributed.BARRIER_SCHEDULE`` / ``OVERLAP_SCHEDULE``)
+        reads a buffer no earlier phase wrote, or writes ``f_tmp``
+        after the double-buffer swap
 K406    an index table violates the compiled-kernel ABI: the flat
         gather table, update ids and the ``(heads, lens)`` run table
         must be int64, the tables C-contiguous and ``heads`` shaped
@@ -34,8 +35,8 @@ K407    the run table the compiled stream kernel launches over does
 ======  ==============================================================
 
 (The id after K402 is retired: it verified interior/frontier sub-plans
-that no kernel applied.  What the overlapped tables that *do* run must
-satisfy is K404 + K405 and, at runtime, the sanitizer; DESIGN §12.)
+that no kernel applied.  What the exchange tables that *do* run must
+satisfy is K404 and, at runtime, the sanitizer; DESIGN §12.)
 
 Every check reads the one :class:`~repro.lbm.rankplan.RankPlan` value:
 :class:`~repro.lbm.distributed.DistributedSolver` runs
@@ -50,7 +51,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from ..core.planmeta import (
     out_of_range,
     run_table_issues,
 )
+from ..lbm.distributed import BARRIER_SCHEDULE, OVERLAP_SCHEDULE, Phase
 from ..lbm.rankplan import RankPlan, plans_of
 from ..lbm.stream import StepPlan
 from .engine import Violation
@@ -70,7 +72,7 @@ __all__ = [
     "PlanIssue",
     "check_plan_table",
     "check_exchange",
-    "check_overlap_hazards",
+    "check_phase_order",
     "check_rank_states",
     "verify_rank_plans",
     "verify_plan",
@@ -102,19 +104,9 @@ class PlanIssue:
 
 
 def _preview(values: np.ndarray, limit: int = 4) -> str:
-    vals = np.asarray(values).reshape(-1)[:limit].tolist()
-    suffix = ", ..." if np.asarray(values).size > limit else ""
-    return f"[{', '.join(str(v) for v in vals)}{suffix}]"
-
-
-def _ghost_slot_mask(q: int, num_local: int, num_owned: int) -> np.ndarray:
-    """Boolean mask over the flattened ``(q, num_local)`` source array
-    that is True on every ghost slot."""
-    mask = np.zeros(q * num_local, dtype=bool)
-    cols = np.zeros(num_local, dtype=bool)
-    cols[num_owned:] = True
-    mask.reshape(q, num_local)[:, :] = cols[None, :]
-    return mask
+    flat = np.asarray(values).reshape(-1)
+    suffix = ", ..." if flat.size > limit else ""
+    return f"[{', '.join(str(v) for v in flat[:limit])}{suffix}]"
 
 
 # -- single-table checks (K401 / K402 / K406 / K407) -----------------------
@@ -202,246 +194,207 @@ def check_plan_table(
     return issues
 
 
-# -- cross-rank exchange checks (K404) --------------------------------------
-def check_exchange(ranks: Sequence[RankPlan]) -> List[PlanIssue]:
-    """Verify the packed-exchange wiring across all ranks (K404).
+def _step_plan_issues(plan: StepPlan, label: str) -> List[PlanIssue]:
+    return check_plan_table(
+        plan.q,
+        plan.num_local,
+        plan.update_ids,
+        plan.flat_src,
+        label=label,
+        run_table=plan.run_table,
+    )
 
-    Every halo-reading link of a receiver must be fed by exactly one
-    payload slot (``recv_flat``), every slot must be packed by the owning
-    sender (``send_flat``) with the agreeing length, pack sources must
-    be owned (post-collision) values, and sender and receiver must agree
-    slot by slot on the population each value carries — the
-    receiver-side table agreement the scatter path relies on.
+
+# -- the exchange verifier (K404) -------------------------------------------
+def _needed_sources(
+    st: RankPlan, slots: np.ndarray, overlap: bool
+) -> Tuple[np.ndarray, List[str]]:
+    """``(need, messages)``: for each receive slot of ``st``, the flat
+    slot of its own numbering whose (population, node) the slot must be
+    fed (-1 where the slot itself is misplaced), and coverage findings."""
+    plan = st.step_plan
+    size = plan.q * plan.num_local
+    found: List[Tuple[np.ndarray, str]] = []
+    if overlap:
+        dst, src = plan.cross_links(st.num_owned)
+        order = np.argsort(dst, kind="stable")
+        dst, src = dst[order], src[order]
+        at = np.searchsorted(dst, slots)
+        hit = at < dst.size
+        hit[hit] = dst[at[hit]] == slots[hit]
+        fed = np.bincount(at[hit], minlength=dst.size)
+        found += [
+            (dst[fed > 1], "cross-link destination(s) are fed by more than "
+             "one payload slot"),
+            (dst[fed == 0], "cross-link destination(s) have no payload slot; "
+             "their streamed values would keep stale ghost data"),
+            (np.unique(slots[~hit]), "payload slot(s) target destinations "
+             "with no halo-reading link"),
+        ]
+        need = np.full(slots.size, -1, dtype=np.int64)
+        need[hit] = src[at[hit]]
+    else:
+        hit = (slots >= 0) & (slots < size)
+        hit[hit] = slots[hit] % plan.num_local >= st.num_owned
+        found += [
+            (np.unique(slots[~hit]), "receive slot(s) are not ghost slots; "
+             "the refill would overwrite owned data or land outside f"),
+            (duplicate_values(slots[hit]), "ghost slot(s) are refilled by "
+             "more than one receive slot"),
+        ]
+        if plan.num_local > st.num_owned:
+            # a slot is current when it is owned or some receive refills it
+            current = np.ones(size, dtype=bool)
+            current.reshape(plan.q, plan.num_local)[:, st.num_owned:] = False
+            current[slots[hit]] = True
+            flat = plan.flat_src.reshape(-1)
+            stale = flat[~np.take(current, flat, mode="clip")]
+            found.append((
+                np.unique(stale[(stale >= 0) & (stale < size)]),
+                "ghost slot(s) are read by streaming but refilled by no "
+                "receive; those links read stale halo data every step",
+            ))
+        need = np.where(hit, slots, -1)
+    messages = [
+        f"{bad.size} {what} (e.g. {_preview(bad)})"
+        for bad, what in found
+        if bad.size
+    ]
+    return need, messages
+
+
+def check_exchange(
+    plans: Sequence[RankPlan], overlap: bool = False
+) -> List[PlanIssue]:
+    """Verify the halo exchange across all ranks (K404), either schedule.
+
+    Each receive slot needs a (population, global node): under overlap
+    the source of the cross-link whose destination it is, under barrier
+    the ghost slot itself.  The sender's ``send_flat`` slot, an owned
+    slot mapped through ``owned_global``, must carry exactly that.  The
+    receive slots must be the cross-link destinations, each once
+    (overlap), or ghost slots, each at most once, covering every ghost
+    slot ``flat_src`` reads (barrier); and every receive needs a pack
+    table of its length on a known rank, every pack table a receive.
     """
     issues: List[PlanIssue] = []
-    by_rank = {st.rank: st for st in ranks}
-    for st in ranks:
-        rank = st.rank
-        num_local = st.step_plan.num_local
-        inj_flat = st.recv_flat
-        dst_flat, src_flat = st.step_plan.cross_links(st.num_owned)
-        label = f"rank {rank}"
 
-        inj_all = (
-            np.concatenate([np.asarray(v) for v in inj_flat.values()])
-            if inj_flat
-            else np.empty(0, dtype=np.int64)
+    def report(message: str) -> None:
+        issues.append(PlanIssue("exchange-coverage", message))
+
+    by_rank = {st.rank: st for st in plans}
+    node_ids = {}  # rank -> global id of every local node
+    for st in plans:
+        ids = np.concatenate([st.owned_global, st.ghost_global])
+        if ids.size == st.step_plan.num_local:
+            node_ids[st.rank] = ids
+        else:
+            report(
+                f"rank {st.rank}: owned_global ({st.num_owned}) and "
+                f"ghost_global ({st.ghost_global.size}) do not add up to "
+                f"num_local ({st.step_plan.num_local}); its slots have no "
+                "node identity"
+            )
+        for dst in sorted(st.send_flat):
+            if st.rank not in getattr(by_rank.get(dst), "recv_flat", {}):
+                report(
+                    f"rank {st.rank}: packs a payload for rank {dst}, which "
+                    "posts no receive for it"
+                )
+
+    for st in plans:
+        plan = st.step_plan
+        if plan.flat_src.shape != (plan.q, plan.num_update) or not (
+            np.issubdtype(plan.flat_src.dtype, np.integer)
+        ):
+            continue  # K402 reports the table; it defines no link set
+        label = f"rank {st.rank}"
+        peers = sorted(st.recv_flat)
+        written = [np.asarray(st.recv_flat[p], dtype=np.int64) for p in peers]
+        slots = (
+            np.concatenate(written) if written else np.empty(0, dtype=np.int64)
         )
-        dup = duplicate_values(inj_all)
-        if dup.size:
-            issues.append(
-                PlanIssue(
-                    "exchange-coverage",
-                    f"{label}: {dup.size} frontier destination(s) are fed "
-                    f"by more than one payload slot (e.g. {_preview(dup)})",
-                )
-            )
-        missing = np.setdiff1d(dst_flat, inj_all)
-        if missing.size:
-            issues.append(
-                PlanIssue(
-                    "exchange-coverage",
-                    f"{label}: {missing.size} cross-link destination(s) "
-                    f"have no payload slot (e.g. {_preview(missing)}); "
-                    "their streamed values would keep stale ghost data",
-                )
-            )
-        extra = np.setdiff1d(inj_all, dst_flat)
-        if extra.size:
-            issues.append(
-                PlanIssue(
-                    "exchange-coverage",
-                    f"{label}: {extra.size} payload slot(s) target "
-                    f"destinations with no halo-reading link (e.g. "
-                    f"{_preview(extra)})",
-                )
-            )
-
-        for peer_rank in sorted(inj_flat):
-            inj = np.asarray(inj_flat[peer_rank], dtype=np.int64)
-            peer = by_rank.get(int(peer_rank))
-            if peer is None:
-                issues.append(
-                    PlanIssue(
-                        "exchange-coverage",
-                        f"{label}: expects payloads from unknown rank "
-                        f"{peer_rank}",
-                    )
+        need, messages = _needed_sources(st, slots, overlap)
+        for message in messages:
+            report(f"{label}: {message}")
+        ids = node_ids.get(st.rank)
+        start = 0
+        for peer, recv in zip(peers, written):
+            want = need[start:start + recv.size]
+            start += recv.size
+            sender = by_rank.get(peer)
+            if sender is None or st.rank not in sender.send_flat:
+                report(
+                    f"{label}: expects a payload from rank {peer}, but "
+                    + ("there is no such rank" if sender is None
+                       else f"rank {peer} packs nothing for it")
                 )
                 continue
-            pack = peer.send_flat
-            if rank not in pack:
-                issues.append(
-                    PlanIssue(
-                        "exchange-coverage",
-                        f"{label}: expects a payload from rank "
-                        f"{peer_rank}, but rank {peer_rank} packs "
-                        "nothing for it",
-                    )
+            link = f"rank {peer} -> {label}"
+            sent = np.asarray(sender.send_flat[st.rank], dtype=np.int64)
+            if sent.size != recv.size:
+                report(
+                    f"{link}: pack table has {sent.size} slot(s) but the "
+                    f"receiver scatters {recv.size}; the payload would "
+                    "mis-scatter"
                 )
                 continue
-            sent = np.asarray(pack[rank], dtype=np.int64)
-            if sent.size != inj.size:
-                issues.append(
-                    PlanIssue(
-                        "exchange-coverage",
-                        f"rank {peer_rank} -> {label}: pack table has "
-                        f"{sent.size} slot(s) but the receiver scatters "
-                        f"{inj.size}; the payload would mis-scatter",
-                    )
+            peer_plan = sender.step_plan
+            owned = (sent >= 0) & (sent < peer_plan.q * peer_plan.num_local)
+            owned[owned] = sent[owned] % peer_plan.num_local < sender.num_owned
+            if not owned.all():
+                report(
+                    f"{link}: {int((~owned).sum())} pack source(s) are not "
+                    f"owned slots of the sender (e.g. {_preview(sent[~owned])}"
+                    "); packed values must be owned post-collision data"
                 )
+            peer_ids = node_ids.get(peer)
+            if ids is None or peer_ids is None:
                 continue
-            peer_local = peer.step_plan.num_local
-            not_owned = sent[(sent % peer_local) >= peer.num_owned]
-            if not_owned.size:
-                issues.append(
-                    PlanIssue(
-                        "exchange-coverage",
-                        f"rank {peer_rank} -> {label}: {not_owned.size} "
-                        "pack source(s) read ghost slots of the sender "
-                        f"(e.g. {_preview(not_owned)}); packed values "
-                        "must be owned post-collision data",
-                    )
-                )
-            # receiver-side table agreement: slot i carries the same
-            # population on both sides (node ids differ by numbering)
-            order = {int(v): i for i, v in enumerate(dst_flat.tolist())}
-            idx = np.array(
-                [order.get(int(v), -1) for v in inj.tolist()], dtype=np.int64
+            checked = np.flatnonzero(owned & (want >= 0))
+            need_pop, need_node = np.divmod(want[checked], plan.num_local)
+            sent_pop, sent_node = np.divmod(sent[checked], peer_plan.num_local)
+            need_gid, sent_gid = ids[need_node], peer_ids[sent_node]
+            wrong = np.flatnonzero(
+                (need_pop != sent_pop) | (need_gid != sent_gid)
             )
-            known = idx >= 0
-            if known.any():
-                recv_pops = src_flat[idx[known]] // num_local
-                sent_pops = sent[known] // peer_local
-                disagree = np.flatnonzero(recv_pops != sent_pops)
-                if disagree.size:
-                    issues.append(
-                        PlanIssue(
-                            "exchange-coverage",
-                            f"rank {peer_rank} -> {label}: sender and "
-                            f"receiver disagree on the population of "
-                            f"{disagree.size} payload slot(s) (first at "
-                            f"slot {int(disagree[0])}); the tables were "
-                            "not built from the same cross-link "
-                            "enumeration",
-                        )
-                    )
+            if wrong.size:
+                i = wrong[0]
+                report(
+                    f"{link}: {wrong.size} payload slot(s) carry another "
+                    "(population, global node) than the receiver needs "
+                    f"(first at slot {checked[i]}: packed ({sent_pop[i]}, "
+                    f"{sent_gid[i]}), needed ({need_pop[i]}, {need_gid[i]}))"
+                )
     return issues
 
 
-# -- phase-ordered hazard analysis (K405) -----------------------------------
-def check_overlap_hazards(
-    st: RankPlan, schedule: Optional[Sequence[Any]] = None
-) -> List[PlanIssue]:
-    """Abstract-interpret one rank's overlap pipeline for hazards (K405).
+# -- declared phase order (K405) --------------------------------------------
+def check_phase_order(schedule: Sequence[Phase]) -> List[PlanIssue]:
+    """Walk a declared schedule for ordering hazards (K405).
 
-    The phase order is read from ``schedule`` — by default the
-    :data:`~repro.lbm.distributed.OVERLAP_SCHEDULE` the solver's step
-    loop executes.  Walking it with stale/tainted flat-slot sets finds:
-
-    * a phase reading a buffer no earlier phase wrote (only ``f`` is
-      carried over from the previous step) — e.g. a frontier scatter
-      scheduled before the exchange completes;
-    * a pack table reading a stale ghost slot (read-after-write
-      violation: the value was never produced this step);
-    * a scatter overwriting a destination the stream already finalized
-      (write-after-write against interior-final data);
-    * a provisional destination never finalized by any scatter
-      (stale-ghost value surviving into the owned state).
+    Only ``f`` carries over from the previous step, so a phase reading a
+    buffer no earlier phase wrote reads stale data — e.g. a frontier
+    scatter scheduled before the exchange completes.  After the swapping
+    phase ``f_tmp`` is the retired buffer, so a write to it never reaches
+    ``f`` — e.g. an interior stream scheduled after the scatter.
     """
-    plan = st.step_plan
-    if schedule is None:
-        from ..lbm.distributed import OVERLAP_SCHEDULE as schedule
-    q, num_local = plan.q, plan.num_local
-    label = f"rank {st.rank}"
-    issues: List[PlanIssue] = []
-
-    def hazard(message: str) -> None:
-        issues.append(PlanIssue("phase-hazard", f"{label}: {message}"))
-
-    stale = _ghost_slot_mask(q, num_local, st.num_owned)
-    tainted = np.zeros(q * num_local, dtype=bool)
-    written = {"f"}
+    found: List[str] = []
+    written, swapped = {"f"}, False
     for phase in schedule:
-        for buf in set(phase.reads) - written:
-            hazard(
-                f"phase {phase.span!r} ({phase.body}) reads {buf} before "
-                "any phase has written it"
+        name = f"phase {phase.span!r} ({phase.body})"
+        found += [
+            f"{name} reads {buf} before any phase has written it"
+            for buf in sorted(set(phase.reads) - written)
+        ]
+        if swapped and "f_tmp" in phase.writes:
+            found.append(
+                f"{name} writes f_tmp after the double-buffer swap; the "
+                "values never reach f"
             )
         written.update(phase.writes)
-        if phase.body == "_phase_exchange_post":
-            # pack tables read post-collision f
-            for peer, table in sorted(st.send_flat.items()):
-                pack = np.asarray(table, dtype=np.int64)
-                in_bounds = pack[(pack >= 0) & (pack < stale.size)]
-                bad = in_bounds[stale[in_bounds]]
-                if bad.size:
-                    hazard(
-                        f"pack for rank {peer} reads {bad.size} stale "
-                        f"ghost slot(s) (e.g. {_preview(bad)}) in the post "
-                        "phase; no phase has written them this step"
-                    )
-        elif phase.body == "_phase_stream_interior":
-            # writes the flat destinations; links sourced from stale
-            # slots produce provisional (tainted) values (found with
-            # boolean temporaries only, no (q, n) int64 copy of the table)
-            flat_src = np.asarray(plan.flat_src, dtype=np.int64)
-            valid = (flat_src >= 0) & (flat_src < stale.size)
-            links = valid & np.take(stale, flat_src, mode="clip")
-            qi, col = np.nonzero(links)
-            tainted_dst = qi * num_local + plan.update_ids[col]
-            ok = (tainted_dst >= 0) & (tainted_dst < tainted.size)
-            tainted[tainted_dst[ok]] = True
-        elif phase.body == "_phase_stream_frontier":
-            # injection tables finalize provisional values
-            for peer, table in sorted(st.recv_flat.items()):
-                inj = np.asarray(table, dtype=np.int64)
-                inj = inj[(inj >= 0) & (inj < tainted.size)]
-                final_overwrite = inj[~tainted[inj]]
-                if final_overwrite.size:
-                    hazard(
-                        f"scatter of rank {peer}'s payload overwrites "
-                        f"{final_overwrite.size} destination(s) the stream "
-                        "phase already finalized (e.g. "
-                        f"{_preview(final_overwrite)}); write-after-write "
-                        "against interior-final data"
-                    )
-                tainted[inj] = False
-
-    remaining = np.flatnonzero(tainted)
-    if remaining.size:
-        hazard(
-            f"{remaining.size} frontier destination(s) are never "
-            f"finalized by any scatter (e.g. {_preview(remaining)}); their "
-            "provisional stale-ghost values survive into the owned state"
-        )
-    return issues
-
-
-def _barrier_ghost_coverage(st: RankPlan) -> List[PlanIssue]:
-    """Barrier-schedule analogue of the hazard check: every ghost node
-    the plan reads must be refilled by some posted receive."""
-    plan = st.step_plan
-    if plan.num_local <= st.num_owned:
-        return []  # no ghost columns: no source node can be a ghost
-    src_nodes = np.asarray(plan.flat_src, dtype=np.int64) % plan.num_local
-    ghost_read = np.unique(src_nodes[src_nodes >= st.num_owned])
-    refilled = (
-        np.concatenate(list(st.recv_flat.values())) % plan.num_local
-        if st.recv_flat
-        else np.empty(0, dtype=np.int64)
-    )
-    uncovered = np.setdiff1d(ghost_read, refilled)
-    if uncovered.size:
-        return [
-            PlanIssue(
-                "phase-hazard",
-                f"rank {st.rank}: streaming reads {uncovered.size} ghost "
-                f"node(s) no receive refills (e.g. {_preview(uncovered)}); "
-                "those links read stale halo data every step",
-            )
-        ]
-    return []
+        swapped = swapped or phase.swaps
+    return [PlanIssue("phase-hazard", message) for message in found]
 
 
 # -- entry points -----------------------------------------------------------
@@ -456,55 +409,35 @@ def check_rank_states(
     plans = plans_of(ranks)
     issues: List[PlanIssue] = []
     for st in plans:
-        plan = st.step_plan
-        issues += check_plan_table(
-            plan.q,
-            plan.num_local,
-            plan.update_ids,
-            plan.flat_src,
-            label=f"rank {st.rank}",
-            run_table=plan.run_table,
-        )
-        if overlap:
-            issues += check_overlap_hazards(st)
-        else:
-            issues += _barrier_ghost_coverage(st)
-    if overlap:
-        issues += check_exchange(plans)
+        issues += _step_plan_issues(st.step_plan, f"rank {st.rank}")
+    issues += check_exchange(plans, overlap)
+    issues += check_phase_order(
+        OVERLAP_SCHEDULE if overlap else BARRIER_SCHEDULE
+    )
     return issues
+
+
+def _raise_on(issues: Sequence[PlanIssue], what: str) -> None:
+    if issues:
+        detail = "\n".join(f"  [{i.rule}] {i.message}" for i in issues)
+        raise PlanCheckError(
+            f"{what} failed static verification ({len(issues)} issue(s)):"
+            f"\n{detail}"
+        )
 
 
 def verify_rank_plans(
     ranks: Sequence[object], overlap: bool = False, context: str = ""
 ) -> None:
     """Raise :class:`PlanCheckError` when the ranks' plan IR is invalid."""
-    issues = check_rank_states(ranks, overlap=overlap)
-    if issues:
-        prefix = f"{context}: " if context else ""
-        detail = "\n".join(f"  [{i.rule}] {i.message}" for i in issues)
-        raise PlanCheckError(
-            f"{prefix}step-plan IR failed static verification "
-            f"({len(issues)} issue(s)):\n{detail}"
-        )
+    prefix = f"{context}: " if context else ""
+    _raise_on(check_rank_states(ranks, overlap), f"{prefix}step-plan IR")
 
 
 def verify_plan(plan: StepPlan, context: str = "") -> None:
     """Raise :class:`PlanCheckError` when one single-domain plan's table
     is invalid (K401/K402/K406/K407; no ghosts, so no exchange)."""
-    issues = check_plan_table(
-        plan.q,
-        plan.num_local,
-        plan.update_ids,
-        plan.flat_src,
-        label=context or "plan",
-        run_table=plan.run_table,
-    )
-    if issues:
-        detail = "\n".join(f"  [{i.rule}] {i.message}" for i in issues)
-        raise PlanCheckError(
-            f"step plan failed static verification "
-            f"({len(issues)} issue(s)):\n{detail}"
-        )
+    _raise_on(_step_plan_issues(plan, context or "plan"), "step plan")
 
 
 # -- serialized plan documents ----------------------------------------------
@@ -524,7 +457,7 @@ def check_plan_file(path: Union[str, Path]) -> List[Violation]:
 
     The format is the JSON of :func:`rank_states_to_dict` — one
     :meth:`RankPlan.to_dict <repro.lbm.rankplan.RankPlan.to_dict>` per
-    rank::
+    rank, the rank ids 0..n-1 each exactly once::
 
         {"overlap": true,
          "ranks": [{"q": 19, "rank": 0, "num_local": 8,
@@ -547,9 +480,15 @@ def check_plan_file(path: Union[str, Path]) -> List[Violation]:
         if not isinstance(data, dict):
             raise PlanCheckError("document must be a JSON object")
         docs = data["ranks"] if "ranks" in data else [data]
+        plans = [RankPlan.from_dict(doc) for doc in docs]
+        ids = sorted(plan.rank for plan in plans)
+        if ids != list(range(len(plans))):
+            raise PlanCheckError(
+                f"rank ids {ids} are not 0..{len(plans) - 1}, each exactly "
+                "once"
+            )
         issues = check_rank_states(
-            [RankPlan.from_dict(doc) for doc in docs],
-            overlap=bool(data.get("overlap", False)),
+            plans, overlap=bool(data.get("overlap", False))
         )
     except (OSError, ValueError, KeyError, TypeError, ReproError) as exc:
         return [

@@ -16,10 +16,13 @@ import numpy as np
 import pytest
 
 from repro.core.errors import PlanCheckError
+from repro.core.lattice import D3Q19
 from repro.core.planmeta import KERNEL_RUN_CAP, kernel_tables
-from repro.decomp import axis_decompose
+from repro.decomp import axis_decompose, decompose
 from repro.geometry import CylinderSpec, make_cylinder
-from repro.lbm import DistributedSolver, SolverConfig
+from repro.geometry.registry import build_geometry
+from repro.lbm import DistributedSolver, SolverConfig, build_rank_plans
+from repro.lbm.distributed import BARRIER_SCHEDULE, OVERLAP_SCHEDULE
 from repro.lbm.stream import StepPlan
 from repro.lint import (
     LintEngine,
@@ -32,9 +35,10 @@ from repro.lint import (
 )
 from repro.lint.plancheck import (
     check_exchange,
-    check_overlap_hazards,
+    check_phase_order,
     check_plan_table,
 )
+from repro.workloads import workload_table
 
 CYL_CONFIG = dict(
     tau=0.8, force=(1e-6, 0.0, 0.0), periodic=(True, False, False)
@@ -288,7 +292,7 @@ class TestRealRankStates:
         issues = check_rank_states(plans, overlap=True)
         assert "K401" in _rules(issues)
 
-    def test_redirected_payload_slot_is_k404_and_k405(self, grid):
+    def test_redirected_payload_slot_is_k404(self, grid):
         # the seeded bug of the sanitizer acceptance test, caught
         # statically: one frontier destination is fed twice, another
         # never finalized
@@ -296,9 +300,10 @@ class TestRealRankStates:
         plan = next(p for p in plans if p.recv_flat)
         written = plan.recv_flat[sorted(plan.recv_flat)[0]]
         written[-1] = written[-2]
-        rules = _rules(check_rank_states(plans, overlap=True))
-        assert "K404" in rules
-        assert "K405" in rules
+        issues = check_rank_states(plans, overlap=True)
+        assert _rules(issues) == ["K404"]
+        assert any("fed by more than one" in i.message for i in issues)
+        assert any("have no payload slot" in i.message for i in issues)
 
     def test_missing_pack_table_is_k404(self, grid):
         plans = make_plans(grid, overlap=True)
@@ -306,62 +311,59 @@ class TestRealRankStates:
         peer = plans[sorted(plan.recv_flat)[0]]
         packs = {dst: t for dst, t in peer.send_flat.items() if dst != plan.rank}
         plans[peer.rank] = dataclasses.replace(peer, send_flat=packs)
-        issues = check_exchange(plans)
+        issues = check_exchange(plans, overlap=True)
         assert "K404" in _rules(issues)
         assert any("packs nothing" in i.message for i in issues)
 
-    def test_pack_of_ghost_slot_is_k405(self, grid):
-        plan = next(p for p in make_plans(grid, overlap=True) if p.send_flat)
+    def test_pack_of_ghost_slot_is_k404(self, grid):
+        plans = make_plans(grid, overlap=True)
+        plan = next(p for p in plans if p.send_flat)
         peer = sorted(plan.send_flat)[0]
         # redirect the first pack source to one of the sender's own
-        # ghost slots: nothing has written it when the post phase reads
+        # ghost slots: a stale value, never owned post-collision data
         plan.send_flat[peer][0] = plan.num_owned
-        issues = check_overlap_hazards(plan)
-        assert "K405" in _rules(issues)
-        assert any("stale ghost slot" in i.message for i in issues)
+        issues = check_rank_states(plans, overlap=True)
+        assert _rules(issues) == ["K404"]
+        assert any("not owned slots of the sender" in i.message for i in issues)
 
-    def test_frontier_before_exchange_complete_is_k405(self, grid):
-        # the analyser interprets the declaration the solver's step loop
-        # runs: the shipped order is clean, and moving the frontier
+    def test_frontier_before_exchange_complete_is_k405(self):
+        # the walk interprets the declaration the solver's step loop
+        # runs: the shipped orders are clean, and moving the frontier
         # scatter ahead of the exchange completion reads payloads no
         # phase has staged yet
-        from repro.lbm.distributed import OVERLAP_SCHEDULE
-
-        plan = next(p for p in make_plans(grid, overlap=True) if p.recv_flat)
-        assert check_overlap_hazards(plan, OVERLAP_SCHEDULE) == []
+        assert check_phase_order(OVERLAP_SCHEDULE) == []
+        assert check_phase_order(BARRIER_SCHEDULE) == []
         order = list(OVERLAP_SCHEDULE)
         bodies = [p.body for p in order]
         frontier = order.pop(bodies.index("_phase_stream_frontier"))
         order.insert(bodies.index("_phase_exchange_complete"), frontier)
-        issues = check_overlap_hazards(plan, order)
+        issues = check_phase_order(order)
         assert _rules(issues) == ["K405"]
         assert [i.kind for i in issues] == ["phase-hazard"]
         assert "recv_bufs" in issues[0].message
 
-    def test_scatter_before_interior_stream_is_k405(self, grid):
-        # same walk, other hazard: a scatter scheduled ahead of the
-        # full-plan gather is overwritten by it
-        from repro.lbm.distributed import OVERLAP_SCHEDULE
-
-        plan = next(p for p in make_plans(grid, overlap=True) if p.recv_flat)
+    def test_scatter_before_interior_stream_is_k405(self):
+        # same walk, other hazard: a full-plan gather scheduled after the
+        # swapping scatter streams into the retired buffer
         order = list(OVERLAP_SCHEDULE)
         bodies = [p.body for p in order]
         order.append(order.pop(bodies.index("_phase_stream_interior")))
-        messages = [i.message for i in check_overlap_hazards(plan, order)]
-        assert any("already finalized" in m for m in messages)
-        assert any("never finalized" in m for m in messages)
+        issues = check_phase_order(order)
+        assert _rules(issues) == ["K405"]
+        assert "after the double-buffer swap" in issues[0].message
 
-    def test_uncovered_barrier_ghost_is_k405(self, grid):
+    def test_uncovered_barrier_ghost_is_k404(self, grid):
         plans = make_plans(grid)
         plan = next(p for p in plans if p.recv_flat)
         plan.recv_flat.pop(sorted(plan.recv_flat)[0])
         issues = check_rank_states(plans, overlap=False)
-        assert _rules(issues) == ["K405"]
-        assert "no receive refills" in issues[0].message
+        assert _rules(issues) == ["K404"]
+        assert any("refilled by no receive" in i.message for i in issues)
+        assert any("posts no receive" in i.message for i in issues)
 
     def test_corrupt_one_rank_table_still_reports_k401_k402(self, grid):
-        # one rank has no ghost columns, so the barrier coverage check
-        # returns early; the table checks still see every corruption
+        # one rank has no ghost columns, so there is no exchange to
+        # check; the table checks still see every corruption
         (plan,) = make_plans(grid, num_ranks=1)
         assert plan.step_plan.num_local == plan.num_owned
         plan.step_plan.update_ids[1] = plan.step_plan.update_ids[0]
@@ -377,6 +379,75 @@ class TestRealRankStates:
         ids[1] = ids[0]
         with pytest.raises(PlanCheckError, match=r"(?s)broken: .*\[K401\]"):
             verify_rank_plans(plans, overlap=True, context="broken")
+
+
+def _repack(plans, move):
+    """Rebind slot 0 of the pack table rank 0 sends rank 1 to
+    ``move(pop, node, sender)`` -> ``(pop, node)``."""
+    sender = plans[0]
+    n = sender.step_plan.num_local
+    table = sender.send_flat[1].copy()
+    pop, node = move(*divmod(int(table[0]), n), sender)
+    table[0] = pop * n + node
+    plans[0] = dataclasses.replace(
+        sender, send_flat={**sender.send_flat, 1: table}
+    )
+
+
+def _drop_read_slot(plans):
+    """Drop, on both sides, a barrier receive slot rank 1's links read."""
+    sender, receiver = plans
+    written = receiver.recv_flat[0]
+    i = int(np.flatnonzero(np.isin(written, receiver.step_plan.flat_src))[0])
+    plans[1] = dataclasses.replace(
+        receiver, recv_flat={0: np.delete(written, i)}
+    )
+    plans[0] = dataclasses.replace(
+        sender, send_flat={1: np.delete(sender.send_flat[1], i)}
+    )
+
+
+def _refill_owned_slot(plans):
+    """Point rank 1's first barrier receive slot at its own owned node 0."""
+    receiver = plans[1]
+    written = receiver.recv_flat[0].copy()
+    written[0] -= written[0] % receiver.step_plan.num_local
+    plans[1] = dataclasses.replace(receiver, recv_flat={0: written})
+
+
+#: Corruptions of a 2-rank exchange that no rule reported before K404
+#: checked every slot by (population, global node) under both schedules.
+PROBE_CORRUPTIONS = {
+    "barrier-pack-other-owned-node": (False, lambda plans: _repack(
+        plans, lambda pop, node, st: (pop, (node + 1) % st.num_owned)
+    )),
+    "barrier-pack-sender-ghost": (False, lambda plans: _repack(
+        plans, lambda pop, node, st: (pop, st.num_owned)
+    )),
+    "barrier-pack-other-population": (False, lambda plans: _repack(
+        plans, lambda pop, node, st: ((pop + 1) % st.step_plan.q, node)
+    )),
+    "barrier-dropped-read-slot": (False, _drop_read_slot),
+    "barrier-receive-into-owned-slot": (False, _refill_owned_slot),
+    "overlap-pack-other-owned-node": (True, lambda plans: _repack(
+        plans, lambda pop, node, st: (pop, (node + 1) % st.num_owned)
+    )),
+}
+
+
+@pytest.mark.parametrize(
+    "overlap, corrupt",
+    list(PROBE_CORRUPTIONS.values()),
+    ids=list(PROBE_CORRUPTIONS),
+)
+def test_probe_corruption_is_k404(grid, overlap, corrupt):
+    lattice = SolverConfig(**CYL_CONFIG).make_lattice()
+    plans = build_rank_plans(
+        grid, axis_decompose(grid, 2), lattice, CYL_CONFIG["periodic"], overlap
+    )
+    assert check_rank_states(plans, overlap=overlap) == []
+    corrupt(plans)
+    assert _rules(check_rank_states(plans, overlap=overlap)) == ["K404"]
 
 
 class TestSolverPreflight:
@@ -413,6 +484,16 @@ class TestSolverPreflight:
                 assert check_rank_states(
                     solver.ranks, overlap=overlap
                 ) == []
+        # and the periodic proxy grid under its own decomposition
+        proxy = workload_table()["proxy"]
+        pgrid = build_geometry(proxy.geometry, resolution=0.5, periodic=True)
+        for num_ranks in (1, 2, 4):
+            partition = decompose(pgrid, num_ranks, proxy.scheme)
+            for overlap in (False, True):
+                plans = build_rank_plans(
+                    pgrid, partition, D3Q19, (True, False, False), overlap
+                )
+                assert check_rank_states(plans, overlap=overlap) == []
 
 
 class TestPlanDocuments:
@@ -457,6 +538,24 @@ class TestPlanDocuments:
         violations = check_plan_file(p)
         assert [v.rule for v in violations] == ["K400"]
         assert "malformed" in violations[0].message
+
+    def test_duplicate_rank_id_is_k400(self, grid, tmp_path):
+        doc = self._doc(grid)
+        doc["ranks"][1]["rank"] = 0
+        p = tmp_path / "dup-rank.stepplan.json"
+        p.write_text(json.dumps(doc))
+        violations = check_plan_file(p)
+        assert [v.rule for v in violations] == ["K400"]
+        assert "each exactly once" in violations[0].message
+
+    def test_inconsistent_node_ids_are_a_finding(self, grid, tmp_path):
+        doc = self._doc(grid)
+        del doc["ranks"][0]["ghost_global"][-1]
+        p = tmp_path / "short-ghosts.stepplan.json"
+        p.write_text(json.dumps(doc))
+        violations = check_plan_file(p)
+        assert [v.rule for v in violations] == ["K404"]
+        assert "do not add up to num_local" in violations[0].message
 
     def test_engine_discovers_plan_files(self, grid, tmp_path):
         doc = self._doc(grid)
