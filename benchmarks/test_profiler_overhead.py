@@ -74,8 +74,8 @@ def test_profiler_enabled_overhead(grid, config):
     not fork_available(), reason="needs the POSIX fork start method"
 )
 def test_dormant_telemetry_plane_overhead(grid, monkeypatch):
-    """With no tracer attached, the plane (heartbeats + flight recorder
-    only, no span traffic) must cost <5% on the process-executor step."""
+    """With no tracer attached, the plane (one heartbeat per phase, no
+    span traffic) must cost <5% on the process-executor step."""
     partition = axis_decompose(grid, 4)
     config = SolverConfig(
         tau=0.8,

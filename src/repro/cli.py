@@ -604,8 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_cmd_telemetry_summarize)
     pp = tsub.add_parser(
         "postmortem",
-        help="render a crash flight-recorder bundle written by "
-        "--postmortem-out (rank states, heartbeats, last events)",
+        help="render a postmortem bundle written by --postmortem-out "
+        "(rank states, exit codes, last heartbeats with their phase)",
     )
     pp.add_argument("bundle", help="path to a postmortem JSON bundle")
     pp.set_defaults(func=_cmd_telemetry_postmortem)

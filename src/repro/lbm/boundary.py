@@ -47,10 +47,11 @@ class VelocityInlet:
             if vel.shape != (3,):
                 raise ConfigError("inlet velocity must be a 3-vector")
             self.velocity = vel
-        # hoisted out of apply(): the equilibrium density is constant, and
-        # so is the whole equilibrium block under a constant velocity —
-        # computed on the first apply, per lattice
-        self._rho = np.full(self.nodes.size, float(self.rho0))
+        # every inlet node shares one velocity, so the equilibrium is one
+        # (q, 1) column broadcast over the nodes — bit-identical to the
+        # (q, m) block (pinned in tests/lbm/test_components.py);
+        # under a constant velocity it is computed once, per lattice
+        self._rho = np.full(1, float(self.rho0))
         self._feq: Optional[Tuple[Lattice, np.ndarray]] = None
 
     def velocity_at(self, time: float) -> np.ndarray:
@@ -74,8 +75,8 @@ class VelocityInlet:
         f[:, self.nodes] = self._feq[1]
 
     def _equilibrium(self, lattice: Lattice, time: float) -> np.ndarray:
-        u = np.broadcast_to(self.velocity_at(time), (self.nodes.size, 3))
-        return lattice.equilibrium(self._rho, u)
+        """The ``(q, 1)`` equilibrium every inlet node is reset to."""
+        return lattice.equilibrium(self._rho, self.velocity_at(time)[None, :])
 
 
 @dataclass

@@ -3,11 +3,14 @@
 Long hemodynamic runs (many cardiac cycles at 27.5 um) checkpoint and
 restart; this module saves and restores the distribution state of both
 the single-domain and the distributed solver to a single ``.npz`` file,
-with enough metadata to refuse a mismatched restart loudly.
+with enough metadata to refuse a mismatched restart loudly: the lattice,
+the grid shape, the fluid-node count and a hash of the grid's flags and
+periodicity (two geometries can share a shape and a node count).
 """
 
 from __future__ import annotations
 
+import hashlib
 import pathlib
 from typing import Union
 
@@ -22,6 +25,15 @@ __all__ = ["save_checkpoint", "load_checkpoint"]
 _FORMAT_VERSION = 1
 
 PathLike = Union[str, pathlib.Path]
+
+
+def _geometry_hash(solver) -> str:
+    """sha256 over the grid's flag array and the per-axis periodicity:
+    what fixes the compact node order and the boundary each node has."""
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(solver.grid.flags).tobytes())
+    digest.update(bytes(bool(axis) for axis in solver.config.periodic))
+    return digest.hexdigest()
 
 
 def save_checkpoint(solver, path: PathLike) -> pathlib.Path:
@@ -50,6 +62,7 @@ def save_checkpoint(solver, path: PathLike) -> pathlib.Path:
         fluid_updates=np.int64(solver.fluid_updates),
         lattice=np.bytes_(solver.lattice.name.encode()),
         grid_shape=np.asarray(grid_shape, dtype=np.int64),
+        geometry_hash=np.bytes_(_geometry_hash(solver).encode()),
         format_version=np.int64(_FORMAT_VERSION),
     )
     return path if path.suffix == ".npz" else path.with_suffix(
@@ -60,8 +73,9 @@ def save_checkpoint(solver, path: PathLike) -> pathlib.Path:
 def load_checkpoint(solver, path: PathLike) -> None:
     """Restore a checkpoint into a compatible solver, in place.
 
-    The target must have the same lattice, grid shape, and fluid-node
-    count; the decomposition may differ.
+    The target must have the same lattice, grid shape, fluid-node count
+    and grid flags and periodicity (checked by hash when the file holds
+    one; older files carry none); the decomposition may differ.
     """
     path = pathlib.Path(path)
     if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
@@ -89,6 +103,14 @@ def load_checkpoint(solver, path: PathLike) -> None:
                 f"checkpoint holds {f.shape[1]} nodes, solver has "
                 f"{solver.num_nodes}"
             )
+        if "geometry_hash" in data.files:
+            saved = bytes(data["geometry_hash"]).decode()
+            if saved != _geometry_hash(solver):
+                raise ConfigError(
+                    "checkpoint geometry differs from the solver's: same "
+                    "grid shape and node count, but other grid flags or "
+                    "periodicity"
+                )
         time = int(data["time"])
         fluid_updates = int(data["fluid_updates"])
     if isinstance(solver, DistributedSolver):

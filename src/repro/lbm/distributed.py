@@ -334,8 +334,11 @@ class DistributedSolver:
             from ..lint.plancheck import verify_rank_plans
 
             verify_rank_plans(plans, overlap=self._overlap, context=context)
-        # per-rank kernel providers; None = the inline NumPy bodies
+        # per-rank kernel providers; None = the inline NumPy bodies.  The
+        # compiled provider also runs the pressure outlet; a model
+        # launches collide and stream only
         self._kern: Optional[List[Any]] = None
+        self._compiled_outlet = compiled
         if models is not None:
             self._kern = [
                 m.make_kernels(self.lattice, self.collision) for m in models
@@ -444,11 +447,11 @@ class DistributedSolver:
             self._halo = RingTransport(
                 self._shm, [(s, d, nbytes // 8) for s, d, nbytes in self._wire]
             )
-            # telemetry plane: heartbeats, the stall watchdog and the
-            # crash flight recorder (spans and metric deltas ride the
+            # telemetry plane: the heartbeat board, the stall watchdog
+            # and postmortem bundles (spans and metric deltas ride the
             # executor's acks either way).  Allocated from the same
             # registry (before the lazy fork) so workers inherit the
-            # channels; REPRO_TELEMETRY_PLANE=off yields the dormant
+            # board; REPRO_TELEMETRY_PLANE=off yields the dormant
             # baseline the overhead benchmark times.
             from ..telemetry.plane import TelemetryPlane, plane_enabled
 
@@ -585,7 +588,10 @@ class DistributedSolver:
         if st.inlet is not None:
             st.inlet.apply(self.lattice, st.f, level)
         if st.outlet is not None:
-            st.outlet.apply(self.lattice, st.f, level)
+            if self._compiled_outlet:
+                self._kern[rank].outlet(st.f, st.outlet.nodes, st.outlet.rho0)
+            else:
+                st.outlet.apply(self.lattice, st.f, level)
 
     # -- process-tier support ----------------------------------------------
     def _apply_phase_context(self, ctx: Dict[str, int]) -> None:

@@ -238,6 +238,9 @@ class Solver:
             verify_plan(self.step_plan, context="single-domain plan")
         # kernel provider; None = the inline NumPy bodies
         self._kern: Any = None
+        # the compiled provider also runs the pressure outlet; a model
+        # launches collide and stream only
+        self._compiled_outlet = False
         if model is not None:
             self._kern = model.make_kernels(self.lattice, self.collision)
             # the double buffer is the storage behind two device Views
@@ -257,6 +260,7 @@ class Solver:
                 backend=config.backend,
                 fastmath=config.fastmath,
             )
+            self._compiled_outlet = True
         if self._kern is not None:
             self._kern_tables = self._kern.tables(self.step_plan)
         self.time = 0
@@ -317,7 +321,10 @@ class Solver:
             if self.inlet is not None:
                 self.inlet.apply(self.lattice, self.f, self.time)
             if self.outlet is not None:
-                self.outlet.apply(self.lattice, self.f, self.time)
+                if self._compiled_outlet:
+                    kern.outlet(self.f, self.outlet.nodes, self.outlet.rho0)
+                else:
+                    self.outlet.apply(self.lattice, self.f, self.time)
             if self._sanitize:
                 from .sanitize import check_finite
 

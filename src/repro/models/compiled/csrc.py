@@ -68,8 +68,10 @@ typedef struct {
     double fx, fy, fz;
 } repro_params;
 
-/* Collide a block of nb <= NB gathered nodes held in fb[q][NB]
- * (row-major, row i = population i of every node in the block).
+/* Velocity moments of a block of nb <= NB gathered nodes held in
+ * fb[q][NB] (row-major, row i = population i of every node in the
+ * block): density, force-shifted velocity, |u|^2 and, under a force,
+ * u.F / cs^2.
  *
  * The loops run population-outer / node-inner so the stride-1 inner
  * trips vectorize; per element the operation ORDER is identical to the
@@ -78,15 +80,15 @@ typedef struct {
  * the blocked layout mirrors their array expressions.  ``q`` is a
  * parameter (not read from *p) so the D3Q19 dispatchers pass a
  * compile-time constant and the per-q loops unroll. */
-static inline void collide_block(double *fb, const int64_t q,
+static inline void block_moments(const double *fb, const int64_t q,
                                  const int64_t nb, const repro_params *p,
-                                 const double *cf, const double *w,
-                                 const int64_t *opp, const double *M,
-                                 const double *Minv, const double *S)
+                                 const double *cf, double *rho, double *ux,
+                                 double *uy, double *uz, double *usq,
+                                 double *uf)
 {
     const double ic2 = p->inv_cs2;
-    double rho[NB], ux[NB], uy[NB], uz[NB], usq[NB], uf[NB];
-    double feq[QMAX][NB], src[QMAX][NB], out[QMAX][NB];
+    const double fx = p->fx, fy = p->fy, fz = p->fz;
+    const int64_t force = p->has_force;
     for (int64_t j = 0; j < nb; j++) {
         rho[j] = 0.0;
         ux[j] = 0.0;
@@ -106,19 +108,76 @@ static inline void collide_block(double *fb, const int64_t q,
     }
     for (int64_t j = 0; j < nb; j++) {
         double mx = ux[j], my = uy[j], mz = uz[j];
-        if (p->has_force) {
-            mx += 0.5 * p->fx;
-            my += 0.5 * p->fy;
-            mz += 0.5 * p->fz;
+        if (force) {
+            mx += 0.5 * fx;
+            my += 0.5 * fy;
+            mz += 0.5 * fz;
         }
         ux[j] = mx / rho[j];
         uy[j] = my / rho[j];
         uz[j] = mz / rho[j];
         usq[j] = ux[j] * ux[j] + uy[j] * uy[j] + uz[j] * uz[j];
-        uf[j] = p->has_force
-                    ? (ux[j] * p->fx + uy[j] * p->fy + uz[j] * p->fz) * ic2
-                    : 0.0;
+        uf[j] = force ? (ux[j] * fx + uy[j] * fy + uz[j] * fz) * ic2 : 0.0;
     }
+}
+
+/* BGK: relax fb toward equilibrium in place, one population row at a
+ * time, with feq computed inline and the Guo source only under a force.
+ * The per-element expressions are the reference's, so the exact build
+ * stays bit-identical to NumPy with and without a force.  The force test
+ * sits outside two node loops rather than inside one: the branch-free
+ * loops measured 1-5 ns/node faster on D3Q19. */
+static inline void bgk_block(double *fb, const int64_t q, const int64_t nb,
+                             const repro_params *p, const double *cf,
+                             const double *w)
+{
+    const double ic2 = p->inv_cs2, omega = p->omega, gp = p->guo_pref;
+    const double fx = p->fx, fy = p->fy, fz = p->fz;
+    const int64_t force = p->has_force;
+    double rho[NB], ux[NB], uy[NB], uz[NB], usq[NB], uf[NB];
+    block_moments(fb, q, nb, p, cf, rho, ux, uy, uz, usq, uf);
+    for (int64_t i = 0; i < q; i++) {
+        const double c0 = cf[3 * i], c1 = cf[3 * i + 1],
+                     c2 = cf[3 * i + 2];
+        const double wi = w[i];
+        double *fi = fb + i * NB;
+        if (force) {
+            const double cfq = c0 * fx + c1 * fy + c2 * fz;
+            for (int64_t j = 0; j < nb; j++) {
+                const double cu = c0 * ux[j] + c1 * uy[j] + c2 * uz[j];
+                const double feq = wi * rho[j] *
+                                   (1.0 + ic2 * cu +
+                                    0.5 * ic2 * ic2 * cu * cu -
+                                    0.5 * ic2 * usq[j]);
+                const double src =
+                    wi * (cu * ic2 * ic2 * cfq + cfq * ic2 - uf[j]);
+                fi[j] = fi[j] + omega * (feq - fi[j]) + gp * src;
+            }
+        } else {
+            for (int64_t j = 0; j < nb; j++) {
+                const double cu = c0 * ux[j] + c1 * uy[j] + c2 * uz[j];
+                const double feq = wi * rho[j] *
+                                   (1.0 + ic2 * cu +
+                                    0.5 * ic2 * ic2 * cu * cu -
+                                    0.5 * ic2 * usq[j]);
+                fi[j] = fi[j] + omega * (feq - fi[j]);
+            }
+        }
+    }
+}
+
+/* TRT and MRT: stage feq and the Guo source for the whole block, then
+ * relax through the operator's even/odd or moment-space form. */
+static inline void trt_mrt_block(double *fb, const int64_t q,
+                                 const int64_t nb, const repro_params *p,
+                                 const double *cf, const double *w,
+                                 const int64_t *opp, const double *M,
+                                 const double *Minv, const double *S)
+{
+    const double ic2 = p->inv_cs2;
+    double rho[NB], ux[NB], uy[NB], uz[NB], usq[NB], uf[NB];
+    double feq[QMAX][NB], src[QMAX][NB], out[QMAX][NB];
+    block_moments(fb, q, nb, p, cf, rho, ux, uy, uz, usq, uf);
     for (int64_t i = 0; i < q; i++) {
         const double c0 = cf[3 * i], c1 = cf[3 * i + 1],
                      c2 = cf[3 * i + 2];
@@ -135,13 +194,7 @@ static inline void collide_block(double *fb, const int64_t q,
                             : 0.0;
         }
     }
-    if (p->op == 0) { /* BGK */
-        for (int64_t i = 0; i < q; i++)
-            for (int64_t j = 0; j < nb; j++)
-                out[i][j] = fb[i * NB + j] +
-                            p->omega * (feq[i][j] - fb[i * NB + j]) +
-                            p->guo_pref * src[i][j];
-    } else if (p->op == 1) { /* TRT */
+    if (p->op == 1) { /* TRT */
         for (int64_t i = 0; i < q; i++) {
             const int64_t io = opp[i];
             const double *fi = fb + i * NB, *fo = fb + io * NB;
@@ -196,6 +249,19 @@ static inline void collide_block(double *fb, const int64_t q,
             fb[i * NB + j] = out[i][j];
 }
 
+/* The one collide body of every tile: BGK's own, or TRT/MRT's. */
+static inline void collide_block(double *fb, const int64_t q,
+                                 const int64_t nb, const repro_params *p,
+                                 const double *cf, const double *w,
+                                 const int64_t *opp, const double *M,
+                                 const double *Minv, const double *S)
+{
+    if (p->op == 0)
+        bgk_block(fb, q, nb, p, cf, w);
+    else
+        trt_mrt_block(fb, q, nb, p, cf, w, opp, M, Minv, S);
+}
+
 /* Load, collide and store the nb <= NB nodes starting at node0. */
 static inline void collide_tile(double *f, const int64_t node0,
                                 const int64_t nb, const repro_params *p,
@@ -246,6 +312,48 @@ void repro_collide(double *f, int64_t n_nodes, const repro_params *p,
         collide_loop(f, n_nodes, p, 19, cf, w, opp, M, Minv, S, par);
     else
         collide_loop(f, n_nodes, p, p->q, cf, w, opp, M, Minv, S, par);
+}
+
+/* Pressure outlet: reset each listed node (distinct columns of
+ * f[q, num_local], any order) to the equilibrium at density rho0 and
+ * the node's own velocity.  The scalar form of PressureOutlet.apply. */
+static inline void outlet_loop(double *f, const int64_t *nodes,
+                               int64_t n_nodes, double rho0,
+                               const repro_params *p, const int64_t q,
+                               const double *cf, const double *w)
+{
+    const int64_t nl = p->num_local;
+    const double ic2 = p->inv_cs2;
+    for (int64_t k = 0; k < n_nodes; k++) {
+        double *fn = f + nodes[k];
+        double rho = 0.0, mx = 0.0, my = 0.0, mz = 0.0;
+        for (int64_t i = 0; i < q; i++) {
+            const double fi = fn[i * nl];
+            rho += fi;
+            mx += cf[3 * i] * fi;
+            my += cf[3 * i + 1] * fi;
+            mz += cf[3 * i + 2] * fi;
+        }
+        const double ux = mx / rho, uy = my / rho, uz = mz / rho;
+        const double usq = ux * ux + uy * uy + uz * uz;
+        for (int64_t i = 0; i < q; i++) {
+            const double cu =
+                cf[3 * i] * ux + cf[3 * i + 1] * uy + cf[3 * i + 2] * uz;
+            fn[i * nl] = w[i] * rho0 *
+                         (1.0 + ic2 * cu + 0.5 * ic2 * ic2 * cu * cu -
+                          0.5 * ic2 * usq);
+        }
+    }
+}
+
+void repro_outlet(double *f, const int64_t *nodes, int64_t n_nodes,
+                  double rho0, const repro_params *p, const double *cf,
+                  const double *w)
+{
+    if (p->q == 19)
+        outlet_loop(f, nodes, n_nodes, rho0, p, 19, cf, w);
+    else
+        outlet_loop(f, nodes, n_nodes, rho0, p, p->q, cf, w);
 }
 
 /* Fused streaming + bounce-back as run-length copies: run r moves
@@ -471,6 +579,10 @@ class KernelLib:
         lib.repro_stream.argtypes = [
             dbl, dbl, i64, i64, ctypes.c_int64, ctypes.c_int64,
         ]
+        lib.repro_outlet.restype = None
+        lib.repro_outlet.argtypes = [
+            dbl, i64, ctypes.c_int64, ctypes.c_double, par, dbl, dbl,
+        ]
         lib.repro_fused_step.restype = None
         lib.repro_fused_step.argtypes = [
             dbl, dbl, i64, ctypes.c_int64, par, dbl, dbl, i64, dbl, dbl,
@@ -502,6 +614,12 @@ class KernelLib:
         self._lib.repro_stream(
             self._dbl(f_src), self._dbl(f_dst), self._i64(heads),
             self._i64(lens), lens.size, int(par),
+        )
+
+    def outlet(self, f, nodes, rho0: float, params, tables) -> None:
+        self._lib.repro_outlet(
+            self._dbl(f), self._i64(nodes), nodes.size, rho0,
+            ctypes.byref(params), tables[0], tables[1],
         )
 
     def fused_step(

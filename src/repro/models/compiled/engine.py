@@ -2,7 +2,7 @@
 
 :class:`CompiledKernels` packs one collision operator (BGK/TRT/MRT, with
 optional Guo forcing) and one lattice into the flat parameter/table ABI
-shared by both providers, then exposes the three kernels the solver layer
+shared by both providers, then exposes the kernels the solver layer
 needs (plus ``tables(plan)``, the stream tables of a
 :class:`~repro.lbm.stream.StepPlan` — every kernel provider's surface):
 
@@ -14,6 +14,10 @@ needs (plus ``tables(plan)``, the stream tables of a
     The fused streaming + bounce-back gather as run-length copies over
     the int64 ``(heads, lens)`` run table — exactly
     :meth:`repro.lbm.stream.StepPlan.kernel_tables`.
+``outlet(f, nodes, rho0)``
+    The pressure outlet in one call: the compiled form of
+    :meth:`repro.lbm.boundary.PressureOutlet.apply`, which stays the
+    NumPy reference.
 ``fused_step(f_src, f_dst, flat_src)``
     Single-pass stream + collide into the prefix of the double buffer:
     one read and one write per population (the paper's one-pass byte
@@ -79,7 +83,8 @@ def collision_op_code(collision) -> int:
 
 
 class CompiledKernels:
-    """Compiled collide/stream/fused-step kernels for one configuration."""
+    """Compiled collide/stream/outlet/fused-step kernels for one
+    configuration."""
 
     def __init__(
         self,
@@ -159,6 +164,7 @@ class CompiledKernels:
         )
         self._nb_collide = jit(kernels_py.collide_nodes_loop)
         self._nb_stream = jit(kernels_py.stream_runs_loop)
+        self._nb_outlet = jit(kernels_py.outlet_nodes_loop)
         self._nb_fused_step = jit(kernels_py.fused_step_loop)
 
     def _bind_cgen(self) -> None:
@@ -198,15 +204,19 @@ class CompiledKernels:
         """The tables :meth:`stream` takes for ``plan``: its run table."""
         return plan.kernel_tables()
 
-    def collide(self, f: np.ndarray, n_nodes: Optional[int] = None) -> None:
-        """Collide the prefix ``[0, n_nodes)`` of ``f[q, n]`` in place."""
+    def _num_local(self, f: np.ndarray) -> int:
+        """The column count of a kernel's ``f[q, n]`` argument."""
         _require_abi("f", f, np.float64)
         if f.ndim != 2 or f.shape[0] != self.q:
             raise ConfigError(
                 f"compiled kernel ABI: f must be (q={self.q}, n), "
                 f"got {f.shape}"
             )
-        num_local = f.shape[1]
+        return f.shape[1]
+
+    def collide(self, f: np.ndarray, n_nodes: Optional[int] = None) -> None:
+        """Collide the prefix ``[0, n_nodes)`` of ``f[q, n]`` in place."""
+        num_local = self._num_local(f)
         n = num_local if n_nodes is None else int(n_nodes)
         if not 0 <= n <= num_local:
             raise ConfigError(
@@ -247,6 +257,22 @@ class CompiledKernels:
             return
         self._nb_stream(
             f_src.reshape(-1), f_dst.reshape(-1), heads, lens, lens.size
+        )
+
+    def outlet(self, f: np.ndarray, nodes: np.ndarray, rho0: float) -> None:
+        """Reset the distinct columns ``nodes`` of ``f[q, n]`` to the
+        equilibrium at density ``rho0`` and each node's own velocity."""
+        num_local = self._num_local(f)
+        _require_abi("nodes", nodes, np.int64, (np.size(nodes),))
+        if self.provider == "cgen":
+            self._clib.outlet(
+                f, nodes, float(rho0), self._cparams(num_local),
+                self._ctables,
+            )
+            return
+        self._nb_outlet(
+            f.reshape(-1), nodes, nodes.size, self.q, num_local, self.cf,
+            self.w, float(rho0), self.inv_cs2,
         )
 
     def fused_step(

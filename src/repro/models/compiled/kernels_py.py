@@ -30,6 +30,7 @@ __all__ = [
     "OP_MRT",
     "collide_nodes_loop",
     "stream_runs_loop",
+    "outlet_nodes_loop",
     "fused_step_loop",
 ]
 
@@ -163,6 +164,40 @@ def stream_runs_loop(f_src, f_dst, heads, lens, n_runs):
         s0 = heads[r, 1]
         for j in range(lens[r]):
             f_dst[d0 + j] = f_src[s0 + j]
+
+
+def outlet_nodes_loop(f, nodes, n_nodes, q, num_local, cf, w, rho0, inv_cs2):
+    """Pressure outlet over the flat view of ``f[q, num_local]``: reset
+    each of the distinct ``nodes`` to the equilibrium at ``rho0`` and the
+    node's own velocity (the loop form of ``PressureOutlet.apply``)."""
+    for k in prange(n_nodes):
+        node = nodes[k]
+        rho = 0.0
+        mx = 0.0
+        my = 0.0
+        mz = 0.0
+        for i in range(q):
+            fi = f[i * num_local + node]
+            rho += fi
+            mx += cf[i, 0] * fi
+            my += cf[i, 1] * fi
+            mz += cf[i, 2] * fi
+        ux = mx / rho
+        uy = my / rho
+        uz = mz / rho
+        usq = ux * ux + uy * uy + uz * uz
+        for i in range(q):
+            cu = cf[i, 0] * ux + cf[i, 1] * uy + cf[i, 2] * uz
+            f[i * num_local + node] = (
+                w[i]
+                * rho0
+                * (
+                    1.0
+                    + inv_cs2 * cu
+                    + 0.5 * inv_cs2 * inv_cs2 * cu * cu
+                    - 0.5 * inv_cs2 * usq
+                )
+            )
 
 
 def fused_step_loop(

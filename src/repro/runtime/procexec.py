@@ -56,11 +56,13 @@ since plain attribute writes in the parent are invisible after the fork.
 
 When a :class:`~repro.telemetry.plane.TelemetryPlane` is attached (the
 distributed solver wires one whenever the plane is enabled), the agents
-also publish heartbeats at phase entry/exit and keep the last N events
-in the flight recorder — shared memory the parent can read when no ack
-comes.  The parent watches the heartbeats for stalls and, on a stall,
-worker death or a sanitizer failure, attaches a postmortem bundle to
-the raised error.
+also publish a heartbeat at each phase entry and an idle one at the end
+of each dispatch — shared memory the parent can read when no ack comes.
+A heartbeat's phase column is the phase's index in the dispatched
+tuple, so the parent names the phase from the labels it sent.  The
+parent watches the heartbeats for stalls and, on a stall, worker death
+or a sanitizer failure, attaches a postmortem bundle to the raised
+error.
 """
 
 from __future__ import annotations
@@ -108,8 +110,8 @@ def _worker_main(
 ) -> None:
     """Worker loop: receive dispatches, run them, ack with timings.
 
-    A dispatch is a sequence of ``(span name, callable spec)`` phases
-    plus one ``ctx``; ``None`` stops the worker.  The worker applies the
+    A dispatch is a sequence of ``(label, callable spec)`` phases plus
+    one ``ctx``; ``None`` stops the worker.  The worker applies the
     ctx through the target's ``_apply_phase_context`` hook, runs the
     phases back to back on its own rank (no parent round trip in
     between), and acks once: ``("ok", timings, records)`` with the
@@ -121,7 +123,7 @@ def _worker_main(
     when ``trace``, one worker-origin span per phase — the process-wide
     tracer (and the target's ``tracer`` attribute, if any) rebind to the
     agent's tracer so phase bodies' sub-spans are captured too.  With a
-    ``plane`` the agent also publishes heartbeats and flight events.
+    ``plane`` the agent also publishes heartbeats.
 
     Exits through ``os._exit`` so the parent's inherited atexit hooks
     (segment unlink, executor shutdown) never run in a child.
@@ -146,26 +148,26 @@ def _worker_main(
                     hook = getattr(target, "_apply_phase_context", None)
                     if hook is not None:
                         hook(ctx)
+                agent.begin_dispatch(ctx)
                 timings: Timings = []
-                for name, (kind, payload) in phases:
-                    label = name or "phase"
+                for index, (label, (kind, payload)) in enumerate(phases):
                     if kind == "method":
                         fn = getattr(target, payload)
                     else:
                         fn = pickle.loads(payload)
-                    label = name or fn.__name__
                     # the interval brackets the agent's own span, so a
                     # container rebuilt from the acks encloses it
                     t0 = time.perf_counter()
-                    agent.begin_phase(label, ctx)
+                    agent.begin_phase(index, label)
                     fn(rank)
-                    agent.end_phase(label)
+                    agent.end_phase()
                     timings.append((t0, time.perf_counter() - t0))
+                agent.end_dispatch()
                 conn.send(("ok", timings, agent.records()))
             except BaseException as exc:
                 records: List[Dict[str, Any]] = []
                 try:
-                    agent.record_error(label, exc)
+                    agent.record_error()
                     records = agent.records()
                 except Exception:
                     pass
@@ -216,7 +218,7 @@ class ProcessExecutor:
         self.tracer = get_tracer() if tracer is None else tracer
         #: optional :class:`~repro.telemetry.plane.TelemetryPlane`; set it
         #: before the first dispatch (workers fork with it) to get
-        #: heartbeats, the stall watchdog and the flight recorder.
+        #: heartbeats, the stall watchdog and postmortem bundles.
         self.plane: Optional[Any] = None
         self._mp = multiprocessing.get_context("fork")
         self._creator_pid = os.getpid()
@@ -350,8 +352,11 @@ class ProcessExecutor:
             return [[] for _ in range(self.num_ranks)]
         if not self._started:
             self.start(getattr(phases[0], "__self__", None))
+        # every phase travels under its label, so the worker's spans and
+        # error acks and the parent's heartbeat reading name it alike
         specs = tuple(
-            (name, self._spec_for(fn)) for fn, name in zip(phases, names)
+            (name or getattr(fn, "__name__", "phase"), self._spec_for(fn))
+            for fn, name in zip(phases, names)
         )
         return self._dispatch(specs, ctx)
 
@@ -363,6 +368,8 @@ class ProcessExecutor:
         """Send one message per rank, gather one ack per rank."""
         dispatch_t0 = time.perf_counter()
         step = ctx.get("step") if ctx else None
+        if self.plane is not None:
+            self.plane.phase_names = tuple(label for label, _ in phases)
 
         def where(rank: int) -> str:
             return self._where(rank, step, dispatch_t0)
@@ -441,14 +448,13 @@ class ProcessExecutor:
     def _where(self, rank: int, step: Optional[int], since: float) -> str:
         """Where ``rank`` is in the current dispatch, for error messages.
 
-        The rank's flight recorder names the last phase it entered since
-        the dispatch; without a plane only the step is known.
+        A whole heartbeat the rank published since the dispatch names the
+        last phase it entered; without one only the step is known.
         """
         if self.plane is not None:
-            events = self.plane.flight_tail(rank)["events"]
-            for ev in reversed(events):
-                if ev.get("ev") == "phase_begin" and ev.get("t", 0) >= since:
-                    return f"phase {ev.get('name')!r} of step {ev.get('step')}"
+            hb = self.plane.heartbeat(rank)
+            if not hb["torn"] and hb["ts"] >= since and hb["phase"]:
+                return f"phase {hb['phase']!r} of step {hb['step']}"
         return "a step" if step is None else f"step {step}"
 
     def _collect_acks(

@@ -65,7 +65,6 @@ _PROFILE_EXPORTS = (
 # plane's exports are lazy too: it sits on repro.runtime.shmem, and the
 # runtime's executors import this package.
 _PLANE_EXPORTS = (
-    "FlightRecorder",
     "HeartbeatBoard",
     "TelemetryPlane",
     "WorkerAgent",
@@ -133,7 +132,6 @@ __all__ = [
     "TelemetryPlane",
     "WorkerAgent",
     "HeartbeatBoard",
-    "FlightRecorder",
     "plane_enabled",
     "load_postmortem",
     "render_postmortem",

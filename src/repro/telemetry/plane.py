@@ -5,7 +5,7 @@ in-process observability stack blind to them: spans a worker records and
 counters it increments live in the worker's copy-on-write memory and die
 with the fork.  This module carries telemetry *back* across the process
 boundary so a process-executor run is observationally identical to an
-in-process one.  Three channels:
+in-process one.  Two channels:
 
 * **The ack** — each worker runs a :class:`WorkerAgent` that captures
   its phase spans (when the parent traces) and its metric *deltas*
@@ -14,26 +14,26 @@ in-process one.  Three channels:
   folds it in with :func:`merge_records`: spans land on the controlling
   tracer tagged with the worker's real ``pid``/``tid``; deltas merge into
   the parent registry — **sum** for counters, **last write** for gauges,
-  **bucket-wise add** for histograms.  The ack needs no shared memory,
-  so it works whether or not the plane below is on.
+  **bucket-wise add** for histograms.  An error ack also carries the
+  exception, its traceback and the failing phase's label.  The ack needs
+  no shared memory, so it works whether or not the plane below is on.
 * **Heartbeat board** — a per-rank row of epoch-bracketed scalars
-  (monotonic sequence, step, phase ordinal, timestamp, pid, state)
-  published by workers at phase entry/exit.  The parent's
+  (monotonic sequence, step, phase index, timestamp, pid, state)
+  published by workers once at each phase entry and once, idle, at the
+  end of each dispatch.  The phase index is the phase's position in the
+  dispatched phase tuple, so the parent names it from the labels it sent
+  (:attr:`TelemetryPlane.phase_names`).  The parent's
   :meth:`TelemetryPlane.check_stalls` watchdog turns a silent hang into
   a rank-attributed :class:`~repro.core.errors.StallError`.
-* **Flight recorder** — an always-on, bounded, overwrite-on-full ring
-  of the last N phase/error events per rank, one JSON frame
-  (:func:`encode_records` / :func:`decode_frame`) per slot.  It never
-  blocks and never fills, so it survives worker death and records right
-  up to the crash.
 
-The last two are the :class:`TelemetryPlane`: what must stay readable
-when no ack comes because a worker died or hangs.  Both are allocated
-from the solver's own :class:`~repro.runtime.shmem.SegmentRegistry`
-before the fork so workers inherit the mappings, and
-:meth:`TelemetryPlane.postmortem_bundle` snapshots them (rank states,
-last heartbeats, flight-recorder tails and a ``leaked_segments()``
-audit) into a JSON document that ``repro telemetry postmortem`` renders.
+The board is the :class:`TelemetryPlane`: what must stay readable when
+no ack comes because a worker died or hangs.  It is allocated from the
+solver's own :class:`~repro.runtime.shmem.SegmentRegistry` before the
+fork so workers inherit the mapping, and
+:meth:`TelemetryPlane.postmortem_bundle` snapshots it (rank states and
+exit codes, the last heartbeat of every rank with its phase named, the
+error text and a ``leaked_segments()`` audit) into a JSON document that
+``repro telemetry postmortem`` renders.
 
 Timestamps are comparable across processes because ``perf_counter`` is
 the system-wide ``CLOCK_MONOTONIC`` on Linux — the same property the
@@ -62,7 +62,6 @@ __all__ = [
     "encode_records",
     "decode_frame",
     "HeartbeatBoard",
-    "FlightRecorder",
     "WorkerAgent",
     "merge_records",
     "TelemetryPlane",
@@ -72,23 +71,19 @@ __all__ = [
 ]
 
 #: Environment switch: set to ``off``/``0``/``false`` to run the process
-#: executor without the plane (no heartbeats, watchdog or flight
-#: recorder; spans and metrics still ride the acks).
+#: executor without the plane (no heartbeats or watchdog; spans and
+#: metrics still ride the acks).
 PLANE_ENV = "REPRO_TELEMETRY_PLANE"
 
 #: default float64 items per frame (first item is the byte length).
 DEFAULT_FRAME_ITEMS = 2048
 
-#: flight-recorder events retained per rank.
-DEFAULT_FLIGHT_SLOTS = 64
-
-#: payload bytes per flight-recorder event slot.
-DEFAULT_FLIGHT_SLOT_BYTES = 256
-
 #: heartbeat age (seconds) past which a pending rank counts as stalled.
 DEFAULT_STALL_TIMEOUT_S = 60.0
 
-POSTMORTEM_SCHEMA_VERSION = 1
+#: version 2 names each rank's phase from its heartbeat; version 1
+#: bundles also carried a per-rank ``flight`` event tail
+POSTMORTEM_SCHEMA_VERSION = 2
 
 
 def plane_enabled() -> bool:
@@ -104,10 +99,12 @@ def plane_enabled() -> bool:
 
 # -- frame codec ---------------------------------------------------------
 #
-# A frame is a float64 slab whose first 8 bytes alias an int64 payload
-# length, followed by that many bytes of UTF-8 JSON (an array of record
-# objects).  Same-dtype numpy copies are memcpy, so the byte patterns
-# survive a float64 shared-memory slot untouched.
+# Nothing in the package encodes frames any more; the codec stays for the
+# benchmark ladder's codec rung, which times it.  A frame is a float64
+# slab whose first 8 bytes alias an int64 payload length, followed by
+# that many bytes of UTF-8 JSON (an array of record objects).  Same-dtype
+# numpy copies are memcpy, so the byte patterns survive a float64
+# shared-memory slot untouched.
 
 #: compact JSON, one shared encoder (``json.dumps`` with non-default
 #: options builds a new encoder on every call)
@@ -195,7 +192,7 @@ _HB_STATE_NAMES = {0: "idle", 1: "in_phase", 2: "error"}
 class HeartbeatBoard:
     """Per-rank epoch-bracketed progress rows over one shared segment.
 
-    Workers publish (seq, step, phase ordinal, timestamp, pid, state)
+    Workers publish (seq, step, phase index, timestamp, pid, state)
     with the sequence written before and after the payload, so the
     parent detects a torn row instead of consuming half an update.
     """
@@ -211,7 +208,7 @@ class HeartbeatBoard:
         rank: int,
         seq: int,
         step: int,
-        phase_ordinal: int,
+        phase_index: int,
         state: float,
         pid: Optional[int] = None,
         ts: Optional[float] = None,
@@ -220,7 +217,7 @@ class HeartbeatBoard:
         row[_HB_PRE] = seq
         row[_HB_SEQ] = seq
         row[_HB_STEP] = step
-        row[_HB_PHASE] = phase_ordinal
+        row[_HB_PHASE] = phase_index
         row[_HB_TS] = time.perf_counter() if ts is None else ts
         row[_HB_PID] = os.getpid() if pid is None else pid
         row[_HB_STATE] = state
@@ -233,103 +230,11 @@ class HeartbeatBoard:
         return {
             "seq": int(row[_HB_SEQ]),
             "step": int(row[_HB_STEP]),
-            "phase_ordinal": int(row[_HB_PHASE]),
+            "phase_index": int(row[_HB_PHASE]),
             "ts": float(row[_HB_TS]),
             "pid": int(row[_HB_PID]),
             "state": _HB_STATE_NAMES.get(state, str(state)),
             "torn": pre != post,
-        }
-
-
-# -- flight recorder -----------------------------------------------------
-
-
-class FlightRecorder:
-    """Always-on bounded event ring per rank; overwrites, never blocks.
-
-    Each slot holds one event as a one-record frame of the codec above,
-    bracketed by pre/post sequence words.  The writer never waits — when
-    the ring is full the oldest event is overwritten — so the recorder
-    keeps working right through a crash and the parent can read the tail
-    of a dead worker's last moments.
-    """
-
-    def __init__(
-        self,
-        registry: SegmentRegistry,
-        num_ranks: int,
-        slots: int = DEFAULT_FLIGHT_SLOTS,
-        slot_bytes: int = DEFAULT_FLIGHT_SLOT_BYTES,
-    ) -> None:
-        if slots < 1 or slot_bytes < 32:
-            raise TelemetryError(
-                "flight recorder needs >=1 slot of >=32 bytes"
-            )
-        self.num_ranks = num_ranks
-        self.slots = slots
-        #: float64 items per slot: the length word, then the payload
-        self.items = slot_bytes // 8 + 1
-        self._count = registry.ndarray(
-            "plane.flight.count", (num_ranks,), np.int64
-        )
-        self._pre = registry.ndarray(
-            "plane.flight.pre", (num_ranks, slots), np.int64
-        )
-        self._post = registry.ndarray(
-            "plane.flight.post", (num_ranks, slots), np.int64
-        )
-        self._data = registry.ndarray(
-            "plane.flight.data", (num_ranks, slots, self.items)
-        )
-
-    def record(self, rank: int, event: Dict[str, Any]) -> None:
-        frames, _ = encode_records([event], self.items)
-        if not frames:  # too large for a slot: keep kind and name
-            short = {
-                "ev": event.get("ev", "event"),
-                "name": str(event.get("name", ""))[:48],
-                "trunc": True,
-            }
-            frames, _ = encode_records([short], self.items)
-        if not frames:  # even that is too large: mark the slot only
-            frames, _ = encode_records([{"trunc": True}], self.items)
-        count = int(self._count[rank])
-        seq = count + 1
-        pos = count % self.slots
-        self._pre[rank, pos] = seq
-        self._data[rank, pos] = frames[0]
-        self._post[rank, pos] = seq
-        self._count[rank] = seq
-
-    def tail(self, rank: int) -> Dict[str, Any]:
-        """Readable events for ``rank`` (oldest first) plus eviction info.
-
-        Slots that are torn (a writer died mid-record, or was overwriting
-        while we read) are skipped, not errors — this path runs during
-        postmortems.
-        """
-        count = int(self._count[rank])
-        start = max(0, count - self.slots)
-        events: List[Dict[str, Any]] = []
-        skipped = 0
-        for seq0 in range(start, count):
-            pos = seq0 % self.slots
-            seq = seq0 + 1
-            if (
-                int(self._pre[rank, pos]) != seq
-                or int(self._post[rank, pos]) != seq
-            ):
-                skipped += 1
-                continue
-            try:
-                events.extend(decode_frame(self._data[rank, pos]))
-            except TelemetryError:
-                skipped += 1
-        return {
-            "events": events,
-            "recorded": count,
-            "evicted": start,
-            "skipped": skipped,
         }
 
 
@@ -342,8 +247,8 @@ class WorkerAgent:
     Created *inside* the worker.  Owns a private :class:`Tracer` when
     ``trace`` (the parent traces), snapshots the worker's inherited
     metrics registry to compute deltas, and — with a ``plane`` attached
-    — publishes heartbeats and feeds the flight recorder at every phase
-    bracket.  The worker loop sends :meth:`records` on its ack at the
+    — publishes a heartbeat at every phase entry and at the end of every
+    dispatch.  The worker loop sends :meth:`records` on its ack at the
     end of each dispatch.
     """
 
@@ -361,61 +266,54 @@ class WorkerAgent:
         self.registry: MetricsRegistry = get_registry()
         self._base = self.registry.as_dict()
         self._seq = 0
-        self._phase_ordinal = 0
+        self._phase_index = -1
         self._step = -1
         self._open_span: Optional[Any] = None
 
-    # -- phase brackets --------------------------------------------------
+    # -- dispatch and phase brackets -------------------------------------
     def _beat(self, state: float) -> None:
         self._seq += 1
         self.plane.heartbeats.publish(
             self.rank,
             self._seq,
             self._step,
-            self._phase_ordinal,
+            self._phase_index,
             state,
             pid=self.pid,
         )
 
-    def _event(self, ev: str, name: str, **extra: Any) -> None:
-        self.plane.flight.record(
-            self.rank,
-            {
-                "ev": ev,
-                "name": name,
-                "step": self._step,
-                **extra,
-                "t": time.perf_counter(),
-            },
-        )
-
-    def begin_phase(
-        self, name: str, ctx: Optional[Dict[str, Any]] = None
-    ) -> None:
+    def begin_dispatch(self, ctx: Optional[Dict[str, Any]] = None) -> None:
+        """Take the dispatch's step number from ``ctx``, if it has one;
+        until the first phase begins, no phase is named."""
+        self._phase_index = -1
         if ctx is not None and "step" in ctx:
             try:
                 self._step = int(ctx["step"])
             except (TypeError, ValueError):
                 pass
-        self._phase_ordinal += 1
+
+    def begin_phase(self, index: int, name: str) -> None:
+        """Enter phase ``index`` of the dispatched tuple, named ``name``."""
+        self._phase_index = index
         if self.plane is not None:
             self._beat(HB_IN_PHASE)
-            self._event("phase_begin", name)
         if self.tracer is not None:
             self._open_span = self.tracer.span(name, rank=self.rank)
             self._open_span.__enter__()
 
-    def end_phase(self, name: str) -> None:
+    def end_phase(self) -> None:
         if self._open_span is not None:
             self._open_span.__exit__(None, None, None)
             self._open_span = None
+
+    def end_dispatch(self) -> None:
+        """The rank ran every phase of the dispatch: an idle heartbeat."""
         if self.plane is not None:
-            self._event("phase_end", name)
             self._beat(HB_IDLE)
 
-    def record_error(self, name: str, exc: BaseException) -> None:
-        """Mark a phase failure: close its span; with a plane, a flight
-        event and an error heartbeat."""
+    def record_error(self) -> None:
+        """Mark a phase failure: close its span; with a plane, an error
+        heartbeat that keeps the failing phase's index."""
         if self._open_span is not None:
             try:
                 self._open_span.__exit__(None, None, None)
@@ -423,9 +321,6 @@ class WorkerAgent:
                 pass
             self._open_span = None
         if self.plane is not None:
-            self._event(
-                "error", name, exc=f"{type(exc).__name__}: {exc}"[:160]
-            )
             self._beat(HB_ERROR)
 
     # -- ack payload -----------------------------------------------------
@@ -542,9 +437,8 @@ def merge_records(records: Iterable[Dict[str, Any]], tracer: Any) -> None:
 
 
 class TelemetryPlane:
-    """Parent-side owner of the shared-memory telemetry channels: the
-    heartbeat board and the flight recorder, plus the stall watchdog and
-    the postmortem bundle that read them.
+    """Parent-side owner of the shared-memory heartbeat board, plus the
+    stall watchdog and the postmortem bundle that read it.
 
     Built by the distributed solver (or a test harness) *before* the
     process executor forks, from the same :class:`SegmentRegistry` that
@@ -567,15 +461,20 @@ class TelemetryPlane:
         self.stall_timeout_s = float(stall_timeout_s)
         self.postmortem_out = postmortem_out
         self.heartbeats = HeartbeatBoard(registry, num_ranks)
-        self.flight = FlightRecorder(registry, num_ranks)
+        #: labels of the phase tuple last dispatched, in order: the
+        #: executor sets them with each dispatch, and a heartbeat's phase
+        #: index names its phase through them
+        self.phase_names: Tuple[str, ...] = ()
         self._created_ts = time.perf_counter()
 
     # -- accessors -------------------------------------------------------
     def heartbeat(self, rank: int) -> Dict[str, Any]:
-        return self.heartbeats.read(rank)
-
-    def flight_tail(self, rank: int) -> Dict[str, Any]:
-        return self.flight.tail(rank)
+        """``rank``'s last heartbeat, its phase index named."""
+        hb = self.heartbeats.read(rank)
+        index = hb["phase_index"]
+        names = self.phase_names
+        hb["phase"] = names[index] if 0 <= index < len(names) else None
+        return hb
 
     # -- stall watchdog --------------------------------------------------
     def check_stalls(
@@ -595,7 +494,7 @@ class TelemetryPlane:
         now = time.perf_counter() if now is None else now
         floor = self._created_ts if since is None else since
         for rank in pending:
-            hb = self.heartbeats.read(rank)
+            hb = self.heartbeat(rank)
             if hb["torn"]:
                 continue  # actively being written — not stalled
             last = max(hb["ts"], floor)
@@ -604,18 +503,11 @@ class TelemetryPlane:
                 continue
             if alive is not None and not alive(rank):
                 continue
-            tail = self.flight.tail(rank)["events"][-3:]
-            recent = (
-                ", ".join(
-                    f"{e.get('ev')}:{e.get('name')}" for e in tail
-                )
-                or "none"
-            )
             raise StallError(
                 f"rank {rank} stalled: no heartbeat for {age:.1f}s "
                 f"(timeout {self.stall_timeout_s:g}s); last heartbeat "
-                f"seq={hb['seq']} step={hb['step']} state={hb['state']} "
-                f"pid={hb['pid']}; last flight events: {recent}"
+                f"seq={hb['seq']} step={hb['step']} phase={hb['phase']!r} "
+                f"state={hb['state']} pid={hb['pid']}"
             )
 
     # -- postmortem ------------------------------------------------------
@@ -630,8 +522,7 @@ class TelemetryPlane:
         for rank in range(self.num_ranks):
             entry: Dict[str, Any] = {
                 "rank": rank,
-                "heartbeat": self.heartbeats.read(rank),
-                "flight": self.flight.tail(rank),
+                "heartbeat": self.heartbeat(rank),
             }
             entry.update((rank_states or {}).get(rank, {}))
             ranks.append(entry)
@@ -699,13 +590,12 @@ def render_postmortem(bundle: Dict[str, Any]) -> str:
     if bundle.get("error"):
         lines.append(f"error: {bundle['error']}")
     headers = [
-        "Rank", "State", "Pid", "Exit", "Hb seq", "Step", "Hb state",
-        "Flight", "Evicted",
+        "Rank", "State", "Pid", "Exit", "Hb seq", "Step", "Phase",
+        "Hb state",
     ]
     rows = []
     for entry in bundle.get("ranks", []):
         hb = entry.get("heartbeat", {})
-        flight = entry.get("flight", {})
         rows.append(
             [
                 str(entry.get("rank")),
@@ -714,25 +604,22 @@ def render_postmortem(bundle: Dict[str, Any]) -> str:
                 str(entry.get("exitcode", "")),
                 str(hb.get("seq", 0)),
                 str(hb.get("step", -1)),
+                str(hb.get("phase") or ""),
                 str(hb.get("state", "?")),
-                str(len(flight.get("events", []))),
-                str(flight.get("evicted", 0)),
             ]
         )
     lines.append(render_table(headers, rows, "rank states at capture"))
+    # schema 1 bundles also carry each rank's flight-recorder tail
     for entry in bundle.get("ranks", []):
         events = entry.get("flight", {}).get("events", [])
         if not events:
             continue
         lines.append(f"rank {entry.get('rank')} flight tail:")
         for ev in events[-10:]:
-            step = ev.get("step", -1)
-            t = ev.get("t")
-            ts = f" t={t:.6f}" if isinstance(t, (int, float)) else ""
             extra = f" {ev['exc']}" if "exc" in ev else ""
             lines.append(
-                f"  step {step:>4} {ev.get('ev', '?'):<12}"
-                f"{ev.get('name', '')}{ts}{extra}"
+                f"  step {ev.get('step', -1):>4} {ev.get('ev', '?'):<12}"
+                f"{ev.get('name', '')}{extra}"
             )
     leaks = bundle.get("leaked_segments", [])
     # segments still registered when the bundle was captured: expected

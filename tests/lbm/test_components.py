@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ConfigError, D3Q19, GeometryError
-from repro.core.lattice import D3Q27
+from repro.core.lattice import D3Q27, get_lattice
 from repro.geometry import CylinderSpec, VoxelGrid, make_cylinder
 from repro.geometry.flags import FLUID, SOLID
 from repro.lbm import (
@@ -119,6 +119,24 @@ class TestVelocityInlet:
             inlet.apply(lattice, f, time=len(calls))
             assert np.array_equal(f[:, nodes], want[lattice.q])
         assert calls == [19, 27]
+
+    @pytest.mark.parametrize("name", ["D3Q15", "D3Q19", "D3Q27"])
+    def test_column_equals_the_block(self, name):
+        # apply() broadcasts one (q, 1) equilibrium over the inlet nodes;
+        # it must be the (q, m) block lattice.equilibrium builds, bit for bit
+        lattice = get_lattice(name)
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            m = int(rng.integers(1, 2000))
+            vel = rng.normal(size=3) * 10.0 ** rng.uniform(-4.0, 0.0)
+            rho0 = float(rng.uniform(0.5, 2.0))
+            inlet = VelocityInlet(np.arange(m), lambda t, v=vel: v, rho0)
+            f = np.zeros((lattice.q, m))
+            inlet.apply(lattice, f, time=0)
+            block = lattice.equilibrium(
+                np.full(m, rho0), np.broadcast_to(vel, (m, 3))
+            )
+            assert np.array_equal(f, block)
 
     def test_time_dependent_velocity(self):
         inlet = VelocityInlet(

@@ -5,7 +5,13 @@ import pytest
 
 from repro.core import ConfigError, D3Q19
 from repro.decomp import axis_decompose, bisection_decompose
-from repro.geometry import CylinderSpec, make_aorta, make_cylinder
+from repro.geometry import (
+    CylinderSpec,
+    VoxelGrid,
+    make_aneurysm,
+    make_aorta,
+    make_cylinder,
+)
 from repro.lbm import (
     BGKCollision,
     BLOOD,
@@ -239,6 +245,73 @@ class TestCheckpoint:
         b = Solver(grid_b, cfg)
         with pytest.raises(ConfigError, match="grid"):
             load_checkpoint(b, path)
+
+    def test_other_geometry_of_same_shape_and_count_rejected(self, tmp_path):
+        # the aneurysm's sac bulges towards +z; mirrored it bulges towards
+        # -z: same grid shape, same fluid-node count, other node order
+        grid = make_aneurysm()
+        mirrored = VoxelGrid(grid.flags[:, :, ::-1].copy())
+        cfg = SolverConfig(tau=0.8, inlet_velocity=(0.02, 0.0, 0.0))
+        a = Solver(grid, cfg)
+        b = Solver(mirrored, cfg)
+        assert a.grid.shape == b.grid.shape and a.num_nodes == b.num_nodes
+        path = save_checkpoint(a, tmp_path / "a.npz")
+        with pytest.raises(ConfigError, match="geometry"):
+            load_checkpoint(b, path)
+
+    def test_other_periodicity_rejected(self, tmp_path):
+        grid = make_cylinder(CylinderSpec(scale=0.5, periodic=True))
+        a = Solver(grid, SolverConfig(tau=0.8, periodic=(True, False, False)))
+        path = save_checkpoint(a, tmp_path / "a.npz")
+        b = Solver(grid, SolverConfig(tau=0.8))
+        with pytest.raises(ConfigError, match="periodicity"):
+            load_checkpoint(b, path)
+
+    def test_file_without_geometry_hash_still_loads(self, tmp_path):
+        grid = make_cylinder(CylinderSpec(scale=0.5))
+        cfg = SolverConfig(
+            tau=0.8, force=(1e-6, 0, 0), periodic=(True, False, False)
+        )
+        a = Solver(grid, cfg)
+        a.step(3)
+        path = save_checkpoint(a, tmp_path / "new.npz")
+        with np.load(path) as data:
+            older = {k: data[k] for k in data.files if k != "geometry_hash"}
+        np.savez_compressed(tmp_path / "old.npz", **older)
+        b = Solver(grid, cfg)
+        load_checkpoint(b, tmp_path / "old.npz")
+        assert np.array_equal(a.f, b.f)
+
+    def test_restart_across_tiers(self, tmp_path):
+        """2-rank lockstep NumPy checkpoint, restarted on 3 forked ranks
+        under overlap with the exact compiled kernels: bit for bit."""
+        from repro.models.compiled import compiled_available
+        from repro.runtime.procexec import fork_available
+
+        if not (fork_available() and compiled_available()):
+            pytest.skip("needs fork and a compiled kernel provider")
+        grid = make_cylinder(CylinderSpec(scale=0.5))
+        cfg = SolverConfig(
+            tau=0.8, force=(1e-5, 0, 0), periodic=(True, False, False)
+        )
+        a = DistributedSolver(axis_decompose(grid, 2), cfg)
+        a.step(10)
+        path = save_checkpoint(a, tmp_path / "lockstep.npz")
+        tier = SolverConfig(
+            tau=0.8,
+            force=(1e-5, 0, 0),
+            periodic=(True, False, False),
+            executor="process",
+            overlap=True,
+            backend="compiled-serial",
+            fastmath=False,
+        )
+        with DistributedSolver(axis_decompose(grid, 3), tier) as b:
+            load_checkpoint(b, path)
+            a.step(5)
+            b.step(5)
+            assert b.time == a.time == 15
+            assert np.array_equal(a.gather_f(), b.gather_f())
 
     def test_unsupported_object_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

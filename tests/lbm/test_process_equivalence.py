@@ -216,11 +216,12 @@ class TestTelemetryPlaneIntegration:
         bundle = err.value.postmortem
         assert bundle["ranks"][0]["state"] == "dead"
         assert bundle["ranks"][0]["exitcode"] == 23
-        # the survivor's ring was drained before the raise: its flight
-        # tail reaches the dying step and its spans made the tracer
-        surviving_events = bundle["ranks"][1]["flight"]["events"]
-        assert surviving_events
-        assert any(e.get("step") == 1 for e in surviving_events)
+        # the dead rank's heartbeat names the phase and step it died in
+        dead_hb = bundle["ranks"][0]["heartbeat"]
+        assert (dead_hb["phase"], dead_hb["step"]) == ("stream", 1)
+        # the survivor's ring was drained before the raise: its heartbeat
+        # reaches the dying step and its spans made the tracer
+        assert bundle["ranks"][1]["heartbeat"]["step"] == 1
         rank1_spans = [
             s for s in tracer.spans
             if s.rank == 1 and s.args.get("origin") == "worker"
@@ -514,8 +515,8 @@ class TestLifecycleAndValidation:
         assert leaked_segments(os.getpid()) == before
 
     def test_segment_inventory_of_a_process_run(self, monkeypatch):
-        # f double buffers, halo rings, heartbeat board and flight
-        # recorder — telemetry rides the acks, so no telemetry ring
+        # 4 f double buffers, 2 halo rings and the heartbeat board —
+        # telemetry rides the acks, so no telemetry ring or event log
         monkeypatch.delenv("REPRO_TELEMETRY_PLANE", raising=False)
         before = leaked_segments(os.getpid())
         app_config = HarveyConfig(
@@ -525,7 +526,7 @@ class TestLifecycleAndValidation:
             app.run(1)
             live = [s for s in leaked_segments(os.getpid()) if s not in before]
         assert not [s for s in live if "plane." in s and "ring" in s]
-        assert len(live) <= 12
+        assert len(live) == 7
         assert leaked_segments(os.getpid()) == before
 
     def test_unknown_executor_rejected(self):

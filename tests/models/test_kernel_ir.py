@@ -1,5 +1,6 @@
 """The compiled tier's kernel IR: run-length stream tables, constant-trip
-collide blocks, and the provider's set-up cache.
+collide blocks, the one-call pressure outlet, and the provider's set-up
+cache.
 
 ``planmeta.kernel_tables`` collapses a plan's links into ``(heads,
 lens)`` runs; everything the compiled ``stream`` kernel does rests on
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 
 from repro.core import planmeta
-from repro.core.errors import BackendUnavailableError
-from repro.core.lattice import D3Q19
+from repro.core.errors import BackendUnavailableError, ConfigError
+from repro.core.lattice import D3Q19, get_lattice
 from repro.decomp import grid_decompose
 from repro.geometry.cylinder import CylinderSpec, make_cylinder
+from repro.lbm.boundary import PressureOutlet
 from repro.lbm.distributed import DistributedSolver
 from repro.lbm.solver import Solver, SolverConfig
 from repro.lbm.stream import StepPlan
@@ -217,6 +219,61 @@ def test_fused_step_is_stream_then_collide(collision):
     assert np.array_equal(want, got)
 
 
+# -- outlet: the pressure outlet in one kernel call --------------------------
+def _outlet_case(lattice, nodes, width=3 * csrc.BLOCK + 7):
+    """A perturbed state and the NumPy reference outlet applied to it."""
+    rng = np.random.default_rng(23)
+    f0 = np.ascontiguousarray(
+        lattice.equilibrium(
+            1.0 + 0.01 * rng.random(width), 0.03 * rng.random((width, 3))
+        )
+    )
+    want = f0.copy()
+    PressureOutlet(nodes, rho0=1.02).apply(lattice, want, 0.0)
+    return f0, want
+
+
+OUTLET_NODES = {
+    "unsorted": np.array([70, 3, 41, 0, 102, 33, 64, 12], dtype=np.int64),
+    "empty": np.empty(0, dtype=np.int64),
+}
+
+
+@compiled_only
+@pytest.mark.parametrize("fastmath", [False, True], ids=["exact", "fastmath"])
+@pytest.mark.parametrize("nodes", list(OUTLET_NODES), ids=list(OUTLET_NODES))
+@pytest.mark.parametrize("lattice", ["D3Q15", "D3Q19", "D3Q27"])
+def test_outlet_is_the_reference_outlet(lattice, nodes, fastmath):
+    lat = get_lattice(lattice)
+    operator = SolverConfig(tau=0.8, lattice=lattice).make_collision()
+    kern = CompiledKernels(lat, operator, fastmath=fastmath)
+    f0, want = _outlet_case(lat, OUTLET_NODES[nodes])
+    got = f0.copy()
+    kern.outlet(got, OUTLET_NODES[nodes], 1.02)
+    np.testing.assert_allclose(
+        got, want, **(FASTMATH_TOL if fastmath else EXACT_TOL)
+    )
+    # columns off the node list are untouched
+    others = np.setdiff1d(np.arange(f0.shape[1]), OUTLET_NODES[nodes])
+    assert np.array_equal(got[:, others], f0[:, others])
+
+
+@compiled_only
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        np.array([3, 5], dtype=np.int32),
+        np.arange(0, 20, 2, dtype=np.int64)[::2],
+    ],
+    ids=["int32", "non-contiguous"],
+)
+def test_outlet_rejects_off_abi_nodes(nodes):
+    kern = CompiledKernels(D3Q19, _config("inlet").make_collision())
+    f = np.ones((D3Q19.q, 32))
+    with pytest.raises(ConfigError, match="nodes"):
+        kern.outlet(f, nodes, 1.0)
+
+
 # -- the numba provider's source, run under CPython -------------------------
 @cgen_only
 def test_python_run_table_twin_matches_the_c_kernel():
@@ -231,6 +288,18 @@ def test_python_run_table_twin_matches_the_c_kernel():
         f_src.reshape(-1), got.reshape(-1), heads, lens, lens.size
     )
     assert np.array_equal(want, got)
+
+
+def test_python_outlet_twin_is_the_reference_outlet():
+    nodes = OUTLET_NODES["unsorted"]
+    f0, want = _outlet_case(D3Q19, nodes)
+    got = f0.copy()
+    kernels_py.outlet_nodes_loop(
+        got.reshape(-1), nodes, nodes.size, D3Q19.q, got.shape[1],
+        np.ascontiguousarray(D3Q19.cf, dtype=np.float64), D3Q19.w, 1.02,
+        1.0 / D3Q19.cs2,
+    )
+    np.testing.assert_allclose(got, want, **EXACT_TOL)
 
 
 # -- compiler detection is cached on disk -----------------------------------

@@ -210,20 +210,18 @@ class TestTelemetryPlane:
             # captured before shutdown: the survivor was still alive
             assert bundle["ranks"][1]["state"] == "alive"
             # the dead rank got as far as entering the phase
-            dead_events = bundle["ranks"][0]["flight"]["events"]
-            assert dead_events[-1]["ev"] == "phase_begin"
-            assert dead_events[-1]["name"] == "die"
+            dead_hb = bundle["ranks"][0]["heartbeat"]
+            assert dead_hb["state"] == "in_phase"
+            assert dead_hb["phase"] == "die"
             # the surviving rank's ack was merged before the raise: its
-            # span reached the tracer and its flight tail completed
+            # span reached the tracer and its heartbeat closed the dispatch
             surviving = [
                 s for s in tracer.spans
                 if s.name == "die" and s.rank == 1
             ]
             assert len(surviving) == 1
             assert surviving[0].args["origin"] == "worker"
-            assert bundle["ranks"][1]["flight"]["events"][-1]["ev"] == (
-                "phase_end"
-            )
+            assert bundle["ranks"][1]["heartbeat"]["state"] == "idle"
         assert leaked_segments(os.getpid()) == []
 
     def test_stalled_worker_diagnosed_not_hung(self):
@@ -393,7 +391,7 @@ class TestRunStep:
                 ex.run_phase(target.first)
         assert leaked_segments(os.getpid()) == []
 
-    def test_death_names_the_phase_from_the_flight_recorder(self):
+    def test_death_names_the_phase_from_the_heartbeat(self):
         with SegmentRegistry() as reg:
             target = Stepper(reg, 2)
             plane = TelemetryPlane(reg, 2)

@@ -1,5 +1,5 @@
-"""Cross-process telemetry: codec, heartbeats, flight recorder, the
-ack's record merge, stall watchdog, and postmortem bundles.
+"""Cross-process telemetry: codec, heartbeats, the ack's record merge,
+stall watchdog, and postmortem bundles.
 
 Everything here runs single-process: the plane's channels are plain
 shared-memory arrays, so a worker agent created in the parent exercises
@@ -25,7 +25,7 @@ from repro.telemetry.metrics import (
 from repro.telemetry.plane import (
     DEFAULT_FRAME_ITEMS,
     HB_IN_PHASE,
-    FlightRecorder,
+    POSTMORTEM_SCHEMA_VERSION,
     HeartbeatBoard,
     TelemetryPlane,
     WorkerAgent,
@@ -116,12 +116,12 @@ class TestFrameCodec:
 class TestHeartbeatBoard:
     def test_publish_read_round_trip(self, registry):
         board = HeartbeatBoard(registry, 2)
-        board.publish(1, seq=7, step=3, phase_ordinal=12,
+        board.publish(1, seq=7, step=3, phase_index=12,
                       state=HB_IN_PHASE, pid=4242, ts=123.5)
         hb = board.read(1)
         assert hb["seq"] == 7
         assert hb["step"] == 3
-        assert hb["phase_ordinal"] == 12
+        assert hb["phase_index"] == 12
         assert hb["ts"] == 123.5
         assert hb["pid"] == 4242
         assert hb["state"] == "in_phase"
@@ -129,44 +129,9 @@ class TestHeartbeatBoard:
 
     def test_torn_row_detected(self, registry):
         board = HeartbeatBoard(registry, 1)
-        board.publish(0, seq=5, step=0, phase_ordinal=1, state=HB_IN_PHASE)
+        board.publish(0, seq=5, step=0, phase_index=1, state=HB_IN_PHASE)
         board._rows[0][0] = 6  # writer died between pre and post
         assert board.read(0)["torn"]
-
-
-class TestFlightRecorder:
-    def test_bounded_eviction_keeps_newest(self, registry):
-        rec = FlightRecorder(registry, 1, slots=8)
-        for i in range(30):
-            rec.record(0, {"ev": "phase_begin", "i": i})
-        tail = rec.tail(0)
-        assert tail["recorded"] == 30
-        assert tail["evicted"] == 22
-        assert tail["skipped"] == 0
-        assert [e["i"] for e in tail["events"]] == list(range(22, 30))
-
-    def test_oversized_event_truncated_not_lost(self, registry):
-        rec = FlightRecorder(registry, 1, slots=4, slot_bytes=128)
-        rec.record(0, {"ev": "error", "name": "x" * 500, "detail": "y" * 500})
-        events = rec.tail(0)["events"]
-        assert len(events) == 1
-        assert events[0]["trunc"] is True
-        assert events[0]["name"] == "x" * 48
-
-    def test_torn_slot_skipped(self, registry):
-        rec = FlightRecorder(registry, 1, slots=4)
-        rec.record(0, {"ev": "a"})
-        rec.record(0, {"ev": "b"})
-        rec._post[0, 0] = 99  # corrupt the first slot's bracket
-        tail = rec.tail(0)
-        assert tail["skipped"] == 1
-        assert [e["ev"] for e in tail["events"]] == ["b"]
-
-    def test_ranks_are_independent(self, registry):
-        rec = FlightRecorder(registry, 2, slots=4)
-        rec.record(0, {"ev": "only-rank-0"})
-        assert rec.tail(1)["events"] == []
-        assert rec.tail(1)["recorded"] == 0
 
 
 class TestMetricMerge:
@@ -219,8 +184,10 @@ class TestSpanMerge:
     def test_worker_spans_carry_pid_tid_and_origin(self, isolated_metrics):
         tracer = Tracer()
         agent = WorkerAgent(1, trace=True)
-        agent.begin_phase("collide", ctx={"step": 4})
-        agent.end_phase("collide")
+        agent.begin_dispatch({"step": 4})
+        agent.begin_phase(0, "collide")
+        agent.end_phase()
+        agent.end_dispatch()
         # the worker loop's end-of-dispatch ack
         merge_records(agent.records(), tracer)
         spans = [s for s in tracer.spans if s.name == "collide"]
@@ -240,10 +207,12 @@ class TestSpanMerge:
         plane = TelemetryPlane(registry, 1)
         agent = WorkerAgent(0, plane, trace=True)
         names = ["collide", "exchange", "interior", "exchange", "frontier"]
-        for name in names:
-            agent.begin_phase(name, ctx={"step": 3})
+        agent.begin_dispatch({"step": 3})
+        for index, name in enumerate(names):
+            agent.begin_phase(index, name)
             isolated_metrics.counter("lbm.work").inc(2)
-            agent.end_phase(name)
+            agent.end_phase()
+        agent.end_dispatch()
         records = agent.records()
         assert len(records) == len(names) + 1  # the spans + one delta
         assert agent.records() == []  # nothing pending: an empty ack
@@ -253,43 +222,50 @@ class TestSpanMerge:
         assert all(s.args["origin"] == "worker" for s in tracer.spans)
         assert parent.counter("lbm.work").value == 2 * len(names)
 
-    def test_heartbeat_and_flight_updated_by_phases(
-        self, registry, isolated_metrics
-    ):
+    def test_heartbeat_updated_by_phases(self, registry, isolated_metrics):
+        # one beat at each phase entry, one idle beat at the dispatch end;
+        # the phase column is the index into the dispatched tuple, which
+        # the plane names through the labels the parent sent
         plane = TelemetryPlane(registry, 1)
+        plane.phase_names = ("collide", "stream")
         agent = WorkerAgent(0, plane)
-        agent.begin_phase("stream", ctx={"step": 2})
+        agent.begin_dispatch({"step": 2})
+        agent.begin_phase(0, "collide")
+        agent.end_phase()
+        agent.begin_phase(1, "stream")
         hb = plane.heartbeat(0)
         assert hb["state"] == "in_phase"
         assert hb["step"] == 2
-        agent.end_phase("stream")
+        assert (hb["phase_index"], hb["phase"]) == (1, "stream")
+        assert hb["seq"] == 2
+        agent.end_phase()
+        assert plane.heartbeat(0)["seq"] == 2  # no beat at phase exit
+        agent.end_dispatch()
         hb = plane.heartbeat(0)
         assert hb["state"] == "idle"
-        events = plane.flight_tail(0)["events"]
-        assert [e["ev"] for e in events] == ["phase_begin", "phase_end"]
+        assert hb["seq"] == 3
 
-    def test_error_recorded_in_flight_and_heartbeat(
-        self, registry, isolated_metrics
-    ):
+    def test_error_recorded_in_heartbeat(self, registry, isolated_metrics):
         plane = TelemetryPlane(registry, 1)
+        plane.phase_names = ("collide", "boundary")
         agent = WorkerAgent(0, plane)
-        agent.begin_phase("boundary", ctx={"step": 0})
-        agent.record_error("boundary", ValueError("bad node"))
-        assert plane.heartbeat(0)["state"] == "error"
-        last = plane.flight_tail(0)["events"][-1]
-        assert last["ev"] == "error"
-        assert "bad node" in last["exc"]
+        agent.begin_dispatch({"step": 0})
+        agent.begin_phase(1, "boundary")
+        agent.record_error()
+        hb = plane.heartbeat(0)
+        assert hb["state"] == "error"
+        assert hb["phase"] == "boundary"
 
 
 class TestStallWatchdog:
     def test_stalled_rank_diagnosed(self, registry):
         plane = TelemetryPlane(registry, 2, stall_timeout_s=0.5)
         # a fake stalled worker: entered a phase long ago, never again
+        plane.phase_names = ("collide", "exchange")
         plane.heartbeats.publish(
-            1, seq=9, step=3, phase_ordinal=17, state=HB_IN_PHASE,
+            1, seq=9, step=3, phase_index=1, state=HB_IN_PHASE,
             pid=777, ts=100.0,
         )
-        plane.flight.record(1, {"ev": "phase_begin", "name": "exchange"})
         with pytest.raises(StallError) as err:
             plane.check_stalls([1], since=100.0, now=101.0)
         msg = str(err.value)
@@ -297,12 +273,12 @@ class TestStallWatchdog:
         assert "seq=9" in msg
         assert "step=3" in msg
         assert "state=in_phase" in msg
-        assert "phase_begin:exchange" in msg
+        assert "phase='exchange'" in msg
 
     def test_fresh_heartbeat_not_stalled(self, registry):
         plane = TelemetryPlane(registry, 1, stall_timeout_s=0.5)
         plane.heartbeats.publish(
-            0, seq=1, step=0, phase_ordinal=1, state=HB_IN_PHASE, ts=100.9
+            0, seq=1, step=0, phase_index=1, state=HB_IN_PHASE, ts=100.9
         )
         plane.check_stalls([0], since=100.0, now=101.0)  # must not raise
 
@@ -315,7 +291,7 @@ class TestStallWatchdog:
     def test_dead_rank_exempted_via_alive(self, registry):
         plane = TelemetryPlane(registry, 1, stall_timeout_s=0.5)
         plane.heartbeats.publish(
-            0, seq=1, step=0, phase_ordinal=1, state=HB_IN_PHASE, ts=100.0
+            0, seq=1, step=0, phase_index=1, state=HB_IN_PHASE, ts=100.0
         )
         plane.check_stalls(
             [0], since=100.0, now=105.0, alive=lambda rank: False
@@ -327,9 +303,11 @@ class TestPostmortem:
         self, registry, isolated_metrics, tmp_path
     ):
         plane = TelemetryPlane(registry, 2)
+        plane.phase_names = ("collide",)
         agent = WorkerAgent(0, plane)
-        agent.begin_phase("collide", ctx={"step": 1})
-        agent.end_phase("collide")
+        agent.begin_dispatch({"step": 1})
+        agent.begin_phase(0, "collide")
+        agent.end_phase()
         bundle = plane.postmortem_bundle(
             "worker death",
             rank_states={
@@ -343,11 +321,42 @@ class TestPostmortem:
         loaded = load_postmortem(path)
         assert loaded["kind"] == "repro.postmortem"
         assert loaded["reason"] == "worker death"
+        assert loaded["schema_version"] == POSTMORTEM_SCHEMA_VERSION == 2
         assert loaded["ranks"][1]["state"] == "dead"
+        # rank 0's heartbeat names the phase it entered
+        assert loaded["ranks"][0]["heartbeat"]["phase"] == "collide"
+        assert "flight" not in loaded["ranks"][0]
         text = render_postmortem(loaded)
         assert "worker death" in text
         assert "rank 1 died" in text
-        assert "phase_begin" in text  # rank 0's flight tail survives
+        assert "collide" in text
+
+    def test_renders_a_schema_1_bundle(self):
+        # bundles written before the heartbeat named the phase carried a
+        # flight-recorder tail per rank; they still render
+        bundle = {
+            "schema_version": 1,
+            "kind": "repro.postmortem",
+            "reason": "rank 0 worker process died during phase 'stream'",
+            "ranks": [
+                {
+                    "rank": 0,
+                    "state": "dead",
+                    "exitcode": 23,
+                    "heartbeat": {"seq": 4, "step": 1, "phase_ordinal": 4,
+                                  "state": "in_phase", "pid": 11},
+                    "flight": {"events": [
+                        {"ev": "phase_begin", "name": "stream", "step": 1,
+                         "t": 1.5},
+                    ], "evicted": 0},
+                },
+            ],
+            "leaked_segments": [],
+        }
+        text = render_postmortem(bundle)
+        assert "died during phase 'stream'" in text
+        assert "rank 0 flight tail:" in text
+        assert "phase_begin" in text
 
     def test_save_without_path_is_noop(self, registry):
         plane = TelemetryPlane(registry, 1)
