@@ -4,8 +4,9 @@ A campaign is a JSON document describing one or more *sweeps*.  Each
 sweep names a cell runner and a set of parameter axes; the cross product
 of the axes (``itertools.product``), merged over the sweep's fixed
 parameters, is the sweep's cell grid.  Declarative ``skip`` constraints
-prune unwanted cells — e.g. a threaded compiled backend under forked
-ranks, which oversubscribes the cores — before anything executes:
+prune unwanted cells before anything executes — e.g. the OpenMP
+compiled backend under forked ranks, a ``ConfigError`` of the tier
+table (the ranks used to hang in collide):
 
 .. code-block:: json
 

@@ -68,7 +68,7 @@ def _cmd_systems(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """``repro harvey`` and ``repro proxy``: one shell, two verbs."""
-    from .core.errors import BackendUnavailableError
+    from .core.errors import BackendUnavailableError, ConfigError
     from .harvey import HarveyApp, HarveyConfig
     from .proxy import poiseuille_agreement
 
@@ -97,6 +97,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     except BackendUnavailableError as exc:
         print(f"error: backend {args.backend!r}: {exc}", file=sys.stderr)
+        return 2
+    except ConfigError as exc:  # a cell the tier table rejects
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if telemetry:
         telemetry.attach_app(app)

@@ -42,7 +42,7 @@ class HarveyConfig:
         pipeline.
     executor:
         Rank-phase executor: ``"lockstep"`` or ``"process"`` (forked
-        workers over shared-memory segments).
+        workers over shared-memory segments; NumPy or compiled-serial).
     sanitize:
         Run with the runtime sanitizer (NaN canaries, epoch tracking —
         see :mod:`repro.lbm.sanitize`) enabled.
@@ -50,7 +50,8 @@ class HarveyConfig:
         Kernel execution backend passed through to
         :class:`~repro.lbm.solver.SolverConfig`: ``"numpy"`` or one of
         the compiled tiers (``"compiled"``, ``"compiled-serial"``,
-        ``"compiled-parallel"``).
+        ``"compiled-parallel"``); :func:`~repro.lbm.solver.validate_tier`
+        names the cells it rejects.
     stall_timeout_s:
         Process-executor heartbeat timeout passed through to
         :class:`~repro.lbm.solver.SolverConfig`.

@@ -55,7 +55,7 @@ between them) and rebuilt on both tiers from the per-rank phase intervals
 ``run_step`` returns: first post begun to last completion done.  Because
 pull-streaming writes the double buffer and never reads what frontier
 streaming writes, the pipeline is bit-for-bit identical to the barrier
-schedule — pinned by ``tests/lbm/test_overlap_equivalence.py``.
+schedule — pinned by ``tests/lbm/test_conformance.py``.
 
 Executors and the halo transport
 --------------------------------
@@ -92,7 +92,7 @@ per step from the static wiring), sanitizer brackets — ships the step
 number with the dispatch, and after the ack mirrors the workers' buffer
 swap.  ``time`` advances once per step on both tiers.  Physics stays
 bit-for-bit equal to lockstep — pinned by
-``tests/lbm/test_process_equivalence.py``.
+``tests/lbm/test_conformance.py``.
 """
 
 from __future__ import annotations
@@ -106,14 +106,13 @@ import numpy as np
 from ..core.errors import (
     ConfigError,
     DecompositionError,
-    ModelError,
     RuntimeSimError,
 )
 from ..core.kernels import Workspace, collide_prefix
 from ..decomp.partition import Partition
 from .boundary import PressureOutlet, VelocityInlet
 from .rankplan import RankPlan, build_rank_plans
-from .solver import SolverConfig, validate_model_tier
+from .solver import SolverConfig, validate_tier
 from ..runtime.events import CommEvent
 from ..runtime.executor import Timings, make_executor
 from ..runtime.shmem import RingTransport, SegmentRegistry
@@ -252,15 +251,7 @@ class DistributedSolver:
             if not gpu_aware:
                 raise ConfigError("gpu_aware=False needs per-rank models")
         else:
-            validate_model_tier(config)
-            if config.executor == "process":
-                # device Views and transfer ledgers are process-private:
-                # forked workers would mutate invisible copies
-                raise ModelError(
-                    "programming models run under executor='lockstep' "
-                    "only; the process tier needs shared-memory rank "
-                    "state, which models do not provide"
-                )
+            validate_tier(config.executor, config.sanitize, config.backend, model=True)
             if len(models) != partition.num_ranks:
                 raise ConfigError(
                     f"{len(models)} model(s) for {partition.num_ranks} rank(s)"

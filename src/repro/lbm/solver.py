@@ -28,17 +28,24 @@ from .moments import density as _density
 from .moments import velocity as _velocity
 from .stream import Connectivity, StepPlan
 
-__all__ = ["SolverConfig", "Solver", "validate_tier", "validate_model_tier"]
+__all__ = ["SolverConfig", "Solver", "COMPILED_BACKENDS", "validate_tier"]
 
-_BACKENDS = ("numpy", "compiled", "compiled-serial", "compiled-parallel")
+#: Backend names beyond the NumPy default; ``compiled`` resolves to the
+#: parallel variant when the provider can thread, the serial one otherwise.
+COMPILED_BACKENDS = ("compiled", "compiled-serial", "compiled-parallel")
+_BACKENDS = ("numpy", *COMPILED_BACKENDS)
 
 
-def validate_tier(executor: str, sanitize: bool, backend: str) -> None:
-    """Reject an execution-tier cell no solver can run.
+def validate_tier(
+    executor: str, sanitize: bool, backend: str, model: bool = False
+) -> None:
+    """The tier table: reject an execution cell no solver can run.
 
-    The one check :class:`SolverConfig` and
-    :class:`~repro.harvey.config.HarveyConfig` share, so a bad cell
-    fails at config construction, before any geometry or plan is built.
+    The one check :class:`SolverConfig`,
+    :class:`~repro.harvey.config.HarveyConfig` and the solvers' ``model``
+    / ``models`` keyword (``model=True``: a programming model is the
+    kernel provider) share, so a bad cell fails before any geometry,
+    plan or shared segment is built.  Each message names its reason.
     """
     if executor not in EXECUTOR_KINDS:
         raise ConfigError(
@@ -50,29 +57,31 @@ def validate_tier(executor: str, sanitize: bool, backend: str) -> None:
             f"unknown backend {backend!r}; expected one of "
             f"{', '.join(_BACKENDS)}"
         )
+    if model and backend != "numpy":
+        raise ConfigError(
+            f"backend={backend!r} and a programming model are two "
+            "kernel providers; a model-driven solver needs backend='numpy'"
+        )
+    if model and sanitize:
+        raise ConfigError(
+            "sanitize=True requires the inline NumPy kernels; it cannot "
+            "run with a programming model as the kernel provider"
+        )
+    if model and executor == "process":
+        raise ConfigError(
+            "programming models run under executor='lockstep' only: "
+            "their device Views are process-private"
+        )
     if backend != "numpy" and sanitize:
         raise ConfigError(
             "sanitize=True requires backend='numpy': fast-math code "
             "generation breaks the NaN-canary protocol"
         )
-
-
-def validate_model_tier(config: "SolverConfig") -> None:
-    """Reject a configuration a programming-model provider cannot run.
-
-    The solvers' ``model`` / ``models`` keyword *is* the kernel provider,
-    so it excludes a compiled ``backend`` (two providers) and
-    ``sanitize`` (a model may hand out compiled kernels, which break the
-    NaN-canary protocol)."""
-    if config.backend != "numpy":
+    if executor == "process" and backend in ("compiled", "compiled-parallel"):
         raise ConfigError(
-            f"backend={config.backend!r} and a programming model are two "
-            "kernel providers; a model-driven solver needs backend='numpy'"
-        )
-    if config.sanitize:
-        raise ConfigError(
-            "sanitize=True requires the inline NumPy kernels; it cannot "
-            "run with a programming model as the kernel provider"
+            f"executor='process' runs backend='compiled-serial', not "
+            f"{backend!r}: the forked ranks are its parallelism, and an "
+            "OpenMP runtime does not survive the fork"
         )
 
 
@@ -99,8 +108,9 @@ class SolverConfig:
         :data:`~repro.runtime.executor.EXECUTOR_KINDS`: ``"lockstep"``
         (serial, the default) or ``"process"`` (persistent forked worker
         processes over shared-memory buffers and ring transports — true
-        multicore rank parallelism; requires a platform with the POSIX
-        fork start method).  Ignored by the single-domain solver.
+        multicore rank parallelism; needs the POSIX fork start method,
+        NumPy or ``compiled-serial`` kernels and no programming model).
+        The single-domain solver runs no ranks but checks the same cell.
     overlap:
         Run the distributed step as the interior/frontier pipeline with
         a packed cross-link halo exchange posted before interior
@@ -116,9 +126,9 @@ class SolverConfig:
         (parallel when the provider can thread, serial otherwise),
         ``"compiled-serial"``, ``"compiled-parallel"`` — executing the
         StepPlan IR through :mod:`repro.models.compiled` (numba or
-        generated C).  Compiled backends are incompatible with
-        ``sanitize`` (fastmath code generation assumes no NaNs, which
-        breaks the sanitizer's NaN-canary protocol).
+        generated C).  :func:`validate_tier` rejects compiled backends
+        with ``sanitize`` and the OpenMP ones (``compiled``,
+        ``compiled-parallel``) with ``executor="process"``.
     fastmath:
         Allow fast-math code generation in compiled backends
         (``-ffast-math`` / numba ``fastmath=True``).  Reassociation
@@ -210,7 +220,7 @@ class Solver:
         self, grid: VoxelGrid, config: SolverConfig, model=None
     ) -> None:
         if model is not None:
-            validate_model_tier(config)
+            validate_tier(config.executor, config.sanitize, config.backend, model=True)
         self.model = model
         self.grid = grid
         self.config = config

@@ -30,6 +30,7 @@ import os
 from typing import Dict, Optional
 
 from ...core.errors import BackendUnavailableError, ConfigError
+from ...lbm.solver import COMPILED_BACKENDS
 
 __all__ = [
     "COMPILED_BACKENDS",
@@ -42,11 +43,6 @@ __all__ = [
     "require_compiled",
     "reset_detection_cache",
 ]
-
-#: Backend names the solver layer accepts beyond the NumPy default.
-#: ``compiled`` resolves to the parallel variant when the provider can
-#: thread (OpenMP / numba prange), the serial variant otherwise.
-COMPILED_BACKENDS = ("compiled", "compiled-serial", "compiled-parallel")
 
 PROVIDER_ENV = "REPRO_COMPILED_PROVIDER"
 

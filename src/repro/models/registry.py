@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import ModelError
 from ..hardware.machine import Machine
+from ..lbm.solver import COMPILED_BACKENDS
 from .base import ProgrammingModel
 from .cuda import CUDAModel
 from .device import SimulatedDevice
@@ -48,12 +49,6 @@ MODEL_NAMES: Tuple[str, ...] = (
 #: the *current* host, so it is resolved by probe rather than by table.
 COMPILED_MODEL_NAME = "compiled"
 
-
-def _compiled_backends() -> Tuple[str, ...]:
-    from .compiled import COMPILED_BACKENDS
-
-    return COMPILED_BACKENDS
-
 #: Which model runs on which system (paper Figs. 5-6 legends).
 AVAILABILITY: Dict[str, Tuple[str, ...]] = {
     "Summit": ("cuda", "hip", "kokkos-cuda", "kokkos-openacc"),
@@ -85,7 +80,7 @@ def native_model_name(machine: Machine) -> str:
 
 
 def is_available(model_name: str, machine: Machine) -> bool:
-    if model_name in _compiled_backends():
+    if model_name in COMPILED_BACKENDS:
         # host tier: availability is a property of this host, not of the
         # paper's per-system porting matrix
         from .compiled import compiled_available
@@ -140,12 +135,12 @@ def create_model(
     if name.startswith("kokkos-"):
         backend = name.split("-", 1)[1]
         return KokkosModel(backend, device)
-    if name in _compiled_backends():
+    if name in COMPILED_BACKENDS:
         # raises BackendUnavailableError when no provider exists
         from .compiled import CompiledModel
 
         return CompiledModel(device, backend=name)
     raise ModelError(
         f"unknown model {name!r}; available: "
-        f"{MODEL_NAMES + _compiled_backends()}"
+        f"{MODEL_NAMES + COMPILED_BACKENDS}"
     )

@@ -68,6 +68,23 @@ class TestCLI:
         assert "Poiseuille agreement=" in result.stdout
         assert leaked_segments() == []
 
+    @pytest.mark.parametrize("verb", ["harvey", "proxy"])
+    @pytest.mark.parametrize(
+        "tier",
+        [
+            ["--backend", "compiled", "--sanitize"],
+            ["--executor", "process", "--backend", "compiled-parallel"],
+        ],
+        ids=["sanitize-compiled", "process-parallel"],
+    )
+    def test_rejected_tier_is_an_error_line(self, capsys, verb, tier):
+        code = main([verb, *tier])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_harvey(self, capsys):
         code, out = run_cli(
             capsys, "harvey", "--workload", "aorta", "--resolution", "2.5",

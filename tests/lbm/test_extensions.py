@@ -282,37 +282,6 @@ class TestCheckpoint:
         load_checkpoint(b, tmp_path / "old.npz")
         assert np.array_equal(a.f, b.f)
 
-    def test_restart_across_tiers(self, tmp_path):
-        """2-rank lockstep NumPy checkpoint, restarted on 3 forked ranks
-        under overlap with the exact compiled kernels: bit for bit."""
-        from repro.models.compiled import compiled_available
-        from repro.runtime.procexec import fork_available
-
-        if not (fork_available() and compiled_available()):
-            pytest.skip("needs fork and a compiled kernel provider")
-        grid = make_cylinder(CylinderSpec(scale=0.5))
-        cfg = SolverConfig(
-            tau=0.8, force=(1e-5, 0, 0), periodic=(True, False, False)
-        )
-        a = DistributedSolver(axis_decompose(grid, 2), cfg)
-        a.step(10)
-        path = save_checkpoint(a, tmp_path / "lockstep.npz")
-        tier = SolverConfig(
-            tau=0.8,
-            force=(1e-5, 0, 0),
-            periodic=(True, False, False),
-            executor="process",
-            overlap=True,
-            backend="compiled-serial",
-            fastmath=False,
-        )
-        with DistributedSolver(axis_decompose(grid, 3), tier) as b:
-            load_checkpoint(b, path)
-            a.step(5)
-            b.step(5)
-            assert b.time == a.time == 15
-            assert np.array_equal(a.gather_f(), b.gather_f())
-
     def test_unsupported_object_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             save_checkpoint(object(), tmp_path / "x.npz")

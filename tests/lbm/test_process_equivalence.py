@@ -1,12 +1,12 @@
-"""Bit-exact equivalence of the process-executor tier.
+"""The process-executor tier: observables, telemetry, failures, lifecycle.
 
 The forked-worker tier (shared-memory double buffer, ring halo
-transport) is a pure execution-resource change: the same bulk-
-synchronous schedule runs, so every collision operator, both step
-schedules, and every rank count must produce ``np.array_equal`` state
-against the lockstep in-process run — not ``allclose``.  Also pins the
-sanitizer riding the process tier, config validation, and the no-leaked-
-segments guarantee on clean close.
+transport) is a pure execution-resource change; its ``array_equal`` rows
+against the lockstep run, sanitizer included, live in the conformance
+matrix (``tests/lbm/test_conformance.py``).  This file pins what the
+matrix does not: observables read through the parent, the telemetry
+plane, skewed and failing ranks, config validation, and the
+no-leaked-segments guarantee on clean close.
 """
 
 import os
@@ -36,97 +36,29 @@ pytestmark = pytest.mark.skipif(
     not fork_available(), reason="needs the POSIX fork start method"
 )
 
-STEPS = 8
-
 
 @pytest.fixture(scope="module")
 def grid():
     return make_cylinder(CylinderSpec(scale=0.5, periodic=True))
 
 
-def config(collision="bgk", **kw):
+def config(**kw):
     return SolverConfig(
         tau=0.8,
-        collision=collision,
         force=(1e-5, 0.0, 0.0),
         periodic=(True, False, False),
         **kw,
     )
 
 
-def run_process(partition, cfg_kwargs, steps=STEPS):
-    solver = DistributedSolver(
-        partition, config(executor="process", **cfg_kwargs)
-    )
-    try:
-        solver.step(steps)
-        return solver.gather_f(), solver.mass()
-    finally:
-        solver.close()
-
-
 class TestProcessEquivalence:
-    @pytest.mark.parametrize(
-        "collision,backend",
-        [
-            pytest.param("bgk", "numpy", id="bgk"),
-            pytest.param("trt", "numpy", id="trt"),
-            pytest.param("mrt", "numpy", id="mrt"),
-            # the flagship cell: exact-mode compiled BGK has no
-            # reductions beyond the ascending-q moment sums NumPy also
-            # uses, so it is pinned against the *NumPy* lockstep run
-            pytest.param(
-                "bgk",
-                "compiled-serial",
-                id="bgk-compiled-serial",
-                marks=pytest.mark.skipif(
-                    not compiled_available(),
-                    reason="no compiled-kernel provider (numba or a C "
-                    "compiler) on this host",
-                ),
-            ),
-        ],
-    )
-    @pytest.mark.parametrize("overlap", [False, True])
-    @pytest.mark.parametrize("num_ranks", [2, 4])
-    def test_bitwise_vs_lockstep(
-        self, grid, collision, backend, overlap, num_ranks
-    ):
-        part = grid_decompose(grid, num_ranks)
-        ref = DistributedSolver(
-            part, config(collision=collision, overlap=overlap)
-        )
-        ref.step(STEPS)
-        f_proc, mass_proc = run_process(
-            part,
-            dict(
-                collision=collision,
-                overlap=overlap,
-                backend=backend,
-                fastmath=False,
-            ),
-        )
-        assert np.array_equal(ref.gather_f(), f_proc)
-        assert ref.mass() == mass_proc
-
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_sanitized_process_run(self, grid, overlap):
-        # the sanitizer's canaries/epochs work across the fork: ghosts
-        # are poisoned parent-side in shared pages, workers reset their
-        # local epoch dicts via the phase-context hook
-        part = grid_decompose(grid, 2)
-        ref = DistributedSolver(part, config())
-        ref.step(STEPS)
-        f_proc, _ = run_process(part, dict(overlap=overlap, sanitize=True))
-        assert np.array_equal(ref.gather_f(), f_proc)
-
     def test_observables_match(self, grid):
         part = grid_decompose(grid, 2)
         ref = DistributedSolver(part, config())
-        ref.step(STEPS)
+        ref.step(8)
         solver = DistributedSolver(part, config(executor="process"))
         try:
-            solver.step(STEPS)
+            solver.step(8)
             assert np.array_equal(ref.velocity(), solver.velocity())
             assert ref.mass() == solver.mass()
         finally:

@@ -1,19 +1,16 @@
-"""Rung 2 of the validation ladder: every backend computes identical
-physics through its own programming surface, plus the registry's
-availability matrix."""
+"""Rung 2 of the validation ladder: the model engine's own contract and
+the registry's availability matrix.  That every backend computes
+identical physics through its own programming surface is pinned by the
+conformance matrix (``tests/lbm/test_conformance.py``)."""
 
-import dataclasses
-
-import numpy as np
 import pytest
 
 from repro.core import ConfigError, ModelError
-from repro.geometry import CylinderSpec, make_aorta, make_cylinder
+from repro.geometry import CylinderSpec, make_cylinder
 from repro.hardware import get_machine
-from repro.lbm import Solver, SolverConfig
+from repro.lbm import SolverConfig
 from repro.models import (
     AVAILABILITY,
-    MODEL_NAMES,
     ModelEngine,
     create_model,
     is_available,
@@ -27,51 +24,7 @@ def cylinder():
     return make_cylinder(CylinderSpec(scale=0.4))
 
 
-@pytest.fixture(scope="module")
-def cylinder_reference(cylinder):
-    """``collision -> (config, stepped reference solver)``, built once."""
-    base = SolverConfig(
-        tau=0.8, force=(1e-6, 0, 0), periodic=(True, False, False)
-    )
-    cache = {}
-
-    def reference(collision):
-        if collision not in cache:
-            cfg = dataclasses.replace(base, collision=collision)
-            ref = Solver(cylinder, cfg)
-            ref.step(20)
-            cache[collision] = cfg, ref
-        return cache[collision]
-
-    return reference
-
-
 class TestBitwisePortability:
-    @pytest.mark.parametrize(
-        "name, collision",
-        [pytest.param(name, "bgk", id=name) for name in MODEL_NAMES]
-        + [("cuda", "trt"), ("cuda", "mrt")],
-    )
-    def test_backend_matches_reference(
-        self, cylinder, cylinder_reference, name, collision
-    ):
-        cfg, ref = cylinder_reference(collision)
-        engine = ModelEngine(cylinder, cfg, create_model(name))
-        engine.step(20)
-        assert np.array_equal(engine.distributions(), ref.f), name
-
-    def test_backends_match_each_other_on_aorta(self):
-        grid = make_aorta(2.5)
-        cfg = SolverConfig(tau=0.7, inlet_velocity=(0.0, 0.0, 0.02))
-        results = {}
-        for name in ("cuda", "sycl", "kokkos-openacc"):
-            engine = ModelEngine(grid, cfg, create_model(name))
-            engine.step(10)
-            results[name] = engine.distributions()
-        base = results["cuda"]
-        for name, f in results.items():
-            assert np.array_equal(f, base), name
-
     def test_mass_conservation_through_engine(self, cylinder):
         cfg = SolverConfig(
             tau=0.8, force=(1e-6, 0, 0), periodic=(True, False, False)
