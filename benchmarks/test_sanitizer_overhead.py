@@ -51,7 +51,7 @@ def test_sanitize_off_overhead(grid):
                 solver.lattice,
                 solver.f,
                 solver.all_ids,
-                workspace=solver._workspace,
+                workspace=solver._kernels.workspace,
             )
             solver.step_plan.apply(solver.f, solver._f_tmp)
             solver.f, solver._f_tmp = solver._f_tmp, solver.f

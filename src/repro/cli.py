@@ -75,6 +75,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     resolution = max(args.resolution, 2.5) if args.quick else args.resolution
     ranks = min(args.ranks, 2) if args.quick else args.ranks
     steps = min(args.steps, 5) if args.quick else args.steps
+    if steps < 1:
+        print(f"error: --steps must be at least 1, got {steps}", file=sys.stderr)
+        return 2
     telemetry = None  # the zero-overhead path unless an output is asked for
     if args.trace_out or args.metrics_out:
         from .telemetry import Telemetry
@@ -215,6 +218,7 @@ def _cmd_profile_run(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     import pathlib
 
+    from .core.errors import LintError
     from .lint import LintEngine, load_baseline, write_baseline
 
     paths = [pathlib.Path(p) for p in args.paths]
@@ -222,11 +226,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         # default target: the installed repro package itself
         paths = [pathlib.Path(__file__).resolve().parent]
     engine = LintEngine()
-    if args.select:
-        rule_ids = [r.strip() for r in args.select.split(",") if r.strip()]
-        engine = engine.select(rule_ids)
-    baseline = load_baseline(args.baseline) if args.baseline else None
-    report = engine.run(paths, baseline=baseline)
+    try:
+        if args.select:
+            rule_ids = [r.strip() for r in args.select.split(",") if r.strip()]
+            engine = engine.select(rule_ids)
+        baseline = load_baseline(args.baseline) if args.baseline else None
+        report = engine.run(paths, baseline=baseline)
+    except LintError as exc:  # an unknown rule id, an unreadable baseline
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.write_baseline:
         write_baseline(args.write_baseline, report.violations)
         print(

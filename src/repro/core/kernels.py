@@ -3,8 +3,10 @@
 The paper stresses that "many existing CUDA kernel bodies are inherited in
 the Kokkos functors" — the physics is identical across ports and only the
 launch/memory idioms differ.  We reproduce that property literally: the
-kernel *bodies* live here, written vectorised over an index array, and each
-backend in :mod:`repro.models` wraps them in its own launch machinery.
+kernel *bodies* live here, written vectorised over an index array;
+:class:`~repro.lbm.solver.NumpyKernels` runs them as the reference kernel
+provider, and each backend in :mod:`repro.models` launches them through
+its own machinery (:class:`~repro.models.base.LaunchedKernels`).
 
 All kernels operate on distributions stored structure-of-arrays as
 ``f[q, n]`` over the ``n`` compact fluid nodes (indirect addressing for
@@ -18,9 +20,10 @@ array allocation at all: moments, equilibrium, and Guo source terms are
 computed with ``out=``/in-place ufuncs into reused buffers, and when
 ``idx`` covers every column of the ``f`` it is handed the kernels skip the
 gather copy ``fi = f[:, idx]`` entirely and collide directly in ``f``.
-The solvers always take that path: :func:`collide_prefix` hands the
-collision operator one ``f[:, a:b]`` column view per cache-sized block, so
-the scratch buffers are block-wide and stay cache resident.  Without a
+``NumpyKernels.collide`` always takes that path: :func:`collide_prefix`
+hands the collision operator one ``f[:, a:b]`` column view per
+cache-sized block, so the scratch buffers are block-wide and stay cache
+resident.  Without a
 workspace a throwaway one is created per call, which reproduces the legacy
 allocate-per-step behaviour bit for bit (the arithmetic is identical; only
 buffer reuse differs).
@@ -39,13 +42,11 @@ __all__ = [
     "COLLIDE_BLOCK",
     "collide_prefix",
     "moments_kernel",
-    "equilibrium_kernel",
     "bgk_collide_kernel",
     "stream_pull_kernel",
     "bounce_back_kernel",
     "fused_stream_kernel",
     "fused_stream_body_kernel",
-    "apply_body_force_kernel",
     "partition_range",
 ]
 
@@ -104,12 +105,12 @@ def _gather_fi(
     Fast path (``allow_inplace``, i.e. a caller-owned workspace is in
     play): when ``idx`` covers every column of ``f``, no copy is made and
     ``f`` itself is returned — the collide kernels then read and write
-    ``f`` directly.  Both solvers always land here, through the column
-    views of :func:`collide_prefix`.  The gather/scatter path remains for
-    ``LaunchedKernels.collide`` (launch-block chunks of the whole ``f``),
-    subset :func:`moments_kernel` calls and workspace-less callers (same
-    values either way; the gather lands in C order and the ops are
-    elementwise, so the two paths agree bit for bit).
+    ``f`` directly.  ``NumpyKernels.collide`` always lands here, through
+    the column views of :func:`collide_prefix`.  The gather/scatter path
+    remains for ``LaunchedKernels.collide`` (launch-block chunks of the
+    whole ``f``), subset :func:`moments_kernel` calls and workspace-less
+    callers (same values either way; the gather lands in C order and the
+    ops are elementwise, so the two paths agree bit for bit).
     """
     if allow_inplace and idx.size == f.shape[1]:
         return f, True
@@ -260,13 +261,6 @@ def moments_kernel(
     u_out[idx] = u
 
 
-def equilibrium_kernel(
-    lat: Lattice, rho: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Second-order equilibrium for given moments; returns ``(q, m)``."""
-    return lat.equilibrium(rho, u)
-
-
 def bgk_collide_kernel(
     lat: Lattice,
     f: np.ndarray,
@@ -366,21 +360,6 @@ def fused_stream_body_kernel(
     prefix of the rank-local numbering but ghosts pad each row).
     """
     f_dst_flat[dst_flat[idx]] = f_src_flat[src_flat[idx]]
-
-
-def apply_body_force_kernel(
-    lat: Lattice,
-    f: np.ndarray,
-    idx: np.ndarray,
-    force: np.ndarray,
-) -> None:
-    """First-order body-force kick (used by the proxy app's simple driver).
-
-    Adds ``w_q c_q . F / cs^2`` to each population, in place — adequate
-    when the forcing is weak and uniform.
-    """
-    cf = lat.cf @ np.asarray(force, dtype=np.float64)
-    f[:, idx] += (lat.w * cf / lat.cs2)[:, None]
 
 
 def partition_range(n: int, chunk: int) -> Tuple[np.ndarray, np.ndarray]:

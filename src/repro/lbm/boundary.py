@@ -18,7 +18,7 @@ import numpy as np
 from ..core.errors import ConfigError
 from ..core.lattice import Lattice
 
-__all__ = ["VelocityInlet", "PressureOutlet"]
+__all__ = ["VelocityInlet", "PressureOutlet", "outlet_equilibrium"]
 
 VelocityProvider = Union[
     np.ndarray, Callable[[float], np.ndarray]
@@ -79,6 +79,19 @@ class VelocityInlet:
         return lattice.equilibrium(self._rho, self.velocity_at(time)[None, :])
 
 
+def outlet_equilibrium(
+    lattice: Lattice, f: np.ndarray, nodes: np.ndarray, rho0: float
+) -> None:
+    """Reset the columns ``nodes`` of ``f`` to the equilibrium at density
+    ``rho0`` and each node's own velocity: the one NumPy outlet body."""
+    if nodes.size == 0:
+        return
+    fi = f[:, nodes]
+    rho = fi.sum(axis=0)
+    u = np.tensordot(lattice.cf, fi, axes=(0, 0)).T / rho[:, None]
+    f[:, nodes] = lattice.equilibrium(np.full(nodes.size, float(rho0)), u)
+
+
 @dataclass
 class PressureOutlet:
     """Equilibrium pressure (density) outlet.
@@ -94,15 +107,6 @@ class PressureOutlet:
         self.nodes = np.asarray(self.nodes, dtype=np.int64)
         if self.rho0 <= 0:
             raise ConfigError("outlet reference density must be positive")
-        # hoisted out of apply(): the reference density is constant
-        self._rho = np.full(self.nodes.size, float(self.rho0))
 
     def apply(self, lattice: Lattice, f: np.ndarray, time: float) -> None:
-        if self.nodes.size == 0:
-            return
-        fi = f[:, self.nodes]
-        rho = fi.sum(axis=0)
-        u = np.tensordot(
-            lattice.cf, fi, axes=(0, 0)
-        ).T / rho[:, None]
-        f[:, self.nodes] = lattice.equilibrium(self._rho, u)
+        outlet_equilibrium(lattice, f, self.nodes, self.rho0)

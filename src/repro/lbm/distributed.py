@@ -71,7 +71,8 @@ once at construction, through ``send(src, dst, buf, tag)`` /
 :class:`~repro.runtime.simmpi.SimComm` queues in-process, the per-pair
 shared-memory :class:`~repro.runtime.shmem.RingTransport` under
 ``"process"`` (:class:`~repro.runtime.mpicomm.MPIComm` offers the same two
-calls).  The kernels come from a provider the same way (inline NumPy,
+calls).  The kernels come from one provider per rank the same way
+(:func:`~repro.lbm.solver.make_kernels`: NumPy,
 :class:`~repro.models.compiled.CompiledKernels`, or per-rank programming
 ``models``, whose host-staged variant wraps the transport) — neither
 choice changes the schedule.
@@ -97,7 +98,7 @@ bit-for-bit equal to lockstep — pinned by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -108,11 +109,10 @@ from ..core.errors import (
     DecompositionError,
     RuntimeSimError,
 )
-from ..core.kernels import Workspace, collide_prefix
 from ..decomp.partition import Partition
 from .boundary import PressureOutlet, VelocityInlet
 from .rankplan import RankPlan, build_rank_plans
-from .solver import SolverConfig, validate_tier
+from .solver import SolverConfig, make_kernels, validate_tier
 from ..runtime.events import CommEvent
 from ..runtime.executor import Timings, make_executor
 from ..runtime.shmem import RingTransport, SegmentRegistry
@@ -204,18 +204,20 @@ def _overlap_window(schedule: Sequence[Phase]) -> Optional[Tuple[int, int]]:
 
 @dataclass
 class RankState:
-    """One instantiated rank: its frozen plan plus the mutable buffers."""
+    """One instantiated rank: its frozen plan, its kernel provider and
+    the mutable buffers."""
 
     plan: RankPlan
     f: np.ndarray  # (q, n_owned + n_ghost)
     f_tmp: np.ndarray
     inlet: Optional[VelocityInlet]
     outlet: Optional[PressureOutlet]
+    kernels: Any  # the rank's kernel provider (make_kernels)
+    tables: Tuple[Any, ...]  # its stream tables for plan.step_plan
     # halo staging, per neighbour: the send buffer ``plan.send_flat``
     # gathers into, the receive buffer ``plan.recv_flat`` scatters from
     send_bufs: Dict[int, np.ndarray]
     recv_bufs: Dict[int, np.ndarray]
-    workspace: Workspace = field(default_factory=Workspace)  # collide scratch
 
     @property
     def rank(self) -> int:
@@ -300,8 +302,7 @@ class DistributedSolver:
             raise DecompositionError(
                 "grid has inlet nodes but no inlet_velocity configured"
             )
-        compiled = models is None and config.backend != "numpy"
-        if compiled:
+        if config.backend != "numpy":
             # the compiled stream launches over the run table: build it
             # now so K406/K407 verify it with the rest of the plan
             for plan in plans:
@@ -325,31 +326,12 @@ class DistributedSolver:
             from ..lint.plancheck import verify_rank_plans
 
             verify_rank_plans(plans, overlap=self._overlap, context=context)
-        # per-rank kernel providers; None = the inline NumPy bodies.  The
-        # compiled provider also runs the pressure outlet; a model
-        # launches collide and stream only
-        self._kern: Optional[List[Any]] = None
-        self._compiled_outlet = compiled
-        if models is not None:
-            self._kern = [
-                m.make_kernels(self.lattice, self.collision) for m in models
-            ]
-        elif compiled:
-            # one compiled engine (lattice + collision are shared); the
-            # per-rank plan IR binds through its run-length tables, so both
-            # the barrier and the overlapped schedules run compiled
-            from ..models.compiled import CompiledKernels
-
-            self._kern = [
-                CompiledKernels(
-                    self.lattice,
-                    self.collision,
-                    backend=config.backend,
-                    fastmath=config.fastmath,
-                )
-            ] * partition.num_ranks
+        kernels = [
+            make_kernels(config, self.lattice, self.collision, model)
+            for model in models or [None] * partition.num_ranks
+        ]
         try:
-            self._instantiate(plans)
+            self._instantiate(plans, kernels)
         except BaseException:
             # segments, rings and the plane must not outlive a failed
             # constructor (nobody holds the object to close it)
@@ -357,9 +339,10 @@ class DistributedSolver:
             raise
 
     # -- setup ---------------------------------------------------------------
-    def _instantiate(self, plans: Sequence[RankPlan]) -> None:
-        """Allocate the ranks' mutable state over ``plans`` and wire the
-        transport, the telemetry plane and the sanitizer to it."""
+    def _instantiate(self, plans: Sequence[RankPlan], kernels: Sequence[Any]) -> None:
+        """Allocate the ranks' mutable state over ``plans`` and their
+        kernel providers, and wire the transport, the telemetry plane and
+        the sanitizer to it."""
         config, lattice = self.config, self.lattice
         num_ranks = len(plans)
         self.executor = make_executor(
@@ -408,6 +391,8 @@ class DistributedSolver:
                     f_tmp,
                     inlet,
                     outlet,
+                    kernels[r],
+                    kernels[r].tables(plan.step_plan),
                     send_bufs={
                         dst: np.empty(flat.shape)
                         for dst, flat in plan.send_flat.items()
@@ -418,12 +403,6 @@ class DistributedSolver:
                     },
                 )
             )
-        self._kern_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        if self._kern is not None:
-            for plan in plans:
-                self._kern_tables[plan.rank] = self._kern[plan.rank].tables(
-                    plan.step_plan
-                )
         # one message per wired (src, dst) pair per step — the same send
         # lists the S300 checker verifies
         self._wire = [
@@ -490,14 +469,9 @@ class DistributedSolver:
     # schedules above declare their order and buffer accesses.
 
     def _phase_collide(self, rank: int) -> None:
+        # owned nodes are the prefix of the local numbering
         st = self.ranks[rank]
-        if self._kern is not None:
-            # owned nodes are the prefix of the local numbering
-            self._kern[rank].collide(st.f, st.num_owned)
-            return
-        collide_prefix(
-            self.collision, self.lattice, st.f, st.num_owned, st.workspace
-        )
+        st.kernels.collide(st.f, st.num_owned)
 
     def _phase_exchange_post(self, rank: int) -> None:
         # allocation-free pack into the preallocated per-neighbour send
@@ -527,20 +501,11 @@ class DistributedSolver:
                 if san is not None:
                     san.on_unpack(st, src)
 
-    def _gather(self, st: RankState) -> None:
-        """Pull-stream ``f`` into ``f_tmp`` over the rank's full plan."""
-        if self._kern is not None:
-            self._kern[st.rank].stream(
-                st.f, st.f_tmp, *self._kern_tables[st.rank]
-            )
-        else:
-            st.plan.step_plan.apply(st.f, st.f_tmp)
-
     def _phase_stream(self, rank: int) -> None:
         st = self.ranks[rank]
         if self._san is not None:
             self._san.before_stream(st)
-        self._gather(st)
+        st.kernels.stream(st.f, st.f_tmp, *st.tables)
         st.f, st.f_tmp = st.f_tmp, st.f
 
     def _phase_stream_interior(self, rank: int) -> None:
@@ -551,7 +516,7 @@ class DistributedSolver:
         st = self.ranks[rank]
         if self._san is not None:
             self._san.on_interior_stream(st)
-        self._gather(st)
+        st.kernels.stream(st.f, st.f_tmp, *st.tables)
 
     def _phase_stream_frontier(self, rank: int) -> None:
         # finalize the frontier: scatter each staged payload straight
@@ -575,14 +540,10 @@ class DistributedSolver:
         # this body runs in a forked worker whose writes to solver
         # attributes the parent never sees
         st = self.ranks[rank]
-        level = self.time + 1
         if st.inlet is not None:
-            st.inlet.apply(self.lattice, st.f, level)
+            st.inlet.apply(self.lattice, st.f, self.time + 1)
         if st.outlet is not None:
-            if self._compiled_outlet:
-                self._kern[rank].outlet(st.f, st.outlet.nodes, st.outlet.rho0)
-            else:
-                st.outlet.apply(self.lattice, st.f, level)
+            st.kernels.outlet(st.f, st.outlet.nodes, st.outlet.rho0)
 
     # -- process-tier support ----------------------------------------------
     def _apply_phase_context(self, ctx: Dict[str, int]) -> None:

@@ -11,7 +11,7 @@ across ranks — that equivalence is a core validation test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -23,12 +23,19 @@ from ..geometry.voxel import VoxelGrid
 from ..runtime.executor import EXECUTOR_KINDS
 from ..telemetry.metrics import get_registry
 from .bgk import BGKCollision
-from .boundary import PressureOutlet, VelocityInlet
+from .boundary import PressureOutlet, VelocityInlet, outlet_equilibrium
 from .moments import density as _density
 from .moments import velocity as _velocity
 from .stream import Connectivity, StepPlan
 
-__all__ = ["SolverConfig", "Solver", "COMPILED_BACKENDS", "validate_tier"]
+__all__ = [
+    "SolverConfig",
+    "Solver",
+    "COMPILED_BACKENDS",
+    "validate_tier",
+    "NumpyKernels",
+    "make_kernels",
+]
 
 #: Backend names beyond the NumPy default; ``compiled`` resolves to the
 #: parallel variant when the provider can thread, the serial one otherwise.
@@ -83,6 +90,52 @@ def validate_tier(
             f"{backend!r}: the forked ranks are its parallelism, and an "
             "OpenMP runtime does not survive the fork"
         )
+
+
+class NumpyKernels:
+    """The reference kernel provider: the NumPy bodies of
+    :mod:`repro.core.kernels`.
+
+    Every provider has this surface — ``tables(plan)`` once, then
+    ``collide(f, n_nodes)`` on the column prefix ``[0, n_nodes)``,
+    ``stream(f_src, f_dst, *tables)`` and ``outlet(f, nodes, rho0)``
+    every step — so the solvers never ask which one they hold."""
+
+    def __init__(self, lattice: Lattice, collision) -> None:
+        self.lattice = lattice
+        self.collision = collision
+        self.workspace = Workspace()  # collide scratch, reused every step
+
+    def tables(self, plan: StepPlan) -> Tuple[StepPlan]:
+        return (plan,)
+
+    def collide(self, f: np.ndarray, n_nodes: int) -> None:
+        collide_prefix(self.collision, self.lattice, f, n_nodes, self.workspace)
+
+    def stream(self, f_src: np.ndarray, f_dst: np.ndarray, plan: StepPlan) -> None:
+        plan.apply(f_src, f_dst)
+
+    def outlet(self, f: np.ndarray, nodes: np.ndarray, rho0: float) -> None:
+        outlet_equilibrium(self.lattice, f, nodes, rho0)
+
+
+def make_kernels(config: "SolverConfig", lattice: Lattice, collision, model=None):
+    """The kernel provider of one domain: the NumPy bodies launched
+    through ``model`` (:class:`~repro.models.base.LaunchedKernels`), the
+    compiled tier's for a compiled ``config.backend``, or the NumPy one."""
+    # deferred imports: the models package imports this module, and the
+    # compiled tier is optional
+    if model is not None:
+        from ..models.base import LaunchedKernels
+
+        return LaunchedKernels(model, lattice, collision)
+    if config.backend != "numpy":
+        from ..models.compiled import CompiledKernels
+
+        return CompiledKernels(
+            lattice, collision, backend=config.backend, fastmath=config.fastmath
+        )
+    return NumpyKernels(lattice, collision)
 
 
 @dataclass
@@ -210,11 +263,10 @@ class SolverConfig:
 class Solver:
     """Single-domain solver over a flagged voxel grid.
 
-    Kernels come from one of three providers: the inline NumPy bodies
+    Kernels come from :func:`make_kernels`: :class:`NumpyKernels`
     (default), :class:`~repro.models.compiled.CompiledKernels`
-    (``config.backend``), or a programming model passed as ``model``
-    (:meth:`~repro.models.base.ProgrammingModel.make_kernels`), in which
-    case ``f`` lives in the model's device space."""
+    (``config.backend``), or a programming model passed as ``model``, in
+    which case ``f`` lives in the model's device space."""
 
     def __init__(
         self, grid: VoxelGrid, config: SolverConfig, model=None
@@ -239,40 +291,21 @@ class Solver:
         self.f = self.lattice.equilibrium(rho, u0)
         self._f_tmp = np.empty_like(self.f)
         self.step_plan: StepPlan = self.connectivity.step_plan()
-        self._workspace = Workspace()
         self._sanitize = bool(config.sanitize)
         if self._sanitize:
             # pre-flight the plan IR (K401/K402) before the first apply
             from ..lint.plancheck import verify_plan
 
             verify_plan(self.step_plan, context="single-domain plan")
-        # kernel provider; None = the inline NumPy bodies
-        self._kern: Any = None
-        # the compiled provider also runs the pressure outlet; a model
-        # launches collide and stream only
-        self._compiled_outlet = False
+        self._kernels = make_kernels(config, self.lattice, self.collision, model)
         if model is not None:
-            self._kern = model.make_kernels(self.lattice, self.collision)
             # the double buffer is the storage behind two device Views
             self._views = (
                 model.upload("f", self.f),
                 model.alloc("f_tmp", self.f.shape, self.f.dtype),
             )
             self.f, self._f_tmp = (view.data() for view in self._views)
-        elif config.backend != "numpy":
-            # deferred import: the compiled tier is optional and the
-            # models package imports this module
-            from ..models.compiled import CompiledKernels
-
-            self._kern = CompiledKernels(
-                self.lattice,
-                self.collision,
-                backend=config.backend,
-                fastmath=config.fastmath,
-            )
-            self._compiled_outlet = True
-        if self._kern is not None:
-            self._kern_tables = self._kern.tables(self.step_plan)
+        self._tables = self._kernels.tables(self.step_plan)
         self.time = 0
         self.fluid_updates = 0
         # byte/update counters for the profiling layer, cached once and
@@ -315,26 +348,17 @@ class Solver:
         open ones."""
         if num_steps < 0:
             raise ConfigError("num_steps must be non-negative")
-        kern = self._kern
+        kern, tables = self._kernels, self._tables
         n = self.num_nodes
         for _ in range(num_steps):
-            if kern is not None:
-                kern.collide(self.f, n)
-                kern.stream(self.f, self._f_tmp, *self._kern_tables)
-            else:
-                collide_prefix(
-                    self.collision, self.lattice, self.f, n, self._workspace
-                )
-                self.step_plan.apply(self.f, self._f_tmp)
+            kern.collide(self.f, n)
+            kern.stream(self.f, self._f_tmp, *tables)
             self.f, self._f_tmp = self._f_tmp, self.f
             self.time += 1
             if self.inlet is not None:
                 self.inlet.apply(self.lattice, self.f, self.time)
             if self.outlet is not None:
-                if self._compiled_outlet:
-                    kern.outlet(self.f, self.outlet.nodes, self.outlet.rho0)
-                else:
-                    self.outlet.apply(self.lattice, self.f, self.time)
+                kern.outlet(self.f, self.outlet.nodes, self.outlet.rho0)
             if self._sanitize:
                 from .sanitize import check_finite
 

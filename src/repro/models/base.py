@@ -4,8 +4,8 @@ Every backend (CUDA, HIP, SYCL, Kokkos, Kokkos-OpenACC) implements the
 narrow :class:`ProgrammingModel` surface — allocate device storage, copy
 between host and device, launch a data-parallel kernel — using its own
 idioms.  A model is a **kernel provider** of the two solvers:
-:meth:`ProgrammingModel.make_kernels` hands out the ``collide`` /
-``stream`` / ``tables`` object :class:`~repro.lbm.solver.Solver` and
+:func:`~repro.lbm.solver.make_kernels` wraps it in the
+:class:`LaunchedKernels` :class:`~repro.lbm.solver.Solver` and
 :class:`~repro.lbm.distributed.DistributedSolver` step with, so the one
 declared schedule runs the *same* kernel bodies (from
 :mod:`repro.core.kernels`) through any backend — precisely the porting
@@ -31,13 +31,13 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.kernels import Workspace, fused_stream_body_kernel
+from ..core.kernels import fused_stream_body_kernel
 from ..core.lattice import Lattice
 from ..core.views import View
 from ..decomp.partition import Partition
 from ..geometry.voxel import VoxelGrid
 from ..lbm.distributed import DistributedSolver
-from ..lbm.solver import Solver, SolverConfig
+from ..lbm.solver import NumpyKernels, Solver, SolverConfig
 from ..lbm.stream import StepPlan
 from ..runtime.simmpi import SimComm
 from ..telemetry.metrics import get_registry
@@ -88,12 +88,6 @@ class ProgrammingModel(abc.ABC):
     def synchronize(self) -> None:
         """Wait for outstanding device work."""
 
-    # -- kernel provider ----------------------------------------------------
-    def make_kernels(self, lattice: Lattice, collision):
-        """The kernel provider the solvers step with: the NumPy bodies
-        launched through this model (the compiled model overrides it)."""
-        return LaunchedKernels(self, lattice, collision)
-
     # -- conveniences ----------------------------------------------------------
     def upload(self, label: str, host: np.ndarray) -> View:
         """Allocate-and-copy in one call."""
@@ -118,20 +112,21 @@ class ProgrammingModel(abc.ABC):
         return f"<{type(self).__name__} {self.name} on {self.device.name}>"
 
 
-class LaunchedKernels:
+class LaunchedKernels(NumpyKernels):
     """Kernel provider running the NumPy bodies through ``model.launch``.
 
-    The surface the solvers call on every provider: ``collide`` on a node
-    prefix, ``stream`` over the tables ``tables(step_plan)`` returned.
+    ``collide`` and ``stream`` are one launch each, ``stream`` over the
+    device-resident tables ``tables(step_plan)`` returned; the outlet and
+    the collide workspace are :class:`~repro.lbm.solver.NumpyKernels`'.
     """
 
     def __init__(self, model: ProgrammingModel, lattice: Lattice, collision) -> None:
+        super().__init__(lattice, collision)
         self.model = model
-        self.lattice = lattice
-        self.collision = collision
-        self._workspace = Workspace()
 
-    def tables(self, plan: StepPlan) -> Tuple[np.ndarray, np.ndarray]:
+    def tables(  # type: ignore[override]
+        self, plan: StepPlan
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """The plan's flat link tables, resident on the device."""
         up = self.model.upload
         return (
@@ -140,14 +135,14 @@ class LaunchedKernels:
         )
 
     def collide(self, f: np.ndarray, n_nodes: int) -> None:
-        lat, collision, ws = self.lattice, self.collision, self._workspace
+        lat, collision, ws = self.lattice, self.collision, self.workspace
 
         def body(idx: np.ndarray) -> None:
             collision.apply(lat, f, idx, workspace=ws)
 
         self.model.launch("collide", n_nodes, body)
 
-    def stream(
+    def stream(  # type: ignore[override]
         self,
         f_src: np.ndarray,
         f_dst: np.ndarray,

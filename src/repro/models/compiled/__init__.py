@@ -1,6 +1,8 @@
 """Compiled backend tier: the StepPlan IR executed by real machine code.
 
-The sixth programming model of the study.  Where the five paper backends
+A kernel provider of the solvers, reached through
+``SolverConfig.backend`` (:func:`repro.lbm.solver.make_kernels`), not a
+programming model of the study.  Where the paper's backends
 (:mod:`repro.models.cuda` and friends) simulate launch/memory idioms over
 NumPy, this tier lowers the same kernel bodies to host machine code — via
 numba when installed (``pip install .[compiled]``), via generated C and
@@ -29,7 +31,6 @@ from .availability import (
     reset_detection_cache,
 )
 from .engine import CompiledKernels, collision_op_code
-from .model import CompiledModel
 
 __all__ = [
     "COMPILED_BACKENDS",
@@ -43,5 +44,4 @@ __all__ = [
     "reset_detection_cache",
     "CompiledKernels",
     "collision_op_code",
-    "CompiledModel",
 ]

@@ -487,22 +487,41 @@ def _cache_dir() -> str:
     return root
 
 
+#: How an object becomes the shared library: ``-shared`` plus only the
+#: runtime flags.  Linking with ``-ffast-math`` would pull in
+#: ``crtfastmath.o``, whose constructor sets flush-to-zero and
+#: denormals-are-zero for the whole process when the library loads.
+#: Part of the cache tag, so a library linked the old way is never loaded.
+LINK_RECIPE = "compile -c, then link -shared [-fopenmp]"
+
+
 def _try_compile(cc: str, src_path: str, out_path: str, flags) -> bool:
-    """Build ``out_path``; concurrent processes race benignly to an
+    """Compile ``src_path`` with ``flags``, then link ``out_path`` per
+    :data:`LINK_RECIPE`; concurrent processes race benignly to an
     identical file (built under a temp name, then renamed)."""
     tmp_path = f"{out_path}.{os.getpid()}.tmp"
-    cmd = [cc, "-O3", "-shared", "-fPIC", *flags, src_path, "-o", tmp_path]
+    obj_path = f"{tmp_path}.o"
+    link = [flag for flag in flags if flag == "-fopenmp"]
     try:
-        proc = subprocess.run(
-            cmd,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            timeout=120,
-            check=False,
-        )
+        for cmd in (
+            [cc, "-O3", "-fPIC", *flags, "-c", src_path, "-o", obj_path],
+            [cc, "-shared", *link, obj_path, "-o", tmp_path],
+        ):
+            proc = subprocess.run(
+                cmd,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                timeout=120,
+                check=False,
+            )
+            if proc.returncode != 0:
+                return False
     except (OSError, subprocess.SubprocessError):
         return False
-    if proc.returncode != 0 or not os.path.exists(tmp_path):
+    finally:
+        if os.path.exists(obj_path):
+            os.remove(obj_path)
+    if not os.path.exists(tmp_path):
         return False
     os.replace(tmp_path, out_path)
     return True
@@ -656,7 +675,7 @@ def load_kernels(fastmath: bool) -> KernelLib:
         so_path = None
         for flags in attempts:
             tag = hashlib.sha256(
-                "\x00".join([source, cc, " ".join(flags)]).encode()
+                "\x00".join([source, cc, " ".join(flags), LINK_RECIPE]).encode()
             ).hexdigest()[:16]
             candidate = os.path.join(cache, f"reprolbm-{tag}.so")
             if os.path.exists(candidate):

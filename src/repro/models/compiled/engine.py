@@ -3,9 +3,12 @@
 :class:`CompiledKernels` packs one collision operator (BGK/TRT/MRT, with
 optional Guo forcing) and one lattice into the flat parameter/table ABI
 shared by both providers, then exposes the kernels the solver layer
-needs (plus ``tables(plan)``, the stream tables of a
-:class:`~repro.lbm.stream.StepPlan` — every kernel provider's surface):
+needs — the surface of every kernel provider
+(:func:`repro.lbm.solver.make_kernels`), plus ``fused_step``:
 
+``tables(plan)``
+    The stream tables of a :class:`~repro.lbm.stream.StepPlan`: its
+    ``(heads, lens)`` run table.
 ``collide(f, n_nodes)``
     In-place collision on the prefix ``[0, n_nodes)`` of ``f[q, n]``
     (the single-domain solver passes every node; the distributed solver
@@ -92,12 +95,9 @@ class CompiledKernels:
         collision,
         backend: str = "compiled",
         fastmath: bool = True,
-        provider: Optional[str] = None,
     ) -> None:
         self.backend = normalize_backend(backend)
-        self.provider = (
-            provider if provider is not None else require_compiled(backend)
-        )
+        self.provider = require_compiled(backend)
         self.parallel = self.backend == "compiled-parallel"
         self.fastmath = bool(fastmath)
         self.lattice = lattice

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import ModelError
 from ..hardware.machine import Machine
-from ..lbm.solver import COMPILED_BACKENDS
 from .base import ProgrammingModel
 from .cuda import CUDAModel
 from .device import SimulatedDevice
@@ -24,7 +23,6 @@ from .sycl import SYCLModel
 
 __all__ = [
     "MODEL_NAMES",
-    "COMPILED_MODEL_NAME",
     "AVAILABILITY",
     "ModelVariant",
     "create_model",
@@ -43,11 +41,6 @@ MODEL_NAMES: Tuple[str, ...] = (
     "kokkos-sycl",
     "kokkos-openacc",
 )
-
-#: The host compiled tier (numba / generated C).  Not part of the paper's
-#: per-system availability matrix: it runs wherever a provider exists on
-#: the *current* host, so it is resolved by probe rather than by table.
-COMPILED_MODEL_NAME = "compiled"
 
 #: Which model runs on which system (paper Figs. 5-6 legends).
 AVAILABILITY: Dict[str, Tuple[str, ...]] = {
@@ -80,12 +73,6 @@ def native_model_name(machine: Machine) -> str:
 
 
 def is_available(model_name: str, machine: Machine) -> bool:
-    if model_name in COMPILED_BACKENDS:
-        # host tier: availability is a property of this host, not of the
-        # paper's per-system porting matrix
-        from .compiled import compiled_available
-
-        return compiled_available()
     avail = AVAILABILITY.get(machine.name)
     if avail is None:
         # custom machines: everything runs
@@ -135,12 +122,4 @@ def create_model(
     if name.startswith("kokkos-"):
         backend = name.split("-", 1)[1]
         return KokkosModel(backend, device)
-    if name in COMPILED_BACKENDS:
-        # raises BackendUnavailableError when no provider exists
-        from .compiled import CompiledModel
-
-        return CompiledModel(device, backend=name)
-    raise ModelError(
-        f"unknown model {name!r}; available: "
-        f"{MODEL_NAMES + COMPILED_BACKENDS}"
-    )
+    raise ModelError(f"unknown model {name!r}; available: {MODEL_NAMES}")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core import D3Q19
 from repro.core.kernels import (
-    apply_body_force_kernel,
     bgk_collide_kernel,
     bounce_back_kernel,
     moments_kernel,
@@ -121,23 +120,6 @@ class TestStreaming:
         bounce_back_kernel(f_src, f_dst, qi, qi_opp, np.array([0, 2]))
         assert f_dst[qi, 0] == 5 and f_dst[qi, 2] == 7
         assert f_dst[qi, 1] == 0
-
-
-class TestBodyForce:
-    def test_momentum_injection(self):
-        n = 6
-        f = D3Q19.equilibrium(np.ones(n), np.zeros((n, 3)))
-        apply_body_force_kernel(D3Q19, f, np.arange(n), np.array([1e-4, 0, 0]))
-        mom = np.tensordot(D3Q19.c.astype(float), f, axes=(0, 0)).T
-        assert np.allclose(mom[:, 0], 1e-4)
-        assert np.allclose(mom[:, 1:], 0.0)
-
-    def test_mass_unchanged(self):
-        n = 6
-        f = D3Q19.equilibrium(np.ones(n), np.zeros((n, 3)))
-        mass0 = f.sum()
-        apply_body_force_kernel(D3Q19, f, np.arange(n), np.array([0, 1e-4, 0]))
-        assert f.sum() == pytest.approx(mass0)
 
 
 class TestPartitionRange:

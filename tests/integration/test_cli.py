@@ -85,6 +85,36 @@ class TestCLI:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["harvey", "--quick", "--steps", "0"],
+            ["proxy", "--steps", "0"],
+            ["lint", "--select", "Z"],
+            ["lint", "--baseline", "missing.json"],
+        ],
+        ids=["harvey-steps-0", "proxy-steps-0", "lint-unknown-rule",
+             "lint-missing-baseline"],
+    )
+    def test_bad_input_is_an_error_line(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        """One ``error:`` line and exit 2, never a traceback; a step
+        count below 1 is refused before any geometry is built."""
+        import repro.harvey
+
+        def no_app(*args, **kwargs):
+            raise AssertionError("built the app for a refused step count")
+
+        monkeypatch.setattr(repro.harvey, "HarveyApp", no_app)
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
     def test_harvey(self, capsys):
         code, out = run_cli(
             capsys, "harvey", "--workload", "aorta", "--resolution", "2.5",

@@ -1,16 +1,16 @@
-"""The compiled backend tier: availability, engine, model surface.
+"""The compiled backend tier: availability and engine.
 
 Kernel-level physics equivalence lives in
 ``tests/lbm/test_fused_equivalence.py``; this module covers the
 provider plumbing — detection and override, graceful degradation when
-no provider exists, the registry integration, and the generic
-:class:`~repro.models.compiled.CompiledModel` surface.
+no provider exists, and the registry, which knows the compiled tier is
+not a programming model.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.errors import BackendUnavailableError, ConfigError
+from repro.core.errors import BackendUnavailableError, ConfigError, ModelError
 from repro.core.lattice import D3Q19
 from repro.hardware.systems import get_machine
 from repro.lbm.solver import SolverConfig
@@ -98,10 +98,15 @@ class TestSolverConfigGating:
 
 
 class TestRegistry:
-    def test_compiled_availability_is_host_probe(self):
-        machine = get_machine("Summit")
+    def test_compiled_backends_are_not_models(self):
+        """The compiled tier is reached through ``SolverConfig.backend``
+        only; the registry answers for the paper's models alone."""
+        for machine in (get_machine("Summit"), get_machine("Polaris")):
+            for name in COMPILED_BACKENDS:
+                assert is_available(name, machine) is False
         for name in COMPILED_BACKENDS:
-            assert is_available(name, machine) == compiled_available()
+            with pytest.raises(ModelError, match="unknown model"):
+                create_model(name)
 
     def test_unavailable_everywhere_without_provider(self, no_provider):
         machine = get_machine("Polaris")
@@ -114,13 +119,8 @@ class TestRegistry:
         assert is_available("sycl", machine) is False
 
     def test_create_model_raises_without_provider(self, no_provider):
-        with pytest.raises(BackendUnavailableError):
+        with pytest.raises(ModelError, match="unknown model"):
             create_model("compiled")
-
-    @compiled_only
-    def test_create_model_builds_compiled(self):
-        model = create_model("compiled-serial")
-        assert model.name == "compiled"
 
 
 def _collision(name):
@@ -216,54 +216,3 @@ class TestCompiledKernels:
         with pytest.raises(ConfigError, match="flat_src"):
             kern.fused_step(f, out, flat_src.astype(np.int32))
         assert not out.any()
-
-
-@compiled_only
-class TestCompiledModelSurface:
-    """CompiledModel implements the generic C101-C104 backend surface."""
-
-    def make(self):
-        from repro.models.compiled import CompiledModel
-
-        return CompiledModel()
-
-    def test_alloc_and_transfers_ledger(self):
-        model = self.make()
-        view = model.alloc("x", (64,))
-        host = np.arange(64.0)
-        model.to_device(view, host)
-        out = np.empty(64)
-        model.to_host(out, view)
-        assert np.array_equal(out, host)
-        assert model.device.h2d_bytes() == host.nbytes
-        assert model.device.d2h_bytes() == host.nbytes
-
-    def test_launch_covers_index_space(self):
-        model = self.make()
-        seen = []
-        model.launch("k", 100, lambda idx: seen.extend(idx.tolist()))
-        model.synchronize()
-        assert sorted(seen) == list(range(100))
-        assert model.launch_count == 1
-
-    def test_model_engine_steps_compiled_kernels(self):
-        """A model engine over CompiledModel runs compiled code — the
-        provider is the CompiledKernels object, not NumPy bodies through
-        ``launch`` — and the exact build matches the NumPy BGK solver."""
-        from repro.geometry import CylinderSpec, make_cylinder
-        from repro.lbm import Solver
-        from repro.models import ModelEngine
-        from repro.models.compiled import CompiledModel
-
-        grid = make_cylinder(CylinderSpec(scale=0.3))
-        cfg = SolverConfig(
-            tau=0.8, force=(1e-6, 0, 0), periodic=(True, False, False)
-        )
-        ref = Solver(grid, cfg)
-        ref.step(5)
-        model = CompiledModel(backend="compiled-serial", fastmath=False)
-        engine = ModelEngine(grid, cfg, model)
-        engine.step(5)
-        assert isinstance(engine._kern, CompiledKernels)
-        assert model.launch_count == 0
-        assert np.array_equal(engine.distributions(), ref.f)

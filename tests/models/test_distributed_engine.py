@@ -6,15 +6,13 @@ the model-factory wiring, host staging, devices and rejected configs."""
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.core import ConfigError
 from repro.decomp import axis_decompose
 from repro.geometry import CylinderSpec, make_cylinder
-from repro.lbm import Solver, SolverConfig
-from repro.models import DistributedModelEngine, SimulatedDevice
-from repro.models.compiled import CompiledKernels, compiled_available
+from repro.lbm import SolverConfig
+from repro.models import DistributedModelEngine
 
 
 @pytest.fixture(scope="module")
@@ -32,29 +30,6 @@ def cyl_config():
 #: both declared schedules; looped over inside the tests that predate the
 #: overlap rows so their ids stay what they were
 SCHEDULES = (False, True)
-
-
-class TestEquivalence:
-    @pytest.mark.skipif(
-        not compiled_available(), reason="no compiled-kernel provider"
-    )
-    def test_compiled_model_steps_compiled_kernels(self, cylinder, cyl_config):
-        from repro.models.compiled import CompiledModel
-
-        ref = Solver(cylinder, cyl_config)
-        ref.step(6)
-        engine = DistributedModelEngine(
-            axis_decompose(cylinder, 3),
-            cyl_config,
-            model_factory=lambda rank: CompiledModel(
-                SimulatedDevice(device_id=rank),
-                backend="compiled-serial",
-                fastmath=False,
-            ),
-        )
-        engine.step(6)
-        assert all(isinstance(k, CompiledKernels) for k in engine._kern)
-        assert np.array_equal(engine.gather_f(), ref.f)
 
 
 class TestStagingObservability:

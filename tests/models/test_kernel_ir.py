@@ -8,9 +8,12 @@ that table expanding back to exactly the link set, so the property is
 pinned over every kind of plan the solvers build.  ``collide`` splits
 its node loop into compile-time-width full blocks and one runtime-width
 tail, so the tail sizes around the block width are pinned per operator.
+Loading a library variant must leave the process's floating-point state
+alone.
 """
 
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -333,3 +336,25 @@ class TestCompilerProbeCache:
         assert csrc.compiler_works() is False
         with pytest.raises(BackendUnavailableError, match="no working C"):
             csrc.load_kernels(fastmath=True)
+
+
+@cgen_only
+def test_loading_the_kernels_keeps_subnormals():
+    """Neither library variant sets flush-to-zero for the process that
+    loads it: a library linked with ``-ffast-math`` pulls in
+    ``crtfastmath.o``, whose constructor does, and every later NumPy
+    result in the process (the reference tier included) would change.
+    A fresh interpreter, because the state cannot be unset."""
+    probe = (
+        "import numpy as np\n"
+        "from repro.models.compiled import csrc\n"
+        "for fastmath in (False, True):\n"
+        "    csrc.load_kernels(fastmath=fastmath)\n"
+        "    print(np.float64(1e-310) / 10 != 0)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.split() == ["True", "True"]
