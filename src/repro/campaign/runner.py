@@ -108,8 +108,7 @@ def _prune_reason(cell: Cell, params: Dict[str, Any]) -> Optional[str]:
         if not compiled_available():
             return (
                 f"backend {backend!r} unavailable on this host "
-                f"(no compiled provider: numba not installed and no "
-                f"working C compiler)"
+                "(no working C compiler for the compiled kernels)"
             )
     if cell.runner == "solver":
         # a bad tier is a spec bug: raise at plan time, run no cell

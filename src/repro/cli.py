@@ -443,7 +443,7 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
         choices=["numpy", *COMPILED_BACKENDS],
         default="numpy",
         help="kernel execution backend (default: %(default)s); the "
-        "compiled tiers need numba or a host C compiler",
+        "compiled tiers need a host C compiler",
     )
 
 

@@ -42,8 +42,8 @@ class ModelError(ReproError):
 
 
 class BackendUnavailableError(ModelError):
-    """Raised when a compiled backend is requested but no provider (numba
-    or a working C compiler) is present on the host."""
+    """Raised when a compiled backend is requested but the host has no
+    working C compiler to build its kernels with."""
 
 
 class HardwareError(ReproError):

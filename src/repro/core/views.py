@@ -18,7 +18,7 @@ memory spaces per backend.  This module reproduces that programming surface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "View",
     "deep_copy",
     "create_mirror_view",
-    "shared_view",
 ]
 
 
@@ -324,33 +323,3 @@ def create_mirror_view(src: View, space: Optional[MemorySpace] = None) -> View:
     """
     target = space if space is not None else host_space
     return View(src.label + "_mirror", src.shape, src.dtype, target)
-
-
-def shared_view(
-    registry,
-    label: str,
-    shape: Tuple[int, ...],
-    dtype: np.dtype = np.float64,
-    space: Optional[MemorySpace] = None,
-) -> View:
-    """A :class:`View` whose storage is a shared-memory segment.
-
-    The Kokkos analogue of ``SharedSpace``/``SharedHostPinnedSpace``:
-    the array behind the view lives in a ``registry``-allocated
-    segment (see :class:`repro.runtime.shmem.SegmentRegistry` — any
-    object with an ``ndarray(label, shape, dtype)`` method works, kept
-    duck-typed so the core layer stays import-cycle-free), so forked
-    process-executor workers and the controlling process address the
-    same pages.  The view aliases the segment without copying; segment
-    lifetime belongs to the registry, not the view — ``free()``
-    releases only the space accounting.
-    """
-    arr = registry.ndarray(label, tuple(shape), np.dtype(dtype))
-    view = View.__new__(View)
-    view.label = str(label)
-    view.space = space if space is not None else host_space
-    view.const = False
-    view._freed = False
-    view.space.allocate(arr.nbytes)
-    view._array = arr
-    return view

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,6 +81,12 @@ class HarveyConfig:
                 f"unknown workload {self.workload!r}; expected one of "
                 f"{', '.join(workload_table())}"
             )
+        # every bound below is a comparison, which NaN passes silently
+        for name in ("resolution", "tau", "stall_timeout_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be finite, got {getattr(self, name)}"
+                )
         if self.resolution <= 0:
             raise ConfigError("resolution must be positive")
         if self.num_ranks < 1:

@@ -14,8 +14,6 @@ from .moments import (
     density,
     poiseuille_pipe_max_velocity,
     poiseuille_pipe_profile,
-    poiseuille_plane_profile,
-    total_mass,
     total_momentum,
     velocity,
 )
@@ -54,9 +52,7 @@ __all__ = [
     "check_finite",
     "density",
     "velocity",
-    "total_mass",
     "total_momentum",
     "poiseuille_pipe_profile",
     "poiseuille_pipe_max_velocity",
-    "poiseuille_plane_profile",
 ]

@@ -3,7 +3,7 @@ profiles used to validate the solver's physics."""
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -13,10 +13,8 @@ from ..core.lattice import Lattice
 __all__ = [
     "density",
     "velocity",
-    "total_mass",
     "total_momentum",
     "poiseuille_pipe_profile",
-    "poiseuille_plane_profile",
     "poiseuille_pipe_max_velocity",
 ]
 
@@ -37,11 +35,6 @@ def velocity(
     if force is not None:
         mom = mom + 0.5 * np.asarray(force, dtype=np.float64)[None, :]
     return mom / rho[:, None]
-
-
-def total_mass(f: np.ndarray) -> float:
-    """Domain mass; conserved to round-off by collide+stream+bounce-back."""
-    return float(f.sum())
 
 
 def total_momentum(lattice: Lattice, f: np.ndarray) -> np.ndarray:
@@ -75,19 +68,3 @@ def poiseuille_pipe_profile(
     prof = umax * (1.0 - (r / radius) ** 2)
     return np.where(np.abs(r) <= radius, prof, 0.0)
 
-
-def poiseuille_plane_profile(
-    y: np.ndarray,
-    force: float,
-    half_width: float,
-    viscosity: float,
-    rho: float = 1.0,
-) -> np.ndarray:
-    """Velocity profile of plane channel flow between walls at ``|y| = h``:
-    ``u(y) = g (h^2 - y^2) / (2 nu)``."""
-    if half_width <= 0 or viscosity <= 0 or rho <= 0:
-        raise ConfigError("half_width, viscosity and rho must be positive")
-    y = np.asarray(y, dtype=np.float64)
-    g = force / rho
-    prof = g * (half_width**2 - y**2) / (2.0 * viscosity)
-    return np.where(np.abs(y) <= half_width, prof, 0.0)

@@ -10,6 +10,7 @@ across ranks — that equivalence is a core validation test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
@@ -176,18 +177,18 @@ class SolverConfig:
     backend:
         Kernel execution tier: ``"numpy"`` (default, the reference
         vectorised kernels) or a compiled variant — ``"compiled"``
-        (parallel when the provider can thread, serial otherwise),
+        (parallel when the C kernels can thread, serial otherwise),
         ``"compiled-serial"``, ``"compiled-parallel"`` — executing the
-        StepPlan IR through :mod:`repro.models.compiled` (numba or
-        generated C).  :func:`validate_tier` rejects compiled backends
-        with ``sanitize`` and the OpenMP ones (``compiled``,
-        ``compiled-parallel``) with ``executor="process"``.
+        StepPlan IR through :mod:`repro.models.compiled` (generated C
+        built by the host compiler).  :func:`validate_tier` rejects
+        compiled backends with ``sanitize`` and the OpenMP ones
+        (``compiled``, ``compiled-parallel``) with
+        ``executor="process"``.
     fastmath:
         Allow fast-math code generation in compiled backends
-        (``-ffast-math`` / numba ``fastmath=True``).  Reassociation
-        breaks bit-for-bit reproducibility against the NumPy kernels;
-        disable for the exact-mode equivalence band.  Ignored by the
-        NumPy backend.
+        (``-ffast-math``).  Reassociation breaks bit-for-bit
+        reproducibility against the NumPy kernels; disable for the
+        exact-mode equivalence band.  Ignored by the NumPy backend.
     stall_timeout_s:
         Heartbeat age (seconds) past which the process executor's
         telemetry plane declares a silent worker rank stalled and
@@ -219,6 +220,12 @@ class SolverConfig:
     postmortem_out: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # every bound below is a comparison, which NaN passes silently
+        for name in ("tau", "rho0", "mrt_ghost_rate", "stall_timeout_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be finite, got {getattr(self, name)}"
+                )
         if self.stall_timeout_s <= 0:
             raise ConfigError(
                 "stall_timeout_s must be positive (seconds before the "
@@ -242,6 +249,8 @@ class SolverConfig:
             self.force = np.asarray(self.force, dtype=np.float64)
             if self.force.shape != (3,):
                 raise ConfigError("force must be a 3-vector")
+            if not np.isfinite(self.force).all():
+                raise ConfigError(f"force must be finite, got {self.force}")
 
     def make_lattice(self) -> Lattice:
         return get_lattice(self.lattice)

@@ -4,14 +4,13 @@ A kernel provider of the solvers, reached through
 ``SolverConfig.backend`` (:func:`repro.lbm.solver.make_kernels`), not a
 programming model of the study.  Where the paper's backends
 (:mod:`repro.models.cuda` and friends) simulate launch/memory idioms over
-NumPy, this tier lowers the same kernel bodies to host machine code — via
-numba when installed (``pip install .[compiled]``), via generated C and
-the host compiler otherwise — and consumes the fused
+NumPy, this tier lowers the same kernel bodies to host machine code —
+generated C built by the host compiler — and consumes the fused
 :class:`~repro.lbm.stream.StepPlan` flat gather table directly as its
 kernel IR.  See DESIGN.md ("StepPlan as kernel IR") for how this maps to
 the paper's model comparison and the PyKokkos translation pipeline.
 
-Degrades gracefully: with neither provider present, everything here
+Degrades gracefully: without a host C compiler, everything here
 imports fine, availability queries answer ``False``, and requesting a
 compiled backend raises
 :class:`~repro.core.errors.BackendUnavailableError` with an install hint.

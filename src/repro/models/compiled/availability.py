@@ -1,36 +1,28 @@
 """Provider detection for the compiled backend tier.
 
-The compiled tier has two interchangeable providers:
+The compiled tier has one provider, ``cgen``: the kernels of
+:mod:`repro.models.compiled.csrc`, emitted as portable C99, compiled on
+first use with the host C compiler (``-O3 [-fopenmp] [-ffast-math]``)
+and loaded through :mod:`ctypes`.
 
-``numba``
-    ``@njit(parallel=..., fastmath=..., cache=True)`` over the pure-Python
-    loop kernels in :mod:`repro.models.compiled.kernels_py`.  Preferred
-    when importable (``pip install .[compiled]``).
-``cgen``
-    The same kernels emitted as portable C99, compiled on first use with
-    the host C compiler (``-O3 [-fopenmp] [-ffast-math]``) and loaded
-    through :mod:`ctypes`.  Used when numba is absent but a working
-    compiler is found — which is what makes the tier measurable on plain
-    CI runners.
-
-When neither is present the tier degrades gracefully: availability
+Without a working compiler the tier degrades gracefully: availability
 queries return ``False``, requesting a compiled backend raises
 :class:`~repro.core.errors.BackendUnavailableError` with an install
 hint, and every NumPy path is untouched.
 
-``REPRO_COMPILED_PROVIDER`` overrides detection: ``auto`` (default),
-``numba``, ``cgen``, or ``none`` (force-unavailable; used by CI's
-clean-degradation legs and the unavailability tests).
+``REPRO_COMPILED_PROVIDER`` overrides detection: ``auto`` (default) or
+``none`` (force-unavailable; used by CI's clean-degradation legs and the
+unavailability tests).
 """
 
 from __future__ import annotations
 
-import importlib
 import os
 from typing import Dict, Optional
 
 from ...core.errors import BackendUnavailableError, ConfigError
 from ...lbm.solver import COMPILED_BACKENDS
+from . import csrc
 
 __all__ = [
     "COMPILED_BACKENDS",
@@ -46,10 +38,7 @@ __all__ = [
 
 PROVIDER_ENV = "REPRO_COMPILED_PROVIDER"
 
-_INSTALL_HINT = (
-    "install numba (`pip install .[compiled]`) or ensure a host C "
-    "compiler (cc/gcc/clang) is on PATH"
-)
+_INSTALL_HINT = "ensure a host C compiler (cc/gcc/clang, or $CC) is on PATH"
 
 # detection results cached per environment-override value so tests can
 # flip the env var without stale answers
@@ -61,41 +50,18 @@ def reset_detection_cache() -> None:
     _cache.clear()
 
 
-def _numba_importable() -> bool:
-    try:
-        importlib.import_module("numba")
-    except Exception:
-        return False
-    return True
-
-
-def _cgen_usable() -> bool:
-    from . import csrc
-
-    return csrc.compiler_works()
-
-
 def _detect(mode: str) -> Optional[str]:
-    if mode == "none":
-        return None
-    if mode == "numba":
-        return "numba" if _numba_importable() else None
-    if mode == "cgen":
-        return "cgen" if _cgen_usable() else None
-    if mode != "auto":
+    if mode not in ("auto", "none"):
         raise ConfigError(
-            f"unknown {PROVIDER_ENV} value {mode!r}; expected "
-            "'auto', 'numba', 'cgen' or 'none'"
+            f"unknown {PROVIDER_ENV} value {mode!r}; expected 'auto' or 'none'"
         )
-    if _numba_importable():
-        return "numba"
-    if _cgen_usable():
+    if mode == "auto" and csrc.compiler_works():
         return "cgen"
     return None
 
 
 def compiled_provider() -> Optional[str]:
-    """The active provider name (``"numba"``/``"cgen"``) or ``None``."""
+    """The active provider name (``"cgen"``) or ``None``."""
     mode = os.environ.get(PROVIDER_ENV, "auto").strip().lower()
     if mode not in _cache:
         _cache[mode] = _detect(mode)
@@ -103,26 +69,17 @@ def compiled_provider() -> Optional[str]:
 
 
 def compiled_available() -> bool:
-    """Whether any compiled provider is usable on this host."""
+    """Whether the compiled provider is usable on this host."""
     return compiled_provider() is not None
 
 
 def parallel_supported() -> bool:
-    """Whether the active provider can actually run threaded kernels.
-
-    Numba always can (prange); cgen can only when the trial compile
+    """Whether the kernels can actually run threaded: the trial compile
     accepted ``-fopenmp``.  A ``compiled-parallel`` request still works
     without thread support — the kernels just run serially — so this is
     reporting, not gating.
     """
-    provider = compiled_provider()
-    if provider == "numba":
-        return True
-    if provider == "cgen":
-        from . import csrc
-
-        return csrc.openmp_supported()
-    return False
+    return compiled_available() and csrc.openmp_supported()
 
 
 def availability_report() -> Dict[str, object]:
@@ -156,8 +113,7 @@ def require_compiled(backend: str) -> str:
     provider = compiled_provider()
     if provider is None:
         raise BackendUnavailableError(
-            f"backend {backend!r} is unavailable on this host: numba is "
-            f"not installed and no working C compiler was found; "
-            f"{_INSTALL_HINT}"
+            f"backend {backend!r} is unavailable on this host: no working "
+            f"C compiler was found; {_INSTALL_HINT}"
         )
     return provider

@@ -47,8 +47,6 @@ QMAX = 32
 
 CACHE_ENV = "REPRO_CC_CACHE"
 
-_OP_NAMES = {"bgk": 0, "trt": 1, "mrt": 2}
-
 _SOURCE_TEMPLATE = r"""
 #include <stdint.h>
 
@@ -655,7 +653,7 @@ def load_kernels(fastmath: bool) -> KernelLib:
     info = _compiler_info()
     if info is None:
         raise BackendUnavailableError(
-            "no working C compiler found for the cgen compiled provider"
+            "no working C compiler found for the compiled kernels"
         )
     cc, openmp = info
     key = (cc, bool(fastmath))
@@ -672,27 +670,41 @@ def load_kernels(fastmath: bool) -> KernelLib:
         # host tuning is probed (cross/exotic toolchains may lack it)
         attempts = [base + ["-march=native", "-funroll-loops"], base]
         cache = _cache_dir()
-        so_path = None
+
+        def build(flags, out_path: str) -> bool:
+            src_path = out_path[: -len(".so")] + ".c"
+            with open(src_path, "w", encoding="utf-8") as fh:
+                fh.write(source)
+            return _try_compile(cc, src_path, out_path, flags)
+
         for flags in attempts:
             tag = hashlib.sha256(
                 "\x00".join([source, cc, " ".join(flags), LINK_RECIPE]).encode()
             ).hexdigest()[:16]
-            candidate = os.path.join(cache, f"reprolbm-{tag}.so")
-            if os.path.exists(candidate):
-                so_path = candidate
+            so_path = os.path.join(cache, f"reprolbm-{tag}.so")
+            if os.path.exists(so_path) or build(flags, so_path):
                 break
-            src_path = os.path.join(cache, f"reprolbm-{tag}.c")
-            with open(src_path, "w", encoding="utf-8") as fh:
-                fh.write(source)
-            if _try_compile(cc, src_path, candidate, flags):
-                so_path = candidate
-                break
-        if so_path is None:
+        else:
             raise BackendUnavailableError(
                 f"C compiler {cc!r} failed to build the kernel "
                 "library (it passed the probe compile; check "
                 f"{CACHE_ENV} permissions)"
             )
-        lib = KernelLib(ctypes.CDLL(so_path), fastmath, openmp)
+        try:
+            cdll = ctypes.CDLL(so_path)
+        except OSError:
+            # a truncated or corrupt cached build: rebuild this tag once
+            if not build(flags, so_path):
+                raise BackendUnavailableError(
+                    f"cached kernel library {so_path} does not load and "
+                    f"C compiler {cc!r} failed to rebuild it"
+                ) from None
+            try:
+                cdll = ctypes.CDLL(so_path)
+            except OSError as exc:
+                raise BackendUnavailableError(
+                    f"rebuilt kernel library {so_path} does not load: {exc}"
+                ) from exc
+        lib = KernelLib(cdll, fastmath, openmp)
         _lib_cache[key] = lib
         return lib

@@ -1,10 +1,10 @@
-"""The compiled-kernel engine: lattice + collision bound to a provider.
+"""The compiled-kernel engine: lattice + collision bound to the C kernels.
 
 :class:`CompiledKernels` packs one collision operator (BGK/TRT/MRT, with
 optional Guo forcing) and one lattice into the flat parameter/table ABI
-shared by both providers, then exposes the kernels the solver layer
-needs — the surface of every kernel provider
-(:func:`repro.lbm.solver.make_kernels`), plus ``fused_step``:
+of the generated-C library (:mod:`repro.models.compiled.csrc`), then
+exposes the kernels the solver layer needs — the surface of every kernel
+provider (:func:`repro.lbm.solver.make_kernels`), plus ``fused_step``:
 
 ``tables(plan)``
     The stream tables of a :class:`~repro.lbm.stream.StepPlan`: its
@@ -43,10 +43,17 @@ import numpy as np
 
 from ...core.errors import ConfigError
 from ...core.lattice import Lattice
+from . import csrc
 from .availability import normalize_backend, require_compiled
-from .kernels_py import OP_BGK, OP_MRT, OP_TRT
 
-__all__ = ["CompiledKernels", "collision_op_code"]
+__all__ = [
+    "CompiledKernels", "collision_op_code", "OP_BGK", "OP_TRT", "OP_MRT",
+]
+
+#: The kernel ABI's collision op codes (``Params.op``).
+OP_BGK = 0
+OP_TRT = 1
+OP_MRT = 2
 
 
 def _require_abi(name: str, arr, dtype, shape=None) -> None:
@@ -144,32 +151,6 @@ class CompiledKernels:
             self.Minv = np.zeros((q, q), dtype=np.float64)
             self.S = np.zeros(q, dtype=np.float64)
 
-        if self.provider == "numba":
-            self._bind_numba()
-        elif self.provider == "cgen":
-            self._bind_cgen()
-        else:
-            raise ConfigError(
-                f"unknown compiled provider {self.provider!r}"
-            )
-
-    # -- provider bindings --------------------------------------------------
-    def _bind_numba(self) -> None:
-        import numba
-
-        from . import kernels_py
-
-        jit = numba.njit(
-            parallel=self.parallel, fastmath=self.fastmath, cache=True
-        )
-        self._nb_collide = jit(kernels_py.collide_nodes_loop)
-        self._nb_stream = jit(kernels_py.stream_runs_loop)
-        self._nb_outlet = jit(kernels_py.outlet_nodes_loop)
-        self._nb_fused_step = jit(kernels_py.fused_step_loop)
-
-    def _bind_cgen(self) -> None:
-        from . import csrc
-
         self._clib = csrc.load_kernels(fastmath=self.fastmath)
         # pointers to the six constant tables, derived once (the arrays
         # stay alive on self), and one parameter struct per num_local
@@ -181,8 +162,6 @@ class CompiledKernels:
     def _cparams(self, num_local: int):
         params = self._cparam_cache.get(num_local)
         if params is None:
-            from . import csrc
-
             params = self._cparam_cache[num_local] = csrc.Params(
                 q=self.q,
                 num_local=int(num_local),
@@ -223,16 +202,8 @@ class CompiledKernels:
                 f"compiled kernel ABI: n_nodes {n} outside "
                 f"[0, f.shape[1] = {num_local}]"
             )
-        if self.provider == "cgen":
-            self._clib.collide(
-                f, n, self._cparams(num_local), self._ctables, self.parallel
-            )
-            return
-        self._nb_collide(
-            f.reshape(-1), n, self.q, num_local, self.op, self.cf, self.w,
-            self.opp, self.M, self.Minv, self.S, self.inv_cs2, self.omega,
-            self.omega_minus, self.guo_pref, self.guo_pref_minus,
-            self.has_force, self.fx, self.fy, self.fz,
+        self._clib.collide(
+            f, n, self._cparams(num_local), self._ctables, self.parallel
         )
 
     def stream(
@@ -252,27 +223,15 @@ class CompiledKernels:
         _require_abi("f_dst", f_dst, np.float64, f_src.shape)
         _require_abi("lens", lens, np.int64, (np.size(lens),))
         _require_abi("heads", heads, np.int64, (lens.size, 2))
-        if self.provider == "cgen":
-            self._clib.stream(f_src, f_dst, heads, lens, self.parallel)
-            return
-        self._nb_stream(
-            f_src.reshape(-1), f_dst.reshape(-1), heads, lens, lens.size
-        )
+        self._clib.stream(f_src, f_dst, heads, lens, self.parallel)
 
     def outlet(self, f: np.ndarray, nodes: np.ndarray, rho0: float) -> None:
         """Reset the distinct columns ``nodes`` of ``f[q, n]`` to the
         equilibrium at density ``rho0`` and each node's own velocity."""
         num_local = self._num_local(f)
         _require_abi("nodes", nodes, np.int64, (np.size(nodes),))
-        if self.provider == "cgen":
-            self._clib.outlet(
-                f, nodes, float(rho0), self._cparams(num_local),
-                self._ctables,
-            )
-            return
-        self._nb_outlet(
-            f.reshape(-1), nodes, nodes.size, self.q, num_local, self.cf,
-            self.w, float(rho0), self.inv_cs2,
+        self._clib.outlet(
+            f, nodes, float(rho0), self._cparams(num_local), self._ctables
         )
 
     def fused_step(
@@ -303,16 +262,7 @@ class CompiledKernels:
             )
         n_upd = flat_src.shape[1]
         num_local = f_dst.shape[1]
-        if self.provider == "cgen":
-            self._clib.fused_step(
-                f_src, f_dst, flat_src, n_upd, self._cparams(num_local),
-                self._ctables, self.parallel,
-            )
-            return
-        self._nb_fused_step(
-            f_src.reshape(-1), f_dst.reshape(-1), flat_src.reshape(-1),
-            n_upd, self.q, num_local, self.op, self.cf, self.w, self.opp,
-            self.M, self.Minv, self.S, self.inv_cs2, self.omega,
-            self.omega_minus, self.guo_pref, self.guo_pref_minus,
-            self.has_force, self.fx, self.fy, self.fz,
+        self._clib.fused_step(
+            f_src, f_dst, flat_src, n_upd, self._cparams(num_local),
+            self._ctables, self.parallel,
         )

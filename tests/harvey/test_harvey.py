@@ -78,6 +78,12 @@ class TestHarveyConfig:
             HarveyConfig(tau=0.4)
         with pytest.raises(ConfigError):
             HarveyConfig(steady_inlet_speed=0.5)
+        for field in ("resolution", "tau", "stall_timeout_s"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ConfigError, match=f"{field} must be finite"):
+                    HarveyConfig(**{field: bad})
+        with pytest.raises(ConfigError):
+            HarveyConfig(steady_inlet_speed=float("nan"))
 
 
 class TestHarveyApp:

@@ -92,19 +92,24 @@ class TestCLI:
             ["proxy", "--steps", "0"],
             ["lint", "--select", "Z"],
             ["lint", "--baseline", "missing.json"],
+            ["harvey", "--quick", "--executor", "process", "--ranks", "2",
+             "--stall-timeout", "nan"],
+            ["harvey", "--quick", "--resolution", "nan"],
         ],
         ids=["harvey-steps-0", "proxy-steps-0", "lint-unknown-rule",
-             "lint-missing-baseline"],
+             "lint-missing-baseline", "harvey-stall-timeout-nan",
+             "harvey-resolution-nan"],
     )
     def test_bad_input_is_an_error_line(
         self, capsys, monkeypatch, tmp_path, argv
     ):
         """One ``error:`` line and exit 2, never a traceback; a step
-        count below 1 is refused before any geometry is built."""
+        count below 1 or a non-finite value is refused before any
+        geometry is built."""
         import repro.harvey
 
         def no_app(*args, **kwargs):
-            raise AssertionError("built the app for a refused step count")
+            raise AssertionError("built the app for a refused input")
 
         monkeypatch.setattr(repro.harvey, "HarveyApp", no_app)
         monkeypatch.chdir(tmp_path)

@@ -239,7 +239,7 @@ def build(cell, **overrides):
 
 def skip_unless_runnable(cell):
     if cell.provider in COMPILED and not compiled_available():
-        pytest.skip("no compiled provider (numba or host C compiler)")
+        pytest.skip("no host C compiler")
     if cell.executor == "process" and not fork_available():
         pytest.skip("needs the POSIX fork start method")
 

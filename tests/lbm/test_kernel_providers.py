@@ -41,7 +41,7 @@ def assert_same(got, want, tol):
 def test_provider_contract(provider):
     backend, model_name, cls, tol = PROVIDERS[provider]
     if backend != "numpy" and not compiled_available():
-        pytest.skip("no compiled provider (numba or host C compiler)")
+        pytest.skip("no host C compiler")
     config = SolverConfig(
         tau=0.8, inlet_velocity=(0.05, 0.0, 0.0), backend=backend,
         fastmath=False,

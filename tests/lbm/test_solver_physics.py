@@ -186,3 +186,13 @@ class TestSolverAPI:
             SolverConfig(rho0=-1.0)
         with pytest.raises(ConfigError):
             SolverConfig(force=(1.0, 2.0))
+        # a bound written as a comparison lets NaN through; each field
+        # must also be finite
+        nan, inf = float("nan"), float("inf")
+        for field in ("tau", "rho0", "mrt_ghost_rate", "stall_timeout_s"):
+            for bad in (nan, inf):
+                with pytest.raises(ConfigError, match=f"{field} must be finite"):
+                    SolverConfig(**{field: bad})
+        for bad in ((nan, 0.0, 0.0), (0.0, 0.0, -inf)):
+            with pytest.raises(ConfigError, match="force must be finite"):
+                SolverConfig(force=bad)

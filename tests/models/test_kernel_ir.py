@@ -12,6 +12,7 @@ Loading a library variant must leave the process's floating-point state
 alone.
 """
 
+import os
 import subprocess
 import sys
 
@@ -30,18 +31,12 @@ from repro.lbm.stream import StepPlan
 from repro.models.compiled import (
     CompiledKernels,
     compiled_available,
-    compiled_provider,
     csrc,
-    kernels_py,
 )
 
 compiled_only = pytest.mark.skipif(
     not compiled_available(),
-    reason="no compiled provider (numba or host C compiler) available",
-)
-cgen_only = pytest.mark.skipif(
-    compiled_provider() != "cgen",
-    reason="needs the generated-C provider",
+    reason="no host C compiler available",
 )
 
 #: the bands tests/lbm/test_fused_equivalence.py pins the tier at
@@ -277,36 +272,8 @@ def test_outlet_rejects_off_abi_nodes(nodes):
         kern.outlet(f, nodes, 1.0)
 
 
-# -- the numba provider's source, run under CPython -------------------------
-@cgen_only
-def test_python_run_table_twin_matches_the_c_kernel():
-    plan = _plans("inlet", 2, False, scale=0.25)[0]
-    heads, lens = plan.kernel_tables()
-    kern = CompiledKernels(D3Q19, _config("inlet").make_collision())
-    f_src = np.random.default_rng(19).random((D3Q19.q, plan.num_local))
-    want = np.full_like(f_src, -1.0)
-    got = np.full_like(f_src, -1.0)
-    kern.stream(f_src, want, heads, lens)
-    kernels_py.stream_runs_loop(
-        f_src.reshape(-1), got.reshape(-1), heads, lens, lens.size
-    )
-    assert np.array_equal(want, got)
-
-
-def test_python_outlet_twin_is_the_reference_outlet():
-    nodes = OUTLET_NODES["unsorted"]
-    f0, want = _outlet_case(D3Q19, nodes)
-    got = f0.copy()
-    kernels_py.outlet_nodes_loop(
-        got.reshape(-1), nodes, nodes.size, D3Q19.q, got.shape[1],
-        np.ascontiguousarray(D3Q19.cf, dtype=np.float64), D3Q19.w, 1.02,
-        1.0 / D3Q19.cs2,
-    )
-    np.testing.assert_allclose(got, want, **EXACT_TOL)
-
-
 # -- compiler detection is cached on disk -----------------------------------
-@cgen_only
+@compiled_only
 class TestCompilerProbeCache:
     @pytest.fixture(autouse=True)
     def fresh_process(self):
@@ -338,7 +305,56 @@ class TestCompilerProbeCache:
             csrc.load_kernels(fastmath=True)
 
 
-@cgen_only
+def _build_then_truncate(cache, *argv):
+    """Run ``argv`` in a fresh interpreter over kernel cache ``cache``,
+    then cut every library it built to 100 bytes, as a disk-full or a
+    killed copy leaves it."""
+    env = dict(os.environ, **{csrc.CACHE_ENV: str(cache)})
+    result = subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    libs = sorted(cache.glob("reprolbm-*.so"))
+    assert libs
+    for lib in libs:
+        os.truncate(lib, 100)
+    return env, libs
+
+
+@compiled_only
+class TestCorruptKernelCache:
+    def test_truncated_library_is_rebuilt(self, tmp_path):
+        """A later run rebuilds the truncated library and steps; a fresh
+        interpreter each time, as the library is loaded once per process."""
+        run = ["-m", "repro", "harvey", "--quick", "--steps", "2",
+               "--backend", "compiled-serial"]
+        env, libs = _build_then_truncate(tmp_path, *run)
+        result = subprocess.run(
+            [sys.executable, *run], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert "steps=2" in result.stdout
+        assert all(lib.stat().st_size > 100 for lib in libs)
+
+    def test_failed_rebuild_is_unavailable(self, monkeypatch, tmp_path):
+        _build_then_truncate(
+            tmp_path, "-c",
+            "from repro.models.compiled import csrc; "
+            "csrc.load_kernels(fastmath=False)",
+        )
+        monkeypatch.setenv(csrc.CACHE_ENV, str(tmp_path))
+        csrc.reset_compiler_cache()
+        try:
+            monkeypatch.setattr(csrc, "_try_compile", lambda *a: False)
+            with pytest.raises(BackendUnavailableError, match="reprolbm-"):
+                csrc.load_kernels(fastmath=False)
+        finally:
+            csrc.reset_compiler_cache()
+
+
+@compiled_only
 def test_loading_the_kernels_keeps_subnormals():
     """Neither library variant sets flush-to-zero for the process that
     loads it: a library linked with ``-ffast-math`` pulls in
