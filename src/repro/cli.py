@@ -168,7 +168,7 @@ def _cmd_telemetry_postmortem(args: argparse.Namespace) -> int:
 def _cmd_profile_run(args: argparse.Namespace) -> int:
     import json
 
-    from .core.errors import BackendUnavailableError, ReproError
+    from .core.errors import BackendUnavailableError, ConfigError, ReproError
     from .telemetry import get_registry, write_metrics
     from .telemetry.profile import (
         render_profile,
@@ -193,6 +193,9 @@ def _cmd_profile_run(args: argparse.Namespace) -> int:
         )
     except BackendUnavailableError as exc:
         print(f"error: backend {args.backend!r}: {exc}", file=sys.stderr)
+        return 2
+    except ConfigError as exc:  # a refused input, as in ``_cmd_run``
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -301,11 +304,17 @@ def _cmd_portability(args: argparse.Namespace) -> int:
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
     from .analysis.ablation import ablation_study
+    from .core.errors import ReproError
 
     m = args.system
+    try:
+        results = ablation_study(m, args.spacing, args.gpus)
+    except ReproError as exc:  # a spacing or GPU count the model refuses
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         artefacts.ablation_table(
-            {m.name: ablation_study(m, args.spacing, args.gpus)},
+            {m.name: results},
             f"{m.name}: aorta @ {args.spacing} mm, {args.gpus} GPUs",
         )
     )
@@ -314,8 +323,13 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     from .analysis.sweep import sensitivity_sweep
+    from .core.errors import ReproError
 
-    points = sensitivity_sweep((2, 16, 128, 1024), args.sites_per_gpu)
+    try:
+        points = sensitivity_sweep((2, 16, 128, 1024), args.sites_per_gpu)
+    except ReproError as exc:  # a site count the model refuses
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(artefacts.sensitivity_table(points))
     return 0
 

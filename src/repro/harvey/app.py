@@ -24,6 +24,7 @@ from ..geometry.registry import build_geometry
 from ..hardware.machine import Machine
 from ..lbm.distributed import DistributedSolver
 from ..lbm.solver import SolverConfig
+from ..perf.efficiency import mflups
 from ..perf.simulate import RunCost, price_run
 from ..perf.trace import trace_for
 from ..telemetry.spans import get_tracer
@@ -51,7 +52,7 @@ class RunReport:
     def mflups(self) -> float:
         if self.wall_seconds <= 0:
             raise ConfigError("run reported no elapsed time")
-        return self.fluid_nodes * self.steps / self.wall_seconds / 1e6
+        return mflups(self.fluid_nodes * self.steps, self.wall_seconds)
 
 
 class HarveyApp:

@@ -700,7 +700,7 @@ class DistributedSolver:
         """
         halo = self._halo_step_bytes
         model = {
-            "collide": 2 * self.lattice.q * self._owned_total * 8,
+            "collide": self.lattice.bytes_per_update() * self._owned_total,
             "exchange": 2 * halo,
             "stream": self._gather_bytes_per_step,
             "interior": self._gather_bytes_per_step,
@@ -715,7 +715,7 @@ class DistributedSolver:
         Under the overlapped pipeline the packed cross-link exchange
         ships only the population values the receiver's frontier links
         read, so the figure is the packed size (the accounting the
-        paper's ``HALO_BYTES_PER_SITE_D3Q19`` model prices) rather than
+        paper's ``HALO_BYTES_PER_SITE`` model prices) rather than
         all ``q`` populations per boundary node.
         """
         return self._halo_step_bytes

@@ -1,5 +1,6 @@
 """Microbenchmarks feeding the performance model: simulated BabelStream and
-PingPong (the paper's two model inputs) plus a real host STREAM."""
+PingPong (the paper's two model inputs, Section 6) plus a real host
+STREAM for the profiler's Eq. 1 bound."""
 
 from .babelstream import (
     DEFAULT_ELEMENTS,
@@ -8,12 +9,10 @@ from .babelstream import (
     StreamKernelResult,
     run_babelstream,
 )
-from .collectives import AllreduceEstimate, allreduce_time
 from .hoststream import HostStreamResult, run_host_stream
 from .pingpong import (
     PingPongResult,
     PingPongSample,
-    latency_matrix,
     message_time,
     run_pingpong,
 )
@@ -28,9 +27,6 @@ __all__ = [
     "PingPongSample",
     "run_pingpong",
     "message_time",
-    "latency_matrix",
-    "AllreduceEstimate",
-    "allreduce_time",
     "HostStreamResult",
     "run_host_stream",
 ]

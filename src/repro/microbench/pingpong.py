@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from ..core.errors import HardwareError
 from ..hardware.interconnect import LinkTier
 from ..hardware.machine import Machine
@@ -110,16 +108,3 @@ def run_pingpong(
     ]
     return PingPongResult(machine.name, rank_a, rank_b, tier.value, samples)
 
-
-def latency_matrix(
-    machine: Machine, num_ranks: int, probe_bytes: int = 8
-) -> np.ndarray:
-    """Small-message one-way times between rank 0 and every other rank.
-
-    A cheap characterization of the placement topology: entries jump at
-    package and node boundaries.
-    """
-    out = np.zeros(num_ranks, dtype=np.float64)
-    for r in range(1, num_ranks):
-        out[r] = message_time(machine, 0, r, num_ranks, probe_bytes)
-    return out

@@ -1,5 +1,6 @@
 """Trace-driven performance simulation: trace builders, calibration, the
-pricing engine, and the paper's efficiency metrics."""
+pricing engine, and the paper's three metrics (MFLUPS, application and
+architectural efficiency)."""
 
 from .calibrate import (
     BYTES_PER_UPDATE,
@@ -11,9 +12,12 @@ from .calibrate import (
     kernel_launches_per_step,
     occupancy,
 )
-from .efficiency import application_efficiency, architectural_efficiency
+from .efficiency import (
+    application_efficiency,
+    architectural_efficiency,
+    mflups,
+)
 from .roofline import (
-    GPU_PEAK_FP64_TFLOPS,
     STREAMCOLLIDE_CHARACTER,
     KernelCharacter,
     RooflinePoint,
@@ -57,11 +61,11 @@ __all__ = [
     "PricingOverrides",
     "price_run",
     "HALO_BYTES_PER_SITE",
+    "mflups",
     "application_efficiency",
     "architectural_efficiency",
     "KernelCharacter",
     "RooflinePoint",
     "roofline_analysis",
     "STREAMCOLLIDE_CHARACTER",
-    "GPU_PEAK_FP64_TFLOPS",
 ]

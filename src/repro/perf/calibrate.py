@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..core.errors import PerfModelError
+from ..core.lattice import D3Q19
 
 __all__ = [
     "Calibration",
@@ -32,12 +33,12 @@ __all__ = [
 ]
 
 #: Bytes moved per fluid-site update.  The proxy app uses direct
-#: addressing on its structured cylinder (2 x 19 doubles); HARVEY's
-#:  indirect addressing additionally reads the 19-wide neighbour index
-#: list (int64) per site — the main reason the proxy outruns HARVEY.
+#: addressing on its structured cylinder (2 x 19 doubles, 304 B); HARVEY's
+#: indirect addressing additionally reads the 19-wide neighbour index
+#: list (int64) per site (456 B) — the main reason the proxy outruns HARVEY.
 BYTES_PER_UPDATE: Dict[str, float] = {
-    "proxy": 2 * 19 * 8,           # 304
-    "harvey": 2 * 19 * 8 + 19 * 8,  # 456
+    "proxy": D3Q19.bytes_per_update(),
+    "harvey": D3Q19.bytes_per_update() + D3Q19.q * 8,
 }
 
 #: Kernel launches per LBM iteration (collide + per-direction streaming +

@@ -1,5 +1,8 @@
-"""The paper's two performance-efficiency metrics (Section 8.1).
+"""The paper's three performance metrics (Sections 3.2 and 8.1).
 
+* **MFLUPS** — millions of fluid lattice updates per second, the
+  problem-size- and geometry-independent throughput every prediction,
+  priced run and measured run reports through :func:`mflups`.
 * **Application efficiency** — achieved MFLUPS over the best observed
   MFLUPS at each GPU count among the implementations considered for a
   given system.
@@ -9,11 +12,25 @@
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence
 
 from ..core.errors import PerfModelError
 
-__all__ = ["application_efficiency", "architectural_efficiency"]
+__all__ = ["mflups", "application_efficiency", "architectural_efficiency"]
+
+
+def mflups(fluid_updates: float, seconds: float) -> float:
+    """Throughput of ``fluid_updates`` site updates done in ``seconds``."""
+    if not (math.isfinite(fluid_updates) and fluid_updates >= 0):
+        raise PerfModelError(
+            f"fluid count must be finite and non-negative, got {fluid_updates}"
+        )
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise PerfModelError(
+            f"elapsed time must be finite and positive, got {seconds}"
+        )
+    return fluid_updates / seconds / 1e6
 
 
 def application_efficiency(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..core.errors import PerfModelError
+from ..core.lattice import D3Q19
 from ..hardware.gpu import GPUSpec
 
 __all__ = [
@@ -22,20 +23,12 @@ __all__ = [
     "RooflinePoint",
     "roofline_analysis",
     "STREAMCOLLIDE_CHARACTER",
-    "GPU_PEAK_FP64_TFLOPS",
 ]
 
-#: FP64 peak throughput of the paper's devices (vendor datasheets), in
-#: TFLOP/s.  Used only for roofline ridge points — the performance
-#: simulator never needs flops because LBM sits on the memory roof.
-GPU_PEAK_FP64_TFLOPS: Dict[str, float] = {
-    "V100": 7.8,
-    "A100": 9.7,
-    "MI250X": 23.95,  # per package; 11.975 per GCD
-    "PVC": 52.0,      # per package; 26 per tile
-}
-
-#: Per-logical-GPU peaks (GCD/tile granularity, matching Table 1).
+#: FP64 peak throughput per logical GPU (GCD/tile granularity, matching
+#: Table 1; vendor datasheets), in TFLOP/s.  Used only for roofline ridge
+#: points — the performance simulator never needs flops because LBM sits
+#: on the memory roof.
 _PER_LOGICAL_FP64_TFLOPS: Dict[str, float] = {
     "V100": 7.8,
     "A100": 9.7,
@@ -68,7 +61,7 @@ class KernelCharacter:
 STREAMCOLLIDE_CHARACTER = KernelCharacter(
     name="streamcollide-d3q19",
     flops_per_site=19 * 23.0,
-    bytes_per_site=2 * 19 * 8.0,
+    bytes_per_site=float(D3Q19.bytes_per_update()),
 )
 
 

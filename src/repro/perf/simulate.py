@@ -19,7 +19,7 @@ pricing follows the paper's own structure:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.errors import PerfModelError
 from ..hardware.interconnect import LinkTier
@@ -28,12 +28,14 @@ from ..models.registry import ModelVariant, variant_for
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import get_tracer
 from .calibrate import (
+    BYTES_PER_UPDATE,
     Calibration,
     bytes_per_update,
     get_calibration,
     kernel_launches_per_step,
     occupancy,
 )
+from .efficiency import mflups
 from .trace import RunTrace
 
 __all__ = [
@@ -44,8 +46,11 @@ __all__ = [
     "HALO_BYTES_PER_SITE",
 ]
 
-#: Packed halo payload: the ~5 face-crossing D3Q19 populations per site
-#: (:data:`repro.perfmodel.model.HALO_BYTES_PER_SITE_D3Q19` is this value).
+#: Packed halo payload per site.  Only the populations crossing a
+#: subdomain face must move — 5 of the 19 D3Q19 directions per axis face —
+#: which is what production LBM codes pack and send, and what the
+#: overlapped pipeline of :mod:`repro.lbm.distributed` packs.  Both the
+#: simulator and the Eq. 2 model (:mod:`repro.perfmodel.model`) price it.
 HALO_BYTES_PER_SITE = 5 * 8
 
 #: Fixed per-step monitoring download (residuals, stability checks).
@@ -150,7 +155,7 @@ class RunCost:
 
     @property
     def mflups(self) -> float:
-        return self.total_fluid / self.t_iteration / 1e6
+        return mflups(self.total_fluid, self.t_iteration)
 
     def composition(self) -> Dict[str, float]:
         """Runtime composition of the slowest rank (Fig. 7's metric:
@@ -160,7 +165,7 @@ class RunCost:
 
 #: Device-side storage per fluid site: double-buffered distributions plus
 #: the neighbour table and flags (used for the memory-capacity check).
-STORAGE_BYTES_PER_SITE = 2 * 19 * 8 + 19 * 8 + 8
+STORAGE_BYTES_PER_SITE = BYTES_PER_UPDATE["harvey"] + 8
 
 
 def _rank_cost(

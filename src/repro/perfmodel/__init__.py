@@ -1,15 +1,19 @@
-"""The paper's GPU performance model (Eqs. 1-4), MFLUPS conversions, and
-the piecewise strong-scaling schedules."""
+"""The paper's GPU performance model (Eqs. 1-4), its hardware-knob
+sensitivity, and the piecewise strong-scaling schedules.
 
+MFLUPS is defined once, in :mod:`repro.perf.efficiency`, and re-exported
+here; the byte prices come from :mod:`repro.perf.calibrate` and
+:mod:`repro.perf.simulate`.
+"""
+
+from ..perf.efficiency import mflups
 from .attribution import (
     PhaseAttribution,
     attribute_phases,
     machine_reference,
 )
-from .mflups import iteration_time_from_mflups, mflups, speedup
 from .model import (
     BYTES_PER_UPDATE_D3Q19,
-    HALO_BYTES_PER_SITE_D3Q19,
     OverlapPrediction,
     PredictedIteration,
     comm_surface_sites,
@@ -18,12 +22,10 @@ from .model import (
     predict_iteration_overlap,
     streamcollide_time,
 )
-from .fit import FitResult, fit_sc_efficiency
 from .sensitivity import (
     Sensitivity,
     dominant_resource,
     sensitivity_analysis,
-    sensitivity_sweep,
 )
 from .scaling import (
     AORTA_SPACINGS_MM,
@@ -44,13 +46,10 @@ __all__ = [
     "predict_iteration_overlap",
     "OverlapPrediction",
     "BYTES_PER_UPDATE_D3Q19",
-    "HALO_BYTES_PER_SITE_D3Q19",
     "PhaseAttribution",
     "attribute_phases",
     "machine_reference",
     "mflups",
-    "iteration_time_from_mflups",
-    "speedup",
     "ScalingPoint",
     "PiecewiseSchedule",
     "cylinder_schedule",
@@ -58,10 +57,7 @@ __all__ = [
     "CYLINDER_SCALES",
     "AORTA_SPACINGS_MM",
     "SECTION_COUNTS",
-    "FitResult",
-    "fit_sc_efficiency",
     "Sensitivity",
     "sensitivity_analysis",
-    "sensitivity_sweep",
     "dominant_resource",
 ]

@@ -20,6 +20,7 @@ one node is in use (the bound the paper's "ideal prediction" curves show).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +30,7 @@ from ..core.errors import PerfModelError
 from ..hardware.interconnect import LinkTier
 from ..hardware.machine import Machine
 from ..perf.calibrate import BYTES_PER_UPDATE
+from ..perf.efficiency import mflups
 from ..perf.simulate import HALO_BYTES_PER_SITE
 
 __all__ = [
@@ -40,22 +42,12 @@ __all__ = [
     "OverlapPrediction",
     "predict_iteration_overlap",
     "BYTES_PER_UPDATE_D3Q19",
-    "HALO_BYTES_PER_SITE_D3Q19",
 ]
 
 #: Read + write of all 19 double-precision populations per fluid update —
 #: the direct-addressing figure the simulator prices the proxy app at
-#: (defined once, in :mod:`repro.perf.calibrate`).
+#: (:meth:`repro.core.lattice.Lattice.bytes_per_update` of D3Q19).
 BYTES_PER_UPDATE_D3Q19 = BYTES_PER_UPDATE["proxy"]
-
-#: Bytes exchanged per halo site.  Only the populations crossing a
-#: subdomain face must move — 5 of the 19 D3Q19 directions per axis face —
-#: which is what production LBM codes pack and send.  (The functional
-#: runtime in :mod:`repro.lbm.distributed` ships all 19 on its barrier
-#: path for simplicity; its overlapped pipeline packs exactly the
-#: cross-link values, matching this accounting.)  Defined once, in
-#: :mod:`repro.perf.simulate`.
-HALO_BYTES_PER_SITE_D3Q19 = HALO_BYTES_PER_SITE
 
 
 def streamcollide_time(n_bytes: float, bandwidth_bytes_s: float) -> float:
@@ -105,9 +97,7 @@ class PredictedIteration:
     @property
     def mflups(self) -> float:
         """Predicted performance in millions of fluid lattice updates/s."""
-        if self.t_iteration == 0:
-            raise PerfModelError("zero iteration time")
-        return self.total_fluid / self.t_iteration / 1e6
+        return mflups(self.total_fluid, self.t_iteration)
 
 
 def predict_iteration(
@@ -115,7 +105,7 @@ def predict_iteration(
     total_fluid: float,
     n_gpus: int,
     bytes_per_update: float = BYTES_PER_UPDATE_D3Q19,
-    halo_bytes_per_site: float = HALO_BYTES_PER_SITE_D3Q19,
+    halo_bytes_per_site: float = HALO_BYTES_PER_SITE,
     bandwidth_bytes_s: Optional[float] = None,
 ) -> PredictedIteration:
     """The full Section-6 prediction for one scaling point.
@@ -125,8 +115,10 @@ def predict_iteration(
     slowest link the placement touches (inter-node once more than one
     node is used, otherwise the intra-node link).
     """
-    if total_fluid <= 0:
-        raise PerfModelError("total fluid must be positive")
+    if not (math.isfinite(total_fluid) and total_fluid > 0):
+        raise PerfModelError(
+            f"total fluid must be finite and positive, got {total_fluid}"
+        )
     if n_gpus < 1:
         raise PerfModelError("n_gpus must be >= 1")
     bw = (
@@ -195,9 +187,7 @@ class OverlapPrediction:
 
     @property
     def mflups(self) -> float:
-        if self.t_iteration == 0:
-            raise PerfModelError("zero iteration time")
-        return self.base.total_fluid / self.t_iteration / 1e6
+        return mflups(self.base.total_fluid, self.t_iteration)
 
     @property
     def speedup(self) -> float:
@@ -212,7 +202,7 @@ def predict_iteration_overlap(
     total_fluid: float,
     n_gpus: int,
     bytes_per_update: float = BYTES_PER_UPDATE_D3Q19,
-    halo_bytes_per_site: float = HALO_BYTES_PER_SITE_D3Q19,
+    halo_bytes_per_site: float = HALO_BYTES_PER_SITE,
     bandwidth_bytes_s: Optional[float] = None,
     frontier_fraction: Optional[float] = None,
 ) -> OverlapPrediction:

@@ -10,17 +10,20 @@ latency — identifying which resource bounds the run where.
 Elasticity is the dimensionless ``d log(MFLUPS) / d log(knob)``: 1.0
 means performance is fully bound by that knob, 0.0 means insensitive.
 Elasticities over the (bandwidth-type) knobs sum to ~1 for this model.
+The weak-scaling sweep over the paper's systems that ``repro
+sensitivity`` and the report print is
+:func:`repro.analysis.sweep.sensitivity_sweep`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from typing import Callable, Dict
 
 from ..core.errors import PerfModelError
 from ..hardware.interconnect import LinkSpec, LinkTier
 from ..hardware.machine import Machine
-from ..hardware.node import NodeSpec
 from .model import BYTES_PER_UPDATE_D3Q19, predict_iteration
 
 __all__ = ["Sensitivity", "sensitivity_analysis", "dominant_resource"]
@@ -53,15 +56,7 @@ def _with_scaled_gpu_bw(machine: Machine, factor: float) -> Machine:
         machine.node.gpu,
         mem_bandwidth_tbs=machine.node.gpu.mem_bandwidth_tbs * factor,
     )
-    node = NodeSpec(
-        cpu_name=machine.node.cpu_name,
-        cpus=machine.node.cpus,
-        cores_per_cpu=machine.node.cores_per_cpu,
-        gpu=gpu,
-        packages=machine.node.packages,
-        links=machine.node.links,
-    )
-    return replace(machine, node=node)
+    return replace(machine, node=replace(machine.node, gpu=gpu))
 
 
 def _with_scaled_link(
@@ -72,30 +67,7 @@ def _with_scaled_link(
     links[LinkTier.INTER_NODE] = LinkSpec(
         old.name, old.bandwidth_gbs * bw_factor, old.latency_s * lat_factor
     )
-    node = NodeSpec(
-        cpu_name=machine.node.cpu_name,
-        cpus=machine.node.cpus,
-        cores_per_cpu=machine.node.cores_per_cpu,
-        gpu=machine.node.gpu,
-        packages=machine.node.packages,
-        links=links,
-    )
-    return replace(machine, node=node)
-
-
-def _mflups(machine: Machine, total_fluid: float, n: int, bpu: float) -> float:
-    return predict_iteration(
-        machine, total_fluid, n, bytes_per_update=bpu
-    ).mflups
-
-
-def _elasticity(f_plus: float, f_minus: float) -> float:
-    """Central-difference log-log derivative with step ``_EPS``."""
-    import math
-
-    return (math.log(f_plus) - math.log(f_minus)) / (
-        math.log(1 + _EPS) - math.log(1 - _EPS)
-    )
+    return replace(machine, node=replace(machine.node, links=links))
 
 
 def sensitivity_analysis(
@@ -105,35 +77,40 @@ def sensitivity_analysis(
     bytes_per_update: float = BYTES_PER_UPDATE_D3Q19,
 ) -> Sensitivity:
     """Elasticities of the Eq. 1-4 prediction at one scaling point."""
-    if total_fluid <= 0 or n_gpus < 1:
-        raise PerfModelError("need positive fluid and at least one GPU")
-    mem = _elasticity(
-        _mflups(_with_scaled_gpu_bw(machine, 1 + _EPS), total_fluid, n_gpus,
-                bytes_per_update),
-        _mflups(_with_scaled_gpu_bw(machine, 1 - _EPS), total_fluid, n_gpus,
-                bytes_per_update),
-    )
-    net_bw = _elasticity(
-        _mflups(_with_scaled_link(machine, 1 + _EPS, 1.0), total_fluid,
-                n_gpus, bytes_per_update),
-        _mflups(_with_scaled_link(machine, 1 - _EPS, 1.0), total_fluid,
-                n_gpus, bytes_per_update),
-    )
-    # latency elasticity is negative (more latency, less throughput);
-    # report its magnitude-signed value
-    net_lat = _elasticity(
-        _mflups(_with_scaled_link(machine, 1.0, 1 + _EPS), total_fluid,
-                n_gpus, bytes_per_update),
-        _mflups(_with_scaled_link(machine, 1.0, 1 - _EPS), total_fluid,
-                n_gpus, bytes_per_update),
-    )
+    if not (math.isfinite(total_fluid) and total_fluid > 0) or n_gpus < 1:
+        raise PerfModelError(
+            "need finite positive fluid and at least one GPU, got "
+            f"{total_fluid} sites on {n_gpus} GPUs"
+        )
+
+    def elasticity(scaled: Callable[[float], Machine]) -> float:
+        """Central-difference log-log derivative of predicted MFLUPS with
+        respect to the knob ``scaled(factor)`` multiplies."""
+        up, down = (
+            predict_iteration(
+                scaled(factor), total_fluid, n_gpus,
+                bytes_per_update=bytes_per_update,
+            ).mflups
+            for factor in (1 + _EPS, 1 - _EPS)
+        )
+        return (math.log(up) - math.log(down)) / (
+            math.log(1 + _EPS) - math.log(1 - _EPS)
+        )
+
     return Sensitivity(
         machine=machine.name,
         n_gpus=n_gpus,
         total_fluid=float(total_fluid),
-        memory_bandwidth=mem,
-        interconnect_bandwidth=net_bw,
-        interconnect_latency=net_lat,
+        memory_bandwidth=elasticity(
+            lambda f: _with_scaled_gpu_bw(machine, f)
+        ),
+        interconnect_bandwidth=elasticity(
+            lambda f: _with_scaled_link(machine, f, 1.0)
+        ),
+        # latency elasticity is negative (more latency, less throughput)
+        interconnect_latency=elasticity(
+            lambda f: _with_scaled_link(machine, 1.0, f)
+        ),
     )
 
 
@@ -145,19 +122,3 @@ def dominant_resource(sens: Sensitivity) -> str:
         "interconnect_latency": abs(sens.interconnect_latency),
     }
     return max(table, key=table.get)
-
-
-def sensitivity_sweep(
-    machine: Machine,
-    total_fluid_per_gpu: float,
-    gpu_counts: List[int],
-    bytes_per_update: float = BYTES_PER_UPDATE_D3Q19,
-) -> List[Sensitivity]:
-    """Weak-scaling sensitivity sweep: fixed work per GPU, growing
-    counts — shows the compute->communication bound transition."""
-    return [
-        sensitivity_analysis(
-            machine, total_fluid_per_gpu * n, n, bytes_per_update
-        )
-        for n in gpu_counts
-    ]

@@ -34,12 +34,14 @@ the trace file alone.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..analysis.tables import render_table
 from ..core.errors import ConfigError, TelemetryError
 from ..hardware.host import host_bandwidth_gbs, host_fingerprint
+from ..perf.efficiency import mflups
 from ..perfmodel.attribution import attribute_phases, machine_reference
 from ..perfmodel.model import BYTES_PER_UPDATE_D3Q19
 from .export import TRACE_PID, chrome_trace
@@ -86,15 +88,15 @@ def _efficiency(
         raise TelemetryError(
             "profiled window recorded no step spans; is the tracer attached?"
         )
-    mflups = owned_total * steps / stats.wall_s / 1e6
-    ratio = mflups / bound_mflups
+    measured = mflups(owned_total * steps, stats.wall_s)
+    ratio = measured / bound_mflups
     comm = sum(stats.comm_s.values())
     hidden = sum(stats.hidden_s.values())
     return {
         "steps": steps,
         "seconds": stats.wall_s,
-        "mflups": mflups,
-        "bandwidth_gbs": mflups * 1e6 * BYTES_PER_UPDATE_D3Q19 / 1e9,
+        "mflups": measured,
+        "bandwidth_gbs": measured * 1e6 * BYTES_PER_UPDATE_D3Q19 / 1e9,
         "bandwidth_ratio": ratio,
         "arch_efficiency": min(1.0, ratio),
         "comm_seconds": comm,
@@ -139,6 +141,12 @@ def run_profile(
         raise ConfigError("steps must be positive")
     if not 1 <= window_steps <= steps:
         raise ConfigError("window_steps must lie in [1, steps]")
+    if bandwidth_gbs is not None and not (
+        math.isfinite(bandwidth_gbs) and bandwidth_gbs > 0
+    ):
+        raise ConfigError(
+            f"bandwidth_gbs must be finite and positive, got {bandwidth_gbs}"
+        )
 
     tracer = tracer if tracer is not None else Tracer()
     config = HarveyConfig(
@@ -164,9 +172,8 @@ def run_profile(
                 1 << 24, max(1 << 20, solver.lattice.q * fluid_nodes)
             )
             bandwidth_gbs = host_bandwidth_gbs(elements=elements, ntimes=3)
-        if bandwidth_gbs <= 0:
-            raise ConfigError("bandwidth_gbs must be positive")
-        bound_mflups = bandwidth_gbs * 1e9 / BYTES_PER_UPDATE_D3Q19 / 1e6
+        # Eq. 1: the updates one second of host bandwidth pays for
+        bound_mflups = mflups(bandwidth_gbs * 1e9 / BYTES_PER_UPDATE_D3Q19, 1.0)
 
         registry = get_registry()
         g_mflups = registry.gauge("profile.window.mflups")

@@ -95,17 +95,33 @@ class TestCLI:
             ["harvey", "--quick", "--executor", "process", "--ranks", "2",
              "--stall-timeout", "nan"],
             ["harvey", "--quick", "--resolution", "nan"],
+            ["profile", "run", "--bandwidth", "nan"],
+            ["profile", "run", "--bandwidth", "inf"],
+            ["sensitivity", "--sites-per-gpu", "nan"],
+            ["sensitivity", "--sites-per-gpu", "inf"],
+            ["sensitivity", "--sites-per-gpu", "0"],
+            ["sensitivity", "--sites-per-gpu", "-1"],
+            ["ablation", "--spacing", "nan"],
+            ["ablation", "--spacing", "0"],
+            ["ablation", "--spacing", "inf"],
+            ["ablation", "--gpus", "0"],
         ],
         ids=["harvey-steps-0", "proxy-steps-0", "lint-unknown-rule",
              "lint-missing-baseline", "harvey-stall-timeout-nan",
-             "harvey-resolution-nan"],
+             "harvey-resolution-nan", "profile-bandwidth-nan",
+             "profile-bandwidth-inf", "sensitivity-sites-nan",
+             "sensitivity-sites-inf", "sensitivity-sites-0",
+             "sensitivity-sites-negative", "ablation-spacing-nan",
+             "ablation-spacing-0", "ablation-spacing-inf",
+             "ablation-gpus-0"],
     )
     def test_bad_input_is_an_error_line(
         self, capsys, monkeypatch, tmp_path, argv
     ):
         """One ``error:`` line and exit 2, never a traceback; a step
         count below 1 or a non-finite value is refused before any
-        geometry is built."""
+        geometry is built, and a number the performance model cannot
+        price is refused too."""
         import repro.harvey
 
         def no_app(*args, **kwargs):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import CRUSHER, POLARIS, SUMMIT, all_machines
-from repro.microbench import allreduce_time, message_time
+from repro.microbench import message_time
 from repro.perf import cylinder_trace, price_run
 from repro.perfmodel import face_count, predict_iteration
 from repro.runtime import SimComm
@@ -98,48 +98,6 @@ class TestPricingProperties:
     @given(k=st.integers(1, 10))
     def test_face_count_matches_closed_form(self, k):
         assert face_count(2**k) == 2 * min(k, 6)
-
-
-class TestCollectives:
-    def test_single_rank_free(self):
-        assert allreduce_time(SUMMIT, 1, 8).time_s == 0.0
-
-    def test_small_message_latency_bound(self):
-        est = allreduce_time(SUMMIT, 64, 8)
-        assert est.algorithm == "recursive-doubling"
-        # ~log2(64) network latencies
-        assert est.time_s == pytest.approx(
-            6 * (1.5e-6 + 8 / 25e9), rel=0.01
-        )
-
-    def test_large_message_switches_algorithm(self):
-        est = allreduce_time(SUMMIT, 64, 1 << 26)
-        assert est.algorithm == "rabenseifner"
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        p=st.sampled_from([2, 4, 16, 64, 256]),
-        nbytes=st.integers(8, 1 << 22),
-    )
-    def test_time_monotone_in_ranks_and_size(self, p, nbytes):
-        # Crusher's link latencies are monotone across tiers
-        # (same-package < intra-node < inter-node), so allreduce time is
-        # monotone in the rank count there.  (On Summit the measured IB
-        # latency sits *below* intra-node NVLink, so crossing the node
-        # boundary can legitimately speed the collective up.)
-        t = allreduce_time(CRUSHER, p, nbytes).time_s
-        t_more_ranks = allreduce_time(CRUSHER, p * 2, nbytes).time_s
-        t_more_bytes = allreduce_time(CRUSHER, p, nbytes * 2).time_s
-        assert t_more_ranks >= t
-        assert t_more_bytes >= t
-
-    def test_validation(self):
-        from repro.core import HardwareError
-
-        with pytest.raises(HardwareError):
-            allreduce_time(SUMMIT, 0, 8)
-        with pytest.raises(HardwareError):
-            allreduce_time(SUMMIT, 2, -1)
 
 
 class TestSimCommProperties:

@@ -415,8 +415,29 @@ def _refill_owned_slot(plans):
     plans[1] = dataclasses.replace(receiver, recv_flat={0: written})
 
 
+def _drop_receive(plans):
+    """Rank 1 no longer receives from rank 0 (the solver's S301)."""
+    receiver = plans[1]
+    plans[1] = dataclasses.replace(
+        receiver,
+        recv_flat={k: v for k, v in receiver.recv_flat.items() if k != 0},
+    )
+
+
+def _short_receive(plans):
+    """Rank 1's receive from rank 0 is one slot short (the solver's
+    S304)."""
+    receiver = plans[1]
+    plans[1] = dataclasses.replace(
+        receiver,
+        recv_flat={**receiver.recv_flat, 0: receiver.recv_flat[0][:-1]},
+    )
+
+
 #: Corruptions of a 2-rank exchange that no rule reported before K404
-#: checked every slot by (population, global node) under both schedules.
+#: checked every slot by (population, global node) under both schedules,
+#: and the sabotages the solver's S300 pre-flight catches
+#: (``tests/lint/test_commcheck.py``), which K404 reports too.
 PROBE_CORRUPTIONS = {
     "barrier-pack-other-owned-node": (False, lambda plans: _repack(
         plans, lambda pop, node, st: (pop, (node + 1) % st.num_owned)
@@ -432,6 +453,9 @@ PROBE_CORRUPTIONS = {
     "overlap-pack-other-owned-node": (True, lambda plans: _repack(
         plans, lambda pop, node, st: (pop, (node + 1) % st.num_owned)
     )),
+    "barrier-dropped-receive": (False, _drop_receive),
+    "barrier-receive-one-slot-short": (False, _short_receive),
+    "overlap-receive-one-slot-short": (True, _short_receive),
 }
 
 

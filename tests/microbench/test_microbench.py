@@ -7,7 +7,6 @@ from repro.core import HardwareError
 from repro.hardware import CRUSHER, SUMMIT, SUNSPOT, GPUSpec, all_machines
 from repro.microbench import (
     KERNEL_BYTES_PER_ELEMENT,
-    latency_matrix,
     message_time,
     run_babelstream,
     run_host_stream,
@@ -100,11 +99,6 @@ class TestPingPong:
         assert staged == pytest.approx(
             aware + 2 * cpu_gpu.message_time(1 << 20)
         )
-
-    def test_latency_matrix_structure(self):
-        """Latency jumps at package and node boundaries."""
-        lat = latency_matrix(CRUSHER, 16)
-        assert lat[1] < lat[2] <= lat[7] < lat[8]
 
     def test_bad_exponent(self):
         with pytest.raises(HardwareError):

@@ -16,6 +16,7 @@ from repro.perf import (
     kernel_launches_per_step,
     occupancy,
     price_run,
+    trace_for,
 )
 from repro.perf.calibrate import OCCUPANCY_HALF_SITES
 
@@ -84,6 +85,11 @@ class TestTraceGeneration:
             cylinder_trace(-1.0, 4)
         with pytest.raises(PerfModelError):
             aorta_trace(0.0, 4)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(PerfModelError):
+                cylinder_trace(bad, 4)
+            with pytest.raises(PerfModelError):
+                trace_for("aorta", "harvey", bad, 4)
 
 
 class TestCalibration:

@@ -1,4 +1,4 @@
-"""The paper's Eqs. 1-4, MFLUPS conversions, and scaling schedules."""
+"""The paper's Eqs. 1-4, MFLUPS, and scaling schedules."""
 
 import numpy as np
 import pytest
@@ -16,31 +16,42 @@ from repro.perfmodel import (
     comm_surface_sites,
     cylinder_schedule,
     face_count,
-    iteration_time_from_mflups,
     mflups,
     predict_iteration,
-    speedup,
     streamcollide_time,
 )
 
 
 class TestSharedByteConstants:
     """The simulator (``perf``) and the model (``perfmodel``) price the
-    same bytes: each constant has one definition, imported by the other."""
+    same bytes: each constant has one definition, derived by the rest."""
 
     def test_halo_bytes_per_site_is_one_value(self):
-        from repro.perf import HALO_BYTES_PER_SITE
-        from repro.perfmodel import HALO_BYTES_PER_SITE_D3Q19
+        import inspect
 
-        assert HALO_BYTES_PER_SITE_D3Q19 is HALO_BYTES_PER_SITE
+        from repro.perf import HALO_BYTES_PER_SITE
+
+        default = inspect.signature(predict_iteration).parameters[
+            "halo_bytes_per_site"
+        ].default
+        assert default is HALO_BYTES_PER_SITE
         assert HALO_BYTES_PER_SITE == 5 * 8
 
     def test_bytes_per_update_is_one_value(self):
-        from repro.perf import BYTES_PER_UPDATE
+        from repro.core import D3Q19
+        from repro.perf import BYTES_PER_UPDATE, STREAMCOLLIDE_CHARACTER
+        from repro.perf.simulate import STORAGE_BYTES_PER_SITE
         from repro.perfmodel import BYTES_PER_UPDATE_D3Q19
 
         assert BYTES_PER_UPDATE_D3Q19 is BYTES_PER_UPDATE["proxy"]
-        assert BYTES_PER_UPDATE_D3Q19 == 2 * 19 * 8
+        assert (
+            BYTES_PER_UPDATE["proxy"]
+            == D3Q19.bytes_per_update()
+            == STREAMCOLLIDE_CHARACTER.bytes_per_site
+            == 304
+        )
+        assert BYTES_PER_UPDATE["harvey"] == D3Q19.bytes_per_update() + 19 * 8
+        assert STORAGE_BYTES_PER_SITE == BYTES_PER_UPDATE["harvey"] + 8
 
 
 class TestEq1StreamCollide:
@@ -136,23 +147,29 @@ class TestPrediction:
             predict_iteration(SUMMIT, 0, 4)
         with pytest.raises(PerfModelError):
             predict_iteration(SUMMIT, 1e6, 0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(PerfModelError):
+                predict_iteration(POLARIS, bad, 4)
 
 
 class TestMflups:
-    def test_roundtrip(self):
-        t = iteration_time_from_mflups(1e9, 500.0)
-        assert mflups(1e9, t) == pytest.approx(500.0)
+    def test_value(self):
+        assert mflups(1e9, 2.0) == 500.0
 
-    def test_speedup(self):
-        assert speedup(200.0, 100.0) == 2.0
+    def test_every_mflups_is_this_one(self):
+        from repro.perf import mflups as perf_mflups
+
+        assert mflups is perf_mflups
 
     def test_validation(self):
         with pytest.raises(PerfModelError):
             mflups(1e6, 0.0)
-        with pytest.raises(PerfModelError):
-            iteration_time_from_mflups(1e6, -1.0)
-        with pytest.raises(PerfModelError):
-            speedup(0.0, 1.0)
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(PerfModelError):
+                mflups(bad, 1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(PerfModelError):
+                mflups(1e6, bad)
 
 
 class TestSchedules:

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core import PerfModelError
 from repro.hardware import CRUSHER, POLARIS, SUMMIT
+from repro.analysis.sweep import sensitivity_sweep
 from repro.perfmodel import (
     Sensitivity,
     dominant_resource,
     sensitivity_analysis,
-    sensitivity_sweep,
 )
 
 
@@ -57,8 +57,12 @@ class TestSensitivity:
         assert c.interconnect_bandwidth < p.interconnect_bandwidth
 
     def test_sweep_weak_scaling(self):
-        sweep = sensitivity_sweep(SUMMIT, 2e6, [2, 16, 128])
+        sweep = [
+            s for s in sensitivity_sweep((2, 16, 128), 2e6)
+            if s.machine == SUMMIT.name
+        ]
         assert [s.n_gpus for s in sweep] == [2, 16, 128]
+        assert [s.total_fluid for s in sweep] == [4e6, 32e6, 256e6]
         # weak scaling: fixed work per GPU, comm share still grows with
         # the face count w until it saturates
         assert (
@@ -80,3 +84,6 @@ class TestSensitivity:
             sensitivity_analysis(SUMMIT, 0, 4)
         with pytest.raises(PerfModelError):
             sensitivity_analysis(SUMMIT, 1e6, 0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(PerfModelError):
+                sensitivity_analysis(SUMMIT, bad, 4)
