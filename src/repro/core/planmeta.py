@@ -130,11 +130,15 @@ def expand_runs(
     heads = np.asarray(heads, dtype=np.int64).reshape(-1, 2)
     lens = np.asarray(lens, dtype=np.int64)
     first = np.cumsum(lens) - lens  # link position of each run head
-    within = np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(first, lens)
-    return (
-        np.repeat(heads[:, 0], lens) + within,
-        np.repeat(heads[:, 1], lens) + within,
-    )
+    pos = np.arange(int(lens.sum()), dtype=np.int64)
+    # link k of run r is head + (k - first[r]): offset each head once,
+    # then one in-place add per stream
+    dst = np.repeat(heads[:, 0] - first, lens)
+    dst += pos
+    src = np.repeat(heads[:, 1] - first, lens)
+    src += pos
+    return dst, src
+
 
 def kernel_abi_issues(
     flat_src: np.ndarray, update_ids: np.ndarray, run_table=None

@@ -77,6 +77,8 @@ def load_checkpoint(solver, path: PathLike) -> None:
     and grid flags and periodicity (checked by hash when the file holds
     one; older files carry none); the decomposition may differ.
     """
+    if isinstance(solver, DistributedSolver):
+        solver._require_open("it cannot load a checkpoint")
     path = pathlib.Path(path)
     if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
         path = path.with_suffix(path.suffix + ".npz")

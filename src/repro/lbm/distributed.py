@@ -326,6 +326,11 @@ class DistributedSolver:
             from ..lint.plancheck import verify_rank_plans
 
             verify_rank_plans(plans, overlap=self._overlap, context=context)
+        if config.backend != "numpy":
+            # verified: the compiled stream reads the run table alone, so
+            # the dense gather table goes (flat_src re-expands on demand)
+            for plan in plans:
+                plan.step_plan.release_links()
         kernels = [
             make_kernels(config, self.lattice, self.collision, model)
             for model in models or [None] * partition.num_ranks
@@ -444,16 +449,12 @@ class DistributedSolver:
             for model in self.models:
                 model.device.reset_ledger()
 
-        # preallocated observables (gather_f / mass are allocation-free)
         self._owned_total = sum(plan.num_owned for plan in plans)
         # gather traffic of one streaming pass across all ranks, for the
         # per-step() counter bump (the overlapped interior phase applies
         # the full plan, so the figure is schedule-independent)
         self._gather_bytes_per_step = sum(
             int(plan.step_plan.bytes_per_apply) for plan in plans
-        )
-        self._gather_out = np.empty(
-            (lattice.q, self._owned_total), dtype=np.float64
         )
         self._mass_contribs = np.empty(num_ranks, dtype=np.float64)
 
@@ -566,13 +567,20 @@ class DistributedSolver:
 
         Idempotent.  Required for the process tier (worker processes and
         ``/dev/shm`` segments are freed here, though atexit hooks cover
-        abandoned solvers); a no-op for lockstep.  The solver cannot
-        step again after closing."""
+        abandoned solvers); a no-op for lockstep.  After closing, the
+        solver cannot step, and ``gather_f`` / ``mass`` / ``velocity``
+        (so checkpoints too) raise :class:`RuntimeSimError`."""
         self._closed = True
         if self._procmode and self.executor is not None:
             self.executor.close()
         if self._shm is not None:
             self._shm.close()
+
+    def _require_open(self, what: str) -> None:
+        # after close() a process-tier f points into unmapped segments:
+        # reading it would crash the interpreter, not raise
+        if self._closed:
+            raise RuntimeSimError(f"solver is closed; {what}")
 
     def __enter__(self) -> "DistributedSolver":
         return self
@@ -593,8 +601,7 @@ class DistributedSolver:
         """
         if num_steps < 0:
             raise ConfigError("num_steps must be non-negative")
-        if self._closed:
-            raise RuntimeSimError("solver is closed; it cannot step again")
+        self._require_open("it cannot step again")
         san = self._san
         bodies = [getattr(self, phase.body) for phase in self._schedule]
         names = [phase.span for phase in self._schedule]
@@ -660,16 +667,18 @@ class DistributedSolver:
     def gather_f(self) -> np.ndarray:
         """Assemble the global (q, n) distribution array from all ranks.
 
-        Returns a preallocated internal buffer (no per-call allocation);
-        it is valid until the next ``gather_f`` call on this solver —
-        copy it if a snapshot must outlive the next call.
+        Returns a fresh array on every call, owned by the caller: a
+        result taken before :meth:`step` keeps its values after it, and
+        the solver holds no third copy of ``f`` between calls.
         """
-        out = self._gather_out
+        self._require_open("its distributions are released")
+        out = np.empty((self.lattice.q, self._owned_total))
         for st in self.ranks:
             out[:, st.plan.owned_global] = st.f[:, : st.num_owned]
         return out
 
     def mass(self) -> float:
+        self._require_open("its distributions are released")
         contribs = self._mass_contribs
         for i, st in enumerate(self.ranks):
             contribs[i] = st.f[:, : st.num_owned].sum()

@@ -11,6 +11,12 @@ transport, no solver configuration.
 sanitizer and the ``*.stepplan.json`` codec (:meth:`RankPlan.to_dict` /
 :meth:`RankPlan.from_dict`) read the same value.
 
+On a compiled backend the solver releases each plan's dense gather table
+once the pre-flights have verified its run table, so a RankPlan keeps
+only the compiled table: ``step_plan.flat_src`` (and with it
+:meth:`RankPlan.to_dict`) re-expands the run table on demand
+(:meth:`~repro.lbm.stream.StepPlan.release_links`).
+
 Local numbering of a rank: owned nodes (ascending global id) first, then
 ghosts (ascending global id) — the remote upstream neighbours of the
 owned nodes.

@@ -26,7 +26,7 @@ from ..core.kernels import (
     stream_pull_kernel,
 )
 from ..core.lattice import Lattice
-from ..core.planmeta import flat_destinations
+from ..core.planmeta import expand_runs, flat_destinations
 from ..core.planmeta import kernel_tables as planmeta_kernel_tables
 from ..geometry.voxel import VoxelGrid
 
@@ -44,7 +44,6 @@ class QPlan:
     bounce: np.ndarray  # nodes whose upstream voxel is solid
 
 
-@dataclass(eq=False)
 class StepPlan:
     """Fused streaming + bounce-back over all populations, as tables.
 
@@ -65,15 +64,46 @@ class StepPlan:
     constructor stores its tables as given — the ``*.stepplan.json``
     codec loads a document that way so the verifier, not a coercion,
     judges it.
+
+    A compiled stream reads only the run table (:meth:`kernel_tables`),
+    so a distributed solver on a compiled backend calls
+    :meth:`release_links` once the pre-flights have verified it: the
+    dense ``(q, n_upd)`` int64 table is dropped, and ``flat_src`` is
+    re-expanded from the run table on every read, uncached — the same
+    table bit for bit, since runs are emitted in link order.
     """
 
-    q: int
-    num_local: int  # width of the local ``f`` (owned + ghost nodes)
-    update_ids: np.ndarray
-    flat_src: np.ndarray
-    #: The cached :meth:`kernel_tables`, or None before a compiled engine
-    #: asked for them — what the K406/K407 pre-flight verifies.
-    run_table: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    def __init__(
+        self,
+        q: int,
+        num_local: int,
+        update_ids: np.ndarray,
+        flat_src: np.ndarray,
+        run_table: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> None:
+        self.q = q
+        self.num_local = num_local  # width of the local ``f`` (owned + ghost)
+        self.update_ids = update_ids
+        self._flat_src: Optional[np.ndarray] = flat_src
+        #: The cached :meth:`kernel_tables`, or None before a compiled
+        #: engine asked for them — what the K406/K407 pre-flight verifies.
+        self.run_table = run_table
+
+    @property
+    def flat_src(self) -> np.ndarray:
+        """The ``(q, n_upd)`` gather table: held, or re-expanded from the
+        run table after :meth:`release_links`."""
+        if self._flat_src is not None:
+            return self._flat_src
+        heads, lens = self.kernel_tables()
+        return expand_runs(heads, lens)[1].reshape(self.q, self.num_update)
+
+    def release_links(self) -> None:
+        """Keep the run table alone: build it if needed, then drop the
+        dense gather table (``q * n_upd * 8`` bytes) no compiled step
+        reads."""
+        self.kernel_tables()
+        self._flat_src = None
 
     @classmethod
     def from_links(
@@ -117,11 +147,10 @@ class StepPlan:
             raise GeometryError(
                 f"num_owned {num_owned} outside [0, {self.num_local}]"
             )
-        src_node = self.flat_src % self.num_local
-        mask = src_node >= num_owned
-        qi, col = np.nonzero(mask)
+        flat_src = self.flat_src
+        qi, col = np.nonzero(flat_src % self.num_local >= num_owned)
         dst_flat = qi * self.num_local + self.update_ids[col]
-        src_flat = self.flat_src[qi, col]
+        src_flat = flat_src[qi, col]
         return dst_flat.astype(np.int64), src_flat.astype(np.int64)
 
     @property
@@ -161,17 +190,15 @@ class StepPlan:
         Only the update prefix is written; in the distributed case ghost
         columns of ``f_dst`` are left untouched (refilled by exchange).
         """
-        n_upd = self.num_update
+        n_upd, flat_src = self.num_update, self.flat_src
         if f_dst.shape[1] == n_upd:
-            fused_stream_kernel(f_src, f_dst, self.flat_src)
+            fused_stream_kernel(f_src, f_dst, flat_src)
         else:
             # ghost columns pad the rows: np.take bounces a strided out=
             # through a full-size temporary (allocate, copy in, gather,
             # copy back), so gather each contiguous row on its own
             for qi in range(self.q):
-                fused_stream_kernel(
-                    f_src, f_dst[qi, :n_upd], self.flat_src[qi]
-                )
+                fused_stream_kernel(f_src, f_dst[qi, :n_upd], flat_src[qi])
 
 
 def upstream_ids(

@@ -263,6 +263,14 @@ def _needed_sources(
     return need, messages
 
 
+def _is_link_table(plan: StepPlan) -> bool:
+    # one read: a released plan re-expands flat_src on each access
+    table = plan.flat_src
+    return table.shape == (plan.q, plan.num_update) and bool(
+        np.issubdtype(table.dtype, np.integer)
+    )
+
+
 def check_exchange(
     plans: Sequence[RankPlan], overlap: bool = False
 ) -> List[PlanIssue]:
@@ -304,9 +312,7 @@ def check_exchange(
 
     for st in plans:
         plan = st.step_plan
-        if plan.flat_src.shape != (plan.q, plan.num_update) or not (
-            np.issubdtype(plan.flat_src.dtype, np.integer)
-        ):
+        if not _is_link_table(plan):
             continue  # K402 reports the table; it defines no link set
         label = f"rank {st.rank}"
         peers = sorted(st.recv_flat)

@@ -13,20 +13,29 @@ from repro.decomp import (
     quadrant_decompose,
 )
 from repro.geometry import CylinderSpec, make_aorta, make_cylinder
-from repro.lbm import DistributedSolver, Solver, SolverConfig
+from repro.lbm import (
+    DistributedSolver,
+    Solver,
+    SolverConfig,
+    load_checkpoint,
+    load_fields,
+    save_checkpoint,
+    save_fields,
+)
 from repro.lbm.distributed import BARRIER_SCHEDULE, OVERLAP_SCHEDULE
+from repro.lbm.moments import density, velocity
+from repro.models.compiled import compiled_available
 from repro.runtime import RingTransport, SimComm, fork_available
 from repro.runtime.shmem import leaked_segments
 
-EXECUTORS = [
-    "lockstep",
-    pytest.param(
-        "process",
-        marks=pytest.mark.skipif(
-            not fork_available(), reason="needs the POSIX fork start method"
-        ),
-    ),
-]
+needs_fork = pytest.mark.skipif(
+    not fork_available(), reason="needs the POSIX fork start method"
+)
+compiled_only = pytest.mark.skipif(
+    not compiled_available(), reason="no host C compiler available"
+)
+
+EXECUTORS = ["lockstep", pytest.param("process", marks=needs_fork)]
 
 
 @pytest.fixture(scope="module")
@@ -288,3 +297,89 @@ class TestStepContract:
         assert solver.time == 2
         solver.close()  # idempotent
         assert leaked_segments(os.getpid()) == before
+
+    @pytest.mark.parametrize(
+        "executor, backend",
+        [
+            pytest.param("lockstep", "numpy", id="lockstep-numpy"),
+            pytest.param("process", "numpy", id="process-numpy", marks=needs_fork),
+            pytest.param(
+                "process", "compiled-serial", id="process-compiled-serial",
+                marks=[needs_fork, compiled_only],
+            ),
+        ],
+    )
+    def test_observables_after_close_raise(
+        self, cylinder, executor, backend, tmp_path, hard_time_bound
+    ):
+        # a closed process-tier f points into unmapped segments: reading
+        # it must raise, not crash the interpreter (SIGSEGV)
+        before = leaked_segments(os.getpid())
+        cfg = SolverConfig(**CYL_CONFIG, executor=executor, backend=backend)
+        solver = DistributedSolver(axis_decompose(cylinder, 2), cfg)
+        solver.step(2)
+        saved = save_checkpoint(solver, tmp_path / "open")
+        solver.close()
+        reads = [
+            solver.gather_f,
+            solver.mass,
+            solver.velocity,
+            lambda: save_checkpoint(solver, tmp_path / "closed"),
+            lambda: load_checkpoint(solver, saved),
+            lambda: save_fields(solver, tmp_path / "fields"),
+        ]
+        for read in reads:
+            with pytest.raises(RuntimeSimError, match="solver is closed"):
+                read()
+        assert leaked_segments(os.getpid()) == before
+
+
+GATHER_ROWS = [
+    pytest.param({}, id="numpy-barrier"),
+    pytest.param(
+        {"backend": "compiled-serial", "overlap": True},
+        id="compiled-serial-overlap",
+        marks=compiled_only,
+    ),
+]
+
+
+@pytest.mark.parametrize("kw", GATHER_ROWS)
+class TestGatherContract:
+    """``gather_f`` returns a fresh array the caller owns; every
+    observable built on it is bit-for-bit the gathered state."""
+
+    def test_each_call_is_a_fresh_snapshot(self, cylinder, kw):
+        cfg = SolverConfig(**CYL_CONFIG, **kw)
+        solver = DistributedSolver(axis_decompose(cylinder, 2), cfg)
+        solver.step(2)
+        first, second = solver.gather_f(), solver.gather_f()
+        assert first is not second and not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+        kept = first.copy()
+        solver.step(3)
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(solver.gather_f(), kept)
+
+    def test_observables_are_the_gathered_state(self, cylinder, kw, tmp_path):
+        partition = axis_decompose(cylinder, 2)
+        cfg = SolverConfig(**CYL_CONFIG, **kw)
+        solver = DistributedSolver(partition, cfg)
+        solver.step(3)
+        f, u = solver.gather_f(), solver.velocity()
+        assert np.array_equal(
+            u, velocity(solver.lattice, f, solver.collision.force)
+        )
+        fields = load_fields(save_fields(solver, tmp_path / "fields"))
+        at = tuple(solver.coords.T)
+        assert np.array_equal(fields["velocity"][at], u.astype(np.float32))
+        assert np.array_equal(
+            fields["density"][at], density(f).astype(np.float32)
+        )
+        restored = DistributedSolver(partition, cfg)
+        load_checkpoint(restored, save_checkpoint(solver, tmp_path / "ckpt"))
+        assert np.array_equal(restored.gather_f(), f)
+        assert np.array_equal(restored.velocity(), u)
+        solver.step(2)
+        restored.step(2)
+        assert np.array_equal(restored.gather_f(), solver.gather_f())

@@ -10,14 +10,22 @@ import pytest
 from repro.core.errors import ModelError, PlanCheckError, RuntimeSimError
 from repro.decomp import bisection_decompose
 from repro.geometry import CylinderSpec, make_cylinder
-from repro.lbm import DistributedSolver, SolverConfig
+from repro.harvey import HarveyApp, HarveyConfig
+from repro.lbm import DistributedSolver, SolverConfig, build_rank_plans
 from repro.models import create_model
+from repro.models.compiled import compiled_available
 from repro.runtime import fork_available
 from repro.runtime.shmem import leaked_segments
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="needs the POSIX fork start method"
 )
+compiled_only = pytest.mark.skipif(
+    not compiled_available(), reason="no host C compiler available"
+)
+
+#: ROADMAP item 5: resident bytes per fluid node on a compiled backend
+MAX_COMPILED_BYTES_PER_NODE = 350
 
 
 @pytest.fixture(scope="module")
@@ -32,23 +40,24 @@ def config(**kw):
     )
 
 
-def int64_bytes_reachable(root):
-    """Bytes of every distinct int64 array reachable from ``root``
-    through attributes, slots and containers."""
+def bytes_reachable(root, dtype=None):
+    """Bytes of every distinct array buffer reachable from ``root``
+    through attributes, slots and containers (``dtype`` buffers only,
+    when given)."""
     seen, stack, total = set(), [root], 0
     while stack:
         obj = stack.pop()
-        if id(obj) in seen:
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, float)):
             continue
         seen.add(id(obj))
         if isinstance(obj, np.ndarray):
             if obj.base is not None:
                 stack.append(obj.base)
-            elif obj.dtype == np.int64:
+            elif dtype is None or obj.dtype == dtype:
                 total += obj.nbytes
         elif isinstance(obj, dict):
             stack.extend(obj.values())
-        elif isinstance(obj, (list, tuple)):
+        elif isinstance(obj, (list, tuple, set, frozenset)):
             stack.extend(obj)
         else:
             stack.extend(getattr(obj, "__dict__", {}).values())
@@ -67,9 +76,58 @@ def test_rank_state_holds_one_copy_of_the_link_table(partition):
         plan = st.plan.step_plan
         run_table = sum(t.nbytes for t in plan.run_table or ())
         assert (
-            int64_bytes_reachable(st)
+            bytes_reachable(st, np.int64)
             <= 1.25 * plan.flat_src.nbytes + run_table
         )
+
+
+@compiled_only
+def test_compiled_rank_state_holds_the_run_table_alone(partition):
+    # the compiled stream reads the run table only: once verified, the
+    # dense (q, n_upd) gather table is gone and flat_src re-expands
+    solver = DistributedSolver(partition, config(backend="compiled-serial"))
+    for st in solver.ranks:
+        plan, step_plan = st.plan, st.plan.step_plan
+        tables = [
+            *step_plan.run_table,
+            step_plan.update_ids,
+            plan.owned_global,
+            plan.ghost_global,
+            plan.inlet_nodes,
+            plan.outlet_nodes,
+            *plan.send_flat.values(),
+            *plan.recv_flat.values(),
+        ]
+        lattice = st.kernels.lattice  # its constant c / opposite tables
+        constants = lattice.c.nbytes + lattice.opposite.nbytes
+        held = bytes_reachable(st, np.int64)
+        assert held <= sum(t.nbytes for t in tables) + constants
+        assert held < step_plan.flat_src.nbytes  # no q x n table
+        # the re-expansion is the table the plan was built with
+        want = build_rank_plans(
+            partition.grid, partition, solver.lattice,
+            solver.config.periodic, True,
+        )[plan.rank].step_plan.flat_src
+        got = step_plan.flat_src
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
+@compiled_only
+def test_compiled_app_holds_the_storage_price():
+    # two copies of f, the run table and the id columns: the compiled
+    # app's resident arrays stay within ROADMAP item 5's bound (the
+    # paper's simulator prices a site at two f copies plus an index list)
+    app = HarveyApp(
+        HarveyConfig(workload="cylinder", resolution=2.0, num_ranks=1,
+                     backend="compiled")
+    )
+    try:
+        app.solver.step(1)
+        per_node = bytes_reachable(app) / app.solver.num_nodes
+        assert per_node <= MAX_COMPILED_BYTES_PER_NODE
+    finally:
+        app.close()
 
 
 @pytest.mark.parametrize(

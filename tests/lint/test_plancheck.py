@@ -38,6 +38,7 @@ from repro.lint.plancheck import (
     check_phase_order,
     check_plan_table,
 )
+from repro.models.compiled import compiled_available
 from repro.workloads import workload_table
 
 CYL_CONFIG = dict(
@@ -131,6 +132,35 @@ class TestPlanTable:
         ids[2] = ids[3]
         with pytest.raises(PlanCheckError, match=r"\[K401\]"):
             verify_plan(StepPlan(2, 4, ids, src))
+
+
+@pytest.mark.skipif(
+    not compiled_available(), reason="no host C compiler available"
+)
+@pytest.mark.parametrize("overlap", [False, True], ids=["barrier", "overlap"])
+def test_live_compiled_rank_states_lint_clean(grid, overlap, tmp_path):
+    # a compiled solver keeps the run table alone; every plan reader
+    # (pre-flight, checker, document export) sees the re-expanded
+    # flat_src, equal to a fresh build of the same partition
+    partition = axis_decompose(grid, 2)
+    config = SolverConfig(
+        **CYL_CONFIG, overlap=overlap, backend="compiled-serial"
+    )
+    solver = DistributedSolver(partition, config)
+    verify_rank_plans(solver.ranks, overlap=overlap)
+    assert check_rank_states(solver.ranks, overlap=overlap) == []
+    doc = rank_states_to_dict(solver.ranks, overlap=overlap)
+    path = tmp_path / "live.stepplan.json"
+    path.write_text(json.dumps(doc))
+    assert check_plan_file(path) == []
+    fresh = build_rank_plans(
+        grid, partition, D3Q19, config.periodic, overlap
+    )
+    for rank, plan in zip(doc["ranks"], fresh):
+        assert "run_table" in rank
+        assert np.array_equal(
+            np.asarray(rank["flat_src"]), plan.step_plan.flat_src
+        )
 
 
 class TestRunTable:
