@@ -25,10 +25,14 @@ __all__ = [
     "out_of_range",
     "flat_destinations",
     "KERNEL_RUN_CAP",
+    "TILE",
     "kernel_tables",
+    "tile_table",
+    "tile_sources",
     "expand_runs",
     "kernel_abi_issues",
     "run_table_issues",
+    "tile_table_issues",
 ]
 
 #: Longest run :func:`kernel_tables` emits, in elements (16 KiB of
@@ -36,6 +40,17 @@ __all__ = [
 #: enough that the ``n_upd``-element rest-population run splits into
 #: pieces an OpenMP static schedule can balance.
 KERNEL_RUN_CAP = 2048
+
+#: Runs (or pieces) per slice of the chunked table passes below: their
+#: temporaries stay a few hundred KiB, so a pass over a 450 k-node plan
+#: leaves no plan-sized slack resident on the heap.
+CHUNK = 1 << 15
+
+#: Source nodes per stage of the one-pass collide + stream kernel (the
+#: compiled library's ``TILE``): the stage is ``q * TILE`` doubles, small
+#: enough to stay in L1/L2 between the collide and the copy-out.  Fixed
+#: by the sweep in EXPERIMENTS.md, "One pass at the byte price".
+TILE = 256
 
 
 def duplicate_values(table: np.ndarray) -> np.ndarray:
@@ -46,7 +61,9 @@ def duplicate_values(table: np.ndarray) -> np.ndarray:
     race whose outcome depends on gather order.
     """
     flat = np.asarray(table).reshape(-1)
-    if flat.size == 0:
+    # a strictly increasing table (every update set the solvers build)
+    # has no repeat: one linear pass instead of the sort
+    if flat.size == 0 or (np.diff(flat) > 0).all():
         return np.empty(0, dtype=np.int64)
     values, counts = np.unique(flat, return_counts=True)
     return values[counts > 1].astype(np.int64)
@@ -61,6 +78,8 @@ def out_of_range(table: np.ndarray, size: int) -> np.ndarray:
     exactly why the bound is verified statically.
     """
     flat = np.asarray(table).reshape(-1)
+    if flat.size == 0 or (flat.min() >= 0 and flat.max() < int(size)):
+        return np.empty(0, dtype=np.int64)
     bad = flat[(flat < 0) | (flat >= int(size))]
     return np.unique(bad).astype(np.int64)
 
@@ -123,6 +142,103 @@ def kernel_tables(
     return np.concatenate(heads), np.concatenate(lens)
 
 
+def _run_tiles(heads, lens, num_local, lo, hi):
+    """``(pop, node, end, first, count)`` of runs ``[lo, hi)``: source
+    population, first and one-past-last source node, first tile, and the
+    number of tiles (pieces) the run spans."""
+    pop, node = np.divmod(heads[lo:hi, 1], num_local)
+    end = node + lens[lo:hi]
+    if end.max(initial=0) > num_local:
+        raise ValueError(
+            "a run crosses a population boundary of the source; a "
+            "ghost-free prefix plan has none"
+        )
+    first = node // TILE
+    return pop, node, end, first, (end - 1) // TILE - first + 1
+
+
+def tile_table(
+    heads: np.ndarray, lens: np.ndarray, num_local: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one-pass kernel's ``(tile_ptr, heads, lens)`` tile table.
+
+    Cut from the link-order run table of a ghost-free prefix plan
+    (:func:`kernel_tables`): every run is split where its source node
+    crosses a multiple of :data:`TILE`, so each piece reads one stage
+    tile ``t`` — source nodes ``[t * TILE, (t + 1) * TILE)`` of one
+    population.  The pieces are grouped by tile, in link order within
+    one: tile ``t``'s are ``tile_ptr[t]`` to ``tile_ptr[t + 1]``, and
+    ``tile_ptr`` has ``ceil(num_local / TILE) + 1`` entries.  ``heads``
+    holds ``[dst0, off0]``: ``dst0`` the flat destination, as in a run
+    table, and ``off0 = population * TILE + node - t * TILE`` the
+    piece's first slot in the ``q x TILE`` stage.  All int64 and
+    C-contiguous (the K406 ABI); K407 verifies the table re-merges into
+    the link set.
+
+    A counting sort over :data:`CHUNK`-run slices: one pass counts each
+    tile's pieces, a second files every slice's pieces at their tile's
+    cursor (a stable sort of the slice on a 16-bit key, a radix sort).
+    No temporary is larger than a slice, so the build leaves no
+    plan-sized slack on the heap behind the table it returns.
+    """
+    heads = np.asarray(heads, dtype=np.int64).reshape(-1, 2)
+    lens = np.asarray(lens, dtype=np.int64)
+    num_local = int(num_local)
+    n_tiles = -(-num_local // TILE)
+    n_runs = lens.size
+    key = np.uint16 if n_tiles <= 1 << 16 else np.uint32
+    # pass 1: a run covers tiles first .. first + count - 1, one piece each
+    cover = np.zeros(n_tiles + 1, dtype=np.int64)
+    for lo in range(0, n_runs, CHUNK):
+        *_, first, count = _run_tiles(heads, lens, num_local, lo, lo + CHUNK)
+        cover += np.bincount(first, minlength=n_tiles + 1)
+        cover -= np.bincount(first + count, minlength=n_tiles + 1)
+    tile_ptr = np.zeros(n_tiles + 1, dtype=np.int64)
+    np.cumsum(np.cumsum(cover[:n_tiles]), out=tile_ptr[1:])
+    out = np.empty((int(tile_ptr[-1]), 2), dtype=np.int64)
+    out_lens = np.empty(out.shape[0], dtype=np.int64)
+    cursor = tile_ptr[:-1].copy()
+    # pass 2: each slice's pieces, filed at their tiles' cursors
+    for lo in range(0, n_runs, CHUNK):
+        pop, node, end, first, count = _run_tiles(
+            heads, lens, num_local, lo, lo + CHUNK
+        )
+        # tile of each piece: its run's first tile plus its rank in it
+        tile = np.repeat(first - (np.cumsum(count) - count), count)
+        tile += np.arange(tile.size, dtype=np.int64)
+        order = np.argsort(tile.astype(key), kind="stable")
+        tile = tile[order]
+        per_tile = np.bincount(tile, minlength=n_tiles)
+        at = np.arange(tile.size, dtype=np.int64)
+        at += cursor[tile] - (np.cumsum(per_tile) - per_tile)[tile]
+        cursor += per_tile
+        base = tile * TILE  # the tile's first node
+        start = np.maximum(np.repeat(node, count)[order], base)
+        stop = np.minimum(np.repeat(end, count)[order], base + TILE)
+        out_lens[at] = stop - start
+        dst = heads[lo : lo + CHUNK, 0] - node
+        out[at, 0] = np.repeat(dst, count)[order] + start
+        out[at, 1] = np.repeat(pop * TILE, count)[order] + start - base
+    return tile_ptr, out, out_lens
+
+
+def _piece_slots(tile_ptr, heads, pieces):
+    """Tile, source population and stage slot of the pieces ``pieces``
+    (indices) of a tile table."""
+    tile = np.searchsorted(tile_ptr, pieces, side="right") - 1
+    pop, slot = np.divmod(np.asarray(heads)[pieces, 1], TILE)
+    return tile, pop, slot
+
+
+def tile_sources(
+    tile_ptr: np.ndarray, heads: np.ndarray, num_local: int, pieces: np.ndarray
+) -> np.ndarray:
+    """The flat source in ``f`` of the pieces ``pieces`` (indices) of a
+    tile table: each stage offset moved back to its tile's nodes."""
+    tile, pop, slot = _piece_slots(tile_ptr, heads, pieces)
+    return pop * int(num_local) + tile * TILE + slot
+
+
 def expand_runs(
     heads: np.ndarray, lens: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -141,7 +257,8 @@ def expand_runs(
 
 
 def kernel_abi_issues(
-    flat_src: np.ndarray, update_ids: np.ndarray, run_table=None
+    flat_src: np.ndarray, update_ids: np.ndarray, run_table=None,
+    tile_ptr=None,
 ):
     """Violations of the compiled-kernel table ABI, as message strings.
 
@@ -150,7 +267,9 @@ def kernel_abi_issues(
     rejects non-integer dtypes) and C-contiguous — the fused step
     addresses ``flat_src[qi * n_upd + node]``, the stream kernel
     ``heads[2 * r]`` / ``heads[2 * r + 1]`` / ``lens[r]`` of the
-    ``(heads, lens)`` ``run_table`` when the plan carries one.  Shared by
+    ``(heads, lens)`` ``run_table`` when the plan carries one, and the
+    one-pass kernel the same pair of a tile table plus its 1-D
+    ``tile_ptr``.  Shared by
     :func:`repro.lint.plancheck.check_plan_table` (K406).
     """
     issues = []
@@ -189,7 +308,27 @@ def kernel_abi_issues(
                 f"run table shapes heads {heads.shape} / lens "
                 f"{lens.shape} are not (n_runs, 2) / (n_runs,)"
             )
+    if tile_ptr is not None:
+        ptr = np.asarray(tile_ptr)
+        if ptr.dtype != np.int64 or not ptr.flags["C_CONTIGUOUS"]:
+            issues.append(
+                f"tile_ptr ({ptr.dtype}) is not a C-contiguous int64 "
+                "array; the one-pass kernel walks it through a raw pointer"
+            )
+        if ptr.ndim != 1:
+            issues.append(f"tile_ptr shape {ptr.shape} is not (n_tiles + 1,)")
     return issues
+
+
+def _first_true(n: int, mask_of) -> int:
+    """The first index in ``[0, n)`` where ``mask_of(lo, hi)`` — a bool
+    array over ``[lo, hi)`` — holds, or -1; evaluated a :data:`CHUNK`
+    at a time, and no further than the first chunk that holds."""
+    for lo in range(0, n, CHUNK):
+        mask = mask_of(lo, min(lo + CHUNK, n))
+        if mask.any():
+            return lo + int(np.argmax(mask))
+    return -1
 
 
 def run_table_issues(
@@ -209,7 +348,9 @@ def run_table_issues(
     run.  Also rejected: a run longer than :data:`KERNEL_RUN_CAP` and a
     run reaching past the end of the flattened ``f``.  Returns at most
     one message, naming the first offending run; assumes the tables
-    already pass :func:`kernel_abi_issues`.
+    already pass :func:`kernel_abi_issues`.  Each property is checked a
+    :data:`CHUNK` of runs at a time: the one run-sized temporary is the
+    runs' link positions.
     """
     heads = np.asarray(heads)
     lens = np.asarray(lens)
@@ -217,47 +358,66 @@ def run_table_issues(
     ids = np.asarray(update_ids)
     q, n_upd = table.shape
     n_links = q * n_upd
+    n_runs = lens.size
     size = q * int(num_local)
 
-    def run(mask: np.ndarray) -> str:
-        r = int(np.argmax(mask))
+    def run(r: int) -> str:
         return (
             f"run {r} [dst0={int(heads[r, 0])}, src0={int(heads[r, 1])}, "
             f"len={int(lens[r])}]"
         )
 
-    bad = (lens < 1) | (lens > KERNEL_RUN_CAP)
-    if bad.any():
-        return [f"{run(bad)} has a length outside [1, {KERNEL_RUN_CAP}]"]
-    bad = ((heads < 0) | (heads + lens[:, None] > size)).any(axis=1)
-    if bad.any():
+    r = _first_true(
+        n_runs,
+        lambda lo, hi: (lens[lo:hi] < 1) | (lens[lo:hi] > KERNEL_RUN_CAP),
+    )
+    if r >= 0:
+        return [f"{run(r)} has a length outside [1, {KERNEL_RUN_CAP}]"]
+
+    def out_of_f(lo: int, hi: int) -> np.ndarray:
+        h = heads[lo:hi]
+        reach = np.maximum(h[:, 0], h[:, 1]) + lens[lo:hi]
+        return (h.min(axis=1) < 0) | (reach > size)
+
+    r = _first_true(n_runs, out_of_f)
+    if r >= 0:
         return [
-            f"{run(bad)} crosses the end of f (q * num_local = {size}); "
+            f"{run(r)} crosses the end of f (q * num_local = {size}); "
             "the kernel would copy out of bounds"
         ]
     if n_links == 0:
         if lens.size == 0:
             return []
-        return [f"{run(lens > 0)} copies links an empty plan does not have"]
+        return [f"{run(0)} copies links an empty plan does not have"]
     first = np.cumsum(lens) - lens  # link position of each run head
-    col = first % n_upd
-    past = (first >= n_links) | (col + lens > n_upd)
     flat = table.reshape(-1)
-    at = np.minimum(first, n_links - 1)
-    want_dst = at // n_upd * int(num_local) + ids[at % n_upd]
-    bad = past | (heads[:, 0] != want_dst) | (heads[:, 1] != flat[at])
-    if bad.any():
-        r = int(np.argmax(bad))
-        if past[r]:
+
+    def wiring(lo: int, hi: int):
+        """Past a row end, and the ``[dst, src]`` the plan wires at the
+        heads of runs ``[lo, hi)``."""
+        at = first[lo:hi]
+        past = (at >= n_links) | (at % n_upd + lens[lo:hi] > n_upd)
+        at = np.minimum(at, n_links - 1)
+        row, col = np.divmod(at, n_upd)
+        return past, row * int(num_local) + ids[col], flat[at]
+
+    def misplaced(lo: int, hi: int) -> np.ndarray:
+        past, dst, src = wiring(lo, hi)
+        return past | (heads[lo:hi, 0] != dst) | (heads[lo:hi, 1] != src)
+
+    r = _first_true(n_runs, misplaced)
+    if r >= 0:
+        past, dst, src = (int(x[0]) for x in wiring(r, r + 1))
+        if past:
             return [
-                f"{run(bad)} at link {int(first[r])} runs past the end of "
+                f"{run(r)} at link {int(first[r])} runs past the end of "
                 f"its table row ({n_upd} links per population, {n_links} "
                 "in all); the runs overlap the link set"
             ]
         return [
-            f"{run(bad)} sits at link {int(at[r])}, which the plan wires "
-            f"as [dst={int(want_dst[r])}, src={int(flat[at[r]])}]; a gap "
-            "or overlap precedes it"
+            f"{run(r)} sits at link {min(int(first[r]), n_links - 1)}, "
+            f"which the plan wires as [dst={dst}, src={src}]; a gap or "
+            "overlap precedes it"
         ]
     covered = int(lens.sum())
     if covered != n_links:
@@ -265,20 +425,124 @@ def run_table_issues(
             f"runs cover {covered} of the plan's {n_links} links; a gap "
             f"follows the last run ({lens.size - 1})"
         ]
-    # inside a run both streams advance by one per link: count the
-    # source breaks that are not run heads, and the update-id breaks
-    # between each run's first and last column
-    src_break = np.diff(flat) != 1
-    src_break[first[1:] - 1] = False
-    id_breaks = np.concatenate(([0], np.cumsum(np.diff(ids) != 1)))
-    bad = id_breaks[col + lens - 1] != id_breaks[col]
-    if src_break.any():
+    # inside a run both streams advance by one per link: every source
+    # break is a run head (counted, and located only when the counts
+    # disagree), and no update-id break falls inside a run
+    head_breaks = 0
+    for lo in range(1, n_runs, CHUNK):
+        at = first[lo : lo + CHUNK]
+        head_breaks += int(np.count_nonzero(flat[at] - flat[at - 1] != 1))
+    bad_run = -1
+    if _source_breaks(flat) != head_breaks:
+        src_break = np.diff(flat) != 1
+        src_break[first[1:] - 1] = False
         k = int(np.argmax(src_break)) + 1
-        bad[np.searchsorted(first, k, side="right") - 1] = True
-    if bad.any():
+        bad_run = int(np.searchsorted(first, k, side="right")) - 1
+    id_break = np.diff(ids) != 1
+    if id_break.any():
+        id_breaks = np.concatenate(([0], np.cumsum(id_break)))
+
+        def across(lo: int, hi: int) -> np.ndarray:
+            col = first[lo:hi] % n_upd
+            return id_breaks[col + lens[lo:hi] - 1] != id_breaks[col]
+
+        r = _first_true(n_runs, across)
+        if r >= 0 and (bad_run < 0 or r < bad_run):
+            bad_run = r
+    if bad_run >= 0:
         return [
-            f"{run(bad)} copies consecutive elements across links the "
+            f"{run(bad_run)} copies consecutive elements across links the "
             "plan does not wire consecutively; expanding it differs from "
             "the link set"
         ]
     return []
+
+
+def _source_breaks(flat: np.ndarray) -> int:
+    """How many ``k`` have ``flat[k + 1] - flat[k] != 1``, counted a
+    :data:`CHUNK` at a time (no link-sized temporary)."""
+    n = flat.size - 1
+    step = np.empty(min(CHUNK, max(n, 0)), dtype=flat.dtype)
+    count = 0
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        d = step[: hi - lo]
+        np.subtract(flat[lo + 1 : hi + 1], flat[lo:hi], out=d)
+        count += hi - lo - int(np.count_nonzero(d == 1))
+    return count
+
+
+def tile_table_issues(
+    tile_ptr: np.ndarray,
+    heads: np.ndarray,
+    lens: np.ndarray,
+    flat_src: np.ndarray,
+    update_ids: np.ndarray,
+    num_local: int,
+):
+    """Why a tile table is not the one-pass form of the plan (K407).
+
+    Two properties, because the kernel indexes the stage through a raw
+    pointer: every piece filed under tile ``t`` reads only inside tile
+    ``t``'s stage (population ``< q``, slots ``[0, width)`` of the
+    tile's ``width <= TILE`` nodes), and the pieces, moved back to their
+    flat sources and merged in destination order, are a run table
+    :func:`run_table_issues` accepts — exactly the link set, whatever
+    order the tiles file them in.  ``tile_ptr`` must be the
+    ``ceil(num_local / TILE) + 1`` non-decreasing offsets from 0 to the
+    piece count.  Returns at most one message; assumes the tables pass
+    :func:`kernel_abi_issues`.
+    """
+    tile_ptr = np.asarray(tile_ptr)
+    heads = np.asarray(heads)
+    lens = np.asarray(lens)
+    q = np.asarray(flat_src).shape[0]
+    num_local = int(num_local)
+    n_tiles = -(-num_local // TILE)
+    if (
+        tile_ptr.size != n_tiles + 1
+        or tile_ptr[0] != 0
+        or tile_ptr[-1] != lens.size
+        or (np.diff(tile_ptr) < 0).any()
+    ):
+        return [
+            f"tile_ptr is not the {n_tiles + 1} non-decreasing offsets "
+            f"from 0 to the {lens.size} runs of a {num_local}-node plan "
+            f"({n_tiles} tiles of {TILE})"
+        ]
+
+    def reach(lo: int, hi: int):
+        """Tile, population, slot and tile width of pieces ``[lo, hi)``."""
+        tile, pop, slot = _piece_slots(tile_ptr, heads, np.arange(lo, hi))
+        return tile, pop, slot, np.minimum(TILE, num_local - tile * TILE)
+
+    def outside(lo: int, hi: int) -> np.ndarray:
+        _, pop, slot, width = reach(lo, hi)
+        n = lens[lo:hi]
+        return (n < 1) | (pop < 0) | (pop >= q) | (slot + n > width)
+
+    r = _first_true(lens.size, outside)
+    if r >= 0:
+        tile, _, _, width = (int(x[0]) for x in reach(r, r + 1))
+        return [
+            f"run {r} [dst0={int(heads[r, 0])}, off0={int(heads[r, 1])}, "
+            f"len={int(lens[r])}] filed under tile {tile} reads outside "
+            f"that tile's stage ({q} populations x {width} nodes); the "
+            "kernel would copy another tile's or uncollided data"
+        ]
+    order = np.argsort(heads[:, 0], kind="stable")
+    merged = np.empty(heads.shape, dtype=np.int64)
+    for lo in range(0, lens.size, CHUNK):
+        pieces = order[lo : lo + CHUNK]
+        merged[lo : lo + CHUNK, 0] = heads[pieces, 0]
+        merged[lo : lo + CHUNK, 1] = tile_sources(
+            tile_ptr, heads, num_local, pieces
+        )
+    merged_lens = lens[order]
+    del order
+    return [
+        f"tile table merged in destination order: {message}"
+        for message in run_table_issues(
+            merged, merged_lens, flat_src, update_ids, num_local
+        )
+    ]

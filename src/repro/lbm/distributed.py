@@ -7,9 +7,10 @@ layer, gather table, exchange pair); this module verifies them,
 transport — and runs them.  An iteration is a fixed sequence of
 phases **declared as data** — :class:`Phase` records (span, body method,
 rank buffers read and written, whether it ends in the double-buffer swap)
-in :data:`BARRIER_SCHEDULE` / :data:`OVERLAP_SCHEDULE` — and executed by
-the one loop behind :meth:`DistributedSolver.step`.  The bulk-synchronous
-barrier schedule:
+in :data:`BARRIER_SCHEDULE` / :data:`OVERLAP_SCHEDULE` /
+:data:`ONE_PASS_SCHEDULE`, picked by :func:`schedule_for` — and executed
+by the one loop behind :meth:`DistributedSolver.step`.  The
+bulk-synchronous barrier schedule:
 
 1. collide on owned nodes;
 2. post the halo exchange — every rank packs and sends the post-collision
@@ -27,6 +28,13 @@ phase-order walk (:func:`repro.lint.plancheck.check_phase_order`)
 checks it, both executors run it through their one ``run_step``
 contract, and :meth:`DistributedSolver.phase_bytes_per_step` is keyed by
 its span names.
+
+A one-rank partition has no ghost columns and nothing to exchange, so
+nothing runs between collide and stream: it declares one phase doing
+both, then the boundary phase (under either ``overlap`` setting).  A
+compiled provider runs that phase as the one-pass kernel over the plan's
+tile table; ranks that exchange keep the pair, because the exchange post
+reads the collided ``f``.
 
 Overlapped pipeline
 -------------------
@@ -124,6 +132,8 @@ __all__ = [
     "Phase",
     "BARRIER_SCHEDULE",
     "OVERLAP_SCHEDULE",
+    "ONE_PASS_SCHEDULE",
+    "schedule_for",
     "RankState",
     "DistributedSolver",
 ]
@@ -186,6 +196,23 @@ OVERLAP_SCHEDULE: Tuple[Phase, ...] = (
     _BOUNDARY,
 )
 
+#: A one-rank partition exchanges nothing, so nothing runs between
+#: collide and stream: one phase does both and swaps (a compiled
+#: provider runs the one-pass kernel), under the ``stream`` span.
+ONE_PASS_SCHEDULE: Tuple[Phase, ...] = (
+    Phase("stream", "_phase_collide_stream", ("f",), ("f_tmp",), True),
+    _BOUNDARY,
+)
+
+
+def schedule_for(num_ranks: int, overlap: bool) -> Tuple[Phase, ...]:
+    """The declared schedule of a ``num_ranks`` partition: the one pass
+    for one rank (under either ``overlap`` setting), else the overlapped
+    or barrier exchange.  The solver and the K405 walk both ask here."""
+    if num_ranks == 1:
+        return ONE_PASS_SCHEDULE
+    return OVERLAP_SCHEDULE if overlap else BARRIER_SCHEDULE
+
 
 def _overlap_window(schedule: Sequence[Phase]) -> Optional[Tuple[int, int]]:
     """Indices of the first and last phase of the overlap window.
@@ -193,13 +220,23 @@ def _overlap_window(schedule: Sequence[Phase]) -> Optional[Tuple[int, int]]:
     The window runs from the exchange post through its completion when
     the declaration schedules compute between them — the phases during
     which communication is hidden; None when the two exchange halves are
-    adjacent.
+    adjacent or the schedule exchanges nothing.
     """
     halves = [i for i, p in enumerate(schedule) if p.span == "exchange"]
+    if not halves:
+        return None
     first, last = halves[0], halves[-1]
     if last - first + 1 == len(halves):
         return None
     return first, last
+
+
+def _table_bytes(table: Any) -> int:
+    """Bytes of one stream table a provider launches over: an index
+    array, or a :class:`~repro.lbm.stream.StepPlan`'s gather table."""
+    if isinstance(table, np.ndarray):
+        return int(table.nbytes)
+    return 8 * table.q * table.num_update
 
 
 @dataclass
@@ -274,7 +311,8 @@ class DistributedSolver:
         self.time = 0
         self.fluid_updates = 0
         self._overlap = bool(config.overlap)
-        self._schedule = OVERLAP_SCHEDULE if self._overlap else BARRIER_SCHEDULE
+        self._schedule = schedule_for(partition.num_ranks, self._overlap)
+        self._one_pass = self._schedule is ONE_PASS_SCHEDULE
         self._window = _overlap_window(self._schedule)
         self._procmode = config.executor == "process"
         self._closed = False
@@ -303,10 +341,14 @@ class DistributedSolver:
                 "grid has inlet nodes but no inlet_velocity configured"
             )
         if config.backend != "numpy":
-            # the compiled stream launches over the run table: build it
-            # now so K406/K407 verify it with the rest of the plan
+            # the compiled step launches over the one-pass tile table or
+            # the stream's run table: build it now so K406/K407 verify it
+            # with the rest of the plan
             for plan in plans:
-                plan.step_plan.kernel_tables()
+                if self._one_pass:
+                    plan.step_plan.tile_tables()
+                else:
+                    plan.step_plan.kernel_tables()
         context = f"partition over {partition.num_ranks} rank(s)"
         if validate_schedule:
             # pre-flight: statically verify the halo-exchange plan the
@@ -327,8 +369,8 @@ class DistributedSolver:
 
             verify_rank_plans(plans, overlap=self._overlap, context=context)
         if config.backend != "numpy":
-            # verified: the compiled stream reads the run table alone, so
-            # the dense gather table goes (flat_src re-expands on demand)
+            # verified: the compiled step reads its table alone, so the
+            # dense gather table goes (flat_src re-expands on demand)
             for plan in plans:
                 plan.step_plan.release_links()
         kernels = [
@@ -501,6 +543,12 @@ class DistributedSolver:
                 st.f.reshape(-1)[st.plan.recv_flat[src]] = buf
                 if san is not None:
                     san.on_unpack(st, src)
+
+    def _phase_collide_stream(self, rank: int) -> None:
+        # one rank: no ghost columns, no exchange post reading collided f
+        st = self.ranks[rank]
+        st.kernels.collide_stream(st.f, st.f_tmp, st.num_owned, *st.tables)
+        st.f, st.f_tmp = st.f_tmp, st.f
 
     def _phase_stream(self, rank: int) -> None:
         st = self.ranks[rank]
@@ -701,6 +749,9 @@ class DistributedSolver:
         * ``stream`` / ``interior`` is one fused gather over the full
           plan (the overlapped interior phase applies the whole plan,
           frontier columns provisionally);
+        * under the one-rank schedule, ``stream`` is collide and stream
+          in one sweep: Eq. 1's price, ``lattice.bytes_per_update()``
+          per owned node, plus the bytes of the tables it reads;
         * ``exchange`` moves the halo payload twice (pack at the sender,
           unpack/scatter at the receiver);
         * ``frontier`` re-scatters the packed payload onto the link
@@ -708,10 +759,16 @@ class DistributedSolver:
           no byte model.
         """
         halo = self._halo_step_bytes
+        sweep = self.lattice.bytes_per_update() * self._owned_total
+        stream = self._gather_bytes_per_step
+        if self._one_pass:
+            stream = sweep + sum(
+                _table_bytes(t) for st in self.ranks for t in st.tables
+            )
         model = {
-            "collide": self.lattice.bytes_per_update() * self._owned_total,
+            "collide": sweep,
             "exchange": 2 * halo,
-            "stream": self._gather_bytes_per_step,
+            "stream": stream,
             "interior": self._gather_bytes_per_step,
             "frontier": 2 * halo,
             "boundary": 0,

@@ -12,9 +12,10 @@ sanitizer and the ``*.stepplan.json`` codec (:meth:`RankPlan.to_dict` /
 :meth:`RankPlan.from_dict`) read the same value.
 
 On a compiled backend the solver releases each plan's dense gather table
-once the pre-flights have verified its run table, so a RankPlan keeps
-only the compiled table: ``step_plan.flat_src`` (and with it
-:meth:`RankPlan.to_dict`) re-expands the run table on demand
+once the pre-flights have verified its compiled table (the run table,
+or a one-rank plan's one-pass tile table), so a RankPlan keeps only
+that table: ``step_plan.flat_src`` (and with it
+:meth:`RankPlan.to_dict`) re-expands it on demand
 (:meth:`~repro.lbm.stream.StepPlan.release_links`).
 
 Local numbering of a rank: owned nodes (ascending global id) first, then
@@ -87,6 +88,13 @@ class RankPlan:
         if plan.run_table is not None:
             heads, lens = plan.run_table
             doc["run_table"] = {"heads": heads.tolist(), "lens": lens.tolist()}
+        if plan.tile_table is not None:
+            tile_ptr, heads, lens = plan.tile_table
+            doc["tile_table"] = {
+                "tile_ptr": tile_ptr.tolist(),
+                "heads": heads.tolist(),
+                "lens": lens.tolist(),
+            }
         for name in (
             "owned_global", "ghost_global", "inlet_nodes", "outlet_nodes"
         ):
@@ -115,6 +123,13 @@ class RankPlan:
                 _int_table(run_table["heads"]).reshape(-1, 2),
                 _int_table(run_table["lens"]).reshape(-1),
             )
+        tile_table = doc.get("tile_table")
+        if tile_table is not None:
+            tile_table = (
+                _int_table(tile_table["tile_ptr"]).reshape(-1),
+                _int_table(tile_table["heads"]).reshape(-1, 2),
+                _int_table(tile_table["lens"]).reshape(-1),
+            )
         return cls(
             rank=int(doc.get("rank", 0)),
             owned_global=_int_table(
@@ -127,6 +142,7 @@ class RankPlan:
                 _int_table(doc["update_ids"]),
                 np.asarray(doc["flat_src"]),
                 run_table,
+                tile_table,
             ),
             inlet_nodes=_int_table(doc.get("inlet_nodes", ())),
             outlet_nodes=_int_table(doc.get("outlet_nodes", ())),

@@ -99,8 +99,10 @@ class NumpyKernels:
 
     Every provider has this surface — ``tables(plan)`` once, then
     ``collide(f, n_nodes)`` on the column prefix ``[0, n_nodes)``,
-    ``stream(f_src, f_dst, *tables)`` and ``outlet(f, nodes, rho0)``
-    every step — so the solvers never ask which one they hold."""
+    ``stream(f_src, f_dst, *tables)``, ``collide_stream(f, f_dst,
+    n_nodes, *tables)`` (the two as one step, where nothing runs between
+    them) and ``outlet(f, nodes, rho0)`` every step — so the solvers
+    never ask which one they hold."""
 
     def __init__(self, lattice: Lattice, collision) -> None:
         self.lattice = lattice
@@ -115,6 +117,14 @@ class NumpyKernels:
 
     def stream(self, f_src: np.ndarray, f_dst: np.ndarray, plan: StepPlan) -> None:
         plan.apply(f_src, f_dst)
+
+    def collide_stream(
+        self, f: np.ndarray, f_dst: np.ndarray, n_nodes: int, *tables
+    ) -> None:
+        """The reference one-pass step: :meth:`collide`, then
+        :meth:`stream` (each provider's own, so a model launches both)."""
+        self.collide(f, n_nodes)
+        self.stream(f, f_dst, *tables)
 
     def outlet(self, f: np.ndarray, nodes: np.ndarray, rho0: float) -> None:
         outlet_equilibrium(self.lattice, f, nodes, rho0)
@@ -301,8 +311,13 @@ class Solver:
         self._f_tmp = np.empty_like(self.f)
         self.step_plan: StepPlan = self.connectivity.step_plan()
         self._sanitize = bool(config.sanitize)
-        if self._sanitize:
-            # pre-flight the plan IR (K401/K402) before the first apply
+        if config.backend != "numpy":
+            # nothing runs between collide and stream: the compiled tier
+            # launches the one-pass kernel over the plan's tile table
+            self.step_plan.tile_tables()
+        if self._sanitize or config.backend != "numpy":
+            # pre-flight the plan IR (K401/K402, and K406/K407 for the
+            # tile table the kernel indexes through raw pointers)
             from ..lint.plancheck import verify_plan
 
             verify_plan(self.step_plan, context="single-domain plan")
@@ -351,17 +366,22 @@ class Solver:
     def step(self, num_steps: int = 1) -> None:
         """Advance ``num_steps`` iterations of collide-stream-boundary.
 
-        A provider runs collide then stream through its kernels; the pair
-        beats the one-pass ``fused_step`` on CPU hosts from 16 k nodes up
-        (EXPERIMENTS.md), so closed-boundary grids take the same loop as
-        open ones."""
+        Nothing runs between collide and stream, so each iteration is
+        one ``collide_stream`` call: the compiled tier's one-pass kernel
+        (each tile of source nodes collided into a cache-resident stage,
+        its runs copied straight into the double buffer — one sweep of
+        ``f``, Eq. 1's byte price), collide then stream on the NumPy and
+        model providers.  On a CPU host the one pass takes 0.74-0.89 of
+        the pair's time from 16 k to 451 k nodes, serial and on two
+        threads (EXPERIMENTS.md, "One pass at the byte price"); the
+        destination-driven ``fused_step``, which gathers through a
+        per-link index stream, is slower than either."""
         if num_steps < 0:
             raise ConfigError("num_steps must be non-negative")
         kern, tables = self._kernels, self._tables
         n = self.num_nodes
         for _ in range(num_steps):
-            kern.collide(self.f, n)
-            kern.stream(self.f, self._f_tmp, *tables)
+            kern.collide_stream(self.f, self._f_tmp, n, *tables)
             self.f, self._f_tmp = self._f_tmp, self.f
             self.time += 1
             if self.inlet is not None:

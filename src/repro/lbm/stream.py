@@ -26,7 +26,12 @@ from ..core.kernels import (
     stream_pull_kernel,
 )
 from ..core.lattice import Lattice
-from ..core.planmeta import expand_runs, flat_destinations
+from ..core.planmeta import (
+    expand_runs,
+    flat_destinations,
+    tile_sources,
+    tile_table,
+)
 from ..core.planmeta import kernel_tables as planmeta_kernel_tables
 from ..geometry.voxel import VoxelGrid
 
@@ -65,12 +70,14 @@ class StepPlan:
     codec loads a document that way so the verifier, not a coercion,
     judges it.
 
-    A compiled stream reads only the run table (:meth:`kernel_tables`),
-    so a distributed solver on a compiled backend calls
-    :meth:`release_links` once the pre-flights have verified it: the
-    dense ``(q, n_upd)`` int64 table is dropped, and ``flat_src`` is
-    re-expanded from the run table on every read, uncached — the same
-    table bit for bit, since runs are emitted in link order.
+    A compiled step reads one table the plan carries: the link-order run
+    table of a collide + stream pair (:meth:`kernel_tables`), or, where
+    nothing runs between collide and stream, the tile table of the
+    one-pass kernel (:meth:`tile_tables`) in its place.  A distributed
+    solver on a compiled backend calls :meth:`release_links` once the
+    pre-flights have verified that table: the dense ``(q, n_upd)`` int64
+    table is dropped, and ``flat_src`` is re-expanded from the compiled
+    table on every read, uncached — the same table bit for bit.
     """
 
     def __init__(
@@ -80,6 +87,7 @@ class StepPlan:
         update_ids: np.ndarray,
         flat_src: np.ndarray,
         run_table: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        tile_table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
     ) -> None:
         self.q = q
         self.num_local = num_local  # width of the local ``f`` (owned + ghost)
@@ -88,21 +96,36 @@ class StepPlan:
         #: The cached :meth:`kernel_tables`, or None before a compiled
         #: engine asked for them — what the K406/K407 pre-flight verifies.
         self.run_table = run_table
+        #: The cached :meth:`tile_tables` of a one-pass plan (then
+        #: ``run_table`` is None) — verified by the same pre-flight.
+        self.tile_table = tile_table
 
     @property
     def flat_src(self) -> np.ndarray:
         """The ``(q, n_upd)`` gather table: held, or re-expanded from the
-        run table after :meth:`release_links`."""
+        compiled table after :meth:`release_links`."""
         if self._flat_src is not None:
             return self._flat_src
-        heads, lens = self.kernel_tables()
-        return expand_runs(heads, lens)[1].reshape(self.q, self.num_update)
+        if self.tile_table is None:
+            heads, lens = self.kernel_tables()
+            return expand_runs(heads, lens)[1].reshape(
+                self.q, self.num_update
+            )
+        # pieces are filed by tile: scatter on destination, which is the
+        # link position on the ghost-free prefix plan a tile table needs
+        tile_ptr, heads, lens = self.tile_table
+        src0 = tile_sources(tile_ptr, heads, self.num_local, np.arange(lens.size))
+        dst, src = expand_runs(np.stack([heads[:, 0], src0], axis=1), lens)
+        flat = np.empty(self.q * self.num_update, dtype=np.int64)
+        flat[dst] = src
+        return flat.reshape(self.q, self.num_update)
 
     def release_links(self) -> None:
-        """Keep the run table alone: build it if needed, then drop the
-        dense gather table (``q * n_upd * 8`` bytes) no compiled step
-        reads."""
-        self.kernel_tables()
+        """Keep the compiled table alone: the tile table of a one-pass
+        plan, else the run table (built if needed); then drop the dense
+        gather table (``q * n_upd * 8`` bytes) no compiled step reads."""
+        if self.tile_table is None:
+            self.kernel_tables()
         self._flat_src = None
 
     @classmethod
@@ -176,13 +199,42 @@ class StepPlan:
         indices, ``lens`` int64 ``(n_runs,)``; computed once and cached —
         what the compiled backend's stream kernel launches over (K406
         ABI, K407 equivalence to the link tables; see
-        :func:`repro.core.planmeta.kernel_tables`).
+        :func:`repro.core.planmeta.kernel_tables`) — except on a one-pass
+        plan, whose tile table stands in its place: there it is derived
+        on every call and not kept.
         """
-        if self.run_table is None:
-            self.run_table = planmeta_kernel_tables(
-                self.flat_src, self.update_ids, self.num_local
-            )
-        return self.run_table
+        if self.run_table is not None:
+            return self.run_table
+        table = planmeta_kernel_tables(
+            self.flat_src, self.update_ids, self.num_local
+        )
+        if self.tile_table is None:
+            self.run_table = table
+        return table
+
+    def tile_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The plan as one-pass kernel IR: its ``(tile_ptr, heads, lens)``
+        tile table (:func:`repro.core.planmeta.tile_table`), computed
+        once and cached *in place of* the run table, which
+        :meth:`kernel_tables` then derives uncached.
+
+        Only a ghost-free prefix plan has one: the one-pass kernel
+        collides every local column, so every source must be an updated
+        node.
+        """
+        if self.tile_table is None:
+            if self.num_local != self.num_update or not np.array_equal(
+                self.update_ids, np.arange(self.num_update)
+            ):
+                raise GeometryError(
+                    "a one-pass tile table needs a ghost-free prefix plan "
+                    f"({self.num_update} update ids over {self.num_local} "
+                    "local nodes)"
+                )
+            heads, lens = self.kernel_tables()
+            self.run_table = None
+            self.tile_table = tile_table(heads, lens, self.num_local)
+        return self.tile_table
 
     def apply(self, f_src: np.ndarray, f_dst: np.ndarray) -> None:
         """Stream + bounce all populations from ``f_src`` into ``f_dst``.

@@ -20,18 +20,21 @@ K404    under either schedule, a receive slot is not fed the
         slot, the receive slots miss what streaming reads, or a peer
         is mis-wired (unknown, one-sided, or of another length)
 K405    the declared phase order of the active schedule
-        (``lbm.distributed.BARRIER_SCHEDULE`` / ``OVERLAP_SCHEDULE``)
+        (``lbm.distributed.schedule_for``: ``BARRIER_SCHEDULE`` /
+        ``OVERLAP_SCHEDULE``, ``ONE_PASS_SCHEDULE`` for one rank)
         reads a buffer no earlier phase wrote, or writes ``f_tmp``
         after the double-buffer swap
 K406    an index table violates the compiled-kernel ABI: the flat
-        gather table, update ids and the ``(heads, lens)`` run table
-        must be int64, the tables C-contiguous and ``heads`` shaped
-        ``(n_runs, 2)`` (the compiled tier indexes them through raw
-        pointers)
+        gather table, update ids, the ``(heads, lens)`` run table and
+        a tile table's ``tile_ptr`` must be int64, the tables
+        C-contiguous and ``heads`` shaped ``(n_runs, 2)`` (the compiled
+        tier indexes them through raw pointers)
 K407    the run table the compiled stream kernel launches over does
         not expand to exactly the plan's link set — a gap, an overlap,
         a run crossing the end of ``f`` or longer than the cap (the
-        kernel would copy other data than ``StepPlan.apply`` gathers)
+        kernel would copy other data than ``StepPlan.apply`` gathers);
+        or a one-pass tile table files a run under a tile whose stage
+        it reads outside of, or does not re-merge into the link set
 ======  ==============================================================
 
 (The id after K402 is retired: it verified interior/frontier sub-plans
@@ -61,8 +64,9 @@ from ..core.planmeta import (
     kernel_abi_issues,
     out_of_range,
     run_table_issues,
+    tile_table_issues,
 )
-from ..lbm.distributed import BARRIER_SCHEDULE, OVERLAP_SCHEDULE, Phase
+from ..lbm.distributed import Phase, schedule_for
 from ..lbm.rankplan import RankPlan, plans_of
 from ..lbm.stream import StepPlan
 from .engine import Violation
@@ -117,6 +121,7 @@ def check_plan_table(
     flat_src: np.ndarray,
     label: str = "plan",
     run_table=None,
+    tile_table=None,
 ) -> List[PlanIssue]:
     """Verify one flat gather table in isolation.
 
@@ -128,7 +133,9 @@ def check_plan_table(
       C-contiguous (K406);
     * ``run_table``, the ``(heads, lens)`` pair a compiled engine asked
       the plan for (None when no engine did), expands to exactly the
-      table's link set (K407).
+      table's link set; a one-pass plan's ``(tile_ptr, heads, lens)``
+      ``tile_table`` reads each run inside its tile's stage and
+      re-merges into the link set (K407).
     """
     issues: List[PlanIssue] = []
     update_ids = np.asarray(update_ids)
@@ -182,15 +189,19 @@ def check_plan_table(
                 "np.take(mode='clip') would silently clamp them",
             )
         )
-    abi = kernel_abi_issues(flat_src, update_ids, run_table)
+    tile_ptr = None
+    if tile_table is not None:
+        tile_ptr, *run_table = tile_table
+    abi = kernel_abi_issues(flat_src, update_ids, run_table, tile_ptr)
     issues += [PlanIssue("kernel-abi", f"{label}: {m}") for m in abi]
     if run_table is not None and not abi:
-        issues += [
-            PlanIssue("run-table", f"{label}: {m}")
-            for m in run_table_issues(
-                *run_table, flat_src, update_ids, num_local
+        if tile_ptr is None:
+            found = run_table_issues(*run_table, flat_src, update_ids, num_local)
+        else:
+            found = tile_table_issues(
+                tile_ptr, *run_table, flat_src, update_ids, num_local
             )
-        ]
+        issues += [PlanIssue("run-table", f"{label}: {m}") for m in found]
     return issues
 
 
@@ -202,6 +213,7 @@ def _step_plan_issues(plan: StepPlan, label: str) -> List[PlanIssue]:
         plan.flat_src,
         label=label,
         run_table=plan.run_table,
+        tile_table=plan.tile_table,
     )
 
 
@@ -417,9 +429,7 @@ def check_rank_states(
     for st in plans:
         issues += _step_plan_issues(st.step_plan, f"rank {st.rank}")
     issues += check_exchange(plans, overlap)
-    issues += check_phase_order(
-        OVERLAP_SCHEDULE if overlap else BARRIER_SCHEDULE
-    )
+    issues += check_phase_order(schedule_for(len(plans), overlap))
     return issues
 
 
@@ -475,7 +485,8 @@ def check_plan_file(path: Union[str, Path]) -> List[Violation]:
                     "send_flat": {"1": [...]}, "recv_flat": {"1": [...]}}]}
 
     (``run_table`` is present when a compiled engine launched over the
-    plan; K407 checks it against ``flat_src``.)
+    plan, ``"tile_table": {"tile_ptr", "heads", "lens"}`` in its place on
+    a one-rank compiled plan; K407 checks either against ``flat_src``.)
 
     A bare single-plan document (``{"q", "num_local", "update_ids",
     "flat_src"}``) is accepted as a one-rank, non-overlap case.

@@ -30,6 +30,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ...core.errors import BackendUnavailableError
+from ...core.planmeta import TILE
 
 __all__ = [
     "QMAX",
@@ -52,6 +53,7 @@ _SOURCE_TEMPLATE = r"""
 
 #define QMAX %(qmax)d
 #define NB %(nb)d   /* node block width (SIMD-friendly inner trip) */
+#define TILE %(tile)d /* source nodes per one-pass stage (a multiple of NB) */
 
 typedef struct {
     int64_t q;
@@ -66,10 +68,10 @@ typedef struct {
     double fx, fy, fz;
 } repro_params;
 
-/* Velocity moments of a block of nb <= NB gathered nodes held in
- * fb[q][NB] (row-major, row i = population i of every node in the
- * block): density, force-shifted velocity, |u|^2 and, under a force,
- * u.F / cs^2.
+/* Velocity moments of a block of nb <= NB nodes whose population i
+ * sits at fb[i * s + j] (row stride s: NB for a gathered scratch block,
+ * num_local when read straight from f): density, force-shifted
+ * velocity, |u|^2 and, under a force, u.F / cs^2.
  *
  * The loops run population-outer / node-inner so the stride-1 inner
  * trips vectorize; per element the operation ORDER is identical to the
@@ -78,8 +80,9 @@ typedef struct {
  * the blocked layout mirrors their array expressions.  ``q`` is a
  * parameter (not read from *p) so the D3Q19 dispatchers pass a
  * compile-time constant and the per-q loops unroll. */
-static inline void block_moments(const double *fb, const int64_t q,
-                                 const int64_t nb, const repro_params *p,
+static inline void block_moments(const double *fb, const int64_t s,
+                                 const int64_t q, const int64_t nb,
+                                 const repro_params *p,
                                  const double *cf, double *rho, double *ux,
                                  double *uy, double *uz, double *usq,
                                  double *uf)
@@ -96,7 +99,7 @@ static inline void block_moments(const double *fb, const int64_t q,
     for (int64_t i = 0; i < q; i++) {
         const double c0 = cf[3 * i], c1 = cf[3 * i + 1],
                      c2 = cf[3 * i + 2];
-        const double *fi = fb + i * NB;
+        const double *fi = fb + i * s;
         for (int64_t j = 0; j < nb; j++) {
             rho[j] += fi[j];
             ux[j] += c0 * fi[j];
@@ -119,13 +122,17 @@ static inline void block_moments(const double *fb, const int64_t q,
     }
 }
 
-/* BGK: relax fb toward equilibrium in place, one population row at a
- * time, with feq computed inline and the Guo source only under a force.
+/* BGK: relax the block at fin (row stride sin) toward equilibrium into
+ * fout (row stride sout), one population row at a time, with feq
+ * computed inline and the Guo source only under a force; fout == fin
+ * with sout == sin relaxes in place.
  * The per-element expressions are the reference's, so the exact build
  * stays bit-identical to NumPy with and without a force.  The force test
  * sits outside two node loops rather than inside one: the branch-free
  * loops measured 1-5 ns/node faster on D3Q19. */
-static inline void bgk_block(double *fb, const int64_t q, const int64_t nb,
+static inline void bgk_block(const double *fin, const int64_t sin,
+                             double *fout, const int64_t sout,
+                             const int64_t q, const int64_t nb,
                              const repro_params *p, const double *cf,
                              const double *w)
 {
@@ -133,12 +140,13 @@ static inline void bgk_block(double *fb, const int64_t q, const int64_t nb,
     const double fx = p->fx, fy = p->fy, fz = p->fz;
     const int64_t force = p->has_force;
     double rho[NB], ux[NB], uy[NB], uz[NB], usq[NB], uf[NB];
-    block_moments(fb, q, nb, p, cf, rho, ux, uy, uz, usq, uf);
+    block_moments(fin, sin, q, nb, p, cf, rho, ux, uy, uz, usq, uf);
     for (int64_t i = 0; i < q; i++) {
         const double c0 = cf[3 * i], c1 = cf[3 * i + 1],
                      c2 = cf[3 * i + 2];
         const double wi = w[i];
-        double *fi = fb + i * NB;
+        const double *fi = fin + i * sin;
+        double *fo = fout + i * sout;
         if (force) {
             const double cfq = c0 * fx + c1 * fy + c2 * fz;
             for (int64_t j = 0; j < nb; j++) {
@@ -149,7 +157,7 @@ static inline void bgk_block(double *fb, const int64_t q, const int64_t nb,
                                     0.5 * ic2 * usq[j]);
                 const double src =
                     wi * (cu * ic2 * ic2 * cfq + cfq * ic2 - uf[j]);
-                fi[j] = fi[j] + omega * (feq - fi[j]) + gp * src;
+                fo[j] = fi[j] + omega * (feq - fi[j]) + gp * src;
             }
         } else {
             for (int64_t j = 0; j < nb; j++) {
@@ -158,24 +166,27 @@ static inline void bgk_block(double *fb, const int64_t q, const int64_t nb,
                                    (1.0 + ic2 * cu +
                                     0.5 * ic2 * ic2 * cu * cu -
                                     0.5 * ic2 * usq[j]);
-                fi[j] = fi[j] + omega * (feq - fi[j]);
+                fo[j] = fi[j] + omega * (feq - fi[j]);
             }
         }
     }
 }
 
 /* TRT and MRT: stage feq and the Guo source for the whole block, then
- * relax through the operator's even/odd or moment-space form. */
-static inline void trt_mrt_block(double *fb, const int64_t q,
-                                 const int64_t nb, const repro_params *p,
-                                 const double *cf, const double *w,
-                                 const int64_t *opp, const double *M,
-                                 const double *Minv, const double *S)
+ * relax through the operator's even/odd or moment-space form; strides
+ * and aliasing as bgk_block's. */
+static inline void trt_mrt_block(const double *fin, const int64_t sin,
+                                 double *fout, const int64_t sout,
+                                 const int64_t q, const int64_t nb,
+                                 const repro_params *p, const double *cf,
+                                 const double *w, const int64_t *opp,
+                                 const double *M, const double *Minv,
+                                 const double *S)
 {
     const double ic2 = p->inv_cs2;
     double rho[NB], ux[NB], uy[NB], uz[NB], usq[NB], uf[NB];
     double feq[QMAX][NB], src[QMAX][NB], out[QMAX][NB];
-    block_moments(fb, q, nb, p, cf, rho, ux, uy, uz, usq, uf);
+    block_moments(fin, sin, q, nb, p, cf, rho, ux, uy, uz, usq, uf);
     for (int64_t i = 0; i < q; i++) {
         const double c0 = cf[3 * i], c1 = cf[3 * i + 1],
                      c2 = cf[3 * i + 2];
@@ -195,7 +206,7 @@ static inline void trt_mrt_block(double *fb, const int64_t q,
     if (p->op == 1) { /* TRT */
         for (int64_t i = 0; i < q; i++) {
             const int64_t io = opp[i];
-            const double *fi = fb + i * NB, *fo = fb + io * NB;
+            const double *fi = fin + i * sin, *fo = fin + io * sin;
             for (int64_t j = 0; j < nb; j++) {
                 const double even = 0.5 * (fi[j] + fo[j]);
                 const double odd = 0.5 * (fi[j] - fo[j]);
@@ -222,7 +233,7 @@ static inline void trt_mrt_block(double *fb, const int64_t q,
             for (int64_t i = 0; i < q; i++) {
                 const double mki = M[k * q + i];
                 for (int64_t j = 0; j < nb; j++) {
-                    mval[j] += mki * fb[i * NB + j];
+                    mval[j] += mki * fin[i * sin + j];
                     meq[j] += mki * feq[i][j];
                 }
             }
@@ -244,20 +255,23 @@ static inline void trt_mrt_block(double *fb, const int64_t q,
     }
     for (int64_t i = 0; i < q; i++)
         for (int64_t j = 0; j < nb; j++)
-            fb[i * NB + j] = out[i][j];
+            fout[i * sout + j] = out[i][j];
 }
 
 /* The one collide body of every tile: BGK's own, or TRT/MRT's. */
-static inline void collide_block(double *fb, const int64_t q,
-                                 const int64_t nb, const repro_params *p,
-                                 const double *cf, const double *w,
-                                 const int64_t *opp, const double *M,
-                                 const double *Minv, const double *S)
+static inline void collide_block(const double *fin, const int64_t sin,
+                                 double *fout, const int64_t sout,
+                                 const int64_t q, const int64_t nb,
+                                 const repro_params *p, const double *cf,
+                                 const double *w, const int64_t *opp,
+                                 const double *M, const double *Minv,
+                                 const double *S)
 {
     if (p->op == 0)
-        bgk_block(fb, q, nb, p, cf, w);
+        bgk_block(fin, sin, fout, sout, q, nb, p, cf, w);
     else
-        trt_mrt_block(fb, q, nb, p, cf, w, opp, M, Minv, S);
+        trt_mrt_block(fin, sin, fout, sout, q, nb, p, cf, w, opp, M, Minv,
+                      S);
 }
 
 /* Load, collide and store the nb <= NB nodes starting at node0. */
@@ -273,7 +287,8 @@ static inline void collide_tile(double *f, const int64_t node0,
     for (int64_t i = 0; i < q; i++)
         for (int64_t j = 0; j < nb; j++)
             fb[i][j] = f[i * nl + node0 + j];
-    collide_block(&fb[0][0], q, nb, p, cf, w, opp, M, Minv, S);
+    collide_block(&fb[0][0], NB, &fb[0][0], NB, q, nb, p, cf, w, opp, M,
+                  Minv, S);
     for (int64_t i = 0; i < q; i++)
         for (int64_t j = 0; j < nb; j++)
             f[i * nl + node0 + j] = fb[i][j];
@@ -373,6 +388,77 @@ void repro_stream(const double *restrict fsrc, double *restrict fdst,
     }
 }
 
+/* One pass at the byte price: collide tile t — source nodes
+ * [t * TILE, t * TILE + width) — from f into a q x TILE stage on the
+ * stack, then copy every run filed under the tile from the stage into
+ * fdst.  Run r copies lens[r] doubles from stage + heads[2r+1] (a stage
+ * offset, population * TILE + node - t * TILE) to fdst + heads[2r];
+ * tile_ptr[t] .. tile_ptr[t + 1] are the tile's runs.  f is read once
+ * and fdst written once: the stage stays in cache between the two. */
+static inline void collide_stream_tile(const double *f, double *fdst,
+                                       const int64_t t, const int64_t n,
+                                       const int64_t *tile_ptr,
+                                       const int64_t *heads,
+                                       const int64_t *lens,
+                                       const repro_params *p, const int64_t q,
+                                       const double *cf, const double *w,
+                                       const int64_t *opp, const double *M,
+                                       const double *Minv, const double *S)
+{
+    const int64_t nl = p->num_local;
+    const int64_t node0 = t * TILE;
+    const int64_t width = n - node0 < TILE ? n - node0 : TILE;
+    double stage[QMAX * TILE];
+    int64_t j = 0;
+    for (; j + NB <= width; j += NB)
+        collide_block(f + node0 + j, nl, stage + j, TILE, q, NB, p, cf, w,
+                      opp, M, Minv, S);
+    if (j < width)
+        collide_block(f + node0 + j, nl, stage + j, TILE, q, width - j, p,
+                      cf, w, opp, M, Minv, S);
+    for (int64_t r = tile_ptr[t]; r < tile_ptr[t + 1]; r++) {
+        const double *s = stage + heads[2 * r + 1];
+        double *d = fdst + heads[2 * r];
+        const int64_t len = lens[r];
+        for (int64_t k = 0; k < len; k++)
+            d[k] = s[k];
+    }
+}
+
+static inline void collide_stream_loop(const double *f, double *fdst,
+                                       int64_t n, const int64_t *tile_ptr,
+                                       const int64_t *heads,
+                                       const int64_t *lens,
+                                       const repro_params *p, const int64_t q,
+                                       const double *cf, const double *w,
+                                       const int64_t *opp, const double *M,
+                                       const double *Minv, const double *S,
+                                       int64_t par)
+{
+    const int64_t n_tiles = (n + TILE - 1) / TILE;
+    #pragma omp parallel for schedule(static) if (par)
+    for (int64_t t = 0; t < n_tiles; t++)
+        collide_stream_tile(f, fdst, t, n, tile_ptr, heads, lens, p, q, cf,
+                            w, opp, M, Minv, S);
+}
+
+/* Collide every column of f[q, n] and stream the result into fdst over
+ * a tile table, in one sweep. */
+void repro_collide_stream(const double *f, double *fdst, int64_t n,
+                          const int64_t *tile_ptr, const int64_t *heads,
+                          const int64_t *lens, const repro_params *p,
+                          const double *cf, const double *w,
+                          const int64_t *opp, const double *M,
+                          const double *Minv, const double *S, int64_t par)
+{
+    if (p->q == 19)
+        collide_stream_loop(f, fdst, n, tile_ptr, heads, lens, p, 19, cf, w,
+                            opp, M, Minv, S, par);
+    else
+        collide_stream_loop(f, fdst, n, tile_ptr, heads, lens, p, p->q, cf,
+                            w, opp, M, Minv, S, par);
+}
+
 /* Single-pass stream + collide: gather the q populations arriving at
  * each destination block, collide in cache-resident scratch, scatter to
  * the prefix of the double buffer.  One read + one write per population
@@ -392,7 +478,8 @@ static inline void fused_step_tile(const double *fsrc, double *fdst,
         for (int64_t j = 0; j < nb; j++)
             fb[i][j] = fsrc[row[j]];
     }
-    collide_block(&fb[0][0], q, nb, p, cf, w, opp, M, Minv, S);
+    collide_block(&fb[0][0], NB, &fb[0][0], NB, q, nb, p, cf, w, opp, M,
+                  Minv, S);
     for (int64_t i = 0; i < q; i++)
         for (int64_t j = 0; j < nb; j++)
             fdst[i * nl + node0 + j] = fb[i][j];
@@ -438,7 +525,7 @@ BLOCK = 32
 
 def kernel_source() -> str:
     """The C translation unit for the kernel library."""
-    return _SOURCE_TEMPLATE % {"qmax": QMAX, "nb": BLOCK}
+    return _SOURCE_TEMPLATE % {"qmax": QMAX, "nb": BLOCK, "tile": TILE}
 
 
 class Params(ctypes.Structure):
@@ -600,6 +687,11 @@ class KernelLib:
         lib.repro_outlet.argtypes = [
             dbl, i64, ctypes.c_int64, ctypes.c_double, par, dbl, dbl,
         ]
+        lib.repro_collide_stream.restype = None
+        lib.repro_collide_stream.argtypes = [
+            dbl, dbl, ctypes.c_int64, i64, i64, i64, par, dbl, dbl, i64, dbl,
+            dbl, dbl, ctypes.c_int64,
+        ]
         lib.repro_fused_step.restype = None
         lib.repro_fused_step.argtypes = [
             dbl, dbl, i64, ctypes.c_int64, par, dbl, dbl, i64, dbl, dbl,
@@ -615,8 +707,9 @@ class KernelLib:
         return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
 
     def table_pointers(self, cf, w, opp, M, Minv, S) -> tuple:
-        """The six constant-table arguments of ``collide``/``fused_step``,
-        derived once per engine; the caller keeps the arrays alive."""
+        """The six constant-table arguments of ``collide``,
+        ``collide_stream`` and ``fused_step``, derived once per engine;
+        the caller keeps the arrays alive."""
         return (
             self._dbl(cf), self._dbl(w), self._i64(opp), self._dbl(M),
             self._dbl(Minv), self._dbl(S),
@@ -631,6 +724,16 @@ class KernelLib:
         self._lib.repro_stream(
             self._dbl(f_src), self._dbl(f_dst), self._i64(heads),
             self._i64(lens), lens.size, int(par),
+        )
+
+    def collide_stream(
+        self, f, f_dst, n_nodes, tile_table, params, tables, par: bool
+    ) -> None:
+        tile_ptr, heads, lens = tile_table
+        self._lib.repro_collide_stream(
+            self._dbl(f), self._dbl(f_dst), n_nodes, self._i64(tile_ptr),
+            self._i64(heads), self._i64(lens), ctypes.byref(params), *tables,
+            int(par),
         )
 
     def outlet(self, f, nodes, rho0: float, params, tables) -> None:

@@ -7,25 +7,35 @@ exposes the kernels the solver layer needs — the surface of every kernel
 provider (:func:`repro.lbm.solver.make_kernels`), plus ``fused_step``:
 
 ``tables(plan)``
-    The stream tables of a :class:`~repro.lbm.stream.StepPlan`: its
+    The table a :class:`~repro.lbm.stream.StepPlan` carries: the
+    one-pass tile table of a plan with nothing between collide and
+    stream (:meth:`~repro.lbm.stream.StepPlan.tile_tables`), else its
     ``(heads, lens)`` run table.
 ``collide(f, n_nodes)``
     In-place collision on the prefix ``[0, n_nodes)`` of ``f[q, n]``
-    (the single-domain solver passes every node; the distributed solver
-    passes the owned prefix).
+    (the distributed solver passes the owned prefix).
 ``stream(f_src, f_dst, heads, lens)``
     The fused streaming + bounce-back gather as run-length copies over
     the int64 ``(heads, lens)`` run table — exactly
     :meth:`repro.lbm.stream.StepPlan.kernel_tables`.
+``collide_stream(f, f_dst, n_nodes, tile_ptr, heads, lens)``
+    Both in one sweep, where nothing runs between them (the single-domain
+    solver and a one-rank partition): each tile of source nodes is
+    collided from ``f`` into a cache-resident ``q x TILE`` stage and the
+    runs whose sources lie in the tile are copied straight into
+    ``f_dst``.  ``f`` is read once and ``f_dst`` written once — the
+    paper's Eq. 1 byte price — and the exact build equals ``collide``
+    then ``stream`` bit for bit.
 ``outlet(f, nodes, rho0)``
     The pressure outlet in one call: the compiled form of
     :meth:`repro.lbm.boundary.PressureOutlet.apply`, which stays the
     NumPy reference.
 ``fused_step(f_src, f_dst, flat_src)``
-    Single-pass stream + collide into the prefix of the double buffer:
-    one read and one write per population (the paper's one-pass byte
-    accounting; on CPU hosts the per-link index stream makes it slower
-    than collide + stream — EXPERIMENTS.md — so no solver calls it).
+    Single-pass stream + collide driven by destinations: gathers each
+    destination block through the per-link ``flat_src`` index stream,
+    collides, stores.  Also one sweep of ``f``, but the index stream
+    costs more than it saves on CPU hosts (EXPERIMENTS.md), so no solver
+    calls it; the ladder times it.
 
 Kernel inputs follow the K406 ABI contract: int64, C-contiguous index
 tables; float64, C-contiguous distribution arrays.  The kernels index
@@ -41,6 +51,7 @@ from typing import Optional
 
 import numpy as np
 
+from ...core import planmeta
 from ...core.errors import ConfigError
 from ...core.lattice import Lattice
 from . import csrc
@@ -93,8 +104,8 @@ def collision_op_code(collision) -> int:
 
 
 class CompiledKernels:
-    """Compiled collide/stream/outlet/fused-step kernels for one
-    configuration."""
+    """Compiled collide/stream/collide-stream/outlet/fused-step kernels
+    for one configuration."""
 
     def __init__(
         self,
@@ -180,7 +191,11 @@ class CompiledKernels:
 
     # -- kernels ------------------------------------------------------------
     def tables(self, plan):
-        """The tables :meth:`stream` takes for ``plan``: its run table."""
+        """The table ``plan`` carries for this provider: its tile table
+        (:meth:`collide_stream`) on a one-pass plan, else its run table
+        (:meth:`stream`)."""
+        if plan.tile_table is not None:
+            return plan.tile_table
         return plan.kernel_tables()
 
     def _num_local(self, f: np.ndarray) -> int:
@@ -224,6 +239,45 @@ class CompiledKernels:
         _require_abi("lens", lens, np.int64, (np.size(lens),))
         _require_abi("heads", heads, np.int64, (lens.size, 2))
         self._clib.stream(f_src, f_dst, heads, lens, self.parallel)
+
+    def collide_stream(
+        self,
+        f: np.ndarray,
+        f_dst: np.ndarray,
+        n_nodes: int,
+        tile_ptr: np.ndarray,
+        heads: np.ndarray,
+        lens: np.ndarray,
+    ) -> None:
+        """Collide every column of ``f[q, n]`` and stream the result into
+        ``f_dst`` over a tile table, in one sweep; ``f`` is only read.
+
+        The tile table (:func:`repro.core.planmeta.tile_table`) files
+        every run under the stage tile its sources lie in; equal to
+        :meth:`collide` then :meth:`stream` over the plan's run table.
+        The pass collides every column, so ``n_nodes`` must be
+        ``f.shape[1]``: a plan with ghost columns keeps the pair.
+        """
+        num_local = self._num_local(f)
+        _require_abi("f_dst", f_dst, np.float64, f.shape)
+        if int(n_nodes) != num_local:
+            raise ConfigError(
+                f"compiled kernel ABI: the one pass collides every column; "
+                f"n_nodes {n_nodes} != f.shape[1] = {num_local}"
+            )
+        n_tiles = -(-num_local // planmeta.TILE)
+        _require_abi("tile_ptr", tile_ptr, np.int64, (n_tiles + 1,))
+        _require_abi("lens", lens, np.int64, (np.size(lens),))
+        _require_abi("heads", heads, np.int64, (lens.size, 2))
+        if tile_ptr[0] != 0 or tile_ptr[-1] != lens.size:
+            raise ConfigError(
+                f"compiled kernel ABI: tile_ptr runs from {tile_ptr[0]} to "
+                f"{tile_ptr[-1]}, not from 0 to the {lens.size} runs"
+            )
+        self._clib.collide_stream(
+            f, f_dst, num_local, (tile_ptr, heads, lens),
+            self._cparams(num_local), self._ctables, self.parallel,
+        )
 
     def outlet(self, f: np.ndarray, nodes: np.ndarray, rho0: float) -> None:
         """Reset the distinct columns ``nodes`` of ``f[q, n]`` to the

@@ -22,7 +22,13 @@ from repro.lbm import (
     save_checkpoint,
     save_fields,
 )
-from repro.lbm.distributed import BARRIER_SCHEDULE, OVERLAP_SCHEDULE
+from repro.lbm.distributed import (
+    BARRIER_SCHEDULE,
+    ONE_PASS_SCHEDULE,
+    OVERLAP_SCHEDULE,
+    _overlap_window,
+    schedule_for,
+)
 from repro.lbm.moments import density, velocity
 from repro.models.compiled import compiled_available
 from repro.runtime import RingTransport, SimComm, fork_available
@@ -206,7 +212,8 @@ class TestDeclaredSchedule:
 
     def test_schedules_name_exactly_the_phase_bodies(self):
         scheduled = {
-            phase.body for phase in BARRIER_SCHEDULE + OVERLAP_SCHEDULE
+            phase.body
+            for phase in BARRIER_SCHEDULE + OVERLAP_SCHEDULE + ONE_PASS_SCHEDULE
         }
         defined = {
             name
@@ -214,7 +221,7 @@ class TestDeclaredSchedule:
             if name.startswith("_phase_") and callable(attr)
         }
         assert scheduled == defined
-        assert len(defined) <= 7
+        assert len(defined) <= 8
 
     def test_span_order(self):
         assert [p.span for p in BARRIER_SCHEDULE] == [
@@ -224,8 +231,48 @@ class TestDeclaredSchedule:
             "collide", "exchange", "interior", "exchange", "frontier",
             "boundary",
         ]
-        for schedule in (BARRIER_SCHEDULE, OVERLAP_SCHEDULE):
+        # one rank: collide + stream is one phase under the stream span
+        assert [p.span for p in ONE_PASS_SCHEDULE] == ["stream", "boundary"]
+        for schedule in (BARRIER_SCHEDULE, OVERLAP_SCHEDULE, ONE_PASS_SCHEDULE):
             assert [p.swaps for p in schedule].count(True) == 1
+
+    def test_one_rank_selects_the_one_pass_under_either_overlap(self):
+        for overlap in (False, True):
+            assert schedule_for(1, overlap) is ONE_PASS_SCHEDULE
+            assert schedule_for(2, overlap) is (
+                OVERLAP_SCHEDULE if overlap else BARRIER_SCHEDULE
+            )
+        # no exchange phase, so no overlap window (it used to IndexError)
+        assert _overlap_window(ONE_PASS_SCHEDULE) is None
+        assert _overlap_window(BARRIER_SCHEDULE) is None
+        assert _overlap_window(OVERLAP_SCHEDULE) == (1, 3)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_one_rank_phase_bytes_are_one_sweep(self, cylinder, overlap):
+        # Eq. 1: 2 q 8 B per owned node for collide + stream together,
+        # plus the tables the pass reads
+        cfg = SolverConfig(**CYL_CONFIG, overlap=overlap)
+        solver = DistributedSolver(axis_decompose(cylinder, 1), cfg)
+        assert solver._schedule is ONE_PASS_SCHEDULE
+        plan = solver.ranks[0].plan.step_plan
+        sweep = solver.lattice.bytes_per_update() * solver.num_nodes
+        assert solver.phase_bytes_per_step() == {
+            "stream": sweep + 8 * plan.q * plan.num_update,
+            "boundary": 0,
+        }
+
+    @pytest.mark.skipif(
+        not compiled_available(), reason="no host C compiler available"
+    )
+    def test_one_rank_compiled_phase_bytes_count_the_tile_table(self, cylinder):
+        cfg = SolverConfig(**CYL_CONFIG, backend="compiled-serial")
+        solver = DistributedSolver(axis_decompose(cylinder, 1), cfg)
+        tables = solver.ranks[0].tables
+        assert tables is solver.ranks[0].plan.step_plan.tile_table
+        sweep = solver.lattice.bytes_per_update() * solver.num_nodes
+        assert solver.phase_bytes_per_step()["stream"] == sweep + sum(
+            t.nbytes for t in tables
+        )
 
     @pytest.mark.parametrize("overlap", [False, True])
     def test_phase_bytes_keyed_by_the_active_schedule(self, cylinder, overlap):

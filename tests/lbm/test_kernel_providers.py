@@ -2,13 +2,16 @@
 
 Both solvers step every tier through the provider
 :func:`repro.lbm.solver.make_kernels` returns and never ask which one
-they hold, so each provider's four methods must mean the same thing:
+they hold, so each provider's methods must mean the same thing:
 ``collide(f, n)`` touches the column prefix ``[0, n)`` only,
-``stream`` over ``tables(plan)`` is :meth:`StepPlan.apply`, and
-``outlet`` is :meth:`PressureOutlet.apply`.  A programming model's
-provider still issues one launch per collide and per stream, and none
-for the outlet.
+``stream`` over ``tables(plan)`` is :meth:`StepPlan.apply`,
+``collide_stream`` over the tables of a one-pass plan (one carrying a
+tile table) is collide then apply, and ``outlet`` is
+:meth:`PressureOutlet.apply`.  A programming model's provider still
+issues one launch per collide and per stream, and none for the outlet.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -47,7 +50,8 @@ def test_provider_contract(provider):
         fastmath=False,
     )
     grid = make_cylinder(CylinderSpec(scale=0.5, periodic=False))
-    solver = Solver(grid, config)
+    # a NumPy solver's plan carries no compiled table yet
+    solver = Solver(grid, dataclasses.replace(config, backend="numpy"))
     lattice, collision = solver.lattice, solver.collision
     plan, outlet = solver.step_plan, solver.outlet
     model = create_model(model_name) if model_name else None
@@ -78,3 +82,16 @@ def test_provider_contract(provider):
 
     if model is not None:
         assert model.launch_count - launches == 2
+
+    # the one pass: the plan now carries its tile table, which a compiled
+    # provider launches over in place of the run table
+    plan.tile_tables()
+    n = plan.num_local
+    got, want = np.zeros_like(f0), np.zeros_like(f0)
+    collided = f0.copy()
+    kern.collide_stream(f0.copy(), got, n, *kern.tables(plan))
+    reference.collide(collided, n)
+    plan.apply(collided, want)
+    assert_same(got, want, tol)
+    if model is not None:
+        assert model.launch_count - launches == 4

@@ -17,12 +17,16 @@ import pytest
 
 from repro.core.errors import PlanCheckError
 from repro.core.lattice import D3Q19
-from repro.core.planmeta import KERNEL_RUN_CAP, kernel_tables
+from repro.core.planmeta import KERNEL_RUN_CAP, TILE, kernel_tables
 from repro.decomp import axis_decompose, decompose
 from repro.geometry import CylinderSpec, make_cylinder
 from repro.geometry.registry import build_geometry
 from repro.lbm import DistributedSolver, SolverConfig, build_rank_plans
-from repro.lbm.distributed import BARRIER_SCHEDULE, OVERLAP_SCHEDULE
+from repro.lbm.distributed import (
+    BARRIER_SCHEDULE,
+    ONE_PASS_SCHEDULE,
+    OVERLAP_SCHEDULE,
+)
 from repro.lbm.stream import StepPlan
 from repro.lint import (
     LintEngine,
@@ -161,6 +165,29 @@ def test_live_compiled_rank_states_lint_clean(grid, overlap, tmp_path):
         assert np.array_equal(
             np.asarray(rank["flat_src"]), plan.step_plan.flat_src
         )
+
+
+@pytest.mark.skipif(
+    not compiled_available(), reason="no host C compiler available"
+)
+def test_live_one_rank_compiled_solver_lints_clean(grid, tmp_path):
+    # one rank runs the one pass: its plan keeps the tile table alone,
+    # and every plan reader sees flat_src re-expanded from it
+    partition = axis_decompose(grid, 1)
+    config = SolverConfig(**CYL_CONFIG, backend="compiled-serial")
+    solver = DistributedSolver(partition, config)
+    verify_rank_plans(solver.ranks)
+    assert check_rank_states(solver.ranks) == []
+    (rank,) = rank_states_to_dict(solver.ranks)["ranks"]
+    assert "tile_table" in rank and "run_table" not in rank
+    path = tmp_path / "one-rank.stepplan.json"
+    path.write_text(json.dumps(rank_states_to_dict(solver.ranks)))
+    assert check_plan_file(path) == []
+    (fresh,) = build_rank_plans(grid, partition, D3Q19, config.periodic)
+    assert np.array_equal(
+        solver.ranks[0].plan.step_plan.flat_src, fresh.step_plan.flat_src
+    )
+    assert np.array_equal(np.asarray(rank["flat_src"]), fresh.step_plan.flat_src)
 
 
 class TestRunTable:
@@ -372,6 +399,26 @@ class TestRealRankStates:
         assert [i.kind for i in issues] == ["phase-hazard"]
         assert "recv_bufs" in issues[0].message
 
+    def test_one_rank_walk_is_the_one_pass_schedule(self, grid, monkeypatch):
+        # one rank declares collide + stream as one swapping phase; the
+        # walk checks that schedule under either overlap setting, and a
+        # second copy of the phase streams into the retired buffer
+        import repro.lint.plancheck as plancheck
+
+        assert check_phase_order(ONE_PASS_SCHEDULE) == []
+        issues = check_phase_order(ONE_PASS_SCHEDULE + ONE_PASS_SCHEDULE[:1])
+        assert _rules(issues) == ["K405"]
+        assert "_phase_collide_stream" in issues[0].message
+        walked = []
+        monkeypatch.setattr(
+            plancheck, "check_phase_order",
+            lambda schedule: walked.append(schedule) or [],
+        )
+        for overlap in (False, True):
+            plans = make_plans(grid, num_ranks=1, overlap=overlap)
+            assert check_rank_states(plans, overlap) == []
+        assert walked == [ONE_PASS_SCHEDULE, ONE_PASS_SCHEDULE]
+
     def test_scatter_before_interior_stream_is_k405(self):
         # same walk, other hazard: a full-plan gather scheduled after the
         # swapping scatter streams into the retired buffer
@@ -464,44 +511,99 @@ def _short_receive(plans):
     )
 
 
+def _refile_piece(plans):
+    """File the first piece of tile 1 under tile 0: its stage offset now
+    reads tile 0's nodes."""
+    step = plans[0].step_plan
+    tile_ptr, heads, lens = step.tile_table
+    tile_ptr = tile_ptr.copy()
+    tile_ptr[1] += 1
+    step.tile_table = (tile_ptr, heads, lens)
+
+
+def _drop_piece(plans):
+    """Drop the last piece of tile 0."""
+    step = plans[0].step_plan
+    tile_ptr, heads, lens = step.tile_table
+    k = int(tile_ptr[1]) - 1
+    tile_ptr = tile_ptr.copy()
+    tile_ptr[1:] -= 1
+    step.tile_table = (
+        tile_ptr, np.delete(heads, k, axis=0), np.delete(lens, k)
+    )
+
+
+def _overrun_piece(plans):
+    """Lengthen tile 0's first piece one slot past its stage row."""
+    step = plans[0].step_plan
+    tile_ptr, heads, lens = step.tile_table
+    lens = lens.copy()
+    lens[0] = TILE - heads[0, 1] % TILE + 1
+    step.tile_table = (tile_ptr, heads, lens)
+
+
 #: Corruptions of a 2-rank exchange that no rule reported before K404
 #: checked every slot by (population, global node) under both schedules,
 #: and the sabotages the solver's S300 pre-flight catches
-#: (``tests/lint/test_commcheck.py``), which K404 reports too.
+#: (``tests/lint/test_commcheck.py``), which K404 reports too; then
+#: corruptions of a one-rank plan's one-pass tile table, which K407
+#: reports: ``name: (rule, ranks, overlap, corrupt)``.
 PROBE_CORRUPTIONS = {
-    "barrier-pack-other-owned-node": (False, lambda plans: _repack(
+    "barrier-pack-other-owned-node": ("K404", 2, False, lambda plans: _repack(
         plans, lambda pop, node, st: (pop, (node + 1) % st.num_owned)
     )),
-    "barrier-pack-sender-ghost": (False, lambda plans: _repack(
+    "barrier-pack-sender-ghost": ("K404", 2, False, lambda plans: _repack(
         plans, lambda pop, node, st: (pop, st.num_owned)
     )),
-    "barrier-pack-other-population": (False, lambda plans: _repack(
+    "barrier-pack-other-population": ("K404", 2, False, lambda plans: _repack(
         plans, lambda pop, node, st: ((pop + 1) % st.step_plan.q, node)
     )),
-    "barrier-dropped-read-slot": (False, _drop_read_slot),
-    "barrier-receive-into-owned-slot": (False, _refill_owned_slot),
-    "overlap-pack-other-owned-node": (True, lambda plans: _repack(
+    "barrier-dropped-read-slot": ("K404", 2, False, _drop_read_slot),
+    "barrier-receive-into-owned-slot": ("K404", 2, False, _refill_owned_slot),
+    "overlap-pack-other-owned-node": ("K404", 2, True, lambda plans: _repack(
         plans, lambda pop, node, st: (pop, (node + 1) % st.num_owned)
     )),
-    "barrier-dropped-receive": (False, _drop_receive),
-    "barrier-receive-one-slot-short": (False, _short_receive),
-    "overlap-receive-one-slot-short": (True, _short_receive),
+    "barrier-dropped-receive": ("K404", 2, False, _drop_receive),
+    "barrier-receive-one-slot-short": ("K404", 2, False, _short_receive),
+    "overlap-receive-one-slot-short": ("K404", 2, True, _short_receive),
+    "tile-piece-filed-under-another-tile": ("K407", 1, False, _refile_piece),
+    "tile-dropped-piece": ("K407", 1, False, _drop_piece),
+    "tile-piece-past-its-tile": ("K407", 1, True, _overrun_piece),
 }
 
 
-@pytest.mark.parametrize(
-    "overlap, corrupt",
-    list(PROBE_CORRUPTIONS.values()),
-    ids=list(PROBE_CORRUPTIONS),
-)
-def test_probe_corruption_is_k404(grid, overlap, corrupt):
+def _probes(rule):
+    return [
+        pytest.param(ranks, overlap, corrupt, id=name)
+        for name, (r, ranks, overlap, corrupt) in PROBE_CORRUPTIONS.items()
+        if r == rule
+    ]
+
+
+def _probe_rules(grid, ranks, overlap, corrupt):
+    """The rules a corruption of clean ``ranks``-rank plans trips; a
+    one-rank plan carries the one-pass tile table a compiled solver
+    builds for it."""
     lattice = SolverConfig(**CYL_CONFIG).make_lattice()
     plans = build_rank_plans(
-        grid, axis_decompose(grid, 2), lattice, CYL_CONFIG["periodic"], overlap
+        grid, axis_decompose(grid, ranks), lattice, CYL_CONFIG["periodic"],
+        overlap,
     )
+    if ranks == 1:
+        plans[0].step_plan.tile_tables()
     assert check_rank_states(plans, overlap=overlap) == []
     corrupt(plans)
-    assert _rules(check_rank_states(plans, overlap=overlap)) == ["K404"]
+    return _rules(check_rank_states(plans, overlap=overlap))
+
+
+@pytest.mark.parametrize("ranks, overlap, corrupt", _probes("K404"))
+def test_probe_corruption_is_k404(grid, ranks, overlap, corrupt):
+    assert _probe_rules(grid, ranks, overlap, corrupt) == ["K404"]
+
+
+@pytest.mark.parametrize("ranks, overlap, corrupt", _probes("K407"))
+def test_probe_corruption_is_k407(grid, ranks, overlap, corrupt):
+    assert _probe_rules(grid, ranks, overlap, corrupt) == ["K407"]
 
 
 class TestSolverPreflight:

@@ -1,6 +1,6 @@
-"""The compiled tier's kernel IR: run-length stream tables, constant-trip
-collide blocks, the one-call pressure outlet, and the provider's set-up
-cache.
+"""The compiled tier's kernel IR: run-length stream tables, the one-pass
+tile tables, constant-trip collide blocks, the one-call pressure outlet,
+and the provider's set-up cache.
 
 ``planmeta.kernel_tables`` collapses a plan's links into ``(heads,
 lens)`` runs; everything the compiled ``stream`` kernel does rests on
@@ -8,8 +8,11 @@ that table expanding back to exactly the link set, so the property is
 pinned over every kind of plan the solvers build.  ``collide`` splits
 its node loop into compile-time-width full blocks and one runtime-width
 tail, so the tail sizes around the block width are pinned per operator.
-Loading a library variant must leave the process's floating-point state
-alone.
+The one-pass ``collide_stream`` files the runs under stage tiles of
+source nodes, so its tables must read inside their tile and re-merge
+into the link set, and the kernel must equal the pair it fuses at the
+sizes around the block and tile widths.  Loading a library variant must
+leave the process's floating-point state alone.
 """
 
 import os
@@ -20,7 +23,11 @@ import numpy as np
 import pytest
 
 from repro.core import planmeta
-from repro.core.errors import BackendUnavailableError, ConfigError
+from repro.core.errors import (
+    BackendUnavailableError,
+    ConfigError,
+    GeometryError,
+)
 from repro.core.lattice import D3Q19, get_lattice
 from repro.decomp import grid_decompose
 from repro.geometry.cylinder import CylinderSpec, make_cylinder
@@ -215,6 +222,151 @@ def test_fused_step_is_stream_then_collide(collision):
     kern.collide(want)
     kern.fused_step(f, got, np.ascontiguousarray(plan.flat_src))
     assert np.array_equal(want, got)
+
+
+# -- the one pass: tile tables and collide_stream ----------------------------
+def _ring_plan(n):
+    """A ghost-free prefix plan over ``n`` nodes of a periodic ring:
+    population ``qi`` streams from ``c[qi] . (1, 3, 9)`` nodes upstream,
+    and every seventh node bounces its moving populations back."""
+    q = D3Q19.q
+    ids = np.arange(n, dtype=np.int64)
+    flat = np.empty((q, n), dtype=np.int64)
+    for qi in range(q):
+        shift = int(D3Q19.c[qi] @ np.array([1, 3, 9]))
+        flat[qi] = qi * n + (ids - shift) % max(n, 1)
+        wall = ids[(ids % 7 == 3) & (shift != 0)]
+        flat[qi, wall] = D3Q19.opposite[qi] * n + wall
+    return StepPlan(q, n, ids, flat)
+
+
+#: plan sizes around the collide block (NB) and stage tile (TILE) widths
+ONE_PASS_SIZES = {
+    "0": 0,
+    "1": 1,
+    "NB-1": csrc.BLOCK - 1,
+    "TILE-1": planmeta.TILE - 1,
+    "TILE+1": planmeta.TILE + 1,
+}
+
+
+def _one_pass_plan(size):
+    if size == "cylinder-x1":
+        grid = make_cylinder(CylinderSpec(scale=1.0, periodic=True))
+        return Solver(grid, _config("periodic")).step_plan
+    return _ring_plan(ONE_PASS_SIZES[size])
+
+
+@pytest.mark.parametrize("size", [*ONE_PASS_SIZES, "cylinder-x1"])
+def test_tile_table_reads_its_tile_and_re_merges(size):
+    plan = _one_pass_plan(size)
+    want_src = plan.flat_src.copy()
+    heads, lens = plan.kernel_tables()
+    tile_ptr, pieces, piece_lens = plan.tile_tables()
+    assert plan.run_table is None  # held in place of the run table
+    n_tiles = -(-plan.num_local // planmeta.TILE)
+    assert tile_ptr.shape == (n_tiles + 1,)
+    for arr in (tile_ptr, pieces, piece_lens):
+        assert arr.dtype == np.int64 and arr.flags.c_contiguous
+    assert piece_lens.sum() == lens.sum() == plan.q * plan.num_update
+    # each piece stays inside one population row of its tile's stage
+    slot = pieces[:, 1] % planmeta.TILE
+    assert (piece_lens >= 1).all() and (slot + piece_lens <= planmeta.TILE).all()
+    assert planmeta.tile_table_issues(
+        tile_ptr, pieces, piece_lens, want_src, plan.update_ids,
+        plan.num_local,
+    ) == []
+    # released, the plan re-expands its gather table from the tile table
+    plan.release_links()
+    assert np.array_equal(plan.flat_src, want_src)
+    assert np.array_equal(plan.kernel_tables()[1], lens)
+
+
+def test_a_plan_with_ghost_columns_has_no_tile_table():
+    plan = _plans("inlet", 2, False)[0]
+    assert plan.num_local > plan.num_update
+    with pytest.raises(GeometryError, match="ghost-free"):
+        plan.tile_tables()
+
+
+#: collision operators of the one-pass equality, name -> SolverConfig kw
+ONE_PASS_OPERATORS = {
+    "bgk": dict(collision="bgk"),
+    "bgk-force": dict(collision="bgk", force=(1e-5, 2e-6, -3e-6)),
+    "trt": dict(collision="trt"),
+    "mrt": dict(collision="mrt"),
+}
+
+
+@compiled_only
+@pytest.mark.parametrize("backend", ["compiled-serial", "compiled-parallel"])
+@pytest.mark.parametrize("size", [*ONE_PASS_SIZES, "cylinder-x1"])
+@pytest.mark.parametrize("operator", list(ONE_PASS_OPERATORS))
+def test_collide_stream_is_collide_then_stream(operator, size, backend):
+    plan = _one_pass_plan(size)
+    collision = SolverConfig(
+        tau=0.8, **ONE_PASS_OPERATORS[operator]
+    ).make_collision()
+    kern = CompiledKernels(D3Q19, collision, backend=backend, fastmath=False)
+    n = plan.num_local
+    rng = np.random.default_rng(29)
+    f = np.ascontiguousarray(
+        D3Q19.equilibrium(
+            1.0 + 0.01 * rng.random(n), 0.02 * rng.random((n, 3))
+        )
+    )
+    want, got = np.empty_like(f), np.empty_like(f)
+    collided = f.copy()
+    kern.collide(collided, n)
+    kern.stream(collided, want, *plan.kernel_tables())
+    source = f.copy()
+    kern.collide_stream(source, got, n, *plan.tile_tables())
+    assert np.array_equal(got, want)
+    assert np.array_equal(source, f)  # the one pass only reads f
+
+
+def _abi_case(case, f, tables):
+    tile_ptr, heads, lens = tables
+    if case == "f-float32":
+        return f.astype(np.float32), tables
+    if case == "f-fortran":
+        return np.asfortranarray(f), tables
+    if case == "heads-int32":
+        return f, (tile_ptr, heads.astype(np.int32), lens)
+    if case == "heads-fortran":
+        return f, (tile_ptr, np.asfortranarray(heads), lens)
+    return f, (tile_ptr[:-1].copy(), heads, lens)  # tile_ptr-short
+
+
+@compiled_only
+@pytest.mark.parametrize(
+    "case, name",
+    [
+        ("f-float32", "f"),
+        ("f-fortran", "f"),
+        ("heads-int32", "heads"),
+        ("heads-fortran", "heads"),
+        ("tile_ptr-short", "tile_ptr"),
+    ],
+)
+def test_collide_stream_rejects_off_abi_tables(case, name):
+    plan = _ring_plan(3 * planmeta.TILE + 5)
+    kern = CompiledKernels(D3Q19, _config("periodic").make_collision())
+    f = np.ones((D3Q19.q, plan.num_local))
+    f, tables = _abi_case(case, f, plan.tile_tables())
+    with pytest.raises(ConfigError, match=name):
+        kern.collide_stream(f, np.empty(f.shape), plan.num_local, *tables)
+
+
+@compiled_only
+def test_collide_stream_needs_every_column():
+    plan = _ring_plan(planmeta.TILE + 1)
+    kern = CompiledKernels(D3Q19, _config("periodic").make_collision())
+    f = np.ones((D3Q19.q, plan.num_local))
+    with pytest.raises(ConfigError, match="every column"):
+        kern.collide_stream(
+            f, np.empty_like(f), plan.num_local - 1, *plan.tile_tables()
+        )
 
 
 # -- outlet: the pressure outlet in one kernel call --------------------------
