@@ -25,6 +25,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import weakref
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -551,6 +552,11 @@ _lock = threading.Lock()
 _compiler_cache: Dict[str, Optional[Tuple[str, bool]]] = {}
 _lib_cache: Dict[Tuple[str, bool], "KernelLib"] = {}
 
+#: entries a :class:`KernelLib` pointer memo holds before it is cleared
+PTR_MEMO_CAP = 256
+_DBL = ctypes.POINTER(ctypes.c_double)
+_I64 = ctypes.POINTER(ctypes.c_int64)
+
 
 def _candidate_compilers():
     env = os.environ.get("CC")
@@ -671,8 +677,9 @@ class KernelLib:
         self._lib = lib
         self.fastmath = fastmath
         self.openmp = openmp
-        dbl = ctypes.POINTER(ctypes.c_double)
-        i64 = ctypes.POINTER(ctypes.c_int64)
+        dbl, i64 = _DBL, _I64
+        #: per pointer type: id(array) -> (weak reference, pointer)
+        self._ptrs: Dict[type, dict] = {dbl: {}, i64: {}}
         par = ctypes.POINTER(Params)
         lib.repro_collide.restype = None
         lib.repro_collide.argtypes = [
@@ -698,13 +705,32 @@ class KernelLib:
             dbl, ctypes.c_int64,
         ]
 
-    @staticmethod
-    def _dbl(arr: np.ndarray):
-        return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+    def _pointer(self, arr: np.ndarray, ptype: type):
+        """``arr``'s data pointer as ``ptype``, derived once per array.
 
-    @staticmethod
-    def _i64(arr: np.ndarray):
-        return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
+        ``ndarray.ctypes`` costs microseconds per call, as much as a
+        small kernel launch, and the solver passes the same ``f``,
+        ``f_tmp`` and tables every step.  The memo keys on ``id(arr)``
+        and reuses a pointer only while its weak reference still names
+        ``arr`` itself, so an id recycled by a new array misses; the
+        pointer holds no reference, so the memo keeps nothing alive, and
+        it is cleared past :data:`PTR_MEMO_CAP` entries.
+        """
+        memo = self._ptrs[ptype]
+        entry = memo.get(id(arr))
+        if entry is not None and entry[0]() is arr:
+            return entry[1]
+        if len(memo) >= PTR_MEMO_CAP:
+            memo.clear()
+        ptr = ctypes.cast(arr.ctypes.data, ptype)
+        memo[id(arr)] = (weakref.ref(arr), ptr)
+        return ptr
+
+    def _dbl(self, arr: np.ndarray):
+        return self._pointer(arr, _DBL)
+
+    def _i64(self, arr: np.ndarray):
+        return self._pointer(arr, _I64)
 
     def table_pointers(self, cf, w, opp, M, Minv, S) -> tuple:
         """The six constant-table arguments of ``collide``,

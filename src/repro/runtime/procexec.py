@@ -22,18 +22,31 @@ the phase bodies read — plans, index tables, boundary objects — is
 inherited copy-on-write; the arrays the phases *mutate* (the ``f``
 double buffer, halo pack buffers, ring transports) must live in
 :mod:`repro.runtime.shmem` segments allocated before the fork, so the
-parent and every worker address the same physical pages.  Nothing is
-pickled on the hot path: a bound method of the registered target is
-sent as its name (resolved on the worker's copy of the target, so
-instance overrides dispatch); any other callable must pickle by
-reference (the W504 lint rule bans closure-captured phase callables for
-exactly this reason).
+parent and every worker address the same physical pages.
+
+Each rank has two raw pipes, one per direction, and both carry one
+frame layout: a fixed :mod:`struct` header, then an optional pickled
+blob.  A *dispatch* frame's header holds the kind (run or stop), a
+has-step flag and the step number; its blob carries the phase program
+only when it differs from the last one sent, and a ``ctx`` only when it
+is neither ``None`` nor exactly ``{"step": int}``.  A steady-state step
+is therefore one 14-byte header per rank and nothing is pickled.  The
+worker keeps the program and resolves its bodies once per program: a
+bound method of the registered target travels as its name (resolved on
+the worker's copy of the target, so instance overrides dispatch); any
+other callable must pickle by reference (the W504 lint rule bans
+closure-captured phase callables for exactly this reason).  An *ack*
+frame's header holds the kind (ok or error) and the per-phase
+``(start, duration)`` doubles; a pickled blob rides along only on an
+error ack or when the worker has telemetry records to hand over.  The
+parent waits for acks on one ``select.poll`` registered when the
+workers fork.
 
 Telemetry and errors keep the lockstep executor's contract.  The ack is
 the one channel from worker to parent: each worker times its own phase
 intervals (``time.perf_counter`` is the system-wide ``CLOCK_MONOTONIC``
 on Linux, so intervals are comparable across processes) and acks them
-together with the records of its
+together with the records (if any) of its
 :class:`~repro.telemetry.plane.WorkerAgent` — one worker-origin span per
 phase when the parent traces, and the worker's metric deltas.  The
 parent merges every ack it received, in rank order, before it returns
@@ -63,6 +76,12 @@ tuple, so the parent names the phase from the labels it sent.  The
 parent watches the heartbeats for stalls and, on a stall, worker death
 or a sanitizer failure, attaches a postmortem bundle to the raised
 error.
+
+Each worker closes the parent-side pipe ends it inherited (its own and
+those of the ranks forked before it), so the parent is the only holder
+of every command pipe's write end: when the parent dies — even by
+``SIGKILL`` — an idle worker reads end-of-file and a busy one fails its
+ack, and both exit; the resource tracker then unlinks the segments.
 """
 
 from __future__ import annotations
@@ -70,9 +89,11 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
+import select
+import struct
 import time
 import traceback
-from multiprocessing import connection as _mpconn
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import (
@@ -93,6 +114,81 @@ PhaseFn = Callable[[int], None]
 #: rank has died or raised (they may be blocked on its halo rings)
 _FAILURE_GRACE_S = 5.0
 
+#: dispatch frame header: kind, flags, step, blob length
+_DISPATCH = struct.Struct("<BBqI")
+_STOP, _RUN = 0, 1
+_HAS_STEP, _HAS_BLOB = 1, 2
+#: ack frame header: kind, phase count ``n``, blob length; then the
+#: ``(start, duration)`` doubles of the ``n`` phases, then the blob
+_ACK = struct.Struct("<BxxxII")
+_OK, _ERR = 0, 1
+#: the parent's first read of an ack: the whole frame unless it carries
+#: a blob or hundreds of phases
+_ACK_READ = 4096
+
+
+@lru_cache(maxsize=16)
+def _ack_frame(num_phases: int) -> struct.Struct:
+    """Header plus doubles of an ack for ``num_phases`` phases."""
+    return struct.Struct(_ACK.format + f"{2 * num_phases}d")
+
+
+def _read_exact(fd: int, size: int) -> bytes:
+    """``size`` bytes from ``fd``; :class:`EOFError` if the writer is
+    gone first."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError("pipe closed")
+        data += chunk
+    return data
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _dispatch_frame(
+    program: Optional[tuple], ctx: Optional[Dict[str, Any]]
+) -> bytes:
+    """The dispatch frame of one iteration: a bare header unless the
+    program changed or ``ctx`` is more than a step number."""
+    flags, step = 0, 0
+    if ctx is not None:
+        value = ctx.get("step")
+        if len(ctx) == 1 and type(value) is int:
+            flags, step = _HAS_STEP, value
+            ctx = None
+    blob = b""
+    if program is not None or ctx is not None:
+        blob = pickle.dumps((program, ctx))
+        flags |= _HAS_BLOB
+    return _DISPATCH.pack(_RUN, flags, step, len(blob)) + blob
+
+
+def _read_ack(fd: int) -> Optional[Tuple]:
+    """One ack frame from ``fd`` as ``("ok", timings, records)`` or
+    ``("err", exc blob, traceback, phase label, records)``; ``None`` at
+    end-of-file (the worker is gone)."""
+    buf = os.read(fd, _ACK_READ)
+    if not buf:
+        return None
+    if len(buf) < _ACK.size:
+        buf += _read_exact(fd, _ACK.size - len(buf))
+    kind, num_phases, blob_len = _ACK.unpack_from(buf)
+    frame = _ack_frame(num_phases)
+    size = frame.size + blob_len
+    if len(buf) < size:
+        buf += _read_exact(fd, size - len(buf))
+    blob = pickle.loads(buf[frame.size:size]) if blob_len else []
+    if kind == _ERR:
+        return ("err",) + tuple(blob)
+    times = frame.unpack_from(buf)
+    return ("ok", list(zip(times[3::2], times[4::2])), blob)
+
 
 def fork_available() -> bool:
     """True when the POSIX ``fork`` start method exists on this host."""
@@ -101,91 +197,120 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+def _resolve(target: Optional[object], spec: Tuple[str, Any]) -> PhaseFn:
+    kind, payload = spec
+    if kind == "method":
+        return getattr(target, payload)
+    return pickle.loads(payload)
+
+
 def _worker_main(
     rank: int,
-    conn,
+    cmd_fd: int,
+    ack_fd: int,
+    inherited: Sequence[int],
     target: Optional[object],
     plane: Optional[object],
     trace: bool,
 ) -> None:
-    """Worker loop: receive dispatches, run them, ack with timings.
+    """Worker loop: receive dispatch frames, run them, ack with timings.
 
-    A dispatch is a sequence of ``(label, callable spec)`` phases plus
-    one ``ctx``; ``None`` stops the worker.  The worker applies the
-    ctx through the target's ``_apply_phase_context`` hook, runs the
-    phases back to back on its own rank (no parent round trip in
-    between), and acks once: ``("ok", timings, records)`` with the
-    per-phase ``(start, duration)`` list, or ``("err", exc blob,
-    traceback, phase label, records)``.
+    A dispatch runs the kept phase program (replaced when the frame's
+    blob carries a new one) after applying the frame's ctx through the
+    target's ``_apply_phase_context`` hook; a stop frame or end-of-file
+    ends the loop.  The phases run back to back on this rank (no parent
+    round trip in between) and the worker acks once: an ok frame with
+    the per-phase ``(start, duration)`` doubles, or an error frame whose
+    blob is ``(exc blob, traceback, phase label, records)``.
 
     ``records`` come from the worker's
     :class:`~repro.telemetry.plane.WorkerAgent`: its metric deltas and,
     when ``trace``, one worker-origin span per phase — the process-wide
     tracer (and the target's ``tracer`` attribute, if any) rebind to the
-    agent's tracer so phase bodies' sub-spans are captured too.  With a
-    ``plane`` the agent also publishes heartbeats.
+    agent's tracer so phase bodies' sub-spans are captured too.  An ok
+    ack pickles them only when there are some.  With a ``plane`` the
+    agent also publishes heartbeats.
 
-    Exits through ``os._exit`` so the parent's inherited atexit hooks
-    (segment unlink, executor shutdown) never run in a child.
+    ``inherited`` are the parent-side pipe ends this fork copied; they
+    are closed first, so the parent's death reaches the worker as
+    end-of-file.  Exits through ``os._exit`` so the parent's inherited
+    atexit hooks (segment unlink, executor shutdown) never run in a
+    child.
     """
+    for fd in inherited:
+        os.close(fd)
     agent = WorkerAgent(rank, plane, trace)
     if agent.tracer is not None:
         set_tracer(agent.tracer)
         if target is not None and hasattr(target, "tracer"):
             target.tracer = agent.tracer
+    hook = getattr(target, "_apply_phase_context", None)
+    program: List[Tuple[str, PhaseFn]] = []
+    frame = _ack_frame(0)
     try:
         while True:
             try:
-                msg = conn.recv()
+                head = _read_exact(cmd_fd, _DISPATCH.size)
+                kind, flags, step, blob_len = _DISPATCH.unpack(head)
+                if kind == _STOP:
+                    break
+                blob = _read_exact(cmd_fd, blob_len) if blob_len else b""
             except (EOFError, OSError):
                 break
-            if msg is None:
-                break
-            phases, ctx = msg
             label = "phase"
             try:
-                if ctx is not None and target is not None:
-                    hook = getattr(target, "_apply_phase_context", None)
-                    if hook is not None:
-                        hook(ctx)
+                ctx = {"step": step} if flags & _HAS_STEP else None
+                if flags & _HAS_BLOB:
+                    specs, blob_ctx = pickle.loads(blob)
+                    if blob_ctx is not None:
+                        ctx = blob_ctx
+                    if specs is not None:
+                        program = []
+                        for label, spec in specs:
+                            program.append((label, _resolve(target, spec)))
+                        frame = _ack_frame(len(program))
+                        label = "phase"
+                if ctx is not None and hook is not None:
+                    hook(ctx)
                 agent.begin_dispatch(ctx)
-                timings: Timings = []
-                for index, (label, (kind, payload)) in enumerate(phases):
-                    if kind == "method":
-                        fn = getattr(target, payload)
-                    else:
-                        fn = pickle.loads(payload)
+                times: List[float] = []
+                for index, (label, fn) in enumerate(program):
                     # the interval brackets the agent's own span, so a
                     # container rebuilt from the acks encloses it
                     t0 = time.perf_counter()
                     agent.begin_phase(index, label)
                     fn(rank)
                     agent.end_phase()
-                    timings.append((t0, time.perf_counter() - t0))
+                    times += (t0, time.perf_counter() - t0)
                 agent.end_dispatch()
-                conn.send(("ok", timings, agent.records()))
+                records = agent.records()
+                blob = pickle.dumps(records) if records else b""
+                ack = frame.pack(_OK, len(program), len(blob), *times) + blob
             except BaseException as exc:
-                records: List[Dict[str, Any]] = []
+                records = []
                 try:
                     agent.record_error()
                     records = agent.records()
                 except Exception:
                     pass
                 try:
-                    blob: Optional[bytes] = pickle.dumps(exc)
+                    exc_blob: Optional[bytes] = pickle.dumps(exc)
                 except Exception:
-                    blob = None
-                try:
-                    conn.send(
-                        ("err", blob, traceback.format_exc(), label, records)
-                    )
-                except (BrokenPipeError, OSError):
-                    break
+                    exc_blob = None
+                blob = pickle.dumps(
+                    (exc_blob, traceback.format_exc(), label, records)
+                )
+                ack = _ACK.pack(_ERR, 0, len(blob)) + blob
+            try:
+                _write_all(ack_fd, ack)
+            except OSError:
+                break
     finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
+        for fd in (cmd_fd, ack_fd):
+            try:
+                os.close(fd)
+            except OSError:
+                pass
         os._exit(0)
 
 
@@ -223,7 +348,14 @@ class ProcessExecutor:
         self._mp = multiprocessing.get_context("fork")
         self._creator_pid = os.getpid()
         self._target: Optional[object] = None
-        self._workers: List[Tuple[Any, Any]] = []  # (Process, Connection)
+        #: (Process, command pipe write fd, ack pipe read fd) per rank
+        self._workers: List[Tuple[Any, int, int]] = []
+        self._poll = select.poll()
+        self._rank_of: Dict[int, int] = {}  # ack fd -> rank
+        #: the (callables, names) of the phase program the workers hold,
+        #: and its labels
+        self._sent: Optional[Tuple[tuple, tuple]] = None
+        self._labels: Tuple[str, ...] = ()
         self._started = False
         self._closed = False
         atexit.register(self.close)
@@ -243,19 +375,26 @@ class ProcessExecutor:
         if self._closed:
             raise RuntimeSimError("process executor already closed")
         self._target = target
+        parent_fds: List[int] = []
         for rank in range(self.num_ranks):
-            parent_conn, child_conn = self._mp.Pipe()
+            cmd_r, cmd_w = os.pipe()
+            ack_r, ack_w = os.pipe()
+            parent_fds += (cmd_w, ack_r)
             proc = self._mp.Process(
                 target=_worker_main,
                 args=(
-                    rank, child_conn, target, self.plane, self.tracer.enabled
+                    rank, cmd_r, ack_w, tuple(parent_fds), target,
+                    self.plane, self.tracer.enabled,
                 ),
                 daemon=True,
                 name=f"repro-rank-{rank}",
             )
             proc.start()
-            child_conn.close()
-            self._workers.append((proc, parent_conn))
+            os.close(cmd_r)
+            os.close(ack_w)
+            self._workers.append((proc, cmd_w, ack_r))
+            self._poll.register(ack_r, select.POLLIN)
+            self._rank_of[ack_r] = rank
         self._started = True
 
     def close(self) -> None:
@@ -269,20 +408,22 @@ class ProcessExecutor:
         if self._closed or os.getpid() != self._creator_pid:
             return
         self._closed = True
-        for proc, conn in self._workers:
+        stop = _DISPATCH.pack(_STOP, 0, 0, 0)
+        for _, cmd_fd, _ in self._workers:
             try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
+                _write_all(cmd_fd, stop)
+            except OSError:
                 pass
-        for proc, conn in self._workers:
+        for proc, cmd_fd, ack_fd in self._workers:
             proc.join(timeout=5.0)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)
-            try:
-                conn.close()
-            except Exception:
-                pass
+            for fd in (cmd_fd, ack_fd):
+                try:
+                    os.close(fd)
+                except OSError:
+                    pass
         self._workers = []
 
     def __del__(self) -> None:  # best-effort cleanup
@@ -352,32 +493,37 @@ class ProcessExecutor:
             return [[] for _ in range(self.num_ranks)]
         if not self._started:
             self.start(getattr(phases[0], "__self__", None))
-        # every phase travels under its label, so the worker's spans and
-        # error acks and the parent's heartbeat reading name it alike
-        specs = tuple(
-            (name or getattr(fn, "__name__", "phase"), self._spec_for(fn))
-            for fn, name in zip(phases, names)
-        )
-        return self._dispatch(specs, ctx)
+        program = None
+        sent = (tuple(phases), tuple(names))
+        if sent != self._sent:
+            # every phase travels under its label, so the worker's spans
+            # and error acks and the parent's heartbeat reading name it
+            # alike
+            program = tuple(
+                (name or getattr(fn, "__name__", "phase"), self._spec_for(fn))
+                for fn, name in zip(phases, names)
+            )
+            self._sent = sent
+            self._labels = tuple(label for label, _ in program)
+        return self._dispatch(program, ctx)
 
     def _dispatch(
-        self,
-        phases: Tuple[Tuple[Optional[str], Tuple[str, Any]], ...],
-        ctx: Optional[Dict[str, Any]],
+        self, program: Optional[tuple], ctx: Optional[Dict[str, Any]]
     ) -> List[Timings]:
-        """Send one message per rank, gather one ack per rank."""
+        """Send one frame per rank, gather one ack per rank."""
         dispatch_t0 = time.perf_counter()
         step = ctx.get("step") if ctx else None
         if self.plane is not None:
-            self.plane.phase_names = tuple(label for label, _ in phases)
+            self.plane.phase_names = self._labels
 
         def where(rank: int) -> str:
             return self._where(rank, step, dispatch_t0)
 
-        for rank, (_, conn) in enumerate(self._workers):
+        frame = _dispatch_frame(program, ctx)
+        for rank, (_, cmd_fd, _) in enumerate(self._workers):
             try:
-                conn.send((phases, ctx))
-            except (BrokenPipeError, OSError):
+                _write_all(cmd_fd, frame)
+            except OSError:
                 self.close()
                 raise RuntimeSimError(
                     f"rank {rank} worker process is gone; cannot "
@@ -396,7 +542,8 @@ class ProcessExecutor:
             # every ack that came is merged before any failure is raised,
             # so a survivor's spans and counters still reach the tracer
             # and the postmortem bundle
-            merge_records(ack[-1], self.tracer)
+            if ack[-1]:
+                merge_records(ack[-1], self.tracer)
             if ack[0] == "ok":
                 timings.append(ack[1])
                 continue
@@ -408,7 +555,7 @@ class ProcessExecutor:
         missing = [r for r in range(self.num_ranks) if r not in acks]
         if dead_ranks:
             self._raise_worker_death(dead_ranks[0], where, missing)
-        self.phases_run += len(phases)
+        self.phases_run += len(self._labels)
         self._dispatches += 1
         if first_err is not None:
             # a failed iteration is not resumable: rings may hold the
@@ -473,9 +620,7 @@ class ProcessExecutor:
         the caller reports the failure rather than wait out the ring
         timeout.
         """
-        pending: Dict[Any, int] = {
-            conn: rank for rank, (_, conn) in enumerate(self._workers)
-        }
+        pending = set(range(len(self._workers)))
         acks: Dict[int, Tuple] = {}
         dead_ranks: List[int] = []
         failed_ts: Optional[float] = None
@@ -484,23 +629,26 @@ class ProcessExecutor:
         if plane is not None:
             grace = min(grace, plane.stall_timeout_s)
         while pending:
-            if plane is None and failed_ts is None:
-                ready = _mpconn.wait(list(pending))
-            else:
-                ready = _mpconn.wait(list(pending), timeout=0.05)
-            for conn in ready:
-                rank = pending.pop(conn)
+            timeout = None if plane is None and failed_ts is None else 50
+            for fd, _ in self._poll.poll(timeout):
+                rank = self._rank_of[fd]
+                if rank not in pending:
+                    # ready though acked: the worker hung up since
+                    self._poll.unregister(fd)
+                    continue
+                pending.discard(rank)
                 try:
-                    ack = conn.recv()
+                    ack = _read_ack(fd)
                 except (EOFError, OSError):
-                    dead_ranks.append(rank)
                     ack = None
+                if ack is None:
+                    dead_ranks.append(rank)
                 else:
                     acks[rank] = ack
                 if failed_ts is None and (ack is None or ack[0] == "err"):
                     failed_ts = time.perf_counter()
             if plane is not None and failed_ts is None:
-                for rank in sorted(pending.values()):
+                for rank in sorted(pending):
                     try:
                         plane.check_stalls(
                             [rank],
@@ -521,7 +669,7 @@ class ProcessExecutor:
         """Liveness of every worker (``state`` / ``pid`` / ``exitcode``),
         as a postmortem bundle records it."""
         states: Dict[int, Dict[str, Any]] = {}
-        for rank, (proc, _) in enumerate(self._workers):
+        for rank, (proc, _, _) in enumerate(self._workers):
             states[rank] = {
                 "state": "alive" if proc.is_alive() else "dead",
                 "pid": proc.pid,

@@ -164,6 +164,47 @@ class TestCompiledKernels:
         kern.collide(f, n)
         assert np.array_equal(ref, f)
 
+    def test_pointer_memo_follows_the_array_not_its_id(self):
+        from repro.core.kernels import bgk_collide_kernel
+        from repro.models.compiled import csrc
+
+        kern = self.make()
+        memo = kern._clib._ptrs[csrc._DBL]
+        rng = np.random.default_rng(4)
+        n = 64
+
+        def fresh():
+            return np.ascontiguousarray(
+                D3Q19.equilibrium(
+                    1.0 + 0.01 * rng.random(n), 0.01 * rng.random((n, 3))
+                )
+            )
+
+        def check(f):
+            ref = f.copy()
+            bgk_collide_kernel(D3Q19, ref, np.arange(n, dtype=np.int64),
+                               omega=1.0 / 0.8)
+            kern.collide(f, n)
+            assert np.array_equal(ref, f)
+
+        for _ in range(5):
+            f = fresh()
+            check(f)  # memoises f's pointer
+            del f  # the next array may well take over its id
+            check(fresh())
+        # force the recycled id: f's slot names another, live array
+        other, f = fresh(), fresh()
+        kept = other.copy()
+        kern.collide(other, 0)
+        memo[id(f)] = memo.pop(id(other))
+        check(f)
+        assert np.array_equal(other, kept)
+        # a thousand distinct arrays never pile up in the memo
+        views = [f[:] for _ in range(1000)]
+        for view in views:
+            kern.collide(view, 0)
+        assert len(memo) <= csrc.PTR_MEMO_CAP
+
     @staticmethod
     def _links(n_upd=4, nodes=16):
         """Random duplicate-free links over a (q, nodes) array, as the

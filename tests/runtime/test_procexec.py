@@ -1,12 +1,16 @@
 """Process executor: dispatch, barriers, errors, and cleanup."""
 
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from repro.core.errors import RuntimeSimError, StallError
+from repro.runtime import procexec
 from repro.runtime.procexec import ProcessExecutor, fork_available
 from repro.runtime.shmem import SegmentRegistry, leaked_segments
 from repro.telemetry.metrics import get_registry
@@ -70,6 +74,12 @@ class TestDispatch:
                 # parent's own attribute is untouched: ctx crosses, the
                 # plain attribute write would not have
                 assert target.scale == 1.0
+                # a step beside other keys reaches the hook whole
+                ex.run_phase(target.bump, ctx={"scale": 2.0, "step": 4})
+                # no ctx dispatches without the hook: scale stays 2
+                ex.run_phase(target.bump, ctx=None)
+                assert np.array_equal(target.cells, [9.0, 9.0])
+                assert ex.dispatches == 3
             finally:
                 ex.close()
 
@@ -249,7 +259,7 @@ class Stepper:
 
     def _apply_phase_context(self, ctx) -> None:
         self.applied += 1
-        self.base = float(ctx["base"])
+        self.base = float(ctx.get("base", 0.0))
 
     def first(self, rank: int) -> None:
         self.seq += 1
@@ -305,6 +315,62 @@ class TestRunStep:
                 assert ex.dispatches == 3
                 assert ex.phases_run == 5
                 assert np.array_equal(target.log[:, 0], [5.0, 5.0])
+            finally:
+                ex.close()
+
+    def test_changed_program_runs_the_new_phases(self):
+        with SegmentRegistry() as reg:
+            target = Stepper(reg, 2)
+            ex = ProcessExecutor(2)
+            try:
+                ctx = {"base": 0.0}
+                ex.run_step([target.first], ["first"], ctx)
+                timings = ex.run_step(
+                    [target.second, target.first], ["second", "first"], ctx
+                )
+                assert [len(acked) for acked in timings] == [2, 2]
+                # second (seq 2), then first (seq 3)
+                assert np.array_equal(target.log[:, 1], [2.0, 2.0])
+                assert np.array_equal(target.log[:, 0], [3.0, 3.0])
+                # same callables, new labels: a new program too
+                timings = ex.run_step([target.first], ["renamed"], ctx)
+                assert [len(acked) for acked in timings] == [1, 1]
+                assert np.array_equal(target.log[:, 0], [4.0, 4.0])
+                assert ex.phases_run == 4
+            finally:
+                ex.close()
+
+    def test_steady_state_step_pickles_nothing(self, monkeypatch):
+        with SegmentRegistry() as reg:
+            target = Stepper(reg, 2)
+            ex = ProcessExecutor(2)
+            try:
+                phases = [target.first, target.second]
+                ex.run_step(phases, ["first", "second"], ctx={"step": 0})
+
+                def refuse(*args, **kwargs):
+                    raise AssertionError("the steady-state step pickled")
+
+                sizes = []
+                write_all = procexec._write_all
+
+                def record(fd, data):
+                    sizes.append(len(data))
+                    write_all(fd, data)
+
+                monkeypatch.setattr(procexec.pickle, "dumps", refuse)
+                monkeypatch.setattr(procexec, "_write_all", record)
+                for step in range(1, 4):
+                    # fresh bound methods each step, as the solver passes
+                    timings = ex.run_step(
+                        [target.first, target.second],
+                        ["first", "second"],
+                        ctx={"step": step},
+                    )
+                    assert [len(acked) for acked in timings] == [2, 2]
+                assert np.array_equal(target.log[:, 1], [8.0, 8.0])
+                # one bare header per rank per step
+                assert sizes == [procexec._DISPATCH.size] * 6
             finally:
                 ex.close()
 
@@ -451,3 +517,61 @@ class TestLifecycle:
             finally:
                 ex.close()
         assert leaked_segments(os.getpid()) == before
+
+
+_KILLED_PARENT = """
+import multiprocessing
+from repro.harvey import HarveyApp, HarveyConfig
+
+app = HarveyApp(HarveyConfig(
+    workload="cylinder", resolution=2.5, num_ranks=2, executor="process",
+))
+app.solver.step(2)
+print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+while True:
+    app.solver.step(1)
+"""
+
+
+def _running(pid: int) -> bool:
+    """``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.usefixtures("hard_time_bound")
+@pytest.mark.skipif(
+    not os.path.isdir("/proc") or not os.path.isdir("/dev/shm"),
+    reason="reads worker liveness from /proc and segments from /dev/shm",
+)
+class TestParentDeath:
+    def test_workers_exit_and_segments_go_when_the_parent_is_killed(self):
+        app = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_PARENT],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        workers = []
+        try:
+            workers = [int(pid) for pid in app.stdout.readline().split()]
+            assert len(workers) == 2
+            assert len(leaked_segments(app.pid)) == 7
+            app.send_signal(signal.SIGKILL)
+            app.wait()
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and (
+                any(_running(pid) for pid in workers)
+                or leaked_segments(app.pid)
+            ):
+                time.sleep(0.05)
+            assert [pid for pid in workers if _running(pid)] == []
+            assert leaked_segments(app.pid) == []
+        finally:
+            app.kill()
+            app.wait()
+            app.stdout.close()
+            for pid in filter(_running, workers):
+                os.kill(pid, signal.SIGKILL)
