@@ -1,12 +1,11 @@
-"""Guard: the dormant sanitizer costs under 10% with ``sanitize=False``.
+"""Guard: the dormant sanitizer stays invisible with ``sanitize=False``.
 
 The sanitizer hooks sit on the hot step path as single-branch guards
-(``if self._san is not None`` in the distributed phases, one flag test
-in the single-domain loop).  This bench replays the pre-sanitizer step
-body inline — the same component calls, minus the guard branches — and
-holds ``Solver.step`` with ``sanitize=False`` to within the 10% budget
-the static-analysis issue promises.  A second guard keeps the *enabled*
-sanitizer within an honest envelope so it stays usable on debug runs.
+(``if self._san is not None`` in the phases and the step loop of the one
+solver every rank count runs).  The first bench holds a 4-rank
+overlapped step with the guards dormant against the single-domain
+``Solver``; a second keeps the *enabled* sanitizer within an honest
+envelope so it stays usable on debug runs.
 """
 
 from __future__ import annotations
@@ -37,33 +36,6 @@ def _min_time(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def test_sanitize_off_overhead(grid):
-    solver = Solver(grid, SolverConfig(**CYL_CONFIG))
-    assert not solver._sanitize
-
-    def baseline():
-        # the pre-sanitizer step body: collide, fused stream, swap —
-        # identical component calls without the guard branch
-        for _ in range(STEPS):
-            solver.collision.apply(
-                solver.lattice,
-                solver.f,
-                solver.all_ids,
-                workspace=solver._kernels.workspace,
-            )
-            solver.step_plan.apply(solver.f, solver._f_tmp)
-            solver.f, solver._f_tmp = solver._f_tmp, solver.f
-
-    solver.step(2)  # warm caches
-    t_guarded = _min_time(lambda: solver.step(STEPS), repeats=7)
-    t_baseline = _min_time(baseline, repeats=7)
-    # 10% relative budget with a small absolute floor for timer noise
-    assert t_guarded <= t_baseline * 1.10 + 5e-4 * STEPS, (
-        f"sanitize=False step {t_guarded / STEPS * 1e3:.2f} ms vs "
-        f"inline baseline {t_baseline / STEPS * 1e3:.2f} ms"
-    )
 
 
 def test_distributed_sanitize_off_overhead(grid):

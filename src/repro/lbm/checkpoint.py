@@ -1,11 +1,14 @@
 """Solver state checkpointing.
 
 Long hemodynamic runs (many cardiac cycles at 27.5 um) checkpoint and
-restart; this module saves and restores the distribution state of both
-the single-domain and the distributed solver to a single ``.npz`` file,
-with enough metadata to refuse a mismatched restart loudly: the lattice,
-the grid shape, the fluid-node count and a hash of the grid's flags and
-periodicity (two geometries can share a shape and a node count).
+restart; this module saves and restores a
+:class:`~repro.lbm.distributed.DistributedSolver`'s distribution state,
+at any rank count (the single-domain :class:`~repro.lbm.solver.Solver`
+is its one-rank case), to a single ``.npz`` file in the global compact
+node order, with enough metadata to refuse a mismatched restart loudly:
+the lattice, the grid shape, the fluid-node count and a hash of the
+grid's flags and periodicity (two geometries can share a shape and a
+node count).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import numpy as np
 
 from ..core.errors import ConfigError
 from .distributed import DistributedSolver
-from .solver import Solver
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
@@ -39,29 +41,21 @@ def _geometry_hash(solver) -> str:
 def save_checkpoint(solver, path: PathLike) -> pathlib.Path:
     """Write the solver's distribution state and clock to ``path``.
 
-    Works for :class:`~repro.lbm.solver.Solver` and
-    :class:`~repro.lbm.distributed.DistributedSolver` (the distributed
-    state is gathered into the global compact ordering, so a run may be
-    checkpointed under one decomposition and restarted under another).
+    The state is gathered into the global compact ordering, so a run may
+    be checkpointed under one decomposition and restarted under another.
     """
-    path = pathlib.Path(path)
-    if isinstance(solver, DistributedSolver):
-        f = solver.gather_f()
-        grid_shape = solver.grid.shape
-    elif isinstance(solver, Solver):
-        f = solver.f
-        grid_shape = solver.grid.shape
-    else:
+    if not isinstance(solver, DistributedSolver):
         raise ConfigError(
             f"cannot checkpoint object of type {type(solver).__name__}"
         )
+    path = pathlib.Path(path)
     np.savez_compressed(
         path,
-        f=f,
+        f=solver.gather_f(),
         time=np.int64(solver.time),
         fluid_updates=np.int64(solver.fluid_updates),
         lattice=np.bytes_(solver.lattice.name.encode()),
-        grid_shape=np.asarray(grid_shape, dtype=np.int64),
+        grid_shape=np.asarray(solver.grid.shape, dtype=np.int64),
         geometry_hash=np.bytes_(_geometry_hash(solver).encode()),
         format_version=np.int64(_FORMAT_VERSION),
     )
@@ -77,8 +71,7 @@ def load_checkpoint(solver, path: PathLike) -> None:
     and grid flags and periodicity (checked by hash when the file holds
     one; older files carry none); the decomposition may differ.
     """
-    if isinstance(solver, DistributedSolver):
-        solver._require_open("it cannot load a checkpoint")
+    solver._require_open("it cannot load a checkpoint")
     path = pathlib.Path(path)
     if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
         path = path.with_suffix(path.suffix + ".npz")
@@ -115,12 +108,9 @@ def load_checkpoint(solver, path: PathLike) -> None:
                 )
         time = int(data["time"])
         fluid_updates = int(data["fluid_updates"])
-    if isinstance(solver, DistributedSolver):
-        # ghosts need no refresh: every step exchanges post-collision
-        # values before streaming reads them
-        for st in solver.ranks:
-            st.f[:, : st.num_owned] = f[:, st.plan.owned_global]
-    else:
-        solver.f[...] = f
+    # ghosts need no refresh: every step exchanges post-collision values
+    # before streaming reads them
+    for st in solver.ranks:
+        st.f[:, : st.num_owned] = f[:, st.plan.owned_global]
     solver.time = time
     solver.fluid_updates = fluid_updates

@@ -1,6 +1,9 @@
-"""Distributed (multi-rank) LBM solver over a simulated MPI communicator.
+"""The LBM solver: ranks over a simulated MPI communicator.
 
-One rank per logical GPU, as in the paper.  The decomposition arrives as
+One rank per logical GPU, as in the paper, and a single-GPU run is one
+rank: the single-domain :class:`~repro.lbm.solver.Solver` is this solver
+over a one-rank partition, so every rank count runs the one step loop
+below.  The decomposition arrives as
 frozen :class:`~repro.lbm.rankplan.RankPlan` tables (ownership, ghost
 layer, gather table, exchange pair); this module verifies them,
 *instantiates* them — buffers, boundary objects, kernel providers,
@@ -20,9 +23,10 @@ bulk-synchronous barrier schedule:
    then swap the double buffer;
 5. inlet/outlet boundary conditions on owned nodes.
 
-The result is *identical* to the single-domain solver — the distributed
-equivalence test asserts exact agreement — while the communicator's event
-log captures the halo-exchange traffic the performance layer prices.
+The result is *identical* at every rank count — the conformance matrix
+asserts exact agreement with a per-population reference stepper — while
+the communicator's event log captures the halo-exchange traffic the
+performance layer prices.
 The declaration is the single source the other encoders read: the K405
 phase-order walk (:func:`repro.lint.plancheck.check_phase_order`)
 checks it, both executors run it through their one ``run_step``
@@ -108,25 +112,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.errors import (
-    ConfigError,
-    DecompositionError,
-    RuntimeSimError,
-)
+from ..core.errors import ConfigError, RuntimeSimError
 from ..decomp.partition import Partition
 from .boundary import PressureOutlet, VelocityInlet
+from .moments import density as _density
+from .moments import velocity as _velocity
 from .rankplan import RankPlan, build_rank_plans
-from .solver import SolverConfig, make_kernels, validate_tier
 from ..runtime.events import CommEvent
 from ..runtime.executor import Timings, make_executor
 from ..runtime.shmem import RingTransport, SegmentRegistry
 from ..runtime.simmpi import SimComm
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import SpanRecord, get_tracer
+
+if TYPE_CHECKING:
+    from .solver import SolverConfig
 
 __all__ = [
     "Phase",
@@ -266,7 +270,8 @@ class RankState:
 
 
 class DistributedSolver:
-    """Multi-rank solver equivalent to :class:`repro.lbm.solver.Solver`.
+    """The solver at any rank count (one rank is
+    :class:`repro.lbm.solver.Solver`).
 
     ``models`` (one programming model per rank) makes the models the
     kernel providers: each rank's ``f`` lives in its model's device space
@@ -286,6 +291,9 @@ class DistributedSolver:
         models: Optional[Sequence[Any]] = None,
         gpu_aware: bool = True,
     ) -> None:
+        # deferred: repro.lbm.solver subclasses this solver
+        from .solver import make_kernels, validate_tier
+
         if models is None:
             if not gpu_aware:
                 raise ConfigError("gpu_aware=False needs per-rank models")
@@ -337,7 +345,7 @@ class DistributedSolver:
         if config.inlet_velocity is None and any(
             plan.inlet_nodes.size for plan in plans
         ):
-            raise DecompositionError(
+            raise ConfigError(
                 "grid has inlet nodes but no inlet_velocity configured"
             )
         if config.backend != "numpy":
@@ -733,9 +741,27 @@ class DistributedSolver:
         return self.comm.allreduce(contribs)
 
     def velocity(self) -> np.ndarray:
-        from .moments import velocity as _velocity
-
         return _velocity(self.lattice, self.gather_f(), self.collision.force)
+
+    def density(self) -> np.ndarray:
+        return _density(self.gather_f())
+
+    def max_velocity(self) -> float:
+        return float(np.linalg.norm(self.velocity(), axis=1).max())
+
+    def on_grid(self, values: np.ndarray) -> np.ndarray:
+        """Per-node ``values`` (compact order) placed on the full voxel
+        grid, zeros at solid voxels."""
+        out = np.zeros(self.grid.shape + values.shape[1:])
+        x, y, z = self.coords.T
+        out[x, y, z] = values
+        return out
+
+    def velocity_grid(self) -> np.ndarray:
+        return self.on_grid(self.velocity())
+
+    def density_grid(self) -> np.ndarray:
+        return self.on_grid(self.density())
 
     def phase_bytes_per_step(self) -> Dict[str, int]:
         """Memory traffic each phase moves in one iteration, by span name.

@@ -4,7 +4,10 @@ Production runs export velocity/pressure fields for post-processing
 (the paper's Fig. 2a visualisation is rendered from such exports).  We
 provide compressed ``.npz`` field dumps plus the two diagnostics most
 used in hemodynamics validation: cross-sectional flow rate and axial
-velocity profiles.
+velocity profiles.  Each takes a
+:class:`~repro.lbm.distributed.DistributedSolver` at any rank count (the
+single-domain :class:`~repro.lbm.solver.Solver` is its one-rank case)
+and reads the global compact node order.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from typing import Dict, Union
 import numpy as np
 
 from ..core.errors import ConfigError
+from .distributed import DistributedSolver
+from .moments import density as _density
+from .moments import velocity as _velocity
 
 __all__ = [
     "save_fields",
@@ -29,38 +35,21 @@ PathLike = Union[str, pathlib.Path]
 def save_fields(solver, path: PathLike) -> pathlib.Path:
     """Write density and velocity on the full voxel grid to ``path``.
 
-    Accepts any solver exposing ``velocity_grid``/``density_grid``
-    (single-domain) or ``gather_f`` (distributed, converted here).
+    Both fields come from one gathered copy of the distributions.
     """
-    path = pathlib.Path(path)
-    if hasattr(solver, "velocity_grid"):
-        velocity = solver.velocity_grid()
-        density = solver.density_grid()
-        flags = solver.grid.flags
-        spacing = solver.grid.spacing
-    elif hasattr(solver, "gather_f"):
-        from .moments import density as _density
-
-        f = solver.gather_f()
-        coords = solver.coords
-        u = solver.velocity()
-        rho = _density(f)
-        velocity = np.zeros(solver.grid.shape + (3,))
-        density = np.zeros(solver.grid.shape)
-        velocity[coords[:, 0], coords[:, 1], coords[:, 2]] = u
-        density[coords[:, 0], coords[:, 1], coords[:, 2]] = rho
-        flags = solver.grid.flags
-        spacing = solver.grid.spacing
-    else:
+    if not isinstance(solver, DistributedSolver):
         raise ConfigError(
             f"cannot export fields from {type(solver).__name__}"
         )
+    path = pathlib.Path(path)
+    f = solver.gather_f()
+    velocity = _velocity(solver.lattice, f, solver.collision.force)
     np.savez_compressed(
         path,
-        velocity=velocity.astype(np.float32),
-        density=density.astype(np.float32),
-        flags=flags,
-        spacing=np.float64(spacing),
+        velocity=solver.on_grid(velocity).astype(np.float32),
+        density=solver.on_grid(_density(f)).astype(np.float32),
+        flags=solver.grid.flags,
+        spacing=np.float64(solver.grid.spacing),
         time=np.int64(solver.time),
     )
     return path if path.suffix == ".npz" else path.with_suffix(

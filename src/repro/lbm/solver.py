@@ -1,17 +1,23 @@
-"""Single-domain LBM solver.
+"""Run configuration, the tier table, kernel providers, and the
+single-domain solver.
 
-Implements the two-step algorithm the paper describes (Section 3): a local
-BGK collision and a streaming step that moves populations between
-neighbouring lattice nodes, with half-way bounce-back at walls and
-equilibrium inlet/outlet conditions.  The distributed solver
-(:mod:`repro.lbm.distributed`) reproduces this solver's results exactly
-across ranks — that equivalence is a core validation test.
+The paper's algorithm (Section 3) is a local BGK collision and a
+streaming step that moves populations between neighbouring lattice
+nodes, with half-way bounce-back at walls and equilibrium inlet/outlet
+conditions.  :class:`SolverConfig` holds its parameters and execution
+tier, :func:`validate_tier` rejects the cells no solver can run, and
+:func:`make_kernels` picks a domain's kernel provider.  HARVEY runs one
+MPI rank per GPU, so a single-GPU run is one rank: :class:`Solver` is
+the :class:`~repro.lbm.distributed.DistributedSolver` over a one-rank
+partition, and every rank count steps through the one declared schedule
+of :mod:`repro.lbm.distributed`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -19,15 +25,13 @@ import numpy as np
 from ..core.errors import ConfigError
 from ..core.kernels import Workspace, collide_prefix
 from ..core.lattice import Lattice, get_lattice
-from ..geometry.flags import INLET, OUTLET
+from ..decomp.block import axis_decompose
 from ..geometry.voxel import VoxelGrid
 from ..runtime.executor import EXECUTOR_KINDS
-from ..telemetry.metrics import get_registry
 from .bgk import BGKCollision
-from .boundary import PressureOutlet, VelocityInlet, outlet_equilibrium
-from .moments import density as _density
-from .moments import velocity as _velocity
-from .stream import Connectivity, StepPlan
+from .boundary import PressureOutlet, outlet_equilibrium
+from .distributed import DistributedSolver
+from .stream import StepPlan
 
 __all__ = [
     "SolverConfig",
@@ -174,12 +178,14 @@ class SolverConfig:
         processes over shared-memory buffers and ring transports — true
         multicore rank parallelism; needs the POSIX fork start method,
         NumPy or ``compiled-serial`` kernels and no programming model).
-        The single-domain solver runs no ranks but checks the same cell.
+        The single-domain :class:`Solver` is one rank and runs it as
+        given.
     overlap:
         Run the distributed step as the interior/frontier pipeline with
         a packed cross-link halo exchange posted before interior
-        streaming (bit-identical to the barrier schedule).  Ignored by
-        the single-domain solver.
+        streaming (bit-identical to the barrier schedule).  A one-rank
+        partition, the single-domain :class:`Solver` included, exchanges
+        nothing and runs the one-pass schedule under either setting.
     sanitize:
         Run the runtime sanitizer (:mod:`repro.lbm.sanitize`): NaN
         canaries in ghost columns and ghost/payload epoch tracking.
@@ -279,156 +285,38 @@ class SolverConfig:
         return BGKCollision(self.tau, self.force)
 
 
-class Solver:
-    """Single-domain solver over a flagged voxel grid.
-
-    Kernels come from :func:`make_kernels`: :class:`NumpyKernels`
-    (default), :class:`~repro.models.compiled.CompiledKernels`
-    (``config.backend``), or a programming model passed as ``model``, in
-    which case ``f`` lives in the model's device space."""
+class Solver(DistributedSolver):
+    """The single-domain solver: the
+    :class:`~repro.lbm.distributed.DistributedSolver` over a one-rank
+    partition.  It runs the one-pass schedule under either ``overlap``,
+    ``config.executor`` as given (``"process"`` forks one worker), and
+    ``model``, when given, as its kernel provider.  ``f``, ``step_plan``,
+    ``all_ids`` and ``outlet`` are views of its rank, whose local
+    numbering is the global compact one."""
 
     def __init__(
         self, grid: VoxelGrid, config: SolverConfig, model=None
     ) -> None:
-        if model is not None:
-            validate_tier(config.executor, config.sanitize, config.backend, model=True)
-        self.model = model
-        self.grid = grid
-        self.config = config
-        self.lattice = config.make_lattice()
-        self.collision = config.make_collision()
-        self.connectivity = Connectivity(
-            grid, self.lattice, periodic=config.periodic
+        super().__init__(
+            axis_decompose(grid, 1),
+            config,
+            models=None if model is None else [model],
         )
-        self.coords = self.connectivity.coords
-        self.index_map = self.connectivity.index_map
-        n = self.connectivity.num_nodes
-        self.all_ids = np.arange(n, dtype=np.int64)
-        self._setup_boundaries()
-        u0 = np.zeros((n, 3))
-        rho = np.full(n, config.rho0)
-        self.f = self.lattice.equilibrium(rho, u0)
-        self._f_tmp = np.empty_like(self.f)
-        self.step_plan: StepPlan = self.connectivity.step_plan()
-        self._sanitize = bool(config.sanitize)
-        if config.backend != "numpy":
-            # nothing runs between collide and stream: the compiled tier
-            # launches the one-pass kernel over the plan's tile table
-            self.step_plan.tile_tables()
-        if self._sanitize or config.backend != "numpy":
-            # pre-flight the plan IR (K401/K402, and K406/K407 for the
-            # tile table the kernel indexes through raw pointers)
-            from ..lint.plancheck import verify_plan
 
-            verify_plan(self.step_plan, context="single-domain plan")
-        self._kernels = make_kernels(config, self.lattice, self.collision, model)
-        if model is not None:
-            # the double buffer is the storage behind two device Views
-            self._views = (
-                model.upload("f", self.f),
-                model.alloc("f_tmp", self.f.shape, self.f.dtype),
-            )
-            self.f, self._f_tmp = (view.data() for view in self._views)
-        self._tables = self._kernels.tables(self.step_plan)
-        self.time = 0
-        self.fluid_updates = 0
-        # byte/update counters for the profiling layer, cached once and
-        # bumped per step() call (not per iteration) to keep the
-        # telemetry-on overhead negligible
-        registry = get_registry()
-        self._flups_counter = registry.counter("lbm.collide.flups")
-        self._stream_bytes_counter = registry.counter(
-            "lbm.stream.bytes_gathered"
-        )
-        self._stream_bytes_per_step = self.step_plan.bytes_per_apply
-
-    def _setup_boundaries(self) -> None:
-        cfg = self.config
-        flags_at = self.grid.flags[
-            self.coords[:, 0], self.coords[:, 1], self.coords[:, 2]
-        ]
-        inlet_nodes = self.all_ids[flags_at == INLET]
-        outlet_nodes = self.all_ids[flags_at == OUTLET]
-        self.inlet: Optional[VelocityInlet] = None
-        self.outlet: Optional[PressureOutlet] = None
-        if inlet_nodes.size:
-            if cfg.inlet_velocity is None:
-                raise ConfigError(
-                    "grid has inlet nodes but no inlet_velocity configured"
-                )
-            self.inlet = VelocityInlet(
-                inlet_nodes, cfg.inlet_velocity, cfg.rho0
-            )
-        if outlet_nodes.size:
-            self.outlet = PressureOutlet(outlet_nodes, cfg.rho0)
-
-    # -- time stepping -----------------------------------------------------
-    def step(self, num_steps: int = 1) -> None:
-        """Advance ``num_steps`` iterations of collide-stream-boundary.
-
-        Nothing runs between collide and stream, so each iteration is
-        one ``collide_stream`` call: the compiled tier's one-pass kernel
-        (each tile of source nodes collided into a cache-resident stage,
-        its runs copied straight into the double buffer — one sweep of
-        ``f``, Eq. 1's byte price), collide then stream on the NumPy and
-        model providers.  On a CPU host the one pass takes 0.74-0.89 of
-        the pair's time from 16 k to 451 k nodes, serial and on two
-        threads (EXPERIMENTS.md, "One pass at the byte price"); the
-        destination-driven ``fused_step``, which gathers through a
-        per-link index stream, is slower than either."""
-        if num_steps < 0:
-            raise ConfigError("num_steps must be non-negative")
-        kern, tables = self._kernels, self._tables
-        n = self.num_nodes
-        for _ in range(num_steps):
-            kern.collide_stream(self.f, self._f_tmp, n, *tables)
-            self.f, self._f_tmp = self._f_tmp, self.f
-            self.time += 1
-            if self.inlet is not None:
-                self.inlet.apply(self.lattice, self.f, self.time)
-            if self.outlet is not None:
-                kern.outlet(self.f, self.outlet.nodes, self.outlet.rho0)
-            if self._sanitize:
-                from .sanitize import check_finite
-
-                check_finite(
-                    self.f, self.num_nodes, f"step {self.time}"
-                )
-        if num_steps:
-            self.fluid_updates += num_steps * n
-            self._flups_counter.inc(num_steps * n)
-            self._stream_bytes_counter.inc(
-                num_steps * self._stream_bytes_per_step
-            )
-
-    # -- observables ---------------------------------------------------------
     @property
-    def num_nodes(self) -> int:
-        return self.connectivity.num_nodes
+    def f(self) -> np.ndarray:
+        """The live ``(q, n)`` distributions (swapped by every step)."""
+        self._require_open("its distributions are released")
+        return self.ranks[0].f
 
-    def density(self) -> np.ndarray:
-        return _density(self.f)
+    @property
+    def step_plan(self) -> StepPlan:
+        return self.ranks[0].plan.step_plan
 
-    def velocity(self) -> np.ndarray:
-        force = self.collision.force
-        return _velocity(self.lattice, self.f, force)
+    @cached_property
+    def all_ids(self) -> np.ndarray:
+        return np.arange(self.num_nodes, dtype=np.int64)
 
-    def mass(self) -> float:
-        return float(self.f.sum())
-
-    def velocity_grid(self) -> np.ndarray:
-        """Velocity on the full voxel grid, zeros at solid voxels."""
-        out = np.zeros(self.grid.shape + (3,), dtype=np.float64)
-        u = self.velocity()
-        out[self.coords[:, 0], self.coords[:, 1], self.coords[:, 2]] = u
-        return out
-
-    def density_grid(self) -> np.ndarray:
-        out = np.zeros(self.grid.shape, dtype=np.float64)
-        out[
-            self.coords[:, 0], self.coords[:, 1], self.coords[:, 2]
-        ] = self.density()
-        return out
-
-    def max_velocity(self) -> float:
-        return float(np.linalg.norm(self.velocity(), axis=1).max())
+    @property
+    def outlet(self) -> Optional[PressureOutlet]:
+        return self.ranks[0].outlet

@@ -3,17 +3,16 @@
 Every backend (CUDA, HIP, SYCL, Kokkos, Kokkos-OpenACC) implements the
 narrow :class:`ProgrammingModel` surface — allocate device storage, copy
 between host and device, launch a data-parallel kernel — using its own
-idioms.  A model is a **kernel provider** of the two solvers:
+idioms.  A model is a **kernel provider** of the solver:
 :func:`~repro.lbm.solver.make_kernels` wraps it in the
-:class:`LaunchedKernels` :class:`~repro.lbm.solver.Solver` and
-:class:`~repro.lbm.distributed.DistributedSolver` step with, so the one
-declared schedule runs the *same* kernel bodies (from
-:mod:`repro.core.kernels`) through any backend — precisely the porting
-structure the paper evaluates: one algorithm, five programming surfaces,
-identical physics.  :class:`ModelEngine` and
-:class:`DistributedModelEngine` are those solvers constructed over models;
-they validate against the plain solvers exactly (same floating-point
-operations in the same order per node).
+:class:`LaunchedKernels` :class:`~repro.lbm.distributed.DistributedSolver`
+steps with, so the one declared schedule runs the *same* kernel bodies
+(from :mod:`repro.core.kernels`) through any backend — precisely the
+porting structure the paper evaluates: one algorithm, five programming
+surfaces, identical physics.  :class:`DistributedModelEngine` is that
+solver constructed over one model per rank, and :class:`ModelEngine` is
+its one-rank case; they validate against the plain solvers exactly (same
+floating-point operations in the same order per node).
 
 Two exchange paths, matching Section 7.2.2: **GPU-aware** — halo buffers
 leave the device directly, nothing on the transfer ledger — and
@@ -34,10 +33,11 @@ import numpy as np
 from ..core.kernels import fused_stream_body_kernel
 from ..core.lattice import Lattice
 from ..core.views import View
+from ..decomp.block import axis_decompose
 from ..decomp.partition import Partition
 from ..geometry.voxel import VoxelGrid
 from ..lbm.distributed import DistributedSolver
-from ..lbm.solver import NumpyKernels, Solver, SolverConfig
+from ..lbm.solver import NumpyKernels, SolverConfig
 from ..lbm.stream import StepPlan
 from ..runtime.simmpi import SimComm
 from ..telemetry.metrics import get_registry
@@ -191,30 +191,6 @@ class HostStagedHalo:
         staging.free()
 
 
-class ModelEngine(Solver):
-    """A single-domain run whose kernels launch through a programming
-    model: :class:`~repro.lbm.solver.Solver` with ``model`` as its kernel
-    provider and the distributions held in the model's device space."""
-
-    def __init__(
-        self, grid: VoxelGrid, config: SolverConfig, model: ProgrammingModel
-    ) -> None:
-        super().__init__(grid, config, model=model)
-        # launch accounting for the profiling layer, cached once
-        self._launch_counter = get_registry().counter("model.launches")
-
-    def step(self, num_steps: int = 1) -> None:
-        before = self.model.launch_count
-        super().step(num_steps)
-        self.model.synchronize()
-        self._launch_counter.inc(self.model.launch_count - before)
-
-    def distributions(self) -> np.ndarray:
-        """Download the distribution array from the device."""
-        live = next(v for v in self._views if v.data() is self.f)
-        return self.model.download(live)
-
-
 class DistributedModelEngine(DistributedSolver):
     """Multi-rank run where every rank drives a model backend: one MPI
     rank per logical GPU, each on its own device, executing
@@ -275,3 +251,29 @@ class DistributedModelEngine(DistributedSolver):
         d2h = sum(model.device.d2h_bytes() for model in self.models)
         h2d = sum(model.device.h2d_bytes() for model in self.models)
         return d2h, h2d
+
+
+class ModelEngine(DistributedModelEngine):
+    """A single-domain run whose kernels launch through a programming
+    model: :class:`DistributedModelEngine` over a one-rank partition,
+    with the distributions held in ``model``'s device space.  As on every
+    rank count, the device ledger is zeroed after set-up, so it reports
+    only the transfers made while stepping."""
+
+    def __init__(
+        self, grid: VoxelGrid, config: SolverConfig, model: ProgrammingModel
+    ) -> None:
+        super().__init__(
+            axis_decompose(grid, 1),
+            config,
+            model_name=model.name,
+            model_factory=lambda rank: model,
+        )
+        self.model = model
+
+    def distributions(self) -> np.ndarray:
+        """Download the distribution array from the device."""
+        live = View.from_array("f", self.ranks[0].f, self.model.device.space)
+        host = self.model.download(live)
+        live.free()
+        return host

@@ -5,8 +5,9 @@ A cell is one value per axis of :data:`AXES`.  The tier table
 ``STEPS`` times.  A rejected cell raises the ``ConfigError``
 :func:`rejection` names within 1 s and leaks no segment.  A reference
 cell (NumPy, lockstep, barrier, plain) closes the chain to the per-q
-oracles below: the single-domain ``Solver`` equals
-:class:`ReferenceStepper`, and a distributed reference equals
+oracles below: the single-domain ``Solver`` — the one-rank
+``DistributedSolver`` built from a grid, stepping the one-pass schedule —
+equals :class:`ReferenceStepper`, and a distributed reference equals
 :func:`reference_distributed_f` and the ``Solver``, ``array_equal``.
 MRT at more than one rank is the one exception: its 19x19 moment GEMM
 is width-sensitive, so its link to the ``Solver`` is banded at
@@ -253,15 +254,10 @@ def run():
     def run(cell):
         skip_unless_runnable(cell)
         if cell not in runs:
-            solver = build(cell)
-            try:
+            with build(cell) as solver:
                 m0 = solver.mass()
                 solver.step(STEPS)
-                f = getattr(solver, "gather_f", lambda: solver.f)()
-                runs[cell] = (f.copy(), m0, solver.mass())
-            finally:
-                if hasattr(solver, "close"):
-                    solver.close()
+                runs[cell] = (solver.gather_f(), m0, solver.mass())
         return runs[cell]
 
     return run

@@ -174,6 +174,12 @@ class TestCommunication:
         with pytest.raises(RuntimeSimError, match="size"):
             DistributedSolver(part, cfg, comm=SimComm(3))
 
+    def test_inlet_without_velocity_is_a_config_error(self, aorta):
+        # the configuration is at fault, not the decomposition
+        part = bisection_decompose(aorta, 2)
+        with pytest.raises(ConfigError, match="inlet_velocity"):
+            DistributedSolver(part, SolverConfig(tau=0.8))
+
 
 class TestRankState:
     def test_owned_counts_match_partition(self, aorta):
