@@ -15,8 +15,8 @@ from repro.core import D3Q19
 from repro.core.kernels import bgk_collide_kernel
 from repro.decomp import axis_decompose
 from repro.geometry import CylinderSpec, make_cylinder
-from repro.lbm import Connectivity, DistributedSolver, Solver, SolverConfig
-from repro.lbm.rankplan import rank_link_lists
+from repro.lbm import DistributedSolver, Solver, SolverConfig
+from repro.lbm.rankplan import build_rank_plans, rank_link_lists
 from repro.microbench import run_host_stream
 
 
@@ -45,12 +45,15 @@ def test_collide_kernel_throughput(benchmark, grid):
 
 
 def test_stream_throughput(benchmark, grid, config):
+    """The solver's NumPy stream: ``StepPlan.apply`` of a one-rank plan."""
     lat = D3Q19
-    conn = Connectivity(grid, lat, periodic=(True, False, False))
-    n = conn.num_nodes
+    (rank,) = build_rank_plans(
+        grid, axis_decompose(grid, 1), lat, config.periodic
+    )
+    n = rank.num_owned
     f = lat.equilibrium(np.ones(n), np.zeros((n, 3)))
     out = np.empty_like(f)
-    benchmark(conn.stream, f, out)
+    benchmark(rank.step_plan.apply, f, out)
     if benchmark.stats:
         benchmark.extra_info["mflups"] = n / benchmark.stats["mean"] / 1e6
 

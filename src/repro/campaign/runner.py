@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..core.errors import CampaignError, ReproError
+from ..core.errors import CampaignError, ConfigError, ReproError
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import Tracer, get_tracer
 from ..telemetry.summary import CATEGORIES, PhaseStats, phase_stats
@@ -95,31 +95,26 @@ def _resolved_params(cell: Cell) -> Dict[str, Any]:
 
 def _prune_reason(cell: Cell, params: Dict[str, Any]) -> Optional[str]:
     """Runner-level reason to drop a valid-looking cell, or None."""
-    backend = str(params.get("backend") or "numpy")
-    if backend != "numpy":
-        from ..models.compiled import COMPILED_BACKENDS, compiled_available
-
-        if backend not in COMPILED_BACKENDS:
-            raise CampaignError(
-                f"sweep {cell.sweep!r}: unknown backend {backend!r}; "
-                f"expected 'numpy' or one of "
-                f"{', '.join(COMPILED_BACKENDS)}"
-            )
-        if not compiled_available():
-            return (
-                f"backend {backend!r} unavailable on this host "
-                "(no working C compiler for the compiled kernels)"
-            )
     if cell.runner == "solver":
         # a bad tier is a spec bug: raise at plan time, run no cell
         from ..lbm.solver import validate_tier
+        from ..models.compiled import compiled_available
         from ..workloads import workload_table
 
-        validate_tier(str(params["executor"]), False, backend)
+        backend = str(params["backend"])
+        try:
+            validate_tier(str(params["executor"]), False, backend)
+        except ConfigError as exc:
+            raise CampaignError(f"sweep {cell.sweep!r}: {exc}") from exc
         if params["geometry"] not in workload_table():
             raise CampaignError(
                 f"sweep {cell.sweep!r}: unknown geometry {params['geometry']!r}"
                 f"; expected one of {', '.join(workload_table())}"
+            )
+        if backend != "numpy" and not compiled_available():
+            return (
+                f"backend {backend!r} unavailable on this host "
+                "(no working C compiler for the compiled kernels)"
             )
     if cell.runner != "perf":
         return None

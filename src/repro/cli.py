@@ -33,8 +33,8 @@ Commands
     Profiling layer (``run``): spans + byte counters joined with the
     performance model into per-phase/per-window efficiency tables.
 ``lint``
-    Static-analysis gate: backend-conformance, hot-path purity, and
-    communication-schedule rules over the source tree.
+    Static-analysis gate: backend-conformance, hot-path purity, plan-IR
+    and executor-concurrency rules over the source tree.
 ``campaign``
     Declarative sweep engine (``run``, ``resume``, ``status``,
     ``report``): expand a JSON spec into content-addressed cells,
@@ -294,9 +294,9 @@ def _cmd_portability(args: argparse.Namespace) -> int:
 
     try:
         arch = study_portability(args.workload, args.gpus, "architectural")
-    except PerfModelError as exc:
+    except PerfModelError as exc:  # a GPU count off the schedule
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     app = study_portability(args.workload, args.gpus, "application")
     print(artefacts.portability_table(arch, app))
     return 0

@@ -43,8 +43,6 @@ __all__ = [
     "collide_prefix",
     "moments_kernel",
     "bgk_collide_kernel",
-    "stream_pull_kernel",
-    "bounce_back_kernel",
     "fused_stream_kernel",
     "fused_stream_body_kernel",
     "partition_range",
@@ -294,33 +292,6 @@ def bgk_collide_kernel(
         out += src
     if not full:
         f[:, idx] = out
-
-
-def stream_pull_kernel(
-    f_src: np.ndarray,
-    f_dst: np.ndarray,
-    qi: int,
-    dst_idx: np.ndarray,
-    src_idx: np.ndarray,
-) -> None:
-    """Pull-scheme streaming for one population: ``f_dst[qi, d] = f_src[qi, s]``.
-
-    The (dst, src) index pairs are precomputed by the streaming plan; this
-    kernel is a pure gather, the memory-bound inner loop of the method.
-    """
-    f_dst[qi, dst_idx] = f_src[qi, src_idx]
-
-
-def bounce_back_kernel(
-    f_src: np.ndarray,
-    f_dst: np.ndarray,
-    qi: int,
-    qi_opp: int,
-    node_idx: np.ndarray,
-) -> None:
-    """Half-way bounce-back: populations that would stream from a solid
-    neighbour are reflected in place from the opposite direction."""
-    f_dst[qi, node_idx] = f_src[qi_opp, node_idx]
 
 
 def fused_stream_kernel(

@@ -23,14 +23,12 @@ from ..decomp import decompose
 from ..geometry.registry import build_geometry
 from ..hardware.machine import Machine
 from ..lbm.distributed import DistributedSolver
-from ..lbm.solver import SolverConfig
 from ..perf.efficiency import mflups
 from ..perf.simulate import RunCost, price_run
 from ..perf.trace import trace_for
 from ..telemetry.spans import get_tracer
 from ..workloads import workload_table
 from .config import HarveyConfig
-from .pulsatile import PulsatileWaveform
 
 __all__ = ["RunReport", "HarveyApp"]
 
@@ -74,35 +72,8 @@ class HarveyApp:
                 self.grid, config.num_ranks, self.preset.scheme
             )
             self.solver = DistributedSolver(
-                self.partition, self._solver_config(), tracer=self.tracer
+                self.partition, config.solver_config(), tracer=self.tracer
             )
-
-    # -- setup ----------------------------------------------------------------
-    def _inlet_velocity(self):
-        cfg = self.config
-        if self.preset.periodic:
-            return None  # no caps: the preset's body force drives the flow
-        if cfg.waveform is not None:
-            return cfg.waveform
-        if cfg.workload == "aorta":
-            return PulsatileWaveform(peak_velocity=cfg.steady_inlet_speed * 2)
-        # steady axial inflow for the axis-aligned capped geometries
-        # (cylinder, stenosis, bifurcation, aneurysm all flow along x)
-        return (cfg.steady_inlet_speed, 0.0, 0.0)
-
-    def _solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            tau=self.config.tau,
-            force=self.preset.force,
-            inlet_velocity=self._inlet_velocity(),
-            periodic=(self.preset.periodic, False, False),
-            overlap=self.config.overlap,
-            executor=self.config.executor,
-            sanitize=self.config.sanitize,
-            backend=self.config.backend,
-            stall_timeout_s=self.config.stall_timeout_s,
-            postmortem_out=self.config.postmortem_out,
-        )
 
     # -- execution ---------------------------------------------------------------
     def run(self, steps: int) -> RunReport:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..core.errors import ConfigError
-from ..lbm.solver import validate_tier
+from ..lbm.solver import SolverConfig
 from ..workloads import workload_table
 from .pulsatile import PulsatileWaveform
 
@@ -81,21 +81,45 @@ class HarveyConfig:
                 f"unknown workload {self.workload!r}; expected one of "
                 f"{', '.join(workload_table())}"
             )
-        # every bound below is a comparison, which NaN passes silently
-        for name in ("resolution", "tau", "stall_timeout_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(
-                    f"{name} must be finite, got {getattr(self, name)}"
-                )
+        # NaN passes the bound below silently
+        if not math.isfinite(self.resolution):
+            raise ConfigError(
+                f"resolution must be finite, got {self.resolution}"
+            )
         if self.resolution <= 0:
             raise ConfigError("resolution must be positive")
         if self.num_ranks < 1:
             raise ConfigError("num_ranks must be >= 1")
-        if self.tau <= 0.5:
-            raise ConfigError("tau must exceed 0.5")
         if not 0 < self.steady_inlet_speed <= 0.3:
             raise ConfigError("steady inlet speed must be in (0, 0.3]")
-        # fail before HarveyApp builds geometry and decomposes it
-        validate_tier(self.executor, self.sanitize, self.backend)
-        if self.stall_timeout_s <= 0:
-            raise ConfigError("stall_timeout_s must be positive")
+        # the solver's own checks (tau, stall_timeout_s, the tier table)
+        # fail here, before HarveyApp builds geometry and decomposes it
+        self.solver_config()
+
+    def solver_config(self) -> SolverConfig:
+        """The :class:`~repro.lbm.solver.SolverConfig` this run steps
+        under: the workload's force, walls and inlet, and the fields the
+        two configs share."""
+        preset = workload_table()[self.workload]
+        if preset.periodic:
+            inlet = None  # no caps: the preset's body force drives the flow
+        elif self.waveform is not None:
+            inlet = self.waveform
+        elif self.workload == "aorta":
+            inlet = PulsatileWaveform(peak_velocity=self.steady_inlet_speed * 2)
+        else:
+            # steady axial inflow for the axis-aligned capped geometries
+            # (cylinder, stenosis, bifurcation, aneurysm all flow along x)
+            inlet = (self.steady_inlet_speed, 0.0, 0.0)
+        return SolverConfig(
+            tau=self.tau,
+            force=preset.force,
+            inlet_velocity=inlet,
+            periodic=(preset.periodic, False, False),
+            overlap=self.overlap,
+            executor=self.executor,
+            sanitize=self.sanitize,
+            backend=self.backend,
+            stall_timeout_s=self.stall_timeout_s,
+            postmortem_out=self.postmortem_out,
+        )

@@ -19,7 +19,7 @@ from .moments import (
 )
 from .sanitize import StepSanitizer, check_finite
 from .solver import Solver, SolverConfig
-from .stream import Connectivity, QPlan
+from .stream import QPlan
 
 __all__ = [
     "BGKCollision",
@@ -40,7 +40,6 @@ __all__ = [
     "tau_from_viscosity",
     "VelocityInlet",
     "PressureOutlet",
-    "Connectivity",
     "QPlan",
     "Solver",
     "SolverConfig",

@@ -1,13 +1,15 @@
-"""Streaming connectivity for sparse (indirect-addressed) LBM grids.
+"""Streaming tables for sparse (indirect-addressed) LBM grids.
 
 HARVEY stores only fluid points and streams through neighbor-index lists
 (Herschlag et al., ref. [12] of the paper — "GPU data access on complex
-geometries for D3Q19 lattice Boltzmann method").  :class:`Connectivity`
-precomputes, for every population, the pull-scheme gather lists:
-
-* interior pairs ``(dst, src)`` — fluid upstream neighbour exists;
-* bounce nodes — upstream voxel is solid, so the population reflects
-  (half-way bounce-back) from the opposite direction at the same node.
+geometries for D3Q19 lattice Boltzmann method").  :class:`StepPlan` is
+the solver's stream: every (population, node) link of a rank as one
+flat gather table, wall links pointing at the opposite population of the
+same node (half-way bounce-back).  :class:`QPlan` is one population's
+link lists — interior ``(dst, src)`` pairs and the bounce nodes whose
+upstream voxel is solid — as
+:func:`~repro.lbm.rankplan.rank_link_lists` derives them from
+:func:`upstream_ids`: the per-population oracle the tests step.
 
 Periodic axes wrap at the *global* domain boundary.
 """
@@ -15,17 +17,12 @@ Periodic axes wrap at the *global* domain boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..core.errors import GeometryError
-from ..core.kernels import (
-    bounce_back_kernel,
-    fused_stream_kernel,
-    stream_pull_kernel,
-)
-from ..core.lattice import Lattice
+from ..core.kernels import fused_stream_kernel
 from ..core.planmeta import (
     expand_runs,
     flat_destinations,
@@ -33,9 +30,8 @@ from ..core.planmeta import (
     tile_table,
 )
 from ..core.planmeta import kernel_tables as planmeta_kernel_tables
-from ..geometry.voxel import VoxelGrid
 
-__all__ = ["QPlan", "StepPlan", "Connectivity", "upstream_ids"]
+__all__ = ["QPlan", "StepPlan", "upstream_ids"]
 
 
 @dataclass(frozen=True)
@@ -44,8 +40,8 @@ class QPlan:
 
     qi: int
     qi_opp: int
-    dst: np.ndarray  # interior destinations (compact ids)
-    src: np.ndarray  # matching upstream sources (compact ids)
+    dst: np.ndarray  # interior destinations (local ids)
+    src: np.ndarray  # matching upstream sources (local ids)
     bounce: np.ndarray  # nodes whose upstream voxel is solid
 
 
@@ -61,9 +57,8 @@ class StepPlan:
     single-pass stream kernel of the paper's perf model.
 
     ``update_ids`` are the local node ids the step writes; every plan
-    built here updates the prefix ``0..num_update-1`` of the local
-    numbering (single-domain through :meth:`from_links`, and the
-    distributed owned-before-ghost layout of
+    the solver builds updates the prefix ``0..num_update-1`` of the local
+    numbering (the owned-before-ghost layout of
     :func:`~repro.lbm.rankplan.build_rank_plans`), which is what
     :meth:`apply` and the compiled kernels write through.  The
     constructor stores its tables as given — the ``*.stepplan.json``
@@ -127,30 +122,6 @@ class StepPlan:
         if self.tile_table is None:
             self.kernel_tables()
         self._flat_src = None
-
-    @classmethod
-    def from_links(
-        cls, q: int, links: Sequence[QPlan], num_local: int, num_update: int
-    ) -> "StepPlan":
-        """Fold per-population gather lists into one prefix plan.
-
-        Every destination must lie below ``num_update``; together the
-        lists must cover every (population, node) pair of the prefix.
-        """
-        flat = np.full((q, num_update), -1, dtype=np.int64)
-        for link in links:
-            flat[link.qi, link.dst] = link.qi * num_local + link.src
-            if link.bounce.size:
-                flat[link.qi, link.bounce] = (
-                    link.qi_opp * num_local + link.bounce
-                )
-        if (flat < 0).any():
-            raise GeometryError(
-                "streaming plans do not cover every (population, node) pair"
-            )
-        return cls(
-            q, int(num_local), np.arange(num_update, dtype=np.int64), flat
-        )
 
     @property
     def num_update(self) -> int:
@@ -277,95 +248,3 @@ def upstream_ids(
         p = pos[valid]
         src[valid] = index_map[p[:, 0], p[:, 1], p[:, 2]]
     return src
-
-
-class Connectivity:
-    """Precomputed pull-streaming plans over a compact fluid numbering.
-
-    Parameters
-    ----------
-    grid:
-        The flagged voxel grid.
-    lattice:
-        Velocity set descriptor.
-    periodic:
-        Per-axis periodic wrap flags.
-    """
-
-    def __init__(
-        self,
-        grid: VoxelGrid,
-        lattice: Lattice,
-        periodic: Tuple[bool, bool, bool] = (False, False, False),
-    ) -> None:
-        self.grid = grid
-        self.lattice = lattice
-        self.periodic = tuple(bool(p) for p in periodic)
-        self.coords, self.index_map = grid.compact_ids()
-        self.num_nodes = int(self.coords.shape[0])
-        if self.num_nodes == 0:
-            raise GeometryError("no fluid nodes to build connectivity over")
-        self.update_ids = np.arange(self.num_nodes, dtype=np.int64)
-        self.plans: List[QPlan] = self._build_plans()
-
-    def _build_plans(self) -> List[QPlan]:
-        plans: List[QPlan] = []
-        for qi in range(self.lattice.q):
-            qi_opp = int(self.lattice.opposite[qi])
-            if qi == 0:
-                # rest population: every node copies itself
-                plans.append(
-                    QPlan(0, 0, self.update_ids, self.update_ids,
-                          np.empty(0, dtype=np.int64))
-                )
-                continue
-            src = upstream_ids(
-                self.grid.shape,
-                self.lattice.c[qi],
-                self.periodic,
-                self.coords,
-                self.index_map,
-            )
-            has_src = src >= 0
-            plans.append(
-                QPlan(
-                    qi,
-                    qi_opp,
-                    dst=self.update_ids[has_src],
-                    src=src[has_src],
-                    bounce=self.update_ids[~has_src],
-                )
-            )
-        return plans
-
-    def step_plan(self) -> StepPlan:
-        """Compile the per-q plans into a fused :class:`StepPlan`."""
-        return StepPlan.from_links(
-            self.lattice.q, self.plans, self.num_nodes, self.num_nodes
-        )
-
-    # -- execution -----------------------------------------------------------
-    def stream(self, f_src: np.ndarray, f_dst: np.ndarray) -> None:
-        """Pull-stream all populations from ``f_src`` into ``f_dst``.
-
-        The per-population oracle :meth:`StepPlan.apply` is pinned against.
-        """
-        for plan in self.plans:
-            stream_pull_kernel(f_src, f_dst, plan.qi, plan.dst, plan.src)
-            if plan.bounce.size:
-                bounce_back_kernel(
-                    f_src, f_dst, plan.qi, plan.qi_opp, plan.bounce
-                )
-
-    # -- diagnostics -----------------------------------------------------------
-    @property
-    def num_bounce_links(self) -> int:
-        """Total wall links (bounce-back population slots)."""
-        return int(sum(p.bounce.size for p in self.plans))
-
-    def wall_node_ids(self) -> np.ndarray:
-        """Update nodes with at least one wall link."""
-        parts = [p.bounce for p in self.plans if p.bounce.size]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts))

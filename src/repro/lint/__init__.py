@@ -2,18 +2,20 @@
 
 The paper's porting study *is* static analysis (DPCT's 133 categorised
 warnings, Table 2); this package gives the reproduction the same
-pre-flight scrutiny.  Three rule families guard the three invariants
-the code base lives or dies by: backend-surface conformance (one
-algorithm, five identical surfaces), hot-path purity (the vectorised,
-allocation-free stream-collide premise of the performance model), and
-communication-schedule soundness (matched, unambiguous, deadlock-free
-halo exchange).
+pre-flight scrutiny.  Its rule families (:data:`RULE_FAMILIES`) guard
+the invariants the code base lives or dies by: backend-surface
+conformance (one algorithm, five identical surfaces), hot-path purity
+(the vectorised, allocation-free stream-collide premise of the
+performance model), plan-IR soundness (race- and alias-free index
+tables) and executor concurrency.
 
-Entry points: ``repro lint`` on the command line,
-:class:`LintEngine` programmatically, and
-:func:`verify_schedule`/:func:`check_schedule` for schedule checks
-(run automatically as :class:`~repro.lbm.distributed.DistributedSolver`
-pre-flight).
+Entry points: ``repro lint`` on the command line, :class:`LintEngine`
+programmatically, and the two pre-flights
+:class:`~repro.lbm.distributed.DistributedSolver` runs on what it
+builds — :func:`verify_rank_plans` on its rank plans and
+:func:`verify_schedule` (matched, unambiguous, deadlock-free halo
+exchange) on the schedule :func:`schedule_from_rank_states` derives
+from them.
 """
 
 from .commcheck import (
@@ -21,7 +23,6 @@ from .commcheck import (
     CommSchedule,
     ScheduleIssue,
     check_schedule,
-    check_schedule_file,
     schedule_from_rank_states,
     verify_schedule,
 )
@@ -41,7 +42,6 @@ from .plancheck import (
     check_plan_file,
     check_rank_states,
     rank_states_to_dict,
-    verify_plan,
     verify_rank_plans,
 )
 from .rules import (
@@ -64,7 +64,6 @@ __all__ = [
     "CommSchedule",
     "ScheduleIssue",
     "check_schedule",
-    "check_schedule_file",
     "schedule_from_rank_states",
     "verify_schedule",
     "PLAN_RULES",
@@ -72,7 +71,6 @@ __all__ = [
     "check_plan_file",
     "check_rank_states",
     "rank_states_to_dict",
-    "verify_plan",
     "verify_rank_plans",
     "default_rules",
     "RULE_FAMILIES",

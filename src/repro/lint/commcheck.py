@@ -1,38 +1,35 @@
 """Static verification of communication schedules.
 
 A mismatched halo exchange — a send with no matching receive, a reused
-tag, a cycle of blocking sends — deadlocks or corrupts a distributed LBM
-run, and both miniLB and the HemeLB GPU port report catching exactly this
-class of bug only at scale.  This module checks the *plan* instead of the
-execution: given the per-rank program order of sends and receives for one
-lockstep iteration, it verifies
+tag, a receive completed before anything was sent — deadlocks or
+corrupts a distributed LBM run, and both miniLB and the HemeLB GPU port
+report catching exactly this class of bug only at scale.  This module
+checks the *plan* instead of the execution: given the per-rank program
+order of one lockstep iteration's non-blocking posts, compute phases and
+waits, it verifies
 
 * **matching** — every ``(src → dst, tag)`` send has a matching receive
   and vice versa (S301/S302), with element counts agreeing side to side
   (S304);
 * **tag uniqueness** — no ``(src, dst)`` pair reuses a tag within the
   step, which would make message identity ambiguous (S303);
-* **progress** — under blocking semantics the schedule reaches
-  completion; a stalled fixed point is reported as a deadlock with the
-  stuck head operations (S305).
+* **progress** — every ``wait`` is eventually fed its message; a stalled
+  fixed point is reported as a deadlock with the stuck head operations
+  (S305).
 
 :class:`~repro.lbm.distributed.DistributedSolver` runs this as an
-opt-out pre-flight over the schedule derived from its decomposition, and
-:class:`~repro.runtime.simmpi.SimComm` enforces the tag rule as a debug
-assertion.  ``repro lint`` checks any ``*.commsched.json`` file it finds
-(see :func:`check_schedule_file` for the format).
+opt-out pre-flight over the schedule :func:`schedule_from_rank_states`
+derives from its rank plans, and :class:`~repro.runtime.simmpi.SimComm`
+enforces the tag rule as a debug assertion.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.errors import CommScheduleError
 from ..lbm.rankplan import plans_of
-from .engine import Violation
 
 __all__ = [
     "CommOp",
@@ -41,7 +38,6 @@ __all__ = [
     "check_schedule",
     "verify_schedule",
     "schedule_from_rank_states",
-    "check_schedule_file",
     "SCHEDULE_RULES",
 ]
 
@@ -60,20 +56,16 @@ class CommOp:
     """One operation in a rank's program order.
 
     ``count`` is the number of payload elements per message (0 when
-    unknown — count checks are skipped for that message).  ``blocking``
-    models MPI semantics in the progress check: a blocking send
-    completes only by rendezvous with a matching receive at the peer's
-    head; a blocking receive stalls its rank until the message is
-    available.  Non-blocking operations (``MPI_Isend``/``MPI_Irecv``
-    posts) never stall.
-
-    Two non-message kinds model overlapped pipelines: ``"compute"`` is a
+    unknown — count checks are skipped for that message).  ``"send"``
+    and ``"recv"`` are non-blocking posts (``MPI_Isend``/``MPI_Irecv``):
+    a send delivers its message, a receive post never stalls.  Two
+    non-message kinds model overlapped pipelines: ``"compute"`` is a
     local phase that never stalls (interior streaming between exchange
     post and completion), and ``"wait"`` completes a previously posted
-    non-blocking receive — it stalls until the matching message has been
-    sent, and it is what consumes the message (the post does not).  This
-    lets the checker verify post → compute → wait schedules without
-    reporting the in-flight window as a deadlock.
+    receive — it stalls until the matching message has been sent, and
+    it is what consumes the message (the post does not).  This lets the
+    checker verify post → compute → wait schedules without reporting the
+    in-flight window as a deadlock.
     """
 
     kind: str  # "send" | "recv" | "wait" | "compute"
@@ -81,7 +73,6 @@ class CommOp:
     peer: int  # destination (send) or source (recv/wait); rank itself for compute
     tag: int
     count: int = 0
-    blocking: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("send", "recv", "wait", "compute"):
@@ -133,31 +124,17 @@ class CommSchedule:
             )
         self.ops[op.rank].append(op)
 
-    def add_send(
-        self,
-        src: int,
-        dst: int,
-        tag: int,
-        count: int = 0,
-        blocking: bool = False,
-    ) -> None:
-        self._add(CommOp("send", src, dst, tag, count, blocking))
+    def add_send(self, src: int, dst: int, tag: int, count: int = 0) -> None:
+        self._add(CommOp("send", src, dst, tag, count))
 
-    def add_recv(
-        self,
-        dst: int,
-        src: int,
-        tag: int,
-        count: int = 0,
-        blocking: bool = False,
-    ) -> None:
-        self._add(CommOp("recv", dst, src, tag, count, blocking))
+    def add_recv(self, dst: int, src: int, tag: int, count: int = 0) -> None:
+        self._add(CommOp("recv", dst, src, tag, count))
 
     def add_wait(
         self, dst: int, src: int, tag: int, count: int = 0
     ) -> None:
-        """Complete a posted non-blocking receive (always blocking)."""
-        self._add(CommOp("wait", dst, src, tag, count, blocking=True))
+        """Complete a posted receive: stalls until its message is sent."""
+        self._add(CommOp("wait", dst, src, tag, count))
 
     def add_compute(self, rank: int) -> None:
         """A local compute phase; never stalls the rank."""
@@ -166,58 +143,6 @@ class CommSchedule:
     @property
     def num_ops(self) -> int:
         return sum(len(rank_ops) for rank_ops in self.ops)
-
-    # -- (de)serialization -------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "num_ranks": self.num_ranks,
-            "ops": [
-                [
-                    {
-                        "kind": op.kind,
-                        "peer": op.peer,
-                        "tag": op.tag,
-                        "count": op.count,
-                        "blocking": op.blocking,
-                    }
-                    for op in rank_ops
-                ]
-                for rank_ops in self.ops
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CommSchedule":
-        try:
-            num_ranks = int(data["num_ranks"])  # type: ignore[arg-type]
-            rank_ops = data["ops"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CommScheduleError(
-                f"schedule needs 'num_ranks' and 'ops': {exc}"
-            ) from exc
-        if not isinstance(rank_ops, list) or len(rank_ops) != num_ranks:
-            raise CommScheduleError(
-                "'ops' must list one program order per rank"
-            )
-        sched = cls(num_ranks)
-        for rank, ops in enumerate(rank_ops):
-            for op in ops:
-                try:
-                    sched._add(
-                        CommOp(
-                            kind=str(op["kind"]),
-                            rank=rank,
-                            peer=int(op["peer"]),
-                            tag=int(op.get("tag", 0)),
-                            count=int(op.get("count", 0)),
-                            blocking=bool(op.get("blocking", False)),
-                        )
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise CommScheduleError(
-                        f"bad op for rank {rank}: {op!r} ({exc})"
-                    ) from exc
-        return sched
 
 
 def _matching_issues(sched: CommSchedule) -> List[ScheduleIssue]:
@@ -285,7 +210,7 @@ def _matching_issues(sched: CommSchedule) -> List[ScheduleIssue]:
 
 
 def _progress_issues(sched: CommSchedule) -> List[ScheduleIssue]:
-    """Fixed-point simulation under blocking semantics."""
+    """Fixed-point simulation: only a ``wait`` can stall its rank."""
     ptr = [0] * sched.num_ranks
     delivered: Dict[Tuple[int, int, int], int] = {}
     progress = True
@@ -295,38 +220,17 @@ def _progress_issues(sched: CommSchedule) -> List[ScheduleIssue]:
             while ptr[r] < len(sched.ops[r]):
                 op = sched.ops[r][ptr[r]]
                 if op.kind == "send":
-                    if op.blocking:
-                        # rendezvous: the peer's head op must be the
-                        # matching receive
-                        dp = ptr[op.peer]
-                        peer_ops = sched.ops[op.peer]
-                        head = (
-                            peer_ops[dp] if dp < len(peer_ops) else None
-                        )
-                        if not (
-                            head is not None
-                            and head.kind == "recv"
-                            and head.peer == r
-                            and head.tag == op.tag
-                        ):
-                            break
                     key = (r, op.peer, op.tag)
                     delivered[key] = delivered.get(key, 0) + 1
-                elif op.kind == "recv":
-                    if op.blocking:
-                        key = (op.peer, r, op.tag)
-                        if delivered.get(key, 0) < 1:
-                            break
-                        delivered[key] -= 1
                 elif op.kind == "wait":
-                    # completes a posted Irecv: stalls until the message
-                    # has been sent, then consumes it (the post did not)
+                    # stalls until the message has been sent, then
+                    # consumes it (the receive post did not)
                     key = (op.peer, r, op.tag)
                     if delivered.get(key, 0) < 1:
                         break
                     delivered[key] -= 1
-                # "compute" never stalls: the overlap window between
-                # exchange post and completion is legal, not a deadlock
+                # a receive post and a "compute" never stall: the overlap
+                # window between exchange post and completion is legal
                 ptr[r] += 1
                 progress = True
     stuck = [
@@ -340,7 +244,7 @@ def _progress_issues(sched: CommSchedule) -> List[ScheduleIssue]:
     return [
         ScheduleIssue(
             "deadlock",
-            f"schedule cannot complete under blocking semantics: {heads}",
+            f"schedule cannot complete: {heads}",
         )
     ]
 
@@ -400,38 +304,3 @@ def schedule_from_rank_states(
             for src, count in recvs:
                 sched.add_wait(rank, src, tag, count=count)
     return sched
-
-
-def check_schedule_file(path: Union[str, Path]) -> List[Violation]:
-    """Check a serialized schedule, returning engine violations.
-
-    The format is the JSON of :meth:`CommSchedule.to_dict`::
-
-        {"num_ranks": 2,
-         "ops": [[{"kind": "send", "peer": 1, "tag": 1, "count": 8}],
-                 [{"kind": "recv", "peer": 0, "tag": 1, "count": 8}]]}
-    """
-    p = Path(path)
-    try:
-        data = json.loads(p.read_text())
-        sched = CommSchedule.from_dict(data)
-    except (OSError, ValueError, CommScheduleError) as exc:
-        return [
-            Violation(
-                rule="S300",
-                path=str(p),
-                line=1,
-                col=0,
-                message=f"malformed schedule: {exc}",
-            )
-        ]
-    return [
-        Violation(
-            rule=issue.rule,
-            path=str(p),
-            line=1,
-            col=0,
-            message=issue.message,
-        )
-        for issue in check_schedule(sched)
-    ]

@@ -4,7 +4,7 @@ The paper's Section 7 porting study is, at heart, warning-count static
 analysis: DPCT emitted 133 categorised diagnostics over the HARVEY corpus
 (Table 2).  This engine gives the *reproduction* the same kind of
 pre-flight scrutiny: rules walk parsed Python modules (and serialized
-communication schedules) and emit categorised, suppressible violations
+step plans) and emit categorised, suppressible violations
 long before a run is priced or executed.
 
 Building blocks
@@ -268,10 +268,6 @@ def write_baseline(
 
 _SKIP_DIRS = {"__pycache__", ".git", ".hg", ".tox", ".venv", "node_modules"}
 
-#: Serialized communication schedules the engine hands to the
-#: schedule checker (see :mod:`repro.lint.commcheck`).
-SCHEDULE_SUFFIX = ".commsched.json"
-
 #: Serialized step-plan documents the engine hands to the plan
 #: verifier (see :mod:`repro.lint.plancheck`).
 PLAN_SUFFIX = ".stepplan.json"
@@ -289,9 +285,7 @@ def _iter_files(paths: Sequence[Union[str, Path]]) -> Iterator[Path]:
             if any(part in _SKIP_DIRS for part in child.parts):
                 continue
             if child.is_file() and (
-                child.suffix == ".py"
-                or child.name.endswith(SCHEDULE_SUFFIX)
-                or child.name.endswith(PLAN_SUFFIX)
+                child.suffix == ".py" or child.name.endswith(PLAN_SUFFIX)
             ):
                 yield child
 
@@ -302,7 +296,6 @@ class LintEngine:
     def __init__(
         self,
         rules: Optional[Sequence[Rule]] = None,
-        schedule_rules: Optional[Set[str]] = None,
         plan_rules: Optional[Set[str]] = None,
     ) -> None:
         if rules is None:
@@ -315,26 +308,21 @@ class LintEngine:
                 raise LintError(f"duplicate rule id {rule.rule_id}")
             seen.add(rule.rule_id)
         self.rules: List[Rule] = list(rules)
-        #: S-rule ids to keep from schedule files; None means all.
-        self.schedule_rules = schedule_rules
         #: K-rule ids to keep from step-plan files; None means all.
         self.plan_rules = plan_rules
 
     def select(self, rule_ids: Sequence[str]) -> "LintEngine":
         """A new engine restricted to the given rule ids.
 
-        Selection spans the AST rules, the S3xx ids emitted by the
-        communication-schedule checker, and the K4xx ids emitted by the
+        Selection spans the AST rules and the K4xx ids emitted by the
         step-plan verifier.  An id that is a *prefix* of known rules
         selects the whole family: ``select(["K", "W"])`` keeps every
         plan-verifier and concurrency rule.
         """
-        from .commcheck import SCHEDULE_RULES
         from .plancheck import PLAN_RULES
 
-        schedule_ids = set(SCHEDULE_RULES.values()) | {"S300"}
         plan_ids = set(PLAN_RULES.values()) | {"K400"}
-        known = {r.rule_id for r in self.rules} | schedule_ids | plan_ids
+        known = {r.rule_id for r in self.rules} | plan_ids
         wanted: Set[str] = set()
         unknown: Set[str] = set()
         for rid in rule_ids:
@@ -353,7 +341,6 @@ class LintEngine:
             )
         return LintEngine(
             [r for r in self.rules if r.rule_id in wanted],
-            schedule_rules=wanted & schedule_ids,
             plan_rules=wanted & plan_ids,
         )
 
@@ -362,7 +349,6 @@ class LintEngine:
         paths: Sequence[Union[str, Path]],
         baseline: Optional[Set[str]] = None,
     ) -> LintReport:
-        from .commcheck import check_schedule_file
         from .plancheck import check_plan_file
 
         report = LintReport()
@@ -370,14 +356,6 @@ class LintEngine:
         raw: List[Violation] = []
         for path in _iter_files(paths):
             report.files_checked += 1
-            if path.name.endswith(SCHEDULE_SUFFIX):
-                raw.extend(
-                    v
-                    for v in check_schedule_file(path)
-                    if self.schedule_rules is None
-                    or v.rule in self.schedule_rules
-                )
-                continue
             if path.name.endswith(PLAN_SUFFIX):
                 raw.extend(
                     v

@@ -79,7 +79,6 @@ __all__ = [
     "check_phase_order",
     "check_rank_states",
     "verify_rank_plans",
-    "verify_plan",
     "rank_states_to_dict",
     "check_plan_file",
 ]
@@ -433,27 +432,18 @@ def check_rank_states(
     return issues
 
 
-def _raise_on(issues: Sequence[PlanIssue], what: str) -> None:
-    if issues:
-        detail = "\n".join(f"  [{i.rule}] {i.message}" for i in issues)
-        raise PlanCheckError(
-            f"{what} failed static verification ({len(issues)} issue(s)):"
-            f"\n{detail}"
-        )
-
-
 def verify_rank_plans(
     ranks: Sequence[object], overlap: bool = False, context: str = ""
 ) -> None:
     """Raise :class:`PlanCheckError` when the ranks' plan IR is invalid."""
-    prefix = f"{context}: " if context else ""
-    _raise_on(check_rank_states(ranks, overlap), f"{prefix}step-plan IR")
-
-
-def verify_plan(plan: StepPlan, context: str = "") -> None:
-    """Raise :class:`PlanCheckError` when one single-domain plan's table
-    is invalid (K401/K402/K406/K407; no ghosts, so no exchange)."""
-    _raise_on(_step_plan_issues(plan, context or "plan"), "step plan")
+    issues = check_rank_states(ranks, overlap)
+    if issues:
+        prefix = f"{context}: " if context else ""
+        detail = "\n".join(f"  [{i.rule}] {i.message}" for i in issues)
+        raise PlanCheckError(
+            f"{prefix}step-plan IR failed static verification "
+            f"({len(issues)} issue(s)):\n{detail}"
+        )
 
 
 # -- serialized plan documents ----------------------------------------------

@@ -1,6 +1,6 @@
 """Rule registry for ``repro lint``.
 
-Five families, each guarding a paper invariant:
+Four families, each guarding a paper invariant:
 
 * **conformance (C1xx)** — one algorithm, five identical programming
   surfaces (Sections 5/7; the DPCT warning audit of Table 2 in Python
@@ -8,10 +8,6 @@ Five families, each guarding a paper invariant:
 * **hot-path purity (P2xx)** — the stream-collide loop stays vectorised
   and allocation-free, the premise of the bandwidth-bound performance
   model (Eq. 1);
-* **comm-schedule (S3xx)** — the halo-exchange plan is matched,
-  unambiguous, and deadlock-free before a step executes (the class of
-  bug miniLB and the HemeLB GPU port hit only at scale).  S-rules are
-  emitted by :mod:`repro.lint.commcheck` rather than by AST visitors;
 * **plan IR (K4xx)** — the fused gather/scatter index tables are race-
   and alias-free (emitted by :mod:`repro.lint.plancheck`, which also
   runs as the distributed solver's pre-flight);
@@ -21,14 +17,17 @@ Five families, each guarding a paper invariant:
 
 :data:`DPCT_CATEGORY_BY_RULE` cross-links every rule id to the Table 2
 warning taxonomy of :mod:`repro.porting.dpct`, so lint findings can be
-accounted the way the paper accounts porting diagnostics.
+accounted the way the paper accounts porting diagnostics.  (The
+halo-exchange schedule check, S301-S305 of :mod:`repro.lint.commcheck`,
+runs only as the distributed solver's pre-flight, on the schedule it
+derives from its rank plans: no file carries a schedule, so no S id
+reaches ``repro lint``.)
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from ..commcheck import SCHEDULE_RULES
 from ..engine import Rule
 from ..plancheck import PLAN_RULES
 from .concurrency import (
@@ -81,12 +80,10 @@ def default_rules() -> List[Rule]:
     ]
 
 
-#: Rule ids by family; the S3xx ids come from the schedule checker and
-#: the K4xx ids from the step-plan verifier.
+#: Rule ids by family; the K4xx ids come from the step-plan verifier.
 RULE_FAMILIES: Dict[str, List[str]] = {
     "conformance": ["C101", "C102", "C103", "C104"],
     "purity": ["P201", "P202", "P203"],
-    "commsched": sorted(SCHEDULE_RULES.values()),
     "plancheck": sorted(PLAN_RULES.values()),
     "concurrency": ["W501", "W503", "W504", "W505"],
 }
@@ -106,12 +103,6 @@ DPCT_CATEGORY_BY_RULE: Dict[str, str] = {
     "P201": "Performance improvement",
     "P202": "Performance improvement",
     "P203": "Functional equivalence",
-    # schedule failures surface at runtime as errors/hangs
-    "S301": "Error handling",
-    "S302": "Error handling",
-    "S303": "Functional equivalence",
-    "S304": "Error handling",
-    "S305": "Error handling",
     # plan-IR failures are the data-movement/synchronization bugs the
     # paper's DPCT audit calls the hardest to port: most produce
     # silently wrong results, two fault loudly at table-build time

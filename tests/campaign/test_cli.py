@@ -144,6 +144,36 @@ class TestErrorExits:
         assert code == 2
         assert "warp" in err
 
+    @pytest.mark.parametrize(
+        "axis, known",
+        [("executor", "lockstep, process"), ("backend", "compiled-serial")],
+    )
+    def test_bad_tier_exits_2(self, capsys, tmp_path, axis, known):
+        """A tier value ``validate_tier`` refuses is a spec error: one
+        ``error:`` line naming the sweep and the valid values."""
+        spec = write_spec(
+            tmp_path,
+            {
+                "name": "bad",
+                "sweeps": [
+                    {
+                        "name": "s",
+                        "runner": "solver",
+                        "axes": {axis: ["bogus"]},
+                        "fixed": {"geometry": "cylinder", "steps": 1},
+                    }
+                ],
+            },
+        )
+        code, out, err = run_cli(
+            capsys, "campaign", "run", spec, "--store", str(tmp_path / "s")
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sweep 's': ")
+        assert len(err.splitlines()) == 1
+        assert "'bogus'" in err and known in err
+
     def test_report_on_empty_store_exits_2(
         self, capsys, tmp_path, quick_spec
     ):

@@ -13,7 +13,7 @@ from repro.campaign import (
     plan_campaign,
     run_campaign,
 )
-from repro.core import CampaignError, ConfigError
+from repro.core import CampaignError
 from repro.hardware import get_machine
 
 
@@ -184,7 +184,7 @@ class TestPlanning:
 
         with pytest.raises(CampaignError, match=r"\['fused'\].*known:"):
             plan_campaign(spec(fused=(True, False)))
-        with pytest.raises(ConfigError, match="lockstep, process"):
+        with pytest.raises(CampaignError, match="lockstep, process"):
             plan_campaign(spec(executor=("lockstep", "parallel")))
 
     def test_defaults_participate_in_identity(self):

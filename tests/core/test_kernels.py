@@ -1,4 +1,4 @@
-"""Shared kernel bodies: collision conservation, streaming gathers."""
+"""Shared kernel bodies: collision conservation, the fused streaming gather."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from repro.core import D3Q19
 from repro.core.kernels import (
     bgk_collide_kernel,
-    bounce_back_kernel,
+    fused_stream_kernel,
     moments_kernel,
     partition_range,
-    stream_pull_kernel,
 )
 
 
@@ -102,13 +101,15 @@ class TestBGKCollide:
 
 
 class TestStreaming:
+    """The fused gather: ``flat_src`` holds ``src_q * n + src_node``."""
+
     def test_stream_pull_gather(self):
         f_src = np.zeros((19, 4))
         f_src[2] = [10, 20, 30, 40]
         f_dst = np.zeros_like(f_src)
-        stream_pull_kernel(
-            f_src, f_dst, 2, np.array([0, 1]), np.array([3, 2])
-        )
+        flat_src = np.arange(19 * 4, dtype=np.int64).reshape(19, 4)
+        flat_src[2, :2] = [2 * 4 + 3, 2 * 4 + 2]
+        fused_stream_kernel(f_src, f_dst, flat_src)
         assert f_dst[2, 0] == 40 and f_dst[2, 1] == 30
 
     def test_bounce_back_reflects_opposite(self):
@@ -117,7 +118,9 @@ class TestStreaming:
         qi_opp = int(D3Q19.opposite[qi])
         f_src[qi_opp] = [5, 6, 7]
         f_dst = np.zeros_like(f_src)
-        bounce_back_kernel(f_src, f_dst, qi, qi_opp, np.array([0, 2]))
+        flat_src = np.arange(19 * 3, dtype=np.int64).reshape(19, 3)
+        flat_src[qi, [0, 2]] = qi_opp * 3 + np.array([0, 2])
+        fused_stream_kernel(f_src, f_dst, flat_src)
         assert f_dst[qi, 0] == 5 and f_dst[qi, 2] == 7
         assert f_dst[qi, 1] == 0
 

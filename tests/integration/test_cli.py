@@ -105,6 +105,9 @@ class TestCLI:
             ["ablation", "--spacing", "0"],
             ["ablation", "--spacing", "inf"],
             ["ablation", "--gpus", "0"],
+            ["portability", "--gpus", "0"],
+            ["portability", "--gpus", "3"],
+            ["lint", "--select", "S301"],
         ],
         ids=["harvey-steps-0", "proxy-steps-0", "lint-unknown-rule",
              "lint-missing-baseline", "harvey-stall-timeout-nan",
@@ -113,7 +116,8 @@ class TestCLI:
              "sensitivity-sites-inf", "sensitivity-sites-0",
              "sensitivity-sites-negative", "ablation-spacing-nan",
              "ablation-spacing-0", "ablation-spacing-inf",
-             "ablation-gpus-0"],
+             "ablation-gpus-0", "portability-gpus-0", "portability-gpus-3",
+             "lint-retired-schedule-rule"],
     )
     def test_bad_input_is_an_error_line(
         self, capsys, monkeypatch, tmp_path, argv
@@ -179,7 +183,7 @@ class TestCLI:
     def test_portability_refuses_a_count_off_the_schedule(self, capsys):
         code = main(["portability", "--gpus", "3"])
         captured = capsys.readouterr()
-        assert code == 1
+        assert code == 2
         assert captured.out == ""
         assert "error: 3 GPUs" in captured.err and "1024" in captured.err
 

@@ -5,7 +5,9 @@ oracles that share no code with the production build:
 ``rank_link_lists`` (the per-population gather lists) and
 ``upstream_ids``.  The exchange pair is re-derived from the folded table
 through ``StepPlan.cross_links``.  :func:`assert_plans_match` compares a
-build against it table by table.
+build against it table by table, and :func:`stream_links` executes the
+link lists themselves, one population at a time — the stream of the
+conformance matrix's reference steppers.
 
 Run as a module for the comparison at benchmark-ladder scale (the
 cylinder at resolution 3.0 on 1 rank, the aorta at 0.7 on 2 ranks under
@@ -29,7 +31,15 @@ from repro.lbm.rankplan import build_rank_plans, rank_link_lists
 from repro.lbm.stream import StepPlan, upstream_ids
 from repro.workloads import workload_table
 
-__all__ = ["oracle_tables", "assert_plans_match"]
+__all__ = ["oracle_tables", "assert_plans_match", "stream_links"]
+
+
+def stream_links(links, f, f_tmp):
+    """Stream ``f`` into ``f_tmp`` over one rank's link lists: one gather
+    and one bounce-back per population."""
+    for link in links:
+        f_tmp[link.qi, link.dst] = f[link.qi, link.src]
+        f_tmp[link.qi, link.bounce] = f[link.qi_opp, link.bounce]
 
 
 def oracle_tables(grid, partition, lattice, periodic, overlap):

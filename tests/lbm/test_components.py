@@ -3,18 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.core import ConfigError, D3Q19, GeometryError
+from repro.core import ConfigError, D3Q19, DecompositionError
 from repro.core.lattice import D3Q27, get_lattice
+from repro.decomp import axis_decompose
 from repro.geometry import CylinderSpec, VoxelGrid, make_cylinder
 from repro.geometry.flags import FLUID, SOLID
 from repro.lbm import (
     BGKCollision,
-    Connectivity,
     PressureOutlet,
+    Solver,
+    SolverConfig,
     VelocityInlet,
     tau_from_viscosity,
     viscosity_from_tau,
 )
+from repro.lbm.rankplan import rank_link_lists
+
+from .plan_oracle import stream_links
 
 
 class TestBGKCollision:
@@ -42,50 +47,63 @@ class TestBGKCollision:
         assert BGKCollision(2.0).omega == 0.5
 
 
+def one_rank_links(grid, periodic=(False, False, False)):
+    """The per-population link lists of ``grid`` as one rank."""
+    (links,) = rank_link_lists(grid, axis_decompose(grid, 1), D3Q19, periodic)
+    return links
+
+
 class TestConnectivity:
+    """The one-rank link lists: the per-population streaming oracle."""
+
     def _tiny_grid(self):
         flags = np.zeros((4, 4, 4), dtype=np.int8)
         flags[1:3, 1:3, 1:3] = FLUID
         return VoxelGrid(flags)
 
     def test_q0_plan_is_identity(self):
-        conn = Connectivity(self._tiny_grid(), D3Q19)
-        plan = conn.plans[0]
+        plan = one_rank_links(self._tiny_grid())[0]
         assert np.array_equal(plan.dst, plan.src)
         assert plan.bounce.size == 0
 
     def test_every_node_covered_per_direction(self):
-        conn = Connectivity(self._tiny_grid(), D3Q19)
-        for plan in conn.plans:
+        grid = self._tiny_grid()
+        for plan in one_rank_links(grid):
             covered = np.sort(np.concatenate([plan.dst, plan.bounce]))
-            assert np.array_equal(covered, np.arange(conn.num_nodes))
+            assert np.array_equal(covered, np.arange(grid.num_fluid))
 
     def test_all_boundary_on_isolated_cube(self):
         """A 2^3 fluid cube in solid: every node has wall links."""
-        conn = Connectivity(self._tiny_grid(), D3Q19)
-        assert conn.wall_node_ids().size == conn.num_nodes
-        assert conn.num_bounce_links > 0
+        grid = self._tiny_grid()
+        walled = np.unique(
+            np.concatenate([p.bounce for p in one_rank_links(grid)])
+        )
+        assert np.array_equal(walled, np.arange(grid.num_fluid))
 
     def test_periodic_removes_axis_bounce(self):
         grid = make_cylinder(CylinderSpec(scale=0.5))
-        periodic = Connectivity(grid, D3Q19, periodic=(True, False, False))
-        walls_only = periodic.num_bounce_links
-        capped = Connectivity(grid, D3Q19, periodic=(False, False, False))
-        assert capped.num_bounce_links > walls_only
+
+        def wall_links(periodic):
+            return sum(p.bounce.size for p in one_rank_links(grid, periodic))
+
+        assert wall_links((False, False, False)) > wall_links(
+            (True, False, False)
+        )
 
     def test_stream_preserves_mass_with_walls(self):
         grid = self._tiny_grid()
-        conn = Connectivity(grid, D3Q19)
         rng = np.random.default_rng(5)
-        f = np.abs(rng.random((19, conn.num_nodes))) + 0.1
+        f = np.abs(rng.random((19, grid.num_fluid))) + 0.1
         out = np.empty_like(f)
-        conn.stream(f, out)
+        stream_links(one_rank_links(grid), f, out)
         assert out.sum() == pytest.approx(f.sum(), rel=1e-12)
 
     def test_empty_grid_rejected(self):
         g = VoxelGrid(np.zeros((3, 3, 3), dtype=np.int8))
-        with pytest.raises(GeometryError):
-            Connectivity(g, D3Q19)
+        with pytest.raises(DecompositionError):
+            axis_decompose(g, 1)
+        with pytest.raises(DecompositionError):
+            Solver(g, SolverConfig(tau=0.8))
 
 
 class TestVelocityInlet:

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ConfigError
-from repro.decomp import grid_decompose
+from repro.decomp import axis_decompose, grid_decompose
 from repro.geometry.cylinder import CylinderSpec, make_cylinder
 from repro.geometry.flags import INLET, OUTLET
 from repro.lbm.boundary import PressureOutlet, VelocityInlet
@@ -39,13 +39,14 @@ from repro.lbm.checkpoint import load_checkpoint, save_checkpoint
 from repro.lbm.distributed import DistributedSolver
 from repro.lbm.rankplan import rank_link_lists
 from repro.lbm.solver import Solver, SolverConfig
-from repro.lbm.stream import Connectivity
 from repro.models import (
     MODEL_NAMES, DistributedModelEngine, ModelEngine, create_model,
 )
 from repro.models.compiled import compiled_available
 from repro.runtime.procexec import fork_available
 from repro.runtime.shmem import leaked_segments
+
+from .plan_oracle import stream_links
 
 pytestmark = pytest.mark.usefixtures("hard_time_bound")
 
@@ -277,19 +278,24 @@ def band(cell):
 
 class ReferenceStepper:
     """The per-q single-domain algorithm, one population at a time:
-    allocating collide, ``Connectivity.stream``, equilibrium boundaries."""
+    allocating collide, :func:`stream_links` over the one-rank link
+    lists of :func:`~repro.lbm.rankplan.rank_link_lists`, equilibrium
+    boundaries built from the grid's flags."""
 
     def __init__(self, grid, config):
         self.lattice = config.make_lattice()
         self.collision = config.make_collision()
-        self.conn = Connectivity(grid, self.lattice, periodic=config.periodic)
-        n = self.conn.num_nodes
+        (self.links,) = rank_link_lists(
+            grid, axis_decompose(grid, 1), self.lattice, config.periodic
+        )
+        coords, _ = grid.compact_ids()
+        n = coords.shape[0]
         self.ids = np.arange(n, dtype=np.int64)
         self.f = self.lattice.equilibrium(
             np.full(n, config.rho0), np.zeros((n, 3))
         )
         self.f_tmp = np.empty_like(self.f)
-        x, y, z = self.conn.coords.T
+        x, y, z = coords.T
         flags = grid.flags[x, y, z]
         self.boundaries = []
         if np.any(flags == INLET):
@@ -307,7 +313,7 @@ class ReferenceStepper:
     def step(self, num_steps):
         for _ in range(num_steps):
             self.collision.apply(self.lattice, self.f, self.ids)
-            self.conn.stream(self.f, self.f_tmp)
+            stream_links(self.links, self.f, self.f_tmp)
             self.f, self.f_tmp = self.f_tmp, self.f
             self.time += 1
             for boundary in self.boundaries:
@@ -318,9 +324,8 @@ def reference_distributed_f(part, config, num_steps):
     """The per-q distributed algorithm over a ``DistributedSolver`` that
     is built but never stepped: allocating collide on owned nodes,
     whole-column ghost copies located by global node id (not through the
-    exchange tables), one gather and one bounce-back per population from
-    the link lists every ``flat_src`` is compiled from, equilibrium
-    boundaries."""
+    exchange tables), :func:`stream_links` over each rank's link lists,
+    equilibrium boundaries."""
     solver = DistributedSolver(part, config)
     lattice, collision, ranks = solver.lattice, solver.collision, solver.ranks
     links = rank_link_lists(part.grid, part, lattice, config.periodic)
@@ -342,9 +347,7 @@ def reference_distributed_f(part, config, num_steps):
         for st, ghost_cols, owner, owned_cols in ghost_copies:
             st.f[:, ghost_cols] = owner.f[:, owned_cols]
         for st in ranks:
-            for link in links[st.rank]:
-                st.f_tmp[link.qi, link.dst] = st.f[link.qi, link.src]
-                st.f_tmp[link.qi, link.bounce] = st.f[link.qi_opp, link.bounce]
+            stream_links(links[st.rank], st.f, st.f_tmp)
             st.f, st.f_tmp = st.f_tmp, st.f
             if st.inlet is not None:
                 st.inlet.apply(lattice, st.f, time)

@@ -5,8 +5,9 @@ collide, preallocated halo packing) is a pure performance refactor of
 the textbook per-population algorithm.  Its stepped runs are pinned
 against the per-q reference steppers in the conformance matrix
 (``tests/lbm/test_conformance.py``); this file pins the pieces: the
-gather against ``Connectivity.stream``, the workspace collide against
-the allocating one, workspace reuse and the halo byte counters.
+gather against the per-population link lists it is folded from, the
+workspace collide against the allocating one, workspace reuse and the
+halo byte counters.
 """
 
 import dataclasses
@@ -16,13 +17,17 @@ import pytest
 
 from repro.core.kernels import Workspace, bgk_collide_kernel
 from repro.core.lattice import D3Q19
-from repro.decomp import grid_decompose
+from repro.decomp import axis_decompose, grid_decompose
 from repro.geometry.cylinder import CylinderSpec, make_cylinder
 from repro.harvey.config import HarveyConfig
 from repro.lbm.distributed import DistributedSolver
+from repro.lbm.rankplan import build_rank_plans, rank_link_lists
 from repro.lbm.solver import SolverConfig
-from repro.lbm.stream import Connectivity
 from repro.telemetry import get_registry
+
+from .plan_oracle import stream_links
+
+PERIODIC = (True, False, False)
 
 
 def periodic_grid():
@@ -34,31 +39,31 @@ def periodic_config(collision):
         tau=0.8,
         collision=collision,
         force=(1e-5, 0.0, 0.0),
-        periodic=(True, False, False),
+        periodic=PERIODIC,
     )
 
 
 def test_step_plan_matches_per_q_stream():
-    """StepPlan.apply reproduces Connectivity.stream on arbitrary data."""
+    """StepPlan.apply of a one-rank plan reproduces the per-population
+    link lists on arbitrary data."""
     grid = periodic_grid()
     lat = D3Q19
-    conn = Connectivity(grid, lat, periodic=(True, False, False))
-    plan = conn.step_plan()
+    part = axis_decompose(grid, 1)
+    (plan,) = build_rank_plans(grid, part, lat, PERIODIC, False)
+    (links,) = rank_link_lists(grid, part, lat, PERIODIC)
     rng = np.random.default_rng(7)
-    f = rng.random((lat.q, conn.num_nodes))
+    f = rng.random((lat.q, grid.num_fluid))
     ref = np.empty_like(f)
     out = np.empty_like(f)
-    conn.stream(f, ref)
-    plan.apply(f, out)
+    stream_links(links, f, ref)
+    plan.step_plan.apply(f, out)
     assert np.array_equal(ref, out)
 
 
 def test_workspace_buffers_are_reused():
     """Repeat collides allocate nothing new after the first call."""
-    grid = periodic_grid()
     lat = D3Q19
-    conn = Connectivity(grid, lat, periodic=(True, False, False))
-    n = conn.num_nodes
+    n = periodic_grid().num_fluid
     f = lat.equilibrium(np.full(n, 1.0), np.zeros((n, 3)))
     idx = np.arange(n, dtype=np.int64)
     ws = Workspace()
@@ -72,10 +77,8 @@ def test_workspace_buffers_are_reused():
 
 def test_fused_collide_bitwise_equals_legacy_kernel():
     """The workspace path and the allocating path agree bit for bit."""
-    grid = periodic_grid()
     lat = D3Q19
-    conn = Connectivity(grid, lat, periodic=(True, False, False))
-    n = conn.num_nodes
+    n = periodic_grid().num_fluid
     rng = np.random.default_rng(11)
     base = lat.equilibrium(
         1.0 + 0.01 * rng.random(n), 0.01 * rng.random((n, 3))

@@ -43,9 +43,12 @@ def step(f):
     return tmp
 '''
 
-UNMATCHED_RECV_SCHED = {
-    "num_ranks": 2,
-    "ops": [[], [{"kind": "recv", "peer": 0, "tag": 1, "count": 8}]],
+#: A bare single-plan document whose update ids repeat node 3.
+DOUBLE_WRITE_PLAN = {
+    "q": 2,
+    "num_local": 4,
+    "update_ids": [0, 1, 3, 3],
+    "flat_src": [[0, 1, 2, 3], [4, 5, 6, 7]],
 }
 
 
@@ -53,8 +56,8 @@ UNMATCHED_RECV_SCHED = {
 def fixture_tree(tmp_path):
     (tmp_path / "backend.py").write_text(BROKEN_BACKEND)
     (tmp_path / "kernels.py").write_text(HOT_ALLOC)
-    (tmp_path / "halo.commsched.json").write_text(
-        json.dumps(UNMATCHED_RECV_SCHED)
+    (tmp_path / "halo.stepplan.json").write_text(
+        json.dumps(DOUBLE_WRITE_PLAN)
     )
     return tmp_path
 
@@ -70,7 +73,7 @@ class TestFixtureGate:
         rules = set(payload["counts_by_rule"])
         assert "C101" in rules  # conformance: missing launch()
         assert "P202" in rules  # purity: np.zeros in step()
-        assert "S301" in rules  # comm schedule: unmatched recv
+        assert "K401" in rules  # plan IR: a destination written twice
 
     def test_repo_itself_lints_clean(self, capsys):
         # acceptance criterion: zero exit on the repro package (the
@@ -86,7 +89,7 @@ class TestFixtureGate:
         out = capsys.readouterr().out
         assert "backend.py" in out and "C101" in out
         assert "kernels.py" in out and "P202" in out
-        assert "halo.commsched.json" in out and "S301" in out
+        assert "halo.stepplan.json" in out and "K401" in out
 
 
 class TestSelection:

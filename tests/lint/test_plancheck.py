@@ -21,7 +21,12 @@ from repro.core.planmeta import KERNEL_RUN_CAP, TILE, kernel_tables
 from repro.decomp import axis_decompose, decompose
 from repro.geometry import CylinderSpec, make_cylinder
 from repro.geometry.registry import build_geometry
-from repro.lbm import DistributedSolver, SolverConfig, build_rank_plans
+from repro.lbm import (
+    DistributedSolver,
+    RankPlan,
+    SolverConfig,
+    build_rank_plans,
+)
 from repro.lbm.distributed import (
     BARRIER_SCHEDULE,
     ONE_PASS_SCHEDULE,
@@ -34,7 +39,6 @@ from repro.lint import (
     check_plan_file,
     check_rank_states,
     rank_states_to_dict,
-    verify_plan,
     verify_rank_plans,
 )
 from repro.lint.plancheck import (
@@ -134,8 +138,19 @@ class TestPlanTable:
     def test_verify_plan_raises_with_rule_id(self):
         ids, src = self._table()
         ids[2] = ids[3]
+        none = np.empty(0, dtype=np.int64)
+        one_rank = RankPlan(
+            rank=0,
+            owned_global=np.arange(4, dtype=np.int64),
+            ghost_global=none,
+            step_plan=StepPlan(2, 4, ids, src),
+            inlet_nodes=none,
+            outlet_nodes=none,
+            send_flat={},
+            recv_flat={},
+        )
         with pytest.raises(PlanCheckError, match=r"\[K401\]"):
-            verify_plan(StepPlan(2, 4, ids, src))
+            verify_rank_plans([one_rank])
 
 
 @pytest.mark.skipif(
@@ -309,13 +324,15 @@ class TestRunTable:
         assert _rules(issues) == ["K406"]
         assert "C-contiguous" in issues[0].message
 
-    def test_preflights_raise(self, solver):
+    def test_preflights_raise(self, solver, grid):
         plan = solver.ranks[0].plan.step_plan
         plan.run_table[0][0, 1] += 1
         with pytest.raises(PlanCheckError, match=r"\[K407\] rank 0: run 0 "):
             verify_rank_plans(solver.ranks)
+        one_rank = make_plans(grid, num_ranks=1)
+        one_rank[0].step_plan.kernel_tables()[0][0, 1] += 1
         with pytest.raises(PlanCheckError, match=r"\[K407\]"):
-            verify_plan(plan)
+            verify_rank_plans(one_rank)
 
     def test_document_round_trip_and_select(self, solver, tmp_path):
         doc = rank_states_to_dict(solver.ranks)
@@ -733,7 +750,7 @@ class TestPlanDocuments:
         assert sorted(v.rule for v in all_k.violations) == ["K401", "K402"]
         only = LintEngine().select(["K402"]).run([tmp_path])
         assert [v.rule for v in only.violations] == ["K402"]
-        none = LintEngine().select(["S"]).run([tmp_path])
+        none = LintEngine().select(["W"]).run([tmp_path])
         assert none.violations == []
 
     def test_every_plan_rule_has_an_id(self):

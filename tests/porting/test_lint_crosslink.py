@@ -79,12 +79,11 @@ class TestBrokenStubCaught:
 class TestTaxonomyConsistency:
     def test_every_rule_id_has_a_category(self):
         engine_ids = {r.rule_id for r in default_rules()}
-        schedule_ids = set(RULE_FAMILIES["commsched"])
         # K400 is the plan-document format gate, outside PLAN_RULES but
         # still accounted (a malformed document is an error-handling
         # finding, like a malformed DPCT input)
         plan_ids = set(RULE_FAMILIES["plancheck"]) | {"K400"}
-        assert engine_ids | schedule_ids | plan_ids == set(
+        assert engine_ids | plan_ids == set(
             DPCT_CATEGORY_BY_RULE
         )
 
