@@ -19,7 +19,7 @@ from repro.analysis import backend_comparison
 from repro.geometry import CylinderSpec, make_cylinder
 from repro.hardware import all_machines
 from repro.lbm import Solver, SolverConfig
-from repro.models import MODEL_NAMES, ModelEngine, create_model
+from repro.models import MODEL_NAMES, create_model
 
 
 def part1_functional_portability() -> None:
@@ -34,9 +34,9 @@ def part1_functional_portability() -> None:
     reference.step(25)
     for name in MODEL_NAMES:
         model = create_model(name)
-        engine = ModelEngine(grid, config, model)
-        engine.step(25)
-        diff = float(np.abs(engine.distributions() - reference.f).max())
+        solver = Solver(grid, config, model=model)
+        solver.step(25)
+        diff = float(np.abs(solver.f - reference.f).max())
         print(
             f"  {model.display_name:16s} max |f - f_ref| = {diff:.1e}   "
             f"launches={model.launch_count:4d}  "
@@ -79,7 +79,8 @@ def part3_distributed_staging() -> None:
     import dataclasses
 
     from repro.decomp import axis_decompose
-    from repro.models import DistributedModelEngine
+    from repro.lbm import DistributedSolver
+    from repro.models import SimulatedDevice
 
     grid = make_cylinder(CylinderSpec(scale=0.5))
     config = SolverConfig(
@@ -89,15 +90,20 @@ def part3_distributed_staging() -> None:
     results = {}
     for overlap in (False, True):
         for aware in (True, False):
-            engine = DistributedModelEngine(
+            models = [
+                create_model("hip", SimulatedDevice(device_id=rank))
+                for rank in range(part.num_ranks)
+            ]
+            solver = DistributedSolver(
                 part,
                 dataclasses.replace(config, overlap=overlap),
-                model_name="hip",
+                models=models,
                 gpu_aware=aware,
             )
-            engine.step(10)
-            d2h, h2d = engine.staging_bytes()
-            results[overlap, aware] = engine.gather_f()
+            solver.step(10)
+            d2h = sum(model.device.d2h_bytes() for model in models)
+            h2d = sum(model.device.h2d_bytes() for model in models)
+            results[overlap, aware] = solver.gather_f()
             label = ("overlap" if overlap else "barrier") + (
                 " GPU-aware" if aware else " host-staged"
             )

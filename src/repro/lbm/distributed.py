@@ -142,7 +142,8 @@ __all__ = [
     "DistributedSolver",
 ]
 
-#: Message tag of the halo exchange (the tag the S300 pre-flight checks).
+#: Message tag of the halo exchange (the tag the S301-S305 schedule
+#: pre-flight checks).
 HALO_TAG = 1
 
 
@@ -459,7 +460,7 @@ class DistributedSolver:
                 )
             )
         # one message per wired (src, dst) pair per step — the same send
-        # lists the S300 checker verifies
+        # lists the S301-S305 schedule pre-flight verifies
         self._wire = [
             (st.rank, dst, int(buf.nbytes))
             for st in self.ranks

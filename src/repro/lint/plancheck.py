@@ -44,9 +44,9 @@ satisfy is K404 and, at runtime, the sanitizer; DESIGN §12.)
 Every check reads the one :class:`~repro.lbm.rankplan.RankPlan` value:
 :class:`~repro.lbm.distributed.DistributedSolver` runs
 :func:`verify_rank_plans` on the plans it is about to instantiate, as an
-opt-out pre-flight next to the S300 schedule check, and ``repro lint``
-checks any ``*.stepplan.json`` document it finds through the same
-value's codec (see :func:`check_plan_file` for the format).
+opt-out pre-flight next to the S301-S305 schedule pre-flight, and
+``repro lint`` checks any ``*.stepplan.json`` document it finds through
+the same value's codec (see :func:`check_plan_file` for the format).
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """Programming-model backends: five functional implementations of the
 same LBM kernels behind CUDA, HIP, SYCL, Kokkos (with sub-backends) and
-OpenACC programming surfaces."""
+OpenACC programming surfaces.  A model is a solver argument —
+``Solver(grid, config, model=create_model("hip"))``, or one model per
+rank through ``DistributedSolver(partition, config, models=[...],
+gpu_aware=...)`` — not a solver class."""
 
-from .base import DistributedModelEngine, ModelEngine, ProgrammingModel
+from .base import ProgrammingModel
 from .cuda import CUDAModel
 from .device import GENERIC_GPU, SimulatedDevice
 from .hip import HIP_FROM_CUDA, HIPModel
@@ -11,19 +14,14 @@ from .openacc import OpenACCRuntime
 from .registry import (
     AVAILABILITY,
     MODEL_NAMES,
-    ModelVariant,
     create_model,
     is_available,
     models_for_machine,
-    native_model_name,
-    variant_for,
 )
 from .sycl import Queue, SYCLModel
 
 __all__ = [
     "ProgrammingModel",
-    "ModelEngine",
-    "DistributedModelEngine",
     "SimulatedDevice",
     "GENERIC_GPU",
     "CUDAModel",
@@ -37,10 +35,7 @@ __all__ = [
     "OpenACCRuntime",
     "MODEL_NAMES",
     "AVAILABILITY",
-    "ModelVariant",
     "create_model",
     "models_for_machine",
-    "native_model_name",
     "is_available",
-    "variant_for",
 ]

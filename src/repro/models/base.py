@@ -1,25 +1,26 @@
-"""The programming-model interface and the two model engines.
+"""The programming-model interface and the kernels it launches.
 
 Every backend (CUDA, HIP, SYCL, Kokkos, Kokkos-OpenACC) implements the
 narrow :class:`ProgrammingModel` surface — allocate device storage, copy
 between host and device, launch a data-parallel kernel — using its own
-idioms.  A model is a **kernel provider** of the solver:
-:func:`~repro.lbm.solver.make_kernels` wraps it in the
-:class:`LaunchedKernels` :class:`~repro.lbm.distributed.DistributedSolver`
-steps with, so the one declared schedule runs the *same* kernel bodies
-(from :mod:`repro.core.kernels`) through any backend — precisely the
-porting structure the paper evaluates: one algorithm, five programming
-surfaces, identical physics.  :class:`DistributedModelEngine` is that
-solver constructed over one model per rank, and :class:`ModelEngine` is
-its one-rank case; they validate against the plain solvers exactly (same
-floating-point operations in the same order per node).
+idioms.  A model is a **kernel provider** of the solver, chosen by an
+argument and not by a subclass: ``Solver(grid, config, model=m)`` or
+``DistributedSolver(partition, config, models=[...], gpu_aware=...)``
+with one model per rank.  :func:`~repro.lbm.solver.make_kernels` wraps
+it in the :class:`LaunchedKernels` the solver steps with, so the one
+declared schedule runs the *same* kernel bodies (from
+:mod:`repro.core.kernels`) through any backend — precisely the porting
+structure the paper evaluates: one algorithm, five programming surfaces,
+identical physics (same floating-point operations in the same order per
+node as the plain solver).
 
 Two exchange paths, matching Section 7.2.2: **GPU-aware** — halo buffers
 leave the device directly, nothing on the transfer ledger — and
 **host-staged** (:class:`HostStagedHalo`, the configuration HIP-on-Summit
 was forced into) — every message costs a device-to-host download at the
 sender and a host-to-device upload at the receiver, which makes the
-staging cost *observable* on the per-device ledgers rather than merely
+staging cost *observable* on the per-device ledgers
+(``model.device.d2h_bytes()`` / ``h2d_bytes()``) rather than merely
 priced.
 """
 
@@ -33,22 +34,14 @@ import numpy as np
 from ..core.kernels import fused_stream_body_kernel
 from ..core.lattice import Lattice
 from ..core.views import View
-from ..decomp.block import axis_decompose
-from ..decomp.partition import Partition
-from ..geometry.voxel import VoxelGrid
-from ..lbm.distributed import DistributedSolver
-from ..lbm.solver import NumpyKernels, SolverConfig
+from ..lbm.solver import NumpyKernels
 from ..lbm.stream import StepPlan
-from ..runtime.simmpi import SimComm
-from ..telemetry.metrics import get_registry
 from .device import SimulatedDevice
 
 __all__ = [
     "ProgrammingModel",
     "LaunchedKernels",
     "HostStagedHalo",
-    "ModelEngine",
-    "DistributedModelEngine",
 ]
 
 KernelBody = Callable[[np.ndarray], None]
@@ -189,91 +182,3 @@ class HostStagedHalo:
         staging = self._models[dst].upload(f"stage_in_{dst}_{src}", host)
         out[...] = staging.data()
         staging.free()
-
-
-class DistributedModelEngine(DistributedSolver):
-    """Multi-rank run where every rank drives a model backend: one MPI
-    rank per logical GPU, each on its own device, executing
-    :class:`~repro.lbm.distributed.DistributedSolver`'s declared schedule.
-
-    Parameters
-    ----------
-    partition / config / comm / tracer:
-        As for the plain distributed solver.
-    model_name:
-        Backend every rank instantiates (``"cuda"``, ``"kokkos-sycl"``, ...),
-        unless ``model_factory(rank)`` builds the per-rank models.
-    gpu_aware:
-        When False, halo payloads stage through the host
-        (:class:`HostStagedHalo`).
-    """
-
-    models: Sequence[ProgrammingModel]  # never None here
-
-    def __init__(
-        self,
-        partition: Partition,
-        config: SolverConfig,
-        model_name: str = "cuda",
-        gpu_aware: bool = True,
-        comm: Optional[SimComm] = None,
-        model_factory: Optional[Callable[[int], ProgrammingModel]] = None,
-        tracer=None,
-    ) -> None:
-        from .registry import create_model  # the registry imports this module
-
-        factory = model_factory or (
-            lambda rank: create_model(model_name, SimulatedDevice(device_id=rank))
-        )
-        self.model_name = model_name
-        super().__init__(
-            partition,
-            config,
-            comm=comm,
-            tracer=tracer,
-            models=[factory(rank) for rank in range(partition.num_ranks)],
-            gpu_aware=gpu_aware,
-        )
-        self._launch_counter = get_registry().counter("model.launches")
-
-    def step(self, num_steps: int = 1) -> None:
-        before = sum(model.launch_count for model in self.models)
-        super().step(num_steps)
-        for model in self.models:
-            model.synchronize()
-        self._launch_counter.inc(
-            sum(model.launch_count for model in self.models) - before
-        )
-
-    def staging_bytes(self) -> Tuple[int, int]:
-        """Total (D2H, H2D) bytes across the rank devices — nonzero only
-        on the host-staged path."""
-        d2h = sum(model.device.d2h_bytes() for model in self.models)
-        h2d = sum(model.device.h2d_bytes() for model in self.models)
-        return d2h, h2d
-
-
-class ModelEngine(DistributedModelEngine):
-    """A single-domain run whose kernels launch through a programming
-    model: :class:`DistributedModelEngine` over a one-rank partition,
-    with the distributions held in ``model``'s device space.  As on every
-    rank count, the device ledger is zeroed after set-up, so it reports
-    only the transfers made while stepping."""
-
-    def __init__(
-        self, grid: VoxelGrid, config: SolverConfig, model: ProgrammingModel
-    ) -> None:
-        super().__init__(
-            axis_decompose(grid, 1),
-            config,
-            model_name=model.name,
-            model_factory=lambda rank: model,
-        )
-        self.model = model
-
-    def distributions(self) -> np.ndarray:
-        """Download the distribution array from the device."""
-        live = View.from_array("f", self.ranks[0].f, self.model.device.space)
-        host = self.model.download(live)
-        live.free()
-        return host

@@ -2,14 +2,13 @@
 
 Encodes which implementation runs where (the legends of Figs. 5 and 6 and
 Sections 5, 7): each system supports its native model plus the portable
-ports that the authors could build there.  HIP on Sunspot runs through the
-chipStar compiler; HIP on Summit runs with GPU-aware MPI disabled — both
-flags that the calibration layer consumes.
+ports that the authors could build there.  The one platform fact the
+simulator reads beyond the calibration table is :func:`gpu_aware_mpi`:
+HIP on Summit runs with GPU-aware MPI disabled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import ModelError
@@ -24,12 +23,10 @@ from .sycl import SYCLModel
 __all__ = [
     "MODEL_NAMES",
     "AVAILABILITY",
-    "ModelVariant",
     "create_model",
+    "gpu_aware_mpi",
     "models_for_machine",
-    "native_model_name",
     "is_available",
-    "variant_for",
 ]
 
 MODEL_NAMES: Tuple[str, ...] = (
@@ -51,27 +48,6 @@ AVAILABILITY: Dict[str, Tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class ModelVariant:
-    """How a model is realised on a specific system."""
-
-    model: str
-    system: str
-    is_native: bool
-    via_chipstar: bool = False
-    gpu_aware_mpi: bool = True
-
-    @property
-    def label(self) -> str:
-        suffix = " (chipStar)" if self.via_chipstar else ""
-        return f"{self.model}{suffix}"
-
-
-def native_model_name(machine: Machine) -> str:
-    """The system's native programming model (CUDA/HIP/SYCL)."""
-    return machine.native_model
-
-
 def is_available(model_name: str, machine: Machine) -> bool:
     avail = AVAILABILITY.get(machine.name)
     if avail is None:
@@ -83,30 +59,19 @@ def is_available(model_name: str, machine: Machine) -> bool:
 def models_for_machine(machine: Machine) -> List[str]:
     """Model names runnable on a machine, native first."""
     avail = AVAILABILITY.get(machine.name, MODEL_NAMES)
-    native = native_model_name(machine)
+    native = machine.native_model
     ordered = [native] + [m for m in avail if m != native]
     return ordered
 
 
-def variant_for(model_name: str, machine: Machine) -> ModelVariant:
-    """The platform-specific realisation of a model on a machine."""
+def gpu_aware_mpi(model_name: str, machine: Machine) -> bool:
+    """Whether halo messages leave the device directly; False where MPI
+    stages them through the host (HIP on Summit, Section 7.2.2)."""
     if model_name not in MODEL_NAMES:
         raise ModelError(
             f"unknown model {model_name!r}; available: {MODEL_NAMES}"
         )
-    if not is_available(model_name, machine):
-        raise ModelError(
-            f"{model_name} was not ported to {machine.name} in the study"
-        )
-    via_chipstar = model_name == "hip" and machine.name == "Sunspot"
-    gpu_aware = not (model_name == "hip" and machine.name == "Summit")
-    return ModelVariant(
-        model=model_name,
-        system=machine.name,
-        is_native=(model_name == native_model_name(machine)),
-        via_chipstar=via_chipstar,
-        gpu_aware_mpi=gpu_aware,
-    )
+    return not (model_name == "hip" and machine.name == "Summit")
 
 
 def create_model(

@@ -1,7 +1,7 @@
 """The trace-driven performance simulator.
 
 Prices a :class:`~repro.perf.trace.RunTrace` on a simulated machine under
-a programming-model variant, producing per-rank cost breakdowns and the
+a programming model, producing per-rank cost breakdowns and the
 iteration time (the slowest rank, as in any bulk-synchronous code).  The
 pricing follows the paper's own structure:
 
@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 from ..core.errors import PerfModelError
 from ..hardware.interconnect import LinkTier
 from ..hardware.machine import Machine
-from ..models.registry import ModelVariant, variant_for
+from ..models.registry import gpu_aware_mpi
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import get_tracer
 from .calibrate import (
@@ -80,7 +80,8 @@ class PricingOverrides:
     occupancy_enabled:
         Disable to remove the latency-hiding model (pure bandwidth).
     gpu_aware:
-        Force GPU-aware MPI on/off regardless of the platform variant.
+        Force GPU-aware MPI on/off regardless of the platform
+        (:func:`~repro.models.registry.gpu_aware_mpi`).
     """
 
     halo_bytes_per_site: float = HALO_BYTES_PER_SITE
@@ -171,7 +172,7 @@ STORAGE_BYTES_PER_SITE = BYTES_PER_UPDATE["harvey"] + 8
 def _rank_cost(
     trace: RunTrace,
     machine: Machine,
-    variant: ModelVariant,
+    gpu_aware: bool,
     cal: Calibration,
     app: str,
     rank_trace,
@@ -198,11 +199,6 @@ def _rank_cost(
     t_comm = 0.0
     t_h2d = 0.0
     t_d2h = 0.0
-    gpu_aware = (
-        variant.gpu_aware_mpi
-        if overrides.gpu_aware is None
-        else overrides.gpu_aware
-    )
     for neighbor, sites in rank_trace.halo:
         nbytes = int(sites * overrides.halo_bytes_per_site)
         _tier, link = machine.link_between(rank_trace.rank, neighbor, n)
@@ -245,15 +241,14 @@ def price_run(
     machine: Machine,
     model_name: str,
     app: str,
-    variant: Optional[ModelVariant] = None,
     overrides: Optional[PricingOverrides] = None,
     tracer=None,
 ) -> RunCost:
     """Price one scaling point.
 
     ``app`` is ``"harvey"`` or ``"proxy"``; the model/system pair must be
-    one the study ported (checked through the registry unless an explicit
-    ``variant`` is supplied).  Pricing passes are traced (span
+    one the study ported (:func:`~repro.perf.calibrate.get_calibration`
+    refuses the rest).  Pricing passes are traced (span
     ``perf.price_run``) and counted in the process metrics registry.
     """
     if trace.n_ranks > machine.max_ranks:
@@ -261,10 +256,11 @@ def price_run(
             f"{trace.n_ranks} ranks exceed {machine.name}'s capacity "
             f"{machine.max_ranks}"
         )
-    if variant is None:
-        variant = variant_for(model_name, machine)
+    gpu_aware = gpu_aware_mpi(model_name, machine)
     if overrides is None:
         overrides = _DEFAULT_OVERRIDES
+    if overrides.gpu_aware is not None:
+        gpu_aware = overrides.gpu_aware
     if tracer is None:
         tracer = get_tracer()
     registry = get_registry()
@@ -282,7 +278,7 @@ def price_run(
             for r in trace.ranks
         )
         ranks = tuple(
-            _rank_cost(trace, machine, variant, cal, app, rt, overrides)
+            _rank_cost(trace, machine, gpu_aware, cal, app, rt, overrides)
             for rt in trace.ranks
         )
     registry.counter("perf.runs_priced").inc()

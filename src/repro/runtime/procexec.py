@@ -408,6 +408,9 @@ class ProcessExecutor:
         if self._closed or os.getpid() != self._creator_pid:
             return
         self._closed = True
+        # the hook and the target would keep the solver alive to exit
+        atexit.unregister(self.close)
+        self._target = self._sent = None
         stop = _DISPATCH.pack(_STOP, 0, 0, 0)
         for _, cmd_fd, _ in self._workers:
             try:

@@ -19,7 +19,9 @@ Three pieces, layered:
   silently consumed — the transport-level analogue of the sanitizer's
   ghost-freshness epochs.  A full ring blocks the producer
   (backpressure) and an empty ring blocks the consumer, both with a
-  timeout that converts a lost peer into a loud error instead of a hang.
+  timeout that converts a lost peer into a loud error instead of a hang;
+  a forked waiter whose creating (parent) process has died fails within
+  about a millisecond.
 * :class:`RingTransport` — per-ordered-pair rings wired from the halo
   schedule, exposing the ``send(src, dst, buf)`` / ``recv_into(dst,
   src, out)`` subset of the :class:`~repro.runtime.simmpi.SimComm`
@@ -150,6 +152,7 @@ class SegmentRegistry:
         if self._closed or os.getpid() != self._creator_pid:
             return
         self._closed = True
+        atexit.unregister(self.close)
         for shm in self._segments.values():
             try:
                 shm.close()
@@ -175,6 +178,9 @@ _H_TAIL = 3  # next sequence number the consumer expects
 
 #: Default wait bound; a lost peer fails loudly instead of hanging.
 DEFAULT_TIMEOUT_S = 60.0
+
+#: How often a waiting forked process checks its parent is alive.
+_PARENT_CHECK_S = 1e-3
 
 
 class RingBuffer:
@@ -204,6 +210,7 @@ class RingBuffer:
         self.label = label
         self.items = int(items)
         self.capacity = int(capacity)
+        self._creator_pid = os.getpid()
         total = 4 + 2 * capacity + capacity * items
         self._mem = registry.ndarray(label, (total,), np.float64)
         # int64 aliases over the header/epoch region (same 8-byte cells)
@@ -218,13 +225,31 @@ class RingBuffer:
         self._header[_H_ITEMS] = items
 
     def _wait(self, ready, what: str, timeout: float) -> None:
-        deadline = time.monotonic() + timeout
+        """Spin until ``ready()``.  In a forked process the creator is
+        the parent; about once a millisecond the wait checks it is still
+        alive, so a worker orphaned mid-exchange fails at once instead
+        of at the timeout."""
+        if ready():
+            return
+        forked = os.getpid() != self._creator_pid
+        now = time.monotonic()
+        deadline = now + timeout
+        next_check = now
         while not ready():
-            if time.monotonic() > deadline:
+            now = time.monotonic()
+            if now > deadline:
                 raise RuntimeSimError(
                     f"ring {self.label!r}: timed out after {timeout:g}s "
                     f"waiting for {what}"
                 )
+            if forked and now >= next_check:
+                if os.getppid() != self._creator_pid:
+                    raise RuntimeSimError(
+                        f"ring {self.label!r}: the creating process "
+                        f"{self._creator_pid} exited while waiting for "
+                        f"{what}"
+                    )
+                next_check = now + _PARENT_CHECK_S
             time.sleep(0)
 
     def __len__(self) -> int:
@@ -291,8 +316,9 @@ class RingTransport:
     run over either.  A ring carries one message stream per ordered pair,
     so ``tag`` is accepted for signature parity and not matched on.  The
     wiring (which pairs exist and their payload sizes) comes from the
-    same send lists the S300 schedule checker verifies, so a message on
-    an unwired pair is a programming error, not a dynamic allocation.
+    same send lists the S301-S305 schedule pre-flight verifies, so a
+    message on an unwired pair is a programming error, not a dynamic
+    allocation.
     """
 
     def __init__(

@@ -39,9 +39,7 @@ from repro.lbm.checkpoint import load_checkpoint, save_checkpoint
 from repro.lbm.distributed import DistributedSolver
 from repro.lbm.rankplan import rank_link_lists
 from repro.lbm.solver import Solver, SolverConfig
-from repro.models import (
-    MODEL_NAMES, DistributedModelEngine, ModelEngine, create_model,
-)
+from repro.models import MODEL_NAMES, SimulatedDevice, create_model
 from repro.models.compiled import compiled_available
 from repro.runtime.procexec import fork_available
 from repro.runtime.shmem import leaked_segments
@@ -65,7 +63,7 @@ COMPILED = {
 #: model provider -> (model name, gpu_aware)
 MODELS = {f"model-{name}": (name, True) for name in MODEL_NAMES}
 MODELS["model-hip-staged"] = ("hip", False)
-SINGLE = "single"  # the single-domain ``Solver`` / ``ModelEngine``
+SINGLE = "single"  # the single-domain ``Solver``
 AXES = {
     "collision": ("bgk", "trt", "mrt"),
     "provider": ("numpy", *COMPILED, *MODELS),
@@ -228,15 +226,17 @@ def build(cell, **overrides):
     config, grid = config_of(cell, **overrides), grid_of(cell.grid)
     model, gpu_aware = MODELS.get(cell.provider, (None, True))
     if cell.ranks == SINGLE:
-        if model:
-            return ModelEngine(grid, config, create_model(model))
-        return Solver(grid, config)
-    part = grid_decompose(grid, int(cell.ranks[:-1]))
-    if model:
-        return DistributedModelEngine(
-            part, config, model_name=model, gpu_aware=gpu_aware
+        return Solver(
+            grid, config, model=create_model(model) if model else None
         )
-    return DistributedSolver(part, config)
+    part = grid_decompose(grid, int(cell.ranks[:-1]))
+    if not model:
+        return DistributedSolver(part, config)
+    models = [
+        create_model(model, SimulatedDevice(device_id=rank))
+        for rank in range(part.num_ranks)
+    ]
+    return DistributedSolver(part, config, models=models, gpu_aware=gpu_aware)
 
 
 def skip_unless_runnable(cell):

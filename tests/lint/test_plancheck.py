@@ -561,7 +561,7 @@ def _overrun_piece(plans):
 
 #: Corruptions of a 2-rank exchange that no rule reported before K404
 #: checked every slot by (population, global node) under both schedules,
-#: and the sabotages the solver's S300 pre-flight catches
+#: and the sabotages the solver's S301-S305 schedule pre-flight catches
 #: (``tests/lint/test_commcheck.py``), which K404 reports too; then
 #: corruptions of a one-rank plan's one-pass tile table, which K407
 #: reports: ``name: (rule, ranks, overlap, corrupt)``.
@@ -624,7 +624,8 @@ def test_probe_corruption_is_k407(grid, ranks, overlap, corrupt):
 
 
 class TestSolverPreflight:
-    """The pre-flight runs at construction, next to the S300 check."""
+    """The pre-flight runs at construction, next to the S301-S305
+    schedule pre-flight."""
 
     def test_preflight_runs_by_default(self, grid, monkeypatch):
         import repro.lint.plancheck as plancheck

@@ -11,7 +11,7 @@ import pytest
 
 from repro.geometry import CylinderSpec, make_cylinder
 from repro.lbm import Solver, SolverConfig
-from repro.models import CUDAModel, HIPModel, KokkosModel, ModelEngine, SYCLModel
+from repro.models import CUDAModel, HIPModel, KokkosModel, SYCLModel
 
 
 @pytest.fixture(scope="module")
@@ -29,33 +29,29 @@ class TestLaunchShapeIndependence:
     @pytest.mark.parametrize("block", [1, 7, 64, 1024])
     def test_cuda_block_sizes(self, setup, block):
         grid, cfg, f_ref = setup
-        engine = ModelEngine(grid, cfg, CUDAModel(block_size=block))
-        engine.step(10)
-        assert np.allclose(engine.distributions(), f_ref, rtol=1e-10, atol=1e-14), block
+        solver = Solver(grid, cfg, model=CUDAModel(block_size=block))
+        solver.step(10)
+        assert np.allclose(solver.f, f_ref, rtol=1e-10, atol=1e-14), block
 
     @pytest.mark.parametrize("workgroup", [16, 100, 512])
     def test_sycl_workgroup_sizes(self, setup, workgroup):
         grid, cfg, f_ref = setup
-        engine = ModelEngine(grid, cfg, SYCLModel(workgroup_size=workgroup))
-        engine.step(10)
-        assert np.allclose(engine.distributions(), f_ref, rtol=1e-10, atol=1e-14), workgroup
+        solver = Solver(grid, cfg, model=SYCLModel(workgroup_size=workgroup))
+        solver.step(10)
+        assert np.allclose(solver.f, f_ref, rtol=1e-10, atol=1e-14), workgroup
 
     @pytest.mark.parametrize("team", [3, 256])
     def test_kokkos_team_sizes(self, setup, team):
         grid, cfg, f_ref = setup
-        engine = ModelEngine(
-            grid, cfg, KokkosModel("hip", team_size=team)
-        )
-        engine.step(10)
-        assert np.allclose(engine.distributions(), f_ref, rtol=1e-10, atol=1e-14), team
+        solver = Solver(grid, cfg, model=KokkosModel("hip", team_size=team))
+        solver.step(10)
+        assert np.allclose(solver.f, f_ref, rtol=1e-10, atol=1e-14), team
 
     def test_hip_block_size(self, setup):
         grid, cfg, f_ref = setup
-        engine = ModelEngine(grid, cfg, HIPModel(block_size=33))
-        engine.step(10)
-        assert np.allclose(
-            engine.distributions(), f_ref, rtol=1e-10, atol=1e-14
-        )
+        solver = Solver(grid, cfg, model=HIPModel(block_size=33))
+        solver.step(10)
+        assert np.allclose(solver.f, f_ref, rtol=1e-10, atol=1e-14)
 
     def test_launch_count_scales_inversely_with_block(self, setup):
         """Smaller blocks -> more blocks per launch, same launch count
@@ -63,7 +59,7 @@ class TestLaunchShapeIndependence:
         grid, cfg, _ = setup
         small = CUDAModel(block_size=8)
         big = CUDAModel(block_size=512)
-        ModelEngine(grid, cfg, small).step(2)
-        ModelEngine(grid, cfg, big).step(2)
+        Solver(grid, cfg, model=small).step(2)
+        Solver(grid, cfg, model=big).step(2)
         assert small.launch_count == big.launch_count
         assert small.space.stats.blocks > big.space.stats.blocks

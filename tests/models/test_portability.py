@@ -1,5 +1,6 @@
-"""Rung 2 of the validation ladder: the model engine's own contract and
-the registry's availability matrix.  That every backend computes
+"""Rung 2 of the validation ladder: a solver stepping through a model
+(``Solver(grid, config, model=m)``) and the registry's availability
+matrix.  That every backend computes
 identical physics through its own programming surface is pinned by the
 conformance matrix (``tests/lbm/test_conformance.py``)."""
 
@@ -8,15 +9,15 @@ import pytest
 from repro.core import ConfigError, ModelError
 from repro.geometry import CylinderSpec, make_cylinder
 from repro.hardware import get_machine
-from repro.lbm import SolverConfig
+from repro.lbm import Solver, SolverConfig
 from repro.models import (
     AVAILABILITY,
-    ModelEngine,
     create_model,
     is_available,
     models_for_machine,
-    variant_for,
 )
+from repro.models.registry import gpu_aware_mpi
+from repro.perf.calibrate import _TABLE
 
 
 @pytest.fixture(scope="module")
@@ -29,27 +30,27 @@ class TestBitwisePortability:
         cfg = SolverConfig(
             tau=0.8, force=(1e-6, 0, 0), periodic=(True, False, False)
         )
-        engine = ModelEngine(cylinder, cfg, create_model("kokkos-hip"))
-        m0 = engine.mass()
-        engine.step(40)
-        assert engine.mass() == pytest.approx(m0, rel=1e-12)
+        solver = Solver(cylinder, cfg, model=create_model("kokkos-hip"))
+        m0 = solver.mass()
+        solver.step(40)
+        assert solver.mass() == pytest.approx(m0, rel=1e-12)
 
     def test_engine_state_lives_on_device(self, cylinder):
         cfg = SolverConfig(
             tau=0.8, force=(1e-6, 0, 0), periodic=(True, False, False)
         )
         model = create_model("cuda")
-        engine = ModelEngine(cylinder, cfg, model)
-        # distributions (x2) plus 19 plans' index arrays are resident
-        assert model.device.allocated_bytes > 2 * 19 * 8 * engine.num_nodes
+        solver = Solver(cylinder, cfg, model=model)
+        # distributions (x2) plus the stream tables are resident
+        assert model.device.allocated_bytes > 2 * 19 * 8 * solver.num_nodes
 
     def test_engine_negative_steps(self, cylinder):
         cfg = SolverConfig(
             tau=0.8, force=(1e-6, 0, 0), periodic=(True, False, False)
         )
-        engine = ModelEngine(cylinder, cfg, create_model("hip"))
+        solver = Solver(cylinder, cfg, model=create_model("hip"))
         with pytest.raises(ConfigError, match="num_steps"):
-            engine.step(-1)
+            solver.step(-1)
 
 
 class TestRegistry:
@@ -73,29 +74,31 @@ class TestRegistry:
         assert is_available("cuda", get_machine("Summit"))
         assert not is_available("cuda", get_machine("Crusher"))
 
-    def test_variant_chipstar_flag(self):
-        v = variant_for("hip", get_machine("Sunspot"))
-        assert v.via_chipstar
-        assert "chipStar" in v.label
-        assert not variant_for("hip", get_machine("Crusher")).via_chipstar
+    def test_availability_is_the_calibrated_pairs(self):
+        """A pair the study did not port has no calibration, so pricing
+        it raises in ``get_calibration``."""
+        available = {
+            (system, model)
+            for system, models in AVAILABILITY.items()
+            for model in models
+        }
+        for app in ("harvey", "proxy"):
+            calibrated = {
+                (system, model)
+                for system, model, key_app in _TABLE
+                if key_app == app
+            }
+            assert calibrated == available, app
 
     def test_variant_gpu_aware_flag(self):
         """HIP on Summit runs with GPU-aware MPI disabled (7.2.2)."""
-        assert not variant_for("hip", get_machine("Summit")).gpu_aware_mpi
-        assert variant_for("cuda", get_machine("Summit")).gpu_aware_mpi
-        assert variant_for("hip", get_machine("Crusher")).gpu_aware_mpi
-
-    def test_variant_native_flag(self):
-        assert variant_for("sycl", get_machine("Sunspot")).is_native
-        assert not variant_for("kokkos-sycl", get_machine("Sunspot")).is_native
-
-    def test_unported_combination_rejected(self):
-        with pytest.raises(ModelError, match="not ported"):
-            variant_for("cuda", get_machine("Sunspot"))
+        assert not gpu_aware_mpi("hip", get_machine("Summit"))
+        assert gpu_aware_mpi("cuda", get_machine("Summit"))
+        assert gpu_aware_mpi("hip", get_machine("Crusher"))
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ModelError, match="unknown model"):
-            variant_for("openmp", get_machine("Summit"))
+            gpu_aware_mpi("openmp", get_machine("Summit"))
 
     def test_kokkos_is_the_only_universal_implementation(self):
         covered_by_kokkos = all(

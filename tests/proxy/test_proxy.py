@@ -105,9 +105,9 @@ class TestProxyApp:
         assert cost.mflups > 0
 
     def test_projection_respects_availability(self, app):
-        from repro.core import ModelError
+        from repro.core import PerfModelError
 
-        with pytest.raises(ModelError):
+        with pytest.raises(PerfModelError, match="not ported"):
             app.performance_on(SUNSPOT, model_name="cuda", n_gpus=4)
 
     def test_bad_steps(self, app):

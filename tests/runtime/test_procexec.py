@@ -1,15 +1,20 @@
 """Process executor: dispatch, barriers, errors, and cleanup."""
 
+import gc
 import os
 import signal
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.core.errors import RuntimeSimError, StallError
+from repro.decomp import axis_decompose
+from repro.geometry import CylinderSpec, make_cylinder
+from repro.lbm import DistributedSolver, SolverConfig
 from repro.runtime import procexec
 from repro.runtime.procexec import ProcessExecutor, fork_available
 from repro.runtime.shmem import SegmentRegistry, leaked_segments
@@ -517,6 +522,22 @@ class TestLifecycle:
             finally:
                 ex.close()
         assert leaked_segments(os.getpid()) == before
+
+    def test_closed_process_solver_is_freed(self):
+        # no exit hook or executor field may keep a closed solver (its
+        # plans, tables and rank states) alive
+        grid = make_cylinder(CylinderSpec(scale=0.4))
+        config = SolverConfig(
+            tau=0.8, force=(1e-6, 0, 0), periodic=(True, False, False),
+            executor="process",
+        )
+        solver = DistributedSolver(axis_decompose(grid, 2), config)
+        solver.step(2)
+        solver.close()
+        ref = weakref.ref(solver)
+        del solver
+        gc.collect()
+        assert ref() is None
 
 
 _KILLED_PARENT = """

@@ -1,6 +1,7 @@
 """Shared-memory substrate: registry lifecycle, SPSC rings, transport."""
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -88,6 +89,17 @@ class TestRingBuffer:
             ring = RingBuffer(reg, "r", items=2, capacity=2)
             with pytest.raises(RuntimeSimError, match="timed out"):
                 ring.pop_into(np.empty(2), timeout=0.05)
+
+    def test_wait_ends_when_the_creator_is_gone(self):
+        with SegmentRegistry() as reg:
+            ring = RingBuffer(reg, "r", items=2, capacity=2)
+            # no process has pid -1: to this waiter the creator is not
+            # its parent, as in a worker whose parent was killed
+            ring._creator_pid = -1
+            t0 = time.monotonic()
+            with pytest.raises(RuntimeSimError, match="creating process"):
+                ring.pop_into(np.empty(2), timeout=2.0)
+            assert time.monotonic() - t0 < 1.0
 
     def test_torn_write_detected(self):
         with SegmentRegistry() as reg:
