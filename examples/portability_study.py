@@ -71,7 +71,9 @@ def part3_distributed_staging() -> None:
     """The Summit-HIP configuration, made observable: run the same
     distributed problem GPU-aware and host-staged, under the barrier and
     the overlapped schedule, and read the staging traffic off the
-    per-device transfer ledgers."""
+    per-device transfer ledgers.  Both schedules ship the same packed
+    cross-link payload, so only GPU-aware vs host-staged moves the
+    figure."""
     print()
     print("=" * 70)
     print("Part 3: GPU-aware vs host-staged halo exchange (Section 7.2.2)")
@@ -115,7 +117,10 @@ def part3_distributed_staging() -> None:
     assert all(np.array_equal(f, base) for f in results.values()), (
         "neither staging nor the schedule may change the physics"
     )
-    print("  identical physics on all four paths; only the traffic differs")
+    print(
+        "  identical physics on all four paths; staging traffic depends on "
+        "GPU-awareness, not on the schedule"
+    )
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 Each ablation reprices the same trace with one knob flipped, isolating
 that choice's contribution:
 
-* **halo payload** — packed 5-population face exchange (production) vs
-  the naive all-19 exchange (what our functional runtime ships);
+* **halo payload** — packed 5-population face exchange (production, and
+  what our functional runtime ships) vs the naive all-19 exchange;
 * **GPU-aware MPI** — direct device buffers vs host staging (the paper's
   forced configuration for HIP on Summit);
 * **communication overlap** — the paper's serialised Eq. 2 assumption vs

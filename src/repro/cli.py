@@ -498,6 +498,7 @@ def _add_run_verb(sub, verb: str, help: str, steps: int) -> argparse.ArgumentPar
     """Register a functional-run verb on the one shell: the rank/step
     counts and every tier flag are declared here, once for both verbs."""
     from .runtime.executor import EXECUTOR_KINDS
+    from .telemetry.plane import DEFAULT_STALL_TIMEOUT_S
 
     p = sub.add_parser(verb, help=help)
     p.add_argument("--ranks", type=int, default=4)
@@ -516,9 +517,10 @@ def _add_run_verb(sub, verb: str, help: str, steps: int) -> argparse.ArgumentPar
         "tracking)",
     )
     p.add_argument(
-        "--stall-timeout", type=float, default=60.0, metavar="SECONDS",
+        "--stall-timeout", type=float, default=DEFAULT_STALL_TIMEOUT_S,
+        metavar="SECONDS",
         help="process-executor heartbeat timeout before a rank is "
-        "diagnosed as stalled (default: 60)",
+        "diagnosed as stalled (default: %(default)g)",
     )
     p.add_argument(
         "--postmortem-out", default=None, metavar="PATH",

@@ -8,6 +8,7 @@ from typing import Optional
 
 from ..core.errors import ConfigError
 from ..lbm.solver import SolverConfig
+from ..telemetry.plane import DEFAULT_STALL_TIMEOUT_S
 from ..workloads import workload_table
 from .pulsatile import PulsatileWaveform
 
@@ -72,7 +73,7 @@ class HarveyConfig:
     executor: str = "lockstep"
     sanitize: bool = False
     backend: str = "numpy"
-    stall_timeout_s: float = 60.0
+    stall_timeout_s: float = DEFAULT_STALL_TIMEOUT_S
     postmortem_out: Optional[str] = None
 
     def __post_init__(self) -> None:

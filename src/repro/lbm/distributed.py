@@ -16,12 +16,18 @@ by the one loop behind :meth:`DistributedSolver.step`.  The
 bulk-synchronous barrier schedule:
 
 1. collide on owned nodes;
-2. post the halo exchange — every rank packs and sends the post-collision
-   distributions of the boundary nodes its neighbours' ghosts mirror;
-3. complete it — received payloads refill the ghost columns;
-4. pull-stream into owned nodes (ghosts supply remote upstream values),
-   then swap the double buffer;
-5. inlet/outlet boundary conditions on owned nodes.
+2. post the halo exchange — every rank packs and sends only the
+   post-collision populations its neighbours' halo-reading links stream
+   across the boundary (the "5 of 19 directions" exchange the paper's
+   performance model prices);
+3. complete it into per-neighbour staging buffers;
+4. pull-stream the full plan into the double buffer — interior columns
+   are final, frontier columns are provisional where their halo-sourced
+   links read stale ghosts (ghost columns are never refreshed);
+5. scatter the frontier — the staged payloads land on ``recv_flat``, the
+   halo-sourced link destinations, finalising exactly the provisional
+   values; then swap the double buffer;
+6. inlet/outlet boundary conditions on owned nodes.
 
 The result is *identical* at every rank count — the conformance matrix
 asserts exact agreement with a per-population reference stepper — while
@@ -44,30 +50,19 @@ Overlapped pipeline
 -------------------
 ``SolverConfig(overlap=True)`` runs the same bodies in the
 interior/frontier order production LBM codes (HARVEY included) use to
-hide halo exchange behind interior compute:
+hide halo exchange behind interior compute: the full-plan gather moves
+between the exchange post and its completion, under the ``interior``
+span.  ``overlap`` decides nothing else — the exchange format, its
+payload bytes and the frontier scatter are the same on both schedules.
 
-1. collide on owned nodes;
-2. **post** the exchange — only the populations some neighbour's frontier
-   link actually reads are packed (the "5 of 19 directions" exchange the
-   paper's performance model prices);
-3. **stream the interior while the exchange is in flight** — one fused
-   gather over all owned nodes; interior columns are final, frontier
-   columns are provisional where their halo-sourced links read stale
-   ghosts;
-4. **complete** the exchange into per-neighbour staging buffers;
-5. **stream the frontier** — the staged payloads are scattered onto
-   ``recv_flat``, the halo-sourced link destinations in the double
-   buffer, finalising exactly the provisional values (ghost columns are
-   never refreshed on this path), then swap;
-6. inlet/outlet boundary conditions.
-
-Phases 2-4 run inside an ``overlap_window`` span, derived from the
-declaration (exchange post through completion, when compute is scheduled
-between them) and rebuilt on both tiers from the per-rank phase intervals
-``run_step`` returns: first post begun to last completion done.  Because
-pull-streaming writes the double buffer and never reads what frontier
-streaming writes, the pipeline is bit-for-bit identical to the barrier
-schedule — pinned by ``tests/lbm/test_conformance.py``.
+Phases from the post through the completion run inside an
+``overlap_window`` span, derived from the declaration (exchange post
+through completion, when compute is scheduled between them) and rebuilt
+on both tiers from the per-rank phase intervals ``run_step`` returns:
+first post begun to last completion done.  Because pull-streaming writes
+the double buffer and never reads what the frontier scatter writes, the
+two schedules are bit-for-bit identical — pinned by
+``tests/lbm/test_conformance.py``.
 
 Executors and the halo transport
 --------------------------------
@@ -177,27 +172,32 @@ class Phase:
 
 _COLLIDE = Phase("collide", "_phase_collide", ("f",), ("f",))
 _POST = Phase("exchange", "_phase_exchange_post", ("f",), ("send_bufs",))
+_COMPLETE = Phase("exchange", "_phase_exchange_complete", (), ("recv_bufs",))
+_FRONTIER = Phase(
+    "frontier", "_phase_stream_frontier", ("recv_bufs",), ("f_tmp",), True
+)
 _BOUNDARY = Phase("boundary", "_phase_boundary", ("f",), ("f",))
 
-#: Bulk-synchronous schedule: the exchange completes (refilling the ghost
-#: columns of ``f``) before any streaming starts.
+#: Bulk-synchronous schedule: the exchange completes before the
+#: full-plan gather starts; the frontier scatter then finalises the
+#: halo-sourced destinations from the staged payloads.
 BARRIER_SCHEDULE: Tuple[Phase, ...] = (
     _COLLIDE,
     _POST,
-    Phase("exchange", "_phase_exchange_complete", (), ("recv_bufs", "f")),
-    Phase("stream", "_phase_stream", ("f",), ("f_tmp",), True),
+    _COMPLETE,
+    Phase("stream", "_phase_stream", ("f",), ("f_tmp",)),
+    _FRONTIER,
     _BOUNDARY,
 )
 
-#: Interior/frontier schedule: the full-plan gather runs between the
-#: exchange post and its completion; the frontier scatter then finalises
-#: the provisional destinations from the staged payloads.
+#: Interior/frontier schedule: the same bodies, with the full-plan gather
+#: between the exchange post and its completion.
 OVERLAP_SCHEDULE: Tuple[Phase, ...] = (
     _COLLIDE,
     _POST,
-    Phase("interior", "_phase_stream_interior", ("f",), ("f_tmp",)),
-    Phase("exchange", "_phase_exchange_complete", (), ("recv_bufs",)),
-    Phase("frontier", "_phase_stream_frontier", ("recv_bufs",), ("f_tmp",), True),
+    Phase("interior", "_phase_stream", ("f",), ("f_tmp",)),
+    _COMPLETE,
+    _FRONTIER,
     _BOUNDARY,
 )
 
@@ -213,7 +213,8 @@ ONE_PASS_SCHEDULE: Tuple[Phase, ...] = (
 def schedule_for(num_ranks: int, overlap: bool) -> Tuple[Phase, ...]:
     """The declared schedule of a ``num_ranks`` partition: the one pass
     for one rank (under either ``overlap`` setting), else the overlapped
-    or barrier exchange.  The solver and the K405 walk both ask here."""
+    or barrier order of the one exchange.  The solver and the K405 walk
+    both ask here."""
     if num_ranks == 1:
         return ONE_PASS_SCHEDULE
     return OVERLAP_SCHEDULE if overlap else BARRIER_SCHEDULE
@@ -319,8 +320,7 @@ class DistributedSolver:
         self.tracer = get_tracer() if tracer is None else tracer
         self.time = 0
         self.fluid_updates = 0
-        self._overlap = bool(config.overlap)
-        self._schedule = schedule_for(partition.num_ranks, self._overlap)
+        self._schedule = schedule_for(partition.num_ranks, config.overlap)
         self._one_pass = self._schedule is ONE_PASS_SCHEDULE
         self._window = _overlap_window(self._schedule)
         self._procmode = config.executor == "process"
@@ -341,7 +341,7 @@ class DistributedSolver:
         # everything that can reject the run happens before the first
         # allocation: plans, both pre-flights, kernel providers
         plans = build_rank_plans(
-            self.grid, partition, self.lattice, config.periodic, self._overlap
+            self.grid, partition, self.lattice, config.periodic
         )
         if config.inlet_velocity is None and any(
             plan.inlet_nodes.size for plan in plans
@@ -366,7 +366,7 @@ class DistributedSolver:
             from ..lint.commcheck import schedule_from_rank_states, verify_schedule
 
             sched = schedule_from_rank_states(
-                plans, partition.num_ranks, tag=HALO_TAG, overlap=self._overlap
+                plans, partition.num_ranks, tag=HALO_TAG, overlap=config.overlap
             )
             verify_schedule(sched, context=context)
         if validate_plan:
@@ -376,7 +376,7 @@ class DistributedSolver:
             # equal to the link tables) before the first apply executes
             from ..lint.plancheck import verify_rank_plans
 
-            verify_rank_plans(plans, overlap=self._overlap, context=context)
+            verify_rank_plans(plans, overlap=config.overlap, context=context)
         if config.backend != "numpy":
             # verified: the compiled step reads its table alone, so the
             # dense gather table goes (flat_src re-expands on demand)
@@ -502,8 +502,7 @@ class DistributedSolver:
 
         self._owned_total = sum(plan.num_owned for plan in plans)
         # gather traffic of one streaming pass across all ranks, for the
-        # per-step() counter bump (the overlapped interior phase applies
-        # the full plan, so the figure is schedule-independent)
+        # per-step() counter bump (both schedules apply the full plan)
         self._gather_bytes_per_step = sum(
             int(plan.step_plan.bytes_per_apply) for plan in plans
         )
@@ -512,7 +511,7 @@ class DistributedSolver:
         if config.sanitize:
             from .sanitize import StepSanitizer
 
-            self._san = StepSanitizer(self.ranks, overlap=self._overlap)
+            self._san = StepSanitizer(self.ranks)
 
     # -- phase bodies ------------------------------------------------------
     # Each body is a per-rank function the step loop dispatches through
@@ -527,10 +526,9 @@ class DistributedSolver:
 
     def _phase_exchange_post(self, rank: int) -> None:
         # allocation-free pack into the preallocated per-neighbour send
-        # buffers: all q populations of the mirrored boundary nodes under
-        # the barrier schedule, only the values some neighbour's frontier
-        # link reads (the ~5-of-19 directions the paper's halo model
-        # prices) under overlap.  Both transports copy eagerly on send.
+        # buffers: only the values some neighbour's frontier link reads
+        # (the ~5-of-19 directions the paper's halo model prices).  Both
+        # transports copy eagerly on send.
         st = self.ranks[rank]
         f_flat = st.f.reshape(-1)
         send_flat = st.plan.send_flat
@@ -539,19 +537,14 @@ class DistributedSolver:
             self._halo.send(rank, dst, buf, tag=HALO_TAG)
 
     def _phase_exchange_complete(self, rank: int) -> None:
+        # staged for the frontier scatter; ghost columns are never
+        # refreshed
         st = self.ranks[rank]
         san = self._san
         for src, buf in st.recv_bufs.items():
             self._halo.recv_into(rank, src, buf, tag=HALO_TAG)
-            if self._overlap:
-                # staged for the frontier scatter; ghost columns are
-                # never refreshed on this schedule
-                if san is not None:
-                    san.on_payload(st, src)
-            else:
-                st.f.reshape(-1)[st.plan.recv_flat[src]] = buf
-                if san is not None:
-                    san.on_unpack(st, src)
+            if san is not None:
+                san.on_payload(st, src)
 
     def _phase_collide_stream(self, rank: int) -> None:
         # one rank: no ghost columns, no exchange post reading collided f
@@ -560,26 +553,19 @@ class DistributedSolver:
         st.f, st.f_tmp = st.f_tmp, st.f
 
     def _phase_stream(self, rank: int) -> None:
+        # the full-plan gather (under overlap while the exchange is in
+        # flight): interior columns are final; frontier columns are
+        # provisional exactly on their halo-sourced links, which read
+        # stale ghosts here and are overwritten by the frontier scatter
         st = self.ranks[rank]
         if self._san is not None:
-            self._san.before_stream(st)
-        st.kernels.stream(st.f, st.f_tmp, *st.tables)
-        st.f, st.f_tmp = st.f_tmp, st.f
-
-    def _phase_stream_interior(self, rank: int) -> None:
-        # the same gather while the exchange is in flight: interior
-        # columns are final; frontier columns are provisional exactly on
-        # their halo-sourced links (which read stale ghosts here and are
-        # overwritten by the frontier scatter)
-        st = self.ranks[rank]
-        if self._san is not None:
-            self._san.on_interior_stream(st)
+            self._san.on_stream(st)
         st.kernels.stream(st.f, st.f_tmp, *st.tables)
 
     def _phase_stream_frontier(self, rank: int) -> None:
         # finalize the frontier: scatter each staged payload straight
-        # onto the halo-sourced link destinations in the double buffer
-        # (ghost columns are never staged on this path), then swap
+        # onto the halo-sourced link destinations in the double buffer,
+        # then swap
         st = self.ranks[rank]
         san = self._san
         tmp_flat = st.f_tmp.reshape(-1)
@@ -774,13 +760,12 @@ class DistributedSolver:
         * ``collide`` reads and writes all ``q`` populations of every
           owned node;
         * ``stream`` / ``interior`` is one fused gather over the full
-          plan (the overlapped interior phase applies the whole plan,
-          frontier columns provisionally);
+          plan (frontier columns provisionally, on either schedule);
         * under the one-rank schedule, ``stream`` is collide and stream
           in one sweep: Eq. 1's price, ``lattice.bytes_per_update()``
           per owned node, plus the bytes of the tables it reads;
         * ``exchange`` moves the halo payload twice (pack at the sender,
-          unpack/scatter at the receiver);
+          staging at the receiver);
         * ``frontier`` re-scatters the packed payload onto the link
           destinations; ``boundary`` traffic is negligible and carries
           no byte model.
@@ -805,10 +790,9 @@ class DistributedSolver:
     def halo_bytes_per_step(self) -> int:
         """Bytes exchanged in one iteration (from the wired send buffers).
 
-        Under the overlapped pipeline the packed cross-link exchange
-        ships only the population values the receiver's frontier links
-        read, so the figure is the packed size (the accounting the
-        paper's ``HALO_BYTES_PER_SITE`` model prices) rather than
-        all ``q`` populations per boundary node.
+        The packed cross-link exchange ships only the population values
+        the receiver's frontier links read — 8 bytes per cross link, the
+        accounting the paper's ``HALO_BYTES_PER_SITE`` model prices —
+        so the figure is the same under either schedule.
         """
         return self._halo_step_bytes

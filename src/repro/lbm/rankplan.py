@@ -9,7 +9,10 @@ transport, no solver configuration.
 (buffers, boundary objects, transport); the static verifiers
 (:mod:`repro.lint.plancheck`, :mod:`repro.lint.commcheck`), the runtime
 sanitizer and the ``*.stepplan.json`` codec (:meth:`RankPlan.to_dict` /
-:meth:`RankPlan.from_dict`) read the same value.
+:meth:`RankPlan.from_dict`) read the same value.  A plan has one
+exchange format whatever the schedule: the packed cross-link payload,
+which ``SolverConfig.overlap`` only completes before or after the
+streaming gather.
 
 On a compiled backend the solver releases each plan's dense gather table
 once the pre-flights have verified its compiled table (the run table,
@@ -32,7 +35,6 @@ import numpy as np
 
 from ..core.errors import DecompositionError
 from ..core.lattice import Lattice
-from ..core.planmeta import flat_destinations
 from ..decomp.partition import Partition
 from ..geometry.flags import INLET, OUTLET
 from ..geometry.voxel import VoxelGrid
@@ -53,13 +55,13 @@ def _peer_tables(mapping: Dict[Any, Any]) -> Dict[int, np.ndarray]:
 class RankPlan:
     """Everything static about one rank of a decomposition.
 
-    The exchange pair is schedule-neutral: message slot ``i`` from this
-    rank to ``dst`` carries ``f.reshape(-1)[send_flat[dst][i]]``
-    (post-collision, owned), and the completion of the message from
-    ``src`` writes slot ``i`` to flat index ``recv_flat[src][i]`` — a
-    ghost slot of ``f`` under the barrier schedule, a halo-sourced link
-    destination of ``f_tmp`` under overlap.  ``plans[j].send_flat[r]``
-    and ``plans[r].recv_flat[j]`` agree slot for slot.
+    The exchange pair is the packed cross-link exchange: message slot
+    ``i`` from this rank to ``dst`` carries ``f.reshape(-1)[send_flat[dst][i]]``
+    (post-collision, owned), and the frontier scatter writes the slot of
+    the message from ``src`` to flat index ``recv_flat[src][i]`` of
+    ``f_tmp`` — the destination of one halo-reading link.
+    ``plans[j].send_flat[r]`` and ``plans[r].recv_flat[j]`` agree slot
+    for slot.
     """
 
     rank: int
@@ -69,7 +71,7 @@ class RankPlan:
     inlet_nodes: np.ndarray  # local ids of the owned INLET nodes
     outlet_nodes: np.ndarray  # local ids of the owned OUTLET nodes
     send_flat: Dict[int, np.ndarray]  # dst rank -> flat gather table into f
-    recv_flat: Dict[int, np.ndarray]  # src rank -> flat indices written
+    recv_flat: Dict[int, np.ndarray]  # src rank -> flat f_tmp destinations
 
     @property
     def num_owned(self) -> int:
@@ -241,18 +243,15 @@ def build_rank_plans(
     partition: Partition,
     lattice: Lattice,
     periodic: Tuple[bool, bool, bool] = (False, False, False),
-    overlap: bool = False,
 ) -> List[RankPlan]:
     """Pre-process ``partition`` into one :class:`RankPlan` per rank.
 
-    The exchange delivers ghost slots of the receiver's numbering:
-    under the barrier schedule all ``q`` populations of every ghost node,
-    each written back to the ghost slot itself; under ``overlap`` only
-    the slots some halo-sourced link reads (the "5 of 19 directions"
-    exchange the paper's performance model prices), each written straight
-    onto that link's destination.  The owner of a slot's node packs it in
-    the receiver's enumeration order (population-major), so a payload
-    needs no header.
+    The exchange delivers only the ghost slots some halo-sourced link
+    reads (the "5 of 19 directions" exchange the paper's performance
+    model prices), each written straight onto that link's destination,
+    under either schedule.  The owner of a slot's node packs it in the
+    receiver's enumeration order (population-major), so a payload needs
+    no header.
 
     Every upstream id comes from one padded index map
     (:func:`_padded_ids`), and each rank's ``flat_src`` is filled row by
@@ -288,7 +287,9 @@ def build_rank_plans(
     owned: List[np.ndarray] = []
     ghosts: List[np.ndarray] = []
     step_plans: List[StepPlan] = []
-    exchanged: List[Tuple[np.ndarray, np.ndarray]] = []  # (written, slots)
+    # per rank: (written, slots) = its cross-link destinations and the
+    # ghost slots they read
+    exchanged: List[Tuple[np.ndarray, np.ndarray]] = []
     for r in range(num_ranks):
         own = np.flatnonzero(owner_of == r)
         n_owned = own.size
@@ -319,20 +320,13 @@ def build_rank_plans(
             np.add(scratch, qi * n_local, out=row)
             wall = np.flatnonzero(scratch < 0)
             row[wall] = lattice.opposite[qi] * n_local + wall
-            if overlap:
-                # the halo-reading links, in StepPlan.cross_links order
-                cols = np.flatnonzero(scratch >= n_owned)
-                cross_dst.append(qi * n_local + cols)
-                cross_src.append(row[cols])
-        if overlap:
-            exchanged.append(
-                (np.concatenate(cross_dst), np.concatenate(cross_src))
-            )
-        else:
-            slots = flat_destinations(
-                np.arange(n_owned, n_local), n_local, q
-            ).reshape(-1)
-            exchanged.append((slots, slots))
+            # the halo-reading links, in StepPlan.cross_links order
+            cols = np.flatnonzero(scratch >= n_owned)
+            cross_dst.append(qi * n_local + cols)
+            cross_src.append(row[cols])
+        exchanged.append(
+            (np.concatenate(cross_dst), np.concatenate(cross_src))
+        )
         local_of[own] = -1
         local_of[gho] = -1
         mine[own] = False

@@ -3,24 +3,23 @@
 ``SolverConfig(sanitize=True)`` turns on the dynamic counterpart of the
 static K40x plan verifier: where :mod:`repro.lint.plancheck` proves the
 index tables sound before the first step, the sanitizer catches the bugs
-that only exist at runtime — a dropped unpack, a skipped scatter, a
-double scatter.  Two mechanisms:
+that only exist at runtime — a dropped completion, a skipped scatter, a
+double scatter.  Both schedules run the same exchange (the packed
+cross-link payload, scattered onto the frontier after the full-plan
+gather), so every check holds on either.  Two mechanisms:
 
 **NaN canaries.**  At the top of every step each rank's ghost columns
-are filled with NaN.  A correct schedule always overwrites the poison
-before it can reach owned state (the barrier exchange refills every
-ghost; the overlapped scatter finalizes every provisional frontier
-value), so any NaN surviving in an owned column at the end of the step
-is proof of a stale-ghost read or an unscattered payload — a
-wrong-results bug that is otherwise silent.
+are filled with NaN.  Ghost columns are never refreshed, so the gather
+copies the poison into every provisional (halo-sourced) destination,
+and a correct frontier scatter overwrites all of them; any NaN
+surviving in an owned column at the end of the step is proof of an
+unscattered payload — a wrong-results bug that is otherwise silent.
 
-**Epoch tracking.**  Freshness of ghost nodes and payloads is tracked
-bit-precisely against the step number: the barrier path checks *before
-streaming* that every ghost node the plan reads was refilled this step,
-and the overlapped path tracks the provisional (stale-sourced) flat
-destinations through scatter — double-scatters and never-finalized
-destinations are reported even when the values involved happen to look
-plausible.
+**Epoch tracking.**  Payloads and provisional destinations are tracked
+bit-precisely against the step number: a scatter of a payload that did
+not complete this step (last step's values still staged), a double
+scatter and a never-finalized destination are reported even when the
+values involved happen to look plausible.
 
 The epoch checks are rank-local and run inside the rank's own phase
 bodies, where the epoch state is written — in the forked worker under
@@ -66,21 +65,16 @@ class StepSanitizer:
     single ``is not None`` check so ``sanitize=False`` costs one branch):
 
     * :meth:`begin_step` — poison ghost columns, reset freshness state;
-    * :meth:`on_unpack` — barrier path, after a payload lands in ghosts;
-    * :meth:`before_stream` — barrier path, the stale-ghost read check;
-    * :meth:`on_interior_stream` — overlap path, marks the provisional
-      destinations the scatter must finalize;
-    * :meth:`on_payload` / :meth:`on_scatter` — overlap path, payload
-      bookkeeping plus the double-scatter check;
-    * :meth:`end_frontier` — overlap path, after the rank's scatter:
-      leftover-payload and never-finalized checks;
+    * :meth:`on_stream` — after the full-plan gather, marks the
+      provisional destinations the scatter must finalize;
+    * :meth:`on_payload` / :meth:`on_scatter` — payload bookkeeping plus
+      the stale-payload and double-scatter checks;
+    * :meth:`end_frontier` — after the rank's scatter: leftover-payload
+      and never-finalized checks;
     * :meth:`end_step` — the canary sweep.
     """
 
-    def __init__(
-        self, ranks: Sequence[object], overlap: bool = False
-    ) -> None:
-        self.overlap = bool(overlap)
+    def __init__(self, ranks: Sequence[object]) -> None:
         registry = get_registry()
         self._steps_counter = registry.counter("sanitize.steps_checked")
         self._poison_counter = registry.counter(
@@ -89,19 +83,12 @@ class StepSanitizer:
         self._violations = registry.counter("sanitize.violations")
 
         # static per-rank facts, precomputed off the hot path
-        self._ghost_read_nodes: Dict[int, np.ndarray] = {}
-        self._cross_dst: Dict[int, np.ndarray] = {}
-        for st in ranks:
-            plan, num_owned = st.plan.step_plan, st.num_owned
-            src_nodes = plan.flat_src % plan.num_local
-            ghosts = np.unique(src_nodes[src_nodes >= num_owned])
-            self._ghost_read_nodes[st.rank] = ghosts
-            if self.overlap:
-                dst_flat, _ = plan.cross_links(num_owned)
-                self._cross_dst[st.rank] = dst_flat
+        self._cross_dst: Dict[int, np.ndarray] = {
+            st.rank: st.plan.step_plan.cross_links(st.num_owned)[0]
+            for st in ranks
+        }
 
         # per-step dynamic state
-        self._fresh: Dict[int, Set[int]] = {}
         self._provisional: Dict[int, np.ndarray] = {}
         self._payload_pending: Dict[int, Set[int]] = {}
         self._step = -1
@@ -115,7 +102,6 @@ class StepSanitizer:
         self._step = step
         for st in ranks:
             rank = int(st.rank)
-            self._fresh[rank] = set()
             self._payload_pending[rank] = set()
             size = st.f.shape[0] * st.f.shape[1]
             prov = self._provisional.get(rank)
@@ -147,50 +133,25 @@ class StepSanitizer:
         if step != self._step:
             self._reset(ranks, step)
 
-    def on_unpack(self, st: object, src: int) -> None:
-        """Barrier path: rank ``st`` unpacked ``src``'s payload into its
-        ghost slots this step."""
-        self._fresh[int(st.rank)].add(int(src))
-
-    def before_stream(self, st: object) -> None:
-        """Barrier path: verify every ghost node the plan reads was
-        refilled this step (read-of-stale-ghost, value-independent)."""
-        rank = int(st.rank)
-        ghosts = self._ghost_read_nodes[rank]
-        if ghosts.size == 0:
-            return
-        fresh = self._fresh.get(rank, set())
-        refilled = (
-            np.concatenate([st.plan.recv_flat[s] for s in fresh]) % st.f.shape[1]
-            if fresh
-            else np.empty(0, dtype=np.int64)
-        )
-        stale = np.setdiff1d(ghosts, refilled)
-        if stale.size:
-            self._fail(
-                f"rank {rank} step {self._step}: streaming would read "
-                f"{stale.size} ghost node(s) not refilled this step "
-                f"(e.g. {stale[:4].tolist()}); the halo exchange did not "
-                "cover them"
-            )
-
-    def on_interior_stream(self, st: object) -> None:
-        """Overlap path: the full-plan apply just wrote provisional
-        values at every stale-sourced (cross-link) destination."""
+    def on_stream(self, st: object) -> None:
+        """The full-plan gather just wrote provisional values at every
+        stale-sourced (cross-link) destination."""
         rank = int(st.rank)
         prov = self._provisional[rank]
         prov[self._cross_dst[rank]] = True
 
     def on_payload(self, st: object, src: int) -> None:
-        """Overlap path: ``src``'s packed payload arrived at ``st``."""
+        """``src``'s packed payload completed at ``st`` this step."""
         self._payload_pending[int(st.rank)].add(int(src))
 
     def on_scatter(self, st: object, src: int, inj: np.ndarray) -> None:
-        """Overlap path: ``st`` scatters ``src``'s payload onto ``inj``.
+        """``st`` scatters ``src``'s payload onto ``inj``.
 
         Every target must still be provisional — a non-provisional
         target means a double scatter or a scatter over finalized
-        interior data (write-after-write)."""
+        interior data (write-after-write) — and the payload must have
+        completed this step: a skipped completion leaves last step's
+        values staged, which the scatter would write."""
         rank = int(st.rank)
         prov = self._provisional[rank]
         inj = np.asarray(inj)
@@ -203,11 +164,18 @@ class StepSanitizer:
                 f"{int(inj[already[0]])}); double scatter or "
                 "write-after-write over finalized data"
             )
+        pending = self._payload_pending[rank]
+        if int(src) not in pending:
+            self._fail(
+                f"rank {rank} step {self._step}: scatter of rank {src}'s "
+                "payload, which did not complete this step; the staged "
+                "values are stale"
+            )
         prov[inj] = False
-        self._payload_pending[rank].discard(int(src))
+        pending.discard(int(src))
 
     def end_frontier(self, st: object) -> None:
-        """Overlap path: rank ``st`` finished its frontier scatter, so
+        """Rank ``st`` finished its frontier scatter, so
         every completed payload must be scattered and every provisional
         destination finalized."""
         rank = int(st.rank)

@@ -28,6 +28,7 @@ from ..core.lattice import Lattice, get_lattice
 from ..decomp.block import axis_decompose
 from ..geometry.voxel import VoxelGrid
 from ..runtime.executor import EXECUTOR_KINDS
+from ..telemetry.plane import DEFAULT_STALL_TIMEOUT_S
 from .bgk import BGKCollision
 from .boundary import PressureOutlet, outlet_equilibrium
 from .distributed import DistributedSolver
@@ -181,14 +182,15 @@ class SolverConfig:
         The single-domain :class:`Solver` is one rank and runs it as
         given.
     overlap:
-        Run the distributed step as the interior/frontier pipeline with
-        a packed cross-link halo exchange posted before interior
-        streaming (bit-identical to the barrier schedule).  A one-rank
+        Run the distributed step as the interior/frontier pipeline: the
+        full-plan gather runs while the packed cross-link exchange is in
+        flight, not after it completes (bit-identical to the barrier
+        schedule, same payload).  A one-rank
         partition, the single-domain :class:`Solver` included, exchanges
         nothing and runs the one-pass schedule under either setting.
     sanitize:
         Run the runtime sanitizer (:mod:`repro.lbm.sanitize`): NaN
-        canaries in ghost columns and ghost/payload epoch tracking.
+        canaries in ghost columns and payload epoch tracking.
         Costly; intended for tests and debugging.
     backend:
         Kernel execution tier: ``"numpy"`` (default, the reference
@@ -226,18 +228,17 @@ class SolverConfig:
     periodic: Tuple[bool, bool, bool] = (False, False, False)
     lattice: str = "D3Q19"
     collision: str = "bgk"
-    mrt_ghost_rate: float = 1.2
     executor: str = "lockstep"
     overlap: bool = False
     sanitize: bool = False
     backend: str = "numpy"
     fastmath: bool = True
-    stall_timeout_s: float = 60.0
+    stall_timeout_s: float = DEFAULT_STALL_TIMEOUT_S
     postmortem_out: Optional[str] = None
 
     def __post_init__(self) -> None:
         # every bound below is a comparison, which NaN passes silently
-        for name in ("tau", "rho0", "mrt_ghost_rate", "stall_timeout_s"):
+        for name in ("tau", "rho0", "stall_timeout_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(
                     f"{name} must be finite, got {getattr(self, name)}"
@@ -275,9 +276,7 @@ class SolverConfig:
         if self.collision == "mrt":
             from .mrt import MRTCollision
 
-            return MRTCollision(
-                self.tau, ghost_rate=self.mrt_ghost_rate, force=self.force
-            )
+            return MRTCollision(self.tau, force=self.force)
         if self.collision == "trt":
             from .trt import TRTCollision
 

@@ -211,7 +211,7 @@ class StepPlan:
         """Stream + bounce all populations from ``f_src`` into ``f_dst``.
 
         Only the update prefix is written; in the distributed case ghost
-        columns of ``f_dst`` are left untouched (refilled by exchange).
+        columns of ``f_dst`` are left untouched.
         """
         n_upd, flat_src = self.num_update, self.flat_src
         if f_dst.shape[1] == n_upd:

@@ -15,9 +15,9 @@ K401    a flat destination is written more than once per apply
         (write/write race whose outcome depends on gather order)
 K402    a gather source is out of bounds or a table has the wrong
         dtype (``np.take(mode="clip")`` would silently clamp it)
-K404    under either schedule, a receive slot is not fed the
-        (population, global node) it needs by an owned ``send_flat``
-        slot, the receive slots miss what streaming reads, or a peer
+K404    a receive slot is not fed the (population, global node) its
+        cross link reads by an owned ``send_flat`` slot, the receive
+        slots are not the cross-link destinations each once, or a peer
         is mis-wired (unknown, one-sided, or of another length)
 K405    the declared phase order of the active schedule
         (``lbm.distributed.schedule_for``: ``BARRIER_SCHEDULE`` /
@@ -218,54 +218,29 @@ def _step_plan_issues(plan: StepPlan, label: str) -> List[PlanIssue]:
 
 # -- the exchange verifier (K404) -------------------------------------------
 def _needed_sources(
-    st: RankPlan, slots: np.ndarray, overlap: bool
+    st: RankPlan, slots: np.ndarray
 ) -> Tuple[np.ndarray, List[str]]:
     """``(need, messages)``: for each receive slot of ``st``, the flat
     slot of its own numbering whose (population, node) the slot must be
-    fed (-1 where the slot itself is misplaced), and coverage findings."""
-    plan = st.step_plan
-    size = plan.q * plan.num_local
-    found: List[Tuple[np.ndarray, str]] = []
-    if overlap:
-        dst, src = plan.cross_links(st.num_owned)
-        order = np.argsort(dst, kind="stable")
-        dst, src = dst[order], src[order]
-        at = np.searchsorted(dst, slots)
-        hit = at < dst.size
-        hit[hit] = dst[at[hit]] == slots[hit]
-        fed = np.bincount(at[hit], minlength=dst.size)
-        found += [
-            (dst[fed > 1], "cross-link destination(s) are fed by more than "
-             "one payload slot"),
-            (dst[fed == 0], "cross-link destination(s) have no payload slot; "
-             "their streamed values would keep stale ghost data"),
-            (np.unique(slots[~hit]), "payload slot(s) target destinations "
-             "with no halo-reading link"),
-        ]
-        need = np.full(slots.size, -1, dtype=np.int64)
-        need[hit] = src[at[hit]]
-    else:
-        hit = (slots >= 0) & (slots < size)
-        hit[hit] = slots[hit] % plan.num_local >= st.num_owned
-        found += [
-            (np.unique(slots[~hit]), "receive slot(s) are not ghost slots; "
-             "the refill would overwrite owned data or land outside f"),
-            (duplicate_values(slots[hit]), "ghost slot(s) are refilled by "
-             "more than one receive slot"),
-        ]
-        if plan.num_local > st.num_owned:
-            # a slot is current when it is owned or some receive refills it
-            current = np.ones(size, dtype=bool)
-            current.reshape(plan.q, plan.num_local)[:, st.num_owned:] = False
-            current[slots[hit]] = True
-            flat = plan.flat_src.reshape(-1)
-            stale = flat[~np.take(current, flat, mode="clip")]
-            found.append((
-                np.unique(stale[(stale >= 0) & (stale < size)]),
-                "ghost slot(s) are read by streaming but refilled by no "
-                "receive; those links read stale halo data every step",
-            ))
-        need = np.where(hit, slots, -1)
+    fed — the ghost source of the cross link whose destination it is, -1
+    where the slot is no cross-link destination — and coverage findings."""
+    dst, src = st.step_plan.cross_links(st.num_owned)
+    order = np.argsort(dst, kind="stable")
+    dst, src = dst[order], src[order]
+    at = np.searchsorted(dst, slots)
+    hit = at < dst.size
+    hit[hit] = dst[at[hit]] == slots[hit]
+    fed = np.bincount(at[hit], minlength=dst.size)
+    found = [
+        (dst[fed > 1], "cross-link destination(s) are fed by more than "
+         "one payload slot"),
+        (dst[fed == 0], "cross-link destination(s) have no payload slot; "
+         "their streamed values would keep stale ghost data"),
+        (np.unique(slots[~hit]), "payload slot(s) target destinations "
+         "with no halo-reading link"),
+    ]
+    need = np.full(slots.size, -1, dtype=np.int64)
+    need[hit] = src[at[hit]]
     messages = [
         f"{bad.size} {what} (e.g. {_preview(bad)})"
         for bad, what in found
@@ -282,19 +257,16 @@ def _is_link_table(plan: StepPlan) -> bool:
     )
 
 
-def check_exchange(
-    plans: Sequence[RankPlan], overlap: bool = False
-) -> List[PlanIssue]:
-    """Verify the halo exchange across all ranks (K404), either schedule.
+def check_exchange(plans: Sequence[RankPlan]) -> List[PlanIssue]:
+    """Verify the halo exchange across all ranks (K404).
 
-    Each receive slot needs a (population, global node): under overlap
-    the source of the cross-link whose destination it is, under barrier
-    the ghost slot itself.  The sender's ``send_flat`` slot, an owned
+    Both schedules run the one packed cross-link exchange.  Each receive
+    slot needs a (population, global node): the source of the cross-link
+    whose destination it is.  The sender's ``send_flat`` slot, an owned
     slot mapped through ``owned_global``, must carry exactly that.  The
-    receive slots must be the cross-link destinations, each once
-    (overlap), or ghost slots, each at most once, covering every ghost
-    slot ``flat_src`` reads (barrier); and every receive needs a pack
-    table of its length on a known rank, every pack table a receive.
+    receive slots must be the cross-link destinations, each once; and
+    every receive needs a pack table of its length on a known rank, every
+    pack table a receive.
     """
     issues: List[PlanIssue] = []
 
@@ -331,7 +303,7 @@ def check_exchange(
         slots = (
             np.concatenate(written) if written else np.empty(0, dtype=np.int64)
         )
-        need, messages = _needed_sources(st, slots, overlap)
+        need, messages = _needed_sources(st, slots)
         for message in messages:
             report(f"{label}: {message}")
         ids = node_ids.get(st.rank)
@@ -421,13 +393,14 @@ def check_rank_states(
     """All verification failures of the ranks' plan IR (empty when valid).
 
     ``ranks`` are :class:`~repro.lbm.rankplan.RankPlan` values, or rank
-    states carrying one as ``plan``.
+    states carrying one as ``plan``.  ``overlap`` picks the schedule the
+    K405 walk checks; every other check is the same under either.
     """
     plans = plans_of(ranks)
     issues: List[PlanIssue] = []
     for st in plans:
         issues += _step_plan_issues(st.step_plan, f"rank {st.rank}")
-    issues += check_exchange(plans, overlap)
+    issues += check_exchange(plans)
     issues += check_phase_order(schedule_for(len(plans), overlap))
     return issues
 

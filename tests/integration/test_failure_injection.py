@@ -8,7 +8,7 @@ and assert the system either diverges measurably or fails loudly.
 import numpy as np
 import pytest
 
-from repro.core import D3Q19, RuntimeSimError
+from repro.core import RuntimeSimError
 from repro.decomp import axis_decompose
 from repro.geometry import CylinderSpec, make_cylinder
 from repro.lbm import DistributedSolver, Solver, SolverConfig
@@ -26,12 +26,10 @@ class CorruptingComm(SimComm):
     def send(self, src, dst, buf, tag=0):
         self._count += 1
         if self._count == self._corrupt_at:
-            # a barrier payload is population-major: corrupt every
-            # population of the first node so the fault is visible
-            # regardless of which directions the receiver pulls
-            buf = np.array(buf, copy=True).reshape(D3Q19.q, -1)
-            buf[:, 0] += 1e-3
-            buf = buf.reshape(-1)
+            # every slot of the packed payload is one cross link's
+            # upstream value, so any corrupted slot reaches owned state
+            buf = np.array(buf, copy=True)
+            buf[0] += 1e-3
         super().send(src, dst, buf, tag)
 
 

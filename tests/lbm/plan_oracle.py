@@ -10,8 +10,8 @@ link lists themselves, one population at a time — the stream of the
 conformance matrix's reference steppers.
 
 Run as a module for the comparison at benchmark-ladder scale (the
-cylinder at resolution 3.0 on 1 rank, the aorta at 0.7 on 2 ranks under
-overlap; a few seconds)::
+cylinder at resolution 3.0 on 1 rank, the aorta at 0.7 on 2 ranks; a
+few seconds)::
 
     PYTHONPATH=src python -m tests.lbm.plan_oracle
 """
@@ -23,7 +23,6 @@ import time
 import numpy as np
 
 from repro.core.lattice import D3Q19
-from repro.core.planmeta import flat_destinations
 from repro.decomp import decompose
 from repro.geometry.flags import INLET, OUTLET
 from repro.geometry.registry import build_geometry
@@ -42,7 +41,7 @@ def stream_links(links, f, f_tmp):
         f_tmp[link.qi, link.bounce] = f[link.qi_opp, link.bounce]
 
 
-def oracle_tables(grid, partition, lattice, periodic, overlap):
+def oracle_tables(grid, partition, lattice, periodic):
     """Per rank, a dict of every table a ``RankPlan`` holds."""
     q = lattice.q
     coords, index_map = grid.compact_ids()
@@ -76,15 +75,8 @@ def oracle_tables(grid, partition, lattice, periodic, overlap):
     for r, tables in enumerate(ranks):
         n_owned = tables["owned_global"].size
         n_local = n_owned + tables["ghost_global"].size
-        if overlap:
-            plan = StepPlan(
-                q, n_local, np.arange(n_owned), tables["flat_src"]
-            )
-            written, slots = plan.cross_links(n_owned)
-        else:
-            written = slots = flat_destinations(
-                np.arange(n_owned, n_local), n_local, q
-            ).reshape(-1)
+        plan = StepPlan(q, n_local, np.arange(n_owned), tables["flat_src"])
+        written, slots = plan.cross_links(n_owned)
         pops, nodes = np.divmod(slots, n_local)
         gids = tables["ghost_global"][nodes - n_owned]
         for j in np.unique(owner_of[gids]):
@@ -99,10 +91,10 @@ def oracle_tables(grid, partition, lattice, periodic, overlap):
     return ranks
 
 
-def assert_plans_match(plans, grid, partition, lattice, periodic, overlap):
+def assert_plans_match(plans, grid, partition, lattice, periodic):
     """``plans`` equal the oracle's tables, array for array and, for the
     peer dicts, key order included (the ``*.stepplan.json`` order)."""
-    oracle = oracle_tables(grid, partition, lattice, periodic, overlap)
+    oracle = oracle_tables(grid, partition, lattice, periodic)
     assert [p.rank for p in plans] == list(range(len(oracle)))
     for plan, want in zip(plans, oracle):
         sp = plan.step_plan
@@ -125,9 +117,9 @@ def assert_plans_match(plans, grid, partition, lattice, periodic, overlap):
 
 def ladder_scale() -> None:
     """The comparison on two benchmark-ladder workloads' plans."""
-    for workload, resolution, num_ranks, overlap in (
-        ("cylinder", 3.0, 1, False),
-        ("aorta", 0.7, 2, True),
+    for workload, resolution, num_ranks in (
+        ("cylinder", 3.0, 1),
+        ("aorta", 0.7, 2),
     ):
         preset = workload_table()[workload]
         grid = build_geometry(
@@ -136,13 +128,12 @@ def ladder_scale() -> None:
         partition = decompose(grid, num_ranks, preset.scheme)
         periodic = (preset.periodic, False, False)
         t0 = time.perf_counter()
-        plans = build_rank_plans(grid, partition, D3Q19, periodic, overlap)
+        plans = build_rank_plans(grid, partition, D3Q19, periodic)
         built = time.perf_counter() - t0
-        assert_plans_match(plans, grid, partition, D3Q19, periodic, overlap)
+        assert_plans_match(plans, grid, partition, D3Q19, periodic)
         print(
-            f"{workload} at {resolution} on {num_ranks} rank(s), "
-            f"{'overlap' if overlap else 'barrier'}: {grid.num_fluid} nodes, "
-            f"build {built:.3f} s, equal to the oracle"
+            f"{workload} at {resolution} on {num_ranks} rank(s): "
+            f"{grid.num_fluid} nodes, build {built:.3f} s, equal to the oracle"
         )
 
 

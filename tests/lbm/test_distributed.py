@@ -227,16 +227,21 @@ class TestDeclaredSchedule:
             if name.startswith("_phase_") and callable(attr)
         }
         assert scheduled == defined
-        assert len(defined) <= 8
+        assert len(defined) <= 7
 
     def test_span_order(self):
         assert [p.span for p in BARRIER_SCHEDULE] == [
-            "collide", "exchange", "exchange", "stream", "boundary"
+            "collide", "exchange", "exchange", "stream", "frontier",
+            "boundary",
         ]
         assert [p.span for p in OVERLAP_SCHEDULE] == [
             "collide", "exchange", "interior", "exchange", "frontier",
             "boundary",
         ]
+        # one exchange: the schedules run the same bodies, reordered
+        assert sorted(p.body for p in BARRIER_SCHEDULE) == sorted(
+            p.body for p in OVERLAP_SCHEDULE
+        )
         # one rank: collide + stream is one phase under the stream span
         assert [p.span for p in ONE_PASS_SCHEDULE] == ["stream", "boundary"]
         for schedule in (BARRIER_SCHEDULE, OVERLAP_SCHEDULE, ONE_PASS_SCHEDULE):

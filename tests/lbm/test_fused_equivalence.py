@@ -49,7 +49,7 @@ def test_step_plan_matches_per_q_stream():
     grid = periodic_grid()
     lat = D3Q19
     part = axis_decompose(grid, 1)
-    (plan,) = build_rank_plans(grid, part, lat, PERIODIC, False)
+    (plan,) = build_rank_plans(grid, part, lat, PERIODIC)
     (links,) = rank_link_lists(grid, part, lat, PERIODIC)
     rng = np.random.default_rng(7)
     f = rng.random((lat.q, grid.num_fluid))

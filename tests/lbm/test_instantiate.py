@@ -105,8 +105,7 @@ def test_compiled_rank_state_holds_the_run_table_alone(partition):
         assert held < step_plan.flat_src.nbytes  # no q x n table
         # the re-expansion is the table the plan was built with
         want = build_rank_plans(
-            partition.grid, partition, solver.lattice,
-            solver.config.periodic, True,
+            partition.grid, partition, solver.lattice, solver.config.periodic
         )[plan.rank].step_plan.flat_src
         got = step_plan.flat_src
         assert got.dtype == np.int64 and got.flags.c_contiguous

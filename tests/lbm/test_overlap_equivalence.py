@@ -1,10 +1,10 @@
 """The overlapped interior/frontier pipeline's wiring.
 
-The overlapped step (packed cross-link exchange posted before interior
-streaming, frontier finalized by direct payload injection) is a pure
-scheduling optimisation; its ``array_equal`` rows against the barrier
-schedule live in the conformance matrix
-(``tests/lbm/test_conformance.py``).  This file covers mass
+The overlapped step (the full-plan gather moved between the packed
+exchange's post and its completion; the frontier finalized by direct
+payload injection on both schedules) is a pure scheduling optimisation;
+its ``array_equal`` rows against the barrier schedule live in the
+conformance matrix (``tests/lbm/test_conformance.py``).  This file covers mass
 conservation, the ``StepPlan.cross_links`` enumeration the packed exchange is wired from,
 the packed halo-byte accounting, and the config validation.
 """
@@ -89,15 +89,41 @@ class TestPackedExchangeAccounting:
         assert overlap.halo_bytes_per_step() == expected
 
     def test_packed_exchange_is_smaller_than_barrier(self):
+        # the barrier schedule ships the packed payload too, and it is
+        # smaller than a refill of every population of every ghost node
         grid = periodic_grid()
         part = grid_decompose(grid, 4)
         barrier = DistributedSolver(part, periodic_config("bgk"))
         overlap = DistributedSolver(
             part, periodic_config("bgk", overlap=True)
         )
-        assert (
-            overlap.halo_bytes_per_step() < barrier.halo_bytes_per_step()
+        ghost_refill = sum(
+            8 * st.plan.step_plan.q * st.plan.ghost_global.size
+            for st in barrier.ranks
         )
+        assert barrier.halo_bytes_per_step() == overlap.halo_bytes_per_step()
+        assert 0 < barrier.halo_bytes_per_step() < ghost_refill
+
+    def test_both_schedules_ship_the_cross_links(self):
+        # one exchange format: the schedule moves the completion, not
+        # the payload — 8 bytes per cross link, wired and logged alike
+        grid = periodic_grid()
+        part = grid_decompose(grid, 4)
+        steps = 2
+        for overlap in (False, True):
+            solver = DistributedSolver(
+                part, periodic_config("bgk", overlap=overlap)
+            )
+            cross_links = sum(
+                st.plan.step_plan.cross_links(st.num_owned)[0].size
+                for st in solver.ranks
+            )
+            solver.step(steps)
+            logged = sum(
+                ev.nbytes for ev in solver.comm.log.events if ev.kind == "p2p"
+            )
+            assert solver.halo_bytes_per_step() == 8 * cross_links
+            assert logged == steps * 8 * cross_links
 
     def test_logged_traffic_matches_packed_accounting(self):
         grid = periodic_grid()

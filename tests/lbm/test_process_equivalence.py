@@ -95,11 +95,13 @@ class TestTelemetryPlaneIntegration:
         worker = [
             s for s in tracer.spans if s.args.get("origin") == "worker"
         ]
-        # barrier schedule: 5 phases x 2 steps x 2 ranks
-        assert len(worker) == 20
+        # barrier schedule: 6 phases x 2 steps x 2 ranks
+        assert len(worker) == 24
         for rank in (0, 1):
             names = {s.name for s in worker if s.rank == rank}
-            assert names == {"collide", "exchange", "stream", "boundary"}
+            assert names == {
+                "collide", "exchange", "stream", "frontier", "boundary"
+            }
         # merged spans replace the synthetic per-rank phase spans
         assert not any(
             s.rank is not None and "origin" not in s.args

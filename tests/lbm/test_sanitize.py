@@ -21,6 +21,7 @@ CYL_CONFIG = dict(
     tau=0.8, force=(1e-6, 0.0, 0.0), periodic=(True, False, False)
 )
 STEPS = 6
+SCHEDULES = ["barrier", "overlap"]
 EXECUTORS = [
     "lockstep",
     pytest.param(
@@ -144,6 +145,23 @@ class TestSeededBugs:
             with pytest.raises(SanitizeError, match="never finalized"):
                 sanitized.step(1)
 
+    @pytest.mark.parametrize("overlap", [False, True], ids=SCHEDULES)
+    def test_dropped_completion_caught(self, grid, overlap):
+        # one rank's completion skips one source: its scatter would
+        # write the payload staged in an earlier step
+        solver = make_solver(grid, overlap=overlap, sanitize=True)
+        st = next(s for s in solver.ranks if s.plan.recv_flat)
+        skipped = sorted(st.plan.recv_flat)[0]
+
+        class SkipsOne(dict):
+            # the completion walks items(); the scatter indexes by source
+            def items(self):
+                return [(k, v) for k, v in super().items() if k != skipped]
+
+        st.recv_bufs = SkipsOne(st.recv_bufs)
+        with pytest.raises(SanitizeError, match="did not complete"):
+            solver.step(1)
+
     def test_violations_counter_increments(self, grid):
         counter = get_registry().counter("sanitize.violations")
         before = counter.value
@@ -185,40 +203,59 @@ class TestEpochTracking:
 
     def _sanitizer(self, grid, overlap=False):
         solver = make_solver(grid, overlap=overlap)
-        return solver, StepSanitizer(solver.ranks, overlap=overlap)
+        return solver, StepSanitizer(solver.ranks)
 
-    def test_barrier_stale_ghost_detected(self, grid):
-        solver, san = self._sanitizer(grid)
+    @staticmethod
+    def _complete_and_stream(san, st, completed, overlap):
+        # the hook order of the schedule: the barrier completes before
+        # the full-plan gather, the overlap pipeline after it
+        if overlap:
+            san.on_stream(st)
+        for src in completed:
+            san.on_payload(st, src)
+        if not overlap:
+            san.on_stream(st)
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=SCHEDULES)
+    def test_scatter_of_uncompleted_payload_detected(self, grid, overlap):
+        solver, san = self._sanitizer(grid, overlap)
         san.begin_step(solver.ranks, 0)
         st = next(s for s in solver.ranks if s.plan.recv_flat)
-        # no on_unpack calls at all: every ghost this rank reads is stale
-        with pytest.raises(SanitizeError, match="not refilled"):
-            san.before_stream(st)
+        src = sorted(st.plan.recv_flat)[0]
+        # no completion at all: the staged payload is last step's
+        self._complete_and_stream(san, st, [], overlap)
+        with pytest.raises(SanitizeError, match="did not complete"):
+            san.on_scatter(st, src, st.plan.recv_flat[src])
 
-    def test_barrier_fresh_after_all_unpacks(self, grid):
-        solver, san = self._sanitizer(grid)
+    @pytest.mark.parametrize("overlap", [False, True], ids=SCHEDULES)
+    def test_scatter_after_every_completion_passes(self, grid, overlap):
+        solver, san = self._sanitizer(grid, overlap)
         san.begin_step(solver.ranks, 0)
         st = next(s for s in solver.ranks if s.plan.recv_flat)
-        for src in st.plan.recv_flat:
-            san.on_unpack(st, src)
-        san.before_stream(st)  # should not raise
+        self._complete_and_stream(san, st, st.plan.recv_flat, overlap)
+        for src, written in st.plan.recv_flat.items():
+            san.on_scatter(st, src, written)
+        san.end_frontier(st)  # should not raise
 
-    def test_partial_unpack_still_stale(self, grid):
-        solver, san = self._sanitizer(grid)
+    @pytest.mark.parametrize("overlap", [False, True], ids=SCHEDULES)
+    def test_partial_completion_still_stale(self, grid, overlap):
+        solver, san = self._sanitizer(grid, overlap)
         st = next(
             s for s in solver.ranks if len(s.plan.recv_flat) >= 2
         )
+        first, second = sorted(st.plan.recv_flat)[:2]
         san.begin_step(solver.ranks, 0)
-        san.on_unpack(st, sorted(st.plan.recv_flat)[0])
-        with pytest.raises(SanitizeError, match="not refilled"):
-            san.before_stream(st)
+        self._complete_and_stream(san, st, [first], overlap)
+        san.on_scatter(st, first, st.plan.recv_flat[first])
+        with pytest.raises(SanitizeError, match="did not complete"):
+            san.on_scatter(st, second, st.plan.recv_flat[second])
 
     def test_double_scatter_detected(self, grid):
         solver, san = self._sanitizer(grid, overlap=True)
         st = next(s for s in solver.ranks if s.plan.recv_flat)
         src = sorted(st.plan.recv_flat)[0]
         san.begin_step(solver.ranks, 0)
-        san.on_interior_stream(st)
+        san.on_stream(st)
         san.on_payload(st, src)
         san.on_scatter(st, src, st.plan.recv_flat[src])
         with pytest.raises(SanitizeError, match="double scatter"):
@@ -229,7 +266,7 @@ class TestEpochTracking:
         st = next(s for s in solver.ranks if s.plan.recv_flat)
         src = sorted(st.plan.recv_flat)[0]
         san.begin_step(solver.ranks, 0)
-        san.on_interior_stream(st)
+        san.on_stream(st)
         san.on_payload(st, src)  # arrives, but no on_scatter follows
         with pytest.raises(SanitizeError, match="never\n?.*scattered"):
             san.end_frontier(st)

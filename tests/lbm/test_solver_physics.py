@@ -189,7 +189,7 @@ class TestSolverAPI:
         # a bound written as a comparison lets NaN through; each field
         # must also be finite
         nan, inf = float("nan"), float("inf")
-        for field in ("tau", "rho0", "mrt_ghost_rate", "stall_timeout_s"):
+        for field in ("tau", "rho0", "stall_timeout_s"):
             for bad in (nan, inf):
                 with pytest.raises(ConfigError, match=f"{field} must be finite"):
                     SolverConfig(**{field: bad})

@@ -172,9 +172,7 @@ def test_live_compiled_rank_states_lint_clean(grid, overlap, tmp_path):
     path = tmp_path / "live.stepplan.json"
     path.write_text(json.dumps(doc))
     assert check_plan_file(path) == []
-    fresh = build_rank_plans(
-        grid, partition, D3Q19, config.periodic, overlap
-    )
+    fresh = build_rank_plans(grid, partition, D3Q19, config.periodic)
     for rank, plan in zip(doc["ranks"], fresh):
         assert "run_table" in rank
         assert np.array_equal(
@@ -385,7 +383,7 @@ class TestRealRankStates:
         peer = plans[sorted(plan.recv_flat)[0]]
         packs = {dst: t for dst, t in peer.send_flat.items() if dst != plan.rank}
         plans[peer.rank] = dataclasses.replace(peer, send_flat=packs)
-        issues = check_exchange(plans, overlap=True)
+        issues = check_exchange(plans)
         assert "K404" in _rules(issues)
         assert any("packs nothing" in i.message for i in issues)
 
@@ -441,19 +439,10 @@ class TestRealRankStates:
         # swapping scatter streams into the retired buffer
         order = list(OVERLAP_SCHEDULE)
         bodies = [p.body for p in order]
-        order.append(order.pop(bodies.index("_phase_stream_interior")))
+        order.append(order.pop(bodies.index("_phase_stream")))
         issues = check_phase_order(order)
         assert _rules(issues) == ["K405"]
         assert "after the double-buffer swap" in issues[0].message
-
-    def test_uncovered_barrier_ghost_is_k404(self, grid):
-        plans = make_plans(grid)
-        plan = next(p for p in plans if p.recv_flat)
-        plan.recv_flat.pop(sorted(plan.recv_flat)[0])
-        issues = check_rank_states(plans, overlap=False)
-        assert _rules(issues) == ["K404"]
-        assert any("refilled by no receive" in i.message for i in issues)
-        assert any("posts no receive" in i.message for i in issues)
 
     def test_corrupt_one_rank_table_still_reports_k401_k402(self, grid):
         # one rank has no ghost columns, so there is no exchange to
@@ -489,24 +478,16 @@ def _repack(plans, move):
 
 
 def _drop_read_slot(plans):
-    """Drop, on both sides, a barrier receive slot rank 1's links read."""
+    """Drop, on both sides, the first payload slot rank 1's links read:
+    the lengths still agree, but its cross-link destination keeps the
+    stale ghost value."""
     sender, receiver = plans
-    written = receiver.recv_flat[0]
-    i = int(np.flatnonzero(np.isin(written, receiver.step_plan.flat_src))[0])
     plans[1] = dataclasses.replace(
-        receiver, recv_flat={0: np.delete(written, i)}
+        receiver, recv_flat={0: receiver.recv_flat[0][1:]}
     )
     plans[0] = dataclasses.replace(
-        sender, send_flat={1: np.delete(sender.send_flat[1], i)}
+        sender, send_flat={1: sender.send_flat[1][1:]}
     )
-
-
-def _refill_owned_slot(plans):
-    """Point rank 1's first barrier receive slot at its own owned node 0."""
-    receiver = plans[1]
-    written = receiver.recv_flat[0].copy()
-    written[0] -= written[0] % receiver.step_plan.num_local
-    plans[1] = dataclasses.replace(receiver, recv_flat={0: written})
 
 
 def _drop_receive(plans):
@@ -560,8 +541,8 @@ def _overrun_piece(plans):
 
 
 #: Corruptions of a 2-rank exchange that no rule reported before K404
-#: checked every slot by (population, global node) under both schedules,
-#: and the sabotages the solver's S301-S305 schedule pre-flight catches
+#: checked every slot by (population, global node), walked under either
+#: schedule (the exchange is the same), and the sabotages the solver's S301-S305 schedule pre-flight catches
 #: (``tests/lint/test_commcheck.py``), which K404 reports too; then
 #: corruptions of a one-rank plan's one-pass tile table, which K407
 #: reports: ``name: (rule, ranks, overlap, corrupt)``.
@@ -576,7 +557,6 @@ PROBE_CORRUPTIONS = {
         plans, lambda pop, node, st: ((pop + 1) % st.step_plan.q, node)
     )),
     "barrier-dropped-read-slot": ("K404", 2, False, _drop_read_slot),
-    "barrier-receive-into-owned-slot": ("K404", 2, False, _refill_owned_slot),
     "overlap-pack-other-owned-node": ("K404", 2, True, lambda plans: _repack(
         plans, lambda pop, node, st: (pop, (node + 1) % st.num_owned)
     )),
@@ -603,8 +583,7 @@ def _probe_rules(grid, ranks, overlap, corrupt):
     builds for it."""
     lattice = SolverConfig(**CYL_CONFIG).make_lattice()
     plans = build_rank_plans(
-        grid, axis_decompose(grid, ranks), lattice, CYL_CONFIG["periodic"],
-        overlap,
+        grid, axis_decompose(grid, ranks), lattice, CYL_CONFIG["periodic"]
     )
     if ranks == 1:
         plans[0].step_plan.tile_tables()
@@ -663,10 +642,10 @@ class TestSolverPreflight:
         pgrid = build_geometry(proxy.geometry, resolution=0.5, periodic=True)
         for num_ranks in (1, 2, 4):
             partition = decompose(pgrid, num_ranks, proxy.scheme)
+            plans = build_rank_plans(
+                pgrid, partition, D3Q19, (True, False, False)
+            )
             for overlap in (False, True):
-                plans = build_rank_plans(
-                    pgrid, partition, D3Q19, (True, False, False), overlap
-                )
                 assert check_rank_states(plans, overlap=overlap) == []
 
 

@@ -81,8 +81,8 @@ class TestStagingObservability:
             )
             assert d2h == h2d == wire == 3 * solver.halo_bytes_per_step()
             staged[overlap] = d2h
-        # the packed cross-link exchange stages strictly fewer bytes
-        assert staged[True] < staged[False]
+        # both schedules stage the one packed cross-link payload
+        assert staged[True] == staged[False]
 
     def test_each_rank_gets_its_own_device(self, cylinder, cyl_config):
         solver = model_solver(axis_decompose(cylinder, 3), cyl_config)
