@@ -16,7 +16,7 @@ from repro.core.kernels import bgk_collide_kernel
 from repro.decomp import axis_decompose
 from repro.geometry import CylinderSpec, make_cylinder
 from repro.lbm import DistributedSolver, Solver, SolverConfig
-from repro.lbm.rankplan import build_rank_plans, rank_link_lists
+from repro.lbm.rankplan import build_rank_plans
 from repro.microbench import run_host_stream
 
 
@@ -77,12 +77,10 @@ def test_distributed_step_throughput(benchmark, grid, config):
         )
 
 
-def _bare_step(solver, links):
-    """The uninstrumented seed step loop, inlined as the baseline the
-    telemetry-disabled executor path is guarded against (``links`` are
-    the per-q gather lists of ``rank_link_lists``)."""
-    import numpy as np
-
+def _bare_step(solver):
+    """The uninstrumented step loop, inlined as the baseline the
+    telemetry-disabled executor path is guarded against: collide, pack
+    and send, gather, scatter the received payloads, swap."""
     solver.comm.set_step(solver.time)
     for st in solver.ranks:
         idx = np.arange(st.num_owned, dtype=np.int64)
@@ -91,13 +89,9 @@ def _bare_step(solver, links):
         for dst, flat in st.plan.send_flat.items():
             solver.comm.send(st.rank, dst, st.f.reshape(-1)[flat], tag=1)
     for st in solver.ranks:
+        st.plan.step_plan.apply(st.f, st.f_tmp)
         for src, flat in st.plan.recv_flat.items():
-            st.f.reshape(-1)[flat] = solver.comm.recv(st.rank, src, tag=1)
-    for st in solver.ranks:
-        for link in links[st.rank]:
-            st.f_tmp[link.qi, link.dst] = st.f[link.qi, link.src]
-            if link.bounce.size:
-                st.f_tmp[link.qi, link.bounce] = st.f[link.qi_opp, link.bounce]
+            st.f_tmp.reshape(-1)[flat] = solver.comm.recv(st.rank, src, tag=1)
         st.f, st.f_tmp = st.f_tmp, st.f
     solver.time += 1
     for st in solver.ranks:
@@ -116,7 +110,6 @@ def test_disabled_telemetry_overhead(grid, config):
     partition = axis_decompose(grid, 4)
     instrumented = DistributedSolver(partition, config)
     bare = DistributedSolver(partition, config)
-    links = rank_link_lists(grid, partition, bare.lattice, config.periodic)
     assert not instrumented.tracer.enabled
 
     def min_time(fn, repeats):
@@ -129,10 +122,10 @@ def test_disabled_telemetry_overhead(grid, config):
 
     # warm both paths (allocations, caches) before timing
     instrumented.step(2)
-    _bare_step(bare, links)
-    _bare_step(bare, links)
+    _bare_step(bare)
+    _bare_step(bare)
     t_instrumented = min_time(lambda: instrumented.step(1), repeats=7)
-    t_bare = min_time(lambda: _bare_step(bare, links), repeats=7)
+    t_bare = min_time(lambda: _bare_step(bare), repeats=7)
     # 5% relative budget with a small absolute floor for timer noise
     assert t_instrumented <= t_bare * 1.05 + 5e-4, (
         f"disabled-telemetry step {t_instrumented * 1e3:.2f} ms vs "

@@ -85,8 +85,7 @@ class PlanCheckError(ReproError):
 
 class SanitizeError(ReproError):
     """Raised by the runtime sanitizer (NaN canaries surviving into
-    owned state, stale-ghost reads, unscattered payloads, cross-thread
-    access conflicts)."""
+    owned state, stale or unscattered payloads, double scatters)."""
 
 
 class BenchmarkError(ReproError):

@@ -311,8 +311,10 @@ def fused_stream_kernel(
     a temporary of its full size, tripling the traffic, so
     ``StepPlan.apply`` never passes one.
 
-    Indices are in range by construction; ``mode="clip"`` only bypasses
-    the buffering of ``out=`` that ``mode="raise"`` always does.
+    Indices are in range by construction, except the halo placeholder
+    -1, which ``mode="clip"`` reads as element 0 (the frontier scatter
+    overwrites it); ``mode="clip"`` also bypasses the buffering of
+    ``out=`` that ``mode="raise"`` always does.
     """
     np.take(f_src.reshape(-1), flat_src, out=f_dst_region, mode="clip")
 
@@ -327,8 +329,9 @@ def fused_stream_body_kernel(
     """Chunked form of the fused gather for programming-model backends.
 
     Backends launch this body over ``idx`` blocks of the flat link range;
-    ``dst_flat`` maps each link to its destination (owned nodes are a
-    prefix of the rank-local numbering but ghosts pad each row).
+    ``dst_flat`` maps each link to its destination.  A halo link's
+    source -1 reads the last element as a placeholder, which the
+    frontier scatter overwrites.
     """
     f_dst_flat[dst_flat[idx]] = f_src_flat[src_flat[idx]]
 

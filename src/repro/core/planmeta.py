@@ -21,6 +21,7 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
+    "HALO",
     "duplicate_values",
     "out_of_range",
     "flat_destinations",
@@ -34,6 +35,12 @@ __all__ = [
     "run_table_issues",
     "tile_table_issues",
 ]
+
+#: The gather source of a halo-sourced link: its value arrives by
+#: exchange (the frontier scatter writes it), so it reads nothing of the
+#: rank's ``f``.  ``np.take(mode="clip")`` reads it as a placeholder, and
+#: the compiled tables leave the link out.
+HALO = -1
 
 #: Longest run :func:`kernel_tables` emits, in elements (16 KiB of
 #: doubles): long enough that the per-run overhead vanishes, short
@@ -69,18 +76,19 @@ def duplicate_values(table: np.ndarray) -> np.ndarray:
     return values[counts > 1].astype(np.int64)
 
 
-def out_of_range(table: np.ndarray, size: int) -> np.ndarray:
-    """Entries of ``table`` outside ``[0, size)``, ascending and unique.
+def out_of_range(table: np.ndarray, size: int, lo: int = 0) -> np.ndarray:
+    """Entries of ``table`` outside ``[lo, size)``, ascending and unique.
 
     Flat gather sources must stay inside the flattened ``(q, n_local)``
-    source array; ``np.take(..., mode="clip")`` would silently clamp an
+    source array, or be the halo placeholder -1 (``lo=-1``);
+    ``np.take(..., mode="clip")`` would silently clamp any other
     out-of-range index to the array edge instead of faulting, which is
     exactly why the bound is verified statically.
     """
     flat = np.asarray(table).reshape(-1)
-    if flat.size == 0 or (flat.min() >= 0 and flat.max() < int(size)):
+    if flat.size == 0 or (flat.min() >= lo and flat.max() < int(size)):
         return np.empty(0, dtype=np.int64)
-    bad = flat[(flat < 0) | (flat >= int(size))]
+    bad = flat[(flat < lo) | (flat >= int(size))]
     return np.unique(bad).astype(np.int64)
 
 
@@ -112,8 +120,9 @@ def kernel_tables(
     are emitted in link order, never cross a table row, and are cut every
     :data:`KERNEL_RUN_CAP` columns so no single run (the rest population
     is one run of ``n_upd`` elements) can unbalance a static thread
-    schedule.  K407 verifies that expanding the table reproduces the
-    link set exactly.
+    schedule.  A halo link (source :data:`HALO`) is left out: the
+    frontier scatter writes its destination.  K407 verifies that
+    expanding the table reproduces the other links exactly.
 
     Built row by row from the gather table; the ``(q, n_upd)``
     destination table is never materialised (destinations are
@@ -132,13 +141,17 @@ def kernel_tables(
         row = table[qi]
         np.not_equal(np.diff(row), 1, out=brk[1:])
         brk[1:] |= id_break
+        brk[1:] |= row[:-1] == HALO  # a halo link is a run of its own
         brk[::KERNEL_RUN_CAP] = True
         cols = np.flatnonzero(brk)
+        run_lens = np.diff(cols, append=n_upd)
+        kept = row[cols] != HALO
+        cols, run_lens = cols[kept], run_lens[kept]
         head = np.empty((cols.size, 2), dtype=np.int64)
         head[:, 0] = qi * int(num_local) + ids[cols]
         head[:, 1] = row[cols]
         heads.append(head)
-        lens.append(np.diff(cols, append=n_upd))
+        lens.append(run_lens)
     return np.concatenate(heads), np.concatenate(lens)
 
 
@@ -148,11 +161,6 @@ def _run_tiles(heads, lens, num_local, lo, hi):
     number of tiles (pieces) the run spans."""
     pop, node = np.divmod(heads[lo:hi, 1], num_local)
     end = node + lens[lo:hi]
-    if end.max(initial=0) > num_local:
-        raise ValueError(
-            "a run crosses a population boundary of the source; a "
-            "ghost-free prefix plan has none"
-        )
     first = node // TILE
     return pop, node, end, first, (end - 1) // TILE - first + 1
 
@@ -162,7 +170,7 @@ def tile_table(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one-pass kernel's ``(tile_ptr, heads, lens)`` tile table.
 
-    Cut from the link-order run table of a ghost-free prefix plan
+    Cut from the link-order run table of a prefix plan
     (:func:`kernel_tables`): every run is split where its source node
     crosses a multiple of :data:`TILE`, so each piece reads one stage
     tile ``t`` — source nodes ``[t * TILE, (t + 1) * TILE)`` of one
@@ -331,6 +339,15 @@ def _first_true(n: int, mask_of) -> int:
     return -1
 
 
+def _halo_links(flat: np.ndarray) -> np.ndarray:
+    """Link positions whose source is :data:`HALO`, ascending (scanned a
+    :data:`CHUNK` at a time: no link-sized temporary)."""
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [
+        lo + np.flatnonzero(flat[lo : lo + CHUNK] == HALO)
+        for lo in range(0, flat.size, CHUNK)
+    ])
+
+
 def run_table_issues(
     heads: np.ndarray,
     lens: np.ndarray,
@@ -341,16 +358,18 @@ def run_table_issues(
     """Why ``expand_runs(heads, lens)`` is not the plan's link set (K407).
 
     The reference is ``(flat_destinations(...).reshape(-1),
-    flat_src.reshape(-1))`` in link order.  Equality is proven without
-    expanding: the runs tile the link positions ``[0, q * n_upd)`` with
-    no gap or overlap, each head equals the link at its position, and
-    source and destination advance by one across every link inside a
-    run.  Also rejected: a run longer than :data:`KERNEL_RUN_CAP` and a
-    run reaching past the end of the flattened ``f``.  Returns at most
-    one message, naming the first offending run; assumes the tables
-    already pass :func:`kernel_abi_issues`.  Each property is checked a
-    :data:`CHUNK` of runs at a time: the one run-sized temporary is the
-    runs' link positions.
+    flat_src.reshape(-1))`` in link order, less the halo links (source
+    :data:`HALO`), which have no run.  Equality is proven without
+    expanding: the runs tile the other links with no gap or overlap,
+    each head equals the link at its position, and source and
+    destination advance by one across every link inside a run (which
+    spans no halo link).  Also rejected: a run longer than
+    :data:`KERNEL_RUN_CAP` and a run reaching past the end of the
+    flattened ``f``.  Returns at most one message, naming the first
+    offending run; assumes the tables already pass
+    :func:`kernel_abi_issues`.  Each property is checked a :data:`CHUNK`
+    of runs at a time: the run-sized temporaries are the runs' positions
+    and the halo links'.
     """
     heads = np.asarray(heads)
     lens = np.asarray(lens)
@@ -385,59 +404,73 @@ def run_table_issues(
             f"{run(r)} crosses the end of f (q * num_local = {size}); "
             "the kernel would copy out of bounds"
         ]
-    if n_links == 0:
+    flat = table.reshape(-1)
+    halo = _halo_links(flat)
+    n_copied = n_links - halo.size
+    if n_copied == 0:
         if lens.size == 0:
             return []
-        return [f"{run(0)} copies links an empty plan does not have"]
-    first = np.cumsum(lens) - lens  # link position of each run head
-    flat = table.reshape(-1)
+        return [f"{run(0)} copies links a plan with none does not have"]
+    # the runs tile the copied links in link order: the one of rank p is
+    # link p + (halo links before it)
+    before = halo - np.arange(halo.size)
+
+    def link_of(p: np.ndarray) -> np.ndarray:
+        return p + np.searchsorted(before, p, side="right")
+
+    rank = np.cumsum(lens) - lens  # each run head's rank among them
+    first = link_of(rank)  # and its link position
 
     def wiring(lo: int, hi: int):
-        """Past a row end, and the ``[dst, src]`` the plan wires at the
-        heads of runs ``[lo, hi)``."""
-        at = first[lo:hi]
-        past = (at >= n_links) | (at % n_upd + lens[lo:hi] > n_upd)
+        """Past a row end, a halo link or the last link, the link
+        position, and the ``[dst, src]`` the plan wires at the heads of
+        runs ``[lo, hi)``."""
+        n, at = lens[lo:hi], first[lo:hi]
+        past = (rank[lo:hi] + n > n_copied) | (at % n_upd + n > n_upd)
+        past |= link_of(rank[lo:hi] + n - 1) - at != n - 1
         at = np.minimum(at, n_links - 1)
         row, col = np.divmod(at, n_upd)
-        return past, row * int(num_local) + ids[col], flat[at]
+        return past, at, row * int(num_local) + ids[col], flat[at]
 
     def misplaced(lo: int, hi: int) -> np.ndarray:
-        past, dst, src = wiring(lo, hi)
+        past, _, dst, src = wiring(lo, hi)
         return past | (heads[lo:hi, 0] != dst) | (heads[lo:hi, 1] != src)
 
     r = _first_true(n_runs, misplaced)
     if r >= 0:
-        past, dst, src = (int(x[0]) for x in wiring(r, r + 1))
+        past, at, dst, src = (int(x[0]) for x in wiring(r, r + 1))
         if past:
             return [
-                f"{run(r)} at link {int(first[r])} runs past the end of "
-                f"its table row ({n_upd} links per population, {n_links} "
-                "in all); the runs overlap the link set"
+                f"{run(r)} at link {at} runs past the end of its table "
+                f"row or over a halo link ({n_upd} links per population, "
+                f"{n_links} in all, {halo.size} halo); the runs overlap "
+                "the link set"
             ]
         return [
-            f"{run(r)} sits at link {min(int(first[r]), n_links - 1)}, "
-            f"which the plan wires as [dst={dst}, src={src}]; a gap or "
-            "overlap precedes it"
+            f"{run(r)} sits at link {at}, which the plan wires as "
+            f"[dst={dst}, src={src}]; a gap or overlap precedes it"
         ]
     covered = int(lens.sum())
-    if covered != n_links:
+    if covered != n_copied:
         return [
-            f"runs cover {covered} of the plan's {n_links} links; a gap "
-            f"follows the last run ({lens.size - 1})"
+            f"runs cover {covered} of the plan's {n_copied} copied links; "
+            f"a gap follows the last run ({lens.size - 1})"
         ]
     # inside a run both streams advance by one per link: every source
     # break is a run head (counted, and located only when the counts
     # disagree), and no update-id break falls inside a run
     head_breaks = 0
     for lo in range(1, n_runs, CHUNK):
-        at = first[lo : lo + CHUNK]
-        head_breaks += int(np.count_nonzero(flat[at] - flat[at - 1] != 1))
+        hi = min(lo + CHUNK, n_runs)
+        end = first[lo - 1 : hi - 1] + lens[lo - 1 : hi - 1]  # previous run's
+        step = flat[first[lo:hi]] - flat[end - 1]
+        head_breaks += int(np.count_nonzero(step != 1))
     bad_run = -1
-    if _source_breaks(flat) != head_breaks:
-        src_break = np.diff(flat) != 1
-        src_break[first[1:] - 1] = False
+    if _source_breaks(flat, skip_halo=halo.size > 0) != head_breaks:
+        src_break = np.diff(np.delete(flat, halo)) != 1
+        src_break[rank[1:] - 1] = False
         k = int(np.argmax(src_break)) + 1
-        bad_run = int(np.searchsorted(first, k, side="right")) - 1
+        bad_run = int(np.searchsorted(rank, k, side="right")) - 1
     id_break = np.diff(ids) != 1
     if id_break.any():
         id_breaks = np.concatenate(([0], np.cumsum(id_break)))
@@ -458,17 +491,18 @@ def run_table_issues(
     return []
 
 
-def _source_breaks(flat: np.ndarray) -> int:
-    """How many ``k`` have ``flat[k + 1] - flat[k] != 1``, counted a
-    :data:`CHUNK` at a time (no link-sized temporary)."""
-    n = flat.size - 1
-    step = np.empty(min(CHUNK, max(n, 0)), dtype=flat.dtype)
-    count = 0
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        d = step[: hi - lo]
-        np.subtract(flat[lo + 1 : hi + 1], flat[lo:hi], out=d)
-        count += hi - lo - int(np.count_nonzero(d == 1))
+def _source_breaks(flat: np.ndarray, skip_halo: bool) -> int:
+    """How many consecutive links' sources do not advance by one, the
+    halo links left out if ``skip_halo``; a :data:`CHUNK` at a time (no
+    link-sized temporary)."""
+    count, prev = 0, None
+    for lo in range(0, flat.size, CHUNK):
+        seg = flat[lo : lo + CHUNK]
+        seg = seg[seg != HALO] if skip_halo else seg
+        if seg.size:
+            count += seg.size - int(np.count_nonzero(np.diff(seg) == 1))
+            count -= prev is None or bool(seg[0] - prev == 1)
+            prev = seg[-1]
     return count
 
 

@@ -5,11 +5,13 @@ rank through disjoint axis-aligned boxes.  It exposes the two quantities
 the rest of the system consumes:
 
 * per-rank fluid counts (load balance, compute cost), and
-* per-rank-pair halo counts (ghost-layer sizes, communication cost).
+* per-rank-pair halo counts (communication cost).
 
-Halo counts use the full one-voxel shell with 26-connectivity — exactly
-the ghost layer the distributed solver allocates — so the performance
-trace prices the same bytes the functional runtime actually exchanges.
+A halo count is the number of remote fluid nodes in the one-voxel,
+26-connected shell around a rank's box: the remote-node count that
+:mod:`repro.perf.trace` prices.  It is a box-shell estimate, not the
+functional runtime's exchange, which ships only the population values
+the rank's halo-sourced links read (``RankPlan.recv_flat``).
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ class Partition:
 
     # -- halo accounting --------------------------------------------------------
     def halo_counts(self) -> Dict[Tuple[int, int], int]:
-        """Ghost-layer sizes: ``(receiver, owner) -> fluid voxel count``.
+        """Halo sizes: ``(receiver, owner) -> fluid voxel count``.
 
         Entry ``(i, j)`` is the number of fluid voxels owned by rank ``j``
         inside the one-voxel 26-connected shell around rank ``i``'s box —
@@ -149,7 +151,7 @@ class Partition:
         return counts
 
     def halo_total(self, rank: int) -> int:
-        """Total ghost voxels a rank receives per iteration."""
+        """Total halo voxels of a rank (the sum of its halo counts)."""
         return sum(
             c for (recv, _own), c in self.halo_counts().items() if recv == rank
         )

@@ -108,9 +108,7 @@ def load_checkpoint(solver, path: PathLike) -> None:
                 )
         time = int(data["time"])
         fluid_updates = int(data["fluid_updates"])
-    # ghosts need no refresh: every step exchanges post-collision values
-    # before streaming reads them
     for st in solver.ranks:
-        st.f[:, : st.num_owned] = f[:, st.plan.owned_global]
+        st.f[...] = f[:, st.plan.owned_global]
     solver.time = time
     solver.fluid_updates = fluid_updates

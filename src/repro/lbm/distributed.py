@@ -4,8 +4,8 @@ One rank per logical GPU, as in the paper, and a single-GPU run is one
 rank: the single-domain :class:`~repro.lbm.solver.Solver` is this solver
 over a one-rank partition, so every rank count runs the one step loop
 below.  The decomposition arrives as
-frozen :class:`~repro.lbm.rankplan.RankPlan` tables (ownership, ghost
-layer, gather table, exchange pair); this module verifies them,
+frozen :class:`~repro.lbm.rankplan.RankPlan` tables (ownership, gather
+table, exchange pair); this module verifies them,
 *instantiates* them — buffers, boundary objects, kernel providers,
 transport — and runs them.  An iteration is a fixed sequence of
 phases **declared as data** — :class:`Phase` records (span, body method,
@@ -23,7 +23,8 @@ bulk-synchronous barrier schedule:
 3. complete it into per-neighbour staging buffers;
 4. pull-stream the full plan into the double buffer — interior columns
    are final, frontier columns are provisional where their halo-sourced
-   links read stale ghosts (ghost columns are never refreshed);
+   links gather a placeholder (a rank's buffers hold its owned nodes
+   only);
 5. scatter the frontier — the staged payloads land on ``recv_flat``, the
    halo-sourced link destinations, finalising exactly the provisional
    values; then swap the double buffer;
@@ -39,7 +40,7 @@ checks it, both executors run it through their one ``run_step``
 contract, and :meth:`DistributedSolver.phase_bytes_per_step` is keyed by
 its span names.
 
-A one-rank partition has no ghost columns and nothing to exchange, so
+A one-rank partition has no halo links and nothing to exchange, so
 nothing runs between collide and stream: it declares one phase doing
 both, then the boundary phase (under either ``overlap`` setting).  A
 compiled provider runs that phase as the one-pass kernel over the plan's
@@ -251,7 +252,7 @@ class RankState:
     the mutable buffers."""
 
     plan: RankPlan
-    f: np.ndarray  # (q, n_owned + n_ghost)
+    f: np.ndarray  # (q, n_owned)
     f_tmp: np.ndarray
     inlet: Optional[VelocityInlet]
     outlet: Optional[PressureOutlet]
@@ -537,8 +538,7 @@ class DistributedSolver:
             self._halo.send(rank, dst, buf, tag=HALO_TAG)
 
     def _phase_exchange_complete(self, rank: int) -> None:
-        # staged for the frontier scatter; ghost columns are never
-        # refreshed
+        # staged for the frontier scatter
         st = self.ranks[rank]
         san = self._san
         for src, buf in st.recv_bufs.items():
@@ -547,7 +547,7 @@ class DistributedSolver:
                 san.on_payload(st, src)
 
     def _phase_collide_stream(self, rank: int) -> None:
-        # one rank: no ghost columns, no exchange post reading collided f
+        # one rank: no halo links, no exchange post reading collided f
         st = self.ranks[rank]
         st.kernels.collide_stream(st.f, st.f_tmp, st.num_owned, *st.tables)
         st.f, st.f_tmp = st.f_tmp, st.f
@@ -555,12 +555,12 @@ class DistributedSolver:
     def _phase_stream(self, rank: int) -> None:
         # the full-plan gather (under overlap while the exchange is in
         # flight): interior columns are final; frontier columns are
-        # provisional exactly on their halo-sourced links, which read
-        # stale ghosts here and are overwritten by the frontier scatter
+        # provisional exactly on their halo-sourced links, which gather a
+        # placeholder here and are overwritten by the frontier scatter
         st = self.ranks[rank]
+        st.kernels.stream(st.f, st.f_tmp, *st.tables)
         if self._san is not None:
             self._san.on_stream(st)
-        st.kernels.stream(st.f, st.f_tmp, *st.tables)
 
     def _phase_stream_frontier(self, rank: int) -> None:
         # finalize the frontier: scatter each staged payload straight
@@ -717,14 +717,14 @@ class DistributedSolver:
         self._require_open("its distributions are released")
         out = np.empty((self.lattice.q, self._owned_total))
         for st in self.ranks:
-            out[:, st.plan.owned_global] = st.f[:, : st.num_owned]
+            out[:, st.plan.owned_global] = st.f
         return out
 
     def mass(self) -> float:
         self._require_open("its distributions are released")
         contribs = self._mass_contribs
         for i, st in enumerate(self.ranks):
-            contribs[i] = st.f[:, : st.num_owned].sum()
+            contribs[i] = st.f.sum()
         return self.comm.allreduce(contribs)
 
     def velocity(self) -> np.ndarray:

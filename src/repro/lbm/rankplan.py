@@ -21,9 +21,10 @@ that table: ``step_plan.flat_src`` (and with it
 :meth:`RankPlan.to_dict`) re-expands it on demand
 (:meth:`~repro.lbm.stream.StepPlan.release_links`).
 
-Local numbering of a rank: owned nodes (ascending global id) first, then
-ghosts (ascending global id) — the remote upstream neighbours of the
-owned nodes.
+Local numbering of a rank: its owned nodes, ascending global id — the
+rank's buffers hold nothing else.  A link whose upstream node is remote
+gathers :data:`~repro.core.planmeta.HALO`; the exchange delivers its
+value.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import numpy as np
 
 from ..core.errors import DecompositionError
 from ..core.lattice import Lattice
+from ..core.planmeta import HALO
 from ..decomp.partition import Partition
 from ..geometry.flags import INLET, OUTLET
 from ..geometry.voxel import VoxelGrid
@@ -59,19 +61,19 @@ class RankPlan:
     ``i`` from this rank to ``dst`` carries ``f.reshape(-1)[send_flat[dst][i]]``
     (post-collision, owned), and the frontier scatter writes the slot of
     the message from ``src`` to flat index ``recv_flat[src][i]`` of
-    ``f_tmp`` — the destination of one halo-reading link.
-    ``plans[j].send_flat[r]`` and ``plans[r].recv_flat[j]`` agree slot
-    for slot.
+    ``f_tmp`` — the destination of one halo-sourced link, whose upstream
+    global node is ``recv_global[src][i]``.  ``plans[j].send_flat[r]``
+    and ``plans[r].recv_flat[j]`` agree slot for slot.
     """
 
     rank: int
     owned_global: np.ndarray  # global node ids, ascending
-    ghost_global: np.ndarray  # global node ids, ascending
     step_plan: StepPlan  # the rank's one-gather streaming table
     inlet_nodes: np.ndarray  # local ids of the owned INLET nodes
     outlet_nodes: np.ndarray  # local ids of the owned OUTLET nodes
     send_flat: Dict[int, np.ndarray]  # dst rank -> flat gather table into f
     recv_flat: Dict[int, np.ndarray]  # src rank -> flat f_tmp destinations
+    recv_global: Dict[int, np.ndarray]  # src rank -> global node per slot
 
     @property
     def num_owned(self) -> int:
@@ -97,11 +99,9 @@ class RankPlan:
                 "heads": heads.tolist(),
                 "lens": lens.tolist(),
             }
-        for name in (
-            "owned_global", "ghost_global", "inlet_nodes", "outlet_nodes"
-        ):
+        for name in ("owned_global", "inlet_nodes", "outlet_nodes"):
             doc[name] = getattr(self, name).tolist()
-        for name in ("send_flat", "recv_flat"):
+        for name in ("send_flat", "recv_flat", "recv_global"):
             doc[name] = {
                 str(peer): table.tolist()
                 for peer, table in getattr(self, name).items()
@@ -137,7 +137,6 @@ class RankPlan:
             owned_global=_int_table(
                 doc.get("owned_global", range(num_local))
             ),
-            ghost_global=_int_table(doc.get("ghost_global", ())),
             step_plan=StepPlan(
                 int(doc["q"]),
                 num_local,
@@ -150,6 +149,7 @@ class RankPlan:
             outlet_nodes=_int_table(doc.get("outlet_nodes", ())),
             send_flat=_peer_tables(doc.get("send_flat", {})),
             recv_flat=_peer_tables(doc.get("recv_flat", {})),
+            recv_global=_peer_tables(doc.get("recv_global", {})),
         )
 
 
@@ -165,13 +165,18 @@ def rank_link_lists(
     lattice: Lattice,
     periodic: Tuple[bool, bool, bool] = (False, False, False),
 ) -> List[List[QPlan]]:
-    """Per rank, the per-population gather lists in the rank's local
-    numbering — what a per-q reference stepper executes, and the oracle
-    every ``flat_src`` is checked against.  Derived one population at a
-    time (one :func:`~repro.lbm.stream.upstream_ids` call each, over a
+    """Per rank, the per-population gather lists — what a per-q
+    reference stepper executes, and the oracle every ``flat_src`` is
+    checked against.  Derived one population at a time (one
+    :func:`~repro.lbm.stream.upstream_ids` call each, over a
     ``(q, n_global)`` upstream table), sharing no code with
     :func:`build_rank_plans`; a :class:`RankPlan` keeps only the compiled
-    table."""
+    table.
+
+    The lists use a numbering of their own: the owned nodes, then the
+    ghosts — the remote upstream nodes, ascending global id — whose
+    columns a reference stepper fills before it streams.  The plan's
+    numbering is the owned prefix alone."""
     coords, index_map = grid.compact_ids()
     owner_of = partition.owner_map()[coords[:, 0], coords[:, 1], coords[:, 2]]
     if np.any(owner_of < 0):
@@ -246,17 +251,16 @@ def build_rank_plans(
 ) -> List[RankPlan]:
     """Pre-process ``partition`` into one :class:`RankPlan` per rank.
 
-    The exchange delivers only the ghost slots some halo-sourced link
-    reads (the "5 of 19 directions" exchange the paper's performance
-    model prices), each written straight onto that link's destination,
-    under either schedule.  The owner of a slot's node packs it in the
+    The exchange delivers only the values some halo-sourced link reads
+    (the "5 of 19 directions" exchange the paper's performance model
+    prices), each written straight onto that link's destination, under
+    either schedule.  The owner of a slot's node packs it in the
     receiver's enumeration order (population-major), so a payload needs
     no header.
 
     Every upstream id comes from one padded index map
     (:func:`_padded_ids`), and each rank's ``flat_src`` is filled row by
-    row in place: a first pass over the populations collects the ghost
-    layer, a second turns each row into flat sources.  Transients stay
+    row in place, in one pass over the populations.  Transients stay
     O(nodes) — no ``(q, n_global)`` table.  :func:`rank_link_lists` is
     the independent per-population oracle the tests compare against.
     """
@@ -277,18 +281,17 @@ def build_rank_plans(
         [padded[1] * padded[2], padded[2], 1]
     )
     n_global = pos.size
-    # global id -> local id of the rank being built, and whether the rank
-    # owns it; the extra last entry is what a wall's -1 picks: local -1,
-    # and "not remote"
+    # global id -> local id of the rank being built (-1: not owned), and
+    # whether the rank owns it; the extra last entry is what a wall's -1
+    # picks: local -1, and "not remote"
     local_of = np.full(n_global + 1, -1, dtype=np.int64)
     mine = np.zeros(n_global + 1, dtype=bool)
     mine[-1] = True
 
     owned: List[np.ndarray] = []
-    ghosts: List[np.ndarray] = []
     step_plans: List[StepPlan] = []
-    # per rank: (written, slots) = its cross-link destinations and the
-    # ghost slots they read
+    # per rank: its halo-sourced link destinations and their upstream
+    # global nodes, in StepPlan.cross_links order
     exchanged: List[Tuple[np.ndarray, np.ndarray]] = []
     for r in range(num_ranks):
         own = np.flatnonzero(owner_of == r)
@@ -298,56 +301,45 @@ def build_rank_plans(
         at = pos[own]
         scratch = np.empty_like(at)
         flat = np.empty((q, n_owned), dtype=np.int64)
-        # pass 1: row qi holds the global upstream ids of population qi
-        # (-1: wall); the ones this rank does not own are its ghosts.
-        # (mode="wrap" gathers into out= unbuffered; every index is in
-        # range, or -1 for the trailing entry)
-        remote = []
-        for qi in range(q):
-            np.subtract(at, offsets[qi], out=scratch)
-            np.take(ids, scratch, out=flat[qi], mode="wrap")
-            remote.append(flat[qi][~mine[flat[qi]]])
-        gho = np.unique(np.concatenate(remote))
-        n_local = n_owned + gho.size
-        local_of[gho] = np.arange(n_owned, n_local, dtype=np.int64)
-        # pass 2: each row in place becomes its flat sources — the
-        # upstream slot of the same population, or the opposite one at
-        # the node itself on a wall link (half-way bounce-back)
-        cross_dst, cross_src = [], []
+        cross_dst, cross_gid = [], []
         for qi in range(q):
             row = flat[qi]
+            # the global upstream ids of population qi (-1: wall); mode=
+            # "wrap" gathers into out= unbuffered, and every index is in
+            # range, or -1 for the trailing entry
+            np.subtract(at, offsets[qi], out=scratch)
+            np.take(ids, scratch, out=row, mode="wrap")
+            cols = np.flatnonzero(~mine[row])
+            cross_dst.append(qi * n_owned + cols)
+            cross_gid.append(row[cols])
+            # in place, the flat sources: the upstream slot of the same
+            # population, the opposite one at the node itself on a wall
+            # link (half-way bounce-back), HALO on a remote one
             np.take(local_of, row, out=scratch, mode="wrap")
-            np.add(scratch, qi * n_local, out=row)
+            np.add(scratch, qi * n_owned, out=row)
             wall = np.flatnonzero(scratch < 0)
-            row[wall] = lattice.opposite[qi] * n_local + wall
-            # the halo-reading links, in StepPlan.cross_links order
-            cols = np.flatnonzero(scratch >= n_owned)
-            cross_dst.append(qi * n_local + cols)
-            cross_src.append(row[cols])
-        exchanged.append(
-            (np.concatenate(cross_dst), np.concatenate(cross_src))
-        )
+            row[wall] = lattice.opposite[qi] * n_owned + wall
+            row[cols] = HALO
+        exchanged.append((np.concatenate(cross_dst), np.concatenate(cross_gid)))
         local_of[own] = -1
-        local_of[gho] = -1
         mine[own] = False
         owned.append(own)
-        ghosts.append(gho)
         step_plans.append(
-            StepPlan(q, n_local, np.arange(n_owned, dtype=np.int64), flat)
+            StepPlan(q, n_owned, np.arange(n_owned, dtype=np.int64), flat)
         )
 
     send: List[Dict[int, np.ndarray]] = [{} for _ in range(num_ranks)]
     recv: List[Dict[int, np.ndarray]] = [{} for _ in range(num_ranks)]
-    for r, (written, slots) in enumerate(exchanged):
-        n_owned, n_local = owned[r].size, step_plans[r].num_local
-        pops, nodes = np.divmod(slots, n_local)
-        gids = ghosts[r][nodes - n_owned]
+    recv_gid: List[Dict[int, np.ndarray]] = [{} for _ in range(num_ranks)]
+    for r, (written, gids) in enumerate(exchanged):
+        pops = written // owned[r].size
         slot_owner = owner_of[gids]
         for j in np.unique(slot_owner):
             j = int(j)
             mask = slot_owner == j
             recv[r][j] = written[mask]
-            send[j][r] = pops[mask] * step_plans[j].num_local + np.searchsorted(
+            recv_gid[r][j] = gids[mask]
+            send[j][r] = pops[mask] * owned[j].size + np.searchsorted(
                 owned[j], gids[mask]
             )
 
@@ -355,12 +347,12 @@ def build_rank_plans(
         RankPlan(
             rank=r,
             owned_global=owned[r],
-            ghost_global=ghosts[r],
             step_plan=step_plans[r],
             inlet_nodes=np.flatnonzero(flags_at[owned[r]] == INLET),
             outlet_nodes=np.flatnonzero(flags_at[owned[r]] == OUTLET),
             send_flat=send[r],
             recv_flat=recv[r],
+            recv_global=recv_gid[r],
         )
         for r in range(num_ranks)
     ]

@@ -8,12 +8,12 @@ double scatter.  Both schedules run the same exchange (the packed
 cross-link payload, scattered onto the frontier after the full-plan
 gather), so every check holds on either.  Two mechanisms:
 
-**NaN canaries.**  At the top of every step each rank's ghost columns
-are filled with NaN.  Ghost columns are never refreshed, so the gather
-copies the poison into every provisional (halo-sourced) destination,
-and a correct frontier scatter overwrites all of them; any NaN
-surviving in an owned column at the end of the step is proof of an
-unscattered payload — a wrong-results bug that is otherwise silent.
+**NaN canaries.**  Right after the full-plan gather, inside the rank's
+own stream phase, every provisional (halo-sourced) destination is
+filled with NaN — the placeholder the gather left there.  A correct
+frontier scatter overwrites all of them; any NaN surviving in ``f`` at
+the end of the step is proof of an unscattered payload — a
+wrong-results bug that is otherwise silent.
 
 **Epoch tracking.**  Payloads and provisional destinations are tracked
 bit-precisely against the step number: a scatter of a payload that did
@@ -29,7 +29,7 @@ frontier scatter finishes (:meth:`StepSanitizer.end_frontier`).  A phase
 body touching another rank's state is ruled out statically, by the
 W501/W503 lint rules.
 
-Telemetry: ``sanitize.steps_checked``, ``sanitize.ghost_slots_poisoned``
+Telemetry: ``sanitize.steps_checked``, ``sanitize.slots_poisoned``
 and ``sanitize.violations`` counters on the global registry.
 """
 
@@ -53,8 +53,8 @@ def check_finite(f: np.ndarray, num_owned: int, context: str) -> None:
         cols = np.unique(np.nonzero(bad)[1])[:4].tolist()
         raise SanitizeError(
             f"{context}: NaN canary reached {int(bad.sum())} owned "
-            f"slot(s) (first nodes {cols}); a stale ghost or unscattered "
-            "payload leaked into owned state"
+            f"slot(s) (first nodes {cols}); an unscattered payload "
+            "leaked into owned state"
         )
 
 
@@ -64,9 +64,9 @@ class StepSanitizer:
     The solver calls the hooks from its phase bodies (each guarded by a
     single ``is not None`` check so ``sanitize=False`` costs one branch):
 
-    * :meth:`begin_step` — poison ghost columns, reset freshness state;
-    * :meth:`on_stream` — after the full-plan gather, marks the
-      provisional destinations the scatter must finalize;
+    * :meth:`begin_step` — reset freshness state;
+    * :meth:`on_stream` — after the full-plan gather, poisons and marks
+      the provisional destinations the scatter must finalize;
     * :meth:`on_payload` / :meth:`on_scatter` — payload bookkeeping plus
       the stale-payload and double-scatter checks;
     * :meth:`end_frontier` — after the rank's scatter: leftover-payload
@@ -77,15 +77,12 @@ class StepSanitizer:
     def __init__(self, ranks: Sequence[object]) -> None:
         registry = get_registry()
         self._steps_counter = registry.counter("sanitize.steps_checked")
-        self._poison_counter = registry.counter(
-            "sanitize.ghost_slots_poisoned"
-        )
+        self._poison_counter = registry.counter("sanitize.slots_poisoned")
         self._violations = registry.counter("sanitize.violations")
 
         # static per-rank facts, precomputed off the hot path
         self._cross_dst: Dict[int, np.ndarray] = {
-            st.rank: st.plan.step_plan.cross_links(st.num_owned)[0]
-            for st in ranks
+            st.rank: st.plan.step_plan.cross_links() for st in ranks
         }
 
         # per-step dynamic state
@@ -98,7 +95,8 @@ class StepSanitizer:
         raise SanitizeError(message)
 
     # -- hooks --------------------------------------------------------------
-    def _reset(self, ranks: Sequence[object], step: int) -> None:
+    def begin_step(self, ranks: Sequence[object], step: int) -> None:
+        """Reset per-step freshness state."""
         self._step = step
         for st in ranks:
             rank = int(st.rank)
@@ -110,35 +108,27 @@ class StepSanitizer:
             else:
                 prov[:] = False
 
-    def begin_step(self, ranks: Sequence[object], step: int) -> None:
-        """Poison ghost columns and reset per-step freshness state."""
-        self._reset(ranks, step)
-        poisoned = 0
-        for st in ranks:
-            st.f[:, st.num_owned :] = np.nan
-            poisoned += st.f.shape[0] * (st.f.shape[1] - st.num_owned)
-        self._poison_counter.inc(poisoned)
-
     def begin_worker_step(self, ranks: Sequence[object], step: int) -> None:
         """Process-tier hook: reset per-step freshness state in a forked
-        worker without re-poisoning.
+        worker.
 
-        The ghost columns live in shared-memory segments and were
-        already poisoned by the controlling process's :meth:`begin_step`;
-        the epoch dictionaries, however, are per-process, so each worker
-        resets its own copies when it first sees a new step (the solver
-        calls this from its phase-context hook).  Idempotent within a
-        step.  The epoch checks then run in the worker, on the state it
-        writes."""
+        The epoch dictionaries are per-process, so each worker resets
+        its own copies when it first sees a new step (the solver calls
+        this from its phase-context hook).  Idempotent within a step.
+        The canaries and the epoch checks then run in the worker, on the
+        state it writes."""
         if step != self._step:
-            self._reset(ranks, step)
+            self.begin_step(ranks, step)
 
     def on_stream(self, st: object) -> None:
-        """The full-plan gather just wrote provisional values at every
-        stale-sourced (cross-link) destination."""
+        """The full-plan gather just left a placeholder at every
+        halo-sourced (cross-link) destination: poison it with NaN and
+        mark it provisional."""
         rank = int(st.rank)
-        prov = self._provisional[rank]
-        prov[self._cross_dst[rank]] = True
+        cross = self._cross_dst[rank]
+        st.f_tmp.reshape(-1)[cross] = np.nan
+        self._provisional[rank][cross] = True
+        self._poison_counter.inc(cross.size)
 
     def on_payload(self, st: object, src: int) -> None:
         """``src``'s packed payload completed at ``st`` this step."""
@@ -192,8 +182,8 @@ class StepSanitizer:
             self._fail(
                 f"rank {rank} step {self._step}: {left.size} provisional "
                 f"frontier destination(s) never finalized (e.g. flat "
-                f"slots {left[:4].tolist()}); their stale-ghost "
-                "values survive in owned state"
+                f"slots {left[:4].tolist()}); their NaN canaries "
+                "survive in owned state"
             )
 
     def end_step(self, ranks: Sequence[object], step: int) -> None:

@@ -190,7 +190,8 @@ class SolverConfig:
         nothing and runs the one-pass schedule under either setting.
     sanitize:
         Run the runtime sanitizer (:mod:`repro.lbm.sanitize`): NaN
-        canaries in ghost columns and payload epoch tracking.
+        canaries on the provisional frontier destinations and payload
+        epoch tracking.
         Costly; intended for tests and debugging.
     backend:
         Kernel execution tier: ``"numpy"`` (default, the reference

@@ -21,9 +21,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.errors import GeometryError
 from ..core.kernels import fused_stream_kernel
 from ..core.planmeta import (
+    HALO,
     expand_runs,
     flat_destinations,
     tile_sources,
@@ -51,14 +51,16 @@ class StepPlan:
     ``flat_src[qi, k] = src_q * num_local + src_node`` indexes the
     flattened source array ``f_src.reshape(-1)``: interior links point at
     the upstream neighbour in the same population, wall links at the
-    *opposite* population of the same node (half-way bounce-back).  One
-    ``np.take(..., out=)`` (one per row when ghost columns pad the
-    destination) then executes the entire streaming step — the
-    single-pass stream kernel of the paper's perf model.
+    *opposite* population of the same node (half-way bounce-back), and
+    halo-sourced links at :data:`~repro.core.planmeta.HALO` (-1): their
+    value arrives by exchange, and the frontier scatter writes it over
+    the placeholder the gather leaves.  One ``np.take(..., out=)`` then
+    executes the entire streaming step — the single-pass stream kernel
+    of the paper's perf model.
 
     ``update_ids`` are the local node ids the step writes; every plan
-    the solver builds updates the prefix ``0..num_update-1`` of the local
-    numbering (the owned-before-ghost layout of
+    the solver builds updates every local node, in order (a rank's local
+    numbering is its owned nodes only, see
     :func:`~repro.lbm.rankplan.build_rank_plans`), which is what
     :meth:`apply` and the compiled kernels write through.  The
     constructor stores its tables as given — the ``*.stepplan.json``
@@ -85,7 +87,7 @@ class StepPlan:
         tile_table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
     ) -> None:
         self.q = q
-        self.num_local = num_local  # width of the local ``f`` (owned + ghost)
+        self.num_local = num_local  # width of the local ``f``
         self.update_ids = update_ids
         self._flat_src: Optional[np.ndarray] = flat_src
         #: The cached :meth:`kernel_tables`, or None before a compiled
@@ -103,15 +105,16 @@ class StepPlan:
             return self._flat_src
         if self.tile_table is None:
             heads, lens = self.kernel_tables()
-            return expand_runs(heads, lens)[1].reshape(
-                self.q, self.num_update
+        else:
+            tile_ptr, heads, lens = self.tile_table
+            src0 = tile_sources(
+                tile_ptr, heads, self.num_local, np.arange(lens.size)
             )
-        # pieces are filed by tile: scatter on destination, which is the
-        # link position on the ghost-free prefix plan a tile table needs
-        tile_ptr, heads, lens = self.tile_table
-        src0 = tile_sources(tile_ptr, heads, self.num_local, np.arange(lens.size))
-        dst, src = expand_runs(np.stack([heads[:, 0], src0], axis=1), lens)
-        flat = np.empty(self.q * self.num_update, dtype=np.int64)
+            heads = np.stack([heads[:, 0], src0], axis=1)
+        # on the solver's plans (the only ones released) a destination is
+        # its link position; the halo links have no run
+        dst, src = expand_runs(heads, lens)
+        flat = np.full(self.q * self.num_update, HALO, dtype=np.int64)
         flat[dst] = src
         return flat.reshape(self.q, self.num_update)
 
@@ -127,25 +130,16 @@ class StepPlan:
     def num_update(self) -> int:
         return int(self.update_ids.size)
 
-    def cross_links(self, num_owned: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The halo-reading links: ``(dst_flat, src_flat)`` index pairs.
+    def cross_links(self) -> np.ndarray:
+        """The flat destinations ``qi * num_local + node`` of the
+        halo-sourced links (gather source :data:`~repro.core.planmeta.HALO`).
 
-        ``src_flat`` points into the flattened local source array at
-        entries whose source node is a ghost (local id >= ``num_owned``);
-        ``dst_flat`` is the matching flat destination ``qi * num_local +
-        node``.  Enumeration order is deterministic (population-major,
-        then packed-column order) — the packed exchange is wired from it
-        on both sides, and K404 and the sanitizer re-derive it.
+        Enumeration order is deterministic (population-major, then
+        column order) — the packed exchange is wired from it on both
+        sides, and K404 and the sanitizer re-derive it.
         """
-        if not 0 <= num_owned <= self.num_local:
-            raise GeometryError(
-                f"num_owned {num_owned} outside [0, {self.num_local}]"
-            )
-        flat_src = self.flat_src
-        qi, col = np.nonzero(flat_src % self.num_local >= num_owned)
-        dst_flat = qi * self.num_local + self.update_ids[col]
-        src_flat = flat_src[qi, col]
-        return dst_flat.astype(np.int64), src_flat.astype(np.int64)
+        qi, col = np.nonzero(self.flat_src == HALO)
+        return (qi * self.num_local + self.update_ids[col]).astype(np.int64)
 
     @property
     def bytes_per_apply(self) -> int:
@@ -189,39 +183,21 @@ class StepPlan:
         once and cached *in place of* the run table, which
         :meth:`kernel_tables` then derives uncached.
 
-        Only a ghost-free prefix plan has one: the one-pass kernel
-        collides every local column, so every source must be an updated
-        node.
+        The one-pass kernel collides every local column, so the plan must
+        update every local node, in order — as every solver-built plan
+        does.
         """
         if self.tile_table is None:
-            if self.num_local != self.num_update or not np.array_equal(
-                self.update_ids, np.arange(self.num_update)
-            ):
-                raise GeometryError(
-                    "a one-pass tile table needs a ghost-free prefix plan "
-                    f"({self.num_update} update ids over {self.num_local} "
-                    "local nodes)"
-                )
             heads, lens = self.kernel_tables()
             self.run_table = None
             self.tile_table = tile_table(heads, lens, self.num_local)
         return self.tile_table
 
     def apply(self, f_src: np.ndarray, f_dst: np.ndarray) -> None:
-        """Stream + bounce all populations from ``f_src`` into ``f_dst``.
-
-        Only the update prefix is written; in the distributed case ghost
-        columns of ``f_dst`` are left untouched.
-        """
-        n_upd, flat_src = self.num_update, self.flat_src
-        if f_dst.shape[1] == n_upd:
-            fused_stream_kernel(f_src, f_dst, flat_src)
-        else:
-            # ghost columns pad the rows: np.take bounces a strided out=
-            # through a full-size temporary (allocate, copy in, gather,
-            # copy back), so gather each contiguous row on its own
-            for qi in range(self.q):
-                fused_stream_kernel(f_src, f_dst[qi, :n_upd], flat_src[qi])
+        """Stream + bounce all populations from ``f_src`` into the
+        ``(q, num_update)`` ``f_dst``; a halo link's destination gets a
+        placeholder the frontier scatter overwrites."""
+        fused_stream_kernel(f_src, f_dst, self.flat_src)
 
 
 def upstream_ids(

@@ -13,12 +13,14 @@ Six rules, mirroring the S3xx structure:
 ======  ==============================================================
 K401    a flat destination is written more than once per apply
         (write/write race whose outcome depends on gather order)
-K402    a gather source is out of bounds or a table has the wrong
+K402    a gather source is out of bounds (the halo placeholder -1 is
+        the one out-of-range source allowed) or a table has the wrong
         dtype (``np.take(mode="clip")`` would silently clamp it)
 K404    a receive slot is not fed the (population, global node) its
-        cross link reads by an owned ``send_flat`` slot, the receive
-        slots are not the cross-link destinations each once, or a peer
-        is mis-wired (unknown, one-sided, or of another length)
+        cross link reads (``recv_global``) by an owned ``send_flat``
+        slot, the receive slots are not the cross-link destinations
+        (the -1 sources) each once, or a peer is mis-wired (unknown,
+        one-sided, or of another length)
 K405    the declared phase order of the active schedule
         (``lbm.distributed.schedule_for``: ``BARRIER_SCHEDULE`` /
         ``OVERLAP_SCHEDULE``, ``ONE_PASS_SCHEDULE`` for one rank)
@@ -60,6 +62,7 @@ import numpy as np
 
 from ..core.errors import PlanCheckError, ReproError
 from ..core.planmeta import (
+    HALO,
     duplicate_values,
     kernel_abi_issues,
     out_of_range,
@@ -126,8 +129,9 @@ def check_plan_table(
 
     * every destination ``(population, node)`` is written at most once
       per apply (K401);
-    * sources are integer-typed and inside the flattened source array,
-      destinations inside the local numbering (K402);
+    * sources are integer-typed and inside the flattened source array
+      or the halo placeholder -1, destinations inside the local
+      numbering (K402);
     * the tables honour the compiled-kernel ABI — int64 dtype and
       C-contiguous (K406);
     * ``run_table``, the ``(heads, lens)`` pair a compiled engine asked
@@ -178,14 +182,15 @@ def check_plan_table(
                 f"[0, {num_local}) (e.g. {_preview(bad_dst)})",
             )
         )
-    bad_src = out_of_range(flat_src, q * num_local)
+    bad_src = out_of_range(flat_src, q * num_local, lo=HALO)
     if bad_src.size:
         issues.append(
             PlanIssue(
                 "source-bounds",
                 f"{label}: {bad_src.size} gather source(s) outside "
-                f"[0, {q * num_local}) (e.g. {_preview(bad_src)}); "
-                "np.take(mode='clip') would silently clamp them",
+                f"[0, {q * num_local}) and not the halo placeholder "
+                f"{HALO} (e.g. {_preview(bad_src)}); np.take(mode='clip') "
+                "would silently clamp them",
             )
         )
     tile_ptr = None
@@ -217,16 +222,11 @@ def _step_plan_issues(plan: StepPlan, label: str) -> List[PlanIssue]:
 
 
 # -- the exchange verifier (K404) -------------------------------------------
-def _needed_sources(
-    st: RankPlan, slots: np.ndarray
-) -> Tuple[np.ndarray, List[str]]:
-    """``(need, messages)``: for each receive slot of ``st``, the flat
-    slot of its own numbering whose (population, node) the slot must be
-    fed — the ghost source of the cross link whose destination it is, -1
-    where the slot is no cross-link destination — and coverage findings."""
-    dst, src = st.step_plan.cross_links(st.num_owned)
-    order = np.argsort(dst, kind="stable")
-    dst, src = dst[order], src[order]
+def _coverage(st: RankPlan, slots: np.ndarray) -> Tuple[np.ndarray, List[str]]:
+    """``(hit, messages)``: which receive slots of ``st`` are cross-link
+    destinations (the links gathering the halo placeholder), and the
+    coverage findings."""
+    dst = np.sort(st.step_plan.cross_links())
     at = np.searchsorted(dst, slots)
     hit = at < dst.size
     hit[hit] = dst[at[hit]] == slots[hit]
@@ -235,18 +235,16 @@ def _needed_sources(
         (dst[fed > 1], "cross-link destination(s) are fed by more than "
          "one payload slot"),
         (dst[fed == 0], "cross-link destination(s) have no payload slot; "
-         "their streamed values would keep stale ghost data"),
+         "their streamed values would keep the placeholder"),
         (np.unique(slots[~hit]), "payload slot(s) target destinations "
          "with no halo-reading link"),
     ]
-    need = np.full(slots.size, -1, dtype=np.int64)
-    need[hit] = src[at[hit]]
     messages = [
         f"{bad.size} {what} (e.g. {_preview(bad)})"
         for bad, what in found
         if bad.size
     ]
-    return need, messages
+    return hit, messages
 
 
 def _is_link_table(plan: StepPlan) -> bool:
@@ -261,8 +259,9 @@ def check_exchange(plans: Sequence[RankPlan]) -> List[PlanIssue]:
     """Verify the halo exchange across all ranks (K404).
 
     Both schedules run the one packed cross-link exchange.  Each receive
-    slot needs a (population, global node): the source of the cross-link
-    whose destination it is.  The sender's ``send_flat`` slot, an owned
+    slot needs a (population, global node): the population of the
+    cross link whose destination it is, and the upstream node
+    ``recv_global`` names.  The sender's ``send_flat`` slot, an owned
     slot mapped through ``owned_global``, must carry exactly that.  The
     receive slots must be the cross-link destinations, each once; and
     every receive needs a pack table of its length on a known rank, every
@@ -274,18 +273,7 @@ def check_exchange(plans: Sequence[RankPlan]) -> List[PlanIssue]:
         issues.append(PlanIssue("exchange-coverage", message))
 
     by_rank = {st.rank: st for st in plans}
-    node_ids = {}  # rank -> global id of every local node
     for st in plans:
-        ids = np.concatenate([st.owned_global, st.ghost_global])
-        if ids.size == st.step_plan.num_local:
-            node_ids[st.rank] = ids
-        else:
-            report(
-                f"rank {st.rank}: owned_global ({st.num_owned}) and "
-                f"ghost_global ({st.ghost_global.size}) do not add up to "
-                f"num_local ({st.step_plan.num_local}); its slots have no "
-                "node identity"
-            )
         for dst in sorted(st.send_flat):
             if st.rank not in getattr(by_rank.get(dst), "recv_flat", {}):
                 report(
@@ -303,13 +291,12 @@ def check_exchange(plans: Sequence[RankPlan]) -> List[PlanIssue]:
         slots = (
             np.concatenate(written) if written else np.empty(0, dtype=np.int64)
         )
-        need, messages = _needed_sources(st, slots)
+        hit, messages = _coverage(st, slots)
         for message in messages:
             report(f"{label}: {message}")
-        ids = node_ids.get(st.rank)
         start = 0
         for peer, recv in zip(peers, written):
-            want = need[start:start + recv.size]
+            fed = hit[start:start + recv.size]
             start += recv.size
             sender = by_rank.get(peer)
             if sender is None or st.rank not in sender.send_flat:
@@ -337,13 +324,21 @@ def check_exchange(plans: Sequence[RankPlan]) -> List[PlanIssue]:
                     f"owned slots of the sender (e.g. {_preview(sent[~owned])}"
                     "); packed values must be owned post-collision data"
                 )
-            peer_ids = node_ids.get(peer)
-            if ids is None or peer_ids is None:
+            carried = np.asarray(
+                st.recv_global.get(peer, ()), dtype=np.int64
+            ).reshape(-1)
+            if carried.size != recv.size:
+                report(
+                    f"{link}: recv_global names {carried.size} node(s) for "
+                    f"{recv.size} payload slot(s); the slots have no node "
+                    "identity"
+                )
                 continue
-            checked = np.flatnonzero(owned & (want >= 0))
-            need_pop, need_node = np.divmod(want[checked], plan.num_local)
+            checked = np.flatnonzero(owned & fed)
+            need_pop = recv[checked] // plan.num_local
             sent_pop, sent_node = np.divmod(sent[checked], peer_plan.num_local)
-            need_gid, sent_gid = ids[need_node], peer_ids[sent_node]
+            need_gid = carried[checked]
+            sent_gid = sender.owned_global[sent_node]
             wrong = np.flatnonzero(
                 (need_pop != sent_pop) | (need_gid != sent_gid)
             )
@@ -443,9 +438,14 @@ def check_plan_file(path: Union[str, Path]) -> List[Violation]:
                     "update_ids": [...], "flat_src": [[...]],
                     "run_table": {"heads": [[dst0, src0], ...],
                                   "lens": [...]},
-                    "owned_global": [...], "ghost_global": [...],
+                    "owned_global": [...],
                     "inlet_nodes": [...], "outlet_nodes": [...],
-                    "send_flat": {"1": [...]}, "recv_flat": {"1": [...]}}]}
+                    "send_flat": {"1": [...]}, "recv_flat": {"1": [...]},
+                    "recv_global": {"1": [...]}}]}
+
+    (``num_local`` is the owned node count; a ``flat_src`` entry of -1
+    is a halo link, whose destination some ``recv_flat`` slot writes
+    with the node ``recv_global`` names.)
 
     (``run_table`` is present when a compiled engine launched over the
     plan, ``"tile_table": {"tile_ptr", "heads", "lens"}`` in its place on

@@ -256,7 +256,7 @@ class CompiledKernels:
         every run under the stage tile its sources lie in; equal to
         :meth:`collide` then :meth:`stream` over the plan's run table.
         The pass collides every column, so ``n_nodes`` must be
-        ``f.shape[1]``: a plan with ghost columns keeps the pair.
+        ``f.shape[1]``.
         """
         num_local = self._num_local(f)
         _require_abi("f_dst", f_dst, np.float64, f.shape)

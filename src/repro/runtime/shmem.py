@@ -17,7 +17,7 @@ Three pieces, layered:
   payload; the consumer checks both equal the sequence it expects, so a
   torn (in-progress) write or a skipped epoch is detected rather than
   silently consumed — the transport-level analogue of the sanitizer's
-  ghost-freshness epochs.  A full ring blocks the producer
+  payload-freshness epochs.  A full ring blocks the producer
   (backpressure) and an empty ring blocks the consumer, both with a
   timeout that converts a lost peer into a loud error instead of a hang;
   a forked waiter whose creating (parent) process has died fails within

@@ -1,10 +1,10 @@
 """The NumPy tier moves the bytes ``phase_bytes_per_step()`` prices.
 
-Blocked in-place collide on the owned prefix and the row-gather stream
+Blocked in-place collide on the owned prefix and the one-take stream
 are pure data-movement changes: every comparison here is ``array_equal``
-against the gather/scatter collide and the contiguous-destination gather,
-ghost columns carry NaN canaries, and a ``tracemalloc`` guard pins that no
-steady step allocates a field-sized temporary again.
+against the gather/scatter collide and a plain fancy-index gather, columns past
+the collided prefix carry NaN canaries, and a ``tracemalloc`` guard pins
+that no steady step allocates a field-sized temporary again.
 """
 
 import dataclasses
@@ -72,19 +72,21 @@ def ranked_cylinder(**config):
     return DistributedSolver(grid_decompose(grid, 4), cfg)
 
 
-def test_stream_onto_padded_destination_equals_contiguous():
+def test_stream_of_an_exchanging_rank_is_one_take():
     solver = ranked_cylinder()
     for st in solver.ranks:
         plan, n = st.plan.step_plan, st.num_owned
-        assert plan.num_local > n  # ghosts pad the rows
-        f = perturbed_field(plan.num_local, seed=st.rank)
-        whole = np.empty((D3Q19.q, n))
-        plan.apply(f, whole)  # destination is the whole array: one take
-        assert np.array_equal(whole, f.reshape(-1)[plan.flat_src])
-        padded = np.full_like(f, np.nan)
-        plan.apply(f, padded)
-        assert np.array_equal(padded[:, :n], whole)
-        assert np.isnan(padded[:, n:]).all()
+        # a rank's buffers hold its owned nodes only
+        assert plan.num_local == n and st.f.shape == (D3Q19.q, n)
+        f = perturbed_field(n, seed=st.rank)
+        out = np.full_like(f, np.nan)
+        plan.apply(f, out)  # one take over the whole array
+        halo = plan.flat_src == -1
+        assert halo.any()
+        assert np.array_equal(out[~halo], f.reshape(-1)[plan.flat_src[~halo]])
+        # the halo placeholder reads element 0 (mode="clip"); the
+        # frontier scatter overwrites it
+        assert (out[halo] == f[0, 0]).all()
 
 
 @pytest.fixture(scope="module")

@@ -39,6 +39,7 @@ from repro.lbm.checkpoint import load_checkpoint, save_checkpoint
 from repro.lbm.distributed import DistributedSolver
 from repro.lbm.rankplan import rank_link_lists
 from repro.lbm.solver import Solver, SolverConfig
+from repro.lbm.stream import upstream_ids
 from repro.models import MODEL_NAMES, SimulatedDevice, create_model
 from repro.models.compiled import compiled_available
 from repro.runtime.procexec import fork_available
@@ -321,39 +322,58 @@ class ReferenceStepper:
 
 
 def reference_distributed_f(part, config, num_steps):
-    """The per-q distributed algorithm over a ``DistributedSolver`` that
-    is built but never stepped: allocating collide on owned nodes,
-    whole-column ghost copies located by global node id (not through the
-    exchange tables), :func:`stream_links` over each rank's link lists,
-    equilibrium boundaries."""
+    """The per-q distributed algorithm on buffers of its own: one
+    ghost-padded array pair per rank in :func:`rank_link_lists`'
+    numbering (owned nodes, then the remote upstream nodes), allocating
+    collide on owned nodes, whole-column ghost copies located by global
+    node id (not through the exchange tables), :func:`stream_links` over
+    each rank's link lists, equilibrium boundaries.  The
+    ``DistributedSolver`` is built, never stepped: it lends its lattice,
+    collision, initial state and boundary objects, no buffer."""
     solver = DistributedSolver(part, config)
     lattice, collision, ranks = solver.lattice, solver.collision, solver.ranks
     links = rank_link_lists(part.grid, part, lattice, config.periodic)
-    ghost_copies = []  # (dst state, ghost columns, owner state, owned columns)
+    coords, index_map = part.grid.compact_ids()
+    f, f_tmp, ghost_copies = [], [], []
     for st in ranks:
-        ghosts = st.plan.ghost_global
+        owned = st.plan.owned_global
+        ups = np.concatenate([
+            upstream_ids(
+                part.grid.shape, c, config.periodic, coords[owned], index_map
+            )
+            for c in lattice.c
+        ])
+        ghosts = np.setdiff1d(ups[ups >= 0], owned)
+        padded = np.empty((lattice.q, owned.size + ghosts.size))
+        padded[:, : owned.size] = st.f
+        f.append(padded)
+        f_tmp.append(np.empty_like(padded))
         for owner in ranks:
             held = np.isin(ghosts, owner.plan.owned_global)
             if held.any():
                 ghost_copies.append((
-                    st,
-                    st.num_owned + np.flatnonzero(held),
-                    owner,
+                    st.rank,
+                    owned.size + np.flatnonzero(held),
+                    owner.rank,
                     np.searchsorted(owner.plan.owned_global, ghosts[held]),
                 ))
     for time in range(1, num_steps + 1):
         for st in ranks:
-            collision.apply(lattice, st.f, np.arange(st.num_owned))
-        for st, ghost_cols, owner, owned_cols in ghost_copies:
-            st.f[:, ghost_cols] = owner.f[:, owned_cols]
+            collision.apply(lattice, f[st.rank], np.arange(st.num_owned))
+        for rank, ghost_cols, owner, owned_cols in ghost_copies:
+            f[rank][:, ghost_cols] = f[owner][:, owned_cols]
         for st in ranks:
-            stream_links(links[st.rank], st.f, st.f_tmp)
-            st.f, st.f_tmp = st.f_tmp, st.f
+            r = st.rank
+            stream_links(links[r], f[r], f_tmp[r])
+            f[r], f_tmp[r] = f_tmp[r], f[r]
             if st.inlet is not None:
-                st.inlet.apply(lattice, st.f, time)
+                st.inlet.apply(lattice, f[r], time)
             if st.outlet is not None:
-                st.outlet.apply(lattice, st.f, time)
-    return solver.gather_f()
+                st.outlet.apply(lattice, f[r], time)
+    out = np.empty((lattice.q, solver.num_nodes))
+    for st in ranks:
+        out[:, st.plan.owned_global] = f[st.rank][:, : st.num_owned]
+    return out
 
 
 def assert_matches(run, cell, other, tol):

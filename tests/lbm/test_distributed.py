@@ -193,9 +193,9 @@ class TestRankState:
         cfg = SolverConfig(tau=0.7, inlet_velocity=(0.0, 0.0, 0.02))
         dist = DistributedSolver(bisection_decompose(aorta, 4), cfg)
         for st in dist.ranks:
-            assert (
-                len(np.intersect1d(st.plan.owned_global, st.plan.ghost_global)) == 0
-            )
+            assert st.f.shape == st.f_tmp.shape == (dist.lattice.q, st.num_owned)
+            for carried in st.plan.recv_global.values():
+                assert len(np.intersect1d(st.plan.owned_global, carried)) == 0
 
     def test_all_nodes_owned_exactly_once(self, aorta):
         cfg = SolverConfig(tau=0.7, inlet_velocity=(0.0, 0.0, 0.02))

@@ -92,11 +92,11 @@ def test_compiled_rank_state_holds_the_run_table_alone(partition):
             *step_plan.run_table,
             step_plan.update_ids,
             plan.owned_global,
-            plan.ghost_global,
             plan.inlet_nodes,
             plan.outlet_nodes,
             *plan.send_flat.values(),
             *plan.recv_flat.values(),
+            *plan.recv_global.values(),
         ]
         lattice = st.kernels.lattice  # its constant c / opposite tables
         constants = lattice.c.nbytes + lattice.opposite.nbytes

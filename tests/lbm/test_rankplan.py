@@ -2,9 +2,9 @@
 
 The plan is the decomposition pre-processed into tables, so every
 property is checked against the grid and the partition directly —
-ownership, ghost layers, the slot-for-slot agreement of the exchange
-pair (one plan serves both schedules) — plus the ``*.stepplan.json``
-codec.
+ownership, the remote nodes the halo links read, the slot-for-slot
+agreement of the exchange pair (one plan serves both schedules) — plus
+the ``*.stepplan.json`` codec.
 """
 
 import json
@@ -63,18 +63,23 @@ def build(case, num_ranks):
     return build_rank_plans(grid, partition, D3Q19, periodic)
 
 
-def carried_slots(plan, src):
+def carried_slots(plan, src, grid, periodic):
     """``(population, global node)`` of each slot of the message from
-    ``src``, read off the receiver's side: the ghost slot the link whose
-    destination a written index is reads."""
+    ``src``, read off the receiver's side: the upstream node, off the
+    grid, of the halo link whose destination a written index is."""
     written = plan.recv_flat[src]
-    dst_flat, src_flat = plan.step_plan.cross_links(plan.num_owned)
-    order = np.argsort(dst_flat)
-    at = order[np.searchsorted(dst_flat, written, sorter=order)]
-    assert np.array_equal(dst_flat[at], written)
-    pops, nodes = np.divmod(src_flat[at], plan.step_plan.num_local)
-    assert (nodes >= plan.num_owned).all()
-    return pops, plan.ghost_global[nodes - plan.num_owned]
+    assert np.isin(written, plan.step_plan.cross_links()).all()
+    pops, nodes = np.divmod(written, plan.step_plan.num_local)
+    coords, index_map = grid.compact_ids()
+    gids = np.empty(written.size, dtype=np.int64)
+    for pop in np.unique(pops):
+        at = pops == pop
+        gids[at] = upstream_ids(
+            grid.shape, D3Q19.c[pop], periodic,
+            coords[plan.owned_global[nodes[at]]], index_map,
+        )
+    assert np.array_equal(gids, plan.recv_global[src])
+    return pops, gids
 
 
 @pytest.mark.parametrize("num_ranks", [1, 2, 3, 4])
@@ -97,8 +102,9 @@ def test_ghosts_are_the_remote_upstream_nodes(case, num_ranks):
             for c in D3Q19.c
         ])
         remote = np.setdiff1d(ups[ups >= 0], plan.owned_global)
-        assert np.array_equal(plan.ghost_global, remote)
-        assert plan.step_plan.num_local == plan.num_owned + remote.size
+        carried = [np.empty(0, dtype=np.int64), *plan.recv_global.values()]
+        assert np.array_equal(np.unique(np.concatenate(carried)), remote)
+        assert plan.step_plan.num_local == plan.num_owned
         assert plan.step_plan.num_update == plan.num_owned
 
 
@@ -108,6 +114,7 @@ def test_exchange_pair_agrees_slot_for_slot(case, num_ranks, overlap):
     # one plan serves both schedules: it verifies under either K405 walk
     plans = build(case, num_ranks)
     assert check_rank_states(plans, overlap=overlap) == []
+    grid, periodic = case
     wired = 0
     for r, plan in enumerate(plans):
         assert r not in plan.recv_flat and r not in plan.send_flat
@@ -117,7 +124,7 @@ def test_exchange_pair_agrees_slot_for_slot(case, num_ranks, overlap):
             assert sent.shape == plan.recv_flat[j].shape
             sent_pops, sent_nodes = np.divmod(sent, sender.step_plan.num_local)
             assert (sent_nodes < sender.num_owned).all()
-            pops, gids = carried_slots(plan, j)
+            pops, gids = carried_slots(plan, j, grid, periodic)
             assert np.array_equal(sent_pops, pops)
             assert np.array_equal(sender.owned_global[sent_nodes], gids)
             wired += 1
@@ -128,12 +135,13 @@ def test_exchange_pair_agrees_slot_for_slot(case, num_ranks, overlap):
 def test_overlap_ships_only_the_slots_some_link_reads(case):
     # the one exchange both schedules use writes exactly the halo-sourced
     # link destinations, fewer slots than refilling every population of
-    # every ghost node would
+    # every remote node they read would
     for plan in build(case, 4):
-        dst_flat, _ = plan.step_plan.cross_links(plan.num_owned)
+        dst_flat = plan.step_plan.cross_links()
         written = np.concatenate(list(plan.recv_flat.values()))
+        remote = np.unique(np.concatenate(list(plan.recv_global.values())))
         assert np.array_equal(np.sort(written), np.sort(dst_flat))
-        assert written.size < plan.step_plan.q * plan.ghost_global.size
+        assert written.size < plan.step_plan.q * remote.size
 
 
 def assert_matches_the_oracle(grid, periodic, lattice, num_ranks):
@@ -146,7 +154,11 @@ def assert_matches_the_oracle(grid, periodic, lattice, num_ranks):
         n = plan.step_plan.num_local
         for link in links:
             row = plan.step_plan.flat_src[link.qi]
-            assert np.array_equal(row[link.dst], link.qi * n + link.src)
+            # the lists number remote upstream nodes past the owned ones
+            local = link.src < n
+            assert np.array_equal(
+                row[link.dst], np.where(local, link.qi * n + link.src, -1)
+            )
             assert np.array_equal(
                 row[link.bounce], link.qi_opp * n + link.bounce
             )
@@ -185,10 +197,10 @@ def test_build_transients_stay_within_the_tables(num_ranks):
         table.nbytes
         for plan in plans
         for table in (
-            plan.owned_global, plan.ghost_global, plan.inlet_nodes,
+            plan.owned_global, plan.inlet_nodes,
             plan.outlet_nodes, plan.step_plan.update_ids,
-            plan.step_plan.flat_src,
-            *plan.send_flat.values(), *plan.recv_flat.values(),
+            plan.step_plan.flat_src, *plan.send_flat.values(),
+            *plan.recv_flat.values(), *plan.recv_global.values(),
         )
     )
     assert peak <= 2 * kept, f"traced peak {peak / kept:.2f}x the tables"
@@ -202,12 +214,10 @@ def test_document_round_trip(case, overlap):
     loaded = [RankPlan.from_dict(rank_doc) for rank_doc in doc["ranks"]]
     for plan, back in zip(plans, loaded):
         assert back.rank == plan.rank
-        for name in (
-            "owned_global", "ghost_global", "inlet_nodes", "outlet_nodes"
-        ):
+        for name in ("owned_global", "inlet_nodes", "outlet_nodes"):
             got, want = getattr(back, name), getattr(plan, name)
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        for name in ("send_flat", "recv_flat"):
+        for name in ("send_flat", "recv_flat", "recv_global"):
             got, want = getattr(back, name), getattr(plan, name)
             assert list(got) == list(want)
             assert all(np.array_equal(got[k], want[k]) for k in want)

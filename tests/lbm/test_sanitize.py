@@ -55,7 +55,7 @@ class TestCheckFinite:
             check_finite(f, 6, "t")
 
     def test_nan_in_ghost_column_is_ignored(self):
-        # ghost poison is the sanitizer's own canary, not a failure
+        # only the first num_owned columns are checked
         f = np.ones((3, 8))
         f[:, 6:] = np.nan
         check_finite(f, 6, "t")
@@ -95,15 +95,16 @@ class TestCleanRuns:
         assert counter.value == before + STEPS
 
     def test_ghost_poison_counter_advances(self, grid):
-        counter = get_registry().counter("sanitize.ghost_slots_poisoned")
+        # one NaN canary per halo-sourced link destination per step
+        counter = get_registry().counter("sanitize.slots_poisoned")
         before = counter.value
         solver = make_solver(grid, sanitize=True)
-        ghost_slots = sum(
-            st.f.shape[0] * (st.f.shape[1] - st.num_owned)
-            for st in solver.ranks
+        canaries = sum(
+            st.plan.step_plan.cross_links().size for st in solver.ranks
         )
+        assert canaries > 0
         solver.step(2)
-        assert counter.value == before + 2 * ghost_slots
+        assert counter.value == before + 2 * canaries
 
 
 class TestSeededBugs:
@@ -113,7 +114,7 @@ class TestSeededBugs:
         # drop one frontier destination by scattering its payload value
         # onto a neighbouring slot instead — shapes all agree, so the
         # step executes; the skipped destination keeps its provisional
-        # stale-ghost value
+        # placeholder value
         recv_flat = next(
             s.plan.recv_flat for s in solver.ranks if s.plan.recv_flat
         )

@@ -123,7 +123,7 @@ class TestSolverPreflight:
         part = axis_decompose(cylinder, 2)
         solver = DistributedSolver(part, cfg, validate_schedule=False)
         recv_flat = solver.ranks[1].plan.recv_flat
-        recv_flat[0] = recv_flat[0][:-1]  # one ghost slot short
+        recv_flat[0] = recv_flat[0][:-1]  # one payload slot short
         sched = schedule_from_rank_states(solver.ranks, part.num_ranks)
         assert "count-mismatch" in _kinds(check_schedule(sched))
 

@@ -142,12 +142,12 @@ class TestPlanTable:
         one_rank = RankPlan(
             rank=0,
             owned_global=np.arange(4, dtype=np.int64),
-            ghost_global=none,
             step_plan=StepPlan(2, 4, ids, src),
             inlet_nodes=none,
             outlet_nodes=none,
             send_flat={},
             recv_flat={},
+            recv_global={},
         )
         with pytest.raises(PlanCheckError, match=r"\[K401\]"):
             verify_rank_plans([one_rank])
@@ -387,13 +387,13 @@ class TestRealRankStates:
         assert "K404" in _rules(issues)
         assert any("packs nothing" in i.message for i in issues)
 
-    def test_pack_of_ghost_slot_is_k404(self, grid):
+    def test_pack_source_past_the_sender_f_is_k404(self, grid):
         plans = make_plans(grid, overlap=True)
         plan = next(p for p in plans if p.send_flat)
         peer = sorted(plan.send_flat)[0]
-        # redirect the first pack source to one of the sender's own
-        # ghost slots: a stale value, never owned post-collision data
-        plan.send_flat[peer][0] = plan.num_owned
+        # redirect the first pack source one past the end of the
+        # sender's f: no owned post-collision data lives there
+        plan.send_flat[peer][0] = plan.step_plan.q * plan.step_plan.num_local
         issues = check_rank_states(plans, overlap=True)
         assert _rules(issues) == ["K404"]
         assert any("not owned slots of the sender" in i.message for i in issues)
@@ -445,13 +445,14 @@ class TestRealRankStates:
         assert "after the double-buffer swap" in issues[0].message
 
     def test_corrupt_one_rank_table_still_reports_k401_k402(self, grid):
-        # one rank has no ghost columns, so there is no exchange to
-        # check; the table checks still see every corruption
+        # one rank has no halo links, so there is no exchange to
+        # check; the table checks still see every corruption (-1 is the
+        # halo placeholder, so the out-of-range source below is -2)
         (plan,) = make_plans(grid, num_ranks=1)
         assert plan.step_plan.num_local == plan.num_owned
         plan.step_plan.update_ids[1] = plan.step_plan.update_ids[0]
         plan.step_plan.flat_src[3, 5] = plan.step_plan.flat_src.size
-        plan.step_plan.flat_src[4, 6] = -1
+        plan.step_plan.flat_src[4, 6] = -2
         issues = check_rank_states([plan], overlap=False)
         assert _rules(issues) == ["K401", "K402"]
         assert any("gather source(s)" in i.message for i in issues)
@@ -480,10 +481,12 @@ def _repack(plans, move):
 def _drop_read_slot(plans):
     """Drop, on both sides, the first payload slot rank 1's links read:
     the lengths still agree, but its cross-link destination keeps the
-    stale ghost value."""
+    placeholder."""
     sender, receiver = plans
     plans[1] = dataclasses.replace(
-        receiver, recv_flat={0: receiver.recv_flat[0][1:]}
+        receiver,
+        recv_flat={0: receiver.recv_flat[0][1:]},
+        recv_global={0: receiver.recv_global[0][1:]},
     )
     plans[0] = dataclasses.replace(
         sender, send_flat={1: sender.send_flat[1][1:]}
@@ -506,6 +509,30 @@ def _short_receive(plans):
     plans[1] = dataclasses.replace(
         receiver,
         recv_flat={**receiver.recv_flat, 0: receiver.recv_flat[0][:-1]},
+    )
+
+
+def _orphan_halo_link(plans):
+    """Turn one of rank 1's local links into a halo link (-1) that no
+    payload slot targets."""
+    table = plans[1].step_plan.flat_src
+    qi, col = np.argwhere(table != -1)[0]
+    table[qi, col] = -1
+
+
+def _source_below_halo(plans):
+    """A gather source of -2: below the one placeholder K402 allows."""
+    plans[1].step_plan.flat_src[0, 0] = -2
+
+
+def _misname_carried_node(plans):
+    """Rank 1's ``recv_global`` names, for its first slot from rank 0,
+    a node other than the one rank 0 packs there."""
+    receiver = plans[1]
+    carried = receiver.recv_global[0].copy()
+    carried[0] += 1
+    plans[1] = dataclasses.replace(
+        receiver, recv_global={**receiver.recv_global, 0: carried}
     )
 
 
@@ -542,16 +569,18 @@ def _overrun_piece(plans):
 
 #: Corruptions of a 2-rank exchange that no rule reported before K404
 #: checked every slot by (population, global node), walked under either
-#: schedule (the exchange is the same), and the sabotages the solver's S301-S305 schedule pre-flight catches
-#: (``tests/lint/test_commcheck.py``), which K404 reports too; then
-#: corruptions of a one-rank plan's one-pass tile table, which K407
-#: reports: ``name: (rule, ranks, overlap, corrupt)``.
+#: schedule (the exchange is the same), and the sabotages the solver's
+#: S301-S305 schedule pre-flight catches (``tests/lint/test_commcheck.py``),
+#: which K404 reports too; a halo placeholder no slot feeds (K404) and a
+#: source below it (K402); then corruptions of a one-rank plan's one-pass
+#: tile table, which K407 reports: ``name: (rule, ranks, overlap,
+#: corrupt)``.
 PROBE_CORRUPTIONS = {
     "barrier-pack-other-owned-node": ("K404", 2, False, lambda plans: _repack(
         plans, lambda pop, node, st: (pop, (node + 1) % st.num_owned)
     )),
-    "barrier-pack-sender-ghost": ("K404", 2, False, lambda plans: _repack(
-        plans, lambda pop, node, st: (pop, st.num_owned)
+    "barrier-pack-past-sender-f": ("K404", 2, False, lambda plans: _repack(
+        plans, lambda pop, node, st: (st.step_plan.q, 0)
     )),
     "barrier-pack-other-population": ("K404", 2, False, lambda plans: _repack(
         plans, lambda pop, node, st: ((pop + 1) % st.step_plan.q, node)
@@ -563,6 +592,11 @@ PROBE_CORRUPTIONS = {
     "barrier-dropped-receive": ("K404", 2, False, _drop_receive),
     "barrier-receive-one-slot-short": ("K404", 2, False, _short_receive),
     "overlap-receive-one-slot-short": ("K404", 2, True, _short_receive),
+    "barrier-halo-link-without-slot": ("K404", 2, False, _orphan_halo_link),
+    "barrier-recv-global-other-node": (
+        "K404", 2, False, _misname_carried_node
+    ),
+    "barrier-source-below-halo": ("K402", 2, False, _source_below_halo),
     "tile-piece-filed-under-another-tile": ("K407", 1, False, _refile_piece),
     "tile-dropped-piece": ("K407", 1, False, _drop_piece),
     "tile-piece-past-its-tile": ("K407", 1, True, _overrun_piece),
@@ -595,6 +629,11 @@ def _probe_rules(grid, ranks, overlap, corrupt):
 @pytest.mark.parametrize("ranks, overlap, corrupt", _probes("K404"))
 def test_probe_corruption_is_k404(grid, ranks, overlap, corrupt):
     assert _probe_rules(grid, ranks, overlap, corrupt) == ["K404"]
+
+
+@pytest.mark.parametrize("ranks, overlap, corrupt", _probes("K402"))
+def test_probe_corruption_is_k402(grid, ranks, overlap, corrupt):
+    assert _probe_rules(grid, ranks, overlap, corrupt) == ["K402"]
 
 
 @pytest.mark.parametrize("ranks, overlap, corrupt", _probes("K407"))
@@ -703,12 +742,12 @@ class TestPlanDocuments:
 
     def test_inconsistent_node_ids_are_a_finding(self, grid, tmp_path):
         doc = self._doc(grid)
-        del doc["ranks"][0]["ghost_global"][-1]
-        p = tmp_path / "short-ghosts.stepplan.json"
+        del next(iter(doc["ranks"][0]["recv_global"].values()))[-1]
+        p = tmp_path / "short-node-ids.stepplan.json"
         p.write_text(json.dumps(doc))
         violations = check_plan_file(p)
         assert [v.rule for v in violations] == ["K404"]
-        assert "do not add up to num_local" in violations[0].message
+        assert "no node identity" in violations[0].message
 
     def test_engine_discovers_plan_files(self, grid, tmp_path):
         doc = self._doc(grid)

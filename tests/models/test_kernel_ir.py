@@ -23,11 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core import planmeta
-from repro.core.errors import (
-    BackendUnavailableError,
-    ConfigError,
-    GeometryError,
-)
+from repro.core.errors import BackendUnavailableError, ConfigError
 from repro.core.lattice import D3Q19, get_lattice
 from repro.decomp import grid_decompose
 from repro.geometry.cylinder import CylinderSpec, make_cylinder
@@ -93,9 +89,12 @@ def test_run_table_expands_to_the_link_tables(kind, ranks, overlap):
         assert heads.dtype == lens.dtype == np.int64
         assert heads.shape == (lens.size, 2)
         assert heads.flags.c_contiguous and lens.flags.c_contiguous
+        # every link but the halo links, which the frontier scatter writes
+        copied = plan.flat_src.reshape(-1) != planmeta.HALO
+        assert (ranks > 1) == (not copied.all())
         dst, src = planmeta.expand_runs(heads, lens)
-        assert np.array_equal(dst, plan.flat_dst().reshape(-1))
-        assert np.array_equal(src, plan.flat_src.reshape(-1))
+        assert np.array_equal(dst, plan.flat_dst().reshape(-1)[copied])
+        assert np.array_equal(src, plan.flat_src.reshape(-1)[copied])
         if lens.size:
             assert 1 <= lens.min() and lens.max() <= planmeta.KERNEL_RUN_CAP
         assert planmeta.run_table_issues(
@@ -105,21 +104,20 @@ def test_run_table_expands_to_the_link_tables(kind, ranks, overlap):
 
 def test_run_table_of_a_scattered_update_set():
     # the solvers build prefix plans only, but the table functions take
-    # any update set: the ghost-reading columns of a rank plan are one
+    # any update set: the halo-reading columns of a rank plan are one
     # with gaps, so runs must also break where the update ids do
     for plan in _plans("inlet", 2, True):
-        cols = np.flatnonzero(
-            (plan.flat_src % plan.num_local >= plan.num_update).any(axis=0)
-        )
+        cols = np.flatnonzero((plan.flat_src == planmeta.HALO).any(axis=0))
         assert 0 < cols.size < plan.num_update
         sub = StepPlan(
             plan.q, plan.num_local, plan.update_ids[cols],
             np.ascontiguousarray(plan.flat_src[:, cols]),
         )
         heads, lens = sub.kernel_tables()
+        copied = sub.flat_src.reshape(-1) != planmeta.HALO
         dst, src = planmeta.expand_runs(heads, lens)
-        assert np.array_equal(dst, sub.flat_dst().reshape(-1))
-        assert np.array_equal(src, sub.flat_src.reshape(-1))
+        assert np.array_equal(dst, sub.flat_dst().reshape(-1)[copied])
+        assert np.array_equal(src, sub.flat_src.reshape(-1)[copied])
         assert planmeta.run_table_issues(
             heads, lens, sub.flat_src, sub.update_ids, sub.num_local
         ) == []
@@ -132,13 +130,15 @@ def test_compiled_stream_is_plan_apply_bitwise(kind, ranks, overlap):
     rng = np.random.default_rng(11)
     for plan in _plans(kind, ranks, overlap):
         f_src = rng.random((D3Q19.q, plan.num_local))
-        # a sentinel in every slot: columns the plan does not update
-        # (the ghosts) must come out untouched
+        # a sentinel in every slot: the halo-link destinations, which
+        # the frontier scatter writes, must come out untouched
         want = np.full_like(f_src, -1.0)
         got = np.full_like(f_src, -1.0)
         plan.apply(f_src, want)
         kern.stream(f_src, got, *plan.kernel_tables())
-        assert np.array_equal(want, got)
+        halo = plan.flat_src == planmeta.HALO
+        assert (got[halo] == -1.0).all()
+        assert np.array_equal(want[~halo], got[~halo])
 
 
 def test_runs_longer_than_the_cap_are_split():
@@ -282,11 +282,22 @@ def test_tile_table_reads_its_tile_and_re_merges(size):
     assert np.array_equal(plan.kernel_tables()[1], lens)
 
 
-def test_a_plan_with_ghost_columns_has_no_tile_table():
+def test_a_plan_with_halo_links_has_a_tile_table():
+    # an exchanging rank's plan is a prefix plan too: its tile table
+    # files every link but the halo links, and a released plan
+    # re-expands them as the placeholder
     plan = _plans("inlet", 2, False)[0]
-    assert plan.num_local > plan.num_update
-    with pytest.raises(GeometryError, match="ghost-free"):
-        plan.tile_tables()
+    want_src = plan.flat_src.copy()
+    halo = want_src == planmeta.HALO
+    assert plan.num_local == plan.num_update and halo.any()
+    tile_ptr, pieces, piece_lens = plan.tile_tables()
+    assert piece_lens.sum() == plan.q * plan.num_update - halo.sum()
+    assert planmeta.tile_table_issues(
+        tile_ptr, pieces, piece_lens, want_src, plan.update_ids,
+        plan.num_local,
+    ) == []
+    plan.release_links()
+    assert np.array_equal(plan.flat_src, want_src)
 
 
 #: collision operators of the one-pass equality, name -> SolverConfig kw
